@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench check chaos scale simd-smoke
+.PHONY: build test bench bench-run bench-check check chaos scale simd-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,20 @@ test:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+
+# bench-run writes the layer-attributed scoreboard (four workloads, both
+# passes; see benchmark/README.md) to BENCH_$(PR).json. bench-check is the
+# regression gate: it compares two such files, metric by metric, against the
+# bounds in BENCHMARK.json and exits non-zero on a regression. Timings only
+# mean something between runs taken close together on a quiet host.
+#   make bench-run PR=12
+#   make bench-check OLD=BENCH_11.json NEW=BENCH_12.json
+PR ?= dev
+bench-run:
+	$(GO) run ./benchmark -out BENCH_$(PR).json
+
+bench-check:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # check is the pre-merge gate: vet + build + tests + a race-detector run of
 # the parallel experiment harness.

@@ -258,8 +258,8 @@ func BenchmarkSimThroughput(b *testing.B) {
 
 // BenchmarkSimThroughputNoTranslate is the same run with the basic-block
 // translation cache disabled; the gap between the two is the translator's
-// contribution to raw simulator speed (scripts/bench_translate.sh records
-// both into BENCH_translate.json).
+// contribution to raw simulator speed (the scoreboard tracks it on the
+// compute16 workload as cpu.notranslate_ratio: go run ./benchmark).
 func BenchmarkSimThroughputNoTranslate(b *testing.B) {
 	benchSimThroughput(b, true)
 }

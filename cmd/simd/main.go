@@ -64,12 +64,6 @@ func main() {
 			cfg.Shards = append(cfg.Shards, strings.TrimSpace(s))
 		}
 	}
-	if *journalDir != "" {
-		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "simd: journal dir: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	srv, err := simd.NewServer(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "simd: %v\n", err)

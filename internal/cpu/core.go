@@ -26,65 +26,111 @@ type fetchedInst struct {
 	predNext  uint64
 }
 
-// source is one captured operand.
+// source is one captured operand. While its producer is still executing,
+// dep points at the producer and (next, nextSlot) chain this slot into the
+// producer's wake list.
 type source struct {
-	val   uint64
-	ready bool
-	dep   *entry
+	val      uint64
+	dep      *entry
+	next     *entry
+	nextSlot uint8
+	ready    bool
 }
 
-// entry is one RUU (window) slot.
+// entry is one RUU (window) slot. Only the opcode's class and access size
+// are kept from isa.Info, and the small fields are packed at the tail, so
+// the struct with its wake links fits the 192-byte allocator size class
+// (TestEntrySizeClass).
 type entry struct {
-	seq  uint64
-	pc   uint64
-	in   isa.Inst
-	info isa.Info
+	seq uint64
+	pc  uint64
+	in  isa.Inst
 
-	predTaken bool
-	predNext  uint64
+	predNext uint64
 
-	src  [2]source
-	dest int // regfile index (0..31 int, 32..63 fp), -1 none
+	src [2]source
 
-	// waiters counts younger entries holding an unresolved dep on this
-	// one, letting broadcast stop as soon as all are woken.
-	waiters int
+	// wakeHead/wakeSlot head the list of (consumer, source slot) pairs
+	// waiting on this entry's result: captureSrc pushes, broadcast drains.
+	wakeHead *entry
 
-	issued bool
-	done   bool
 	doneAt uint64
 	result uint64
 
 	// memory state
-	addr      uint64
-	addrReady bool
-	missWait  bool // load waiting on a fill
-	storeVal  uint64
+	addr     uint64
+	storeVal uint64
 
-	isSer bool // serializing (FENCE/IFLUSH/HWBAR/HALT), precomputed
-
-	// branch resolution
-	isBranch     bool
-	actualTaken  bool
-	actualNext   uint64
-	mispredicted bool
+	actualNext uint64 // branch resolution
 
 	fault error
+
+	class    isa.Class
+	memBytes int // access size (loads/stores)
+
+	dest      int8 // regfile index (0..31 int, 32..63 fp), -1 none
+	wakeSlot  uint8
+	predTaken bool
+	issued    bool
+	done      bool
+	addrReady bool
+	missWait  bool // load waiting on a fill
+	isSer     bool // serializing (FENCE/IFLUSH/HWBAR/HALT), precomputed
+
+	isBranch     bool
+	actualTaken  bool
+	mispredicted bool
 }
 
 func (e *entry) isLoad() bool {
-	return e.info.Class == isa.ClassLoad
+	return e.class == isa.ClassLoad
 }
 
 func (e *entry) isStore() bool {
-	return e.info.Class == isa.ClassStore
+	return e.class == isa.ClassStore
 }
 
 func (e *entry) isCacheOp() bool {
-	return e.info.Class == isa.ClassCacheOp
+	return e.class == isa.ClassCacheOp
+}
+
+// isMem reports whether the entry occupies an LSQ slot.
+func (e *entry) isMem() bool {
+	return e.isLoad() || e.isStore() || e.isCacheOp()
 }
 
 func (e *entry) serializing() bool { return e.isSer }
+
+// operandsReady reports whether both sources have been captured.
+func (e *entry) operandsReady() bool { return e.src[0].ready && e.src[1].ready }
+
+// insertByAge inserts e into the age-ordered list q. New arrivals are
+// almost always the youngest, so the search runs from the tail.
+func insertByAge(q []*entry, e *entry) []*entry {
+	i := len(q)
+	q = append(q, e)
+	for ; i > 0 && q[i-1].seq > e.seq; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	return q
+}
+
+// removeAt deletes q[i], keeping order.
+func removeAt(q []*entry, i int) []*entry {
+	copy(q[i:], q[i+1:])
+	return q[:len(q)-1]
+}
+
+// squashYounger drops every entry younger than seq from the tail of the
+// age-ordered list q.
+func squashYounger(q []*entry, seq uint64) []*entry {
+	n := len(q)
+	for n > 0 && q[n-1].seq > seq {
+		n--
+	}
+	return q[:n]
+}
 
 // sbEntry is one post-commit store-buffer slot. pc is carried only for
 // observer attribution (hbcheck race reports).
@@ -100,6 +146,20 @@ type sbEntry struct {
 
 // Core is one out-of-order SRISC core (or one context of an MTCore).
 type Core struct {
+	// Fields the machine loop reads for every core on every cycle, parked
+	// ones included (Quiesced, SkipQuiesced, Running), lead the struct so a
+	// skipped core costs one cache line: quiescence state (see quiesce.go),
+	// run state, and the per-cycle counters SkipQuiesced credits.
+	quiesced    bool
+	qFetchStall bool // skipped cycles count as FetchMissStalls
+	qFenceStall bool // skipped cycles count as FenceStalls
+	Halted      bool
+	Fault       error
+
+	Cycles          uint64
+	FetchMissStalls uint64
+	FenceStalls     uint64
+
 	Cfg Config
 	ID  int // logical thread/core id
 
@@ -115,8 +175,6 @@ type Core struct {
 	// Committed architectural state: x0..x31 then f0..f31.
 	regs [64]uint64
 
-	Halted  bool
-	Fault   error
 	Console []uint64
 
 	// Fetch.
@@ -153,16 +211,20 @@ type Core struct {
 	divBusyUntil uint64
 	hwbarSent    bool
 
+	// loadsBlocked is issueStage scratch, cleared at the top of each pass
+	// and set once a load has met an older store or cache-op whose address
+	// is unresolved. That entry is older than the cursor, so it cannot
+	// resolve before the pass ends, and it blocks every younger load too:
+	// the rest of the pass skips their ordering walks.
+	loadsBlocked bool
+
 	// siblings lists the other contexts sharing this physical core's L1
 	// (multithreaded cores). A local store must clear their LL/SC
 	// reservations on the written line: no coherence event fires for a
 	// same-cache write, but the reservation is broken all the same.
 	siblings []*Core
 
-	// Fast-path bookkeeping.
-	inFlight    int // issued but not yet done
-	missWaiting int // loads waiting on fills
-	entryPool   []*entry
+	entryPool []*entry
 
 	// Reusable backing arrays for the three front-popped queues (see
 	// pushQueue); steady-state push/pop traffic allocates nothing.
@@ -170,20 +232,21 @@ type Core struct {
 	winBack   []*entry
 	sbBack    []sbEntry
 
-	// Quiescence state (see quiesce.go).
-	quiesced    bool
-	qFetchStall bool // skipped cycles count as FetchMissStalls
-	qFenceStall bool // skipped cycles count as FenceStalls
+	// Statistics (the per-cycle counters are in the header).
+	Committed     uint64
+	Mispredicts   uint64
+	LoadsExecuted uint64
+	StoresDrained uint64
+	SCFailures    uint64
 
-	// Statistics.
-	Cycles          uint64
-	Committed       uint64
-	Mispredicts     uint64
-	FetchMissStalls uint64
-	FenceStalls     uint64
-	LoadsExecuted   uint64
-	StoresDrained   uint64
-	SCFailures      uint64
+	// Scheduler side lists: each names the window entries one pipeline
+	// stage can act on, oldest first, so no stage walks the window
+	// (DESIGN.md §6, "wakeup/select"). All four are carved from one
+	// backing array by allocLists and never grow.
+	ready  []*entry // operands captured, unissued, non-serializing: issueStage
+	flight []*entry // issued, not done, not missWait: completeStage
+	missq  []*entry // loads waiting on a fill: missWaitStage
+	storeq []*entry // in-window stores and cache-ops: loadOrdering
 }
 
 // New builds a core attached to its L1 caches in sys. bnet may be nil when
@@ -241,10 +304,24 @@ func (c *Core) flushPipeline() {
 	c.llValid = false
 	c.fetchStopped = false
 	c.hwbarSent = false
-	c.inFlight = 0
-	c.missWaiting = 0
 	c.quiesced = false
 	c.curBlock = nil
+	if c.ready == nil {
+		c.allocLists()
+	}
+	c.ready, c.flight, c.missq, c.storeq = c.ready[:0], c.flight[:0], c.missq[:0], c.storeq[:0]
+}
+
+// allocLists carves the scheduler side lists out of one allocation. ready
+// and flight hold window entries (at most RUUSize), missq and storeq hold
+// LSQ occupants (at most LSQSize). The three-index slices keep a list from
+// ever appending into its neighbour.
+func (c *Core) allocLists() {
+	ruu, lsq := c.Cfg.RUUSize, c.Cfg.LSQSize
+	b := make([]*entry, 2*ruu+2*lsq)
+	c.ready, b = b[:0:ruu], b[ruu:]
+	c.flight, b = b[:0:ruu], b[ruu:]
+	c.missq, c.storeq = b[:0:lsq], b[lsq:lsq:2*lsq]
 }
 
 // pushQueue appends e to a queue whose consumers pop from the front with
@@ -384,73 +461,61 @@ func (c *Core) Tick(now uint64) {
 // --- complete / wakeup -----------------------------------------------
 
 func (c *Core) completeStage(now uint64) {
-	// Retire finished executions, waking their consumers; resolve
-	// branches. The scan stops once every in-flight entry has been seen:
-	// the remaining tail is unissued or done, for which the body is a
-	// no-op anyway.
-	remaining := c.inFlight
-	if remaining == 0 {
-		return
-	}
-	for _, e := range c.window {
-		// missWait loads are issued-but-not-done without being counted
-		// in inFlight (their doneAt is unreachable until the fill).
-		if !e.issued || e.done || e.missWait {
+	// Retire finished executions in age order, waking their consumers;
+	// resolve branches. A mispredict squashes everything younger, so the
+	// walk stops there.
+	w := 0
+	for i, e := range c.flight {
+		if e.doneAt > now {
+			c.flight[w] = e
+			w++
 			continue
 		}
-		remaining--
-		if e.doneAt <= now {
-			e.done = true
-			c.inFlight--
-			c.broadcast(e)
-			if e.mispredicted {
-				c.Mispredicts++
-				c.squashAfter(now, e)
-				return // window changed
-			}
-		}
-		if remaining == 0 {
+		e.done = true
+		c.broadcast(e)
+		if e.mispredicted {
+			c.Mispredicts++
+			w += copy(c.flight[w:], c.flight[i+1:])
+			c.flight = c.flight[:w]
+			c.squashAfter(now, e)
 			return
 		}
 	}
+	c.flight = c.flight[:w]
 }
 
-// broadcast delivers a completed entry's result to waiting consumers.
-// Consumers are strictly younger than their producer (program order), so
-// the scan runs from the window tail and stops at p's position — or
-// earlier, once every registered waiter has been woken.
+// broadcast delivers a completed entry's result to the consumers on its
+// wake list; one whose last operand this was becomes selectable. The
+// sorted insert matters when issueStage itself broadcasts (faulting loads
+// and SCs, illegal ops): the consumer is younger than the faulting entry,
+// so it lands behind the cursor and is still visited in the same pass.
 func (c *Core) broadcast(p *entry) {
-	for i := len(c.window) - 1; i >= 0 && p.waiters > 0; i-- {
-		e := c.window[i]
-		if e.seq <= p.seq {
-			break
+	for e, slot := p.wakeHead, p.wakeSlot; e != nil; {
+		s := &e.src[slot]
+		s.val, s.ready, s.dep = p.result, true, nil
+		if e.src[slot^1].ready && !e.issued && !e.isSer {
+			c.ready = insertByAge(c.ready, e)
 		}
-		for j := range e.src {
-			if e.src[j].dep == p {
-				e.src[j].val = p.result
-				e.src[j].ready = true
-				e.src[j].dep = nil
-				p.waiters--
-			}
-		}
+		e, slot, s.next = s.next, s.nextSlot, nil
 	}
+	p.wakeHead = nil
 }
 
 // squashAfter removes all entries younger than e and redirects fetch.
 func (c *Core) squashAfter(now uint64, e *entry) {
-	keep := c.window[:0]
+	keep := squashYounger(c.window, e.seq)
 	sawLL := false
-	for _, x := range c.window {
-		if x.seq <= e.seq {
-			keep = append(keep, x)
-		} else {
-			if x.in.Op == isa.LL && x.issued {
-				sawLL = true
-			}
-			c.freeEntry(x)
+	for _, x := range c.window[len(keep):] {
+		if x.in.Op == isa.LL && x.issued {
+			sawLL = true
 		}
+		c.freeEntry(x)
 	}
 	c.window = keep
+	c.ready = squashYounger(c.ready, e.seq)
+	c.flight = squashYounger(c.flight, e.seq)
+	c.missq = squashYounger(c.missq, e.seq)
+	c.storeq = squashYounger(c.storeq, e.seq)
 	if sawLL {
 		c.llValid = false
 	}
@@ -461,43 +526,47 @@ func (c *Core) squashAfter(now uint64, e *entry) {
 	c.fetchHoldUntil = now + uint64(c.Cfg.RedirectPenalty)
 }
 
-// rebuildRename recomputes the producer table and dispatch bookkeeping from
-// the surviving window.
+// rebuildRename recomputes the producer table, dispatch bookkeeping and
+// wake lists from the surviving window.
 func (c *Core) rebuildRename() {
 	for i := range c.producer {
 		c.producer[i] = nil
 	}
 	c.memOps = 0
 	c.fenceBlock = false
-	c.inFlight = 0
-	c.missWaiting = 0
 	for _, x := range c.window {
-		x.waiters = 0
 		if x.dest >= 0 {
 			c.producer[x.dest] = x
 		}
-		if x.isLoad() || x.isStore() || x.isCacheOp() {
+		if x.isMem() {
 			c.memOps++
 		}
 		if x.serializing() {
 			c.fenceBlock = true
 		}
-		if x.issued && !x.done && !x.missWait {
-			c.inFlight++
-		}
-		if x.missWait {
-			c.missWaiting++
-		}
-	}
-	// Recount waiters: squashed consumers took their registrations with
-	// them, and deps always point at older (surviving) entries.
-	for _, x := range c.window {
+		// Re-link wake lists from surviving consumers only: squashed
+		// consumers took their registrations with them. Deps point at
+		// older entries, whose lists this walk has already reset.
+		x.wakeHead = nil
 		for i := range x.src {
 			if d := x.src[i].dep; d != nil {
-				d.waiters++
+				c.awaitResult(x, i, d)
 			}
 		}
 	}
+}
+
+// awaitResult registers consumer e's source slot on producer p's wake list.
+func (c *Core) awaitResult(e *entry, slot int, p *entry) {
+	e.src[slot] = source{dep: p, next: p.wakeHead, nextSlot: p.wakeSlot}
+	p.wakeHead, p.wakeSlot = e, uint8(slot)
+}
+
+// execute marks e issued and puts it on the in-flight list until doneAt.
+func (c *Core) execute(e *entry, doneAt uint64) {
+	e.issued = true
+	e.doneAt = doneAt
+	c.flight = insertByAge(c.flight, e)
 }
 
 // --- commit ----------------------------------------------------------
@@ -524,7 +593,7 @@ func (c *Core) commitStage(now uint64) {
 			if len(c.sb) >= c.Cfg.SBSize {
 				return // store buffer full; retry next cycle
 			}
-			c.sb = pushQueue(c.sb, &c.sbBack, 2*c.Cfg.SBSize, sbEntry{addr: e.addr, size: e.info.MemBytes, val: e.storeVal, pc: e.pc})
+			c.sb = pushQueue(c.sb, &c.sbBack, 2*c.Cfg.SBSize, sbEntry{addr: e.addr, size: e.memBytes, val: e.storeVal, pc: e.pc})
 		case e.isCacheOp():
 			if len(c.sb) >= c.Cfg.SBSize {
 				return
@@ -532,7 +601,7 @@ func (c *Core) commitStage(now uint64) {
 			c.sb = pushQueue(c.sb, &c.sbBack, 2*c.Cfg.SBSize, sbEntry{cacheOp: true, icache: e.in.Op == isa.ICBI, addr: e.addr})
 		}
 		if c.obs != nil && e.isLoad() {
-			c.obs.OnCommitLoad(now, c.ID, e.pc, e.addr, e.info.MemBytes)
+			c.obs.OnCommitLoad(now, c.ID, e.pc, e.addr, e.memBytes)
 		}
 		if e.dest >= 0 {
 			c.regs[e.dest] = e.result
@@ -551,7 +620,7 @@ func (c *Core) commitStage(now uint64) {
 				c.pred.updateTarget(e.pc, e.actualNext)
 			}
 		}
-		switch e.info.Class {
+		switch e.class {
 		case isa.ClassHalt:
 			c.Halted = true
 			c.popHead(e)
@@ -576,8 +645,11 @@ func (c *Core) commitStage(now uint64) {
 
 func (c *Core) popHead(e *entry) {
 	c.window = c.window[1:]
-	if e.isLoad() || e.isStore() || e.isCacheOp() {
+	if e.isMem() {
 		c.memOps--
+		if !e.isLoad() {
+			c.storeq = removeAt(c.storeq, 0) // e is the oldest in-window store
+		}
 	}
 	c.Committed++
 	c.freeEntry(e)
@@ -593,7 +665,7 @@ func (c *Core) trySerializing(now uint64, e *entry) bool {
 	// sibling context's misses, wrong-path fills) is deliberately not
 	// waited for.
 	drained := len(c.sb) == 0
-	switch e.info.Class {
+	switch e.class {
 	case isa.ClassFence, isa.ClassHalt:
 		if drained {
 			e.done = true
@@ -624,9 +696,7 @@ func (c *Core) trySerializing(now uint64, e *entry) bool {
 				c.obs.OnHWBar(now, c.ID, int(e.in.Imm), true)
 			}
 			// One cycle to check and reset the local status register.
-			e.doneAt = now + 1
-			e.issued = true
-			c.inFlight++
+			c.execute(e, now+1)
 			c.hwbarSent = false
 		}
 		return false // commits once completeStage marks it done
@@ -684,13 +754,10 @@ func (c *Core) sbIssuedOnly() bool {
 // --- loads waiting on fills --------------------------------------------
 
 func (c *Core) missWaitStage(now uint64) {
-	if c.missWaiting == 0 {
-		return
-	}
-	for _, e := range c.window {
-		if !e.missWait {
-			continue
-		}
+	// Present refreshes LRU state and counts a hit, so every waiting load
+	// is probed every cycle, oldest first.
+	keep := c.missq[:0]
+	for _, e := range c.missq {
 		if c.l1d.Present(e.addr) {
 			c.performLoad(now, e)
 			continue
@@ -699,19 +766,18 @@ func (c *Core) missWaitStage(now uint64) {
 		if !c.l1d.MissPending(e.addr) {
 			c.l1d.StartMiss(now, e.addr, mem.GetS, false)
 		}
+		keep = append(keep, e)
 	}
+	c.missq = keep
 }
 
-// performLoad reads memory functionally and schedules completion.
+// performLoad reads memory functionally and schedules completion. A load
+// coming off the miss queue is dropped from it by the caller.
 func (c *Core) performLoad(now uint64, e *entry) {
-	v := c.sys.Mem.Read(e.addr, e.info.MemBytes)
-	e.result = signExtend(v, e.info.MemBytes)
-	if e.missWait {
-		e.missWait = false
-		c.missWaiting--
-	}
-	e.doneAt = now + 1
-	c.inFlight++
+	v := c.sys.Mem.Read(e.addr, e.memBytes)
+	e.result = signExtend(v, e.memBytes)
+	e.missWait = false
+	c.execute(e, now+1)
 	c.LoadsExecuted++
 	if Trace {
 		tracef("[%d] core%d load pc=%#x addr=%#x -> %#x\n", now, c.ID, e.pc, e.addr, e.result)
@@ -731,17 +797,13 @@ func (c *Core) issueStage(now uint64) {
 	issued := 0
 	intUsed, mulUsed, fpUsed := 0, 0, 0
 	memPortUsed := false
-	for _, e := range c.window {
-		if issued >= c.Cfg.IssueWidth {
-			return
-		}
-		if e.issued || e.done || e.serializing() {
-			continue
-		}
-		if !e.src[0].ready || !e.src[1].ready {
-			continue
-		}
-		switch e.info.Class {
+	c.loadsBlocked = false
+	// Oldest first over the ready list only. An entry that issues leaves
+	// the list; one that loses its function unit or port, or fails the
+	// memory-ordering rules, stays for the next cycle.
+	for i := 0; i < len(c.ready) && issued < c.Cfg.IssueWidth; i++ {
+		e := c.ready[i]
+		switch e.class {
 		case isa.ClassALU, isa.ClassBranch, isa.ClassJump:
 			if intUsed >= c.Cfg.IntALUs {
 				continue
@@ -784,9 +846,7 @@ func (c *Core) issueStage(now uint64) {
 				continue
 			}
 			intUsed++
-			e.issued = true
-			c.inFlight++
-			e.doneAt = now + 1
+			c.execute(e, now+1)
 		case isa.ClassLoad:
 			if memPortUsed {
 				continue
@@ -820,17 +880,19 @@ func (c *Core) issueStage(now uint64) {
 			e.done = true
 			e.fault = fmt.Errorf("cpu: illegal instruction %v at %#x", e.in.Op, e.pc)
 			c.broadcast(e)
-			continue
+			c.ready = removeAt(c.ready, i)
+			i--
+			continue // takes no issue slot
 		}
 		issued++
+		c.ready = removeAt(c.ready, i)
+		i--
 	}
 }
 
 func (c *Core) executeSimple(now uint64, e *entry, lat uint64) {
-	e.issued = true
-	c.inFlight++
-	e.doneAt = now + lat
-	switch e.info.Class {
+	c.execute(e, now+lat)
+	switch e.class {
 	case isa.ClassBranch:
 		e.isBranch = true
 		e.actualTaken, e.actualNext = branchOutcome(e.in, e.pc, e.src[0].val, e.src[1].val)
@@ -854,11 +916,9 @@ func (c *Core) executeStore(now uint64, e *entry) {
 	e.addr = uint64(int64(e.src[0].val) + int64(e.in.Imm))
 	e.addrReady = true
 	e.storeVal = e.src[1].val
-	e.issued = true
-	c.inFlight++
-	e.doneAt = now + 1
-	if e.addr%uint64(e.info.MemBytes) != 0 {
-		e.fault = fmt.Errorf("cpu: misaligned %d-byte store to %#x at pc %#x", e.info.MemBytes, e.addr, e.pc)
+	c.execute(e, now+1)
+	if e.addr&uint64(e.memBytes-1) != 0 { // sizes are powers of two
+		e.fault = fmt.Errorf("cpu: misaligned %d-byte store to %#x at pc %#x", e.memBytes, e.addr, e.pc)
 	}
 	if e.addr < 0x1000 {
 		e.fault = fmt.Errorf("cpu: null store to %#x at pc %#x", e.addr, e.pc)
@@ -868,21 +928,22 @@ func (c *Core) executeStore(now uint64, e *entry) {
 func (c *Core) executeCacheOp(now uint64, e *entry) {
 	e.addr = c.lineOf(uint64(int64(e.src[0].val) + int64(e.in.Imm)))
 	e.addrReady = true
-	e.issued = true
-	c.inFlight++
-	e.doneAt = now + 1
+	c.execute(e, now+1)
 }
 
 // tryIssueLoad applies the memory-ordering rules and starts the access.
 func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 	addr := uint64(int64(e.src[0].val) + int64(e.in.Imm))
-	if addr%uint64(e.info.MemBytes) != 0 || addr < 0x1000 {
+	if addr&uint64(e.memBytes-1) != 0 || addr < 0x1000 { // sizes are powers of two
 		e.addr = addr
 		e.issued = true
 		e.done = true
-		e.fault = fmt.Errorf("cpu: bad %d-byte load from %#x at pc %#x", e.info.MemBytes, addr, e.pc)
+		e.fault = fmt.Errorf("cpu: bad %d-byte load from %#x at pc %#x", e.memBytes, addr, e.pc)
 		c.broadcast(e)
 		return true
+	}
+	if c.loadsBlocked {
+		return false
 	}
 	fwd, hasFwd, ok := c.loadOrdering(e, addr)
 	if !ok {
@@ -895,7 +956,7 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		// LL ignores forwarding: it needs the line in the cache for
 		// the reservation to mean anything.
 		e.missWait = true
-		c.missWaiting++
+		c.missq = insertByAge(c.missq, e)
 		e.doneAt = ^uint64(0)
 		if !c.l1d.Present(addr) {
 			c.l1d.StartMiss(now, addr, mem.GetS, false)
@@ -903,9 +964,8 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		return true
 	}
 	if hasFwd {
-		e.result = signExtend(fwd, e.info.MemBytes)
-		e.doneAt = now + 1
-		c.inFlight++
+		e.result = signExtend(fwd, e.memBytes)
+		c.execute(e, now+1)
 		c.LoadsExecuted++
 		return true
 	}
@@ -914,17 +974,17 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		return true
 	}
 	e.missWait = true
-	c.missWaiting++
+	c.missq = insertByAge(c.missq, e)
 	e.doneAt = ^uint64(0) // not done until the fill arrives (performLoad)
 	c.l1d.StartMiss(now, addr, mem.GetS, false)
 	return true
 }
 
 // loadOrdering checks this load against older stores and cache-ops in the
-// window and store buffer. It returns (forwardedValue, haveForward,
-// okToIssue).
+// store buffer and the store queue. It returns (forwardedValue,
+// haveForward, okToIssue).
 func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
-	size := uint64(e.info.MemBytes)
+	size := uint64(e.memBytes)
 	line := c.lineOf(addr)
 	var fwd uint64
 	hasFwd := false
@@ -950,25 +1010,20 @@ func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 			fwd, hasFwd = f, true
 		}
 	}
-	// Older window entries.
-	for _, o := range c.window {
+	// Older in-window stores and cache-ops.
+	for _, o := range c.storeq {
 		if o.seq >= e.seq {
 			break
 		}
+		if !o.addrReady {
+			c.loadsBlocked = true
+			return 0, false, false
+		}
 		if o.isCacheOp() {
-			if !o.addrReady {
-				return 0, false, false
-			}
 			if c.lineOf(o.addr) == line {
 				return 0, false, false
 			}
 			continue
-		}
-		if !o.isStore() {
-			continue
-		}
-		if !o.addrReady {
-			return 0, false, false
 		}
 		if o.in.Op == isa.SC {
 			// SC writes memory directly when it performs; a younger
@@ -979,7 +1034,7 @@ func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 			}
 			continue
 		}
-		f, covered, conflict := coverCheck(o.addr, uint64(o.info.MemBytes), o.storeVal, addr, size)
+		f, covered, conflict := coverCheck(o.addr, uint64(o.memBytes), o.storeVal, addr, size)
 		if conflict {
 			return 0, false, false
 		}
@@ -1029,13 +1084,7 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 		return true
 	}
 	if !c.llValid || c.lineOf(c.llAddr) != c.lineOf(addr) {
-		e.issued = true
-		c.inFlight++
-		e.addrReady = true
-		e.result = 0
-		e.doneAt = now + 1
-		c.llValid = false
-		c.SCFailures++
+		c.failSC(now, e)
 		return true
 	}
 	switch c.l1d.WriteState(addr) {
@@ -1048,11 +1097,9 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 		if Trace {
 			tracef("[%d] core%d SC OK pc=%#x addr=%#x val=%d\n", now, c.ID, e.pc, addr, e.src[1].val)
 		}
-		e.issued = true
-		c.inFlight++
+		c.execute(e, now+1)
 		e.addrReady = true
 		e.result = 1
-		e.doneAt = now + 1
 		c.llValid = false
 		return true
 	case mem.Shared:
@@ -1061,15 +1108,18 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 	default:
 		// Line lost: the reservation is gone too (onLineLost), but be
 		// defensive and fail rather than fetch the line again.
-		e.issued = true
-		c.inFlight++
-		e.addrReady = true
-		e.result = 0
-		e.doneAt = now + 1
-		c.llValid = false
-		c.SCFailures++
+		c.failSC(now, e)
 		return true
 	}
+}
+
+// failSC completes a store-conditional whose reservation is gone.
+func (c *Core) failSC(now uint64, e *entry) {
+	c.execute(e, now+1)
+	e.addrReady = true
+	e.result = 0
+	c.llValid = false
+	c.SCFailures++
 }
 
 // --- dispatch ----------------------------------------------------------
@@ -1088,10 +1138,11 @@ func (c *Core) dispatchStage(now uint64) {
 		e.seq = c.nextSeq
 		e.pc = f.pc
 		e.in = f.d.In
-		e.info = f.d.Info
+		e.class = f.d.Info.Class
+		e.memBytes = f.d.Info.MemBytes
 		e.predTaken = f.predTaken
 		e.predNext = f.predNext
-		e.dest = int(f.d.Dest)
+		e.dest = f.d.Dest
 		e.isSer = f.d.Ser
 		// Capture sources and destination from the pre-bound record.
 		c.captureSrc(e, 0, int(f.d.Src0))
@@ -1101,6 +1152,9 @@ func (c *Core) dispatchStage(now uint64) {
 		}
 		if f.d.Mem {
 			c.memOps++
+			if !e.isLoad() {
+				c.storeq = append(c.storeq, e)
+			}
 		}
 		if f.d.Ser {
 			c.fenceBlock = true
@@ -1113,6 +1167,9 @@ func (c *Core) dispatchStage(now uint64) {
 		if f.d.In.Op == isa.NOP {
 			e.issued = true
 			e.done = true
+		}
+		if e.operandsReady() && !e.issued && !e.isSer {
+			c.ready = append(c.ready, e) // youngest in the window
 		}
 		c.fetchBuf = c.fetchBuf[1:]
 		c.window = pushQueue(c.window, &c.winBack, 2*c.Cfg.RUUSize, e)
@@ -1129,8 +1186,7 @@ func (c *Core) captureSrc(e *entry, slot, reg int) {
 		if p.done {
 			e.src[slot] = source{val: p.result, ready: true}
 		} else {
-			e.src[slot] = source{dep: p}
-			p.waiters++
+			c.awaitResult(e, slot, p)
 		}
 		return
 	}

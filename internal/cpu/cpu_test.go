@@ -13,15 +13,16 @@ const textBase = 0x10000
 
 // testRig builds a 1..n-core system and loads a program.
 type testRig struct {
+	t     testing.TB
 	sys   *mem.System
 	cores []*Core
 	now   uint64
 }
 
-func newRig(t *testing.T, nc int, p *asm.Program) *testRig {
+func newRig(t testing.TB, nc int, p *asm.Program) *testRig {
 	t.Helper()
 	sys := mem.NewSystem(mem.DefaultConfig(nc))
-	r := &testRig{sys: sys}
+	r := &testRig{t: t, sys: sys}
 	for i := 0; i < nc; i++ {
 		r.cores = append(r.cores, New(DefaultConfig(), i, sys, nil))
 	}
@@ -43,7 +44,7 @@ func (r *testRig) run(t *testing.T, limit uint64) {
 			if c.Running() {
 				running = true
 			}
-			c.Tick(r.now)
+			r.tick(c)
 		}
 		r.sys.Tick(r.now)
 		r.now++
@@ -283,13 +284,13 @@ loop:
 	// Run a while, then migrate the thread to core 1.
 	for i := 0; i < 5000; i++ {
 		for _, c := range r.cores {
-			c.Tick(r.now)
+			r.tick(c)
 		}
 		r.sys.Tick(r.now)
 		r.now++
 	}
 	for !r.cores[0].Drained() {
-		r.cores[0].Tick(r.now)
+		r.tick(r.cores[0])
 		r.sys.Tick(r.now)
 		r.now++
 	}
@@ -466,7 +467,7 @@ spot:	.quad 0
 	// but their GetM fills are still outstanding.
 	refused := false
 	for i := 0; i < 2000; i++ {
-		r.cores[0].Tick(r.now)
+		r.tick(r.cores[0])
 		r.sys.Tick(r.now)
 		r.now++
 		if !r.cores[0].Drained() {

@@ -102,7 +102,7 @@ func (c *Core) longStalled(now uint64) bool {
 	// A window whose head is a load waiting on an outstanding fill, with
 	// nothing else in flight, cannot commit or issue this cycle.
 	head := c.window[0]
-	return c.missWaiting > 0 && c.inFlight == 0 && head.missWait && len(c.sb) == 0 &&
+	return len(c.flight) == 0 && head.missWait && len(c.sb) == 0 &&
 		!c.l1d.Present(head.addr) && c.l1d.MissPending(head.addr)
 }
 

@@ -68,9 +68,9 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 		return false
 	}
 	// completeStage: nothing executing toward a future doneAt. (Loads in
-	// missWait are not counted in inFlight; their doneAt is unreachable
-	// until performLoad runs after the fill.)
-	if c.inFlight != 0 {
+	// missWait are on the miss queue, not the in-flight list; their doneAt
+	// is unreachable until performLoad runs after the fill.)
+	if len(c.flight) != 0 {
 		return false
 	}
 	// fetchStage holds until fetchHoldUntil expire by themselves, without
@@ -85,7 +85,7 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 			return false // would commit
 		}
 		if e.isSer {
-			switch e.info.Class {
+			switch e.class {
 			case isa.ClassHWBar:
 				// Talks to the barrier network every cycle; its
 				// release is not a memory-system event.
@@ -117,18 +117,15 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 			return false
 		}
 	}
-	// missWaitStage and issueStage: every blocked load's fill must still
-	// be outstanding, and no unissued entry may have all operands ready
-	// (it would attempt to issue; even attempts that fail ordering checks
-	// are not worth proving frozen).
-	for _, e := range c.window {
-		if e.missWait {
-			if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
-				return false
-			}
-			continue
-		}
-		if !e.issued && !e.isSer && e.src[0].ready && e.src[1].ready {
+	// issueStage: nothing may be selectable (a ready entry would attempt to
+	// issue; even attempts that fail ordering checks are not worth proving
+	// frozen). missWaitStage: every blocked load's fill must still be
+	// outstanding.
+	if len(c.ready) != 0 {
+		return false
+	}
+	for _, e := range c.missq {
+		if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
 			return false
 		}
 	}

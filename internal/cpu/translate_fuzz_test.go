@@ -62,7 +62,7 @@ func FuzzTranslateDiff(f *testing.F) {
 			}
 			r.start(0, 0, 1, p.Entry)
 			for i := 0; i < 20_000 && r.cores[0].Running(); i++ {
-				r.cores[0].Tick(r.now)
+				r.tick(r.cores[0])
 				r.sys.Tick(r.now)
 				r.now++
 			}

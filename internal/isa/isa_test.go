@@ -68,8 +68,9 @@ func TestInfoTables(t *testing.T) {
 		}
 		switch inf.Class {
 		case ClassLoad, ClassStore:
-			if inf.MemBytes == 0 {
-				t.Errorf("%s is a memory op with no size", inf.Name)
+			// The core checks alignment with addr & (size-1).
+			if inf.MemBytes == 0 || inf.MemBytes&(inf.MemBytes-1) != 0 {
+				t.Errorf("%s is a memory op whose size %d is not a power of two", inf.Name, inf.MemBytes)
 			}
 		default:
 			if inf.MemBytes != 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -127,6 +128,11 @@ func NewServer(cfg Config) (*Server, error) {
 	cache, err := NewCache(cfg.CacheDir)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.JournalDir != "" {
+		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
+			return nil, fmt.Errorf("simd: journal dir: %w", err)
+		}
 	}
 	s := &Server{
 		cfg:      cfg,

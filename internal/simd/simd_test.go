@@ -620,6 +620,41 @@ func TestBadSpecHTTP(t *testing.T) {
 	}
 }
 
+// TestServerCreatesJournalDir: a server pointed at a journal path that does
+// not exist yet creates it, journals there and resumes from it after a
+// restart; a path that cannot be created fails construction instead of
+// answering every sweep with a lone error line.
+func TestServerCreatesJournalDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not", "yet", "there")
+	spec := smallSpec()
+
+	ts, _ := newTestServer(t, Config{Workers: 2, JournalDir: dir})
+	want := resultBytes(t, cellResults(t, runSweepHTTP(t, ts.URL, spec)))
+	if journals, err := filepath.Glob(filepath.Join(dir, "*.jsonl")); err != nil || len(journals) != 1 {
+		t.Fatalf("journals = %v, %v", journals, err)
+	}
+
+	// A new server (empty cache) over the same directory replays the journal.
+	ts2, _ := newTestServer(t, Config{Workers: 2, JournalDir: dir})
+	for i, c := range cellResults(t, runSweepHTTP(t, ts2.URL, spec)) {
+		if !c.Replay {
+			t.Fatalf("cell %d re-simulated instead of replayed from the journal", i)
+		}
+		if string(c.Result.Bytes()) != want[i] {
+			t.Fatalf("cell %d replayed bytes differ:\n%s\n%s", i, c.Result.Bytes(), want[i])
+		}
+	}
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var pathErr *os.PathError
+	if _, err := NewServer(Config{JournalDir: filepath.Join(file, "journal")}); !errors.As(err, &pathErr) {
+		t.Fatalf("journal dir under a regular file: err = %v, want a wrapped *os.PathError", err)
+	}
+}
+
 // TestConcurrentIdenticalSweeps: many clients submitting the same spec at
 // once must all get the same bytes, with the journal serialized per sweep
 // hash (no interleaved writes, no torn file).
