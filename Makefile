@@ -16,8 +16,8 @@ bench:
 # regression gate: it compares two such files, metric by metric, against the
 # bounds in BENCHMARK.json and exits non-zero on a regression. Timings only
 # mean something between runs taken close together on a quiet host.
-#   make bench-run PR=12
-#   make bench-check OLD=BENCH_11.json NEW=BENCH_12.json
+#   make bench-run PR=13
+#   make bench-check OLD=BENCH_12.json NEW=BENCH_13.json
 PR ?= dev
 bench-run:
 	$(GO) run ./benchmark -out BENCH_$(PR).json

@@ -11,6 +11,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
+	"repro/internal/interconnect"
 	"repro/internal/kernels"
 )
 
@@ -93,12 +94,39 @@ func TestFastPathDifferential(t *testing.T) {
 			tweak: func(cfg *core.Config) { cfg.FilterTimeout = 50_000 },
 		},
 		{
-			// Software spin barrier: cores are rarely fully quiesced
-			// (spinning reloads keep hitting), stressing the partial
+			// Software spin barrier: a core quiesces whenever its window
+			// fills behind the barrier's LL/SC miss (the spin loads are
+			// parked on the SC's unresolved address, off the ready list),
+			// while its neighbours keep spinning on hits — the partial
 			// per-core skip rather than the bulk fast-forward.
 			name: "livermore2-swcentral-8", cores: 8, kind: barrier.KindSWCentral,
 			build: func(gen barrier.Generator) (*asm.Program, error) {
 				return kernels.NewLivermore2(64, 2).BuildPar(gen, 8)
+			},
+		},
+		{
+			// The same windows at the scoreboard's spin16 scale, on the
+			// combining tree (pairwise flags instead of one hot counter).
+			name: "livermore2-swtree-16", cores: 16, kind: barrier.KindSWTree,
+			build: func(gen barrier.Generator) (*asm.Program, error) {
+				return kernels.NewLivermore2(64, 2).BuildPar(gen, 16)
+			},
+		},
+		{
+			// ...and on the crossbar, where the LL/SC miss returns sooner
+			// and invalidations arrive in a different order.
+			name: "livermore2-swcentral-16-xbar", cores: 16, kind: barrier.KindSWCentral,
+			build: func(gen barrier.Generator) (*asm.Program, error) {
+				return kernels.NewLivermore2(64, 2).BuildPar(gen, 16)
+			},
+			tweak: func(cfg *core.Config) { cfg.Mem.Fabric = interconnect.KindCrossbar },
+		},
+		{
+			// Hardware-lock critical sections (parked acquire loads) closed
+			// by a software barrier: both kinds of stall in one run.
+			name: "lockreduce-swcentral-8", cores: 8, kind: barrier.KindSWCentral,
+			build: func(gen barrier.Generator) (*asm.Program, error) {
+				return kernels.NewLockReduce(128, 4).BuildPar(gen, 8)
 			},
 		},
 		{

@@ -527,30 +527,52 @@ func (m *Machine) Running() bool {
 // error.
 func (m *Machine) Run(maxCycles uint64) (uint64, error) {
 	start := m.now
-	for m.Running() {
-		if m.sanPoll() {
-			break
-		}
-		if m.hbPoll() {
+	atLimit, err := m.runTo(start+maxCycles, true)
+	if atLimit {
+		err = fmt.Errorf("core: cycle limit %d exceeded on %s fabric (possible deadlock at pc %s)", maxCycles, m.Sys.FabricName(), m.describePCs())
+	}
+	return m.now - start, err
+}
+
+// RunUntil steps the machine (with the same quiescent-core fast-forwarding
+// as Run) until cycle target is reached or every core halts or faults.
+// Unlike Run, reaching the target is not an error — it is how external
+// drivers (the OS model, the fault-injection harness) interleave scheduling
+// actions with execution. It returns the first fault, if any.
+func (m *Machine) RunUntil(target uint64) error {
+	_, err := m.runTo(target, false)
+	return err
+}
+
+// runTo is the loop under Run and RunUntil: poll the checkers and the
+// external stop, bulk-skip when every core is quiesced, Step otherwise,
+// until no core runs or cycle stop is reached, and return the first error.
+// With limit set, reaching stop with cores still running is the caller's
+// cycle-limit error: the checkers are polled at that cycle first, and the
+// return is (true, nil) without latching them; without it the loop simply
+// ends at stop.
+func (m *Machine) runTo(stop uint64, limit bool) (atLimit bool, err error) {
+	for m.Running() && (limit || m.now < stop) {
+		if m.sanPoll() || m.hbPoll() {
 			break
 		}
 		if m.stopPoll() {
-			return m.now - start, fmt.Errorf("%w (last progress at cycle %d)", ErrStopped, m.now)
+			return false, fmt.Errorf("%w (last progress at cycle %d)", ErrStopped, m.now)
 		}
-		if m.now-start >= maxCycles {
-			return m.now - start, fmt.Errorf("core: cycle limit %d exceeded on %s fabric (possible deadlock at pc %s)", maxCycles, m.Sys.FabricName(), m.describePCs())
+		if m.now >= stop {
+			return true, nil
 		}
 		if m.allQuiesced() {
 			// Every running core is provably idle until the memory
 			// system's next event: jump straight to it, crediting the
 			// per-cycle counters the skipped Steps would have bumped.
 			// With no event pending this is a true deadlock — jump to
-			// the cycle limit, reproducing the slow path's error. Jumps
+			// stop, where Run reproduces the slow path's error. Jumps
 			// are capped at the sanitizer's next check cycle so checks
 			// observe the same machine states on both paths.
 			target, ok := m.Sys.NextEvent(m.now)
-			if limit := start + maxCycles; !ok || target > limit {
-				target = limit
+			if !ok || target > stop {
+				target = stop
 			}
 			if m.san != nil && m.sanNext < target {
 				target = m.sanNext
@@ -569,20 +591,20 @@ func (m *Machine) Run(maxCycles uint64) (uint64, error) {
 	m.sanLatch()
 	m.hbLatch()
 	if m.faultErr != nil {
-		return m.now - start, m.faultErr
+		return false, m.faultErr
 	}
 	if m.sanErr != nil {
-		return m.now - start, m.sanErr
+		return false, m.sanErr
 	}
 	if m.hbErr != nil {
-		return m.now - start, m.hbErr
+		return false, m.hbErr
 	}
 	for _, c := range m.Cores {
 		if c.Fault != nil {
-			return m.now - start, c.Fault
+			return false, c.Fault
 		}
 	}
-	return m.now - start, nil
+	return false, nil
 }
 
 // describePCs reports, for every still-running core, its resume PC and —
@@ -619,60 +641,6 @@ func (m *Machine) describePCs() string {
 		s += fmt.Sprintf("[core%d %s%s]", i, where, blocked)
 	}
 	return s
-}
-
-// RunUntil steps the machine (with the same quiescent-core fast-forwarding
-// as Run) until cycle target is reached or every core halts or faults.
-// Unlike Run, reaching the target is not an error — it is how external
-// drivers (the OS model, the fault-injection harness) interleave scheduling
-// actions with execution. It returns the first fault, if any.
-func (m *Machine) RunUntil(target uint64) error {
-	for m.Running() && m.now < target {
-		if m.sanPoll() {
-			break
-		}
-		if m.hbPoll() {
-			break
-		}
-		if m.stopPoll() {
-			return fmt.Errorf("%w (last progress at cycle %d)", ErrStopped, m.now)
-		}
-		if m.allQuiesced() {
-			t, ok := m.Sys.NextEvent(m.now)
-			if !ok || t > target {
-				t = target
-			}
-			if m.san != nil && m.sanNext < t {
-				t = m.sanNext
-			}
-			if delta := t - m.now; delta > 0 {
-				for _, c := range m.fastCores {
-					c.SkipQuiesced(delta)
-				}
-				m.Sys.SkipIdle(m.now, delta)
-				m.now += delta
-				continue
-			}
-		}
-		m.Step()
-	}
-	m.sanLatch()
-	m.hbLatch()
-	if m.faultErr != nil {
-		return m.faultErr
-	}
-	if m.sanErr != nil {
-		return m.sanErr
-	}
-	if m.hbErr != nil {
-		return m.hbErr
-	}
-	for _, c := range m.Cores {
-		if c.Fault != nil {
-			return c.Fault
-		}
-	}
-	return nil
 }
 
 // FaultErr returns the first recorded memory-system fault.

@@ -211,13 +211,6 @@ type Core struct {
 	divBusyUntil uint64
 	hwbarSent    bool
 
-	// loadsBlocked is issueStage scratch, cleared at the top of each pass
-	// and set once a load has met an older store or cache-op whose address
-	// is unresolved. That entry is older than the cursor, so it cannot
-	// resolve before the pass ends, and it blocks every younger load too:
-	// the rest of the pass skips their ordering walks.
-	loadsBlocked bool
-
 	// siblings lists the other contexts sharing this physical core's L1
 	// (multithreaded cores). A local store must clear their LL/SC
 	// reservations on the written line: no coherence event fires for a
@@ -241,12 +234,13 @@ type Core struct {
 
 	// Scheduler side lists: each names the window entries one pipeline
 	// stage can act on, oldest first, so no stage walks the window
-	// (DESIGN.md §6, "wakeup/select"). All four are carved from one
+	// (DESIGN.md §6, "wakeup/select"). All five are carved from one
 	// backing array by allocLists and never grow.
-	ready  []*entry // operands captured, unissued, non-serializing: issueStage
+	ready  []*entry // operands captured, unissued, non-serializing, not parked: issueStage
 	flight []*entry // issued, not done, not missWait: completeStage
 	missq  []*entry // loads waiting on a fill: missWaitStage
 	storeq []*entry // in-window stores and cache-ops: loadOrdering
+	parked []*entry // otherwise-ready loads behind a store whose address is unresolved
 }
 
 // New builds a core attached to its L1 caches in sys. bnet may be nil when
@@ -309,19 +303,20 @@ func (c *Core) flushPipeline() {
 	if c.ready == nil {
 		c.allocLists()
 	}
-	c.ready, c.flight, c.missq, c.storeq = c.ready[:0], c.flight[:0], c.missq[:0], c.storeq[:0]
+	c.ready, c.flight, c.missq, c.storeq, c.parked = c.ready[:0], c.flight[:0], c.missq[:0], c.storeq[:0], c.parked[:0]
 }
 
 // allocLists carves the scheduler side lists out of one allocation. ready
-// and flight hold window entries (at most RUUSize), missq and storeq hold
-// LSQ occupants (at most LSQSize). The three-index slices keep a list from
-// ever appending into its neighbour.
+// and flight hold window entries (at most RUUSize), missq, storeq and parked
+// hold LSQ occupants (at most LSQSize). The three-index slices keep a list
+// from ever appending into its neighbour.
 func (c *Core) allocLists() {
 	ruu, lsq := c.Cfg.RUUSize, c.Cfg.LSQSize
-	b := make([]*entry, 2*ruu+2*lsq)
+	b := make([]*entry, 2*ruu+3*lsq)
 	c.ready, b = b[:0:ruu], b[ruu:]
 	c.flight, b = b[:0:ruu], b[ruu:]
-	c.missq, c.storeq = b[:0:lsq], b[lsq:lsq:2*lsq]
+	c.missq, b = b[:0:lsq], b[lsq:]
+	c.storeq, c.parked = b[:0:lsq], b[lsq:lsq:2*lsq]
 }
 
 // pushQueue appends e to a queue whose consumers pop from the front with
@@ -454,7 +449,7 @@ func (c *Core) Tick(now uint64) {
 	c.drainStoreBuffer(now)
 	c.missWaitStage(now)
 	c.issueStage(now)
-	c.dispatchStage(now)
+	c.dispatchStage()
 	c.fetchStage(now)
 }
 
@@ -516,6 +511,7 @@ func (c *Core) squashAfter(now uint64, e *entry) {
 	c.flight = squashYounger(c.flight, e.seq)
 	c.missq = squashYounger(c.missq, e.seq)
 	c.storeq = squashYounger(c.storeq, e.seq)
+	c.parked = squashYounger(c.parked, e.seq)
 	if sawLL {
 		c.llValid = false
 	}
@@ -797,10 +793,11 @@ func (c *Core) issueStage(now uint64) {
 	issued := 0
 	intUsed, mulUsed, fpUsed := 0, 0, 0
 	memPortUsed := false
-	c.loadsBlocked = false
 	// Oldest first over the ready list only. An entry that issues leaves
 	// the list; one that loses its function unit or port, or fails the
-	// memory-ordering rules, stays for the next cycle.
+	// memory-ordering rules, stays for the next cycle. A load behind a
+	// store whose address is unresolved leaves it for the parked list,
+	// taking neither an issue slot nor the port.
 	for i := 0; i < len(c.ready) && issued < c.Cfg.IssueWidth; i++ {
 		e := c.ready[i]
 		switch e.class {
@@ -851,7 +848,12 @@ func (c *Core) issueStage(now uint64) {
 			if memPortUsed {
 				continue
 			}
-			if !c.tryIssueLoad(now, e) {
+			switch ok, parked := c.tryIssueLoad(now, e); {
+			case parked:
+				c.ready = removeAt(c.ready, i)
+				i--
+				continue
+			case !ok:
 				continue
 			}
 			memPortUsed = true
@@ -914,7 +916,7 @@ func (c *Core) executeSimple(now uint64, e *entry, lat uint64) {
 
 func (c *Core) executeStore(now uint64, e *entry) {
 	e.addr = uint64(int64(e.src[0].val) + int64(e.in.Imm))
-	e.addrReady = true
+	c.addrResolved(e)
 	e.storeVal = e.src[1].val
 	c.execute(e, now+1)
 	if e.addr&uint64(e.memBytes-1) != 0 { // sizes are powers of two
@@ -927,12 +929,41 @@ func (c *Core) executeStore(now uint64, e *entry) {
 
 func (c *Core) executeCacheOp(now uint64, e *entry) {
 	e.addr = c.lineOf(uint64(int64(e.src[0].val) + int64(e.in.Imm)))
-	e.addrReady = true
+	c.addrResolved(e)
 	c.execute(e, now+1)
 }
 
-// tryIssueLoad applies the memory-ordering rules and starts the access.
-func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
+// addrResolved marks the address of store, SC or cache-op e known and
+// releases the parked loads no older unresolved address blocks any more:
+// those older than the next unresolved storeq entry. They are younger than
+// e (an older one has an older blocker still), and e is what issueStage is
+// issuing, so the sorted insert puts them behind its cursor and the same
+// pass selects them.
+func (c *Core) addrResolved(e *entry) {
+	e.addrReady = true
+	if len(c.parked) == 0 {
+		return
+	}
+	next := ^uint64(0)
+	for _, o := range c.storeq {
+		if !o.addrReady {
+			next = o.seq
+			break
+		}
+	}
+	n := 0
+	for ; n < len(c.parked) && c.parked[n].seq < next; n++ {
+		c.ready = insertByAge(c.ready, c.parked[n])
+	}
+	c.parked = c.parked[:copy(c.parked, c.parked[n:])]
+}
+
+// tryIssueLoad applies the memory-ordering rules and starts the access. A
+// load behind a store, SC or cache-op whose address is unresolved cannot
+// issue before that address is known, whatever else the rules say: it is
+// moved to the parked list (parked = true, and the caller drops it from
+// ready) until addrResolved releases it.
+func (c *Core) tryIssueLoad(now uint64, e *entry) (ok, parked bool) {
 	addr := uint64(int64(e.src[0].val) + int64(e.in.Imm))
 	if addr&uint64(e.memBytes-1) != 0 || addr < 0x1000 { // sizes are powers of two
 		e.addr = addr
@@ -940,14 +971,20 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		e.done = true
 		e.fault = fmt.Errorf("cpu: bad %d-byte load from %#x at pc %#x", e.memBytes, addr, e.pc)
 		c.broadcast(e)
-		return true
+		return true, false
 	}
-	if c.loadsBlocked {
-		return false
+	for _, o := range c.storeq {
+		if o.seq >= e.seq {
+			break
+		}
+		if !o.addrReady {
+			c.parked = insertByAge(c.parked, e)
+			return false, true
+		}
 	}
 	fwd, hasFwd, ok := c.loadOrdering(e, addr)
 	if !ok {
-		return false
+		return false, false
 	}
 	e.addr = addr
 	e.addrReady = true
@@ -961,28 +998,29 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) bool {
 		if !c.l1d.Present(addr) {
 			c.l1d.StartMiss(now, addr, mem.GetS, false)
 		}
-		return true
+		return true, false
 	}
 	if hasFwd {
 		e.result = signExtend(fwd, e.memBytes)
 		c.execute(e, now+1)
 		c.LoadsExecuted++
-		return true
+		return true, false
 	}
 	if c.l1d.Present(addr) {
 		c.performLoad(now, e)
-		return true
+		return true, false
 	}
 	e.missWait = true
 	c.missq = insertByAge(c.missq, e)
 	e.doneAt = ^uint64(0) // not done until the fill arrives (performLoad)
 	c.l1d.StartMiss(now, addr, mem.GetS, false)
-	return true
+	return true, false
 }
 
 // loadOrdering checks this load against older stores and cache-ops in the
-// store buffer and the store queue. It returns (forwardedValue,
-// haveForward, okToIssue).
+// store buffer and the store queue, all of whose addresses are known (the
+// load would be parked otherwise). It returns (forwardedValue, haveForward,
+// okToIssue).
 func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 	size := uint64(e.memBytes)
 	line := c.lineOf(addr)
@@ -1014,10 +1052,6 @@ func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 	for _, o := range c.storeq {
 		if o.seq >= e.seq {
 			break
-		}
-		if !o.addrReady {
-			c.loadsBlocked = true
-			return 0, false, false
 		}
 		if o.isCacheOp() {
 			if c.lineOf(o.addr) == line {
@@ -1076,7 +1110,7 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 	}
 	addr := uint64(int64(e.src[0].val) + int64(e.in.Imm))
 	e.addr = addr
-	if addr%8 != 0 || addr < 0x1000 {
+	if addr&7 != 0 || addr < 0x1000 {
 		e.issued = true
 		e.done = true
 		e.fault = fmt.Errorf("cpu: bad SC to %#x at pc %#x", addr, e.pc)
@@ -1098,7 +1132,7 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 			tracef("[%d] core%d SC OK pc=%#x addr=%#x val=%d\n", now, c.ID, e.pc, addr, e.src[1].val)
 		}
 		c.execute(e, now+1)
-		e.addrReady = true
+		c.addrResolved(e)
 		e.result = 1
 		c.llValid = false
 		return true
@@ -1116,7 +1150,7 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 // failSC completes a store-conditional whose reservation is gone.
 func (c *Core) failSC(now uint64, e *entry) {
 	c.execute(e, now+1)
-	e.addrReady = true
+	c.addrResolved(e)
 	e.result = 0
 	c.llValid = false
 	c.SCFailures++
@@ -1124,7 +1158,7 @@ func (c *Core) failSC(now uint64, e *entry) {
 
 // --- dispatch ----------------------------------------------------------
 
-func (c *Core) dispatchStage(now uint64) {
+func (c *Core) dispatchStage() {
 	for n := 0; n < c.Cfg.DecodeWidth; n++ {
 		if len(c.fetchBuf) == 0 || len(c.window) >= c.Cfg.RUUSize || c.fenceBlock {
 			return
@@ -1173,7 +1207,6 @@ func (c *Core) dispatchStage(now uint64) {
 		}
 		c.fetchBuf = c.fetchBuf[1:]
 		c.window = pushQueue(c.window, &c.winBack, 2*c.Cfg.RUUSize, e)
-		_ = now
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // per-cycle counters (Cycles, plus FetchMissStalls or FenceStalls depending
 // on what the core is blocked on). This is exactly the state of a thread
 // starved by a barrier filter (every window entry is a load waiting on a
-// parked fill or an instruction depending on one) or spinning in a stalled
-// instruction fetch.
+// parked fill or an instruction depending on one), spinning in a stalled
+// instruction fetch, or stalled with a full window behind an LL/SC miss
+// (the SC waits on the LL's fill, the spin loads behind it are parked on the
+// SC's unresolved address).
 //
 // The machine uses the flag to skip quiesced cores' pipeline ticks and, when
 // every core is quiesced, to fast-forward the cycle counter in bulk to the
@@ -119,8 +121,11 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	}
 	// issueStage: nothing may be selectable (a ready entry would attempt to
 	// issue; even attempts that fail ordering checks are not worth proving
-	// frozen). missWaitStage: every blocked load's fill must still be
-	// outstanding.
+	// frozen). Loads on the parked list are not selectable and need no
+	// condition of their own: only a store, SC or cache-op issuing releases
+	// them, and that takes a ready entry, or a completion to make one —
+	// both excluded here and above until a response wakes the core.
+	// missWaitStage: every blocked load's fill must still be outstanding.
 	if len(c.ready) != 0 {
 		return false
 	}

@@ -11,11 +11,13 @@ import (
 
 // Brute-force scheduler oracle.
 //
-// The pipeline stages act on age-ordered side lists (ready, flight, missq,
-// storeq) and per-producer wake lists instead of scanning the window. This
-// file keeps the scan semantics as the reference: after every Tick the rig
-// recomputes each set by walking c.window and requires the lists to be
-// equal to it, in order. Every program the package's tests and the
+// The pipeline stages act on age-ordered side lists (ready, parked, flight,
+// missq, storeq) and per-producer wake lists instead of scanning the window.
+// This file keeps the scan semantics as the reference: after every Tick the
+// rig recomputes each set by walking c.window and requires the lists to be
+// equal to it, in order — for the scan's selectable set, the age-ordered
+// merge of ready and parked, where parked may hold only loads behind a store
+// whose address is unresolved. Every program the package's tests and the
 // FuzzTranslateDiff generator run goes through it (testRig.tick).
 
 // tick advances core c one cycle and checks its scheduler state.
@@ -77,11 +79,15 @@ func checkSched(c *Core) error {
 			waiters[s.dep][waiter{e, slot}] = true
 		}
 	}
+	selectable, err := mergeParked(c)
+	if err != nil {
+		return err
+	}
 	for _, l := range []struct {
 		name      string
 		got, want []*entry
 	}{
-		{"ready", c.ready, ready},
+		{"ready+parked", selectable, ready},
 		{"flight", c.flight, flight},
 		{"missq", c.missq, missq},
 		{"storeq", c.storeq, storeq},
@@ -116,6 +122,45 @@ func checkSched(c *Core) error {
 		}
 	}
 	return nil
+}
+
+// mergeParked returns the age-ordered merge of c.ready and c.parked, after
+// checking that each is in age order, that they share no entry, and that
+// every parked entry is a load with an older storeq entry whose address is
+// unresolved (nothing else may hide from issueStage).
+func mergeParked(c *Core) ([]*entry, error) {
+	for _, l := range []struct {
+		name string
+		q    []*entry
+	}{{"ready", c.ready}, {"parked", c.parked}} {
+		for i := 1; i < len(l.q); i++ {
+			if l.q[i-1].seq >= l.q[i].seq {
+				return nil, fmt.Errorf("%s list not in age order at %d", l.name, i)
+			}
+		}
+	}
+	for _, e := range c.parked {
+		if inList(c.ready, e) {
+			return nil, fmt.Errorf("seq %d is on both ready and parked", e.seq)
+		}
+		blocked := false
+		for _, o := range c.storeq {
+			blocked = blocked || (o.seq < e.seq && !o.addrReady)
+		}
+		if !e.isLoad() || !blocked {
+			return nil, fmt.Errorf("parked seq %d (%v) is not a load behind an unresolved store address", e.seq, e.in.Op)
+		}
+	}
+	merged := make([]*entry, 0, len(c.ready)+len(c.parked))
+	r, p := c.ready, c.parked
+	for len(r) > 0 || len(p) > 0 {
+		if len(p) == 0 || (len(r) > 0 && r[0].seq < p[0].seq) {
+			merged, r = append(merged, r[0]), r[1:]
+		} else {
+			merged, p = append(merged, p[0]), p[1:]
+		}
+	}
+	return merged, nil
 }
 
 // TestEntrySizeClass pins entry to its allocator size class. With the whole
@@ -157,6 +202,15 @@ func (n *fakeNet) Arrive(now uint64, core, id int) { n.at = now + 5 }
 
 func (n *fakeNet) TryRelease(now uint64, core, id int) bool { return now >= n.at }
 
+type schedCase struct {
+	name string
+	src  string
+	// saw is evaluated after every cycle and must hold at least once.
+	saw func(t *testing.T, c *Core) bool
+	// out is the expected console output; nil expects a fault.
+	out []uint64
+}
+
 // TestSchedOracleCases drives the scheduler through the situations where
 // the side lists could silently diverge from a window scan. Each case names
 // the state it is after (saw), so a program that stops reaching it fails
@@ -169,20 +223,57 @@ spot:	.quad 0x1111111111111111
 	.align 64
 other:	.quad 5
 	`
-	// The squash case compares each cycle with the one before it.
-	var prev struct {
+	// Several cases compare each cycle with the one before it; prev is
+	// cleared before every case.
+	type cycleState struct {
 		div         *entry
 		waiters     bool
 		mispredicts uint64
+		parked      bool // the case's load was on the parked list
 	}
-	cases := []struct {
-		name string
-		src  string
-		// saw is evaluated after every cycle and must hold at least once.
-		saw func(t *testing.T, c *Core) bool
-		// out is the expected console output; nil expects a fault.
-		out []uint64
-	}{
+	var prev cycleState
+	// parkedUntilResolved is the trap shared by the cases whose load parks
+	// on blocker (an SC or a cache-op): seen parked while the blocker's
+	// address is unresolved, off the parked list on the cycle it resolves,
+	// and then whatever the case adds.
+	parkedUntilResolved := func(blocker isa.Opcode, then func(c *Core, b, ld *entry) bool) func(*testing.T, *Core) bool {
+		return func(t *testing.T, c *Core) bool {
+			b, ld := findOp(c, blocker), findOp(c, isa.LD)
+			if b == nil || ld == nil {
+				return false
+			}
+			if !b.addrReady {
+				prev.parked = inList(c.parked, ld)
+				return false
+			}
+			if prev.parked && inList(c.parked, ld) {
+				t.Fatalf("load still parked after its %v's address resolved", blocker)
+			}
+			return prev.parked && then(c, b, ld)
+		}
+	}
+	// A cache-op blocks like a store while its address (behind the divide)
+	// is unresolved: the load parks, and leaves the parked list when the
+	// cache-op issues — for the ready list, where the in-window same-line
+	// cache-op holds it until it has been issued to the bus.
+	cacheOpBlocker := func(mnemonic string, op isa.Opcode) schedCase {
+		return schedCase{
+			name: "load parked on a " + mnemonic + " with an unresolved address",
+			src: `
+	la t6, other
+	li t3, 0
+	li t4, 5
+	div t0, t3, t4
+	add t0, t0, t6
+	` + mnemonic + ` 0(t0)
+	ld t2, 0(t6)
+	out t2
+	halt` + data,
+			saw: parkedUntilResolved(op, func(c *Core, _, ld *entry) bool { return inList(c.ready, ld) }),
+			out: []uint64{5},
+		}
+	}
+	cases := []schedCase{
 		{
 			name: "more ready entries than IssueWidth",
 			src: `
@@ -279,14 +370,15 @@ last:
 	halt` + data,
 			saw: func(t *testing.T, c *Core) bool {
 				st, ld := findOp(c, isa.ST), findOp(c, isa.LD)
-				return st != nil && ld != nil && !st.addrReady && inList(c.ready, ld)
+				return st != nil && ld != nil && !st.addrReady && inList(c.parked, ld)
 			},
 			out: []uint64{77},
 		},
 		{
-			// The first load finds the unresolved store and marks the rest
-			// of the pass blocked; the null load behind it must still
-			// fault in that pass, as its address check comes first.
+			// The first load finds the unresolved store and parks; the
+			// null load behind it must still fault in that pass, on the
+			// cycle it did before loads parked, as its address check
+			// comes first.
 			name: "faulting load behind a blocked one",
 			src: `
 	la t6, spot
@@ -300,15 +392,171 @@ last:
 	halt` + data,
 			saw: func(t *testing.T, c *Core) bool {
 				st, ld, lw := findOp(c, isa.ST), findOp(c, isa.LD), findOp(c, isa.LW)
-				if st == nil || ld == nil || lw == nil || st.addrReady || !inList(c.ready, ld) {
+				if st == nil || ld == nil || lw == nil || st.addrReady || !inList(c.parked, ld) {
 					return false
 				}
 				if lw.fault == nil {
-					t.Fatal("null load waited behind the blocked load")
+					t.Fatal("null load waited behind the parked load")
+				}
+				if c.Cycles != 202 { // the first hit ends the polling
+					t.Fatalf("null load faulted on cycle %d, want 202", c.Cycles)
 				}
 				return true
 			},
 		},
+		{
+			// The store's address arrives late; the pass in which the store
+			// issues must also release the load and issue it (it forwards
+			// from the store, so nothing else can hold it back).
+			name: "parked load released and issued in the pass its store issues",
+			src: `
+	la t6, spot
+	li t3, 0
+	li t4, 5
+	div t0, t3, t4
+	add t0, t0, t6
+	li t1, 77
+	st t1, 0(t0)
+	ld t2, 0(t6)
+	out t2
+	halt` + data,
+			saw: func(t *testing.T, c *Core) bool {
+				st, ld := findOp(c, isa.ST), findOp(c, isa.LD)
+				if st == nil || ld == nil {
+					return false
+				}
+				hit := prev.parked && st.addrReady
+				if hit && !ld.issued {
+					t.Fatal("parked load missed the pass that resolved its store")
+				}
+				prev.parked = !st.addrReady && inList(c.parked, ld)
+				return hit
+			},
+			out: []uint64{77},
+		},
+		{
+			// Two stores with unresolved addresses, a load behind each
+			// (second pass, I-cache warm, so all four are in the window
+			// before the first divide is done). The first store's address
+			// arrives first: only the load older than the second store may
+			// leave the parked list.
+			name: "two unresolved stores release only up to the second",
+			src: `
+	la t6, spot
+	la t5, other
+	li s0, 2
+again:
+	addi s0, s0, -1
+	li t3, 0
+	li t4, 5
+	div t0, t3, t4
+	add t0, t0, t6
+	div a2, t3, t4
+	add a2, a2, t5
+	li t1, 77
+	st t1, 0(t0)
+	ld t2, 0(t6)
+	sw t1, 0(a2)
+	lw a3, 0(t5)
+	add t2, t2, a3
+	bnez s0, again
+	out t2
+	halt` + data,
+			saw: func(t *testing.T, c *Core) bool {
+				st, ld, sw, lw := findOp(c, isa.ST), findOp(c, isa.LD), findOp(c, isa.SW), findOp(c, isa.LW)
+				if st == nil || ld == nil || sw == nil || lw == nil {
+					return false
+				}
+				if !st.addrReady {
+					prev.parked = inList(c.parked, ld) && inList(c.parked, lw)
+					return false
+				}
+				if sw.addrReady || !prev.parked {
+					return false
+				}
+				if inList(c.parked, ld) || !inList(c.parked, lw) {
+					t.Fatalf("after the first store resolved: ld parked=%v, lw parked=%v",
+						inList(c.parked, ld), inList(c.parked, lw))
+				}
+				return true
+			},
+			out: []uint64{154},
+		},
+		{
+			// Second pass: the branch is trained not-taken and is taken, so
+			// the store (address behind the divide) and the load parked on
+			// it are wrong-path; the squash must take the load off the
+			// parked list together with its blocker.
+			name: "mispredict squashes a blocker and the loads parked on it",
+			src: `
+	la t6, spot
+	li s0, 2
+again:
+	addi s0, s0, -1
+	li t3, 0
+	li t4, 5
+	mul t5, s0, s0
+	div t0, t3, t4
+	add t0, t0, t6
+	beqz t5, last
+	st t4, 0(t0)
+	ld t1, 0(t6)
+	out t1
+	j again
+last:
+	out t4
+	halt` + data,
+			saw: func(t *testing.T, c *Core) bool {
+				d, st, ld := findOp(c, isa.DIV), findOp(c, isa.ST), findOp(c, isa.LD)
+				hit := prev.parked && c.Mispredicts > prev.mispredicts && d != nil && !d.done
+				if hit && (st != nil || ld != nil || len(c.parked) != 0) {
+					t.Fatalf("after the squash: st %v, ld %v, %d parked", st != nil, ld != nil, len(c.parked))
+				}
+				prev.parked = st != nil && !st.addrReady && ld != nil && inList(c.parked, ld)
+				prev.mispredicts = c.Mispredicts
+				return hit
+			},
+			out: []uint64{5, 5},
+		},
+		{
+			// An SC's address is unknown until it performs, which waits for
+			// the LL's miss; the load to another line parks on it and is
+			// released by the successful SC.
+			name: "load parked on an SC that succeeds",
+			src: `
+	la t0, spot
+	la t6, other
+	li t1, 9
+	ll t3, 0(t0)
+	sc t4, t1, 0(t0)
+	ld t2, 0(t6)
+	add t2, t2, t4
+	out t2
+	halt` + data,
+			saw: parkedUntilResolved(isa.SC, func(_ *Core, sc, _ *entry) bool { return sc.result == 1 }),
+			out: []uint64{6},
+		},
+		{
+			// No reservation: the SC fails once the divide ahead of it is
+			// done, and failSC must release the load as well.
+			name: "load parked on an SC that fails",
+			src: `
+	la t0, spot
+	la t6, other
+	li t3, 0
+	li t5, 5
+	div t3, t3, t5
+	li t1, 9
+	sc t4, t1, 0(t0)
+	ld t2, 0(t6)
+	add t2, t2, t4
+	out t2
+	halt` + data,
+			saw: parkedUntilResolved(isa.SC, func(c *Core, _, _ *entry) bool { return c.SCFailures == 1 }),
+			out: []uint64{5},
+		},
+		cacheOpBlocker("dcbi", isa.DCBI),
+		cacheOpBlocker("icbi", isa.ICBI),
 		{
 			name: "load behind a partially overlapping store",
 			src: `
@@ -402,6 +650,7 @@ last:
 			c := r.cores[0]
 			c.bnet = &fakeNet{}
 			r.start(0, 0, 1, p.Entry)
+			prev = cycleState{}
 			saw := false
 			for i := 0; i < 100_000 && c.Running(); i++ {
 				r.tick(c)

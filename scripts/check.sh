@@ -44,6 +44,9 @@ echo "== go test -race (translation cache: counters, invalidation, fuzz seeds) =
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
+echo "== go test -race (scheduler oracle: side lists vs window scan, quiesce twin) =="
+go test -race -run 'TestSchedOracle|TestQuiesce' ./internal/cpu
+
 echo "== go test (translation differential: -notranslate shard) =="
 go test -short -run 'TestTranslateDifferentialShort|TestTranslateSanitizerDifferential' -count=1 .
 
