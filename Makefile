@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-run bench-check check chaos scale simd-smoke
+.PHONY: build test bench bench-run bench-check check chaos scale simd-smoke loc
 
 build:
 	$(GO) build ./...
@@ -63,3 +63,8 @@ simd-smoke:
 # 4..64-core run is `go run ./cmd/bench -exp scale` and takes minutes.
 scale:
 	$(GO) run ./cmd/bench -exp scale -scalecores 4,8,16
+
+# loc prints non-test Go lines per package (wc -l over non-_test.go files):
+# the number ROADMAP tracks and simplicity PRs quote before and after.
+loc:
+	sh scripts/loc.sh

@@ -19,8 +19,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -28,6 +30,26 @@ import (
 	"repro/internal/harness"
 	"repro/internal/interconnect"
 )
+
+// show pairs an experiment with its renderer: run it, and on success print
+// its table to stdout.
+func show[O, T any](opt O, exp func(O) (T, error), write func(io.Writer, T)) func() error {
+	return func() error {
+		v, err := exp(opt)
+		if err != nil {
+			return err
+		}
+		write(os.Stdout, v)
+		return nil
+	}
+}
+
+// speedupFigure renders a one-kernel speedup row under its figure number.
+func speedupFigure(figure string) func(io.Writer, harness.SpeedupRow) {
+	return func(w io.Writer, row harness.SpeedupRow) {
+		harness.WriteSpeedupRow(w, figure+" ("+row.Kernel+")", row)
+	}
+}
 
 // parseInts parses a comma-separated integer list ("" = nil).
 func parseInts(s string) ([]int, error) {
@@ -61,7 +83,7 @@ func main() {
 	hbcheck := flag.Bool("hbcheck", false, "run the dynamic happens-before race checker on every machine (behaviour-invariant; a detected data race aborts the cell with a located report)")
 	journal := flag.String("journal", "", "append per-cell JSONL records for the journaling sweeps (fig4, chaos) to this file")
 	resume := flag.Bool("resume", false, "skip cells already recorded in -journal (crash recovery for interrupted sweeps)")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget per experiment cell (0 = none); cells over budget are journaled as timed out and the sweep continues")
+	deadline := flag.Duration("deadline", 0, "wall-clock budget per cell of every experiment (0 = none); a cell over budget stops at its next stop check: journaled as timed out, the sweep continuing, under -journal, else the experiment's error")
 	novet := flag.Bool("novet", false, "skip the static program verifier (srvet) on harness-built programs (differential debugging)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	server := flag.String("server", "", "simd server base URL: run as a client, submitting -spec and printing one result JSON per line")
@@ -127,14 +149,10 @@ func main() {
 	// ("-exp table1,fgi4") must fail loudly, not silently skip the cell.
 	validExps := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig10",
 		"ocean", "extras", "chaos", "scale", "all"}
-	valid := map[string]bool{}
-	for _, e := range validExps {
-		valid[e] = true
-	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
 		name := strings.TrimSpace(e)
-		if !valid[name] {
+		if !slices.Contains(validExps, name) {
 			fmt.Fprintf(os.Stderr, "-exp: unknown experiment %q (valid: %s)\n",
 				name, strings.Join(validExps, ", "))
 			os.Exit(2)
@@ -160,121 +178,39 @@ func main() {
 		fmt.Printf("(%s took %.1fs)\n\n", name, elapsed.Seconds())
 	}
 
-	run("table1", func() error {
-		rows, err := harness.Table1(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteTable1(os.Stdout, rows)
-		fmt.Println()
+	run("table1", show(opt, harness.Table1, func(w io.Writer, rows []harness.SpeedupRow) {
+		harness.WriteTable1(w, rows)
+		fmt.Fprintln(w)
 		for _, r := range rows {
-			harness.WriteSpeedupRow(os.Stdout, r.Kernel, r)
+			harness.WriteSpeedupRow(w, r.Kernel, r)
 		}
-		return nil
-	})
-	run("fig4", func() error {
-		pts, err := harness.Fig4(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteFig4(os.Stdout, pts)
-		return nil
-	})
-	run("fig5", func() error {
-		row, err := harness.Fig5(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteSpeedupRow(os.Stdout, "Figure 5 ("+row.Kernel+")", row)
-		return nil
-	})
-	run("fig6", func() error {
-		row, err := harness.Fig6(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteSpeedupRow(os.Stdout, "Figure 6 ("+row.Kernel+")", row)
-		return nil
-	})
-	run("fig7", func() error {
-		ts, err := harness.Fig7(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteTimeSeries(os.Stdout, ts)
-		return nil
-	})
-	run("fig8", func() error {
-		ts, err := harness.Fig8(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteTimeSeries(os.Stdout, ts)
-		return nil
-	})
-	run("extras", func() error {
-		r, err := harness.Extras(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteExtras(os.Stdout, r)
-		return nil
-	})
-	run("ocean", func() error {
-		r, err := harness.CoarseGrain(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteCoarseGrain(os.Stdout, r)
-		return nil
-	})
+	}))
+	run("fig4", show(opt, harness.Fig4, harness.WriteFig4))
+	run("fig5", show(opt, harness.Fig5, speedupFigure("Figure 5")))
+	run("fig6", show(opt, harness.Fig6, speedupFigure("Figure 6")))
+	run("fig7", show(opt, harness.Fig7, harness.WriteTimeSeries))
+	run("fig8", show(opt, harness.Fig8, harness.WriteTimeSeries))
+	run("extras", show(opt, harness.Extras, harness.WriteExtras))
+	run("ocean", show(opt, harness.CoarseGrain, harness.WriteCoarseGrain))
 	// scale is opt-in (-exp scale): it sweeps cores x fabric x mechanism
 	// past the paper's machine, so "all" (the paper's figures) does not
 	// imply it.
 	if want["scale"] {
-		run("scale", func() error {
-			pts, err := harness.Scale(opt)
-			if err != nil {
-				return err
-			}
-			harness.WriteScale(os.Stdout, pts)
-			return nil
-		})
+		run("scale", show(opt, harness.Scale, harness.WriteScale))
 	}
 	// chaos is opt-in (-exp chaos): it is a robustness matrix, not one of
 	// the paper's figures, so "all" does not imply it.
 	if want["chaos"] {
-		ran++
-		start := time.Now()
 		copt := harness.DefaultChaosOptions()
 		copt.Options = opt
 		copt.MaxCycles = 2_000_000
 		copt.Seed = *seed
-		cells, err := harness.RunChaos(copt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(1)
-		}
-		harness.WriteChaos(os.Stdout, copt.Seed, cells)
-		elapsed := time.Since(start)
-		total += elapsed
-		fmt.Printf("(chaos took %.1fs)\n\n", elapsed.Seconds())
+		run("chaos", show(copt, harness.RunChaos, func(w io.Writer, cells []harness.ChaosCell) {
+			harness.WriteChaos(w, copt.Seed, cells)
+		}))
 	}
+	run("fig10", show(opt, harness.Fig10, harness.WriteTimeSeries))
 
-	run("fig10", func() error {
-		ts, err := harness.Fig10(opt)
-		if err != nil {
-			return err
-		}
-		harness.WriteTimeSeries(os.Stdout, ts)
-		return nil
-	})
-
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
-	}
 	fmt.Printf("(total harness wall time: %.1fs over %d experiment(s), workers=%d)\n",
 		total.Seconds(), ran, opt.Workers)
 }

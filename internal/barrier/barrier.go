@@ -24,7 +24,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/filter"
-	"repro/internal/isa"
 )
 
 // Kind identifies a barrier mechanism.
@@ -191,5 +190,3 @@ func emitLI(b *asm.Builder, rd uint8, v uint64) {
 	}
 	b.LI(rd, int64(v))
 }
-
-var _ = isa.RegA0 // keep isa imported for register constants used below

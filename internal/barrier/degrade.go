@@ -176,25 +176,19 @@ func RunResilient(cfg core.Config, nthreads int, requested Kind, pol FallbackPol
 		if err != nil {
 			return 0, fmt.Errorf("%w: building program: %v", ErrUnrecoverable, err)
 		}
-		m := core.NewMachine(cfg)
-		m.Load(prog)
-		if err := gen.Install(m, prog); err != nil {
-			if errors.Is(err, filter.ErrNoCapacity) {
-				// The filter table is full: a capacity spill is the
-				// designed degradation, not corruption — let the plan
-				// fall through to the software barrier.
-				return 0, fmt.Errorf("installing %s: %w", kind, err)
-			}
-			return 0, fmt.Errorf("%w: installing %s: %v", ErrUnrecoverable, kind, err)
+		m, err := core.NewMachineChecked(cfg)
+		if err != nil {
+			return 0, fmt.Errorf("%w: building machine: %v", ErrUnrecoverable, err)
 		}
-		if _, err := InstallLocks(m, prog); err != nil {
+		if err := install(m, gen, prog); err != nil {
 			if errors.Is(err, filter.ErrNoCapacity) {
-				// Same spill rule as the filters: a software-barrier
-				// attempt installs no filter entries, freeing the bank's
-				// sync table for the locks the program still needs.
-				return 0, fmt.Errorf("installing locks for %s: %w", kind, err)
+				// A full sync table is the designed degradation, not
+				// corruption: let the plan fall through to the software
+				// barrier, whose attempt installs no filter entries and so
+				// frees the bank's table for the locks the program needs.
+				return 0, err
 			}
-			return 0, fmt.Errorf("%w: installing locks for %s: %v", ErrUnrecoverable, kind, err)
+			return 0, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 		}
 		if hooks.OnMachine != nil {
 			hooks.OnMachine(try, kind, m, gen)

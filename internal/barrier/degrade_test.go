@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/mem"
 )
 
 func TestFallbackEngineDegrades(t *testing.T) {
@@ -219,6 +220,26 @@ func TestResilientVerifyFailureIsUnrecoverable(t *testing.T) {
 	}
 	if !strings.Contains(res.Attempts[0].Err, "result corruption") {
 		t.Fatalf("attempt error %q not marked as corruption", res.Attempts[0].Err)
+	}
+}
+
+// TestResilientBadGeometryIsUnrecoverable: a machine configuration the
+// memory system rejects comes back as one unrecoverable attempt naming the
+// problem — not a panic out of the constructor, and not a retry (every
+// attempt would build the same machine).
+func TestResilientBadGeometryIsUnrecoverable(t *testing.T) {
+	const nthreads = 2
+	cfg := core.DefaultConfig(nthreads)
+	cfg.Mem.L1Assoc = 3 // 64kB does not divide into 3 ways
+	build := func(gen Generator) (*asm.Program, error) {
+		return BuildProgram(gen, func(b *asm.Builder) { gen.EmitBarrier(b) })
+	}
+	res, err := RunResilient(cfg, nthreads, KindSWCentral, DefaultFallbackPolicy(2_000_000), build, AttemptHooks{})
+	if err == nil || len(res.Attempts) != 1 {
+		t.Fatalf("attempts = %d, err = %v; want one failed attempt", len(res.Attempts), err)
+	}
+	if a := res.Attempts[0].Err; !strings.Contains(a, ErrUnrecoverable.Error()) || !strings.Contains(a, mem.ErrConfig.Error()) {
+		t.Fatalf("attempt error %q does not mark the bad geometry unrecoverable", a)
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hbcheck"
+	"repro/internal/interconnect"
 	"repro/internal/mem"
+	"repro/internal/sanitize"
 )
 
 // errCellPanic marks an error recovered from a panicking cell body, so
@@ -24,28 +27,48 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// canceled reports whether the Options context has been canceled — the
-// sweep is being torn down (an aborted request, a server shutdown, ^C), as
-// opposed to a single cell running over its own deadline.
-func (o Options) canceled() bool { return o.ctx().Err() != nil }
-
-// cellCtx is handed to each cell body. Machine configurations built through
-// it honor the per-cell wall-clock deadline and the sweep's context.
+// cellCtx is handed to each cell body. Every machine a cell runs is built
+// through it (runMachine), which is what makes the per-cell wall-clock
+// deadline and the sweep's context apply to every experiment.
 type cellCtx struct {
 	opt  Options
-	stop atomic.Bool
+	stop *atomic.Bool // set when the cell's deadline passes
 }
 
-// Config builds the cell's machine configuration, wiring the deadline's
-// stop flag and the sweep context in as the machine's stop check.
+// onFabric returns the same cell — same deadline, same context — building
+// its machines on another interconnect (the scaling sweep's cells).
+func (c *cellCtx) onFabric(f interconnect.Kind) *cellCtx {
+	o := c.opt
+	o.Fabric = f
+	return &cellCtx{opt: o, stop: c.stop}
+}
+
+// Config builds the cell's machine configuration. The machine's stop check
+// is the cell's deadline flag or the sweep's context, whichever comes first.
 func (c *cellCtx) Config(cores int) core.Config {
-	cfg := machineConfig(cores, c.opt)
-	if c.opt.CellDeadline > 0 {
-		prev := cfg.StopCheck // the context check installed by machineConfig
-		if prev == nil {
-			cfg.StopCheck = c.stop.Load
-		} else {
-			cfg.StopCheck = func() bool { return c.stop.Load() || prev() }
+	opt := c.opt
+	cfg := core.DefaultConfig(cores)
+	cfg.Mem.Fabric = opt.Fabric
+	if opt.FilterCap > 0 {
+		cfg.Mem.FilterCap = opt.FilterCap
+	}
+	cfg.NoFastPath = opt.NoFastPath
+	cfg.NoTranslate = opt.NoTranslate
+	if opt.Sanitize {
+		cfg.Sanitize = sanitize.Default()
+	}
+	if opt.HBCheck {
+		cfg.HB = &hbcheck.Config{}
+	}
+	if opt.Ctx != nil || opt.CellDeadline > 0 {
+		done := opt.ctx().Done() // nil, so never ready, without a context
+		cfg.StopCheck = func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return c.stop.Load()
+			}
 		}
 	}
 	return cfg
@@ -55,8 +78,8 @@ func (c *cellCtx) Config(cores int) core.Config {
 // converted to errors, so one bad cell cannot take down a whole sweep. A
 // panic carrying a configuration error (mem.ErrConfig) keeps its identity
 // so callers can tell a bad machine geometry from a simulator bug.
-func runCell(opt Options, fn func(ctx *cellCtx) (any, error)) (data any, err error) {
-	ctx := &cellCtx{opt: opt}
+func runCell[T any](opt Options, fn func(ctx *cellCtx) (T, error)) (data T, err error) {
+	ctx := &cellCtx{opt: opt, stop: new(atomic.Bool)}
 	if opt.CellDeadline > 0 {
 		t := time.AfterFunc(opt.CellDeadline, func() { ctx.stop.Store(true) })
 		defer t.Stop()
@@ -77,10 +100,7 @@ func runCell(opt Options, fn func(ctx *cellCtx) (any, error)) (data any, err err
 // StatusOK, StatusTimeout (a core.ErrStopped stop check), StatusPanic (a
 // recovered cell panic), or StatusError. External cell drivers (the simd
 // server) use it so their records classify exactly like journaled sweeps.
-func StatusOf(err error) string { return cellStatus(err) }
-
-// cellStatus classifies a cell error for the journal.
-func cellStatus(err error) string {
+func StatusOf(err error) string {
 	switch {
 	case err == nil:
 		return StatusOK
@@ -96,23 +116,23 @@ func cellStatus(err error) string {
 	}
 }
 
-// runCells fans n independent cells across the worker pool with per-cell
-// panic recovery, the optional wall-clock deadline, and prompt teardown
-// when Options.Ctx is canceled (no new cells start; in-flight cells stop at
-// their next stop-check poll).
+// runCells runs n independent cells on the Runner, Options.Workers slots
+// wide, with per-cell panic recovery, the optional wall-clock deadline, and
+// prompt teardown when Options.Ctx is canceled (no new cells start;
+// in-flight cells stop at their next stop-check poll).
 //
-// Without a journal (keys nil or Options.JournalPath empty) it preserves
-// forEach semantics exactly: stop handing out cells at the first error and
-// return the lowest-index one.
+// Without a journal (keys nil or Options.JournalPath empty) the first
+// failing cell, in index order, ends the sweep and is the error returned.
 //
 // With a journal — opened under the content hash of spec, so a resume of a
 // different sweep is refused — every cell runs (errors don't stop the
-// sweep), each outcome is appended to the journal in cell index order,
-// cells already journaled are skipped — their results replayed through
-// replay(i, data) — and the lowest-index failure (fresh or journaled) is
-// returned at the end. Cells aborted by context cancellation are never
-// journaled: a resume re-runs them, exactly as it re-runs cells lost to a
-// kill.
+// sweep), each outcome is appended to the journal as it is delivered, that
+// is in cell index order; cells already journaled are not run — their
+// results are replayed through replay(i, data) — and the lowest-index
+// failure (fresh or journaled) is returned at the end. Cells aborted by
+// context cancellation are never journaled and end the sweep: the journal
+// stays a clean prefix and a resume re-runs them, exactly as it re-runs
+// cells lost to a kill.
 func runCells(opt Options, spec string, n int, keys []string, fn func(i int, ctx *cellCtx) (any, error), replay func(i int, data json.RawMessage) error) error {
 	var j *Journal
 	if opt.JournalPath != "" && keys != nil {
@@ -123,57 +143,73 @@ func runCells(opt Options, spec string, n int, keys []string, fn func(i int, ctx
 		}
 		defer j.Close()
 	}
-	if j == nil {
-		return forEach(opt.workerCount(), n, func(i int) error {
-			if err := opt.ctx().Err(); err != nil {
-				return fmt.Errorf("harness: sweep canceled before cell %d: %w", i, err)
-			}
-			_, err := runCell(opt, func(ctx *cellCtx) (any, error) { return fn(i, ctx) })
-			return err
-		})
+	type outcome struct {
+		data     any
+		err      error
+		replayed *Entry
 	}
-	errs := make([]error, n)
-	ferr := forEach(opt.workerCount(), n, func(i int) error {
-		if err := opt.ctx().Err(); err != nil {
-			return fmt.Errorf("harness: sweep canceled before cell %d: %w", i, err)
+	outs := make([]outcome, n)
+	r := NewRunner(opt.ctx(), make(chan struct{}, opt.workerCount()), n)
+	local := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if j != nil {
+			if e, ok := j.Done(keys[i]); ok {
+				outs[i].replayed = &e
+				r.Resolve(i)
+				continue
+			}
 		}
-		if e, ok := j.Done(keys[i]); ok {
-			if e.Status == StatusOK && replay != nil {
+		local = append(local, i)
+	}
+	var failed error // a journaled sweep's lowest-index failing cell
+	err := r.Run(local, func(i int) {
+		outs[i].data, outs[i].err = runCell(opt, func(ctx *cellCtx) (any, error) { return fn(i, ctx) })
+		if j == nil && outs[i].err != nil {
+			r.Halt() // this cell ends the sweep: nothing may start behind it
+		}
+	}, func(i int) error {
+		o := outs[i]
+		if j == nil {
+			return o.err
+		}
+		var cellErr error
+		switch e := o.replayed; {
+		case e != nil && e.Status == StatusOK:
+			if replay != nil {
 				if err := replay(i, e.Data); err != nil {
 					return fmt.Errorf("harness: journal %s: replaying %q: %w", opt.JournalPath, keys[i], err)
 				}
 			}
-			if e.Status != StatusOK {
-				errs[i] = fmt.Errorf("harness: %s: journaled %s: %s", keys[i], e.Status, e.Error)
+		case e != nil:
+			cellErr = fmt.Errorf("harness: %s: journaled %s: %s", keys[i], e.Status, e.Error)
+		case o.err != nil && errors.Is(o.err, core.ErrStopped) && opt.ctx().Err() != nil:
+			// The sweep is being torn down (an aborted request, a server
+			// shutdown, ^C), not a cell over its own deadline: leave no
+			// record so a resume re-runs this cell, and stop the sweep.
+			return fmt.Errorf("harness: %s: sweep canceled: %w", keys[i], o.err)
+		default:
+			entry := Entry{Key: keys[i], Status: StatusOf(o.err)}
+			if o.err != nil {
+				entry.Error = o.err.Error()
+				cellErr = fmt.Errorf("harness: %s: %w", keys[i], o.err)
+			} else {
+				raw, merr := json.Marshal(o.data)
+				if merr != nil {
+					return fmt.Errorf("harness: journal %s: encoding %q: %w", opt.JournalPath, keys[i], merr)
+				}
+				entry.Data = raw
 			}
-			return j.Skip(i)
-		}
-		data, err := runCell(opt, func(ctx *cellCtx) (any, error) { return fn(i, ctx) })
-		if err != nil && errors.Is(err, core.ErrStopped) && opt.canceled() {
-			// The sweep is being torn down, not a per-cell deadline: leave
-			// no record so a resume re-runs this cell, and stop the sweep.
-			return fmt.Errorf("harness: %s: sweep canceled: %w", keys[i], err)
-		}
-		entry := Entry{Key: keys[i], Status: cellStatus(err)}
-		if err != nil {
-			entry.Error = err.Error()
-			errs[i] = fmt.Errorf("harness: %s: %w", keys[i], err)
-		} else {
-			raw, merr := json.Marshal(data)
-			if merr != nil {
-				return fmt.Errorf("harness: journal %s: encoding %q: %w", opt.JournalPath, keys[i], merr)
+			if err := j.Write(entry); err != nil {
+				return err
 			}
-			entry.Data = raw
 		}
-		return j.Write(i, entry)
+		if failed == nil {
+			failed = cellErr
+		}
+		return nil
 	})
-	if ferr != nil {
-		return ferr
+	if err != nil {
+		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return failed
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/barrier"
-	"repro/internal/core"
 	"repro/internal/kernels"
 )
 
@@ -18,6 +17,15 @@ type LatencyPoint struct {
 	AvgCycles float64
 }
 
+// latencyBench is the Figure 4 microbenchmark at the configured size: the
+// paper's 64 consecutive barriers x 64 iterations, or a quick 16 x 8.
+func (o Options) latencyBench() *kernels.Microbench {
+	if o.Quick {
+		return &kernels.Microbench{K: 16, M: 8}
+	}
+	return kernels.NewMicrobench()
+}
+
 // Fig4 measures average cycles per barrier over the paper's loop of
 // consecutive barriers for every mechanism and core count. Cells are
 // journaled under "fig4/<kind>/<cores>" when Options.JournalPath is set.
@@ -26,10 +34,7 @@ func Fig4(opt Options) ([]LatencyPoint, error) {
 	if len(opt.Fig4Cores) > 0 {
 		coreCounts = opt.Fig4Cores
 	}
-	k, m := 64, 64 // the paper's 64 consecutive barriers x 64 iterations
-	if opt.Quick {
-		k, m = 16, 8
-	}
+	mb := opt.latencyBench()
 	out := make([]LatencyPoint, len(coreCounts)*len(barrier.Kinds))
 	keys := make([]string, len(out))
 	for i := range keys {
@@ -39,35 +44,18 @@ func Fig4(opt Options) ([]LatencyPoint, error) {
 	// The journal's spec-hash header: everything that changes the sweep's
 	// results, nothing that doesn't (workers, deadlines, fast-path toggle).
 	spec := fmt.Sprintf("fig4 fabric=%s cores=%v k=%d m=%d maxcycles=%d sanitize=%v",
-		opt.Fabric, coreCounts, k, m, opt.MaxCycles, opt.Sanitize)
+		opt.Fabric, coreCounts, mb.K, mb.M, opt.MaxCycles, opt.Sanitize)
 	err := runCells(opt, spec, len(out), keys, func(i int, ctx *cellCtx) (any, error) {
 		n := coreCounts[i/len(barrier.Kinds)]
 		kind := barrier.Kinds[i%len(barrier.Kinds)]
-		cfg := ctx.Config(n)
-		alloc := barrier.NewAllocator(cfg.Mem)
-		gen, err := barrier.New(kind, n, alloc)
+		cycles, err := ctx.runPar(mb, kind, n)
 		if err != nil {
 			return nil, err
-		}
-		prog, err := buildLatencyProgram(gen, k, m, n, opt)
-		if err != nil {
-			return nil, err
-		}
-		mach, err := core.NewMachineChecked(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := barrier.Launch(mach, gen, prog, n); err != nil {
-			return nil, err
-		}
-		cycles, err := mach.Run(opt.MaxCycles)
-		if err != nil {
-			return nil, fmt.Errorf("harness: fig4 %s/%d: %w", kind, n, err)
 		}
 		out[i] = LatencyPoint{
 			Kind:      kind,
 			Cores:     n,
-			AvgCycles: float64(cycles) / float64(k*m),
+			AvgCycles: float64(cycles) / float64(mb.Invocations()),
 		}
 		return out[i], nil
 	}, func(i int, data json.RawMessage) error {
@@ -92,11 +80,13 @@ type LoopKernel struct {
 	Make  func(loops int) kernels.Kernel
 }
 
-func (o Options) autcorParams() (n, lags int) {
+// autcorKernel is the autocorrelation kernel of Table 1 and Figure 5.
+func (o Options) autcorKernel() LoopKernel {
+	n, lags := 1024, 32 // the paper's lag-32 configuration
 	if o.Quick {
-		return 512, 8
+		n, lags = 512, 8
 	}
-	return 1024, 32 // the paper's lag-32 configuration
+	return LoopKernel{"autcor", 2, func(l int) kernels.Kernel { return kernels.NewAutcor(n, lags, l) }}
 }
 
 func (o Options) viterbiBits() int {
@@ -106,50 +96,51 @@ func (o Options) viterbiBits() int {
 	return 256
 }
 
+// viterbiKernel is the Viterbi kernel of Table 1, Figure 6 and the scaling
+// sweep.
+func (o Options) viterbiKernel() LoopKernel {
+	return LoopKernel{"viterbi", 2, func(l int) kernels.Kernel { return kernels.NewViterbi(o.viterbiBits(), l) }}
+}
+
 // Table1Kernels returns the five kernels of Table 1 at their Table 1 sizes.
 func Table1Kernels(opt Options) []LoopKernel {
-	an, alags := opt.autcorParams()
 	return []LoopKernel{
 		{"livermore2", 3, func(l int) kernels.Kernel { return kernels.NewLivermore2(table1N, l) }},
 		{"livermore3", 3, func(l int) kernels.Kernel { return kernels.NewLivermore3(table1N, l) }},
 		{"livermore6", 2, func(l int) kernels.Kernel { return kernels.NewLivermore6(table1N, l) }},
-		{"autcor", 2, func(l int) kernels.Kernel { return kernels.NewAutcor(an, alags, l) }},
-		{"viterbi", 2, func(l int) kernels.Kernel { return kernels.NewViterbi(opt.viterbiBits(), l) }},
+		opt.autcorKernel(),
+		opt.viterbiKernel(),
 	}
 }
 
-// MeasureSeqWarm returns the sequential execution time of lk.Loops warm
+// measureSeqWarm returns the sequential execution time of lk.Loops warm
 // repetitions, by differencing runs at Loops and 2*Loops repetitions (the
 // cold-start portions of the two runs are identical, so the difference is
 // pure warm execution — the repetition methodology of the Livermore and
 // EEMBC harnesses the paper builds on).
-func MeasureSeqWarm(lk LoopKernel, opt Options) (uint64, error) {
-	t1, err := RunSeq(lk.Make(lk.Loops), opt)
-	if err != nil {
-		return 0, err
-	}
-	t2, err := RunSeq(lk.Make(2*lk.Loops), opt)
-	if err != nil {
-		return 0, err
-	}
-	if t2 < t1 {
-		return 0, fmt.Errorf("harness: %s: warm time negative (%d < %d)", lk.Name, t2, t1)
-	}
-	return t2 - t1, nil
+func (c *cellCtx) measureSeqWarm(lk LoopKernel) (uint64, error) {
+	return warmDiff(lk.Name, func(loops int) (uint64, error) { return c.runSeq(lk.Make(loops)) }, lk.Loops)
 }
 
-// MeasureParWarm is MeasureSeqWarm for the parallel build.
-func MeasureParWarm(lk LoopKernel, kind barrier.Kind, nthreads int, opt Options) (uint64, error) {
-	t1, err := RunPar(lk.Make(lk.Loops), kind, nthreads, opt)
+// measureParWarm is measureSeqWarm for the parallel build.
+func (c *cellCtx) measureParWarm(lk LoopKernel, kind barrier.Kind, nthreads int) (uint64, error) {
+	return warmDiff(fmt.Sprintf("%s/%s", lk.Name, kind), func(loops int) (uint64, error) {
+		return c.runPar(lk.Make(loops), kind, nthreads)
+	}, lk.Loops)
+}
+
+// warmDiff differences a run at 2*loops repetitions against one at loops.
+func warmDiff(what string, run func(loops int) (uint64, error), loops int) (uint64, error) {
+	t1, err := run(loops)
 	if err != nil {
 		return 0, err
 	}
-	t2, err := RunPar(lk.Make(2*lk.Loops), kind, nthreads, opt)
+	t2, err := run(2 * loops)
 	if err != nil {
 		return 0, err
 	}
 	if t2 < t1 {
-		return 0, fmt.Errorf("harness: %s/%s: warm time negative (%d < %d)", lk.Name, kind, t2, t1)
+		return 0, fmt.Errorf("harness: %s: warm time negative (%d < %d)", what, t2, t1)
 	}
 	return t2 - t1, nil
 }
@@ -158,10 +149,9 @@ func MeasureParWarm(lk LoopKernel, kind barrier.Kind, nthreads int, opt Options)
 
 // measureWarmBatch measures, for every kernel in lks, the sequential warm
 // time (when withSeq) and the parallel warm time for every mechanism in
-// kinds, fanning the independent cells across the worker pool. Cell order is
-// the legacy sequential order (per kernel: sequential first, then each
-// mechanism), so Workers=1 reproduces the old control flow — including which
-// error surfaces first — exactly.
+// kinds, as one batch of independent cells on the Runner. Cell order is per
+// kernel: sequential first, then each mechanism — which fixes which error
+// surfaces first at any worker count.
 func measureWarmBatch(lks []LoopKernel, kinds []barrier.Kind, withSeq bool, opt Options) (seq []uint64, par []map[barrier.Kind]uint64, err error) {
 	type cell struct {
 		k    int
@@ -178,12 +168,12 @@ func measureWarmBatch(lks []LoopKernel, kinds []barrier.Kind, withSeq bool, opt 
 		}
 	}
 	out := make([]uint64, len(cells))
-	err = runCells(opt, "", len(cells), nil, func(i int, _ *cellCtx) (any, error) {
+	err = runCells(opt, "", len(cells), nil, func(i int, ctx *cellCtx) (any, error) {
 		var e error
 		if cells[i].par {
-			out[i], e = MeasureParWarm(lks[cells[i].k], cells[i].kind, opt.Cores, opt)
+			out[i], e = ctx.measureParWarm(lks[cells[i].k], cells[i].kind, opt.Cores)
 		} else {
-			out[i], e = MeasureSeqWarm(lks[cells[i].k], opt)
+			out[i], e = ctx.measureSeqWarm(lks[cells[i].k])
 		}
 		return nil, e
 	}, nil)
@@ -276,25 +266,16 @@ func Speedups(lk LoopKernel, opt Options) (SpeedupRow, error) {
 // Table1 reproduces Table 1: best software-barrier speedups for the five
 // kernels at 16 cores (plus the filter numbers that motivate the paper's
 // "our approach always provides a speedup" claim). All cells of the table
-// run as one batch across the worker pool.
+// run as one batch on the Runner.
 func Table1(opt Options) ([]SpeedupRow, error) {
 	return speedupRows(Table1Kernels(opt), opt)
 }
 
 // Fig5 reproduces Figure 5: autocorrelation speedups per mechanism.
-func Fig5(opt Options) (SpeedupRow, error) {
-	n, lags := opt.autcorParams()
-	return Speedups(LoopKernel{"autcor", 2, func(l int) kernels.Kernel {
-		return kernels.NewAutcor(n, lags, l)
-	}}, opt)
-}
+func Fig5(opt Options) (SpeedupRow, error) { return Speedups(opt.autcorKernel(), opt) }
 
 // Fig6 reproduces Figure 6: Viterbi speedups per mechanism.
-func Fig6(opt Options) (SpeedupRow, error) {
-	return Speedups(LoopKernel{"viterbi", 2, func(l int) kernels.Kernel {
-		return kernels.NewViterbi(opt.viterbiBits(), l)
-	}}, opt)
-}
+func Fig6(opt Options) (SpeedupRow, error) { return Speedups(opt.viterbiKernel(), opt) }
 
 // --- Figures 7/8/10: Livermore time vs vector length -----------------------
 
@@ -417,41 +398,17 @@ type ExtrasResult struct {
 // microbenchmark at opt.Cores.
 func Extras(opt Options) (ExtrasResult, error) {
 	res := ExtrasResult{Cores: opt.Cores, Latency: make(map[barrier.Kind]float64)}
-	k, m := 64, 64
-	if opt.Quick {
-		k, m = 16, 8
-	}
 	kinds := []barrier.Kind{
 		barrier.KindSWCentral, barrier.KindSWTree,
 		barrier.KindSWTicket, barrier.KindSWArray,
 		barrier.KindHWNet, barrier.KindHWTree,
 	}
+	mb := opt.latencyBench()
 	lat := make([]float64, len(kinds))
 	err := runCells(opt, "", len(kinds), nil, func(i int, ctx *cellCtx) (any, error) {
-		kind := kinds[i]
-		cfg := ctx.Config(opt.Cores)
-		alloc := barrier.NewAllocator(cfg.Mem)
-		gen, err := barrier.NewExtra(kind, opt.Cores, alloc)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := buildLatencyProgram(gen, k, m, opt.Cores, opt)
-		if err != nil {
-			return nil, err
-		}
-		mach, err := core.NewMachineChecked(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := barrier.Launch(mach, gen, prog, opt.Cores); err != nil {
-			return nil, err
-		}
-		cycles, err := mach.Run(opt.MaxCycles)
-		if err != nil {
-			return nil, err
-		}
-		lat[i] = float64(cycles) / float64(k*m)
-		return nil, nil
+		cycles, err := ctx.runPar(mb, kinds[i], opt.Cores)
+		lat[i] = float64(cycles) / float64(mb.Invocations())
+		return nil, err
 	}, nil)
 	if err != nil {
 		return res, err

@@ -15,11 +15,9 @@ import (
 	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
-	"repro/internal/hbcheck"
 	"repro/internal/interconnect"
 	"repro/internal/kernels"
 	"repro/internal/mem"
-	"repro/internal/sanitize"
 	"repro/internal/vet"
 )
 
@@ -46,10 +44,11 @@ type Options struct {
 	ScaleCores []int
 	// Lengths overrides the vector lengths of the Figure 7/8/10 sweeps.
 	Lengths []int
-	// Workers is the number of goroutines running experiment cells
-	// concurrently (each cell is one independent machine; machines share
-	// no mutable state). 0 means one per CPU, 1 the legacy sequential
-	// path. Results are keyed by cell index, never completion order, so
+	// Workers is how many experiment cells run at once: the slot count
+	// of the sweep's Runner (each cell is an independent machine; machines
+	// share no mutable state). 0 means one per CPU; 1 is the same runner
+	// with one slot, i.e. the sequential loop. Cells start in index order
+	// and results are keyed by cell index, never completion order, so
 	// every table and figure is bit-identical across worker counts.
 	Workers int
 	// FilterCap overrides the per-bank filter-table entry capacity
@@ -85,10 +84,12 @@ type Options struct {
 	// off and the finished journal is byte-identical to an
 	// uninterrupted run's.
 	Resume bool
-	// CellDeadline is a wall-clock budget per experiment cell; 0 means
-	// none. A cell over budget stops at its next stop-check poll and is
-	// journaled as timed out with its last-progress cycle; the sweep
-	// continues with the remaining cells.
+	// CellDeadline is a wall-clock budget per experiment cell, for every
+	// experiment; 0 means none. Every machine a cell builds polls it, so a
+	// cell over budget stops at its next stop-check poll with
+	// core.ErrStopped and its last-progress cycle. A journaling sweep
+	// records it as timed out and continues with the remaining cells;
+	// any other sweep ends with that error.
 	CellDeadline time.Duration
 	// NoVet skips the static verifier (package vet) that every program
 	// the harness builds must otherwise pass before it runs. Escape
@@ -118,35 +119,6 @@ func QuickOptions() Options {
 	return o
 }
 
-// machineConfig builds the per-cell machine configuration.
-func machineConfig(cores int, opt Options) core.Config {
-	cfg := core.DefaultConfig(cores)
-	cfg.Mem.Fabric = opt.Fabric
-	if opt.FilterCap > 0 {
-		cfg.Mem.FilterCap = opt.FilterCap
-	}
-	cfg.NoFastPath = opt.NoFastPath
-	cfg.NoTranslate = opt.NoTranslate
-	if opt.Sanitize {
-		cfg.Sanitize = sanitize.Default()
-	}
-	if opt.HBCheck {
-		cfg.HB = &hbcheck.Config{}
-	}
-	if opt.Ctx != nil {
-		done := opt.Ctx.Done()
-		cfg.StopCheck = func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		}
-	}
-	return cfg
-}
-
 // vetProgram gates a freshly built program on the static verifier. A
 // diagnostic here means the build emitted a broken barrier protocol or
 // dataflow bug that the simulator might only expose as a hang or silent
@@ -158,97 +130,79 @@ func vetProgram(what string, prog *asm.Program, threads int, opt Options) error 
 	return vet.AsError(what, vet.Check(prog, vet.Options{Threads: threads}))
 }
 
-// RunSeq runs a kernel's sequential build on a single-core machine and
-// returns the cycle count.
-func RunSeq(k kernels.Kernel, opt Options) (uint64, error) {
-	prog, err := k.BuildSeq()
+// runMachine is the life of one simulated machine, the same for every
+// experiment cell: configure (the cell's deadline and the sweep's context
+// become the machine's stop check), build the program against that
+// configuration, vet it, construct the machine, launch, run to completion,
+// verify. build returns the generator whose hardware the program needs —
+// nil for a sequential build, which starts a single thread with nothing
+// installed. verify may be nil and is skipped unless Options.Verify is set.
+func (c *cellCtx) runMachine(what string, cores int,
+	build func(cfg core.Config) (barrier.Generator, *asm.Program, error),
+	verify func(m *mem.Memory, prog *asm.Program) error) (uint64, error) {
+	fail := func(err error) (uint64, error) { return 0, fmt.Errorf("harness: %s: %w", what, err) }
+	cfg := c.Config(cores)
+	gen, prog, err := build(cfg)
 	if err != nil {
-		return 0, fmt.Errorf("harness: %s: %w", k.Name(), err)
+		return fail(err)
 	}
-	if err := vetProgram(k.Name()+" seq", prog, 1, opt); err != nil {
-		return 0, err
-	}
-	m, err := core.NewMachineChecked(machineConfig(1, opt))
-	if err != nil {
-		return 0, fmt.Errorf("harness: %s seq: %w", k.Name(), err)
-	}
-	m.Load(prog)
-	m.StartSPMD(prog.Entry, 1)
-	cycles, err := m.Run(opt.MaxCycles)
-	if err != nil {
-		return 0, fmt.Errorf("harness: %s seq: %w", k.Name(), err)
-	}
-	if opt.Verify {
-		if err := k.Verify(m.Sys.Mem, prog, 1); err != nil {
-			return 0, err
-		}
-	}
-	return cycles, nil
-}
-
-// RunPar runs a kernel's parallel build with the given barrier mechanism
-// (any of the core or extra kinds) and thread count and returns the cycle
-// count.
-func RunPar(k kernels.Kernel, kind barrier.Kind, nthreads int, opt Options) (uint64, error) {
-	cfg := machineConfig(nthreads, opt)
-	alloc := barrier.NewAllocator(cfg.Mem)
-	gen, err := barrier.NewExtra(kind, nthreads, alloc)
-	if err != nil {
-		return 0, err
-	}
-	prog, err := k.BuildPar(gen, nthreads)
-	if err != nil {
-		return 0, fmt.Errorf("harness: %s/%s: %w", k.Name(), kind, err)
-	}
-	if err := vetProgram(fmt.Sprintf("%s/%s", k.Name(), kind), prog, nthreads, opt); err != nil {
+	if err := vetProgram(what, prog, cores, c.opt); err != nil {
 		return 0, err
 	}
 	m, err := core.NewMachineChecked(cfg)
 	if err != nil {
-		return 0, fmt.Errorf("harness: %s/%s: %w", k.Name(), kind, err)
+		return fail(err)
 	}
-	if err := barrier.Launch(m, gen, prog, nthreads); err != nil {
-		return 0, err
+	if gen == nil {
+		m.Load(prog)
+		m.StartSPMD(prog.Entry, cores)
+	} else if err := barrier.Launch(m, gen, prog, cores); err != nil {
+		return fail(err)
 	}
-	cycles, err := m.Run(opt.MaxCycles)
+	cycles, err := m.Run(c.opt.MaxCycles)
 	if err != nil {
-		return 0, fmt.Errorf("harness: %s/%s: %w", k.Name(), kind, err)
+		return fail(err)
 	}
-	if opt.Verify {
-		if err := k.Verify(m.Sys.Mem, prog, nthreads); err != nil {
-			return 0, fmt.Errorf("harness: %s/%s: %w", k.Name(), kind, err)
+	if verify != nil && c.opt.Verify {
+		if err := verify(m.Sys.Mem, prog); err != nil {
+			return fail(err)
 		}
 	}
 	return cycles, nil
 }
 
-// runSeqMachine runs a kernel sequentially and returns the memory image
-// (test support).
-func runSeqMachine(k kernels.Kernel, opt Options) (*mem.Memory, error) {
-	prog, err := k.BuildSeq()
-	if err != nil {
-		return nil, err
-	}
-	m := core.NewMachine(machineConfig(1, opt))
-	m.Load(prog)
-	m.StartSPMD(prog.Entry, 1)
-	if _, err := m.Run(opt.MaxCycles); err != nil {
-		return nil, err
-	}
-	return m.Sys.Mem, nil
+// runSeq runs a kernel's sequential build on a single-core machine.
+func (c *cellCtx) runSeq(k kernels.Kernel) (uint64, error) {
+	return c.runMachine(k.Name()+" seq", 1, func(core.Config) (barrier.Generator, *asm.Program, error) {
+		prog, err := k.BuildSeq()
+		return nil, prog, err
+	}, func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, 1) })
 }
 
-// buildLatencyProgram emits and vets the Figure 4 microbenchmark for a
-// generator. nthreads is the thread count the program will launch with
-// (the builder itself does not use it).
-func buildLatencyProgram(gen barrier.Generator, k, m, nthreads int, opt Options) (*asm.Program, error) {
-	mb := &kernels.Microbench{K: k, M: m}
-	prog, err := mb.BuildPar(gen, 0) // thread count unused by the builder
-	if err != nil {
-		return nil, err
-	}
-	if err := vetProgram(fmt.Sprintf("microbench/%d", nthreads), prog, nthreads, opt); err != nil {
-		return nil, err
-	}
-	return prog, nil
+// runPar runs a kernel's parallel build with the given barrier mechanism
+// (any of the core or extra kinds) on nthreads cores. The Figure 4 latency
+// microbenchmark is such a kernel (kernels.Microbench), so the latency
+// cells of Fig4, Extras and Scale come through here too.
+func (c *cellCtx) runPar(k kernels.Kernel, kind barrier.Kind, nthreads int) (uint64, error) {
+	what := fmt.Sprintf("%s/%s/%d", k.Name(), kind, nthreads)
+	return c.runMachine(what, nthreads, func(cfg core.Config) (barrier.Generator, *asm.Program, error) {
+		gen, err := barrier.NewExtra(kind, nthreads, barrier.NewAllocator(cfg.Mem))
+		if err != nil {
+			return nil, nil, err
+		}
+		prog, err := k.BuildPar(gen, nthreads)
+		return gen, prog, err
+	}, func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, nthreads) })
+}
+
+// RunSeq runs a kernel's sequential build on a single-core machine, as a
+// cell of its own, and returns the cycle count.
+func RunSeq(k kernels.Kernel, opt Options) (uint64, error) {
+	return runCell(opt, func(c *cellCtx) (uint64, error) { return c.runSeq(k) })
+}
+
+// RunPar runs a kernel's parallel build with the given barrier mechanism
+// and thread count, as a cell of its own, and returns the cycle count.
+func RunPar(k kernels.Kernel, kind barrier.Kind, nthreads int, opt Options) (uint64, error) {
+	return runCell(opt, func(c *cellCtx) (uint64, error) { return c.runPar(k, kind, nthreads) })
 }

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/barrier"
+	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 )
 
 // tinyOptions makes the experiments small enough for unit tests while
@@ -41,7 +44,7 @@ func TestMeasureWarmPositiveAndSmaller(t *testing.T) {
 	lk := LoopKernel{"livermore3", 2, func(l int) kernels.Kernel {
 		return kernels.NewLivermore3(64, l)
 	}}
-	warm, err := MeasureSeqWarm(lk, opt)
+	warm, err := runCell(opt, func(c *cellCtx) (uint64, error) { return c.measureSeqWarm(lk) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,20 +167,23 @@ func TestVerificationCatchesCorruption(t *testing.T) {
 	// reference. (Livermore 2 and 3 are idempotent across passes.)
 	opt := tinyOptions()
 	k := kernels.NewLivermore6(32, 1)
-	p, err := k.BuildSeq()
-	if err != nil {
-		t.Fatal(err)
-	}
 	wrong := kernels.NewLivermore6(32, 2)
-	m, err := runSeqMachine(k, opt)
+	_, err := runCell(opt, func(c *cellCtx) (uint64, error) {
+		return c.runMachine("livermore6 seq", 1, func(core.Config) (barrier.Generator, *asm.Program, error) {
+			p, err := k.BuildSeq()
+			return nil, p, err
+		}, func(m *mem.Memory, p *asm.Program) error {
+			if err := k.Verify(m, p, 1); err != nil {
+				t.Fatalf("correct reference rejected: %v", err)
+			}
+			if err := wrong.Verify(m, p, 1); err == nil {
+				t.Fatal("verification accepted a mismatched reference")
+			}
+			return nil
+		})
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := k.Verify(m, p, 1); err != nil {
-		t.Fatalf("correct reference rejected: %v", err)
-	}
-	if err := wrong.Verify(m, p, 1); err == nil {
-		t.Fatal("verification accepted a mismatched reference")
 	}
 }
 

@@ -51,8 +51,9 @@ func TestHBCheckKernelsRaceFree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg := machineConfig(8, o)
-					if _, err := barrier.NewExtra(kind, 8, barrier.NewAllocator(cfg.Mem)); err != nil {
+					memCfg := core.DefaultConfig(8).Mem
+					memCfg.Fabric = fab
+					if _, err := barrier.NewExtra(kind, 8, barrier.NewAllocator(memCfg)); err != nil {
 						t.Skipf("mechanism constraint: %v", err)
 					}
 					if _, err := RunPar(k, kind, 8, o); err != nil {

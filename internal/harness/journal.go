@@ -10,7 +10,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"sync"
 )
 
 // Cell journal statuses. A journal line records how a cell ended; resumed
@@ -57,19 +56,17 @@ func SpecHash(spec string) string {
 }
 
 // Journal is a crash-resilient JSONL record of a sweep. The first line is a
-// header naming the sweep spec's content hash; cell records follow strictly
-// in cell-index order (out-of-order completions park until their
-// predecessors land) and are synced line by line, so killing the process at
-// any point leaves a clean prefix of the full journal plus at most one torn
-// final line — which OpenJournal truncates away on resume. A resumed sweep
-// therefore appends exactly the missing suffix and the finished file is
-// byte-identical to an uninterrupted run's.
+// header naming the sweep spec's content hash; cell records follow in the
+// order they are written and are synced line by line. It is append-only and
+// keeps no order of its own: its one writer — the deliver callback of the
+// sweep's Runner — already sees cells strictly in index order, so killing
+// the process at any point leaves a clean prefix of the full journal plus at
+// most one torn final line, which OpenJournal truncates away on resume. A
+// resumed sweep therefore appends exactly the missing suffix and the
+// finished file is byte-identical to an uninterrupted run's.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	done    map[string]Entry // entries loaded on resume, by key
-	next    int              // next cell index to flush
-	pending map[int][]byte   // parked out-of-order lines (nil = skip)
+	f    *os.File
+	done map[string]Entry // entries loaded on resume, by key
 }
 
 // OpenJournal creates (or, when resume is set, reopens) the journal at
@@ -79,7 +76,7 @@ type Journal struct {
 // ErrJournalSpec; a journal with no header at all (or with cell records
 // before any header) is refused too, since nothing ties it to this sweep.
 func OpenJournal(path string, resume bool, spec string) (*Journal, error) {
-	j := &Journal{done: make(map[string]Entry), pending: make(map[int][]byte)}
+	j := &Journal{done: make(map[string]Entry)}
 	hash := SpecHash(spec)
 	if !resume {
 		f, err := os.Create(path)
@@ -147,16 +144,9 @@ func OpenJournal(path string, resume bool, spec string) (*Journal, error) {
 	return j, nil
 }
 
-// writeHeader emits and syncs the spec-hash header line.
+// writeHeader emits the spec-hash header line.
 func (j *Journal) writeHeader(hash string) error {
-	line, err := json.Marshal(Entry{Key: specKey, Status: specStatus, Spec: hash})
-	if err != nil {
-		return err
-	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return j.Write(Entry{Key: specKey, Status: specStatus, Spec: hash})
 }
 
 // Done returns the journaled entry for a cell key, if the journal was
@@ -166,44 +156,16 @@ func (j *Journal) Done(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Write appends one record at its cell index.
-func (j *Journal) Write(idx int, e Entry) error {
+// Write appends one record and syncs it to disk.
+func (j *Journal) Write(e Entry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	return j.append(idx, append(line, '\n'))
-}
-
-// Skip advances past a cell without writing a record — either its record is
-// already on disk (a resumed cell) or it must not be journaled at all (a
-// cell aborted by cancellation, which a resume should re-run) — unblocking
-// the writes parked behind it.
-func (j *Journal) Skip(idx int) error { return j.append(idx, nil) }
-
-// append parks the line until every lower-index cell has flushed, then
-// flushes it and everything it unblocks, syncing after each line.
-func (j *Journal) append(idx int, line []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.pending[idx] = line
-	for {
-		l, ok := j.pending[j.next]
-		if !ok {
-			return nil
-		}
-		delete(j.pending, j.next)
-		j.next++
-		if len(l) == 0 {
-			continue
-		}
-		if _, err := j.f.Write(l); err != nil {
-			return err
-		}
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
+		return err
 	}
+	return j.f.Sync()
 }
 
 func (j *Journal) Close() error { return j.f.Close() }

@@ -228,6 +228,19 @@ func TestCellDeadlineJournaledAsTimeout(t *testing.T) {
 	}
 }
 
+// TestCellDeadlineAppliesToWarmCells: the warm-measurement experiments
+// (Table 1, Figures 5-10, ocean, scale's speedup half) build their machines
+// through the same lifecycle as Figure 4, so a per-cell deadline far shorter
+// than any of their cells stops the sweep with the stop-check error instead
+// of being ignored while the figure is computed.
+func TestCellDeadlineAppliesToWarmCells(t *testing.T) {
+	opt := tinyOptions()
+	opt.CellDeadline = time.Millisecond
+	if _, err := Fig5(opt); !errors.Is(err, core.ErrStopped) {
+		t.Fatalf("Fig5 under a 1ms cell deadline: err = %v, want one wrapping core.ErrStopped", err)
+	}
+}
+
 // TestJournalResumeSkipsFailedCells: a journaled failure is not retried on
 // resume; it surfaces as the sweep error without re-running the cell.
 func TestJournalResumeSkipsFailedCells(t *testing.T) {

@@ -2,65 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/kernels"
 )
-
-func TestForEachRunsAllInAnyWorkerCount(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 64} {
-		var hits [37]atomic.Int32
-		if err := forEach(workers, len(hits), func(i int) error {
-			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range hits {
-			if n := hits[i].Load(); n != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
-			}
-		}
-	}
-}
-
-func TestForEachReturnsLowestIndexError(t *testing.T) {
-	// Indices 5 and 20 fail. Whatever the scheduling, the reported error
-	// must be index 5's: every lower index is dispatched before a higher
-	// one, so the lowest failing index always runs.
-	for _, workers := range []int{1, 3, 16} {
-		err := forEach(workers, 40, func(i int) error {
-			if i == 5 || i == 20 {
-				return fmt.Errorf("cell %d failed", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "cell 5 failed" {
-			t.Fatalf("workers=%d: got %v, want cell 5's error", workers, err)
-		}
-	}
-}
-
-func TestForEachStopsDispatchAfterError(t *testing.T) {
-	var ran atomic.Int32
-	err := forEach(4, 10_000, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error lost")
-	}
-	if n := ran.Load(); n > 100 {
-		t.Fatalf("dispatch did not stop: %d cells ran after an index-0 failure", n)
-	}
-}
 
 // parallelOptions shrinks the sweep enough for the race detector while still
 // exercising real machines across several goroutines.

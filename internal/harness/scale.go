@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/barrier"
-	"repro/internal/core"
 	"repro/internal/interconnect"
-	"repro/internal/kernels"
 )
 
 // --- fabric scaling: cores x interconnect x mechanism -----------------------
@@ -50,13 +48,7 @@ func (o Options) scaleCores() []int {
 func Scale(opt Options) ([]ScalePoint, error) {
 	coreCounts := opt.scaleCores()
 	fabrics := interconnect.Kinds
-	k, m := 64, 64 // the paper's 64 consecutive barriers x 64 iterations
-	if opt.Quick {
-		k, m = 16, 8
-	}
-	lk := LoopKernel{"viterbi", 2, func(l int) kernels.Kernel {
-		return kernels.NewViterbi(opt.viterbiBits(), l)
-	}}
+	mb, lk := opt.latencyBench(), opt.viterbiKernel()
 
 	// One runCells batch covers the whole sweep — the per-fabric
 	// sequential speedup baselines (a 1-core machine barely exercises
@@ -84,7 +76,7 @@ func Scale(opt Options) ([]ScalePoint, error) {
 		keys[nseq+i] = fmt.Sprintf("scale/%s/%s/%d", fabrics[cl.f], ScaleKinds[cl.k], coreCounts[cl.n])
 	}
 	spec := fmt.Sprintf("scale cores=%v k=%d m=%d viterbi=%d maxcycles=%d sanitize=%v",
-		coreCounts, k, m, opt.viterbiBits(), opt.MaxCycles, opt.Sanitize)
+		coreCounts, mb.K, mb.M, opt.viterbiBits(), opt.MaxCycles, opt.Sanitize)
 
 	// scaleCell is one journaled measurement: barrier cycles on the
 	// latency microbenchmark plus the kernel's warm parallel cycles.
@@ -96,9 +88,7 @@ func Scale(opt Options) ([]ScalePoint, error) {
 	meas := make([]scaleCell, len(cells))
 	err := runCells(opt, spec, len(keys), keys, func(i int, ctx *cellCtx) (any, error) {
 		if i < nseq {
-			o := opt
-			o.Fabric = fabrics[i]
-			c, err := MeasureSeqWarm(lk, o)
+			c, err := ctx.onFabric(fabrics[i]).measureSeqWarm(lk)
 			if err != nil {
 				return nil, err
 			}
@@ -106,38 +96,17 @@ func Scale(opt Options) ([]ScalePoint, error) {
 			return c, nil
 		}
 		cl := cells[i-nseq]
-		fab, kind, n := fabrics[cl.f], ScaleKinds[cl.k], coreCounts[cl.n]
-
-		// Barrier latency: the Figure 4 microbenchmark on this fabric.
-		cfg := ctx.Config(n)
-		cfg.Mem.Fabric = fab
-		alloc := barrier.NewAllocator(cfg.Mem)
-		gen, err := barrier.New(kind, n, alloc)
+		kind, n := ScaleKinds[cl.k], coreCounts[cl.n]
+		ctx = ctx.onFabric(fabrics[cl.f])
+		// Barrier latency (the Figure 4 microbenchmark on this fabric), then
+		// the kernel's warm time for the speedup post-pass.
+		cycles, err := ctx.runPar(mb, kind, n)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := buildLatencyProgram(gen, k, m, n, opt)
+		parWarm, err := ctx.measureParWarm(lk, kind, n)
 		if err != nil {
 			return nil, err
-		}
-		mach, err := core.NewMachineChecked(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := barrier.Launch(mach, gen, prog, n); err != nil {
-			return nil, err
-		}
-		cycles, err := mach.Run(opt.MaxCycles)
-		if err != nil {
-			return nil, fmt.Errorf("harness: scale %s/%s/%d: %w", fab, kind, n, err)
-		}
-
-		// Kernel warm time for the speedup post-pass.
-		o := opt
-		o.Fabric = fab
-		parWarm, err := MeasureParWarm(lk, kind, n, o)
-		if err != nil {
-			return nil, fmt.Errorf("harness: scale %s/%s/%d: %w", fab, kind, n, err)
 		}
 		meas[i-nseq] = scaleCell{Barrier: cycles, ParWarm: parWarm}
 		return meas[i-nseq], nil
@@ -156,7 +125,7 @@ func Scale(opt Options) ([]ScalePoint, error) {
 			Fabric:     fabrics[cl.f].String(),
 			Kind:       ScaleKinds[cl.k],
 			Cores:      coreCounts[cl.n],
-			AvgBarrier: float64(meas[i].Barrier) / float64(k*m),
+			AvgBarrier: float64(meas[i].Barrier) / float64(mb.Invocations()),
 			Speedup:    float64(seq[cl.f]) / float64(meas[i].ParWarm),
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // Config tunes the server.
 type Config struct {
 	// Workers bounds how many cells simulate concurrently across all
-	// sweeps (default 4). The pool is the backpressure point: admitted
-	// sweeps queue for slots instead of growing goroutines without bound.
+	// sweeps (default 4): the slot set every sweep's Runner shares. It is
+	// the backpressure point — admitted sweeps queue for slots, in cell
+	// order, instead of growing goroutines without bound.
 	Workers int
 	// MaxSweeps bounds how many sweeps may be admitted at once — running
 	// or queued for their first worker slot (default 8). A full house
@@ -100,7 +101,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	tickets  map[*ticket]struct{}
-	journals map[string]*sync.Mutex // per sweep hash: serializes journal access
+	journals map[string]*journalGate // per sweep hash, while held or waited for
 	stats    Stats
 }
 
@@ -140,7 +141,7 @@ func NewServer(cfg Config) (*Server, error) {
 		slots:    make(chan struct{}, cfg.Workers),
 		ring:     cfg.Shards,
 		tickets:  make(map[*ticket]struct{}),
-		journals: make(map[string]*sync.Mutex),
+		journals: make(map[string]*journalGate),
 	}
 	if len(s.ring) == 0 {
 		s.ring = []string{ShardLocal}
@@ -204,18 +205,35 @@ func (s *Server) markStarted(t *ticket) {
 	s.mu.Unlock()
 }
 
-// journalLock returns the mutex serializing the journal of one sweep hash,
-// so two concurrent submissions of the same spec cannot interleave writes
-// to one file (the second waits and then resumes off the first's records).
-func (s *Server) journalLock(hash string) *sync.Mutex {
+// journalGate serializes the journal of one sweep hash; refs counts its
+// holder and waiters so the last one out can drop it from the map.
+type journalGate struct {
+	mu   sync.Mutex
+	refs int // guarded by Server.mu
+}
+
+// lockJournal takes exclusive use of one sweep hash's journal, so two
+// concurrent submissions of the same spec cannot interleave writes to one
+// file (the second waits and then resumes off the first's records). The
+// returned function gives it back.
+func (s *Server) lockJournal(hash string) (unlock func()) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.journals[hash]
+	g, ok := s.journals[hash]
 	if !ok {
-		m = &sync.Mutex{}
-		s.journals[hash] = m
+		g = &journalGate{}
+		s.journals[hash] = g
 	}
-	return m
+	g.refs++
+	s.mu.Unlock()
+	g.mu.Lock()
+	return func() {
+		g.mu.Unlock()
+		s.mu.Lock()
+		if g.refs--; g.refs == 0 {
+			delete(s.journals, hash)
+		}
+		s.mu.Unlock()
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, e *Error) {
@@ -342,9 +360,8 @@ func (sw *streamWriter) line(l streamLine) {
 	sw.flush()
 }
 
-// outcome is one cell's terminal state on its way to the committer.
+// outcome is one cell's terminal state on its way to delivery.
 type outcome struct {
-	idx      int
 	res      Result
 	cached   bool
 	replayed bool
@@ -353,18 +370,56 @@ type outcome struct {
 	missing  bool // shard loss: do not journal (a resubmission retries)
 }
 
-// runSweep executes a validated sweep: cache and journal replays are free,
-// fresh cells fan out over the worker pool (and the shard ring), and the
-// committer journals and streams everything in strict cell-index order.
+// cached returns the content cache's result for a cell, unless the sweep is
+// a recompute pass (which exists to re-simulate).
+func (s *Server) cached(sw *Sweep, c Cell) (Result, bool) {
+	if sw.Spec.Recompute {
+		return Result{}, false
+	}
+	b, ok := s.cache.Get(c.Hash)
+	if !ok {
+		return Result{}, false
+	}
+	res, err := ParseResult(b)
+	return res, err == nil
+}
+
+// store enters a fresh or replayed result into the content cache — an
+// oracle check when the cache already holds the hash, in which case a
+// mismatch turns the result into an error.
+func (s *Server) store(c Cell, res Result) Result {
+	if res.Cacheable() {
+		if err := s.cache.Put(c.Hash, res.Bytes()); err != nil {
+			res.Status = harness.StatusError
+			res.Error = err.Error()
+		}
+	}
+	return res
+}
+
+// runLocal simulates one cell on this process, under a slot the Runner
+// already holds for it.
+func (s *Server) runLocal(ctx context.Context, c Cell) outcome {
+	res, err := RunCell(ctx, c)
+	if Canceled(ctx, err) {
+		return outcome{canceled: true}
+	}
+	return outcome{res: s.store(c, res)}
+}
+
+// runSweep executes a validated sweep on one harness.Runner over the
+// server-wide slots. Journal replays, cache hits and the cells of remote
+// shards are resolved without a slot; the rest start in index order as
+// slots free up; and the Runner delivers every outcome in strict
+// cell-index order to the one callback that journals and streams it, so
+// neither the journal nor the stream needs an ordering of its own.
 func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 	var j *harness.Journal
 	// Recompute runs are verification passes, not production sweeps: they
 	// bypass the journal entirely (replaying it would defeat the point of
 	// re-simulating) and leave it untouched.
 	if s.cfg.JournalDir != "" && !sw.Spec.Recompute {
-		lock := s.journalLock(sw.Hash)
-		lock.Lock()
-		defer lock.Unlock()
+		defer s.lockJournal(sw.Hash)()
 		path := filepath.Join(s.cfg.JournalDir, sw.Hash+".jsonl")
 		var err error
 		// resume=true also covers the fresh-file case: the journal starts
@@ -382,169 +437,98 @@ func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 
 	out.line(streamLine{Type: "accepted", Sweep: sw.Hash, Cells: len(sw.Cells)})
 
-	results := make(chan outcome, len(sw.Cells))
-	var wg sync.WaitGroup
-	var remote = make(map[string][]Cell) // shard URL → its cells
-
-	for _, c := range sw.Cells {
-		c := c
+	outs := make([]outcome, len(sw.Cells))
+	r := harness.NewRunner(ctx, s.slots, len(sw.Cells))
+	resolve := func(i int, o outcome) {
+		outs[i] = o
+		r.Resolve(i)
+	}
+	var local []int
+	remote := make(map[string][]Cell) // shard URL → its cells
+	for i, c := range sw.Cells {
 		if j != nil {
 			if e, ok := j.Done(c.Key); ok {
-				results <- s.replayOutcome(c, e)
+				resolve(i, s.replayOutcome(c, e))
 				continue
 			}
 		}
-		if !sw.Spec.Recompute {
-			if b, ok := s.cache.Get(c.Hash); ok {
-				if res, err := ParseResult(b); err == nil {
-					results <- outcome{idx: c.Index, res: res, cached: true}
-					continue
-				}
-			}
-		}
-		if shard := s.ring[shardIndex(c.Hash, len(s.ring))]; shard != ShardLocal {
+		if res, ok := s.cached(sw, c); ok {
+			resolve(i, outcome{res: res, cached: true})
+		} else if shard := s.ring[shardIndex(c.Hash, len(s.ring))]; shard != ShardLocal {
 			remote[shard] = append(remote[shard], c)
-			continue
+		} else {
+			local = append(local, i)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case s.slots <- struct{}{}:
-			case <-ctx.Done():
-				results <- outcome{idx: c.Index, canceled: true}
-				return
-			}
-			defer func() { <-s.slots }()
-			res, err := RunCell(ctx, c)
-			if Canceled(ctx, err) {
-				results <- outcome{idx: c.Index, canceled: true}
-				return
-			}
-			o := outcome{idx: c.Index, res: res}
-			if res.Cacheable() {
-				if perr := s.cache.Put(c.Hash, res.Bytes()); perr != nil {
-					o.res.Status = harness.StatusError
-					o.res.Error = perr.Error()
-				}
-			}
-			results <- o
-		}()
 	}
 	for shard, cells := range remote {
-		shard, cells := shard, cells
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.runShard(ctx, sw, shard, cells, results)
-		}()
+		go s.runShard(ctx, sw, shard, cells, resolve)
 	}
-	go func() { wg.Wait(); close(results) }()
 
-	s.commit(ctx, sw, j, results, out)
-}
-
-// replayOutcome turns a resumed journal entry back into a cell outcome,
-// feeding ok results through the cache (an oracle check when the cache
-// already holds the hash).
-func (s *Server) replayOutcome(c Cell, e harness.Entry) outcome {
-	o := outcome{idx: c.Index, replayed: true}
-	if len(e.Data) > 0 {
-		if res, err := ParseResult(e.Data); err == nil {
-			o.res = res
-		} else {
-			o.res = Result{Key: c.Key, Hash: c.Hash, Status: harness.StatusError,
-				Error: fmt.Sprintf("journal replay: %v", err)}
-			return o
-		}
-	} else {
-		o.res = Result{Key: c.Key, Hash: c.Hash, Status: e.Status, Error: e.Error}
-	}
-	if o.res.Cacheable() {
-		if perr := s.cache.Put(c.Hash, o.res.Bytes()); perr != nil {
-			o.res.Status = harness.StatusError
-			o.res.Error = perr.Error()
-		}
-	}
-	return o
-}
-
-// commit drains cell outcomes, re-establishing cell-index order, and
-// journals + streams each one. The journal sees writes strictly in order —
-// and stops at the first canceled or missing cell's index, so a torn-down
-// or shard-degraded sweep leaves a clean journal prefix for resumption.
-func (s *Server) commit(ctx context.Context, sw *Sweep, j *harness.Journal,
-	results <-chan outcome, out *streamWriter) {
-	pending := make(map[int]outcome, len(sw.Cells))
-	next := 0
-	journalable := true // false after the first gap (canceled cell)
+	journalable := j != nil // false after the first gap: a missing cell, a failed write
 	counts := struct{ ok, errs, miss int }{}
-	canceled := false
-	for o := range results {
-		pending[o.idx] = o
-		for {
-			cur, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			idx := cur.idx
-			switch {
-			case cur.canceled:
-				// Torn down mid-sweep: nothing past this index may be
-				// journaled (the journal must stay a clean prefix), and the
-				// stream ends with a terminal error once drained.
-				canceled = true
-				journalable = false
-			case cur.missing:
-				counts.miss++
-				// Missing cells are answered but never journaled: Skip
-				// would advance the journal past them and a resume would
-				// not re-run them. Stopping the journal here keeps the
-				// clean-prefix invariant instead.
-				journalable = false
-				if !canceled {
-					out.line(streamLine{Type: "cell", Index: &idx, Shard: cur.shard, Result: &cur.res})
-				}
-			default:
-				if j != nil && journalable && !cur.replayed {
-					e := harness.Entry{Key: cur.res.Key, Status: cur.res.Status,
-						Error: cur.res.Error, Data: cur.res.Bytes()}
-					if err := j.Write(idx, e); err != nil {
-						out.line(streamLine{Type: "error", Error: errf("internal", "", "journal write: %v", err)})
-						journalable = false
-					}
-				} else if j != nil && journalable {
-					if err := j.Skip(idx); err != nil {
-						journalable = false
-					}
-				}
-				if cur.res.Status == harness.StatusOK {
-					counts.ok++
-				} else {
-					counts.errs++
-				}
-				if !canceled {
-					out.line(streamLine{Type: "cell", Index: &idx, Cached: cur.cached,
-						Replay: cur.replayed, Shard: cur.shard, Result: &cur.res})
+	delivered := 0
+	err := r.Run(local, func(i int) { outs[i] = s.runLocal(ctx, sw.Cells[i]) }, func(i int) error {
+		cur := outs[i]
+		switch {
+		case cur.canceled:
+			// Torn down mid-sweep: nothing at or past this index is
+			// journaled or streamed, so the journal stays a clean prefix.
+			return context.Canceled
+		case cur.missing:
+			// Missing cells are answered but never journaled, and neither
+			// is anything after them: a resubmission must find a clean
+			// prefix to resume from, and re-run these.
+			counts.miss++
+			journalable = false
+		default:
+			if journalable && !cur.replayed {
+				e := harness.Entry{Key: cur.res.Key, Status: cur.res.Status,
+					Error: cur.res.Error, Data: cur.res.Bytes()}
+				if err := j.Write(e); err != nil {
+					out.line(streamLine{Type: "error", Error: errf("internal", "", "journal write: %v", err)})
+					journalable = false
 				}
 			}
-			next++
+			if cur.res.Status == harness.StatusOK {
+				counts.ok++
+			} else {
+				counts.errs++
+			}
 		}
-	}
-	if canceled || ctx.Err() != nil {
+		out.line(streamLine{Type: "cell", Index: &i, Cached: cur.cached,
+			Replay: cur.replayed, Shard: cur.shard, Result: &cur.res})
+		delivered++
+		return nil
+	})
+	if err != nil || ctx.Err() != nil {
 		out.line(streamLine{Type: "error", Error: errf("canceled", "",
-			"sweep torn down after %d of %d cells", next-len(pending), len(sw.Cells))})
+			"sweep torn down after %d of %d cells", delivered, len(sw.Cells))})
 		return
 	}
 	out.line(streamLine{Type: "done", Sweep: sw.Hash, Cells: len(sw.Cells),
 		OK: counts.ok, Errors: counts.errs, Miss: counts.miss})
 }
 
+// replayOutcome turns a resumed journal entry back into a cell outcome,
+// feeding ok results through the cache (an oracle check when the cache
+// already holds the hash).
+func (s *Server) replayOutcome(c Cell, e harness.Entry) outcome {
+	res := Result{Key: c.Key, Hash: c.Hash, Status: e.Status, Error: e.Error}
+	if len(e.Data) > 0 {
+		var err error
+		if res, err = ParseResult(e.Data); err != nil {
+			res = Result{Key: c.Key, Hash: c.Hash, Status: harness.StatusError,
+				Error: fmt.Sprintf("journal replay: %v", err)}
+		}
+	}
+	return outcome{replayed: true, res: s.store(c, res)}
+}
+
 // handleCells is the shard-internal endpoint: run an explicit subset of a
-// sweep's cells and return their results as a JSON array. It shares the
-// worker pool (so shard traffic is backpressured with everything else) but
-// keeps no journal — the coordinating server owns the sweep's durability.
+// sweep's cells and return their results as a JSON array. It runs them on
+// the same Runner over the same slots (so shard traffic is backpressured
+// with everything else) but keeps no journal — the coordinating server owns
+// the sweep's durability.
 func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	var req CellsRequest
 	if !s.decodeSpec(w, r, &req) {
@@ -564,40 +548,20 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	out := make([]Result, len(req.Indices))
-	var wg sync.WaitGroup
+	run := harness.NewRunner(ctx, s.slots, len(out))
+	var local []int
 	for oi, i := range req.Indices {
-		oi, c := oi, sw.Cells[i]
-		if !sw.Spec.Recompute {
-			if b, ok := s.cache.Get(c.Hash); ok {
-				if res, err := ParseResult(b); err == nil {
-					out[oi] = res
-					continue
-				}
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case s.slots <- struct{}{}:
-			case <-ctx.Done():
-				out[oi] = Result{Key: c.Key, Hash: c.Hash, Status: harness.StatusError,
-					Error: "shard request canceled"}
-				return
-			}
-			defer func() { <-s.slots }()
-			res, err := RunCell(ctx, c)
-			if !Canceled(ctx, err) && res.Cacheable() {
-				if perr := s.cache.Put(c.Hash, res.Bytes()); perr != nil {
-					res.Status = harness.StatusError
-					res.Error = perr.Error()
-				}
-			}
+		if res, ok := s.cached(sw, sw.Cells[i]); ok {
 			out[oi] = res
-		}()
+			run.Resolve(oi)
+		} else {
+			local = append(local, oi)
+		}
 	}
-	wg.Wait()
-	if ctx.Err() != nil {
+	err := run.Run(local, func(oi int) {
+		out[oi] = s.runLocal(ctx, sw.Cells[req.Indices[oi]]).res
+	}, func(int) error { return nil })
+	if err != nil || ctx.Err() != nil {
 		return // client gone; nothing to answer
 	}
 	w.Header().Set("Content-Type", "application/json")

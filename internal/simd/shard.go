@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/internal/harness"
 )
 
 // ShardLocal is the ring entry meaning "run on this process".
@@ -46,46 +44,45 @@ func shardIndex(hash string, n int) int {
 // shard that stays down after every retry degrades, not fails, the sweep:
 // each of its cells is answered as status "missing" naming the shard, and
 // none of them is journaled or cached, so a resubmission retries them.
-func (s *Server) runShard(ctx context.Context, sw *Sweep, shard string, cells []Cell, results chan<- outcome) {
+// Every cell is resolved exactly once, whatever happens — the sweep's
+// Runner waits for each.
+func (s *Server) runShard(ctx context.Context, sw *Sweep, shard string, cells []Cell, resolve func(i int, o outcome)) {
 	indices := make([]int, len(cells))
 	for i, c := range cells {
 		indices[i] = c.Index
 	}
 	body, err := json.Marshal(CellsRequest{Spec: sw.Spec, Indices: indices})
 	if err != nil {
-		s.shardDown(shard, cells, fmt.Sprintf("encoding request: %v", err), results)
+		shardDown(shard, cells, fmt.Sprintf("encoding request: %v", err), resolve)
 		return
 	}
 
 	var lastErr error
 	backoff := s.cfg.ShardBackoff
-	for attempt := 0; attempt <= s.cfg.ShardRetries; attempt++ {
+	for attempt := 0; attempt <= s.cfg.ShardRetries && ctx.Err() == nil; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(backoff):
 				backoff *= 2
 			case <-ctx.Done():
-				for _, c := range cells {
-					results <- outcome{idx: c.Index, canceled: true}
-				}
-				return
+				continue // the loop condition ends the retries
 			}
 		}
 		res, err := s.callShard(ctx, shard, body)
 		if err == nil {
-			s.shardResults(sw, shard, cells, res, results)
+			s.shardResults(shard, cells, res, resolve)
 			return
 		}
 		lastErr = err
-		if ctx.Err() != nil {
-			for _, c := range cells {
-				results <- outcome{idx: c.Index, canceled: true}
-			}
-			return
-		}
 	}
-	s.shardDown(shard, cells,
-		fmt.Sprintf("unreachable after %d attempts: %v", s.cfg.ShardRetries+1, lastErr), results)
+	if ctx.Err() != nil {
+		for _, c := range cells {
+			resolve(c.Index, outcome{canceled: true})
+		}
+		return
+	}
+	shardDown(shard, cells,
+		fmt.Sprintf("unreachable after %d attempts: %v", s.cfg.ShardRetries+1, lastErr), resolve)
 }
 
 // callShard makes one attempt against a shard's /v1/cells.
@@ -121,37 +118,29 @@ func (s *Server) callShard(ctx context.Context, shard string, body []byte) ([]Re
 // shardResults matches a shard's keyed results back to its cells, caching
 // ok results (an oracle check when the hash is already cached) and
 // attributing any cell the shard failed to answer.
-func (s *Server) shardResults(sw *Sweep, shard string, cells []Cell, res []Result, results chan<- outcome) {
+func (s *Server) shardResults(shard string, cells []Cell, res []Result, resolve func(i int, o outcome)) {
 	byKey := make(map[string]Result, len(res))
 	for _, r := range res {
 		if _, dup := byKey[r.Key]; !dup {
 			byKey[r.Key] = r
 		}
 	}
+	var unanswered []Cell
 	for _, c := range cells {
-		r, ok := byKey[c.Key]
-		if !ok {
-			results <- outcome{idx: c.Index, shard: shard, missing: true,
-				res: Result{Key: c.Key, Hash: c.Hash, Status: "missing",
-					Error: fmt.Sprintf("shard %s returned no result for this cell", shard)}}
-			continue
+		if r, ok := byKey[c.Key]; ok {
+			resolve(c.Index, outcome{shard: shard, res: s.store(c, r)})
+		} else {
+			unanswered = append(unanswered, c)
 		}
-		o := outcome{idx: c.Index, shard: shard, res: r}
-		if r.Cacheable() {
-			if perr := s.cache.Put(c.Hash, r.Bytes()); perr != nil {
-				o.res.Status = harness.StatusError
-				o.res.Error = perr.Error()
-			}
-		}
-		results <- o
 	}
+	shardDown(shard, unanswered, "returned no result for this cell", resolve)
 }
 
 // shardDown answers every cell of a lost shard as attributed-missing.
-func (s *Server) shardDown(shard string, cells []Cell, detail string, results chan<- outcome) {
+func shardDown(shard string, cells []Cell, detail string, resolve func(i int, o outcome)) {
 	for _, c := range cells {
-		results <- outcome{idx: c.Index, shard: shard, missing: true,
+		resolve(c.Index, outcome{shard: shard, missing: true,
 			res: Result{Key: c.Key, Hash: c.Hash, Status: "missing",
-				Error: fmt.Sprintf("shard %s %s", shard, detail)}}
+				Error: fmt.Sprintf("shard %s %s", shard, detail)}})
 	}
 }

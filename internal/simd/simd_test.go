@@ -660,7 +660,7 @@ func TestServerCreatesJournalDir(t *testing.T) {
 // hash (no interleaved writes, no torn file).
 func TestConcurrentIdenticalSweeps(t *testing.T) {
 	dir := t.TempDir()
-	ts, _ := newTestServer(t, Config{Workers: 2, MaxSweeps: 8, JournalDir: dir})
+	ts, s := newTestServer(t, Config{Workers: 2, MaxSweeps: 8, JournalDir: dir})
 	spec := smallSpec()
 	spec.Chaos = []string{"none"}
 
@@ -684,5 +684,19 @@ func TestConcurrentIdenticalSweeps(t *testing.T) {
 	journals, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil || len(journals) != 1 {
 		t.Fatalf("journals = %v, %v", journals, err)
+	}
+	// The per-hash journal gate lives only while a sweep holds or waits for
+	// it. A client sees its "done" line just before its handler returns the
+	// gate, hence the short wait.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		n := len(s.journals)
+		s.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d journal gates left in the server's map after every sweep finished", n)
+		}
 	}
 }

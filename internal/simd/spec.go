@@ -1,8 +1,9 @@
 // Package simd is the simulation-as-a-service layer: a crash-resilient,
 // backpressured HTTP/JSON server that accepts experiment specs (kernel,
 // barrier mechanism, interconnect fabric, thread count, seeds, chaos
-// profile, deadlines), validates them up front, fans the resulting cells
-// out across a bounded worker pool, and streams per-cell progress as NDJSON.
+// profile, deadlines), validates them up front, runs the resulting cells on
+// the harness's ordered Runner under a server-wide slot bound, and streams
+// per-cell progress as NDJSON.
 //
 // Robustness is the design center:
 //

@@ -29,7 +29,7 @@ go run ./cmd/srvet -all -threads 3
 go run ./cmd/srvet -corpus >/dev/null
 
 echo "== go test -race (parallel harness, verifier, fabrics) =="
-go test -race -run 'TestForEach|TestParallelFig4Deterministic' ./internal/harness
+go test -race -run 'TestRunner|TestParallelFig4Deterministic' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
 go test -race ./internal/interconnect ./internal/mem
 
@@ -67,5 +67,8 @@ go test -race -count=1 ./internal/simd
 
 echo "== simd smoke (boot, kill -9 mid-sweep, resume byte-identical, cache oracle) =="
 sh scripts/simd_smoke.sh
+
+echo "== non-test Go lines per package (informational; ROADMAP tracks them) =="
+sh scripts/loc.sh
 
 echo "ok"
