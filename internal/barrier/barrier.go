@@ -145,14 +145,8 @@ func NewAt(kind Kind, nthreads int, alloc *Allocator, bank int) (Generator, erro
 		return newSWTree(nthreads, alloc)
 	case KindHWNet:
 		return newHWNet(nthreads), nil
-	case KindFilterI:
-		return newFilterI(nthreads, alloc, false, bank), nil
-	case KindFilterIPP:
-		return newFilterI(nthreads, alloc, true, bank), nil
-	case KindFilterD:
-		return newFilterD(nthreads, alloc, false, bank), nil
-	case KindFilterDPP:
-		return newFilterD(nthreads, alloc, true, bank), nil
+	case KindFilterI, KindFilterIPP, KindFilterD, KindFilterDPP:
+		return newFilterBarrier(kind, nthreads, alloc, bank), nil
 	}
 	return nil, fmt.Errorf("barrier: unknown kind %d", int(kind))
 }

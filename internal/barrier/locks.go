@@ -106,7 +106,7 @@ func InstallLocks(m *core.Machine, prog *asm.Program) ([]*filter.Lock, error) {
 		}
 		l := filter.NewLock(strings.TrimPrefix(s, "lock."), base, stride, int(threads))
 		l.RegisterAll()
-		if err := m.InstallLock(l); err != nil {
+		if err := m.Install(l); err != nil {
 			return installed, fmt.Errorf("barrier: installing lock %q: %w", l.Name, err)
 		}
 		installed = append(installed, l)

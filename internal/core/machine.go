@@ -288,51 +288,40 @@ func (m *Machine) Load(p *asm.Program) {
 	m.prog = p
 }
 
-// InstallFilter places a barrier filter into the bank its arrival region
-// maps to. It fails when that bank's filter slots are exhausted; the caller
-// falls back to a software barrier (§3.3.1).
-func (m *Machine) InstallFilter(f *filter.Filter) error {
-	f.Strict = m.Cfg.FilterStrict
-	f.Timeout = m.Cfg.FilterTimeout
-	return m.Hooks[m.Cfg.Mem.BankOf(f.ArrivalBase)].Add(f)
+// hookOf returns the bank engine a primitive's filtered lines map to.
+func (m *Machine) hookOf(p filter.Primitive) *filter.BankFilters {
+	return m.Hooks[m.Cfg.Mem.BankOf(p.Table().Base)]
 }
 
-// InstallLock places a hardware lock into the bank its lock lines map to,
-// under the same slot and entry-capacity accounting as barrier filters. It
-// fails (ErrNoCapacity on entry pressure) when the bank cannot host it; the
-// caller is expected to spill to a software lock.
-func (m *Machine) InstallLock(l *filter.Lock) error {
-	l.Strict = m.Cfg.FilterStrict
-	l.Timeout = m.Cfg.FilterTimeout
-	return m.Hooks[m.Cfg.Mem.BankOf(l.Base)].AddLock(l)
+// Install places a sync primitive — a barrier filter, a hardware lock —
+// into the bank its lines map to, under the machine's Strict/Timeout
+// configuration and one slot and entry-capacity accounting for every kind.
+// It fails when that bank cannot host it (ErrNoCapacity on entry pressure);
+// the caller falls back to a software path (§3.3.1).
+func (m *Machine) Install(p filter.Primitive) error {
+	t := p.Table()
+	t.Strict = m.Cfg.FilterStrict
+	t.Timeout = m.Cfg.FilterTimeout
+	return m.hookOf(p).Add(p)
 }
 
-// RetireLock tears a lock down for good under the same migration-safe
-// retire path as barrier filters.
-func (m *Machine) RetireLock(l *filter.Lock) {
-	m.Hooks[m.Cfg.Mem.BankOf(l.Base)].RetireLock(l)
-}
-
-// Locks enumerates the hardware locks installed across the banks.
-func (m *Machine) Locks() []*filter.Lock {
-	var out []*filter.Lock
+// Primitives enumerates the sync primitives installed across the banks, in
+// bank then slot order.
+func (m *Machine) Primitives() []filter.Primitive {
+	var out []filter.Primitive
 	for _, h := range m.Hooks {
-		out = append(out, h.Locks()...)
+		out = append(out, h.Hosted()...)
 	}
 	return out
 }
 
-// RemoveFilter swaps a filter out of its bank.
-func (m *Machine) RemoveFilter(f *filter.Filter) {
-	m.Hooks[m.Cfg.Mem.BankOf(f.ArrivalBase)].Remove(f)
-}
+// Remove swaps a primitive out of its bank.
+func (m *Machine) Remove(p filter.Primitive) { m.hookOf(p).Remove(p) }
 
-// RetireFilter tears a filter down for good: its entries are evicted and
-// its tags move to the bank's retired list, where stale fills and invals
-// keep getting error-coded responses (barrier teardown, §3.3.3).
-func (m *Machine) RetireFilter(f *filter.Filter) {
-	m.Hooks[m.Cfg.Mem.BankOf(f.ArrivalBase)].Retire(f)
-}
+// Retire tears a primitive down for good: its entries are evicted and its
+// tags move to the bank's retired list, where stale fills and invals keep
+// getting error-coded responses (barrier teardown, §3.3.3).
+func (m *Machine) Retire(p filter.Primitive) { m.hookOf(p).Retire(p) }
 
 // DropParkedFills discards every parked fill issued by the given physical
 // core across all banks. The OS calls it when descheduling a core whose
@@ -608,9 +597,9 @@ func (m *Machine) runTo(stop uint64, limit bool) (atLimit bool, err error) {
 }
 
 // describePCs reports, for every still-running core, its resume PC and —
-// when the core is starved on a fill parked inside a barrier filter — which
-// filter slot is holding it, so a cycle-limit report attributes the barrier
-// a deadlocked machine is actually stuck on.
+// when the core is starved on a fill parked inside the sync engine — which
+// primitive's slot is holding it, so a cycle-limit report attributes the
+// barrier or lock a deadlocked machine is actually stuck on.
 func (m *Machine) describePCs() string {
 	s := ""
 	for i, c := range m.Cores {
@@ -620,14 +609,14 @@ func (m *Machine) describePCs() string {
 		blocked := ""
 		phys := m.physOf[i]
 		for b, h := range m.Hooks {
-			if slot, f, thread, ok := h.BlockedOn(phys); ok {
-				blocked = fmt.Sprintf(" blocked on barrier %q (bank %d slot %d, thread entry %d)",
-					f.Name, b, slot, thread)
-				break
-			}
-			if slot, l, thread, ok := h.BlockedOnLock(phys); ok {
-				blocked = fmt.Sprintf(" blocked on lock %q (bank %d slot %d, thread entry %d, holder %d)",
-					l.Name, b, slot, thread, l.Holder())
+			if slot, p, thread, ok := h.BlockedOn(phys); ok {
+				holder := ""
+				if l, isLock := p.(*filter.Lock); isLock {
+					holder = fmt.Sprintf(", holder %d", l.Holder())
+				}
+				t := p.Table()
+				blocked = fmt.Sprintf(" blocked on %s %q (bank %d slot %d, thread entry %d%s)",
+					t.Kind.Label, t.Name, b, slot, thread, holder)
 				break
 			}
 		}

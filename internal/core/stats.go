@@ -68,33 +68,42 @@ func (m *Machine) StatsReport() *sim.Stats {
 	set("filter.fills_released", released)
 	set("filter.error_responses", faults)
 
-	var timeouts, misuse, spills, evictErrs, droppedFills uint64
+	// The sync engine keeps one counter block per primitive, live or
+	// retired; the report sums it per kind.
+	var spills, acq, grants, rels uint64
+	var bar, lk filter.Counters
+	locks := 0
 	for _, h := range m.Hooks {
-		timeouts += h.TimeoutReleases()
-		misuse += h.MisuseFaults()
 		spills += h.Spills
-		evictErrs += h.EvictErrors()
-		for _, f := range h.Filters() {
-			droppedFills += f.DroppedFills
+		for _, ps := range [2][]filter.Primitive{h.Hosted(), h.Retired()} {
+			for _, p := range ps {
+				switch x := p.(type) {
+				case *filter.Filter:
+					bar.Add(&x.Counters)
+				case *filter.Lock:
+					lk.Add(&x.Counters)
+					acq += x.Acquires
+					grants += x.Grants
+					rels += x.Releases
+					locks++
+				}
+			}
 		}
-		for _, f := range h.Retired() {
-			droppedFills += f.DroppedFills
+	}
+	// gated emits a counter only when it is non-zero: the capacity and
+	// eviction counters appear only when the virtualized table actually
+	// acted, so runs that never spill or evict keep reports byte-identical
+	// to pre-capacity ones (golden differentials).
+	gated := func(name string, v uint64) {
+		if v > 0 {
+			set(name, v)
 		}
 	}
-	set("filter.timeout_releases", timeouts)
-	set("filter.misuse_faults", misuse)
-	// Capacity/eviction counters are only emitted when the virtualized
-	// filter table actually acted, so runs that never spill or evict keep
-	// reports byte-identical to pre-capacity ones (golden differentials).
-	if spills > 0 {
-		set("filter.overflow_spills", spills)
-	}
-	if evictErrs > 0 {
-		set("filter.evict_errors", evictErrs)
-	}
-	if droppedFills > 0 {
-		set("filter.desched_dropped_fills", droppedFills)
-	}
+	set("filter.timeout_releases", bar.Timeouts)
+	set("filter.misuse_faults", bar.Errors)
+	gated("filter.overflow_spills", spills)
+	gated("filter.evict_errors", bar.EvictErrors)
+	gated("filter.desched_dropped_fills", bar.DroppedFills)
 
 	// Hardware-lock counters live in their own sync.lock.* namespace: the
 	// filter.* keys above are pinned byte-for-byte by the golden
@@ -102,41 +111,16 @@ func (m *Machine) StatsReport() *sim.Stats {
 	// do include lock traffic — they count at the hook, which cannot tell
 	// primitive kinds apart; see DESIGN.md §15). The whole block is only
 	// emitted when locks are installed, so lock-free runs stay identical.
-	var lks []*filter.Lock
-	for _, h := range m.Hooks {
-		lks = append(lks, h.Locks()...)
-		lks = append(lks, h.RetiredLocks()...)
-	}
-	if len(lks) > 0 {
-		var acq, grants, rels, lparked, inHold, ltimeouts, lmisuse, levict, ldropped uint64
-		for _, l := range lks {
-			acq += l.Acquires
-			grants += l.Grants
-			rels += l.Releases
-			lparked += l.ParkedFills
-			inHold += l.ServicedInHold
-			ltimeouts += l.Timeouts
-			lmisuse += l.Errors
-			levict += l.EvictErrors
-			ldropped += l.DroppedFills
-		}
+	if locks > 0 {
 		set("sync.lock.acquires", acq)
 		set("sync.lock.grants", grants)
 		set("sync.lock.releases", rels)
-		set("sync.lock.parked_fills", lparked)
-		set("sync.lock.serviced_in_hold", inHold)
-		if ltimeouts > 0 {
-			set("sync.lock.timeout_releases", ltimeouts)
-		}
-		if lmisuse > 0 {
-			set("sync.lock.misuse_faults", lmisuse)
-		}
-		if levict > 0 {
-			set("sync.lock.evict_errors", levict)
-		}
-		if ldropped > 0 {
-			set("sync.lock.desched_dropped_fills", ldropped)
-		}
+		set("sync.lock.parked_fills", lk.ParkedFills)
+		set("sync.lock.serviced_in_hold", lk.Serviced)
+		gated("sync.lock.timeout_releases", lk.Timeouts)
+		gated("sync.lock.misuse_faults", lk.Errors)
+		gated("sync.lock.evict_errors", lk.EvictErrors)
+		gated("sync.lock.desched_dropped_fills", lk.DroppedFills)
 	}
 
 	set("l3.hits", m.Sys.L3Cache().Hits)

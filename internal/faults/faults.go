@@ -54,11 +54,11 @@ type Profile struct {
 	// hits the Evicted state and faults attributably.
 	EvictEvery uint64
 
-	// LockEvictEvery forcibly deallocates a random live lock table entry —
-	// the lock-side twin of EvictEvery. Evicting the holder frees the lock
-	// and grants the next waiter (a deallocated holder must not wedge the
-	// queue); the victim's later acquire, release, or fill hits the
-	// Evicted state and faults attributably.
+	// LockEvictEvery is EvictEvery's schedule over lock table entries.
+	// Evicting the holder frees the lock and grants the next waiter (a
+	// deallocated holder must not wedge the queue); the victim's later
+	// acquire, release, or fill hits the Evicted state and faults
+	// attributably.
 	LockEvictEvery uint64
 
 	// FilterCapOverride, when positive, shrinks every bank's filter-table
@@ -183,9 +183,8 @@ type Injector struct {
 	sys   *mem.System
 	cores int
 
-	filters []*filter.Filter      // misuse targets (barrier filters in use)
-	lockSrc func() []*filter.Lock // lock-evict targets, resolved lazily (locks install at Launch)
-	targets []uint64              // spurious-fill target lines
+	prims   []filter.Primitive // hosted sync primitives: misuse and evict targets
+	targets []uint64           // spurious-fill target lines
 
 	rngReq, rngResp, rngAck, rngSched *sim.Rand
 
@@ -240,17 +239,25 @@ func New(p Profile, seed uint64, sys *mem.System, cores int) *Injector {
 	return in
 }
 
-// SetFilters gives the misuse injector the barrier filters in use (it needs
-// their thread states to stay on the detectable side of the protocol).
-func (in *Injector) SetFilters(fs []*filter.Filter) { in.filters = fs }
+// SetPrimitives gives the injector the sync primitives the machine hosts.
+// The barrier filters among them are the misuse targets (the injector needs
+// their thread states to stay on the detectable side of the protocol); each
+// kind's tables are the targets of its evict schedule.
+func (in *Injector) SetPrimitives(ps []filter.Primitive) { in.prims = ps }
+
+// tables returns the hosted entry tables of one kind.
+func (in *Injector) tables(kind *filter.Kind) []*filter.EntryTable {
+	var out []*filter.EntryTable
+	for _, p := range in.prims {
+		if t := p.Table(); t.Kind == kind {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 // SetFillTargets sets the line addresses spurious fills aim at.
 func (in *Injector) SetFillTargets(addrs []uint64) { in.targets = addrs }
-
-// SetLockSource gives the lock-evict injector a way to enumerate the live
-// hardware locks. It is a closure, not a slice, because the injector is
-// attached before Launch installs the locks into the bank tables.
-func (in *Injector) SetLockSource(src func() []*filter.Lock) { in.lockSrc = src }
 
 // gap draws a positive gap with the given mean from the scheduler stream.
 func (in *Injector) gap(mean uint64) uint64 {
@@ -375,11 +382,11 @@ func (in *Injector) Tick(now uint64) {
 		in.nextFlip = now + in.gap(in.P.StateFlipEvery)
 	}
 	if now >= in.nextEvict {
-		in.injectEvict(now)
+		in.injectEvict(now, filter.BarrierKind, &in.ForcedEvicts)
 		in.nextEvict = now + in.gap(in.P.EvictEvery)
 	}
 	if now >= in.nextLockEvict {
-		in.injectLockEvict(now)
+		in.injectEvict(now, filter.LockKind, &in.LockEvicts)
 		in.nextLockEvict = now + in.gap(in.P.LockEvictEvery)
 	}
 }
@@ -431,70 +438,54 @@ func (in *Injector) injectSpurious(now uint64) {
 // barrier early), so only the detectable-misuse states are targeted —
 // Blocking (double arrival, §3.3.4) and Servicing (arrival before exit).
 func (in *Injector) injectMisuse(now uint64) {
-	if len(in.filters) == 0 {
+	filters := in.tables(filter.BarrierKind)
+	if len(filters) == 0 {
 		return
 	}
-	f := in.filters[in.rngSched.Intn(len(in.filters))]
+	f := filters[in.rngSched.Intn(len(filters))]
 	t := in.rngSched.Intn(f.NumThreads)
-	st := f.State(t)
-	if st == filter.Waiting {
+	if f.Entry(t) == filter.EntryIdle {
 		return
 	}
 	core := in.rngSched.Intn(in.cores)
 	in.nextID++
-	txn := mem.Txn{Kind: mem.InvalD, Addr: f.ArrivalAddr(t), Core: core, ID: in.nextID}
+	txn := mem.Txn{Kind: mem.InvalD, Addr: f.LineAddr(t), Core: core, ID: in.nextID}
 	in.sys.InjectRequest(txn, now+1)
 	in.MisuseInvals++
-	in.record(now, "filter.misuse", core, f.ArrivalAddr(t),
-		fmt.Sprintf("duplicate arrival for thread %d in state %s", t, st))
+	in.record(now, "filter.misuse", core, f.LineAddr(t),
+		fmt.Sprintf("duplicate arrival for thread %d in state %s", t, f.StateName(t)))
 }
 
-// injectEvict forcibly deallocates one live filter entry — a soft error in
-// the table's valid bits, or the OS reclaiming an entry under capacity
-// pressure. Parked fills on the victim come back as error fills
-// immediately; its later arrival, exit, or re-issued fill hits the Evicted
-// state and gets an error-coded response. Either way the run faults
-// attributably and the degradation engine retries or falls back — the
-// barrier can wedge only as far as the hardware timeout.
-func (in *Injector) injectEvict(now uint64) {
-	if len(in.filters) == 0 {
+// injectEvict forcibly deallocates one live table entry of a primitive of
+// the given kind — a soft error in the table's valid bits, or the OS
+// reclaiming an entry under capacity pressure. The entry automaton's
+// eviction path does the rest: parked fills on the victim come back as
+// error fills immediately, the kind's rule is told (an evicted lock holder
+// frees the lock and grants the next waiter), and the victim's later
+// invalidation or re-issued fill hits the Evicted state and gets an
+// error-coded response. Either way the run faults attributably and the
+// degradation engine retries or falls back — a barrier can wedge only as
+// far as the hardware timeout, and mutual exclusion degrades, it never
+// silently breaks.
+func (in *Injector) injectEvict(now uint64, kind *filter.Kind, count *uint64) {
+	tables := in.tables(kind)
+	if len(tables) == 0 {
 		return
 	}
-	f := in.filters[in.rngSched.Intn(len(in.filters))]
-	t := in.rngSched.Intn(f.NumThreads)
-	st := f.State(t)
-	if st == filter.Evicted {
+	e := tables[in.rngSched.Intn(len(tables))]
+	t := in.rngSched.Intn(e.NumThreads)
+	if e.Entry(t) == filter.EntryEvicted {
 		return
 	}
-	_ = f.EvictThread(t) // t is in range by construction
-	in.ForcedEvicts++
-	in.record(now, "filter.evict", -1, f.ArrivalAddr(t),
-		fmt.Sprintf("forced eviction of thread %d in state %s", t, st))
-}
-
-// injectLockEvict forcibly deallocates one live lock table entry. The lock
-// FSM's eviction path does the rest: parked fills come back as error fills,
-// an evicted holder frees the lock and grants the next waiter, and the
-// victim's later acquire or release hits the Evicted state and faults
-// attributably — mutual exclusion degrades, it never silently breaks.
-func (in *Injector) injectLockEvict(now uint64) {
-	if in.lockSrc == nil {
-		return
+	// A cell runs one barrier but any number of locks, so a lock is named.
+	which := ""
+	if kind == filter.LockKind {
+		which = fmt.Sprintf("lock %q ", e.Name)
 	}
-	locks := in.lockSrc()
-	if len(locks) == 0 {
-		return
-	}
-	l := locks[in.rngSched.Intn(len(locks))]
-	t := in.rngSched.Intn(l.NumThreads)
-	st := l.State(t)
-	if st == filter.LockEvicted {
-		return
-	}
-	_ = l.EvictThread(t) // t is in range by construction
-	in.LockEvicts++
-	in.record(now, "lock.evict", -1, l.LineAddr(t),
-		fmt.Sprintf("forced eviction of lock %q thread %d in state %s", l.Name, t, st))
+	detail := fmt.Sprintf("forced eviction of %sthread %d in state %s", which, t, e.StateName(t))
+	_ = e.EvictThread(t) // t is in range by construction
+	*count++
+	in.record(now, kind.Noun+".evict", -1, e.LineAddr(t), detail)
 }
 
 // injectFlip promotes one random valid Shared line in one core's L1D to

@@ -136,7 +136,7 @@ func TestMisuseIsStateAware(t *testing.T) {
 	in := New(Profile{MisuseEvery: 1}, 5, m.Sys, 2)
 	f := filter.New("t", 0x1_0000, 0x2_0000, 64, 2)
 	f.RegisterAll()
-	in.SetFilters([]*filter.Filter{f})
+	in.SetPrimitives([]filter.Primitive{f})
 
 	for i := 0; i < 50; i++ { // all threads Waiting: nothing may fire
 		in.injectMisuse(uint64(i))

@@ -7,7 +7,7 @@ import (
 	"repro/internal/mem"
 )
 
-// ErrNoCapacity is returned by Add/AddLock when installing a primitive
+// ErrNoCapacity is returned by Add when installing a primitive
 // would exceed the bank's entry capacity. Allocations that hit it are
 // expected to spill to a software path and be attributed as
 // filter.overflow_spills — capacity pressure degrades, it never wedges.
@@ -52,31 +52,26 @@ func NewBankFilters(slots int) *BankFilters {
 	return &BankFilters{Slots: slots}
 }
 
-// addPrim installs a primitive, failing when the bank's slots are exhausted
-// or when its entry capacity would overflow. what names the primitive kind
-// in the error ("filter", "lock").
-func (b *BankFilters) addPrim(p Primitive, what string) error {
+// Add installs a primitive — a barrier filter or any other kind — failing
+// when the bank's slots are exhausted or when its entry capacity would
+// overflow (the OS then falls back to a software path, §3.3.1).
+func (b *BankFilters) Add(p Primitive) error {
+	t := p.Table()
 	if len(b.prims) >= b.Slots {
 		return fmt.Errorf("filter: bank has no free filter slots (%d in use)", b.Slots)
 	}
-	if b.Cap > 0 && b.Entries()+p.entryCount() > b.Cap {
+	if b.Cap > 0 && b.Entries()+t.NumThreads > b.Cap {
 		b.Spills++
 		return fmt.Errorf("%w: bank holds %d of %d entries, %s %s needs %d",
-			ErrNoCapacity, b.Entries(), b.Cap, what, p.primName(), p.entryCount())
+			ErrNoCapacity, b.Entries(), b.Cap, t.Kind.Noun, t.Name, t.NumThreads)
 	}
-	p.setObserver(b.obs)
+	t.obs = b.obs
 	b.prims = append(b.prims, p)
 	return nil
 }
 
-// Add installs a barrier filter, failing when the bank's slots are
-// exhausted or when its entry capacity would overflow (the OS then falls
-// back to a software barrier, §3.3.1).
-func (b *BankFilters) Add(f *Filter) error { return b.addPrim(f, "filter") }
-
-// AddLock installs a hardware lock under the same slot and entry-capacity
-// accounting as barrier filters.
-func (b *BankFilters) AddLock(l *Lock) error { return b.addPrim(l, "lock") }
+// AddLock is Add; benchmark/ (frozen) installs its lock under this name.
+func (b *BankFilters) AddLock(l *Lock) error { return b.Add(l) }
 
 // SetObserver attaches o to every primitive the bank hosts now or later
 // (nil detaches). Retired primitives are included: a stale-tag arrival can
@@ -85,13 +80,13 @@ func (b *BankFilters) SetObserver(o SyncObserver) {
 	b.obs = o
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
-			p.setObserver(o)
+			p.Table().obs = o
 		}
 	}
 }
 
-// removePrim swaps a primitive out (OS swap, §3.3.3).
-func (b *BankFilters) removePrim(p Primitive) {
+// Remove swaps a primitive out (OS barrier swap, §3.3.3).
+func (b *BankFilters) Remove(p Primitive) {
 	for i, x := range b.prims {
 		if x == p {
 			b.prims = append(b.prims[:i], b.prims[i+1:]...)
@@ -100,31 +95,18 @@ func (b *BankFilters) removePrim(p Primitive) {
 	}
 }
 
-// Remove swaps a filter out (OS barrier swap, §3.3.3).
-func (b *BankFilters) Remove(f *Filter) { b.removePrim(f) }
-
-// RemoveLock swaps a lock out.
-func (b *BankFilters) RemoveLock(l *Lock) { b.removePrim(l) }
-
-// retirePrim tears a primitive down for good: every entry is evicted —
-// parked fills are error-released — and the primitive moves to the bank's
-// retired list, where its tags keep answering stale invals and fills with
-// error-coded responses instead of silently ignoring them.
-func (b *BankFilters) retirePrim(p Primitive) {
-	b.removePrim(p)
-	p.evictAll()
+// Retire tears a primitive down for good (barrier teardown): every entry
+// is evicted — parked fills are error-released — and the primitive moves to
+// the bank's retired list, where its tags keep answering stale invals and
+// fills with error-coded responses instead of silently ignoring them.
+func (b *BankFilters) Retire(p Primitive) {
+	b.Remove(p)
+	p.Table().evictAll()
 	b.retired = append(b.retired, p)
 	if len(b.retired) > maxRetired {
 		b.retired = b.retired[len(b.retired)-maxRetired:]
 	}
 }
-
-// Retire tears a filter down for good (barrier teardown).
-func (b *BankFilters) Retire(f *Filter) { b.retirePrim(f) }
-
-// RetireLock tears a lock down for good under the same migration-safe
-// retire path as barrier filters.
-func (b *BankFilters) RetireLock(l *Lock) { b.retirePrim(l) }
 
 // InUse returns the number of occupied slots.
 func (b *BankFilters) InUse() int { return len(b.prims) }
@@ -135,10 +117,19 @@ func (b *BankFilters) InUse() int { return len(b.prims) }
 func (b *BankFilters) Entries() int {
 	n := 0
 	for _, p := range b.prims {
-		n += p.entryCount()
+		n += p.Table().NumThreads
 	}
 	return n
 }
+
+// Hosted returns the live primitives in slot order: the one enumeration
+// diagnostics, the sanitizer, statistics and fault injection walk. The
+// slice is the bank's own; callers must not modify it.
+func (b *BankFilters) Hosted() []Primitive { return b.prims }
+
+// Retired returns the retired primitives whose tags still answer stale
+// accesses, oldest first.
+func (b *BankFilters) Retired() []Primitive { return b.retired }
 
 // OnInval shows an invalidation to every live primitive that recognizes
 // the address. When no live primitive matches, the retired list is
@@ -148,7 +139,7 @@ func (b *BankFilters) Entries() int {
 func (b *BankFilters) OnInval(now uint64, addr uint64, core int) (fault bool) {
 	matched := false
 	for _, p := range b.prims {
-		if m, f := p.onInval(now, addr, core); m {
+		if m, f := p.onInval(now, addr); m {
 			matched = true
 			if f {
 				fault = true
@@ -159,7 +150,7 @@ func (b *BankFilters) OnInval(now uint64, addr uint64, core int) (fault bool) {
 		return fault
 	}
 	for _, p := range b.retired {
-		if _, f := p.onInval(now, addr, core); f {
+		if _, f := p.onInval(now, addr); f {
 			fault = true
 		}
 	}
@@ -172,8 +163,9 @@ func (b *BankFilters) OnInval(now uint64, addr uint64, core int) (fault bool) {
 func (b *BankFilters) OnFill(now uint64, t mem.Txn) (park, fault bool) {
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
-			if m, park, fault := p.onFillReq(now, t); m {
-				return park, fault
+			e := p.Table()
+			if tid, ok := e.MatchLine(t.Addr); ok {
+				return e.onFill(now, tid, t)
 			}
 		}
 	}
@@ -185,7 +177,7 @@ func (b *BankFilters) OnFill(now uint64, t mem.Txn) (park, fault bool) {
 func (b *BankFilters) PopReleased(now uint64) (mem.Txn, bool, bool) {
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
-			if t, errFill, ok := p.popReleased(now); ok {
+			if t, errFill, ok := p.Table().popReleased(now); ok {
 				return t, errFill, ok
 			}
 		}
@@ -201,7 +193,7 @@ func (b *BankFilters) PopReleased(now uint64) (mem.Txn, bool, bool) {
 func (b *BankFilters) NextEvent(now uint64) (event uint64, ok bool) {
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
-			if t, o := p.nextEvent(now); o && (!ok || t < event) {
+			if t, o := p.Table().nextEvent(now); o && (!ok || t < event) {
 				event, ok = t, true
 			}
 		}
@@ -214,100 +206,12 @@ func (b *BankFilters) NextEvent(now uint64) (event uint64, ok bool) {
 func (b *BankFilters) LastError() string {
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
-			if e := p.lastError(); e != "" {
+			if e := p.Table().lastErr; e != "" {
 				return e
 			}
 		}
 	}
 	return ""
-}
-
-// Filters returns the currently installed barrier filters (diagnostics and
-// fault injection).
-func (b *BankFilters) Filters() []*Filter {
-	var out []*Filter
-	for _, p := range b.prims {
-		if f, ok := p.(*Filter); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Retired returns the retired filters whose tags still answer stale
-// accesses (diagnostics).
-func (b *BankFilters) Retired() []*Filter {
-	var out []*Filter
-	for _, p := range b.retired {
-		if f, ok := p.(*Filter); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Locks returns the currently installed hardware locks.
-func (b *BankFilters) Locks() []*Lock {
-	var out []*Lock
-	for _, p := range b.prims {
-		if l, ok := p.(*Lock); ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// RetiredLocks returns the retired locks whose tags still answer stale
-// accesses.
-func (b *BankFilters) RetiredLocks() []*Lock {
-	var out []*Lock
-	for _, p := range b.retired {
-		if l, ok := p.(*Lock); ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// TimeoutReleases sums the barrier filters' timeout-release counters (lock
-// counters live in the sync.lock.* namespace; see core.StatsReport).
-func (b *BankFilters) TimeoutReleases() uint64 {
-	var n uint64
-	for _, ps := range [2][]Primitive{b.prims, b.retired} {
-		for _, p := range ps {
-			if f, ok := p.(*Filter); ok {
-				n += f.Timeouts
-			}
-		}
-	}
-	return n
-}
-
-// MisuseFaults sums the barrier filters' protocol-error counters.
-func (b *BankFilters) MisuseFaults() uint64 {
-	var n uint64
-	for _, ps := range [2][]Primitive{b.prims, b.retired} {
-		for _, p := range ps {
-			if f, ok := p.(*Filter); ok {
-				n += f.Errors
-			}
-		}
-	}
-	return n
-}
-
-// EvictErrors sums the evict-attributed error responses (stale-tag fills
-// and invals, evict-time error releases) across live and retired filters.
-func (b *BankFilters) EvictErrors() uint64 {
-	var n uint64
-	for _, ps := range [2][]Primitive{b.prims, b.retired} {
-		for _, p := range ps {
-			if f, ok := p.(*Filter); ok {
-				n += f.EvictErrors
-			}
-		}
-	}
-	return n
 }
 
 // DropParked discards parked fills issued by the given physical core
@@ -316,39 +220,18 @@ func (b *BankFilters) EvictErrors() uint64 {
 func (b *BankFilters) DropParked(core int) int {
 	n := 0
 	for _, p := range b.prims {
-		n += p.dropParkedFills(core)
+		n += p.Table().DropParked(core)
 	}
 	return n
 }
 
-// BlockedOn reports which slot's barrier filter holds a parked fill from
-// the given physical core: the slot index, the filter, and the thread
-// entry the fill belongs to. ok=false when the core is not parked at a
-// filter in this bank.
-func (b *BankFilters) BlockedOn(core int) (slot int, f *Filter, thread int, ok bool) {
+// BlockedOn reports which slot's primitive holds a parked fill from the
+// given physical core: the slot index, the primitive, and the thread entry
+// the fill belongs to. ok=false when the core is not parked in this bank.
+func (b *BankFilters) BlockedOn(core int) (slot int, p Primitive, thread int, ok bool) {
 	for i, p := range b.prims {
-		x, isF := p.(*Filter)
-		if !isF {
-			continue
-		}
-		if t, o := x.parkedThreadOf(core); o {
-			return i, x, t, true
-		}
-	}
-	return 0, nil, 0, false
-}
-
-// BlockedOnLock reports which slot's lock holds a parked fill from the
-// given physical core. ok=false when the core is not parked at a lock in
-// this bank.
-func (b *BankFilters) BlockedOnLock(core int) (slot int, l *Lock, thread int, ok bool) {
-	for i, p := range b.prims {
-		x, isL := p.(*Lock)
-		if !isL {
-			continue
-		}
-		if t, o := x.parkedThreadOf(core); o {
-			return i, x, t, true
+		if t, o := p.Table().parkedThreadOf(core); o {
+			return i, p, t, true
 		}
 	}
 	return 0, nil, 0, false

@@ -1,6 +1,6 @@
-// Package filter implements the barrier filter of the paper: a hardware
-// table attached to an L2 bank controller that provides global barrier
-// synchronization by starving cache-line fills.
+// Package filter implements the barrier filter of the paper, generalized to
+// a per-bank synchronization engine: hardware tables attached to an L2 bank
+// controller that provide synchronization by starving cache-line fills.
 //
 // Each participating thread owns two distinct cache lines, its arrival
 // address and its exit address, allocated by the OS so that all of a
@@ -26,141 +26,47 @@
 // answers every subsequent invalidation or fill with an error-coded
 // response — a stale tag is a protocol error, never a silent drop or a
 // panic — until the OS reprograms it back to Waiting.
+//
+// That automaton is not specific to barriers (the SynCron generalization,
+// PAPERS.md arXiv:2101.07557): EntryTable (engine.go) runs it once for every
+// primitive kind, and a kind — the barrier Filter here, the hardware Lock in
+// lock.go — adds only its grant rule.
 package filter
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
-
-// ThreadState is the 2-bit per-thread state of Figure 2/3.
-type ThreadState int8
+// ThreadState is a barrier entry's 2-bit state of Figure 2/3, under the
+// names the paper gives it.
+type ThreadState EntryState
 
 const (
-	Waiting   ThreadState = iota // waiting-on-arrival
-	Blocking                     // blocked-until-release
-	Servicing                    // service-until-exit
-	Evicted                      // entry deallocated; stale accesses get error responses
+	Waiting   = ThreadState(EntryIdle)      // waiting-on-arrival
+	Blocking  = ThreadState(EntrySignalled) // blocked-until-release
+	Servicing = ThreadState(EntryOpen)      // service-until-exit
+	Evicted   = ThreadState(EntryEvicted)   // entry deallocated; stale accesses get error responses
 )
 
-func (s ThreadState) String() string {
-	switch s {
-	case Waiting:
-		return "Waiting"
-	case Blocking:
-		return "Blocking"
-	case Servicing:
-		return "Servicing"
-	case Evicted:
-		return "Evicted"
-	}
-	return "?"
-}
+func (s ThreadState) String() string { return BarrierKind.States[s] }
 
-// SyncObserver receives the filter FSM's barrier-ordering events: one
-// arrival invalidation accepted per thread, and one opening when the last
-// arrival releases the barrier. It is a read-only seam (the sanitize /
-// hbcheck discipline): implementations must not mutate filter or machine
-// state. Timeout and evict releases are deliberately NOT reported — they
-// are protocol errors, not synchronization.
-type SyncObserver interface {
-	OnBarrierArrive(f *Filter, now uint64, thread int)
-	OnBarrierOpen(f *Filter, now uint64)
-}
-
-// parked is one withheld fill request.
-type parked struct {
-	txn      mem.Txn
-	parkedAt uint64
-	seq      uint64 // unique park id, links the fill to its expiry entry
-}
-
-// expiryEnt indexes one parked fill for earliest-expiry timeout tracking.
-// Parks happen in nondecreasing cycle order, so appending keeps the queue
-// sorted by park time; entries whose fill has since been released, dropped,
-// or evicted are discarded lazily when they reach the head.
-type expiryEnt struct {
-	at     uint64
-	seq    uint64
-	thread int
-}
-
-// Filter is one barrier's state table: arrival/exit tags, T thread entries
-// (valid bit, pending-fill bit, 2-bit state), num-threads and the
-// arrived-counter.
+// Filter is one barrier's state table: the entry table over the arrival
+// lines, plus what the barrier's grant rule needs — the exit tags,
+// num-threads and the arrived-counter. The rule: an arrival invalidation
+// signals, the NumThreads-th arrival grants everyone at once, an exit
+// invalidation returns a thread to Waiting.
 type Filter struct {
-	Name        string
-	ArrivalBase uint64 // thread 0's arrival line
-	ExitBase    uint64 // thread 0's exit line
-	Stride      uint64 // line stride between consecutive threads
-	NumThreads  int
+	EntryTable
+	ExitBase uint64 // thread 0's exit line
 
-	// Strict applies the §3.3.4 checking semantics to repeated arrival
-	// invalidations in Blocking state (Figure 3 tolerates them).
-	Strict bool
-	// Timeout releases a parked fill with an error code after this many
-	// cycles (0 disables).
-	Timeout uint64
-
-	states         []ThreadState
-	valid          []bool
-	lastValidEntry int
 	arrivedCounter int
 
-	// parkBoard holds the parked fills, the release queue and the expiry
-	// queue — the machinery shared with every other sync primitive kind.
-	parkBoard
-	lastErr string
-
-	// obs, when non-nil, receives arrival/open events (see SyncObserver).
-	obs SyncObserver
-
-	// Statistics.
-	Arrivals, Openings, ParkedFills, ServicedInBlock, Errors, Timeouts uint64
-	Evictions, EvictErrors, Reprograms, DroppedFills                   uint64
-}
-
-type releaseEnt struct {
-	txn mem.Txn
-	err bool
+	Arrivals, Openings uint64
 }
 
 // New creates a filter for nthreads threads whose arrival and exit line
 // regions start at the given bases with the given stride. All threads start
 // in the Waiting state and unregistered.
 func New(name string, arrivalBase, exitBase, stride uint64, nthreads int) *Filter {
-	return &Filter{
-		Name:           name,
-		ArrivalBase:    arrivalBase,
-		ExitBase:       exitBase,
-		Stride:         stride,
-		NumThreads:     nthreads,
-		states:         make([]ThreadState, nthreads),
-		valid:          make([]bool, nthreads),
-		parkBoard:      newParkBoard(nthreads),
-		lastValidEntry: -1,
-	}
-}
-
-// RegisterThread marks thread entry t valid (OS registration, §3.3.1).
-func (f *Filter) RegisterThread(t int) error {
-	if t < 0 || t >= f.NumThreads {
-		return fmt.Errorf("filter %s: thread %d out of range", f.Name, t)
-	}
-	f.valid[t] = true
-	if t > f.lastValidEntry {
-		f.lastValidEntry = t
-	}
-	return nil
-}
-
-// RegisterAll marks every entry valid.
-func (f *Filter) RegisterAll() {
-	for i := range f.valid {
-		f.valid[i] = true
-	}
-	f.lastValidEntry = f.NumThreads - 1
+	f := &Filter{ExitBase: exitBase}
+	f.EntryTable = newEntryTable(BarrierKind, f, name, arrivalBase, stride, nthreads)
+	return f
 }
 
 // InitServicing puts every thread in the Servicing state. The ping-pong
@@ -168,65 +74,52 @@ func (f *Filter) RegisterAll() {
 // arrival invalidations are legal exits for the twin.
 func (f *Filter) InitServicing() {
 	for i := range f.states {
-		f.states[i] = Servicing
+		f.states[i] = EntryOpen
 	}
 }
 
-// SetObserver attaches o to this filter's arrival/open event stream (nil
-// detaches).
-func (f *Filter) SetObserver(o SyncObserver) { f.obs = o }
-
 // State returns thread t's automaton state (test/diagnostic use).
-func (f *Filter) State(t int) ThreadState { return f.states[t] }
+func (f *Filter) State(t int) ThreadState { return ThreadState(f.states[t]) }
 
 // ArrivedCount returns the arrived-counter (test/diagnostic use).
 func (f *Filter) ArrivedCount() int { return f.arrivedCounter }
 
-// LastError describes the most recent protocol error.
-func (f *Filter) LastError() string { return f.lastErr }
-
 // ArrivalAddr returns thread t's arrival line address.
-func (f *Filter) ArrivalAddr(t int) uint64 { return f.ArrivalBase + uint64(t)*f.Stride }
+func (f *Filter) ArrivalAddr(t int) uint64 { return f.LineAddr(t) }
 
 // ExitAddr returns thread t's exit line address.
 func (f *Filter) ExitAddr(t int) uint64 { return f.ExitBase + uint64(t)*f.Stride }
 
-// matchRegion resolves addr within a region (base, stride, n).
-func (f *Filter) matchRegion(base, addr uint64) (int, bool) {
-	if addr < base {
-		return 0, false
-	}
-	d := addr - base
-	if d%f.Stride != 0 {
-		return 0, false
-	}
-	t := int(d / f.Stride)
-	if t >= f.NumThreads {
-		return 0, false
-	}
-	return t, true
-}
-
-// MatchArrival resolves addr to a thread's arrival entry.
-func (f *Filter) MatchArrival(addr uint64) (int, bool) { return f.matchRegion(f.ArrivalBase, addr) }
-
 // MatchExit resolves addr to a thread's exit entry.
 func (f *Filter) MatchExit(addr uint64) (int, bool) { return f.matchRegion(f.ExitBase, addr) }
 
-func (f *Filter) fail(format string, args ...interface{}) bool {
-	f.Errors++
-	f.lastErr = fmt.Sprintf("filter %s: ", f.Name) + fmt.Sprintf(format, args...)
-	return true
+// onInval applies an invalidation to the filter's exit then arrival tags —
+// an invalidation can be meaningful to both at once (in the ping-pong
+// construction one barrier's arrival line is its twin's exit line).
+func (f *Filter) onInval(now, addr uint64) (matched, fault bool) {
+	if t, ok := f.MatchExit(addr); ok {
+		matched = true
+		if f.onExitInval(t) {
+			fault = true
+		}
+	}
+	if t, ok := f.MatchLine(addr); ok {
+		matched = true
+		if f.onArrivalInval(now, t) {
+			fault = true
+		}
+	}
+	return matched, fault
 }
 
 // onArrivalInval applies an arrival-address invalidation for thread t.
 func (f *Filter) onArrivalInval(now uint64, t int) (fault bool) {
-	if !f.valid[t] {
-		return f.fail("arrival inval for unregistered thread %d", t)
+	if f.refuse("arrival inval", t) {
+		return true
 	}
 	switch f.states[t] {
-	case Waiting:
-		f.states[t] = Blocking
+	case EntryIdle:
+		f.states[t] = EntrySignalled
 		f.arrivedCounter++
 		f.Arrivals++
 		if f.obs != nil {
@@ -238,16 +131,13 @@ func (f *Filter) onArrivalInval(now uint64, t int) (fault bool) {
 			f.open(now)
 		}
 		return false
-	case Blocking:
+	case EntrySignalled:
 		if f.Strict {
 			return f.fail("arrival inval for thread %d already Blocking", t)
 		}
 		return false
-	case Evicted:
-		f.EvictErrors++
-		return f.fail("arrival inval for thread %d on an evicted entry", t)
 	default:
-		return f.fail("arrival inval for thread %d in state %s", t, f.states[t])
+		return f.fail("arrival inval for thread %d in state %s", t, f.StateName(t))
 	}
 }
 
@@ -257,11 +147,9 @@ func (f *Filter) open(now uint64) {
 	f.Openings++
 	f.arrivedCounter = 0
 	for t := range f.states {
-		if f.states[t] == Evicted {
-			continue // a deallocated entry does not rejoin the barrier
+		if f.states[t] != EntryEvicted { // a deallocated entry does not rejoin the barrier
+			f.grantThread(t)
 		}
-		f.states[t] = Servicing
-		f.releaseThread(t, false)
 	}
 	// Every parked fill was just released (evicted entries park nothing),
 	// so the whole expiry queue is dead.
@@ -273,197 +161,32 @@ func (f *Filter) open(now uint64) {
 
 // onExitInval applies an exit-address invalidation for thread t.
 func (f *Filter) onExitInval(t int) (fault bool) {
-	if !f.valid[t] {
-		return f.fail("exit inval for unregistered thread %d", t)
+	if f.refuse("exit inval", t) {
+		return true
 	}
-	if f.states[t] == Evicted {
-		f.EvictErrors++
-		return f.fail("exit inval for thread %d on an evicted entry", t)
+	if f.states[t] != EntryOpen {
+		return f.fail("exit inval for thread %d in state %s", t, f.StateName(t))
 	}
-	if f.states[t] != Servicing {
-		return f.fail("exit inval for thread %d in state %s", t, f.states[t])
-	}
-	f.states[t] = Waiting
+	f.states[t] = EntryIdle
 	return false
 }
 
-// onFill decides the fate of a fill request for an arrival line.
-func (f *Filter) onFill(now uint64, t int, txn mem.Txn) (park, fault bool) {
-	if !f.valid[t] {
-		return false, f.fail("fill for unregistered thread %d", t)
-	}
-	switch f.states[t] {
-	case Blocking:
-		f.ParkedFills++
-		f.park(t, txn, now)
-		return true, false
-	case Servicing:
-		f.ServicedInBlock++
-		return false, false
-	case Evicted:
-		// Stale tag: the entry was deallocated while a fill was in
-		// flight. Every fill kind — demand, prefetch, instruction —
-		// gets an error-coded response, never a park.
-		f.EvictErrors++
-		return false, f.fail("fill for thread %d on an evicted entry (stale tag)", t)
-	default: // Waiting
-		if txn.Prefetch || txn.Kind == mem.GetI {
-			// Hardware prefetches and instruction fetches are
-			// inherently speculative (wrong-path fetch can touch an
-			// arrival line); they are filtered, never faulted, so
-			// they can neither open nor observe the barrier early.
-			f.park(t, txn, now)
-			return true, false
-		}
-		return false, f.fail("fill for thread %d in state Waiting (load before invalidate?)", t)
-	}
-}
-
-// popReleased yields one ready-to-service fill, honouring the timeout.
-func (f *Filter) popReleased(now uint64) (mem.Txn, bool, bool) {
-	return f.parkBoard.popReleased(now, f.Timeout, &f.Timeouts)
-}
-
-// nextEvent returns the earliest cycle at which popReleased could yield a
-// fill without any new invalidation arriving: immediately when the release
-// queue is non-empty, or at the earliest live parked fill's timeout expiry.
-func (f *Filter) nextEvent(now uint64) (event uint64, ok bool) {
-	return f.parkBoard.nextEvent(now, f.Timeout)
-}
-
-// EvictThread deallocates thread t's entry (barrier teardown or a forced
-// capacity eviction): parked fills are released with an error code so the
-// issuing core faults instead of starving, an arrival already signalled is
-// rescinded from the arrived-counter, and the entry moves to Evicted,
-// where every later inval or fill is answered with an error-coded response
-// until ReprogramThread revalidates it. Evicting an already-evicted entry
-// is a no-op — hardware deallocation is idempotent.
-func (f *Filter) EvictThread(t int) error {
-	if t < 0 || t >= f.NumThreads {
-		return fmt.Errorf("filter %s: evict: thread %d out of range", f.Name, t)
-	}
-	if f.states[t] == Evicted {
-		return nil
-	}
-	if f.states[t] == Blocking {
+// onEvict rescinds an evicted thread's arrival, if it had signalled one,
+// from the arrived-counter.
+func (f *Filter) onEvict(t int, was EntryState) {
+	if was == EntrySignalled {
 		f.arrivedCounter--
 	}
-	f.EvictErrors += uint64(f.releaseThread(t, true))
-	f.states[t] = Evicted
-	f.Evictions++
-	return nil
 }
-
-// ReprogramThread revalidates an Evicted entry for a new epoch: the thread
-// restarts in Waiting as if freshly registered. Reprogramming a live entry
-// is a protocol error (it would silently discard barrier state).
-func (f *Filter) ReprogramThread(t int) error {
-	if t < 0 || t >= f.NumThreads {
-		return fmt.Errorf("filter %s: reprogram: thread %d out of range", f.Name, t)
-	}
-	if f.states[t] != Evicted {
-		f.fail("reprogram of thread %d in state %s", t, f.states[t])
-		return fmt.Errorf("%s", f.lastErr)
-	}
-	f.states[t] = Waiting
-	f.valid[t] = true
-	f.Reprograms++
-	return nil
-}
-
-// DropParked silently discards parked fills issued by the given physical
-// core (OS deschedule, §3.3.3): the core's MSHRs were squashed, so a later
-// release would be dropped as stale anyway. The thread's arrival, if
-// already signalled, stays in force — the rescheduled thread re-issues the
-// load and parks again. Returns the number of fills dropped.
-func (f *Filter) DropParked(core int) int {
-	n := f.dropParked(core)
-	f.DroppedFills += uint64(n)
-	return n
-}
-
-// PendingFor returns how many fills are parked for thread t (tests).
-func (f *Filter) PendingFor(t int) int { return f.pendingFor(t) }
-
-// ParkedThreadOf returns the thread entry holding a parked fill issued by
-// the given physical core, for blocked-core attribution in deadlock
-// reports. ok=false when the core has nothing parked here.
-func (f *Filter) ParkedThreadOf(core int) (thread int, ok bool) {
-	return f.parkBoard.parkedThreadOf(core)
-}
-
-// Registered reports whether thread entry t is valid (diagnostics).
-func (f *Filter) Registered(t int) bool { return t >= 0 && t < f.NumThreads && f.valid[t] }
-
-// ParkedFill is a read-only view of one withheld fill (sanitizer and
-// diagnostic use).
-type ParkedFill struct {
-	Thread   int
-	ParkedAt uint64
-	Txn      mem.Txn
-}
-
-// ParkedDump enumerates every withheld fill in thread order.
-func (f *Filter) ParkedDump() []ParkedFill { return f.parkedDump() }
 
 // UnarrivedThreads lists the registered thread entries still in the Waiting
 // state (watchdog attribution: who a stalled barrier is waiting for).
 func (f *Filter) UnarrivedThreads() []int {
 	var out []int
 	for t := range f.states {
-		if f.valid[t] && f.states[t] == Waiting {
+		if f.valid[t] && f.states[t] == EntryIdle {
 			out = append(out, t)
 		}
 	}
 	return out
 }
-
-// InjectThreadState forcibly overwrites a thread entry's automaton state.
-// It is a fault-injection seam only (soft error in the filter's state bits),
-// used to prove the sanitizer catches filter-table corruption.
-func (f *Filter) InjectThreadState(t int, st ThreadState) { f.states[t] = st }
-
-// --- Primitive (sync-engine) adapter -------------------------------------
-
-var _ Primitive = (*Filter)(nil)
-
-func (f *Filter) primName() string           { return f.Name }
-func (f *Filter) entryCount() int            { return f.NumThreads }
-func (f *Filter) setObserver(o SyncObserver) { f.obs = o }
-func (f *Filter) lastError() string          { return f.lastErr }
-
-func (f *Filter) evictAll() {
-	for t := 0; t < f.NumThreads; t++ {
-		_ = f.EvictThread(t) // in range by construction
-	}
-}
-
-// onInval applies an invalidation to the filter's exit then arrival tags —
-// an invalidation can be meaningful to both at once (in the ping-pong
-// construction one barrier's arrival line is its twin's exit line).
-func (f *Filter) onInval(now uint64, addr uint64, core int) (matched, fault bool) {
-	if t, ok := f.MatchExit(addr); ok {
-		matched = true
-		if f.onExitInval(t) {
-			fault = true
-		}
-	}
-	if t, ok := f.MatchArrival(addr); ok {
-		matched = true
-		if f.onArrivalInval(now, t) {
-			fault = true
-		}
-	}
-	return matched, fault
-}
-
-func (f *Filter) onFillReq(now uint64, t mem.Txn) (matched, park, fault bool) {
-	tid, ok := f.MatchArrival(t.Addr)
-	if !ok {
-		return false, false, false
-	}
-	park, fault = f.onFill(now, tid, t)
-	return true, park, fault
-}
-
-func (f *Filter) dropParkedFills(core int) int { return f.DropParked(core) }

@@ -26,7 +26,7 @@ func fillTxn(addr uint64, core int) mem.Txn {
 func TestAddressMatching(t *testing.T) {
 	f := newTestFilter(4)
 	for tid := 0; tid < 4; tid++ {
-		if got, ok := f.MatchArrival(f.ArrivalAddr(tid)); !ok || got != tid {
+		if got, ok := f.MatchLine(f.ArrivalAddr(tid)); !ok || got != tid {
 			t.Errorf("arrival match for %d: %d %v", tid, got, ok)
 		}
 		if got, ok := f.MatchExit(f.ExitAddr(tid)); !ok || got != tid {
@@ -34,16 +34,16 @@ func TestAddressMatching(t *testing.T) {
 		}
 	}
 	// Off-stride, out-of-range and foreign addresses don't match.
-	if _, ok := f.MatchArrival(aBase + 64); ok {
+	if _, ok := f.MatchLine(aBase + 64); ok {
 		t.Error("off-stride address matched")
 	}
-	if _, ok := f.MatchArrival(aBase + 4*stride); ok {
+	if _, ok := f.MatchLine(aBase + 4*stride); ok {
 		t.Error("beyond-last-thread address matched")
 	}
-	if _, ok := f.MatchArrival(aBase - stride); ok {
+	if _, ok := f.MatchLine(aBase - stride); ok {
 		t.Error("below-base address matched")
 	}
-	if _, ok := f.MatchArrival(eBase); ok {
+	if _, ok := f.MatchLine(eBase); ok {
 		t.Error("exit address matched as arrival")
 	}
 }

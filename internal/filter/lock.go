@@ -1,8 +1,8 @@
 // Hardware locks over the per-bank synchronization engine (the SynCron
 // generalization of the barrier filter, PAPERS.md arXiv:2101.07557): a lock
-// is one more typed table entry kind at the L2 bank controller, reusing the
-// barrier filter's line-tagged transaction protocol, parked-fill machinery,
-// timeout, and eviction FSM.
+// is one more typed table entry kind at the L2 bank controller, running the
+// same entry table — line-tagged transaction protocol, parked-fill
+// machinery, timeout, and eviction FSM — under a different grant rule.
 //
 // Each participating thread owns one lock line, L_t = Base + t*Stride, all
 // mapping to the same L2 bank with the line index bits identifying the
@@ -34,119 +34,44 @@
 // queue bounding how long the head can be starved.
 package filter
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
-
-// LockState is the 2-bit per-thread state of a lock table entry.
-type LockState int8
+// LockState is a lock entry's 2-bit state, under the lock's names.
+type LockState EntryState
 
 const (
-	LockIdle    LockState = iota // not competing for the lock
-	LockPending                  // acquire signalled, waiting for grant
-	LockHolding                  // owns the lock
-	LockEvicted                  // entry deallocated; stale accesses get error responses
+	LockIdle    = LockState(EntryIdle)      // not competing for the lock
+	LockPending = LockState(EntrySignalled) // acquire signalled, waiting for grant
+	LockHolding = LockState(EntryOpen)      // owns the lock
+	LockEvicted = LockState(EntryEvicted)   // entry deallocated; stale accesses get error responses
 )
 
-func (s LockState) String() string {
-	switch s {
-	case LockIdle:
-		return "Idle"
-	case LockPending:
-		return "Pending"
-	case LockHolding:
-		return "Holding"
-	case LockEvicted:
-		return "Evicted"
-	}
-	return "?"
-}
+func (s LockState) String() string { return LockKind.States[s] }
 
-// LockObserver receives the lock FSM's synchronization events: a grant
-// (the thread now owns the lock) and a release. It is a read-only seam
-// (the sanitize / hbcheck discipline): implementations must not mutate
-// lock or machine state. Timeout and evict releases are deliberately NOT
-// reported — they are protocol errors, not synchronization. Observers are
-// attached through the bank's SetObserver: a SyncObserver that also
-// implements LockObserver sees lock events.
-type LockObserver interface {
-	OnLockAcquire(l *Lock, now uint64, thread int)
-	OnLockRelease(l *Lock, now uint64, thread int)
-}
-
-// Lock is one lock's state table: a line tag per thread (valid bit,
-// pending-fill bit, 2-bit state), the holder register, and the FIFO wait
-// queue.
+// Lock is one lock's state table: the entry table over the lock lines,
+// plus what the lock's grant rule needs — the holder register and the FIFO
+// wait queue. The rule: an invalidation from an Idle thread signals an
+// acquire, one from the holder releases, and whenever the lock is free the
+// oldest waiter is granted.
 type Lock struct {
-	Name       string
-	Base       uint64 // thread 0's lock line
-	Stride     uint64 // line stride between consecutive threads
-	NumThreads int
+	EntryTable
 
-	// Strict applies checking semantics to duplicate acquire
-	// invalidations in Pending state (tolerated otherwise, mirroring the
-	// filter's Blocking rule).
-	Strict bool
-	// Timeout releases a parked fill with an error code after this many
-	// cycles (0 disables).
-	Timeout uint64
-
-	states []LockState
-	valid  []bool
 	holder int   // thread holding the lock, -1 when free
 	waitq  []int // FIFO of Pending threads, in acquire order
 
-	parkBoard
-	lastErr string
-
-	obs LockObserver
-
-	// Statistics (reported under sync.lock.*; see core.StatsReport).
-	Acquires, Grants, Releases, ParkedFills, ServicedInHold uint64
-	Errors, Timeouts, Evictions, EvictErrors, Reprograms    uint64
-	DroppedFills                                            uint64
+	// Reported under sync.lock.* (see core.StatsReport).
+	Acquires, Grants, Releases uint64
 }
 
 // NewLock creates a lock for nthreads threads whose per-thread lock lines
 // start at base with the given stride. All threads start Idle and
 // unregistered; the lock starts free.
 func NewLock(name string, base, stride uint64, nthreads int) *Lock {
-	return &Lock{
-		Name:       name,
-		Base:       base,
-		Stride:     stride,
-		NumThreads: nthreads,
-		states:     make([]LockState, nthreads),
-		valid:      make([]bool, nthreads),
-		holder:     -1,
-		parkBoard:  newParkBoard(nthreads),
-	}
+	l := &Lock{holder: -1}
+	l.EntryTable = newEntryTable(LockKind, l, name, base, stride, nthreads)
+	return l
 }
-
-// RegisterThread marks thread entry t valid (OS registration).
-func (l *Lock) RegisterThread(t int) error {
-	if t < 0 || t >= l.NumThreads {
-		return fmt.Errorf("lock %s: thread %d out of range", l.Name, t)
-	}
-	l.valid[t] = true
-	return nil
-}
-
-// RegisterAll marks every entry valid.
-func (l *Lock) RegisterAll() {
-	for i := range l.valid {
-		l.valid[i] = true
-	}
-}
-
-// SetObserver attaches o to this lock's grant/release event stream (nil
-// detaches).
-func (l *Lock) SetObserver(o LockObserver) { l.obs = o }
 
 // State returns thread t's automaton state (test/diagnostic use).
-func (l *Lock) State(t int) LockState { return l.states[t] }
+func (l *Lock) State(t int) LockState { return LockState(l.states[t]) }
 
 // Holder returns the thread currently holding the lock, -1 when free.
 func (l *Lock) Holder() int { return l.holder }
@@ -154,43 +79,6 @@ func (l *Lock) Holder() int { return l.holder }
 // WaitQueue returns a copy of the FIFO wait queue (diagnostics; may hold
 // stale entries for threads no longer Pending, dropped lazily at grant).
 func (l *Lock) WaitQueue() []int { return append([]int(nil), l.waitq...) }
-
-// LastError describes the most recent protocol error.
-func (l *Lock) LastError() string { return l.lastErr }
-
-// LineAddr returns thread t's lock line address.
-func (l *Lock) LineAddr(t int) uint64 { return l.Base + uint64(t)*l.Stride }
-
-// MatchLine resolves addr to a thread's lock line.
-func (l *Lock) MatchLine(addr uint64) (int, bool) {
-	if addr < l.Base {
-		return 0, false
-	}
-	d := addr - l.Base
-	if d%l.Stride != 0 {
-		return 0, false
-	}
-	t := int(d / l.Stride)
-	if t >= l.NumThreads {
-		return 0, false
-	}
-	return t, true
-}
-
-// Registered reports whether thread entry t is valid (diagnostics).
-func (l *Lock) Registered(t int) bool { return t >= 0 && t < l.NumThreads && l.valid[t] }
-
-// PendingFor returns how many fills are parked for thread t (tests).
-func (l *Lock) PendingFor(t int) int { return l.pendingFor(t) }
-
-// ParkedDump enumerates every withheld fill in thread order.
-func (l *Lock) ParkedDump() []ParkedFill { return l.parkedDump() }
-
-func (l *Lock) fail(format string, args ...interface{}) bool {
-	l.Errors++
-	l.lastErr = fmt.Sprintf("lock %s: ", l.Name) + fmt.Sprintf(format, args...)
-	return true
-}
 
 // grant hands the lock to the oldest still-Pending waiter, releasing its
 // parked fills (the starved acquire load completes) and reporting the
@@ -200,13 +88,12 @@ func (l *Lock) grant(now uint64) {
 	for len(l.waitq) > 0 {
 		t := l.waitq[0]
 		l.waitq = l.waitq[1:]
-		if l.states[t] != LockPending {
+		if l.states[t] != EntrySignalled {
 			continue
 		}
-		l.states[t] = LockHolding
+		l.grantThread(t)
 		l.holder = t
 		l.Grants++
-		l.releaseThread(t, false)
 		if l.obs != nil {
 			l.obs.OnLockAcquire(l, now, t)
 		}
@@ -214,183 +101,53 @@ func (l *Lock) grant(now uint64) {
 	}
 }
 
-// onLockInval applies a lock-line invalidation for thread t: acquire when
-// Idle, release when Holding.
-func (l *Lock) onLockInval(now uint64, t int) (fault bool) {
-	if !l.valid[t] {
-		return l.fail("inval for unregistered thread %d", t)
+// onInval applies a lock-line invalidation: acquire when the thread is
+// Idle, release when it is Holding.
+func (l *Lock) onInval(now, addr uint64) (matched, fault bool) {
+	t, ok := l.MatchLine(addr)
+	if !ok {
+		return false, false
+	}
+	if l.refuse("inval", t) {
+		return true, true
 	}
 	switch l.states[t] {
-	case LockIdle:
-		l.states[t] = LockPending
+	case EntryIdle:
+		l.states[t] = EntrySignalled
 		l.waitq = append(l.waitq, t)
 		l.Acquires++
 		if l.holder < 0 {
 			l.grant(now)
 		}
-		return false
-	case LockPending:
+	case EntrySignalled:
 		if l.Strict {
-			return l.fail("acquire inval for thread %d already Pending", t)
+			return true, l.fail("acquire inval for thread %d already Pending", t)
 		}
-		return false
-	case LockHolding:
-		l.states[t] = LockIdle
+	default: // EntryOpen
+		l.states[t] = EntryIdle
 		l.holder = -1
 		l.Releases++
 		if l.obs != nil {
 			l.obs.OnLockRelease(l, now, t)
 		}
 		l.grant(now)
-		return false
-	default: // LockEvicted
-		l.EvictErrors++
-		return l.fail("inval for thread %d on an evicted entry", t)
 	}
+	return true, false
 }
 
-// onLockFill decides the fate of a fill request for a lock line.
-func (l *Lock) onLockFill(now uint64, t int, txn mem.Txn) (park, fault bool) {
-	if !l.valid[t] {
-		return false, l.fail("fill for unregistered thread %d", t)
-	}
-	switch l.states[t] {
-	case LockPending:
-		l.ParkedFills++
-		l.park(t, txn, now)
-		return true, false
-	case LockHolding:
-		l.ServicedInHold++
-		return false, false
-	case LockEvicted:
-		// Stale tag: the entry was deallocated while a fill was in
-		// flight. Every fill kind gets an error-coded response.
-		l.EvictErrors++
-		return false, l.fail("fill for thread %d on an evicted entry (stale tag)", t)
-	default: // LockIdle
-		if txn.Prefetch || txn.Kind == mem.GetI {
-			// Speculative fills (hardware prefetch, wrong-path ifetch)
-			// are filtered, never faulted: parked until the thread is
-			// granted the lock or the timeout reclaims them.
-			l.park(t, txn, now)
-			return true, false
-		}
-		return false, l.fail("fill for thread %d in state Idle (load before acquire?)", t)
-	}
-}
-
-// popReleased yields one ready-to-service fill, honouring the timeout.
-func (l *Lock) popReleased(now uint64) (mem.Txn, bool, bool) {
-	return l.parkBoard.popReleased(now, l.Timeout, &l.Timeouts)
-}
-
-// nextEvent returns the earliest cycle at which popReleased could yield a
-// fill without any new invalidation arriving.
-func (l *Lock) nextEvent(now uint64) (event uint64, ok bool) {
-	return l.parkBoard.nextEvent(now, l.Timeout)
-}
-
-// EvictThread deallocates thread t's entry (teardown or a forced capacity
-// eviction): parked fills are released with an error code so the issuing
-// core faults instead of starving, and the entry moves to Evicted, where
-// every later inval or fill is answered with an error-coded response until
-// ReprogramThread revalidates it. Evicting the holder frees the lock and
-// grants the next waiter — a deallocated holder must not wedge the queue.
-// Evicting an already-evicted entry is a no-op.
-func (l *Lock) EvictThread(t int) error {
-	if t < 0 || t >= l.NumThreads {
-		return fmt.Errorf("lock %s: evict: thread %d out of range", l.Name, t)
-	}
-	if l.states[t] == LockEvicted {
-		return nil
-	}
-	l.EvictErrors += uint64(l.releaseThread(t, true))
-	wasHolder := l.holder == t
-	l.states[t] = LockEvicted
-	l.Evictions++
-	if wasHolder {
+// onEvict frees the lock when its holder is deallocated and grants the next
+// waiter — a deallocated holder must not wedge the queue. (An evicted
+// waiter's stale queue entry is skipped by grant.)
+func (l *Lock) onEvict(t int, was EntryState) {
+	if l.holder == t {
 		l.holder = -1
 		// An evict-time grant is not a synchronization edge the observer
 		// missed: the grantee's happens-before credit comes from the last
 		// legitimate release, already folded into the lock's history.
 		l.grant(0)
 	}
-	return nil
 }
-
-// ReprogramThread revalidates an Evicted entry for a new epoch: the thread
-// restarts Idle as if freshly registered. Reprogramming a live entry is a
-// protocol error (it would silently discard lock state).
-func (l *Lock) ReprogramThread(t int) error {
-	if t < 0 || t >= l.NumThreads {
-		return fmt.Errorf("lock %s: reprogram: thread %d out of range", l.Name, t)
-	}
-	if l.states[t] != LockEvicted {
-		l.fail("reprogram of thread %d in state %s", t, l.states[t])
-		return fmt.Errorf("%s", l.lastErr)
-	}
-	l.states[t] = LockIdle
-	l.valid[t] = true
-	l.Reprograms++
-	return nil
-}
-
-// DropParked silently discards parked fills issued by the given physical
-// core (OS deschedule): the core's MSHRs were squashed, so a later release
-// would be dropped as stale anyway. A Pending thread stays queued — the
-// rescheduled thread re-issues the load and parks again, and the grant
-// finds the re-issued fill. Returns the number of fills dropped.
-func (l *Lock) DropParked(core int) int {
-	n := l.dropParked(core)
-	l.DroppedFills += uint64(n)
-	return n
-}
-
-// InjectThreadState forcibly overwrites a thread entry's automaton state.
-// Fault-injection seam only (soft error in the lock table's state bits),
-// used to prove the sanitizer catches lock-table corruption.
-func (l *Lock) InjectThreadState(t int, st LockState) { l.states[t] = st }
 
 // InjectHolder forcibly overwrites the holder register (fault-injection
 // seam for the sanitizer's single-holder invariant).
 func (l *Lock) InjectHolder(t int) { l.holder = t }
-
-// --- Primitive (sync-engine) adapter -------------------------------------
-
-var _ Primitive = (*Lock)(nil)
-
-func (l *Lock) primName() string  { return l.Name }
-func (l *Lock) entryCount() int   { return l.NumThreads }
-func (l *Lock) lastError() string { return l.lastErr }
-
-func (l *Lock) setObserver(o SyncObserver) {
-	l.obs = nil
-	if lo, ok := o.(LockObserver); ok {
-		l.obs = lo
-	}
-}
-
-func (l *Lock) evictAll() {
-	for t := 0; t < l.NumThreads; t++ {
-		_ = l.EvictThread(t) // in range by construction
-	}
-}
-
-func (l *Lock) onInval(now uint64, addr uint64, core int) (matched, fault bool) {
-	t, ok := l.MatchLine(addr)
-	if !ok {
-		return false, false
-	}
-	return true, l.onLockInval(now, t)
-}
-
-func (l *Lock) onFillReq(now uint64, txn mem.Txn) (matched, park, fault bool) {
-	t, ok := l.MatchLine(txn.Addr)
-	if !ok {
-		return false, false, false
-	}
-	park, fault = l.onLockFill(now, t, txn)
-	return true, park, fault
-}
-
-func (l *Lock) dropParkedFills(core int) int { return l.DropParked(core) }

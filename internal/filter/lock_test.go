@@ -19,19 +19,19 @@ func newTestLock(n int) *Lock {
 // outcome: the acquire invalidation followed by the starved load.
 func acquire(t *testing.T, l *Lock, tid int, now uint64) (granted bool) {
 	t.Helper()
-	if fault := l.onLockInval(now, tid); fault {
+	if fault := lockInval(l, now, tid); fault {
 		t.Fatalf("acquire inval for %d faulted: %s", tid, l.LastError())
 	}
 	switch l.State(tid) {
 	case LockHolding:
 		// Granted immediately; the load is serviced normally.
-		park, fault := l.onLockFill(now, tid, fillTxn(l.LineAddr(tid), tid))
+		park, fault := l.onFill(now, tid, fillTxn(l.LineAddr(tid), tid))
 		if park || fault {
 			t.Fatalf("fill for holder %d: park=%v fault=%v", tid, park, fault)
 		}
 		return true
 	case LockPending:
-		park, fault := l.onLockFill(now, tid, fillTxn(l.LineAddr(tid), tid))
+		park, fault := l.onFill(now, tid, fillTxn(l.LineAddr(tid), tid))
 		if !park || fault {
 			t.Fatalf("fill for waiter %d: park=%v fault=%v", tid, park, fault)
 		}
@@ -42,12 +42,18 @@ func acquire(t *testing.T, l *Lock, tid int, now uint64) (granted bool) {
 	}
 }
 
+// lockInval shows l an invalidation of thread tid's lock line.
+func lockInval(l *Lock, now uint64, tid int) (fault bool) {
+	_, fault = l.onInval(now, l.LineAddr(tid))
+	return fault
+}
+
 func release(t *testing.T, l *Lock, tid int, now uint64) {
 	t.Helper()
 	if l.State(tid) != LockHolding {
 		t.Fatalf("release by %d in state %s", tid, l.State(tid))
 	}
-	if fault := l.onLockInval(now, tid); fault {
+	if fault := lockInval(l, now, tid); fault {
 		t.Fatalf("release inval for %d faulted: %s", tid, l.LastError())
 	}
 }
@@ -128,7 +134,7 @@ func TestLockFIFOHandoff(t *testing.T) {
 func TestLockMisuse(t *testing.T) {
 	l := newTestLock(2)
 	// Demand load without an acquire: attributed fault.
-	park, fault := l.onLockFill(0, 0, fillTxn(l.LineAddr(0), 0))
+	park, fault := l.onFill(0, 0, fillTxn(l.LineAddr(0), 0))
 	if park || !fault {
 		t.Fatalf("load before acquire: park=%v fault=%v", park, fault)
 	}
@@ -136,7 +142,7 @@ func TestLockMisuse(t *testing.T) {
 		t.Fatalf("unattributed error: %q", l.LastError())
 	}
 	// Speculative fill without an acquire is filtered, not faulted.
-	park, fault = l.onLockFill(0, 0, mem.Txn{Kind: mem.GetI, Addr: l.LineAddr(0), Core: 0})
+	park, fault = l.onFill(0, 0, mem.Txn{Kind: mem.GetI, Addr: l.LineAddr(0), Core: 0})
 	if !park || fault {
 		t.Fatalf("speculative fill in Idle: park=%v fault=%v", park, fault)
 	}
@@ -146,19 +152,19 @@ func TestLockMisuse(t *testing.T) {
 	if acquire(t, l, 1, 2) { // queued
 		t.Fatal("contended acquire granted")
 	}
-	if fault := l.onLockInval(3, 1); fault {
+	if fault := lockInval(l, 3, 1); fault {
 		t.Fatal("duplicate acquire faulted without Strict")
 	}
 	l.Strict = true
-	if fault := l.onLockInval(4, 1); !fault {
+	if fault := lockInval(l, 4, 1); !fault {
 		t.Fatal("duplicate acquire tolerated under Strict")
 	}
 	// An unregistered thread faults on both paths.
 	l2 := NewLock("u", 0x3100_0000, lockStride, 2)
-	if fault := l2.onLockInval(0, 1); !fault {
+	if fault := lockInval(l2, 0, 1); !fault {
 		t.Fatal("inval for unregistered thread tolerated")
 	}
-	if _, fault := l2.onLockFill(0, 1, fillTxn(l2.LineAddr(1), 1)); !fault {
+	if _, fault := l2.onFill(0, 1, fillTxn(l2.LineAddr(1), 1)); !fault {
 		t.Fatal("fill for unregistered thread tolerated")
 	}
 }
@@ -203,10 +209,10 @@ func TestLockEvictHolderHandsOff(t *testing.T) {
 		t.Fatal("grantee's fill not cleanly released")
 	}
 	// Stale accesses to the evicted entry get error responses.
-	if fault := l.onLockInval(4, 0); !fault {
+	if fault := lockInval(l, 4, 0); !fault {
 		t.Fatal("stale inval tolerated")
 	}
-	if _, fault := l.onLockFill(4, 0, fillTxn(l.LineAddr(0), 0)); !fault {
+	if _, fault := l.onFill(4, 0, fillTxn(l.LineAddr(0), 0)); !fault {
 		t.Fatal("stale fill tolerated")
 	}
 	// Reprogram revalidates; the thread can compete again.
@@ -246,10 +252,10 @@ func TestLockEvictWaiterErrorReleases(t *testing.T) {
 func TestLockDropParked(t *testing.T) {
 	l := newTestLock(2)
 	acquire(t, l, 0, 0)
-	if fault := l.onLockInval(1, 1); fault {
+	if fault := lockInval(l, 1, 1); fault {
 		t.Fatal(l.LastError())
 	}
-	park, _ := l.onLockFill(1, 1, fillTxn(l.LineAddr(1), 5))
+	park, _ := l.onFill(1, 1, fillTxn(l.LineAddr(1), 5))
 	if !park {
 		t.Fatal("waiter fill not parked")
 	}
@@ -261,7 +267,7 @@ func TestLockDropParked(t *testing.T) {
 	if l.State(1) != LockPending {
 		t.Fatalf("state %s after drop", l.State(1))
 	}
-	park, _ = l.onLockFill(2, 1, fillTxn(l.LineAddr(1), 5))
+	park, _ = l.onFill(2, 1, fillTxn(l.LineAddr(1), 5))
 	if !park {
 		t.Fatal("re-issued fill not parked")
 	}
@@ -293,7 +299,7 @@ func (r *recObserver) OnLockRelease(l *Lock, now uint64, thread int) {
 func TestLockObserverSeesHandoff(t *testing.T) {
 	l := newTestLock(2)
 	rec := &recObserver{}
-	l.setObserver(rec)
+	l.obs = rec
 	acquire(t, l, 0, 0)
 	acquire(t, l, 1, 1)
 	release(t, l, 0, 2)
@@ -321,8 +327,8 @@ func TestBankLockLifecycle(t *testing.T) {
 	if b.Entries() != 4 || b.InUse() != 1 {
 		t.Fatalf("entries=%d inuse=%d", b.Entries(), b.InUse())
 	}
-	if got := b.Locks(); len(got) != 1 || got[0] != l {
-		t.Fatalf("Locks() = %v", got)
+	if got := b.Hosted(); len(got) != 1 || got[0] != Primitive(l) {
+		t.Fatalf("Hosted() = %v", got)
 	}
 	// Entry capacity is shared with filters: a 4-entry filter no longer
 	// fits and spills.
@@ -341,9 +347,9 @@ func TestBankLockLifecycle(t *testing.T) {
 		t.Fatalf("holder %d after routed acquire", l.Holder())
 	}
 	// Retire: parked state evicted, stale tags keep answering.
-	b.RetireLock(l)
-	if b.InUse() != 0 || len(b.RetiredLocks()) != 1 {
-		t.Fatalf("inuse=%d retired=%d", b.InUse(), len(b.RetiredLocks()))
+	b.Retire(l)
+	if b.InUse() != 0 || len(b.Retired()) != 1 {
+		t.Fatalf("inuse=%d retired=%d", b.InUse(), len(b.Retired()))
 	}
 	if fault := b.OnInval(1, l.LineAddr(1), 1); !fault {
 		t.Fatal("stale inval on retired lock tolerated")

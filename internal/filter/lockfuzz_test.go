@@ -40,7 +40,7 @@ func FuzzLockFSM(f *testing.F) {
 			switch op & 0x7 {
 			case 0: // lock-line invalidation: acquire or release
 				st := l.State(tid)
-				fault := l.onLockInval(now, tid)
+				fault := lockInval(l, now, tid)
 				switch st {
 				case LockIdle:
 					if fault {
@@ -67,7 +67,7 @@ func FuzzLockFSM(f *testing.F) {
 				}
 			case 1: // demand fill
 				st := l.State(tid)
-				park, fault := l.onLockFill(now, tid, fillTxn(l.LineAddr(tid), core))
+				park, fault := l.onFill(now, tid, fillTxn(l.LineAddr(tid), core))
 				switch st {
 				case LockPending:
 					if !park || fault {
@@ -85,7 +85,7 @@ func FuzzLockFSM(f *testing.F) {
 				}
 			case 2: // speculative fill (wrong-path ifetch)
 				st := l.State(tid)
-				park, fault := l.onLockFill(now, tid, mem.Txn{Kind: mem.GetI, Addr: l.LineAddr(tid), Core: core})
+				park, fault := l.onFill(now, tid, mem.Txn{Kind: mem.GetI, Addr: l.LineAddr(tid), Core: core})
 				if st == LockEvicted {
 					if park || !fault {
 						t.Fatalf("speculative fill on evicted: park=%v fault=%v", park, fault)

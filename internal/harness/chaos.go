@@ -176,13 +176,10 @@ func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Pr
 				return
 			}
 			inj := faults.New(p, faults.MixSeed(seed, uint64(try)+1), m.Sys, cores)
-			// Lazy: locks install during Launch, after this hook runs.
-			inj.SetLockSource(m.Locks)
+			inj.SetPrimitives(m.Primitives())
 			if hw, ok := gen.(barrier.HardwareBarrier); ok {
-				fs := hw.Filters()
-				inj.SetFilters(fs)
 				var addrs []uint64
-				for _, f := range fs {
+				for _, f := range hw.Filters() {
 					for t := 0; t < f.NumThreads; t++ {
 						addrs = append(addrs, f.ArrivalAddr(t))
 					}

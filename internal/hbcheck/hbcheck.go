@@ -313,15 +313,14 @@ func (c *Checker) OnBarrierOpen(f *filter.Filter, now uint64) {
 	zero(b.acc)
 }
 
-// --- filter.LockObserver -------------------------------------------------
-//
-// A hardware lock's release invalidation is a DCBI — neither a load nor a
-// store — so the software-barrier rule (stores release, loads acquire on
-// sync cells) never sees the hand-off. The lock table reports it directly:
-// release joins the holder's clock into the lock's accumulator, the next
-// grant joins the accumulator into the grantee, ordering consecutive
-// critical sections. Timeout and evict releases deliberately get no credit
-// — they are protocol errors, not synchronization.
+// The lock half of filter.SyncObserver. A hardware lock's release
+// invalidation is a DCBI — neither a load nor a store — so the
+// software-barrier rule (stores release, loads acquire on sync cells) never
+// sees the hand-off. The lock table reports it directly: release joins the
+// holder's clock into the lock's accumulator, the next grant joins the
+// accumulator into the grantee, ordering consecutive critical sections.
+// Timeout and evict releases deliberately get no credit — they are protocol
+// errors, not synchronization.
 
 func (c *Checker) lockClock(l *filter.Lock) []uint64 {
 	vc := c.locks[l]

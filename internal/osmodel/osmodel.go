@@ -175,7 +175,7 @@ func (mgr *Manager) SwapOut(h *Handle) {
 		return
 	}
 	for _, f := range h.Filters() {
-		mgr.m.RemoveFilter(f)
+		mgr.m.Remove(f)
 	}
 	mgr.refund(h)
 	h.swappedOut = true
@@ -207,7 +207,7 @@ func (mgr *Manager) SwapIn(h *Handle) error {
 		return fmt.Errorf("osmodel: bank %d has no free filter entries to swap barrier %d back in", h.Bank, h.ID)
 	}
 	for _, f := range h.Filters() {
-		if err := mgr.m.InstallFilter(f); err != nil {
+		if err := mgr.m.Install(f); err != nil {
 			return err
 		}
 	}
@@ -229,7 +229,7 @@ func (mgr *Manager) SwapIn(h *Handle) error {
 func (mgr *Manager) Close(h *Handle) {
 	if !h.swappedOut {
 		for _, f := range h.Filters() {
-			mgr.m.RetireFilter(f)
+			mgr.m.Retire(f)
 		}
 		mgr.refund(h)
 		h.swappedOut = true

@@ -207,7 +207,7 @@ func TestCloseRetiresFilters(t *testing.T) {
 	if park || !fault {
 		t.Fatalf("stale fill after Close: park=%v fault=%v", park, fault)
 	}
-	if m.Hooks[bank].EvictErrors() == 0 {
+	if f.EvictErrors == 0 {
 		t.Fatal("stale-tag error not counted")
 	}
 	// Closing twice is harmless.

@@ -99,8 +99,7 @@ func (s *Sanitizer) checkLine(now uint64, la uint64) {
 	}
 }
 
-// checkFilters applies the filter-table invariants to every installed
-// filter.
+// checkFilters applies the sync-engine table invariants to every bank.
 func (s *Sanitizer) checkFilters(now uint64) {
 	for b := range s.hooks {
 		if s.full() {
@@ -110,19 +109,18 @@ func (s *Sanitizer) checkFilters(now uint64) {
 	}
 }
 
-// checkBankFilters checks the filters hosted by one bank:
+// checkBankFilters checks the sync-engine table one bank hosts. For every
+// primitive, whatever its kind:
 //
-//   - the arrived-counter equals the number of registered threads in the
-//     Blocking state and never reaches the participant count (the opening
-//     resets it);
-//   - a withheld demand fill's requester thread is marked arrived
-//     (Blocking) — only speculative fills (prefetch, wrong-path ifetch) may
-//     park in Waiting;
-//   - an open (Servicing) thread entry holds no parked fill: a released
-//     slot must not still be blocking a core;
-//   - occupancy never exceeds the bank's entry capacity, no two live
-//     filters' arrival tags overlap, and an Evicted (deallocated) entry
-//     withholds nothing.
+//   - occupancy never exceeds the bank's entry capacity;
+//   - no two live primitives claim the same filtered line — ambiguous
+//     ownership would route fills nondeterministically. (A barrier's arrival
+//     line aliasing its ping-pong twin's exit line is legal: exit lines are
+//     not filtered.) The later-installed primitive is reported: its
+//     allocation created the overlap;
+//   - parked fills are legal for the entry's state (checkParked);
+//
+// then the invariants of the kind's grant rule.
 func (s *Sanitizer) checkBankFilters(now uint64, b int) {
 	if b < 0 || b >= len(s.hooks) || s.hooks[b] == nil {
 		return
@@ -135,81 +133,97 @@ func (s *Sanitizer) checkBankFilters(now uint64, b int) {
 			Detail: fmt.Sprintf("bank holds %d table entries over its capacity %d (an allocation bypassed the spill path)", h.Entries(), h.Cap),
 		})
 	}
-	live := h.Filters()
-	for slot, f := range live {
-		// Tag consistency: no other live filter may claim any of this
-		// filter's arrival lines — ambiguous ownership would route fills
-		// nondeterministically. (Arrival/exit overlap is legal: the
-		// ping-pong twins alias on purpose.)
-		for _, g := range live[slot+1:] {
-			for t := 0; t < f.NumThreads; t++ {
-				if gt, ok := g.MatchArrival(f.ArrivalAddr(t)); ok {
+	live := h.Hosted()
+	for slot, p := range live {
+		e := p.Table()
+		for _, q := range live[:slot] {
+			g := q.Table()
+			for t := 0; t < e.NumThreads; t++ {
+				if gt, ok := g.MatchLine(e.LineAddr(t)); ok {
 					s.record(Violation{
-						Cycle: now, Checker: "filter", Invariant: "filter.tag-overlap",
-						Addr: f.ArrivalAddr(t), Core: -1, Bank: b, Slot: slot, Thread: t,
-						Detail: fmt.Sprintf("barriers %q (thread %d) and %q (thread %d) both claim the arrival line", f.Name, t, g.Name, gt),
+						Cycle: now, Checker: e.Kind.Noun, Invariant: e.Kind.Noun + ".tag-overlap",
+						Addr: e.LineAddr(t), Core: -1, Bank: b, Slot: slot, Thread: t,
+						Detail: fmt.Sprintf("%s %q (thread %d) and %s %q (thread %d) both claim the line", e.Kind.Label, e.Name, t, g.Kind.Label, g.Name, gt),
 					})
 					break
 				}
 			}
 		}
-	}
-	s.checkBankLocks(now, b)
-	for slot, f := range live {
-		blocking, registered := 0, 0
-		for t := 0; t < f.NumThreads; t++ {
-			if !f.Registered(t) {
-				continue
-			}
-			registered++
-			if f.State(t) == filter.Blocking {
-				blocking++
-			}
-		}
-		arrived := f.ArrivedCount()
-		if arrived != blocking {
-			s.record(Violation{
-				Cycle: now, Checker: "filter", Invariant: "filter.arrived-count-mismatch",
-				Addr: f.ArrivalBase, Core: -1, Bank: b, Slot: slot, Thread: -1,
-				Detail: fmt.Sprintf("barrier %q arrived-counter=%d but %d of %d registered threads are Blocking", f.Name, arrived, blocking, registered),
-			})
-		}
-		if arrived >= f.NumThreads {
-			s.record(Violation{
-				Cycle: now, Checker: "filter", Invariant: "filter.arrived-overflow",
-				Addr: f.ArrivalBase, Core: -1, Bank: b, Slot: slot, Thread: -1,
-				Detail: fmt.Sprintf("barrier %q arrived-counter=%d >= %d participants (opening must have reset it)", f.Name, arrived, f.NumThreads),
-			})
-		}
-		for _, p := range f.ParkedDump() {
-			speculative := p.Txn.Prefetch || p.Txn.Kind == mem.GetI
-			switch f.State(p.Thread) {
-			case filter.Servicing:
-				s.record(Violation{
-					Cycle: now, Checker: "filter", Invariant: "filter.parked-after-release",
-					Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
-					Detail: fmt.Sprintf("barrier %q thread entry is Servicing (released) but still withholds a fill parked at cycle %d", f.Name, p.ParkedAt),
-				})
-			case filter.Waiting:
-				if !speculative {
-					s.record(Violation{
-						Cycle: now, Checker: "filter", Invariant: "filter.parked-unarrived",
-						Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
-						Detail: fmt.Sprintf("barrier %q withholds a demand fill (%s) for a thread that has not arrived", f.Name, p.Txn.Kind),
-					})
-				}
-			case filter.Evicted:
-				s.record(Violation{
-					Cycle: now, Checker: "filter", Invariant: "filter.parked-evicted",
-					Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
-					Detail: fmt.Sprintf("barrier %q withholds a fill for a deallocated (Evicted) entry — eviction must error-release parked fills", f.Name),
-				})
-			}
+		s.checkParked(now, b, slot, e)
+		switch x := p.(type) {
+		case *filter.Filter:
+			s.checkBarrierRule(now, b, slot, x)
+		case *filter.Lock:
+			s.checkLockRule(now, b, slot, x)
 		}
 	}
 }
 
-// checkBankLocks checks the lock table entries hosted by one bank:
+// checkParked checks the fills one entry table withholds against the shared
+// entry automaton: only a signalled, not yet granted thread parks demand
+// fills. A granted (open) entry's fills are serviced at once and the grant
+// released what was parked, so a released slot must not still be blocking a
+// core; an idle entry may hold only speculative fills (prefetch, wrong-path
+// ifetch); an Evicted entry must have error-released everything.
+func (s *Sanitizer) checkParked(now uint64, b, slot int, e *filter.EntryTable) {
+	noun, label := e.Kind.Noun, e.Kind.Label
+	for _, p := range e.ParkedDump() {
+		v := Violation{
+			Cycle: now, Checker: noun,
+			Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
+		}
+		switch e.Entry(p.Thread) {
+		case filter.EntryOpen:
+			v.Invariant = noun + ".parked-after-grant"
+			v.Detail = fmt.Sprintf("%s %q thread entry %d is %s (granted) but still withholds a fill parked at cycle %d — a grant must release parked fills", label, e.Name, p.Thread, e.StateName(p.Thread), p.ParkedAt)
+		case filter.EntryIdle:
+			if p.Txn.Prefetch || p.Txn.Kind == mem.GetI {
+				continue
+			}
+			v.Invariant = noun + ".parked-unsignalled"
+			v.Detail = fmt.Sprintf("%s %q withholds a demand fill (%s) for a thread that is %s: it never signalled", label, e.Name, p.Txn.Kind, e.StateName(p.Thread))
+		case filter.EntryEvicted:
+			v.Invariant = noun + ".parked-evicted"
+			v.Detail = fmt.Sprintf("%s %q withholds a fill for a deallocated (Evicted) entry — eviction must error-release parked fills", label, e.Name)
+		default:
+			continue
+		}
+		s.record(v)
+	}
+}
+
+// checkBarrierRule checks a barrier's grant rule: the arrived-counter equals
+// the number of registered threads in the Blocking state and never reaches
+// the participant count (the opening resets it).
+func (s *Sanitizer) checkBarrierRule(now uint64, b, slot int, f *filter.Filter) {
+	blocking, registered := 0, 0
+	for t := 0; t < f.NumThreads; t++ {
+		if !f.Registered(t) {
+			continue
+		}
+		registered++
+		if f.State(t) == filter.Blocking {
+			blocking++
+		}
+	}
+	arrived := f.ArrivedCount()
+	if arrived != blocking {
+		s.record(Violation{
+			Cycle: now, Checker: "filter", Invariant: "filter.arrived-count-mismatch",
+			Addr: f.Base, Core: -1, Bank: b, Slot: slot, Thread: -1,
+			Detail: fmt.Sprintf("barrier %q arrived-counter=%d but %d of %d registered threads are Blocking", f.Name, arrived, blocking, registered),
+		})
+	}
+	if arrived >= f.NumThreads {
+		s.record(Violation{
+			Cycle: now, Checker: "filter", Invariant: "filter.arrived-overflow",
+			Addr: f.Base, Core: -1, Bank: b, Slot: slot, Thread: -1,
+			Detail: fmt.Sprintf("barrier %q arrived-counter=%d >= %d participants (opening must have reset it)", f.Name, arrived, f.NumThreads),
+		})
+	}
+}
+
+// checkLockRule checks a lock's grant rule:
 //
 //   - at most one thread is Holding, and the holder register names exactly
 //     that thread (a holder register pointing elsewhere means a soft error
@@ -220,121 +234,56 @@ func (s *Sanitizer) checkBankFilters(now uint64, b int) {
 //     grant and are not a violation);
 //   - a free lock has no Pending thread: every transition that frees the
 //     lock (release, holder eviction) immediately grants the oldest waiter,
-//     so free-with-waiters means a grant was lost;
-//   - parked fills only exist for Pending threads (plus speculative fills
-//     parked in Idle): a Holding thread's fills are serviced immediately and
-//     an Evicted entry must have error-released everything it withheld;
-//   - no two live locks, and no lock and live filter, claim the same line.
-func (s *Sanitizer) checkBankLocks(now uint64, b int) {
-	if b < 0 || b >= len(s.hooks) || s.hooks[b] == nil {
-		return
+//     so free-with-waiters means a grant was lost.
+func (s *Sanitizer) checkLockRule(now uint64, b, slot int, l *filter.Lock) {
+	holder := l.Holder()
+	waitq := l.WaitQueue()
+	queued := make(map[int]bool, len(waitq))
+	for _, t := range waitq {
+		queued[t] = true
 	}
-	h := s.hooks[b]
-	locks := h.Locks()
-	filters := h.Filters()
-	for slot, l := range locks {
-		// Tag consistency across the whole sync table: lock lines must be
-		// unambiguous against the other live locks and the live filters.
-		for _, g := range locks[slot+1:] {
-			for t := 0; t < l.NumThreads; t++ {
-				if gt, ok := g.MatchLine(l.LineAddr(t)); ok {
-					s.record(Violation{
-						Cycle: now, Checker: "lock", Invariant: "lock.tag-overlap",
-						Addr: l.LineAddr(t), Core: -1, Bank: b, Slot: slot, Thread: t,
-						Detail: fmt.Sprintf("locks %q (thread %d) and %q (thread %d) both claim the lock line", l.Name, t, g.Name, gt),
-					})
-					break
-				}
-			}
-		}
-		for _, f := range filters {
-			for t := 0; t < l.NumThreads; t++ {
-				if ft, ok := f.MatchArrival(l.LineAddr(t)); ok {
-					s.record(Violation{
-						Cycle: now, Checker: "lock", Invariant: "lock.tag-overlap",
-						Addr: l.LineAddr(t), Core: -1, Bank: b, Slot: slot, Thread: t,
-						Detail: fmt.Sprintf("lock %q (thread %d) and barrier %q (thread %d) both claim the line", l.Name, t, f.Name, ft),
-					})
-					break
-				}
-			}
-		}
-	}
-	for slot, l := range locks {
-		holder := l.Holder()
-		waitq := l.WaitQueue()
-		queued := make(map[int]bool, len(waitq))
-		for _, t := range waitq {
-			queued[t] = true
-		}
-		holding, pending := []int{}, 0
-		for t := 0; t < l.NumThreads; t++ {
-			switch l.State(t) {
-			case filter.LockHolding:
-				holding = append(holding, t)
-			case filter.LockPending:
-				pending++
-				if !queued[t] {
-					s.record(Violation{
-						Cycle: now, Checker: "lock", Invariant: "lock.pending-not-queued",
-						Addr: l.LineAddr(t), Core: -1, Bank: b, Slot: slot, Thread: t,
-						Detail: fmt.Sprintf("lock %q thread %d is Pending but missing from the wait queue %v — a grant can never reach it", l.Name, t, waitq),
-					})
-				}
-			}
-		}
-		if len(holding) >= 2 {
-			s.record(Violation{
-				Cycle: now, Checker: "lock", Invariant: "lock.multiple-holders",
-				Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: holding[0],
-				Detail: fmt.Sprintf("lock %q held by threads %v simultaneously (holder register=%d) — mutual exclusion is broken", l.Name, holding, holder),
-			})
-		}
-		if len(holding) == 1 && holder != holding[0] {
-			s.record(Violation{
-				Cycle: now, Checker: "lock", Invariant: "lock.phantom-holder",
-				Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: holding[0],
-				Detail: fmt.Sprintf("lock %q thread %d is Holding but the holder register says %d", l.Name, holding[0], holder),
-			})
-		}
-		if len(holding) == 0 && holder >= 0 {
-			s.record(Violation{
-				Cycle: now, Checker: "lock", Invariant: "lock.phantom-holder",
-				Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: holder,
-				Detail: fmt.Sprintf("lock %q holder register says thread %d but no thread is Holding", l.Name, holder),
-			})
-		}
-		if holder < 0 && pending > 0 {
-			s.record(Violation{
-				Cycle: now, Checker: "lock", Invariant: "lock.free-with-waiters",
-				Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: -1,
-				Detail: fmt.Sprintf("lock %q is free but %d threads are Pending — freeing the lock must grant the oldest waiter", l.Name, pending),
-			})
-		}
-		for _, p := range l.ParkedDump() {
-			speculative := p.Txn.Prefetch || p.Txn.Kind == mem.GetI
-			switch l.State(p.Thread) {
-			case filter.LockHolding:
+	holding, pending := []int{}, 0
+	for t := 0; t < l.NumThreads; t++ {
+		switch l.State(t) {
+		case filter.LockHolding:
+			holding = append(holding, t)
+		case filter.LockPending:
+			pending++
+			if !queued[t] {
 				s.record(Violation{
-					Cycle: now, Checker: "lock", Invariant: "lock.parked-in-hold",
-					Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
-					Detail: fmt.Sprintf("lock %q thread %d holds the lock but a fill parked at cycle %d is still withheld — the grant must release parked fills", l.Name, p.Thread, p.ParkedAt),
-				})
-			case filter.LockIdle:
-				if !speculative {
-					s.record(Violation{
-						Cycle: now, Checker: "lock", Invariant: "lock.parked-idle",
-						Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
-						Detail: fmt.Sprintf("lock %q withholds a demand fill (%s) for a thread that never signalled acquire", l.Name, p.Txn.Kind),
-					})
-				}
-			case filter.LockEvicted:
-				s.record(Violation{
-					Cycle: now, Checker: "lock", Invariant: "lock.parked-evicted",
-					Addr: p.Txn.Addr, Core: p.Txn.Core, Bank: b, Slot: slot, Thread: p.Thread,
-					Detail: fmt.Sprintf("lock %q withholds a fill for a deallocated (Evicted) entry — eviction must error-release parked fills", l.Name),
+					Cycle: now, Checker: "lock", Invariant: "lock.pending-not-queued",
+					Addr: l.LineAddr(t), Core: -1, Bank: b, Slot: slot, Thread: t,
+					Detail: fmt.Sprintf("lock %q thread %d is Pending but missing from the wait queue %v — a grant can never reach it", l.Name, t, waitq),
 				})
 			}
 		}
+	}
+	if len(holding) >= 2 {
+		s.record(Violation{
+			Cycle: now, Checker: "lock", Invariant: "lock.multiple-holders",
+			Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: holding[0],
+			Detail: fmt.Sprintf("lock %q held by threads %v simultaneously (holder register=%d) — mutual exclusion is broken", l.Name, holding, holder),
+		})
+	}
+	if len(holding) == 1 && holder != holding[0] {
+		s.record(Violation{
+			Cycle: now, Checker: "lock", Invariant: "lock.phantom-holder",
+			Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: holding[0],
+			Detail: fmt.Sprintf("lock %q thread %d is Holding but the holder register says %d", l.Name, holding[0], holder),
+		})
+	}
+	if len(holding) == 0 && holder >= 0 {
+		s.record(Violation{
+			Cycle: now, Checker: "lock", Invariant: "lock.phantom-holder",
+			Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: holder,
+			Detail: fmt.Sprintf("lock %q holder register says thread %d but no thread is Holding", l.Name, holder),
+		})
+	}
+	if holder < 0 && pending > 0 {
+		s.record(Violation{
+			Cycle: now, Checker: "lock", Invariant: "lock.free-with-waiters",
+			Addr: l.Base, Core: -1, Bank: b, Slot: slot, Thread: -1,
+			Detail: fmt.Sprintf("lock %q is free but %d threads are Pending — freeing the lock must grant the oldest waiter", l.Name, pending),
+		})
 	}
 }

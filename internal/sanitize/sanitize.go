@@ -31,8 +31,8 @@ type Config struct {
 	// StallBudget is how long every running core may go without committing
 	// a single instruction before the watchdog declares the machine stalled.
 	StallBudget uint64
-	// TxnBudget is how long one transaction (an L1 miss not parked at a
-	// barrier filter, or an invalidation token) may stay outstanding before
+	// TxnBudget is how long one transaction (an L1 miss not parked in the
+	// sync engine, or an invalidation token) may stay outstanding before
 	// the watchdog declares it lost.
 	TxnBudget uint64
 	// EventChecks additionally runs targeted checks on every delivered
@@ -72,7 +72,7 @@ func (c Config) withDefaults() Config {
 // or 0 (Addr).
 type Violation struct {
 	Cycle     uint64
-	Checker   string // "msi", "inclusion", "filter", "liveness"
+	Checker   string // "msi", "inclusion", "filter", "lock", "liveness"
 	Invariant string // e.g. "msi.double-modified"
 	Addr      uint64
 	Core      int // physical core, -1 when n/a

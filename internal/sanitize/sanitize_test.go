@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/filter"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
 	"repro/internal/sanitize"
@@ -61,9 +63,10 @@ func buildLockMachine(t *testing.T, cores int) (*core.Machine, *sanitize.Sanitiz
 	}
 	var l *filter.Lock
 	for _, h := range m.Hooks {
-		if ls := h.Locks(); len(ls) > 0 {
-			l = ls[0]
-			break
+		for _, p := range h.Hosted() {
+			if x, ok := p.(*filter.Lock); ok && l == nil {
+				l = x
+			}
 		}
 	}
 	if l == nil {
@@ -170,9 +173,10 @@ func TestFilterCounterMismatchTripsFilterChecker(t *testing.T) {
 	// exactly the desync a flipped SRAM bit in the filter table causes.
 	var f *filter.Filter
 	for _, h := range m.Hooks {
-		if fs := h.Filters(); len(fs) > 0 {
-			f = fs[0]
-			break
+		for _, p := range h.Hosted() {
+			if x, ok := p.(*filter.Filter); ok && f == nil {
+				f = x
+			}
 		}
 	}
 	if f == nil {
@@ -188,7 +192,7 @@ func TestFilterCounterMismatchTripsFilterChecker(t *testing.T) {
 	if tid < 0 {
 		t.Skip("every registered thread is Blocking at the probe cycle")
 	}
-	f.InjectThreadState(tid, filter.Blocking)
+	f.InjectState(tid, filter.EntryState(filter.Blocking))
 	s.Check(m.Now())
 	found := false
 	for _, v := range s.Violations() {
@@ -234,8 +238,8 @@ func TestLockDoubleHolderTripsLockChecker(t *testing.T) {
 	}
 	// A flipped state bit promotes two threads to Holding at once: the
 	// single-holder invariant is the lock table's whole reason to exist.
-	l.InjectThreadState(0, filter.LockHolding)
-	l.InjectThreadState(1, filter.LockHolding)
+	l.InjectState(0, filter.EntryState(filter.LockHolding))
+	l.InjectState(1, filter.EntryState(filter.LockHolding))
 	l.InjectHolder(0)
 	s.Check(m.Now())
 	if !hasInvariant(s, "lock.multiple-holders") {
@@ -266,7 +270,7 @@ func TestLockPhantomHolderTripsLockChecker(t *testing.T) {
 		t.Fatal("every thread Holding — impossible")
 	}
 	if h := l.Holder(); h >= 0 {
-		l.InjectThreadState(h, filter.LockIdle)
+		l.InjectState(h, filter.EntryState(filter.LockIdle))
 	}
 	l.InjectHolder(victim)
 	s.Check(m.Now())
@@ -292,7 +296,7 @@ func TestLockPendingNotQueuedTripsLockChecker(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no Idle thread at the probe cycle")
 	}
-	l.InjectThreadState(victim, filter.LockPending)
+	l.InjectState(victim, filter.EntryState(filter.LockPending))
 	s.Check(m.Now())
 	if !hasInvariant(s, "lock.pending-not-queued") {
 		t.Fatalf("orphaned Pending thread not detected; got %v", s.Violations())
@@ -343,5 +347,54 @@ func TestMaxViolationsBound(t *testing.T) {
 	s.Check(m.Now() + 1)
 	if got := len(s.Violations()); got > 2 {
 		t.Fatalf("recorded %d violations, bound is 2", got)
+	}
+}
+
+// TestWatchdogTreatsLockWaitAsLegitimate is the lock-side twin of the
+// stalled-barrier report: two threads acquire one hardware lock and the
+// winner halts without releasing. The loser's acquire load stays parked at
+// the lock table for good — a legitimate wait, exactly like a fill parked at
+// a barrier filter — so the miss-age check must exempt it (no
+// liveness.lost-fill past TxnBudget) and the stall report must class the
+// machine as blocked, not lost, naming the lock and its holder.
+func TestWatchdogTreatsLockWaitAsLegitimate(t *testing.T) {
+	cfg := core.DefaultConfig(2)
+	cfg.Sanitize = &sanitize.Config{Every: 256, StallBudget: 20_000, TxnBudget: 2_000, KeepGoing: true}
+	gen, err := barrier.New(barrier.KindSWCentral, 2, barrier.NewAllocator(cfg.Mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := barrier.BuildProgram(gen, func(b *asm.Builder) {
+		const line = isa.RegS0
+		barrier.EmitLockAddr(b, line, barrier.DeclareLock(b, "mu", 0, 2))
+		barrier.EmitLockAcquire(b, line)
+		// Falls through to HALT with the lock still held.
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewMachine(cfg)
+	if err := barrier.Launch(m, gen, prog, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(60_000); err == nil {
+		t.Fatal("a thread parked behind a never-released lock ran to completion")
+	}
+	var stall *sanitize.Violation
+	for i, v := range m.Violations() {
+		switch v.Invariant {
+		case "liveness.lost-fill", "liveness.global-stall":
+			t.Errorf("legitimate lock wait reported as %s: %s", v.Invariant, v.Detail)
+		case "liveness.barrier-stall":
+			stall = &m.Violations()[i]
+		}
+	}
+	if stall == nil {
+		t.Fatalf("no liveness.barrier-stall report; violations: %v", m.Violations())
+	}
+	for _, want := range []string{`blocked on lock "mu"`, "legitimate wait", `lock "mu"`, "held by thread"} {
+		if !strings.Contains(stall.Detail, want) {
+			t.Errorf("stall report missing %q:\n%s", want, stall.Detail)
+		}
 	}
 }

@@ -3,20 +3,23 @@ package sanitize
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/filter"
 )
 
 // checkLiveness is the transaction/core liveness watchdog. It flags:
 //
 //   - an invalidation token outstanding longer than TxnBudget (a lost
 //     acknowledgement — the issuing core's store buffer is wedged);
-//   - an L1 miss outstanding longer than TxnBudget that is *not* parked at
-//     a barrier filter (a parked fill may legitimately wait forever; a
-//     non-parked one means a response was lost);
+//   - an L1 miss outstanding longer than TxnBudget that is *not* parked in
+//     the sync engine (a fill parked at a barrier or a lock may legitimately
+//     wait forever; a non-parked one means a response was lost);
 //   - the whole machine making no forward progress for StallBudget cycles.
 //     The report classifies every running core as either legitimately
-//     blocked on a barrier (its fill is withheld by a named filter slot)
-//     or lost, and names the threads each stalled barrier is waiting for —
-//     the stalled-vs-blocked distinction of DESIGN.md §8.
+//     blocked on a primitive (its fill is withheld by a named table slot)
+//     or lost, and names the threads each stalled barrier is waiting for
+//     and each held lock's holder — the stalled-vs-blocked distinction of
+//     DESIGN.md §8.
 func (s *Sanitizer) checkLiveness(now uint64) {
 	// Forward-progress bookkeeping, per logical core.
 	for i, c := range s.cores {
@@ -42,16 +45,16 @@ func (s *Sanitizer) checkLiveness(now uint64) {
 	s.checkGlobalStall(now)
 }
 
-// parkedSet collects (core, line) pairs currently withheld by any filter, so
-// the miss-age check can exempt them.
+// parkedSet collects (core, line) pairs currently withheld by any hosted
+// primitive, whatever its kind, so the miss-age check can exempt them.
 func (s *Sanitizer) parkedSet() map[[2]uint64]bool {
 	set := make(map[[2]uint64]bool)
 	for _, h := range s.hooks {
 		if h == nil {
 			continue
 		}
-		for _, f := range h.Filters() {
-			for _, p := range f.ParkedDump() {
+		for _, prim := range h.Hosted() {
+			for _, p := range prim.Table().ParkedDump() {
 				set[[2]uint64{uint64(p.Txn.Core), p.Txn.Addr}] = true
 			}
 		}
@@ -113,7 +116,7 @@ func (s *Sanitizer) checkGlobalStall(now uint64) {
 		fmt.Fprintf(&b, "core%d pc=%#x: ", i, c.ResumePC())
 		switch {
 		case s.describeBlocked(&b, phys):
-			// Legitimately parked at a barrier filter.
+			// Legitimately parked at a barrier or a lock.
 		default:
 			allBlocked = false
 			if tok, ok := s.sys.OldestInvalToken(phys); ok {
@@ -131,12 +134,19 @@ func (s *Sanitizer) checkGlobalStall(now uint64) {
 		if h == nil {
 			continue
 		}
-		for slot, f := range h.Filters() {
-			if f.ArrivedCount() == 0 {
-				continue
+		for slot, p := range h.Hosted() {
+			switch x := p.(type) {
+			case *filter.Filter:
+				if x.ArrivedCount() > 0 {
+					fmt.Fprintf(&b, "barrier %q (bank %d slot %d) arrived=%d/%d waiting on threads %v; ",
+						x.Name, bank, slot, x.ArrivedCount(), x.NumThreads, x.UnarrivedThreads())
+				}
+			case *filter.Lock:
+				if x.Holder() >= 0 {
+					fmt.Fprintf(&b, "lock %q (bank %d slot %d) held by thread %d, wait queue %v; ",
+						x.Name, bank, slot, x.Holder(), x.WaitQueue())
+				}
 			}
-			fmt.Fprintf(&b, "barrier %q (bank %d slot %d) arrived=%d/%d waiting on threads %v; ",
-				f.Name, bank, slot, f.ArrivedCount(), f.NumThreads, f.UnarrivedThreads())
 		}
 	}
 
@@ -151,15 +161,16 @@ func (s *Sanitizer) checkGlobalStall(now uint64) {
 	})
 }
 
-// describeBlocked writes the barrier-blocked attribution for a physical
-// core, reporting whether it is parked at any filter.
+// describeBlocked writes the blocked-core attribution for a physical core,
+// reporting whether it is parked at any hosted primitive.
 func (s *Sanitizer) describeBlocked(b *strings.Builder, phys int) bool {
 	for bank, h := range s.hooks {
 		if h == nil {
 			continue
 		}
-		if slot, f, thread, ok := h.BlockedOn(phys); ok {
-			fmt.Fprintf(b, "blocked on barrier %q (bank %d slot %d entry %d) — legitimate wait; ", f.Name, bank, slot, thread)
+		if slot, p, thread, ok := h.BlockedOn(phys); ok {
+			e := p.Table()
+			fmt.Fprintf(b, "blocked on %s %q (bank %d slot %d entry %d) — legitimate wait; ", e.Kind.Label, e.Name, bank, slot, thread)
 			return true
 		}
 	}

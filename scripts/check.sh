@@ -69,6 +69,12 @@ echo "== simd smoke (boot, kill -9 mid-sweep, resume byte-identical, cache oracl
 sh scripts/simd_smoke.sh
 
 echo "== non-test Go lines per package (informational; ROADMAP tracks them) =="
-sh scripts/loc.sh
+# The delta against the previous commit, or the bare totals where there is
+# none to compare with (a shallow CI clone).
+if git rev-parse -q --verify 'HEAD~1^{commit}' >/dev/null 2>&1; then
+	sh scripts/loc.sh HEAD~1
+else
+	sh scripts/loc.sh
+fi
 
 echo "ok"
