@@ -39,7 +39,9 @@ check:
 # frontend cache on and off), the filter FSM (arbitrary
 # inval/fill/evict/reprogram sequences either follow Figure 3 or fault with
 # attribution), the lock FSM (same contract for acquire/release/evict
-# sequences: FIFO grants, single holder, error-coded eviction), and the
+# sequences: FIFO grants, single holder, error-coded eviction), simd's spec
+# decoder + Normalize (arbitrary request bodies are a structured rejection or
+# a well-formed sweep, never a panic), and the
 # hbcheck differential smoke (the dynamic happens-before oracle must agree
 # with srvet: shipped kernels replay race-free, misuse-corpus races are
 # caught at runtime).
@@ -50,11 +52,13 @@ chaos:
 	$(GO) test -fuzz=FuzzTranslateDiff -fuzztime=10s -run '^$$' ./internal/cpu
 	$(GO) test -fuzz=FuzzFilterFSM -fuzztime=10s -run '^$$' ./internal/filter
 	$(GO) test -fuzz=FuzzLockFSM -fuzztime=10s -run '^$$' ./internal/filter
+	$(GO) test -fuzz=FuzzNormalize -fuzztime=10s -run '^$$' ./internal/simd
 	$(GO) test -short -run TestHBCheck -count=1 ./internal/harness
 
-# simd-smoke boots the simd simulation server, SIGKILLs it mid-sweep, and
-# asserts the resumed sweep (and its journal) is byte-identical to an
-# uninterrupted run, plus the cache and -nofastpath oracle checks.
+# simd-smoke boots the simd simulation server, SIGTERMs one mid-sweep (exit
+# 0, clean-prefix journal) and SIGKILLs another, and asserts each resumed
+# sweep (and its journal) is byte-identical to an uninterrupted run, plus
+# the cache and -nofastpath oracle checks.
 simd-smoke:
 	sh scripts/simd_smoke.sh
 

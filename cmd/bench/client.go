@@ -53,11 +53,9 @@ func runClient(server, specArg string) int {
 		Index  *int            `json:"index"`
 		Cached bool            `json:"cached"`
 		Replay bool            `json:"replayed"`
-		Shard  string          `json:"shard"`
 		Result json.RawMessage `json:"result"`
 		OK     int             `json:"ok"`
 		Errors int             `json:"errors"`
-		Miss   int             `json:"missing"`
 		Error  json.RawMessage `json:"error"`
 	}
 	sc := bufio.NewScanner(resp.Body)
@@ -74,7 +72,7 @@ func runClient(server, specArg string) int {
 			fmt.Fprintf(os.Stderr, "bench: sweep %s accepted, %d cells\n", l.Sweep, l.Cells)
 		case "cell":
 			fmt.Println(string(l.Result))
-			if l.Cached || l.Replay || l.Shard != "" {
+			if l.Cached || l.Replay {
 				prov := ""
 				if l.Cached {
 					prov += " cached"
@@ -82,14 +80,10 @@ func runClient(server, specArg string) int {
 				if l.Replay {
 					prov += " replayed"
 				}
-				if l.Shard != "" {
-					prov += " shard=" + l.Shard
-				}
 				fmt.Fprintf(os.Stderr, "bench: cell %d:%s\n", *l.Index, prov)
 			}
 		case "done":
-			fmt.Fprintf(os.Stderr, "bench: done: %d ok, %d errors, %d missing of %d cells\n",
-				l.OK, l.Errors, l.Miss, l.Cells)
+			fmt.Fprintf(os.Stderr, "bench: done: %d ok, %d errors of %d cells\n", l.OK, l.Errors, l.Cells)
 			if l.Errors > 0 {
 				exit = 1
 			}

@@ -11,7 +11,10 @@
 //
 //	simd -addr :8765 -journal /var/tmp/simd -cache /var/tmp/simd-cache
 //	simd -addr 127.0.0.1:0 -addrfile simd.addr   # ephemeral port, published
-//	simd -shards local,http://other:8765          # 2-way cell sharding
+//
+// SIGTERM or ^C cancels every in-flight sweep at its next stop check (its
+// stream ends with a "canceled" error line and its journal is a clean
+// prefix a resubmission resumes from) and the process exits 0.
 package main
 
 import (
@@ -23,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -38,31 +40,19 @@ func main() {
 	maxcells := flag.Int("maxcells", 0, "cells allowed per sweep (0 = default 4096)")
 	cacheDir := flag.String("cache", "", "persist the content-addressed result cache in this directory")
 	journalDir := flag.String("journal", "", "journal every sweep under this directory (crash recovery + byte-identical resume)")
-	shards := flag.String("shards", "", "comma-separated cell-placement ring: \"local\" or base URLs of other simd servers")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-attempt timeout for remote shard calls (0 = default 30s)")
-	shardRetries := flag.Int("shard-retries", 2, "retries per remote shard call before degrading its cells to missing")
-	shardBackoff := flag.Duration("shard-backoff", 0, "initial backoff between shard retries, doubling (0 = default 250ms)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on 429 responses (0 = default 1s)")
 	flag.Parse()
 
 	cfg := simd.Config{
-		Workers:      *workers,
-		MaxSweeps:    *maxsweeps,
-		CacheDir:     *cacheDir,
-		JournalDir:   *journalDir,
-		ShardTimeout: *shardTimeout,
-		ShardRetries: *shardRetries,
-		ShardBackoff: *shardBackoff,
-		RetryAfter:   *retryAfter,
+		Workers:    *workers,
+		MaxSweeps:  *maxsweeps,
+		CacheDir:   *cacheDir,
+		JournalDir: *journalDir,
+		RetryAfter: *retryAfter,
 	}
 	if *maxcells > 0 {
 		cfg.Limits = simd.DefaultLimits()
 		cfg.Limits.MaxCells = *maxcells
-	}
-	if *shards != "" {
-		for _, s := range strings.Split(*shards, ",") {
-			cfg.Shards = append(cfg.Shards, strings.TrimSpace(s))
-		}
 	}
 	srv, err := simd.NewServer(cfg)
 	if err != nil {
@@ -89,7 +79,11 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "simd: listening on %s\n", url)
 
-	hs := &http.Server{Handler: srv}
+	// Every request context derives from base, so one cancel on a signal
+	// reaches every in-flight sweep.
+	base, stopRequests := context.WithCancel(context.Background())
+	defer stopRequests()
+	hs := &http.Server{Handler: srv, BaseContext: func(net.Listener) context.Context { return base }}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -97,10 +91,12 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		// Graceful drain: in-flight sweeps get a grace period to finish
-		// journaling; anything still running is cut off (its cells are
-		// unjournaled, so resubmission re-runs them — the crash contract).
+		// Drain: canceled sweeps stop at their next stop check, write their
+		// "canceled" line and return, leaving journals that are clean
+		// prefixes (resubmission re-runs the rest — the crash contract).
+		// The grace period only bounds a handler that fails to notice.
 		fmt.Fprintf(os.Stderr, "simd: %v: draining\n", sig)
+		stopRequests()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {

@@ -91,7 +91,9 @@ func (r FallbackResult) Report() string {
 // the cycles consumed and whether the attempt failed. Filter kinds get
 // 1+Retries attempts before one final attempt on pol.Fallback; non-filter
 // kinds run once (there is nothing to degrade to). The engine stops early
-// on success, on an ErrUnrecoverable failure, or when the budget is spent.
+// on success, on an ErrUnrecoverable failure, when the budget is spent, or
+// when an attempt was stopped from outside (core.ErrStopped, which the
+// returned error then wraps).
 func RunWithFallback(requested Kind, pol FallbackPolicy,
 	run func(kind Kind, try int, budget uint64) (uint64, error)) (FallbackResult, error) {
 	plan := []Kind{requested}
@@ -136,6 +138,13 @@ func RunWithFallback(requested Kind, pol FallbackPolicy,
 		}
 		if errors.Is(err, ErrUnrecoverable) {
 			return res, fmt.Errorf("barrier: resilient run aborted:\n%s", res.Report())
+		}
+		if errors.Is(err, core.ErrStopped) {
+			// A wall-clock deadline or a torn-down sweep, not a failure of
+			// the mechanism: a retry would be stopped the same way, and the
+			// caller must be able to tell (a stopped cell is a timeout or a
+			// cancellation, never a result to journal as an error).
+			return res, fmt.Errorf("barrier: resilient run stopped: %w:\n%s", err, res.Report())
 		}
 	}
 	return res, fmt.Errorf("barrier: resilient run failed after %d attempts:\n%s",

@@ -1,6 +1,7 @@
 package barrier
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -57,6 +58,21 @@ func TestFallbackEngineStopsOnUnrecoverable(t *testing.T) {
 	})
 	if err == nil || calls != 1 {
 		t.Fatalf("unrecoverable failure retried (calls=%d, err=%v)", calls, err)
+	}
+}
+
+// TestFallbackEngineStopsWhenStopped: an attempt stopped from outside (a
+// deadline, a torn-down sweep) is neither retried nor degraded, and the
+// engine's error still wraps core.ErrStopped so callers can tell a stop
+// from a failure of the mechanism.
+func TestFallbackEngineStopsWhenStopped(t *testing.T) {
+	calls := 0
+	_, err := RunWithFallback(KindFilterD, DefaultFallbackPolicy(100_000), func(Kind, int, uint64) (uint64, error) {
+		calls++
+		return 10, fmt.Errorf("%w (last progress at cycle 10)", core.ErrStopped)
+	})
+	if !errors.Is(err, core.ErrStopped) || calls != 1 {
+		t.Fatalf("stopped attempt: calls=%d, err=%v; want one call and an error wrapping core.ErrStopped", calls, err)
 	}
 }
 

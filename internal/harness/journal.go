@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -57,13 +58,16 @@ func SpecHash(spec string) string {
 
 // Journal is a crash-resilient JSONL record of a sweep. The first line is a
 // header naming the sweep spec's content hash; cell records follow in the
-// order they are written and are synced line by line. It is append-only and
-// keeps no order of its own: its one writer — the deliver callback of the
-// sweep's Runner — already sees cells strictly in index order, so killing
-// the process at any point leaves a clean prefix of the full journal plus at
-// most one torn final line, which OpenJournal truncates away on resume. A
-// resumed sweep therefore appends exactly the missing suffix and the
-// finished file is byte-identical to an uninterrupted run's.
+// order they are written and are synced line by line. Every line, header
+// included, ends in a checksum of the rest of it (see appendRecord), so a
+// byte damaged in place ends the intact prefix exactly as a torn line does
+// and is never replayed. It is append-only and keeps no order of its own:
+// its one writer — the deliver callback of the sweep's Runner — already
+// sees cells strictly in index order, so killing the process at any point
+// leaves a clean prefix of the full journal plus at most one torn final
+// line, which OpenJournal truncates away on resume. A resumed sweep
+// therefore appends exactly the missing suffix and the finished file is
+// byte-identical to an uninterrupted run's.
 type Journal struct {
 	f    *os.File
 	done map[string]Entry // entries loaded on resume, by key
@@ -71,10 +75,12 @@ type Journal struct {
 
 // OpenJournal creates (or, when resume is set, reopens) the journal at
 // path, guarding it with the content hash of spec. On resume it verifies
-// the header against spec, loads every intact record, and truncates a torn
-// tail. Resuming a journal whose header names a different spec fails with
-// ErrJournalSpec; a journal with no header at all (or with cell records
-// before any header) is refused too, since nothing ties it to this sweep.
+// the header against spec, loads every intact record, and truncates the
+// file at the first line that is torn or fails its checksum, so the sweep
+// re-runs from that cell. Resuming a journal whose header names a different
+// spec fails with ErrJournalSpec; a journal with no header at all (or with
+// cell records before any header) is refused too, since nothing ties it to
+// this sweep.
 func OpenJournal(path string, resume bool, spec string) (*Journal, error) {
 	j := &Journal{done: make(map[string]Entry)}
 	hash := SpecHash(spec)
@@ -102,7 +108,8 @@ func OpenJournal(path string, resume bool, spec string) (*Journal, error) {
 			break // torn tail: the final line was cut mid-write
 		}
 		var e Entry
-		if json.Unmarshal(data[valid:valid+nl], &e) != nil || e.Key == "" {
+		line := data[valid : valid+nl]
+		if !sumOK(line) || json.Unmarshal(line, &e) != nil || e.Key == "" {
 			break // torn or corrupt from here on
 		}
 		if first {
@@ -158,14 +165,49 @@ func (j *Journal) Done(key string) (Entry, bool) {
 
 // Write appends one record and syncs it to disk.
 func (j *Journal) Write(e Entry) error {
-	line, err := json.Marshal(e)
+	line, err := appendRecord(e)
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+	if _, err := j.f.Write(line); err != nil {
 		return err
 	}
 	return j.f.Sync()
+}
+
+// A record's line is the Entry's JSON object with one more member spliced
+// in before the closing brace: "sum", the CRC-32 (IEEE, eight hex digits)
+// of the object as it was marshaled without it. The sum covers the exact
+// bytes on disk, so any single damaged byte — in a key, inside data, in the
+// sum itself — fails the check, and computing it costs no second encoding
+// of Data. Readers that decode a line as an Entry simply ignore the member.
+const (
+	sumFormat = `,"sum":"%08x"}` // replaces the object's closing brace
+	sumLen    = len(sumFormat) - len("%08x") + 8
+)
+
+// appendRecord encodes one journal line, newline included.
+func appendRecord(e Entry) ([]byte, error) {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	line = fmt.Appendf(line[:len(line)-1], sumFormat, crc32.ChecksumIEEE(line))
+	return append(line, '\n'), nil
+}
+
+// sumOK reports whether a line (without its newline) ends in the checksum
+// of the rest of it, byte for byte as appendRecord writes it (an
+// upper-cased digit is damage too: it would survive into a "finished"
+// journal that no uninterrupted run produces). A line written before
+// checksums existed has none and fails, which restarts that journal.
+func sumOK(line []byte) bool {
+	body := len(line) - sumLen
+	if body < 1 {
+		return false
+	}
+	sum := crc32.Update(crc32.ChecksumIEEE(line[:body]), crc32.IEEETable, []byte{'}'})
+	return bytes.Equal(line[body:], fmt.Appendf(nil, sumFormat, sum))
 }
 
 func (j *Journal) Close() error { return j.f.Close() }

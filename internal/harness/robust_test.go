@@ -54,8 +54,8 @@ func TestJournalSpecHeaderGuard(t *testing.T) {
 	// A journal with no header at all (cell records from line one) is
 	// refused too: nothing ties it to this sweep.
 	bare := filepath.Join(dir, "bare.jsonl")
-	line, _ := json.Marshal(Entry{Key: "g/0", Status: StatusOK, Data: json.RawMessage("0")})
-	if err := os.WriteFile(bare, append(line, '\n'), 0o644); err != nil {
+	line, _ := appendRecord(Entry{Key: "g/0", Status: StatusOK, Data: json.RawMessage("0")})
+	if err := os.WriteFile(bare, line, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenJournal(bare, true, "sweep-spec-A"); !errors.Is(err, ErrJournalSpec) {
@@ -67,7 +67,11 @@ func TestJournalSpecHeaderGuard(t *testing.T) {
 // offset — through the header, mid-record, at record boundaries — and
 // checks that resume (a) never errors, (b) recovers exactly the complete
 // records before the cut, and (c) after the missing cells are re-run,
-// finishes with bytes identical to the uninterrupted journal.
+// finishes with bytes identical to the uninterrupted journal. A second pass
+// damages the finished journal in place instead: every byte in turn has a
+// bit flipped — a digit inside data that is still valid JSON, a newline, a
+// checksum digit — and resume must treat the damaged line as the tear,
+// keeping only the records before it.
 func TestJournalTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	const spec = "torn-tail-spec"
@@ -110,22 +114,27 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 		}
 		return n
 	}
-
-	for cut := 0; cut <= len(want); cut++ {
-		path := filepath.Join(dir, "cut.jsonl")
-		if err := os.WriteFile(path, want[:cut], 0o644); err != nil {
+	// resume opens a damaged copy, checks what survived, re-runs the rest
+	// and compares the finished file with the uninterrupted one.
+	resume := func(what string, damaged []byte, wantDone int) {
+		t.Helper()
+		path := filepath.Join(dir, "damaged.jsonl")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		j, err := OpenJournal(path, true, spec)
 		if err != nil {
-			t.Fatalf("cut at byte %d: resume failed: %v", cut, err)
+			t.Fatalf("%s: resume failed: %v", what, err)
 		}
-		wantDone := completeAt(cut)
 		if got := len(j.done); got != wantDone {
-			t.Fatalf("cut at byte %d: recovered %d records, want %d", cut, got, wantDone)
+			t.Fatalf("%s: recovered %d records, want %d", what, got, wantDone)
 		}
-		for _, e := range entries {
-			if _, ok := j.Done(e.Key); ok {
+		for i, e := range entries {
+			got, ok := j.Done(e.Key)
+			if ok != (i < wantDone) || (ok && string(got.Data) != string(e.Data)) {
+				t.Fatalf("%s: record %s recovered=%v data %s, want the first %d intact", what, e.Key, ok, got.Data, wantDone)
+			}
+			if ok {
 				continue
 			}
 			if err := j.Write(e); err != nil {
@@ -138,8 +147,28 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Fatalf("cut at byte %d: resumed journal differs:\n--- want ---\n%s--- got ---\n%s", cut, want, got)
+			t.Fatalf("%s: resumed journal differs:\n--- want ---\n%s--- got ---\n%s", what, want, got)
 		}
+	}
+
+	for cut := 0; cut <= len(want); cut++ {
+		resume(fmt.Sprintf("cut at byte %d", cut), want[:cut], completeAt(cut))
+	}
+
+	// The intact records are those before the line the flipped byte is on
+	// (a line owns its newline); a damaged header leaves none.
+	off := 0
+	for li, line := range lines {
+		for i := range line {
+			// A digit to its neighbour, a letter to its other case, a byte
+			// out of ASCII.
+			for _, mask := range []byte{0x01, 0x20, 0x80} {
+				damaged := append([]byte(nil), want...)
+				damaged[off+i] ^= mask
+				resume(fmt.Sprintf("byte %d (line %d) ^ %#02x", off+i, li, mask), damaged, max(li-1, 0))
+			}
+		}
+		off += len(line)
 	}
 }
 

@@ -25,8 +25,9 @@ func (o Options) workerCount() int {
 //     starts before cell i-W has, and with one slot the sweep is the plain
 //     sequential loop.
 //   - Resolution. A cell whose result comes from elsewhere — a journal
-//     replay, a cache hit, a remote shard — is marked with Resolve: it takes
-//     no slot and never waits behind (or holds up) a local cell.
+//     replay, a cache hit; the one seam a result computed on another
+//     machine would enter through — is marked with Resolve: it takes no
+//     slot and never waits behind (or holds up) a local cell.
 //   - Delivery. Run hands every index to deliver strictly in index order on
 //     the calling goroutine, whatever order cells finish in. Results
 //     themselves travel in slots the caller indexes by cell; the Runner only

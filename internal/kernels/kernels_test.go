@@ -306,3 +306,31 @@ func TestCoarseGrainSmallBarrierImpact(t *testing.T) {
 	}
 	t.Logf("filter improves coarse-grained total time by %.1f%% (paper reports 3.5%% for Ocean)", improvement*100)
 }
+
+// TestRegistryRejectsSizes: sizes reach New from outside the program, so a
+// size a kernel cannot be built at is an error naming it, never the typed
+// constructor's panic or an allocation of gigabytes of operands.
+func TestRegistryRejectsSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, loops int
+	}{
+		{"livermore2", 100, 1},
+		{"livermore2", 2, 1},
+		{"livermore6", 1025, 1},
+		{"pipeline", 1 << 11, 1 << 10},
+		{"pipeline", 1 << 40, 1 << 40},
+	} {
+		if k, err := New(tc.name, tc.n, tc.loops); err == nil {
+			t.Errorf("New(%s, %d, %d) = %s, want an error", tc.name, tc.n, tc.loops, k.Name())
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		n, loops int
+	}{{"livermore2", 4, 1}, {"livermore6", 1024, 1}, {"pipeline", 1 << 10, 1 << 10}} {
+		if _, err := New(tc.name, tc.n, tc.loops); err != nil {
+			t.Errorf("New(%s, %d, %d): %v", tc.name, tc.n, tc.loops, err)
+		}
+	}
+}

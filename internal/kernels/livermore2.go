@@ -37,8 +37,8 @@ type Livermore2 struct {
 // NewLivermore2 builds the kernel with deterministic synthetic operands.
 // The v values are kept small so repeated passes stay numerically tame.
 func NewLivermore2(n, loops int) *Livermore2 {
-	if n&(n-1) != 0 || n < 4 {
-		panic(fmt.Sprintf("kernels: livermore2 needs a power-of-two N >= 4, got %d", n))
+	if err := checkLivermore2N(n); err != nil {
+		panic(err.Error())
 	}
 	r := sim.NewRand(0x22 + uint64(n))
 	k := &Livermore2{N: n, Loops: loops}
@@ -48,6 +48,14 @@ func NewLivermore2(n, loops int) *Livermore2 {
 		k.v = append(k.v, (r.Float64()*2-1)*0.25)
 	}
 	return k
+}
+
+// checkLivermore2N reports an N the halving do-while cannot run on.
+func checkLivermore2N(n int) error {
+	if n&(n-1) != 0 || n < 4 {
+		return fmt.Errorf("kernels: livermore2 needs a power-of-two N >= 4, got %d", n)
+	}
+	return nil
 }
 
 // Name implements Kernel.

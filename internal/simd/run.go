@@ -18,7 +18,7 @@ import (
 type Result struct {
 	Key  string `json:"key"`
 	Hash string `json:"hash"`
-	// Status: ok | error | timeout | panic | missing (shard lost).
+	// Status: ok | error | timeout | panic.
 	Status string `json:"status"`
 	// Outcome (status ok only): identical | degraded | fault — the chaos
 	// contract's three acceptable endings.

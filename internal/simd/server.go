@@ -37,19 +37,6 @@ type Config struct {
 	// its journal: finished cells replay, missing cells re-run, and the
 	// completed journal is byte-identical to an uninterrupted run's.
 	JournalDir string
-	// Shards is the cell-placement ring: each entry is either "local"
-	// (run on this process) or the base URL of another simd server.
-	// Cells are assigned by content hash, so placement is deterministic.
-	// Empty means everything runs locally.
-	Shards []string
-	// ShardTimeout, ShardRetries, and ShardBackoff govern remote shard
-	// calls: each attempt gets ShardTimeout, failures retry up to
-	// ShardRetries times with ShardBackoff doubling between attempts.
-	// A shard that stays down degrades the sweep — its cells come back
-	// status "missing" with the shard named — rather than failing it.
-	ShardTimeout time.Duration
-	ShardRetries int
-	ShardBackoff time.Duration
 	// RetryAfter is the hint sent with 429 responses (default 1s).
 	RetryAfter time.Duration
 }
@@ -57,13 +44,10 @@ type Config struct {
 // DefaultConfig returns the standard server tuning.
 func DefaultConfig() Config {
 	return Config{
-		Workers:      4,
-		MaxSweeps:    8,
-		Limits:       DefaultLimits(),
-		ShardTimeout: 30 * time.Second,
-		ShardRetries: 2,
-		ShardBackoff: 250 * time.Millisecond,
-		RetryAfter:   time.Second,
+		Workers:    4,
+		MaxSweeps:  8,
+		Limits:     DefaultLimits(),
+		RetryAfter: time.Second,
 	}
 }
 
@@ -97,7 +81,6 @@ type Server struct {
 	cache *Cache
 	slots chan struct{}
 	mux   *http.ServeMux
-	ring  []string
 
 	mu       sync.Mutex
 	tickets  map[*ticket]struct{}
@@ -117,12 +100,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Limits == (Limits{}) {
 		cfg.Limits = def.Limits
 	}
-	if cfg.ShardTimeout <= 0 {
-		cfg.ShardTimeout = def.ShardTimeout
-	}
-	if cfg.ShardBackoff <= 0 {
-		cfg.ShardBackoff = def.ShardBackoff
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = def.RetryAfter
 	}
@@ -139,16 +116,11 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cache:    cache,
 		slots:    make(chan struct{}, cfg.Workers),
-		ring:     cfg.Shards,
 		tickets:  make(map[*ticket]struct{}),
 		journals: make(map[string]*journalGate),
 	}
-	if len(s.ring) == 0 {
-		s.ring = []string{ShardLocal}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/cells", s.handleCells)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -257,7 +229,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // decodeSpec parses and normalizes a request's spec, answering 4xx itself
 // on failure.
-func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, into any) bool {
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, into *Spec) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, errf("bad-spec", "", "POST required"))
 		return false
@@ -334,11 +306,9 @@ type streamLine struct {
 	Index  *int    `json:"index,omitempty"`
 	Cached bool    `json:"cached,omitempty"`   // served from the content cache
 	Replay bool    `json:"replayed,omitempty"` // served from the resumed journal
-	Shard  string  `json:"shard,omitempty"`
 	Result *Result `json:"result,omitempty"`
 	OK     int     `json:"ok,omitempty"`
 	Errors int     `json:"errors,omitempty"`
-	Miss   int     `json:"missing,omitempty"`
 	Error  *Error  `json:"error,omitempty"`
 }
 
@@ -365,9 +335,7 @@ type outcome struct {
 	res      Result
 	cached   bool
 	replayed bool
-	shard    string
 	canceled bool // sweep teardown: do not journal, abort the stream
-	missing  bool // shard loss: do not journal (a resubmission retries)
 }
 
 // cached returns the content cache's result for a cell, unless the sweep is
@@ -408,11 +376,11 @@ func (s *Server) runLocal(ctx context.Context, c Cell) outcome {
 }
 
 // runSweep executes a validated sweep on one harness.Runner over the
-// server-wide slots. Journal replays, cache hits and the cells of remote
-// shards are resolved without a slot; the rest start in index order as
-// slots free up; and the Runner delivers every outcome in strict
-// cell-index order to the one callback that journals and streams it, so
-// neither the journal nor the stream needs an ordering of its own.
+// server-wide slots. Journal replays and cache hits are resolved without a
+// slot; the rest start in index order as slots free up; and the Runner
+// delivers every outcome in strict cell-index order to the one callback
+// that journals and streams it, so neither the journal nor the stream needs
+// an ordering of its own.
 func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 	var j *harness.Journal
 	// Recompute runs are verification passes, not production sweeps: they
@@ -426,9 +394,8 @@ func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 		// over with just its spec header.
 		j, err = harness.OpenJournal(path, true, sw.SpecString())
 		if err != nil {
-			// ErrJournalSpec here means a damaged or foreign file: the
-			// file is named by the spec hash, so a legitimate mismatch
-			// cannot happen.
+			// ErrJournalSpec here means a foreign file: the file is named
+			// by the spec hash, so a legitimate mismatch cannot happen.
 			out.line(streamLine{Type: "error", Error: errf("internal", "", "journal: %v", err)})
 			return
 		}
@@ -439,74 +406,54 @@ func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 
 	outs := make([]outcome, len(sw.Cells))
 	r := harness.NewRunner(ctx, s.slots, len(sw.Cells))
-	resolve := func(i int, o outcome) {
-		outs[i] = o
-		r.Resolve(i)
-	}
 	var local []int
-	remote := make(map[string][]Cell) // shard URL → its cells
 	for i, c := range sw.Cells {
 		if j != nil {
 			if e, ok := j.Done(c.Key); ok {
-				resolve(i, s.replayOutcome(c, e))
+				outs[i] = s.replayOutcome(c, e)
+				r.Resolve(i)
 				continue
 			}
 		}
 		if res, ok := s.cached(sw, c); ok {
-			resolve(i, outcome{res: res, cached: true})
-		} else if shard := s.ring[shardIndex(c.Hash, len(s.ring))]; shard != ShardLocal {
-			remote[shard] = append(remote[shard], c)
+			outs[i] = outcome{res: res, cached: true}
+			r.Resolve(i)
 		} else {
 			local = append(local, i)
 		}
 	}
-	for shard, cells := range remote {
-		go s.runShard(ctx, sw, shard, cells, resolve)
-	}
 
-	journalable := j != nil // false after the first gap: a missing cell, a failed write
-	counts := struct{ ok, errs, miss int }{}
-	delivered := 0
+	journalable := j != nil // false once a journal write has failed
+	nOK, nErr := 0, 0
 	err := r.Run(local, func(i int) { outs[i] = s.runLocal(ctx, sw.Cells[i]) }, func(i int) error {
 		cur := outs[i]
-		switch {
-		case cur.canceled:
+		if cur.canceled {
 			// Torn down mid-sweep: nothing at or past this index is
 			// journaled or streamed, so the journal stays a clean prefix.
 			return context.Canceled
-		case cur.missing:
-			// Missing cells are answered but never journaled, and neither
-			// is anything after them: a resubmission must find a clean
-			// prefix to resume from, and re-run these.
-			counts.miss++
-			journalable = false
-		default:
-			if journalable && !cur.replayed {
-				e := harness.Entry{Key: cur.res.Key, Status: cur.res.Status,
-					Error: cur.res.Error, Data: cur.res.Bytes()}
-				if err := j.Write(e); err != nil {
-					out.line(streamLine{Type: "error", Error: errf("internal", "", "journal write: %v", err)})
-					journalable = false
-				}
-			}
-			if cur.res.Status == harness.StatusOK {
-				counts.ok++
-			} else {
-				counts.errs++
+		}
+		if journalable && !cur.replayed {
+			e := harness.Entry{Key: cur.res.Key, Status: cur.res.Status,
+				Error: cur.res.Error, Data: cur.res.Bytes()}
+			if err := j.Write(e); err != nil {
+				out.line(streamLine{Type: "error", Error: errf("internal", "", "journal write: %v", err)})
+				journalable = false
 			}
 		}
-		out.line(streamLine{Type: "cell", Index: &i, Cached: cur.cached,
-			Replay: cur.replayed, Shard: cur.shard, Result: &cur.res})
-		delivered++
+		if cur.res.Status == harness.StatusOK {
+			nOK++
+		} else {
+			nErr++
+		}
+		out.line(streamLine{Type: "cell", Index: &i, Cached: cur.cached, Replay: cur.replayed, Result: &cur.res})
 		return nil
 	})
 	if err != nil || ctx.Err() != nil {
 		out.line(streamLine{Type: "error", Error: errf("canceled", "",
-			"sweep torn down after %d of %d cells", delivered, len(sw.Cells))})
+			"sweep torn down after %d of %d cells", nOK+nErr, len(sw.Cells))})
 		return
 	}
-	out.line(streamLine{Type: "done", Sweep: sw.Hash, Cells: len(sw.Cells),
-		OK: counts.ok, Errors: counts.errs, Miss: counts.miss})
+	out.line(streamLine{Type: "done", Sweep: sw.Hash, Cells: len(sw.Cells), OK: nOK, Errors: nErr})
 }
 
 // replayOutcome turns a resumed journal entry back into a cell outcome,
@@ -522,48 +469,4 @@ func (s *Server) replayOutcome(c Cell, e harness.Entry) outcome {
 		}
 	}
 	return outcome{replayed: true, res: s.store(c, res)}
-}
-
-// handleCells is the shard-internal endpoint: run an explicit subset of a
-// sweep's cells and return their results as a JSON array. It runs them on
-// the same Runner over the same slots (so shard traffic is backpressured
-// with everything else) but keeps no journal — the coordinating server owns
-// the sweep's durability.
-func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
-	var req CellsRequest
-	if !s.decodeSpec(w, r, &req) {
-		return
-	}
-	sw, serr := Normalize(req.Spec, s.cfg.Limits)
-	if serr != nil {
-		writeError(w, http.StatusBadRequest, serr)
-		return
-	}
-	for _, i := range req.Indices {
-		if i < 0 || i >= len(sw.Cells) {
-			writeError(w, http.StatusBadRequest,
-				errf("bad-spec", "indices", "cell index %d out of range [0, %d)", i, len(sw.Cells)))
-			return
-		}
-	}
-	ctx := r.Context()
-	out := make([]Result, len(req.Indices))
-	run := harness.NewRunner(ctx, s.slots, len(out))
-	var local []int
-	for oi, i := range req.Indices {
-		if res, ok := s.cached(sw, sw.Cells[i]); ok {
-			out[oi] = res
-			run.Resolve(oi)
-		} else {
-			local = append(local, oi)
-		}
-	}
-	err := run.Run(local, func(oi int) {
-		out[oi] = s.runLocal(ctx, sw.Cells[req.Indices[oi]]).res
-	}, func(int) error { return nil })
-	if err != nil || ctx.Err() != nil {
-		return // client gone; nothing to answer
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
 }

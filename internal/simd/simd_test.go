@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,17 @@ func TestNormalizeValidation(t *testing.T) {
 		{"one thread", func(s *Spec) { s.Threads = 1 }, "bad-spec"},
 		{"negative deadline", func(s *Spec) { s.DeadlineMS = -1 }, "bad-spec"},
 		{"cycle budget over limit", func(s *Spec) { s.MaxCycles = lim.MaxCycles + 1 }, "bad-spec"},
+		{"kernel listed twice", func(s *Spec) { s.Kernels = []string{"microbench", "microbench"} }, "bad-spec"},
+		{"seed listed twice", func(s *Spec) { s.Seeds = []uint64{3, 1, 3} }, "bad-spec"},
+		// Sizes: a size the kernel's constructor rejects is an error, not
+		// its panic, and an absurd n or loops is refused before any
+		// constructor allocates operands for it.
+		{"livermore2 off a power of two", func(s *Spec) { s.Kernels, s.N = []string{"livermore2"}, 100 }, "bad-kernel"},
+		{"livermore6 matrix over the operand bound", func(s *Spec) { s.Kernels, s.N = []string{"livermore6"}, 2048 }, "bad-kernel"},
+		{"pipeline items over the operand bound", func(s *Spec) { s.Kernels, s.N, s.Loops = []string{"pipeline"}, 4096, 4096 }, "bad-kernel"},
+		{"n over the bound", func(s *Spec) { s.N = maxKernelSize + 1 }, "bad-spec"},
+		{"n absurd", func(s *Spec) { s.Kernels, s.N = []string{"livermore1"}, 4_000_000_000 }, "bad-spec"},
+		{"loops over the bound", func(s *Spec) { s.Loops = maxKernelSize + 1 }, "bad-spec"},
 	}
 	for _, tc := range cases {
 		spec := smallSpec()
@@ -157,15 +169,57 @@ func TestCacheOracle(t *testing.T) {
 
 // --- HTTP helpers ---
 
+// newTestServer serves s behind httptest and, on cleanup, asserts that
+// closing it leaves nothing behind. Each request runs under a profiler label
+// naming this server; goroutines inherit their creator's labels, so every
+// goroutine the server starts on a request's behalf (the Runner's dispatcher
+// and cells are the only ones) carries it, and none may still be in the
+// goroutine profile once Close has returned. The poll covers the moment
+// between a goroutine's last send and its exit.
 func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Server) {
 	t.Helper()
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
+	label := fmt.Sprintf("%s@%p", t.Name(), s)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pprof.Do(r.Context(), pprof.Labels("simd-test-server", label), func(context.Context) { s.ServeHTTP(w, r) })
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			var profile bytes.Buffer
+			if err := pprof.Lookup("goroutine").WriteTo(&profile, 1); err != nil {
+				t.Errorf("goroutine profile: %v", err)
+				return
+			}
+			if !strings.Contains(profile.String(), label) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("goroutines started under the server outlive ts.Close():\n%s", profile.String())
+				return
+			}
+		}
+	})
 	return ts, s
+}
+
+// waitInflight polls until exactly n sweeps hold admission tickets.
+func waitInflight(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		inflight := len(s.tickets)
+		s.mu.Unlock()
+		if inflight == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sweeps admitted, waited for %d", inflight, n)
+		}
+	}
 }
 
 func postSweep(t *testing.T, ctx context.Context, url string, spec Spec) (*http.Response, error) {
@@ -363,6 +417,127 @@ func TestServerKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestServerJournalByteFlipResimulates: a journal damaged in place — one
+// digit of a recorded cycle count changed, the line still valid JSON — must
+// not be replayed to the client or into the cache. A fresh server over the
+// damaged file replays the records before the damage, re-simulates from the
+// damaged cell on, and ends with the stream and the journal of an
+// uninterrupted run.
+func TestServerJournalByteFlipResimulates(t *testing.T) {
+	spec := smallSpec()
+	refDir := t.TempDir()
+	refTS, _ := newTestServer(t, Config{Workers: 1, JournalDir: refDir})
+	want := resultBytes(t, cellResults(t, runSweepHTTP(t, refTS.URL, spec)))
+	journals, err := filepath.Glob(filepath.Join(refDir, "*.jsonl"))
+	if err != nil || len(journals) != 1 {
+		t.Fatalf("reference journals: %v, %v", journals, err)
+	}
+	wantJournal, err := os.ReadFile(journals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Damage cell 1's record (line 2, after the header and cell 0): the last
+	// digit of its cycle count becomes the neighbouring digit.
+	const damagedCell = 1
+	lines := bytes.SplitAfter(bytes.Clone(wantJournal), []byte("\n"))
+	line := lines[1+damagedCell]
+	at := bytes.Index(line, []byte(`"cycles":`))
+	if at < 0 {
+		t.Fatalf("no cycle count in journal line %q", line)
+	}
+	for at += len(`"cycles":`); line[at+1] >= '0' && line[at+1] <= '9'; at++ {
+	}
+	line[at] ^= 1
+	dir := t.TempDir()
+	path := filepath.Join(dir, filepath.Base(journals[0]))
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ts, _ := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+	for i, c := range cellResults(t, runSweepHTTP(t, ts.URL, spec)) {
+		if c.Replay != (i < damagedCell) || c.Cached {
+			t.Errorf("cell %d: replayed=%v cached=%v; only the cells before the damage may replay", i, c.Replay, c.Cached)
+		}
+		if string(c.Result.Bytes()) != want[i] {
+			t.Errorf("cell %d differs from the reference:\n%s\n%s", i, c.Result.Bytes(), want[i])
+		}
+	}
+	gotJournal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJournal, wantJournal) {
+		t.Fatalf("repaired journal differs from the uninterrupted run's:\n--- want ---\n%s--- got ---\n%s", wantJournal, gotJournal)
+	}
+}
+
+// slowSpec is a sweep whose cells each simulate for a few hundred
+// milliseconds of wall time — long enough that a stop lands mid-cell — one
+// fault-free and one with an active chaos profile.
+func slowSpec() Spec {
+	return Spec{
+		Kernels: []string{"viterbi"},
+		N:       96, Loops: 8,
+		Threads:   4,
+		Chaos:     []string{"none", "spurious-fill"},
+		MaxCycles: 100_000_000,
+	}
+}
+
+// TestStoppedCellIsTimeoutOrCanceled: a cell stopped from outside is never
+// a result. Over its own wall-clock deadline it reports status "timeout"
+// with its last-progress cycle (and is not cached); stopped because the
+// sweep was torn down mid-cell it leaves no journal record at all, so the
+// resubmission re-runs it instead of replaying a poisoned entry.
+func TestStoppedCellIsTimeoutOrCanceled(t *testing.T) {
+	dir := t.TempDir()
+	ts, s := newTestServer(t, Config{Workers: 1, JournalDir: dir})
+
+	timed := slowSpec()
+	timed.DeadlineMS = 1
+	timed.Recompute = true // keep this pass out of the journal
+	for i, c := range cellResults(t, runSweepHTTP(t, ts.URL, timed)) {
+		if c.Result.Status != "timeout" || !strings.Contains(c.Result.Error, "last progress at cycle") {
+			t.Errorf("cell %d over its deadline: %+v, want status timeout naming its last-progress cycle", i, c.Result)
+		}
+	}
+
+	// Tear the sweep down as soon as it is accepted: cell 0 has the only
+	// slot and is mid-simulation.
+	ctx, cancel := context.WithCancel(context.Background())
+	resp, err := postSweep(t, ctx, ts.URL, slowSpec())
+	if err != nil {
+		cancel()
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil { // the accepted line
+		cancel()
+		t.Fatal(err)
+	}
+	cancel()
+	resp.Body.Close()
+	waitInflight(t, s, 0) // the canceled sweep has left the house
+	journals, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil || len(journals) != 1 {
+		t.Fatalf("journals = %v, %v", journals, err)
+	}
+	journal, err := os.ReadFile(journals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(journal, []byte("\n")); n != 1 {
+		t.Fatalf("journal of a sweep canceled inside its first cell has %d lines, want the header alone:\n%s", n, journal)
+	}
+
+	for i, c := range cellResults(t, runSweepHTTP(t, ts.URL, slowSpec())) {
+		if c.Result.Status != "ok" || c.Replay || c.Cached {
+			t.Errorf("cell %d after the stops: status %s replayed=%v cached=%v, want a fresh ok", i, c.Result.Status, c.Replay, c.Cached)
+		}
+	}
+}
+
 // TestServerOverload429: with the house full of admitted sweeps, a new
 // submission is rejected with 429 and a Retry-After hint, while the
 // admitted sweep runs to completion untouched.
@@ -378,20 +553,7 @@ func TestServerOverload429(t *testing.T) {
 	done := make(chan []streamLine, 1)
 	go func() { done <- runSweepHTTP(t, ts.URL, spec) }()
 
-	// Wait until the first sweep holds the only seat.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s.mu.Lock()
-		inflight := len(s.tickets)
-		s.mu.Unlock()
-		if inflight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first sweep never admitted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitInflight(t, s, 1) // the first sweep holds the only seat
 
 	over := smallSpec()
 	resp, err := postSweep(t, context.Background(), ts.URL, over)
@@ -480,143 +642,30 @@ func TestAdmitShedsOldestDeadline(t *testing.T) {
 	}
 }
 
-// TestShardFanoutAndLoss: cells place deterministically on a two-entry
-// ring (this process + one remote shard); with the shard up every cell
-// completes, and with it down its cells come back attributed "missing"
-// while local cells still complete — degradation, not failure.
-func TestShardFanoutAndLoss(t *testing.T) {
-	shardTS, _ := newTestServer(t, Config{Workers: 2})
-
-	spec := smallSpec()
-	spec.Seeds = []uint64{1, 2, 3, 4, 5, 6}
-	spec.Chaos = []string{"none"}
-
-	// Determine the expected placement up front.
-	sw, serr := Normalize(spec, DefaultLimits())
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	remote := 0
-	for _, c := range sw.Cells {
-		if shardIndex(c.Hash, 2) == 1 {
-			remote++
-		}
-	}
-	if remote == 0 || remote == len(sw.Cells) {
-		t.Fatalf("degenerate placement (%d/%d remote): pick different seeds", remote, len(sw.Cells))
-	}
-
-	cfg := Config{Workers: 2, Shards: []string{ShardLocal, shardTS.URL},
-		ShardTimeout: 10 * time.Second, ShardRetries: 1, ShardBackoff: 10 * time.Millisecond}
-	ts, _ := newTestServer(t, cfg)
-	cells := cellResults(t, runSweepHTTP(t, ts.URL, spec))
-	sawRemote := 0
-	for _, c := range cells {
-		if c.Result.Status != "ok" {
-			t.Fatalf("cell %s failed: %+v", c.Result.Key, c.Result)
-		}
-		if c.Shard != "" {
-			sawRemote++
-		}
-	}
-	if sawRemote != remote {
-		t.Fatalf("%d cells ran remotely, placement says %d", sawRemote, remote)
-	}
-
-	// Kill the shard: its cells degrade to attributed missing.
-	shardTS.Close()
-	lossTS, _ := newTestServer(t, cfg)
-	lines := runSweepHTTP(t, lossTS.URL, spec)
-	last := lines[len(lines)-1]
-	if last.Type != "done" || last.Miss != remote || last.OK != len(sw.Cells)-remote {
-		t.Fatalf("done after shard loss = %+v, want ok=%d missing=%d", last, len(sw.Cells)-remote, remote)
-	}
-	for _, l := range lines[1 : len(lines)-1] {
-		switch {
-		case l.Shard != "":
-			if l.Result.Status != "missing" || !strings.Contains(l.Result.Error, shardTS.URL) {
-				t.Fatalf("lost-shard cell not attributed: %+v", l.Result)
-			}
-		default:
-			if l.Result.Status != "ok" {
-				t.Fatalf("local cell failed during shard loss: %+v", l.Result)
-			}
-		}
-	}
-}
-
-// TestCellsEndpoint: the shard-internal endpoint runs an explicit index
-// subset and rejects out-of-range indices.
-func TestCellsEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, Config{Workers: 2})
-	spec := smallSpec()
-	sw, serr := Normalize(spec, DefaultLimits())
-	if serr != nil {
-		t.Fatal(serr)
-	}
-
-	post := func(req CellsRequest) *http.Response {
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	resp := post(CellsRequest{Spec: spec, Indices: []int{2, 0}})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cells answered %d", resp.StatusCode)
-	}
-	var out []Result
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Key != sw.Cells[2].Key || out[1].Key != sw.Cells[0].Key {
-		t.Fatalf("cells = %+v, want keys %s, %s", out, sw.Cells[2].Key, sw.Cells[0].Key)
-	}
-	for _, r := range out {
-		if r.Status != "ok" {
-			t.Fatalf("cell %s failed: %+v", r.Key, r)
-		}
-	}
-
-	bad := post(CellsRequest{Spec: spec, Indices: []int{99}})
-	defer bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-range indices answered %d, want 400", bad.StatusCode)
-	}
-}
-
 // TestBadSpecHTTP: malformed and invalid specs are structured 400s.
 func TestBadSpecHTTP(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(`{"kernels": ["nope"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad kernel answered %d, want 400", resp.StatusCode)
-	}
-	var e struct {
-		Error *Error `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == nil || e.Error.Code != "bad-kernel" {
-		t.Fatalf("error body = %+v, %v", e.Error, err)
-	}
-
-	garbled, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(`{"kern`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer garbled.Body.Close()
-	if garbled.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbled body answered %d, want 400", garbled.StatusCode)
+	for _, tc := range []struct{ name, body, code string }{
+		{"bad kernel", `{"kernels": ["nope"]}`, "bad-kernel"},
+		{"garbled body", `{"kern`, "bad-spec"},
+		{"unknown field", `{"kernels":["microbench"],"thread":4}`, "bad-spec"},
+		{"size the constructor rejects", `{"kernels":["livermore2"],"n":100}`, "bad-kernel"},
+		{"absurd n", `{"kernels":["livermore1"],"n":4000000000}`, "bad-spec"},
+		{"absurd loops", `{"kernels":["microbench"],"loops":4000000000}`, "bad-spec"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Errorf("%s: no structured answer: %v", tc.name, err)
+			continue
+		}
+		var e struct {
+			Error *Error `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || e.Error == nil || e.Error.Code != tc.code {
+			t.Errorf("%s: answered %d, body %+v (%v); want 400 with code %q", tc.name, resp.StatusCode, e.Error, derr, tc.code)
+		}
 	}
 }
 

@@ -7,23 +7,28 @@
 //
 // Robustness is the design center:
 //
-//   - Specs are validated before admission — core.Config.Validate for the
-//     machine geometry and the srvet static verifier (package vet) for every
-//     kernel × mechanism program — so a malformed or vet-failing spec is a
-//     structured 400, never a worker panic.
+//   - Specs are validated before admission — a size-capped decoder that
+//     refuses unknown fields, constant bounds on kernel sizes checked before
+//     any kernel is constructed, core.Config.Validate for the machine
+//     geometry and the srvet static verifier (package vet) for every
+//     kernel × mechanism program — so a malformed, oversized or vet-failing
+//     spec is a structured 400, never a handler or worker panic.
 //   - Results are content-addressed: the simulator is deterministic, so an
 //     identical cell spec hashes to identical result bytes. The cache serves
 //     repeats for free and doubles as a regression oracle — a recomputation
 //     that disagrees with the cached bytes is a detected simulator regression.
 //   - Sweeps journal through the harness's crash-resilient JSONL journal
-//     (spec-hash header, strict cell order, line-by-line sync): a kill -9
-//     mid-sweep resumes to byte-identical results on resubmission.
+//     (spec-hash header, strict cell order, line-by-line sync, a checksum
+//     per line): a kill -9 mid-sweep resumes to byte-identical results on
+//     resubmission, and a record damaged on disk is re-simulated, never
+//     replayed.
 //   - Admission control bounds memory under overload: a full house sheds
 //     the queued sweep with the oldest queue deadline, else answers 429
 //     with Retry-After.
-//   - Cells can shard by content hash across multiple simd processes with
-//     per-shard retry/timeout/backoff; losing a shard degrades the sweep to
-//     attributed missing cells instead of failing it.
+//
+// The service is one node: a sweep's cells all run in the process that
+// journals it. harness.Runner.Resolve is where a result computed elsewhere
+// (today: a journal replay, a cache hit) enters a sweep.
 package simd
 
 import (
@@ -119,12 +124,12 @@ func errf(code, field, format string, args ...any) *Error {
 	return &Error{Code: code, Field: field, Detail: fmt.Sprintf(format, args...)}
 }
 
-// Cell is one fully resolved simulation: the unit of execution, caching,
-// journaling, and sharding.
+// Cell is one fully resolved simulation: the unit of execution, caching
+// and journaling.
 type Cell struct {
 	Index     int    // position in the sweep (journal and stream order)
 	Key       string // stable human-readable key: kernel/mechanism/profile/s<seed>
-	Hash      string // content hash of the cell identity (cache key, shard key)
+	Hash      string // content hash of the cell identity (the cache key)
 	Kernel    string
 	N         int
 	Loops     int
@@ -183,6 +188,14 @@ type Limits struct {
 	MaxCycles  uint64 // maximum per-cell simulated-cycle budget
 }
 
+// maxKernelSize bounds Spec.N and Spec.Loops. Kernel constructors allocate
+// their operands (O(n), some O(n·loops)) before any cycle budget applies,
+// so an absurd size must be a 400 before anything is built, not an
+// allocation. It is a constant rather than a Limit because no deployment
+// has a reason to differ: Table 1 and Figures 6–10 top out at N = 1024, and
+// the parked 1024-core cells need 8 doubles × 1024 threads = 8192.
+const maxKernelSize = 1 << 14
+
 // DefaultLimits returns the server defaults.
 func DefaultLimits() Limits {
 	return Limits{MaxCells: 4096, MaxThreads: 256, MaxCycles: 2_000_000_000}
@@ -206,6 +219,20 @@ func Normalize(spec Spec, lim Limits) (*Sweep, *Error) {
 	if len(spec.Chaos) == 0 {
 		spec.Chaos = []string{"none"}
 	}
+	// Each axis lists distinct values: a repeat would expand into cells
+	// sharing one key, and the journal and the stream identify cells by key.
+	if v, ok := repeated(spec.Kernels); ok {
+		return nil, errf("bad-spec", "kernels", "kernel %q listed twice", v)
+	}
+	if v, ok := repeated(spec.Mechanisms); ok {
+		return nil, errf("bad-spec", "mechanisms", "mechanism %q listed twice", v)
+	}
+	if v, ok := repeated(spec.Chaos); ok {
+		return nil, errf("bad-spec", "chaos", "chaos profile %q listed twice", v)
+	}
+	if v, ok := repeated(spec.Seeds); ok {
+		return nil, errf("bad-spec", "seeds", "seed %d listed twice", v)
+	}
 	if spec.Threads == 0 {
 		spec.Threads = 8
 	}
@@ -223,6 +250,12 @@ func Normalize(spec Spec, lim Limits) (*Sweep, *Error) {
 	}
 	if spec.FilterCap < 0 {
 		return nil, errf("bad-spec", "filtercap", "filtercap %d is negative", spec.FilterCap)
+	}
+	if spec.N > maxKernelSize {
+		return nil, errf("bad-spec", "n", "n %d over the fixed bound %d", spec.N, maxKernelSize)
+	}
+	if spec.Loops > maxKernelSize {
+		return nil, errf("bad-spec", "loops", "loops %d over the fixed bound %d", spec.Loops, maxKernelSize)
 	}
 	if spec.Fabric == "" {
 		spec.Fabric = interconnect.KindBus.String()
@@ -348,6 +381,19 @@ func Normalize(spec Spec, lim Limits) (*Sweep, *Error) {
 		spec.Threads, spec.Seeds, spec.Chaos, spec.MaxCycles, spec.Sanitize,
 		spec.FilterCap})
 	return sw, nil
+}
+
+// repeated returns a value that occurs more than once in xs.
+func repeated[T comparable](xs []T) (T, bool) {
+	seen := make(map[T]struct{}, len(xs))
+	for _, x := range xs {
+		if _, dup := seen[x]; dup {
+			return x, true
+		}
+		seen[x] = struct{}{}
+	}
+	var zero T
+	return zero, false
 }
 
 // SpecString renders the canonical journal spec for the sweep (the string

@@ -62,10 +62,13 @@ go test -run Sanitizer -count=1 .
 echo "== go test (journal kill-resume and deadlines) =="
 go test -run 'TestJournal|TestRunCells|TestCellDeadline' -count=1 ./internal/harness
 
-echo "== go test -race (simd server: overload, cancel/resume, shards) =="
+echo "== go test -race (simd server: overload, cancel/resume, damaged journal, goroutine-leak cleanup) =="
 go test -race -count=1 ./internal/simd
 
-echo "== simd smoke (boot, kill -9 mid-sweep, resume byte-identical, cache oracle) =="
+echo "== go test (FuzzNormalize seed corpus: hostile specs are structured 400s) =="
+go test -run FuzzNormalize -count=1 ./internal/simd
+
+echo "== simd smoke (boot, SIGTERM drain, kill -9 mid-sweep, resume byte-identical, cache oracle) =="
 sh scripts/simd_smoke.sh
 
 echo "== non-test Go lines per package (informational; ROADMAP tracks them) =="

@@ -5,7 +5,10 @@
 # a fresh server that gets SIGKILLed mid-sweep, restarts the server over
 # the same journal/cache directories, resubmits, and asserts that both the
 # client-visible result bytes and the on-disk journal are byte-identical
-# to the uninterrupted run's. Finishes with the cache checks: an identical
+# to the uninterrupted run's. A third server gets SIGTERM mid-sweep instead:
+# it must cancel the sweep, exit 0 within seconds and leave a journal that
+# is a clean prefix of the reference, which a restart completes to the same
+# bytes. Finishes with the cache checks: an identical
 # resubmission must serve from cache byte-identically, and a recompute
 # pass with the simulator fast path and translation cache disabled must
 # re-simulate to the same bytes (the content-addressed cache acting as a
@@ -64,41 +67,85 @@ stop "$SRV_PID"
 }
 REF_JOURNAL="$(echo "$WORK"/ref-journal/*.jsonl)"
 
+# submit_until_first_result <name>: submits the sweep in the background
+# (CLIENT_PID) and returns once the first result has streamed, i.e. while
+# later cells are still running.
+submit_until_first_result() {
+	"$WORK/bin/bench" -server "$URL" -spec "$SPEC" >"$WORK/$1.out" 2>"$WORK/$1.err" &
+	CLIENT_PID=$!
+	i=0
+	while [ ! -s "$WORK/$1.out" ]; do
+		i=$((i + 1))
+		[ $i -gt 200 ] && { echo "no results before the $1 window closed" >&2; exit 1; }
+		sleep 0.05
+	done
+}
+
+# interrupted_journal <dir>: sets JOURNAL and checks it holds the header and
+# a strict prefix of the cells — the signal landed mid-sweep.
+interrupted_journal() {
+	JOURNAL="$(echo "$1"/*.jsonl)"
+	DONE_LINES="$(wc -l <"$JOURNAL")"
+	if [ "$DONE_LINES" -ge $((CELLS + 1)) ]; then
+		echo "journal already complete ($DONE_LINES lines) — signal landed too late" >&2
+		exit 1
+	fi
+	echo "   stopped with $DONE_LINES of $((CELLS + 1)) journal lines on disk"
+}
+
+# resume_matches_reference <journal-dir> <cache-dir> <name>: restarts over
+# the same directories, resubmits, and compares results and journal with
+# the uninterrupted run's.
+resume_matches_reference() {
+	boot "$1" "$2"
+	"$WORK/bin/bench" -server "$URL" -spec "$SPEC" >"$WORK/$3.out" 2>"$WORK/$3.err"
+	cmp "$WORK/ref.out" "$WORK/$3.out" || {
+		echo "$3: resumed results differ from the uninterrupted run" >&2
+		exit 1
+	}
+	cmp "$REF_JOURNAL" "$JOURNAL" || {
+		echo "$3: resumed journal differs from the uninterrupted run" >&2
+		exit 1
+	}
+}
+
+echo "== SIGTERM mid-sweep: cancel, exit 0, clean-prefix journal =="
+boot "$WORK/term-journal" "$WORK/term-cache"
+submit_until_first_result termed
+T0="$(date +%s)"
+kill -TERM "$SRV_PID"
+if wait "$SRV_PID"; then STATUS=0; else STATUS=$?; fi
+SRV_PID=""
+wait "$CLIENT_PID" 2>/dev/null || true # the client's sweep was canceled: it exits 1
+TOOK=$(($(date +%s) - T0))
+if [ "$STATUS" -ne 0 ] || [ "$TOOK" -gt 5 ]; then
+	echo "server exited $STATUS after ${TOOK}s on SIGTERM, want 0 within 5s" >&2
+	cat "$WORK/server.log" >&2
+	exit 1
+fi
+grep -q '"canceled"' "$WORK/termed.err" || {
+	echo "client did not get the canceled error line:" >&2
+	cat "$WORK/termed.err" >&2
+	exit 1
+}
+interrupted_journal "$WORK/term-journal"
+head -n "$DONE_LINES" "$REF_JOURNAL" | cmp - "$JOURNAL" || {
+	echo "journal after SIGTERM is not a clean prefix of the reference" >&2
+	exit 1
+}
+resume_matches_reference "$WORK/term-journal" "$WORK/term-cache" term-resumed
+stop "$SRV_PID"
+
 echo "== kill -9 mid-sweep =="
 boot "$WORK/journal" "$WORK/cache"
-"$WORK/bin/bench" -server "$URL" -spec "$SPEC" >"$WORK/killed.out" 2>"$WORK/killed.err" &
-CLIENT_PID=$!
-# Wait for the first streamed result, then kill the server dead.
-i=0
-while [ ! -s "$WORK/killed.out" ]; do
-	i=$((i + 1))
-	[ $i -gt 200 ] && { echo "no results before kill window closed" >&2; exit 1; }
-	sleep 0.05
-done
+submit_until_first_result killed
 kill -9 "$SRV_PID"
 SRV_PID=""
 wait "$CLIENT_PID" 2>/dev/null || true # the client loses its stream; that is the point
-
-JOURNAL="$(echo "$WORK"/journal/*.jsonl)"
-DONE_LINES="$(wc -l <"$JOURNAL")"
-# Header + a strict prefix of the cells: the kill landed mid-sweep.
-if [ "$DONE_LINES" -ge $((CELLS + 1)) ]; then
-	echo "journal already complete ($DONE_LINES lines) — kill landed too late" >&2
-	exit 1
-fi
-echo "   killed with $DONE_LINES of $((CELLS + 1)) journal lines on disk"
+interrupted_journal "$WORK/journal"
 
 echo "== restart + resume =="
-boot "$WORK/journal" "$WORK/cache"
-"$WORK/bin/bench" -server "$URL" -spec "$SPEC" >"$WORK/resumed.out" 2>"$WORK/resumed.err"
-cmp "$WORK/ref.out" "$WORK/resumed.out" || {
-	echo "resumed results differ from the uninterrupted run" >&2
-	exit 1
-}
-cmp "$REF_JOURNAL" "$JOURNAL" || {
-	echo "resumed journal differs from the uninterrupted run" >&2
-	exit 1
-}
+resume_matches_reference "$WORK/journal" "$WORK/cache" resumed
 
 echo "== cache: identical resubmission is served byte-identically =="
 "$WORK/bin/bench" -server "$URL" -spec "$SPEC" >"$WORK/cached.out" 2>"$WORK/cached.err"
