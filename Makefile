@@ -30,9 +30,11 @@ bench-check:
 check:
 	sh scripts/check.sh
 
-# chaos runs the fault-injection differential matrix (TestChaos* includes
-# the lock-kernel cells: forced lock evictions and holder preemption on the
-# lock-protected reduction) plus short fuzz smokes of the assembler (the
+# chaos runs the fault-injection tests of the root differential driver
+# (every test named *Chaos*: the memoised chaos matrices and their
+# Workers/NoFastPath/NoTranslate variants, the lock-kernel cells under
+# forced lock evictions and holder preemption, the sanitizer's chaos
+# attributions) plus short fuzz smokes of the assembler (the
 # surface the chaos kernels are built through), the static verifier (which
 # must never panic on arbitrary programs), the translation-cache
 # differential (arbitrary programs must retire identically with the

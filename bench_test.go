@@ -108,85 +108,78 @@ func BenchmarkFig10(b *testing.B) { benchTimeSeries(b, harness.Fig10) }
 
 // --- ablations (design choices called out in DESIGN.md §5) -----------------
 
-// latencyAt measures one mechanism's barrier latency on a custom config.
-func latencyAt(b *testing.B, cfg core.Config, kind barrier.Kind, n int) float64 {
-	b.Helper()
-	alloc := barrier.NewAllocator(cfg.Mem)
-	gen, err := barrier.New(kind, n, alloc)
-	if err != nil {
-		b.Fatal(err)
-	}
+// variant is one config of an ablation, reported under metric.
+type variant struct {
+	metric string
+	set    func(*core.Config)
+}
+
+// ablate reports kind's barrier latency for n threads under each variant
+// of the n-core default config, through the differential driver's machine
+// lifecycle.
+func ablate(b *testing.B, kind barrier.Kind, n int, vs ...variant) {
 	mb := &kernels.Microbench{K: 16, M: 8}
-	prog, err := mb.BuildPar(gen, n)
-	if err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		for _, v := range vs {
+			cfg := core.DefaultConfig(n)
+			v.set(&cfg)
+			r, _ := simulate(&cell{k: mb, kind: kind, cores: n}, func(c *core.Config) { *c = cfg })
+			if r.Err != "" {
+				b.Fatal(r.Err)
+			}
+			b.ReportMetric(float64(r.Cycles)/float64(mb.Invocations()), v.metric)
+		}
 	}
-	m := core.NewMachine(cfg)
-	if err := barrier.Launch(m, gen, prog, n); err != nil {
-		b.Fatal(err)
-	}
-	cycles, err := m.Run(500_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return float64(cycles) / float64(mb.Invocations())
 }
 
 // BenchmarkAblationFilterBW compares the paper's 1-request/cycle filter
 // service rate against an idealized 4/cycle rate (release serialization).
 func BenchmarkAblationFilterBW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, bw := range []int{1, 4} {
-			cfg := core.DefaultConfig(16)
-			cfg.Mem.FilterBW = bw
-			lat := latencyAt(b, cfg, barrier.KindFilterD, 16)
-			b.ReportMetric(lat, fmt.Sprintf("filterbw%d_cyc", bw))
-		}
-	}
+	ablate(b, barrier.KindFilterD, 16,
+		variant{"filterbw1_cyc", func(c *core.Config) { c.Mem.FilterBW = 1 }},
+		variant{"filterbw4_cyc", func(c *core.Config) { c.Mem.FilterBW = 4 }})
 }
 
 // BenchmarkAblationSharedDataBus compares the default per-bank data
 // crossbar against a single shared data bus (the >16-core saturation
 // discussion of §4.2).
 func BenchmarkAblationSharedDataBus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, shared := range []bool{false, true} {
-			cfg := core.DefaultConfig(32)
-			cfg.Mem.SharedDataBus = shared
-			lat := latencyAt(b, cfg, barrier.KindFilterD, 32)
-			name := "crossbar_cyc"
-			if shared {
-				name = "sharedbus_cyc"
-			}
-			b.ReportMetric(lat, name)
-		}
-	}
+	ablate(b, barrier.KindFilterD, 32,
+		variant{"crossbar_cyc", func(c *core.Config) {}},
+		variant{"sharedbus_cyc", func(c *core.Config) { c.Mem.SharedDataBus = true }})
 }
 
 // BenchmarkAblationMSHR shows that one data MSHR per core suffices for
 // filter barriers (§3.2.1), at some cost to the surrounding kernel.
 func BenchmarkAblationMSHR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, mshrs := range []int{1, 8} {
-			cfg := core.DefaultConfig(16)
-			cfg.Mem.MSHRs = mshrs
-			lat := latencyAt(b, cfg, barrier.KindFilterD, 16)
-			b.ReportMetric(lat, fmt.Sprintf("mshr%d_cyc", mshrs))
-		}
-	}
+	ablate(b, barrier.KindFilterD, 16,
+		variant{"mshr1_cyc", func(c *core.Config) { c.Mem.MSHRs = 1 }},
+		variant{"mshr8_cyc", func(c *core.Config) { c.Mem.MSHRs = 8 }})
 }
 
 // BenchmarkAblationBusWidth sweeps the data-path width (line transfer
 // occupancy), which moves the bus-saturation point.
 func BenchmarkAblationBusWidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, width := range []int{8, 16, 32} {
-			cfg := core.DefaultConfig(32)
-			cfg.Mem.DataBusBytesPerCycle = width
-			lat := latencyAt(b, cfg, barrier.KindFilterIPP, 32)
-			b.ReportMetric(lat, fmt.Sprintf("width%dB_cyc", width))
-		}
+	var vs []variant
+	for _, width := range []int{8, 16, 32} {
+		vs = append(vs, variant{fmt.Sprintf("width%dB_cyc", width), func(c *core.Config) { c.Mem.DataBusBytesPerCycle = width }})
 	}
+	ablate(b, barrier.KindFilterIPP, 32, vs...)
+}
+
+// BenchmarkAblationSMT holds the thread count at 16 and varies how they are
+// packed onto physical cores (16x1, 8x2, 4x4 Niagara-style contexts).
+// Fewer physical cores means fewer L1s/MSHRs and less bus traffic for the
+// same barrier population (§3.2.1).
+func BenchmarkAblationSMT(b *testing.B) {
+	var vs []variant
+	for _, tpc := range []int{1, 2, 4} {
+		vs = append(vs, variant{fmt.Sprintf("cores%dx%d_cyc", 16/tpc, tpc), func(c *core.Config) {
+			*c = core.DefaultConfig(16 / tpc)
+			c.ThreadsPerCore = tpc
+		}})
+	}
+	ablate(b, barrier.KindFilterD, 16, vs...)
 }
 
 // BenchmarkFabricThroughput drives a fill storm through each interconnect
@@ -252,17 +245,13 @@ func BenchmarkFabricThroughput(b *testing.B) {
 // Livermore-2 run: simulated machine-cycles, core-cycles, and committed
 // instructions per host second. This is the simulator-performance baseline
 // for future optimisation work.
-func BenchmarkSimThroughput(b *testing.B) {
-	benchSimThroughput(b, false)
-}
+func BenchmarkSimThroughput(b *testing.B) { benchSimThroughput(b, false) }
 
 // BenchmarkSimThroughputNoTranslate is the same run with the basic-block
 // translation cache disabled; the gap between the two is the translator's
 // contribution to raw simulator speed (the scoreboard tracks it on the
 // compute16 workload as cpu.notranslate_ratio: go run ./benchmark).
-func BenchmarkSimThroughputNoTranslate(b *testing.B) {
-	benchSimThroughput(b, true)
-}
+func BenchmarkSimThroughputNoTranslate(b *testing.B) { benchSimThroughput(b, true) }
 
 func benchSimThroughput(b *testing.B, noTranslate bool) {
 	const nCores = 16
@@ -306,44 +295,4 @@ func BenchmarkOcean(b *testing.B) {
 		b.ReportMetric(r.Improvement*100, "filter_improvement_pct")
 		b.ReportMetric(r.BarrierShareSW*100, "barrier_share_pct")
 	}
-}
-
-// BenchmarkAblationSMT holds the thread count at 16 and varies how they are
-// packed onto physical cores (16x1, 8x2, 4x4 Niagara-style contexts).
-// Fewer physical cores means fewer L1s/MSHRs and less bus traffic for the
-// same barrier population (§3.2.1).
-func BenchmarkAblationSMT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, tpc := range []int{1, 2, 4} {
-			cfg := core.DefaultConfig(16 / tpc)
-			cfg.ThreadsPerCore = tpc
-			lat := latencyAt16Threads(b, cfg)
-			b.ReportMetric(lat, fmt.Sprintf("cores%dx%d_cyc", 16/tpc, tpc))
-		}
-	}
-}
-
-// latencyAt16Threads measures the filter-D barrier latency for 16 logical
-// threads on cfg.
-func latencyAt16Threads(b *testing.B, cfg core.Config) float64 {
-	b.Helper()
-	alloc := barrier.NewAllocator(cfg.Mem)
-	gen, err := barrier.New(barrier.KindFilterD, 16, alloc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mb := &kernels.Microbench{K: 16, M: 8}
-	prog, err := mb.BuildPar(gen, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := core.NewMachine(cfg)
-	if err := barrier.Launch(m, gen, prog, 16); err != nil {
-		b.Fatal(err)
-	}
-	cycles, err := m.Run(500_000_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return float64(cycles) / float64(mb.Invocations())
 }

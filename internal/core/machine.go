@@ -83,7 +83,7 @@ type Config struct {
 	// write hook and by ICBI/IFLUSH; see internal/cpu/translate.go), so
 	// the only observable difference is the absence of the translate.*
 	// counters from StatsReport. The knob exists for differential testing
-	// (TestTranslateDifferential, FuzzTranslateDiff, -notranslate).
+	// (the root TestDifferential, FuzzTranslateDiff, -notranslate).
 	NoTranslate bool
 
 	// Sanitize attaches the online invariant sanitizer (nil = off). The

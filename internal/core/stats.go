@@ -69,10 +69,13 @@ func (m *Machine) StatsReport() *sim.Stats {
 	set("filter.error_responses", faults)
 
 	// The sync engine keeps one counter block per primitive, live or
-	// retired; the report sums it per kind.
+	// retired; the report sums it per kind. Hardware-lock counters live in
+	// their own sync.lock.* namespace so the filter.* keys stay
+	// barrier-only (the bank-level fills_* counters above do include lock
+	// traffic — they count at the hook, which cannot tell primitive kinds
+	// apart; see DESIGN.md §15).
 	var spills, acq, grants, rels uint64
 	var bar, lk filter.Counters
-	locks := 0
 	for _, h := range m.Hooks {
 		spills += h.Spills
 		for _, ps := range [2][]filter.Primitive{h.Hosted(), h.Retired()} {
@@ -85,43 +88,24 @@ func (m *Machine) StatsReport() *sim.Stats {
 					acq += x.Acquires
 					grants += x.Grants
 					rels += x.Releases
-					locks++
 				}
 			}
 		}
 	}
-	// gated emits a counter only when it is non-zero: the capacity and
-	// eviction counters appear only when the virtualized table actually
-	// acted, so runs that never spill or evict keep reports byte-identical
-	// to pre-capacity ones (golden differentials).
-	gated := func(name string, v uint64) {
-		if v > 0 {
-			set(name, v)
-		}
-	}
 	set("filter.timeout_releases", bar.Timeouts)
 	set("filter.misuse_faults", bar.Errors)
-	gated("filter.overflow_spills", spills)
-	gated("filter.evict_errors", bar.EvictErrors)
-	gated("filter.desched_dropped_fills", bar.DroppedFills)
-
-	// Hardware-lock counters live in their own sync.lock.* namespace: the
-	// filter.* keys above are pinned byte-for-byte by the golden
-	// differentials and stay barrier-only (the bank-level fills_* counters
-	// do include lock traffic — they count at the hook, which cannot tell
-	// primitive kinds apart; see DESIGN.md §15). The whole block is only
-	// emitted when locks are installed, so lock-free runs stay identical.
-	if locks > 0 {
-		set("sync.lock.acquires", acq)
-		set("sync.lock.grants", grants)
-		set("sync.lock.releases", rels)
-		set("sync.lock.parked_fills", lk.ParkedFills)
-		set("sync.lock.serviced_in_hold", lk.Serviced)
-		gated("sync.lock.timeout_releases", lk.Timeouts)
-		gated("sync.lock.misuse_faults", lk.Errors)
-		gated("sync.lock.evict_errors", lk.EvictErrors)
-		gated("sync.lock.desched_dropped_fills", lk.DroppedFills)
-	}
+	set("filter.overflow_spills", spills)
+	set("filter.evict_errors", bar.EvictErrors)
+	set("filter.desched_dropped_fills", bar.DroppedFills)
+	set("sync.lock.acquires", acq)
+	set("sync.lock.grants", grants)
+	set("sync.lock.releases", rels)
+	set("sync.lock.parked_fills", lk.ParkedFills)
+	set("sync.lock.serviced_in_hold", lk.Serviced)
+	set("sync.lock.timeout_releases", lk.Timeouts)
+	set("sync.lock.misuse_faults", lk.Errors)
+	set("sync.lock.evict_errors", lk.EvictErrors)
+	set("sync.lock.desched_dropped_fills", lk.DroppedFills)
 
 	set("l3.hits", m.Sys.L3Cache().Hits)
 	set("l3.misses_to_dram", m.Sys.L3Cache().Misses)
@@ -134,9 +118,9 @@ func (m *Machine) StatsReport() *sim.Stats {
 	set("hwnet.arrivals", m.Net.Arrivals)
 	set("hwnet.releases", m.Net.Releases)
 
-	// Translation-cache effectiveness. Only emitted when the translator
-	// is on, so translator-off reports are byte-identical to pre-cache
-	// ones; differentials strip the translate.* keys before comparing.
+	// Translation-cache effectiveness, emitted only when the translator is
+	// on. These are the host-side cache's own counters, not simulated
+	// behaviour: the root differential driver's one comparison skips them.
 	if m.trans != nil {
 		set("translate.hits", m.trans.Hits)
 		set("translate.misses", m.trans.Misses)

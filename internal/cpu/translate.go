@@ -22,8 +22,8 @@ import (
 // before the write lands. Translation replaces only decode/dispatch work;
 // I-cache presence checks, miss timing, and everything downstream of the
 // fetch buffer are untouched, so cycles and stats are bit-identical with the
-// translator on or off (pinned by TestTranslateDifferential and
-// FuzzTranslateDiff).
+// translator on or off (pinned by the NoTranslate knob of the root
+// TestDifferential and by FuzzTranslateDiff).
 //
 // ICBI and IFLUSH additionally invalidate at the times real hardware would
 // (InvalidateLine from the store-buffer drain, and the per-core block

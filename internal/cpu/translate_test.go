@@ -2,9 +2,9 @@
 // semantics, invalidation edge cases (store-to-text, cross-core ICBI, jumps
 // into untranslated memory), and rig-level on/off differentials. The
 // machine-level wiring and the full kernel matrix differential live in
-// package core and the repo root (TestTranslateDifferential); these tests pin
-// the cache's contract at the core level, where invalidation ordering is
-// easiest to drive cycle by cycle.
+// package core and the repo root (the NoTranslate knob of TestDifferential);
+// these tests pin the cache's contract at the core level, where invalidation
+// ordering is easiest to drive cycle by cycle.
 package cpu
 
 import (

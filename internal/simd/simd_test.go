@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -87,6 +88,26 @@ func TestNormalizeValidation(t *testing.T) {
 	}
 	if len(sw.Cells) != 1 || sw.Cells[0].Key != "microbench/filter-d/none/s1" {
 		t.Fatalf("cells = %+v", sw.Cells)
+	}
+
+	// Two spellings of one fabric are one machine: one sweep hash, one
+	// cell hash (else every resubmission under the other spelling misses
+	// the cache and journal).
+	var hashes [2][]string
+	for i, spelling := range []string{"xbar", "crossbar"} {
+		spec := smallSpec()
+		spec.Fabric = spelling
+		sw, err := Normalize(spec, lim)
+		if err != nil {
+			t.Fatalf("fabric %q rejected: %v", spelling, err)
+		}
+		hashes[i] = append(hashes[i], sw.Hash, sw.Spec.Fabric)
+		for _, c := range sw.Cells {
+			hashes[i] = append(hashes[i], c.Hash)
+		}
+	}
+	if !slices.Equal(hashes[0], hashes[1]) {
+		t.Errorf("fabric spellings xbar and crossbar hash differently:\n%v\n%v", hashes[0], hashes[1])
 	}
 }
 

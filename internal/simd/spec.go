@@ -58,7 +58,9 @@ type Spec struct {
 	// Mechanisms are barrier kinds as printed by barrier.Kind.String
 	// (default: filter-d).
 	Mechanisms []string `json:"mechanisms,omitempty"`
-	// Fabric is the interconnect: bus, xbar, or mesh (default bus).
+	// Fabric is the interconnect: bus, xbar (or crossbar), mesh, or optical
+	// (default bus). Normalize rewrites it to the canonical spelling, so
+	// both spellings of one machine share cache and journal keys.
 	Fabric string `json:"fabric,omitempty"`
 	// Threads is the SPMD thread count per cell (default 8). Profiles
 	// that preempt get one spare core on top, as in the chaos harness.
@@ -264,6 +266,7 @@ func Normalize(spec Spec, lim Limits) (*Sweep, *Error) {
 	if err != nil {
 		return nil, errf("bad-fabric", "fabric", "%v", err)
 	}
+	spec.Fabric = fabric.String()
 
 	kinds := make([]barrier.Kind, len(spec.Mechanisms))
 	for i, m := range spec.Mechanisms {

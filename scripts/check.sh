@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate: formatting, static checks, build, the
-# test suite, a race-detector pass over the parallel experiment harness, and
-# the differential suites (fast path, chaos, sanitizer).
+# test suite (whose root package is the differential driver: every cell under
+# every behaviour-invariant knob, the golden, chaos and sanitizer contracts),
+# and race-detector passes over the concurrent packages.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,7 +22,9 @@ echo "== go build =="
 go build ./...
 
 echo "== go test =="
-go test ./...
+tier1_start=$(date +%s)
+go test -count=1 ./...
+tier1_wall=$(( $(date +%s) - tier1_start ))
 
 echo "== srvet (static verifier: all kernels clean, misuse corpus fires) =="
 go run ./cmd/srvet -all -threads 8
@@ -47,17 +50,8 @@ go test -race -run FuzzTranslateDiff ./internal/cpu
 echo "== go test -race (scheduler oracle: side lists vs window scan, quiesce twin) =="
 go test -race -run 'TestSchedOracle|TestQuiesce' ./internal/cpu
 
-echo "== go test (translation differential: -notranslate shard) =="
-go test -short -run 'TestTranslateDifferentialShort|TestTranslateSanitizerDifferential' -count=1 .
-
-echo "== go test (fabric differential: bus golden + crossbar/mesh/optical suites) =="
-go test -run 'TestBusFabricGolden|TestKernelsOnOtherFabrics|TestFastPathOnOtherFabrics|TestLockKernelsAcrossFabrics' -count=1 .
-
-echo "== go test (chaos differential) =="
-go test -run Chaos -count=1 .
-
-echo "== go test (sanitizer: invariance, watchdog, chaos attribution) =="
-go test -run Sanitizer -count=1 .
+echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer) =="
+go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer' .
 
 echo "== go test (journal kill-resume and deadlines) =="
 go test -run 'TestJournal|TestRunCells|TestCellDeadline' -count=1 ./internal/harness
@@ -71,7 +65,8 @@ go test -run FuzzNormalize -count=1 ./internal/simd
 echo "== simd smoke (boot, SIGTERM drain, kill -9 mid-sweep, resume byte-identical, cache oracle) =="
 sh scripts/simd_smoke.sh
 
-echo "== non-test Go lines per package (informational; ROADMAP tracks them) =="
+echo "== tier-1 wall time and non-test Go lines per package (informational; ROADMAP tracks them) =="
+echo "time go test -count=1 ./...: ${tier1_wall}s"
 # The delta against the previous commit, or the bare totals where there is
 # none to compare with (a shallow CI clone).
 if git rev-parse -q --verify 'HEAD~1^{commit}' >/dev/null 2>&1; then
