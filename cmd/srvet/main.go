@@ -232,7 +232,7 @@ func vetKernel(name string, kinds []barrier.Kind, threads, n, loops int, seq, ve
 			return bad
 		}
 		alloc := barrier.NewAllocator(core.DefaultConfig(threads).Mem)
-		gen, err := barrier.NewExtra(kind, threads, alloc)
+		gen, err := barrier.New(kind, threads, alloc)
 		if err != nil {
 			// Mechanism constraints (e.g. sw-tree needs a power of two)
 			// are not program bugs.
@@ -270,7 +270,7 @@ func vetFile(path, barriers string, threads int, out *[]jsonReport) int {
 			return 1
 		}
 		alloc := barrier.NewAllocator(core.DefaultConfig(threads).Mem)
-		gen, err := barrier.NewExtra(kind, threads, alloc)
+		gen, err := barrier.New(kind, threads, alloc)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "srvet:", err)
 			return 1

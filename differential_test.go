@@ -4,12 +4,16 @@
 // config change that must reproduce it through diff, the one comparison.
 // The 308 matrix cells (registry kernel × mechanism × fabric, 8 cores) are
 // pinned by testdata/fabric_golden.json; a matrix cell with no entry fails.
+// Every harness.ChaosCell of the default chaos matrix, the three
+// other-fabric matrices and TestChaosLockKernel's cells, Report text
+// included, is pinned by testdata/chaos_golden.json.
 //
-// Golden version 2. Regenerate it only for a reviewed timing-model change,
-// from a tree differing from the last pinned commit by that change alone,
-// with `go test -run 'TestDifferential$' -update-fabric-golden .`, naming
-// in the commit the cells that moved and why: regenerating to silence an
-// unexplained diff turns every differential here into a tautology.
+// Fabric golden version 2. Regenerate a golden only for a reviewed
+// timing-model change, from a tree differing from the last pinned commit by
+// that change alone, with `go test -run 'TestDifferential$|Chaos'
+// -update-golden .`, naming in the commit the cells that moved and why:
+// regenerating to silence an unexplained diff turns every differential
+// here into a tautology.
 package cmpfb
 
 import (
@@ -35,10 +39,13 @@ import (
 	"repro/internal/sanitize"
 )
 
-var updateGolden = flag.Bool("update-fabric-golden", false,
-	"rewrite testdata/fabric_golden.json from the current simulator (see the driver's file comment)")
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/fabric_golden.json and the chaos entries the tests run in testdata/chaos_golden.json (see the driver's file comment)")
 
-const goldenPath = "testdata/fabric_golden.json"
+const (
+	goldenPath      = "testdata/fabric_golden.json"
+	chaosGoldenPath = "testdata/chaos_golden.json"
+)
 
 type cell struct {
 	name   string // subtest path; a matrix cell's is <fabric>/<kernel>/<mechanism>, its golden key
@@ -108,8 +115,13 @@ func init() {
 		{name: "viterbi-filterI-4-sharedbus", k: kernels.NewViterbi(32, 2), kind: barrier.KindFilterI, cores: 4,
 			tweak: func(c *core.Config) { c.Mem.SharedDataBus = true }, skip: races},
 		{name: "autcor-hwnet-8", k: kernels.NewAutcor(128, 4, 2), kind: barrier.KindHWNet, cores: 8},
-		// A lone core quiescing on DRAM stalls.
+		// A lone core quiescing on DRAM stalls; the others are the sequential
+		// builds of internal/harness's Table 1 test kernels, at its sizes.
 		{name: "livermore3-seq-1", k: kernels.NewLivermore3(128, 2), cores: 1, seq: true},
+		{name: "livermore2-seq-1", k: kernels.NewLivermore2(64, 2), cores: 1, seq: true},
+		{name: "livermore6-seq-1", k: kernels.NewLivermore6(64, 2), cores: 1, seq: true},
+		{name: "autcor-seq-1", k: kernels.NewAutcor(128, 4, 2), cores: 1, seq: true},
+		{name: "viterbi-seq-1", k: kernels.NewViterbi(32, 2), cores: 1, seq: true},
 		// A deadlock: the fast-forward must jump to the limit dense ticks crawl to.
 		{name: "deadlock-filterD-4", k: &kernels.Microbench{K: 4, M: 2}, kind: barrier.KindFilterD, cores: 4, stall: true,
 			skip: map[string]string{"Sanitize": "the sanitizer's watchdog is meant to stop this deadlock early"}},
@@ -494,6 +506,49 @@ func chaos(t *testing.T, matrix, variant string, set func(*harness.ChaosOptions)
 	return r.cells
 }
 
+// chaosPinMu serialises pinChaos's read-modify-write of the chaos golden.
+var chaosPinMu sync.Mutex
+
+// pinChaos compares a chaos matrix's cells, every field and the Report byte
+// for byte, with its chaos_golden.json entry, or rewrites that entry under
+// -update-golden. Simulated chaos output reaches simd's content-addressed
+// result bytes and journals, so a diff here is a behaviour change.
+func pinChaos(t *testing.T, matrix string, cells []harness.ChaosCell) {
+	t.Helper()
+	chaosPinMu.Lock()
+	defer chaosPinMu.Unlock()
+	pins := map[string][]harness.ChaosCell{}
+	data, err := os.ReadFile(chaosGoldenPath)
+	if err == nil {
+		err = json.Unmarshal(data, &pins)
+	}
+	if *updateGolden {
+		pins[matrix] = cells
+		if data, err = json.MarshalIndent(pins, "", "  "); err == nil {
+			err = os.WriteFile(chaosGoldenPath, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := pins[matrix]
+	if !ok {
+		t.Fatalf("chaos golden: no entry %q", matrix)
+	}
+	if len(want) != len(cells) {
+		t.Fatalf("chaos golden %s: %d cells, pinned %d", matrix, len(cells), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i], cells[i]) {
+			t.Errorf("chaos golden %s cell %d:\nwant %+v\ngot  %+v", matrix, i, want[i], cells[i])
+		}
+	}
+}
+
 // chaosDiffer holds the variants named like filter to a chaos baseline.
 func chaosDiffer(t *testing.T, matrix, filter string) {
 	for name, set := range chaosVariants {
@@ -535,6 +590,7 @@ func chaosContract(t *testing.T, c harness.ChaosCell) {
 // TestChaosDifferential: every kernel under every fault profile.
 func TestChaosDifferential(t *testing.T) {
 	cells := chaos(t, "default", "", nil)
+	pinChaos(t, "default", cells)
 	outcomes := map[string]int{}
 	for _, c := range cells {
 		chaosContract(t, c)
@@ -551,7 +607,9 @@ func TestChaosOnOtherFabrics(t *testing.T) {
 	for _, fab := range otherFabrics {
 		t.Run(fab.String(), func(t *testing.T) {
 			injected := uint64(0)
-			for _, c := range chaos(t, fab.String(), "", nil) {
+			cells := chaos(t, fab.String(), "", nil)
+			pinChaos(t, fab.String(), cells)
+			for _, c := range cells {
 				chaosContract(t, c)
 				injected += c.Injected
 			}
@@ -567,8 +625,10 @@ func TestChaosOnOtherFabrics(t *testing.T) {
 // exclusion (corruption fails RunChaosCell) nor wedge past the budget.
 func TestChaosLockKernel(t *testing.T) {
 	k := kernels.NewLockReduce(256, 64) // ~100k+ cycles: the 6k-cycle lock evictor fires many times
+	var cells []harness.ChaosCell
 	for _, p := range profiles(t, "none", "lock-evict", "lock-preempt", "forced-evict", "alloc-flood") {
-		c, err := harness.RunChaosCell(k, barrier.KindFilterD, p, faults.MixSeed(11, 0xA0), harness.DefaultChaosOptions())
+		c, err := harness.RunChaosCell(k, barrier.KindFilterD, p, faults.MixSeed(11, 0xA0), 8, harness.DefaultChaosOptions().Options)
+		cells = append(cells, c)
 		if err != nil {
 			t.Errorf("%s: chaos contract violated: %v", p.Name, err)
 			continue
@@ -578,6 +638,7 @@ func TestChaosLockKernel(t *testing.T) {
 			t.Error("lock-evict: no lock evictions injected — the lock source is not wired")
 		}
 	}
+	pinChaos(t, "lock", cells)
 }
 
 // The sanitizer's other half (the Sanitize knobs are the first): a wedged

@@ -20,6 +20,7 @@ package barrier
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -67,22 +68,20 @@ func (k Kind) String() string {
 		return "filter-i-pp"
 	case KindFilterDPP:
 		return "filter-d-pp"
-	}
-	if n, ok := extraNames[k]; ok {
-		return n
+	case KindSWTicket:
+		return "sw-ticket"
+	case KindSWArray:
+		return "sw-array"
+	case KindHWTree:
+		return "hw-tree"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind resolves a mechanism name as printed by String, including the
-// extra (non-paper) software mechanisms.
+// extra (non-paper) mechanisms.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range Kinds {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	for _, k := range ExtraKinds {
+	for _, k := range slices.Concat(Kinds, ExtraKinds) {
 		if k.String() == s {
 			return k, nil
 		}
@@ -127,9 +126,10 @@ type Generator interface {
 	Describe() string
 }
 
-// New constructs a generator for the given mechanism, for nthreads threads,
-// using the address allocator for any barrier data lines it needs. Filter
-// barriers are placed in the allocator's next bank (round-robin).
+// New constructs a generator for any mechanism ParseKind names, the paper's
+// seven and ExtraKinds, for nthreads threads, using the address allocator
+// for any barrier data lines it needs. Filter barriers are placed in the
+// allocator's next bank (round-robin).
 func New(kind Kind, nthreads int, alloc *Allocator) (Generator, error) {
 	return NewAt(kind, nthreads, alloc, alloc.NextBank())
 }
@@ -147,6 +147,12 @@ func NewAt(kind Kind, nthreads int, alloc *Allocator, bank int) (Generator, erro
 		return newHWNet(nthreads), nil
 	case KindFilterI, KindFilterIPP, KindFilterD, KindFilterDPP:
 		return newFilterBarrier(kind, nthreads, alloc, bank), nil
+	case KindSWTicket:
+		return newSWTicket(nthreads, alloc), nil
+	case KindSWArray:
+		return newSWArray(nthreads, alloc), nil
+	case KindHWTree:
+		return newHWTree(nthreads), nil
 	}
 	return nil, fmt.Errorf("barrier: unknown kind %d", int(kind))
 }

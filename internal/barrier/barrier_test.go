@@ -250,7 +250,7 @@ func TestExtraBarriersCorrectness(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%d", kind, n), func(t *testing.T) {
 				cfg := core.DefaultConfig(n)
 				alloc := NewAllocator(cfg.Mem)
-				gen, err := NewExtra(kind, n, alloc)
+				gen, err := New(kind, n, alloc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func TestCullerClaim(t *testing.T) {
 	mk := func(kind Kind) float64 {
 		cfg := core.DefaultConfig(n)
 		alloc := NewAllocator(cfg.Mem)
-		gen, err := NewExtra(kind, n, alloc)
+		gen, err := New(kind, n, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestHWTreeBarrier(t *testing.T) {
 	mkLat := func(kind Kind) float64 {
 		cfg := core.DefaultConfig(n)
 		alloc := NewAllocator(cfg.Mem)
-		gen, err := NewExtra(kind, n, alloc)
+		gen, err := New(kind, n, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestHWTreeBarrier(t *testing.T) {
 	// Correctness first.
 	cfg := core.DefaultConfig(n)
 	alloc := NewAllocator(cfg.Mem)
-	gen, err := NewExtra(KindHWTree, n, alloc)
+	gen, err := New(KindHWTree, n, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}

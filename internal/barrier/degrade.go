@@ -3,31 +3,31 @@ package barrier
 // Graceful degradation for the filter barriers: the paper's hardware
 // timeout (§3.3.4) turns a starved fill into an error response, and the OS
 // registration path already falls back to a software barrier when filter
-// slots are exhausted (§3.3.1). This file adds the runtime policy between
+// slots are exhausted (§3.3.1). This file holds the runtime policy between
 // those two: when a filter-barrier run takes a timeout or injected fault,
 // re-arm and retry it a bounded number of times (with backoff), then
 // degrade the workload to a software barrier instead of giving up — the
 // fault surfaces as a report, never as a wedged machine.
 //
-// Each attempt runs on a fresh machine with a freshly armed filter: the
-// filter state, directory state and program data of a faulted attempt are
-// untrusted, and mid-flight mechanism switching cannot be made safe for
-// threads in arbitrary FSM states. The total simulated-cycle budget across
-// every attempt is bounded, preserving the chaos harness's two-outcome
-// contract (complete, or fail attributably, before MaxCycles).
+// Each attempt must run on a fresh machine with a freshly armed filter (the
+// harness's chaos attempt boots one through the same lifecycle as every
+// other cell): the filter state, directory state and program data of a
+// faulted attempt are untrusted, and mid-flight mechanism switching cannot
+// be made safe for threads in arbitrary FSM states. The total
+// simulated-cycle budget across every attempt is bounded, preserving the
+// chaos harness's two-outcome contract (complete, or fail attributably,
+// before MaxCycles).
 
 import (
 	"errors"
 	"fmt"
 	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/filter"
 )
 
 // ErrUnrecoverable marks an attempt failure the degradation engine must not
-// retry: setup errors, and result corruption detected by a verify hook
+// retry: setup errors, and result corruption detected by verification
 // (retrying would mask it).
 var ErrUnrecoverable = errors.New("barrier: unrecoverable attempt failure")
 
@@ -149,80 +149,4 @@ func RunWithFallback(requested Kind, pol FallbackPolicy,
 	}
 	return res, fmt.Errorf("barrier: resilient run failed after %d attempts:\n%s",
 		len(res.Attempts), res.Report())
-}
-
-// AttemptHooks customizes the per-attempt lifecycle of RunResilient. Every
-// field is optional.
-type AttemptHooks struct {
-	// OnMachine runs after the machine is built, the program loaded and
-	// the generator's hardware installed, before any thread starts — the
-	// fault-injection harness attaches its injector here.
-	OnMachine func(try int, kind Kind, m *core.Machine, gen Generator)
-	// Start starts the threads (default: StartSPMD at the program entry).
-	Start func(m *core.Machine, prog *asm.Program) error
-	// Drive runs the machine for up to budget cycles (default: m.Run);
-	// the chaos harness substitutes a driver that interleaves OS
-	// preemptions.
-	Drive func(try int, m *core.Machine, budget uint64) (uint64, error)
-	// Verify checks results after an attempt completes without faulting.
-	// A verification failure is unrecoverable — corruption is reported,
-	// never hidden behind a retry.
-	Verify func(m *core.Machine, prog *asm.Program) error
-}
-
-// RunResilient runs a barrier workload with graceful degradation: each
-// attempt gets a fresh machine (configured by cfg), a freshly armed
-// generator of the attempt's mechanism, and the program built by build.
-func RunResilient(cfg core.Config, nthreads int, requested Kind, pol FallbackPolicy,
-	build func(gen Generator) (*asm.Program, error), hooks AttemptHooks) (FallbackResult, error) {
-	return RunWithFallback(requested, pol, func(kind Kind, try int, budget uint64) (uint64, error) {
-		alloc := NewAllocator(cfg.Mem)
-		gen, err := New(kind, nthreads, alloc)
-		if err != nil {
-			return 0, fmt.Errorf("%w: building %s generator: %v", ErrUnrecoverable, kind, err)
-		}
-		prog, err := build(gen)
-		if err != nil {
-			return 0, fmt.Errorf("%w: building program: %v", ErrUnrecoverable, err)
-		}
-		m, err := core.NewMachineChecked(cfg)
-		if err != nil {
-			return 0, fmt.Errorf("%w: building machine: %v", ErrUnrecoverable, err)
-		}
-		if err := install(m, gen, prog); err != nil {
-			if errors.Is(err, filter.ErrNoCapacity) {
-				// A full sync table is the designed degradation, not
-				// corruption: let the plan fall through to the software
-				// barrier, whose attempt installs no filter entries and so
-				// frees the bank's table for the locks the program needs.
-				return 0, err
-			}
-			return 0, fmt.Errorf("%w: %v", ErrUnrecoverable, err)
-		}
-		if hooks.OnMachine != nil {
-			hooks.OnMachine(try, kind, m, gen)
-		}
-		if hooks.Start != nil {
-			if err := hooks.Start(m, prog); err != nil {
-				return 0, fmt.Errorf("%w: starting threads: %v", ErrUnrecoverable, err)
-			}
-		} else {
-			m.StartSPMD(prog.Entry, nthreads)
-		}
-		var cycles uint64
-		if hooks.Drive != nil {
-			cycles, err = hooks.Drive(try, m, budget)
-		} else {
-			cycles, err = m.Run(budget)
-		}
-		if err != nil {
-			return cycles, err
-		}
-		if hooks.Verify != nil {
-			if verr := hooks.Verify(m, prog); verr != nil {
-				return cycles, fmt.Errorf("%w: result corruption: %v", ErrUnrecoverable, verr)
-			}
-		}
-		return cycles, nil
-	})
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/mem"
 )
 
 func TestFallbackEngineDegrades(t *testing.T) {
@@ -98,164 +96,6 @@ func TestFallbackEngineRespectsBudget(t *testing.T) {
 	}
 	if res.TotalCycles > pol.MaxCycles {
 		t.Fatalf("spent %d cycles over a %d budget", res.TotalCycles, pol.MaxCycles)
-	}
-}
-
-// TestResilientDegradesOnFilterTimeout runs a real barrier workload whose
-// filter hardware is configured to time out instantly: every filter attempt
-// faults (the parked fill comes back as an error fill), and the run must
-// complete on the software fallback with correct results.
-func TestResilientDegradesOnFilterTimeout(t *testing.T) {
-	const nthreads = 4
-	cfg := core.DefaultConfig(nthreads)
-	cfg.FilterTimeout = 1 // every parked fill becomes an error fill
-
-	build := func(gen Generator) (*asm.Program, error) {
-		return BuildProgram(gen, func(b *asm.Builder) {
-			// Stagger arrivals by ~tid*256 loop iterations: in lockstep no
-			// fill ever parks (the last arrival opens the barrier first),
-			// and an unparked filter cannot time out.
-			b.SLLI(7, 10, 8)
-			spin := b.NewLabel("spin")
-			enter := b.NewLabel("enter")
-			b.Label(spin)
-			b.BEQZ(7, enter)
-			b.ADDI(7, 7, -1)
-			b.BNEZ(7, spin)
-			b.Label(enter)
-			gen.EmitBarrier(b)
-			b.LA(4, "done")
-			b.SLLI(6, 10, 3)
-			b.ADD(6, 4, 6)
-			b.LI(5, 1)
-			b.ST(5, 6, 0)
-			b.AlignData(64)
-			b.DataLabel("done")
-			b.Space(64)
-		})
-	}
-	verified := 0
-	hooks := AttemptHooks{
-		Verify: func(m *core.Machine, prog *asm.Program) error {
-			verified++
-			done := prog.MustSymbol("done")
-			for tid := 0; tid < nthreads; tid++ {
-				if got := m.Sys.Mem.ReadUint64(done + uint64(tid*8)); got != 1 {
-					return fmt.Errorf("thread %d done=%d, want 1", tid, got)
-				}
-			}
-			return nil
-		},
-	}
-	res, err := RunResilient(cfg, nthreads, KindFilterD, DefaultFallbackPolicy(2_000_000), build, hooks)
-	if err != nil {
-		t.Fatalf("resilient run failed: %v\n%s", err, res.Report())
-	}
-	if !res.Degraded || res.Kind != KindSWCentral {
-		t.Fatalf("expected degradation to sw-central, got kind=%v degraded=%v", res.Kind, res.Degraded)
-	}
-	if verified != 1 {
-		t.Fatalf("verify ran %d times, want once (on the successful attempt)", verified)
-	}
-	for _, a := range res.Attempts[:len(res.Attempts)-1] {
-		if a.Err == "" {
-			t.Fatalf("filter attempt %d succeeded with a 1-cycle timeout", a.Try)
-		}
-	}
-}
-
-// TestResilientDegradesOnCapacitySpill: with a filter-table capacity too
-// small for even one barrier, every hardware install overflows. The spill
-// must be recoverable — the run degrades to the software fallback and
-// completes with correct results — and the report must attribute the
-// degradation to capacity, never surface as ErrUnrecoverable.
-func TestResilientDegradesOnCapacitySpill(t *testing.T) {
-	const nthreads = 4
-	cfg := core.DefaultConfig(nthreads)
-	cfg.Mem.FilterCap = 1 // a 4-thread filter can never be allocated
-
-	build := func(gen Generator) (*asm.Program, error) {
-		return BuildProgram(gen, func(b *asm.Builder) {
-			gen.EmitBarrier(b)
-			b.LA(4, "done")
-			b.SLLI(6, 10, 3)
-			b.ADD(6, 4, 6)
-			b.LI(5, 1)
-			b.ST(5, 6, 0)
-			b.AlignData(64)
-			b.DataLabel("done")
-			b.Space(64)
-		})
-	}
-	hooks := AttemptHooks{
-		Verify: func(m *core.Machine, prog *asm.Program) error {
-			done := prog.MustSymbol("done")
-			for tid := 0; tid < nthreads; tid++ {
-				if got := m.Sys.Mem.ReadUint64(done + uint64(tid*8)); got != 1 {
-					return fmt.Errorf("thread %d done=%d, want 1", tid, got)
-				}
-			}
-			return nil
-		},
-	}
-	res, err := RunResilient(cfg, nthreads, KindFilterD, DefaultFallbackPolicy(2_000_000), build, hooks)
-	if err != nil {
-		t.Fatalf("capacity spill must be recoverable: %v\n%s", err, res.Report())
-	}
-	if !res.Degraded || res.Kind != KindSWCentral {
-		t.Fatalf("expected degradation to sw-central, got kind=%v degraded=%v", res.Kind, res.Degraded)
-	}
-	for _, a := range res.Attempts[:len(res.Attempts)-1] {
-		if !strings.Contains(a.Err, "capacity") {
-			t.Fatalf("attempt %d error %q not attributed to capacity", a.Try, a.Err)
-		}
-	}
-}
-
-// TestResilientVerifyFailureIsUnrecoverable: corruption detected by the
-// verify hook must abort, not retry — a retry would mask it.
-func TestResilientVerifyFailureIsUnrecoverable(t *testing.T) {
-	const nthreads = 2
-	cfg := core.DefaultConfig(nthreads)
-	build := func(gen Generator) (*asm.Program, error) {
-		return BuildProgram(gen, func(b *asm.Builder) { gen.EmitBarrier(b) })
-	}
-	calls := 0
-	hooks := AttemptHooks{
-		Verify: func(*core.Machine, *asm.Program) error {
-			calls++
-			return fmt.Errorf("checksum mismatch")
-		},
-	}
-	res, err := RunResilient(cfg, nthreads, KindFilterD, DefaultFallbackPolicy(2_000_000), build, hooks)
-	if err == nil || calls != 1 {
-		t.Fatalf("verify failure retried (calls=%d err=%v)", calls, err)
-	}
-	if len(res.Attempts) != 1 {
-		t.Fatalf("attempts = %d, want 1", len(res.Attempts))
-	}
-	if !strings.Contains(res.Attempts[0].Err, "result corruption") {
-		t.Fatalf("attempt error %q not marked as corruption", res.Attempts[0].Err)
-	}
-}
-
-// TestResilientBadGeometryIsUnrecoverable: a machine configuration the
-// memory system rejects comes back as one unrecoverable attempt naming the
-// problem — not a panic out of the constructor, and not a retry (every
-// attempt would build the same machine).
-func TestResilientBadGeometryIsUnrecoverable(t *testing.T) {
-	const nthreads = 2
-	cfg := core.DefaultConfig(nthreads)
-	cfg.Mem.L1Assoc = 3 // 64kB does not divide into 3 ways
-	build := func(gen Generator) (*asm.Program, error) {
-		return BuildProgram(gen, func(b *asm.Builder) { gen.EmitBarrier(b) })
-	}
-	res, err := RunResilient(cfg, nthreads, KindSWCentral, DefaultFallbackPolicy(2_000_000), build, AttemptHooks{})
-	if err == nil || len(res.Attempts) != 1 {
-		t.Fatalf("attempts = %d, err = %v; want one failed attempt", len(res.Attempts), err)
-	}
-	if a := res.Attempts[0].Err; !strings.Contains(a, ErrUnrecoverable.Error()) || !strings.Contains(a, mem.ErrConfig.Error()) {
-		t.Fatalf("attempt error %q does not mark the bad geometry unrecoverable", a)
 	}
 }
 

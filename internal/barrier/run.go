@@ -19,12 +19,12 @@ func BuildProgram(gen Generator, body func(b *asm.Builder)) (*asm.Program, error
 	return b.Build()
 }
 
-// install is the one place a program meets a machine: load the text and
+// Install is the one place a program meets a machine: load the text and
 // data, install gen's hardware, then the locks the program declares. It
 // leaves every thread unstarted, so a caller can still attach to the machine
 // (the fault injector does) before anything runs. An ErrNoCapacity from a
 // full bank table stays visible to errors.Is.
-func install(m *core.Machine, gen Generator, prog *asm.Program) error {
+func Install(m *core.Machine, gen Generator, prog *asm.Program) error {
 	m.Load(prog)
 	if err := gen.Install(m, prog); err != nil {
 		return fmt.Errorf("installing %s: %w", gen.Kind(), err)
@@ -35,10 +35,10 @@ func install(m *core.Machine, gen Generator, prog *asm.Program) error {
 	return nil
 }
 
-// Launch loads prog into m, installs gen's hardware and the program's
-// locks, and starts nthreads SPMD threads at the program entry.
+// Launch is Install followed by starting nthreads SPMD threads at the
+// program entry.
 func Launch(m *core.Machine, gen Generator, prog *asm.Program, nthreads int) error {
-	if err := install(m, gen, prog); err != nil {
+	if err := Install(m, gen, prog); err != nil {
 		return fmt.Errorf("barrier: %w", err)
 	}
 	m.StartSPMD(prog.Entry, nthreads)

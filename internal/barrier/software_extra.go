@@ -31,28 +31,6 @@ const (
 // ExtraKinds lists the additional mechanisms beyond the paper's seven.
 var ExtraKinds = []Kind{KindSWTicket, KindSWArray, KindHWTree}
 
-func init() {
-	extraNames[KindSWTicket] = "sw-ticket"
-	extraNames[KindSWArray] = "sw-array"
-	extraNames[KindHWTree] = "hw-tree"
-}
-
-var extraNames = map[Kind]string{}
-
-// NewExtra constructs one of the additional barriers (or falls through to
-// the paper's seven).
-func NewExtra(kind Kind, nthreads int, alloc *Allocator) (Generator, error) {
-	switch kind {
-	case KindSWTicket:
-		return newSWTicket(nthreads, alloc), nil
-	case KindSWArray:
-		return newSWArray(nthreads, alloc), nil
-	case KindHWTree:
-		return newHWTree(nthreads), nil
-	}
-	return New(kind, nthreads, alloc)
-}
-
 // swTicket is a centralized sense-reversal barrier whose counter section is
 // guarded by a ticket lock: threads take FIFO tickets with one LL/SC
 // fetch-and-increment, spin until served, update the count with plain

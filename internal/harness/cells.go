@@ -116,6 +116,14 @@ func StatusOf(err error) string {
 	}
 }
 
+// Canceled reports whether a cell error means the sweep was torn down (ctx,
+// the sweep's context, ended) rather than the cell hitting its own
+// deadline. Canceled cells are never journaled or cached: a resubmission
+// re-runs them, exactly as it re-runs cells lost to a kill.
+func Canceled(ctx context.Context, err error) bool {
+	return errors.Is(err, core.ErrStopped) && ctx.Err() != nil
+}
+
 // runCells runs n independent cells on the Runner, Options.Workers slots
 // wide, with per-cell panic recovery, the optional wall-clock deadline, and
 // prompt teardown when Options.Ctx is canceled (no new cells start;
@@ -182,7 +190,7 @@ func runCells(opt Options, spec string, n int, keys []string, fn func(i int, ctx
 			}
 		case e != nil:
 			cellErr = fmt.Errorf("harness: %s: journaled %s: %s", keys[i], e.Status, e.Error)
-		case o.err != nil && errors.Is(o.err, core.ErrStopped) && opt.ctx().Err() != nil:
+		case Canceled(opt.ctx(), o.err):
 			// The sweep is being torn down (an aborted request, a server
 			// shutdown, ^C), not a cell over its own deadline: leave no
 			// record so a resume re-runs this cell, and stop the sweep.

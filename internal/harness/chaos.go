@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/filter"
 	"repro/internal/kernels"
 	"repro/internal/osmodel"
 )
@@ -103,12 +103,9 @@ func RunChaos(opt ChaosOptions) ([]ChaosCell, error) {
 		opt.Seed, opt.Threads, opt.Fabric, opt.Kinds, len(opt.Profiles), opt.MaxCycles, opt.Sanitize, keys)
 	err := runCells(opt.Options, spec, len(specs), keys, func(i int, ctx *cellCtx) (any, error) {
 		c, err := runChaosCell(ctx, specs[i].k, specs[i].kind, specs[i].p,
-			faults.MixSeed(opt.Seed, uint64(i)+0x9000), opt)
+			faults.MixSeed(opt.Seed, uint64(i)+0x9000), opt.Threads)
 		cells[i] = c
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
+		return c, err
 	}, func(i int, data json.RawMessage) error {
 		return json.Unmarshal(data, &cells[i])
 	})
@@ -116,30 +113,22 @@ func RunChaos(opt ChaosOptions) ([]ChaosCell, error) {
 }
 
 // RunChaosCell runs one (kernel × mechanism × profile × seed) cell — the
-// unit RunChaos sweeps — standalone, with the per-cell panic recovery and
-// wall-clock deadline the sweep would give it. External drivers (the simd
-// server) use it to run arbitrary cells against the resilient runner; the
-// returned ChaosCell is valid (with whatever was learned) even when err is
-// non-nil. The result is deterministic in (cell identity, seed,
-// opt.MaxCycles): worker counts, deadlines, and the simulator fast-path and
-// translation toggles never change a byte of it.
-func RunChaosCell(k kernels.Kernel, kind barrier.Kind, p faults.Profile, seed uint64, opt ChaosOptions) (ChaosCell, error) {
-	if opt.Threads == 0 {
-		opt.Threads = 8
-	}
-	cell := ChaosCell{Kernel: k.Name(), Kind: kind, Profile: p.Name}
-	_, err := runCell(opt.Options, func(ctx *cellCtx) (any, error) {
-		c, err := runChaosCell(ctx, k, kind, p, seed, opt)
-		cell = c
-		return c, err
-	})
-	return cell, err
+// unit RunChaos sweeps — standalone on nthreads SPMD threads, with the
+// per-cell panic recovery and wall-clock deadline the sweep would give it.
+// External drivers (the simd server) use it to run arbitrary cells through
+// the degradation policy; the returned ChaosCell is valid (with whatever was
+// learned) even when err is non-nil, unless the cell panicked. The result
+// is deterministic in (cell identity, seed, nthreads, opt.MaxCycles):
+// worker counts, deadlines, and the simulator fast-path and translation
+// toggles never change a byte of it.
+func RunChaosCell(k kernels.Kernel, kind barrier.Kind, p faults.Profile, seed uint64, nthreads int, opt Options) (ChaosCell, error) {
+	return runCell(opt, func(ctx *cellCtx) (ChaosCell, error) { return runChaosCell(ctx, k, kind, p, seed, nthreads) })
 }
 
-// runChaosCell runs one cell through the resilient runner.
+// runChaosCell runs one cell's attempts and holds their outcome to the
+// chaos contract.
 func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Profile,
-	seed uint64, opt ChaosOptions) (ChaosCell, error) {
-	nthreads := opt.Threads
+	seed uint64, nthreads int) (ChaosCell, error) {
 	cores := nthreads
 	if p.WantsPreemption() {
 		cores++ // a spare core to migrate preempted threads onto
@@ -155,79 +144,9 @@ func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Pr
 		cfg.Mem.FilterCap = p.FilterCapOverride
 	}
 
-	cell := ChaosCell{Kernel: k.Name(), Kind: kind, Profile: p.Name}
-	var lastInj *faults.Injector
-	var injected uint64
-	var history []string // per-attempt injector attribution
-	var sched *osmodel.Scheduler
-	retire := func() {
-		if lastInj == nil {
-			return
-		}
-		injected += lastInj.TotalInjected()
-		history = append(history, fmt.Sprintf("attempt %d %s", len(history), attribution(lastInj)))
-		lastInj = nil
-	}
-
-	hooks := barrier.AttemptHooks{
-		OnMachine: func(try int, _ barrier.Kind, m *core.Machine, gen barrier.Generator) {
-			retire()
-			if !p.Active() {
-				return
-			}
-			inj := faults.New(p, faults.MixSeed(seed, uint64(try)+1), m.Sys, cores)
-			inj.SetPrimitives(m.Primitives())
-			if hw, ok := gen.(barrier.HardwareBarrier); ok {
-				var addrs []uint64
-				for _, f := range hw.Filters() {
-					for t := 0; t < f.NumThreads; t++ {
-						addrs = append(addrs, f.ArrivalAddr(t))
-					}
-				}
-				inj.SetFillTargets(addrs)
-			} else {
-				inj.SetFillTargets([]uint64{core.DataBase, core.BarrierRegion})
-			}
-			lastInj = inj
-		},
-		Verify: func(m *core.Machine, prog *asm.Program) error {
-			return k.Verify(m.Sys.Mem, prog, nthreads)
-		},
-	}
-	if p.WantsPreemption() {
-		hooks.Start = func(m *core.Machine, prog *asm.Program) error {
-			sched = osmodel.NewScheduler(m)
-			for t := 0; t < nthreads; t++ {
-				if err := sched.StartThread(t, t, prog.Entry, nthreads); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		hooks.Drive = func(try int, m *core.Machine, budget uint64) (uint64, error) {
-			plan := p.PreemptPlan(faults.MixSeed(seed, 0x100+uint64(try)), nthreads, budget)
-			cycles, applied, err := runPreemptPlan(m, sched, plan, budget)
-			injected += applied
-			return cycles, err
-		}
-	}
-
-	pol := barrier.DefaultFallbackPolicy(opt.MaxCycles)
-	res, err := barrier.RunResilient(cfg, nthreads, kind, pol, func(gen barrier.Generator) (*asm.Program, error) {
-		prog, err := k.BuildPar(gen, nthreads)
-		if err != nil {
-			return nil, err
-		}
-		if err := vetProgram(fmt.Sprintf("chaos %s/%s", k.Name(), kind), prog, nthreads, opt.Options); err != nil {
-			return nil, err
-		}
-		return prog, nil
-	}, hooks)
-	retire()
-	attr := strings.Join(history, "\n  ")
-	cell.Attempts = len(res.Attempts)
-	cell.Cycles = res.TotalCycles
-	cell.Injected = injected
+	res, injected, attr, err := ctx.chaosAttempts(cfg, k, kind, p, seed, nthreads)
+	cell := ChaosCell{Kernel: k.Name(), Kind: kind, Profile: p.Name,
+		Attempts: len(res.Attempts), Cycles: res.TotalCycles, Injected: injected}
 
 	// Contract checks: corruption is never an acceptable outcome, and a
 	// cell with nothing injected must simply complete.
@@ -262,11 +181,82 @@ func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Pr
 	return cell, nil
 }
 
+// chaosAttempts runs a cell's attempts under the default fallback policy.
+// Each attempt boots a fresh machine from cfg through the lifecycle every
+// cell shares, attaches the profile's injector, starts the threads (through
+// the OS model when the profile preempts, driven by runPreemptPlan) and
+// verifies the results. Setup and verify failures are unrecoverable; a full
+// sync table (filter.ErrNoCapacity) is the designed degradation and passes
+// through to the fallback. It returns the policy's result, the faults
+// injected across attempts, and their per-attempt attribution.
+func (c *cellCtx) chaosAttempts(cfg core.Config, k kernels.Kernel, requested barrier.Kind, p faults.Profile,
+	seed uint64, nthreads int) (res barrier.FallbackResult, injected uint64, attr string, err error) {
+	what := fmt.Sprintf("chaos %s/%s", k.Name(), requested)
+	var history []string // one entry per attempt that ran an injector
+	res, err = barrier.RunWithFallback(requested, barrier.DefaultFallbackPolicy(c.opt.MaxCycles),
+		func(kind barrier.Kind, try int, budget uint64) (uint64, error) {
+			m, gen, prog, err := c.boot(what, cfg, nthreads, parBuild(k, kind, nthreads))
+			if errors.Is(err, filter.ErrNoCapacity) {
+				// Not corruption: the software fallback installs no filter
+				// entries, which frees the bank's table for the program's locks.
+				return 0, err
+			} else if err != nil {
+				return 0, fmt.Errorf("%w: %v", barrier.ErrUnrecoverable, err)
+			}
+			if p.Active() {
+				inj := faults.New(p, faults.MixSeed(seed, uint64(try)+1), m.Sys, cfg.Cores)
+				inj.SetPrimitives(m.Primitives())
+				inj.SetFillTargets(fillTargets(gen))
+				defer func() {
+					injected += inj.TotalInjected()
+					history = append(history, fmt.Sprintf("attempt %d %s", len(history), attribution(inj)))
+				}()
+			}
+			var cycles uint64
+			if p.WantsPreemption() {
+				sched := osmodel.NewScheduler(m)
+				for t := 0; t < nthreads; t++ {
+					if err := sched.StartThread(t, t, prog.Entry, nthreads); err != nil {
+						return 0, fmt.Errorf("%w: starting threads: %v", barrier.ErrUnrecoverable, err)
+					}
+				}
+				plan := p.PreemptPlan(faults.MixSeed(seed, 0x100+uint64(try)), nthreads, budget)
+				var applied uint64
+				cycles, applied, err = runPreemptPlan(m, sched, plan, budget)
+				injected += applied
+			} else {
+				m.StartSPMD(prog.Entry, nthreads)
+				cycles, err = m.Run(budget)
+			}
+			if err != nil {
+				return cycles, err
+			}
+			if err := k.Verify(m.Sys.Mem, prog, nthreads); err != nil {
+				return cycles, fmt.Errorf("%w: result corruption: %v", barrier.ErrUnrecoverable, err)
+			}
+			return cycles, nil
+		})
+	return res, injected, strings.Join(history, "\n  "), err
+}
+
+// fillTargets are the lines the injector's spurious fills aim at: every
+// arrival line of a filter barrier, else the data and barrier regions.
+func fillTargets(gen barrier.Generator) []uint64 {
+	hw, ok := gen.(barrier.HardwareBarrier)
+	if !ok {
+		return []uint64{core.DataBase, core.BarrierRegion}
+	}
+	var addrs []uint64
+	for _, f := range hw.Filters() {
+		for t := 0; t < f.NumThreads; t++ {
+			addrs = append(addrs, f.ArrivalAddr(t))
+		}
+	}
+	return addrs
+}
+
 // attribution renders the injector's summary plus its last few records.
 func attribution(inj *faults.Injector) string {
-	if inj == nil {
-		return "(injector state not retained)"
-	}
 	s := inj.Summary()
 	recs := inj.Records()
 	if n := len(recs); n > 5 {

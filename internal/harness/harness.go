@@ -130,45 +130,73 @@ func vetProgram(what string, prog *asm.Program, threads int, opt Options) error 
 	return vet.AsError(what, vet.Check(prog, vet.Options{Threads: threads}))
 }
 
-// runMachine is the life of one simulated machine, the same for every
-// experiment cell: configure (the cell's deadline and the sweep's context
-// become the machine's stop check), build the program against that
-// configuration, vet it, construct the machine, launch, run to completion,
-// verify. build returns the generator whose hardware the program needs —
-// nil for a sequential build, which starts a single thread with nothing
-// installed. verify may be nil and is skipped unless Options.Verify is set.
-func (c *cellCtx) runMachine(what string, cores int,
-	build func(cfg core.Config) (barrier.Generator, *asm.Program, error),
-	verify func(m *mem.Memory, prog *asm.Program) error) (uint64, error) {
-	fail := func(err error) (uint64, error) { return 0, fmt.Errorf("harness: %s: %w", what, err) }
-	cfg := c.Config(cores)
+// boot is the first half of every simulated machine's life, the same for
+// every cell: build the program against cfg, vet it, construct the machine,
+// and install the program, the generator's hardware and the program's locks.
+// No thread is started, so a caller can still attach to the machine (the
+// fault injector does). build returns the generator whose hardware the
+// program needs — nil for a sequential build, which installs nothing but
+// the program. A failed step is named in the error, except the build's,
+// which build labels itself (see parBuild); an ErrNoCapacity from a full
+// bank table stays visible to errors.Is.
+func (c *cellCtx) boot(what string, cfg core.Config, threads int,
+	build func(cfg core.Config) (barrier.Generator, *asm.Program, error)) (*core.Machine, barrier.Generator, *asm.Program, error) {
 	gen, prog, err := build(cfg)
 	if err != nil {
-		return fail(err)
+		return nil, nil, nil, err
 	}
-	if err := vetProgram(what, prog, cores, c.opt); err != nil {
-		return 0, err
+	if err := vetProgram(what, prog, threads, c.opt); err != nil {
+		return nil, nil, nil, fmt.Errorf("building program: %w", err)
 	}
 	m, err := core.NewMachineChecked(cfg)
 	if err != nil {
-		return fail(err)
+		return nil, nil, nil, fmt.Errorf("building machine: %w", err)
 	}
 	if gen == nil {
 		m.Load(prog)
+	} else if err := barrier.Install(m, gen, prog); err != nil {
+		return nil, nil, nil, err
+	}
+	return m, gen, prog, nil
+}
+
+// runMachine is the life of one experiment machine: configure (the cell's
+// deadline and the sweep's context become the machine's stop check), boot,
+// start the SPMD threads, run to completion, verify. verify may be nil and
+// is skipped unless Options.Verify is set. The chaos attempt (chaos.go)
+// boots the same way and runs its own straight-line second half.
+func (c *cellCtx) runMachine(what string, cores int,
+	build func(cfg core.Config) (barrier.Generator, *asm.Program, error),
+	verify func(m *mem.Memory, prog *asm.Program) error) (uint64, error) {
+	m, _, prog, err := c.boot(what, c.Config(cores), cores, build)
+	if err == nil {
 		m.StartSPMD(prog.Entry, cores)
-	} else if err := barrier.Launch(m, gen, prog, cores); err != nil {
-		return fail(err)
-	}
-	cycles, err := m.Run(c.opt.MaxCycles)
-	if err != nil {
-		return fail(err)
-	}
-	if verify != nil && c.opt.Verify {
-		if err := verify(m.Sys.Mem, prog); err != nil {
-			return fail(err)
+		var cycles uint64
+		if cycles, err = m.Run(c.opt.MaxCycles); err == nil && verify != nil && c.opt.Verify {
+			err = verify(m.Sys.Mem, prog)
+		}
+		if err == nil {
+			return cycles, nil
 		}
 	}
-	return cycles, nil
+	return 0, fmt.Errorf("harness: %s: %w", what, err)
+}
+
+// parBuild is the build step of a parallel cell: a fresh generator of kind
+// (any kind barrier.ParseKind names) for nthreads threads over cfg's
+// memory, and k's parallel program on it.
+func parBuild(k kernels.Kernel, kind barrier.Kind, nthreads int) func(cfg core.Config) (barrier.Generator, *asm.Program, error) {
+	return func(cfg core.Config) (barrier.Generator, *asm.Program, error) {
+		gen, err := barrier.New(kind, nthreads, barrier.NewAllocator(cfg.Mem))
+		if err != nil {
+			return nil, nil, fmt.Errorf("building %s generator: %w", kind, err)
+		}
+		prog, err := k.BuildPar(gen, nthreads)
+		if err != nil {
+			return nil, nil, fmt.Errorf("building program: %w", err)
+		}
+		return gen, prog, nil
+	}
 }
 
 // runSeq runs a kernel's sequential build on a single-core machine.
@@ -179,20 +207,13 @@ func (c *cellCtx) runSeq(k kernels.Kernel) (uint64, error) {
 	}, func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, 1) })
 }
 
-// runPar runs a kernel's parallel build with the given barrier mechanism
-// (any of the core or extra kinds) on nthreads cores. The Figure 4 latency
-// microbenchmark is such a kernel (kernels.Microbench), so the latency
-// cells of Fig4, Extras and Scale come through here too.
+// runPar runs a kernel's parallel build with the given barrier mechanism on
+// nthreads cores. The Figure 4 latency microbenchmark is such a kernel
+// (kernels.Microbench), so the latency cells of Fig4, Extras and Scale come
+// through here too.
 func (c *cellCtx) runPar(k kernels.Kernel, kind barrier.Kind, nthreads int) (uint64, error) {
-	what := fmt.Sprintf("%s/%s/%d", k.Name(), kind, nthreads)
-	return c.runMachine(what, nthreads, func(cfg core.Config) (barrier.Generator, *asm.Program, error) {
-		gen, err := barrier.NewExtra(kind, nthreads, barrier.NewAllocator(cfg.Mem))
-		if err != nil {
-			return nil, nil, err
-		}
-		prog, err := k.BuildPar(gen, nthreads)
-		return gen, prog, err
-	}, func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, nthreads) })
+	return c.runMachine(fmt.Sprintf("%s/%s/%d", k.Name(), kind, nthreads), nthreads, parBuild(k, kind, nthreads),
+		func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, nthreads) })
 }
 
 // RunSeq runs a kernel's sequential build on a single-core machine, as a

@@ -53,7 +53,7 @@ func TestHBCheckKernelsRaceFree(t *testing.T) {
 					}
 					memCfg := core.DefaultConfig(8).Mem
 					memCfg.Fabric = fab
-					if _, err := barrier.NewExtra(kind, 8, barrier.NewAllocator(memCfg)); err != nil {
+					if _, err := barrier.New(kind, 8, barrier.NewAllocator(memCfg)); err != nil {
 						t.Skipf("mechanism constraint: %v", err)
 					}
 					if _, err := RunPar(k, kind, 8, o); err != nil {

@@ -35,8 +35,9 @@ func TestParallelFig4Deterministic(t *testing.T) {
 }
 
 // table1TestKernels mirrors Table1Kernels — the same five kernels against
-// every barrier mechanism — at unit-test vector lengths, so the four-variant
-// sweep below stays tractable on one CPU.
+// every barrier mechanism — at unit-test vector lengths. The root
+// differential driver runs their sequential builds (and the parallel
+// kernels' matrix cells) under every knob, NoFastPath included.
 func table1TestKernels() []LoopKernel {
 	return []LoopKernel{
 		{"livermore2", 2, func(l int) kernels.Kernel { return kernels.NewLivermore2(64, l) }},
@@ -47,49 +48,30 @@ func table1TestKernels() []LoopKernel {
 	}
 }
 
-// TestParallelHarnessDeterminism is the differential determinism test of the
-// whole stack: a full Table 1-shaped sweep (every kernel against every
-// mechanism) at Workers=1 and Workers=8, with the quiescent-core fast path
-// on and off. All four runs must produce byte-identical structured results
-// and renderings.
+// TestParallelHarnessDeterminism: a full Table 1-shaped sweep (every kernel
+// against every mechanism) produces byte-identical structured results and
+// renderings at Workers=1 and Workers=8.
 func TestParallelHarnessDeterminism(t *testing.T) {
-	type variant struct {
-		name       string
-		workers    int
-		noFastPath bool
-	}
-	variants := []variant{
-		{"w1-fast", 1, false},
-		{"w8-fast", 8, false},
-		{"w1-slow", 1, true},
-		{"w8-slow", 8, true},
-	}
-	var baseRows []SpeedupRow
-	var baseText []byte
-	for i, v := range variants {
+	var texts [2][]byte
+	var rows [2][]SpeedupRow
+	for i, workers := range []int{1, 8} {
 		opt := tinyOptions()
-		opt.Workers = v.workers
-		opt.NoFastPath = v.noFastPath
-		rows, err := speedupRows(table1TestKernels(), opt)
+		opt.Workers = workers
+		r, err := speedupRows(table1TestKernels(), opt)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var buf bytes.Buffer
-		WriteTable1(&buf, rows)
-		for _, r := range rows {
-			WriteSpeedupRow(&buf, r.Kernel, r)
+		WriteTable1(&buf, r)
+		for _, row := range r {
+			WriteSpeedupRow(&buf, row.Kernel, row)
 		}
-		if i == 0 {
-			baseRows, baseText = rows, buf.Bytes()
-			continue
-		}
-		if !reflect.DeepEqual(rows, baseRows) {
-			t.Errorf("%s: structured results differ from %s:\n%+v\nvs\n%+v",
-				v.name, variants[0].name, rows, baseRows)
-		}
-		if !bytes.Equal(buf.Bytes(), baseText) {
-			t.Errorf("%s: rendering differs from %s:\n%s\nvs\n%s",
-				v.name, variants[0].name, buf.Bytes(), baseText)
-		}
+		rows[i], texts[i] = r, buf.Bytes()
+	}
+	if !reflect.DeepEqual(rows[0], rows[1]) {
+		t.Errorf("structured results differ across worker counts:\n%+v\nvs\n%+v", rows[0], rows[1])
+	}
+	if !bytes.Equal(texts[0], texts[1]) {
+		t.Errorf("rendering differs across worker counts:\n%s\nvs\n%s", texts[0], texts[1])
 	}
 }

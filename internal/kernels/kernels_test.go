@@ -179,7 +179,7 @@ func TestKernelsVetClean(t *testing.T) {
 					}
 					cfg := core.DefaultConfig(nthreads)
 					alloc := barrier.NewAllocator(cfg.Mem)
-					gen, err := barrier.NewExtra(kind, nthreads, alloc)
+					gen, err := barrier.New(kind, nthreads, alloc)
 					if err != nil {
 						t.Skipf("generator: %v", err)
 					}

@@ -3,10 +3,8 @@ package simd
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/kernels"
 )
@@ -56,11 +54,11 @@ func ParseResult(b []byte) (Result, error) {
 // simulator state that a fix would change.
 func (r Result) Cacheable() bool { return r.Status == harness.StatusOK }
 
-// RunCell executes one cell through the chaos harness: the resilient
-// runner with fault injection per the cell's profile ("none" is the plain
+// RunCell executes one cell through the chaos harness: the degradation
+// policy with fault injection per the cell's profile ("none" is the plain
 // verified run), per-cell panic recovery, and the wall-clock deadline.
 // The returned error is the raw harness error (nil for a clean cell);
-// Canceled tells sweep teardown apart from a per-cell deadline.
+// harness.Canceled tells sweep teardown apart from a per-cell deadline.
 func RunCell(ctx context.Context, c Cell) (Result, error) {
 	res := Result{Key: c.Key, Hash: c.Hash}
 	k, err := kernels.New(c.Kernel, c.N, c.Loops)
@@ -71,23 +69,18 @@ func RunCell(ctx context.Context, c Cell) (Result, error) {
 		res.Error = err.Error()
 		return res, err
 	}
-	opt := harness.ChaosOptions{
-		Options: harness.Options{
-			Verify:       true,
-			MaxCycles:    c.MaxCycles,
-			Fabric:       c.Fabric,
-			Workers:      1,
-			FilterCap:    c.FilterCap,
-			NoFastPath:   c.NoFastPath,
-			NoTranslate:  c.NoTranslate,
-			Sanitize:     c.Sanitize,
-			CellDeadline: c.Deadline,
-			Ctx:          ctx,
-		},
-		Seed:    c.Seed,
-		Threads: c.Threads,
-	}
-	cell, err := harness.RunChaosCell(k, c.Kind, c.Profile, c.Seed, opt)
+	cell, err := harness.RunChaosCell(k, c.Kind, c.Profile, c.Seed, c.Threads, harness.Options{
+		Verify:       true,
+		MaxCycles:    c.MaxCycles,
+		Fabric:       c.Fabric,
+		Workers:      1,
+		FilterCap:    c.FilterCap,
+		NoFastPath:   c.NoFastPath,
+		NoTranslate:  c.NoTranslate,
+		Sanitize:     c.Sanitize,
+		CellDeadline: c.Deadline,
+		Ctx:          ctx,
+	})
 	res.Status = harness.StatusOf(err)
 	res.Outcome = cell.Outcome
 	res.Cycles = cell.Cycles
@@ -98,12 +91,4 @@ func RunCell(ctx context.Context, c Cell) (Result, error) {
 		res.Error = err.Error()
 	}
 	return res, err
-}
-
-// Canceled reports whether a RunCell error means the sweep was torn down
-// (the request context ended) rather than the cell hitting its own
-// deadline. Canceled cells are never journaled or cached: a resubmission
-// re-runs them, exactly as it re-runs cells lost to a kill.
-func Canceled(ctx context.Context, err error) bool {
-	return err != nil && errors.Is(err, core.ErrStopped) && ctx.Err() != nil
 }

@@ -369,7 +369,7 @@ func (s *Server) store(c Cell, res Result) Result {
 // already holds for it.
 func (s *Server) runLocal(ctx context.Context, c Cell) outcome {
 	res, err := RunCell(ctx, c)
-	if Canceled(ctx, err) {
+	if harness.Canceled(ctx, err) {
 		return outcome{canceled: true}
 	}
 	return outcome{res: s.store(c, res)}

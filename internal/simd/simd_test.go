@@ -33,6 +33,13 @@ func smallSpec() Spec {
 	}
 }
 
+// oneFaultFreeCell narrows smallSpec to one fault-free cell of a mechanism.
+func oneFaultFreeCell(mechanism string) func(*Spec) {
+	return func(s *Spec) {
+		s.Mechanisms, s.Chaos, s.Seeds = []string{mechanism}, []string{"none"}, []uint64{1}
+	}
+}
+
 func TestNormalizeValidation(t *testing.T) {
 	lim := DefaultLimits()
 	cases := []struct {
@@ -59,11 +66,26 @@ func TestNormalizeValidation(t *testing.T) {
 		{"n over the bound", func(s *Spec) { s.N = maxKernelSize + 1 }, "bad-spec"},
 		{"n absurd", func(s *Spec) { s.Kernels, s.N = []string{"livermore1"}, 4_000_000_000 }, "bad-spec"},
 		{"loops over the bound", func(s *Spec) { s.Loops = maxKernelSize + 1 }, "bad-spec"},
+		// Code "": every kind barrier.ParseKind names builds, and a
+		// one-cell fault-free sweep of it finishes ok/identical.
+		{"sw-ticket", oneFaultFreeCell("sw-ticket"), ""},
+		{"sw-array", oneFaultFreeCell("sw-array"), ""},
+		{"hw-tree", oneFaultFreeCell("hw-tree"), ""},
 	}
 	for _, tc := range cases {
 		spec := smallSpec()
 		tc.mut(&spec)
-		_, err := Normalize(spec, lim)
+		sw, err := Normalize(spec, lim)
+		if tc.code == "" {
+			if err != nil || len(sw.Cells) != 1 {
+				t.Errorf("%s: err = %v, want one accepted cell", tc.name, err)
+				continue
+			}
+			if res, rerr := RunCell(context.Background(), sw.Cells[0]); rerr != nil || res.Status != "ok" || res.Outcome != "identical" {
+				t.Errorf("%s: cell %+v (err %v), want ok/identical", tc.name, res, rerr)
+			}
+			continue
+		}
 		if err == nil || err.Code != tc.code {
 			t.Errorf("%s: err = %v, want code %q", tc.name, err, tc.code)
 		}

@@ -71,7 +71,7 @@ type Spec struct {
 	// default: ["none"], the fault-free run).
 	Chaos []string `json:"chaos,omitempty"`
 	// MaxCycles bounds the simulated cycles of each cell across all
-	// resilient-runner attempts (default 2,000,000).
+	// fallback attempts (default 2,000,000).
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// Sanitize runs the online invariant sanitizer on every machine.
 	Sanitize bool `json:"sanitize,omitempty"`

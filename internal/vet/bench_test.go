@@ -36,7 +36,7 @@ func buildAllPrograms(tb testing.TB) map[string]benchProg {
 			progs[name+"/seq"] = benchProg{prog, 1}
 		}
 		for _, kind := range kinds {
-			gen, err := barrier.NewExtra(kind, benchThreads, barrier.NewAllocator(memCfg))
+			gen, err := barrier.New(kind, benchThreads, barrier.NewAllocator(memCfg))
 			if err != nil {
 				continue // mechanism constraint (e.g. thread-count shape)
 			}

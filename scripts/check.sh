@@ -31,15 +31,15 @@ go run ./cmd/srvet -all -threads 8
 go run ./cmd/srvet -all -threads 3
 go run ./cmd/srvet -corpus >/dev/null
 
-echo "== go test -race (parallel harness, verifier, fabrics) =="
-go test -race -run 'TestRunner|TestParallelFig4Deterministic' ./internal/harness
+echo "== go test -race (parallel harness, chaos attempt path, verifier, fabrics) =="
+go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
 go test -race ./internal/interconnect ./internal/mem
 
 echo "== hbcheck differential smoke (dynamic oracle agrees with srvet) =="
 go test -short -run TestHBCheck -count=1 ./internal/harness
 
-echo "== go test -race (sync engine: filter+lock tables, OS model, barrier degradation) =="
+echo "== go test -race (sync engine: filter+lock tables, OS model, barrier fallback policy) =="
 go test -race ./internal/filter ./internal/osmodel ./internal/barrier
 go test -race -run 'TestCleanLockMachine|TestLock' ./internal/sanitize
 
