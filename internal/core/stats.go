@@ -111,9 +111,10 @@ func (m *Machine) StatsReport() *sim.Stats {
 	set("l3.misses_to_dram", m.Sys.L3Cache().Misses)
 
 	// The fabric reports its own counters under its kind's prefix (bus.*,
-	// xbar.*, mesh.*); the bus keys and values match the pre-fabric report
-	// byte for byte (pinned by the fabric golden differential).
-	m.Sys.FabricStats(set)
+	// xbar.*, mesh.*), as of the current cycle; the bus keys and values
+	// match the pre-fabric report byte for byte (pinned by the fabric golden
+	// differential).
+	m.Sys.FabricStats(m.now, set)
 
 	set("hwnet.arrivals", m.Net.Arrivals)
 	set("hwnet.releases", m.Net.Releases)

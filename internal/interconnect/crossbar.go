@@ -21,124 +21,114 @@ type Crossbar[P any] struct {
 	g Geometry
 	d Delivery[P]
 
-	reqQ  [][]timedMsg[P] // per core
-	respQ [][]timedMsg[P] // per bank
+	req  xbarSide[P] // cores -> banks
+	resp xbarSide[P] // banks -> cores
+}
 
-	reqFree  [][]uint64 // per bank: PortBW channel-free cycles
-	respFree [][]uint64 // per core: PortBW channel-free cycles
+// xbarSide is one direction of the crossbar: source FIFOs and the
+// destination ports they contend for.
+type xbarSide[P any] struct {
+	ports[P]
+	free [][]uint64 // per destination: PortBW channel-free cycles
+	rr   []int      // per destination: next source to consider
 
-	reqRR  []int // per bank: next core to consider
-	respRR []int // per core: next bank to consider
+	// Per-cycle scratch: the sources whose ready head targets each
+	// destination, ascending, and the destinations that have any.
+	cand [][]int
+	dsts []int
 
-	// reqStamp[c] = now+1 when core c injected a request this cycle;
-	// respStamp likewise for banks (source-port serialization).
-	reqStamp  []uint64
-	respStamp []uint64
+	grants, busy uint64
+}
 
-	// statistics
-	ReqGrants    uint64
-	ReqBusyCyc   uint64
-	RespGrants   uint64
-	RespBusyCyc  uint64
-	MaxReqQueue  int
-	MaxRespQueue int
+func newXbarSide[P any](sources, dests, bw int) xbarSide[P] {
+	s := xbarSide[P]{
+		ports: newPorts[P](sources),
+		free:  make([][]uint64, dests),
+		rr:    make([]int, dests),
+		cand:  make([][]int, dests),
+	}
+	for d := range s.free {
+		s.free[d] = make([]uint64, bw)
+	}
+	return s
 }
 
 func newCrossbar[P any](g Geometry, d Delivery[P]) *Crossbar[P] {
-	x := &Crossbar[P]{
-		g:         g,
-		d:         d,
-		reqQ:      make([][]timedMsg[P], g.Cores),
-		respQ:     make([][]timedMsg[P], g.Banks),
-		reqFree:   make([][]uint64, g.Banks),
-		respFree:  make([][]uint64, g.Cores),
-		reqRR:     make([]int, g.Banks),
-		respRR:    make([]int, g.Cores),
-		reqStamp:  make([]uint64, g.Cores),
-		respStamp: make([]uint64, g.Banks),
+	return &Crossbar[P]{
+		g:    g,
+		d:    d,
+		req:  newXbarSide[P](g.Cores, g.Banks, g.PortBW),
+		resp: newXbarSide[P](g.Banks, g.Cores, g.PortBW),
 	}
-	for b := range x.reqFree {
-		x.reqFree[b] = make([]uint64, g.PortBW)
-	}
-	for c := range x.respFree {
-		x.respFree[c] = make([]uint64, g.PortBW)
-	}
-	return x
 }
 
 func (x *Crossbar[P]) Kind() Kind { return KindCrossbar }
 
 // PushRequest enqueues a request at its core's injection queue.
 func (x *Crossbar[P]) PushRequest(m Message[P], ready uint64, reorder bool) {
-	x.reqQ[m.Src] = pushOrdered(x.reqQ[m.Src], m, ready, reorder)
-	if n := len(x.reqQ[m.Src]); n > x.MaxReqQueue {
-		x.MaxReqQueue = n
-	}
+	x.req.push(m, ready, reorder)
 }
 
 // PushResponse enqueues a response at its bank's injection queue.
-func (x *Crossbar[P]) PushResponse(m Message[P], ready uint64) {
-	x.respQ[m.Src] = append(x.respQ[m.Src], timedMsg[P]{m, ready})
-	if n := len(x.respQ[m.Src]); n > x.MaxRespQueue {
-		x.MaxRespQueue = n
-	}
-}
+func (x *Crossbar[P]) PushResponse(m Message[P], ready uint64) { x.resp.push(m, ready, false) }
 
 // Tick grants transfers at every destination port independently.
 func (x *Crossbar[P]) Tick(now uint64) {
-	tickSide(now, x.reqQ, x.reqFree, x.reqRR, x.reqStamp,
-		&x.ReqGrants, &x.ReqBusyCyc, x.d.Req)
-	tickSide(now, x.respQ, x.respFree, x.respRR, x.respStamp,
-		&x.RespGrants, &x.RespBusyCyc, x.d.Resp)
+	x.req.tick(now, x.d.Req)
+	x.resp.tick(now, x.d.Resp)
 }
 
-// tickSide arbitrates one direction of the crossbar: srcQ are the source
-// FIFO queues, free the destination ports' channel-free cycles, rr the
-// per-destination round-robin cursor, stamp the per-source injection stamps.
-func tickSide[P any](now uint64, srcQ [][]timedMsg[P], free [][]uint64,
-	rr []int, stamp []uint64, grants, busy *uint64, deliver func(int, P, uint64)) {
-	// Busy accounting first, one count per occupied channel per cycle,
-	// mirroring the bus's per-half counters (SkipIdle credits skipped
-	// windows the same way).
-	for d := range free {
-		for _, f := range free[d] {
-			if now < f {
-				*busy = *busy + 1
-			}
-		}
+// tick arbitrates one direction for one cycle, visiting only the
+// destinations some ready source head targets, in ascending order (the
+// order deliveries reach the memory system). A source injects at most one
+// message per cycle, so this cycle's contenders are exactly the heads ready
+// at its start: a granted source's next message waits for the next cycle.
+func (s *xbarSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
+	if s.n == 0 {
+		return
 	}
-	n := len(srcQ)
-	for d := range free {
-		for ch := range free[d] {
-			if now < free[d][ch] {
-				continue
+	for src := range s.q {
+		if !s.ready(src, now) {
+			continue
+		}
+		d := s.q[src][0].msg.Dst
+		if len(s.cand[d]) == 0 {
+			i := len(s.dsts)
+			s.dsts = append(s.dsts, d)
+			for ; i > 0 && s.dsts[i-1] > d; i-- {
+				s.dsts[i] = s.dsts[i-1]
 			}
-			granted := false
-			for i := 0; i < n; i++ {
-				s := (rr[d] + i) % n
-				q := srcQ[s]
-				if len(q) == 0 || q[0].ready > now || q[0].msg.Dst != d {
-					continue
-				}
-				if stamp[s] == now+1 {
-					continue // source already injected this cycle
-				}
-				m := q[0].msg
-				srcQ[s] = q[1:]
-				rr[d] = (s + 1) % n
-				stamp[s] = now + 1
-				occ := max(m.Occ, 1)
-				free[d][ch] = now + occ
-				*grants = *grants + 1
-				deliver(m.Dst, m.Payload, now+occ)
-				granted = true
+			s.dsts[i] = d
+		}
+		s.cand[d] = append(s.cand[d], src)
+	}
+	for _, d := range s.dsts {
+		c := s.cand[d]
+		// Round-robin: the first contender at or after the cursor, then on
+		// around, one per free channel.
+		first := 0
+		for first < len(c) && c[first] < s.rr[d] {
+			first++
+		}
+		k := 0
+		for ch, f := range s.free[d] {
+			if k == len(c) {
 				break
 			}
-			if !granted {
-				break // no eligible source for this port's remaining channels
+			if now < f {
+				continue
 			}
+			src := c[(first+k)%len(c)]
+			k++
+			m := s.pop(src)
+			s.rr[d] = (src + 1) % len(s.q)
+			s.free[d][ch] = grant(now, m.Occ, &s.busy)
+			s.grants++
+			deliver(d, m.Payload, s.free[d][ch])
 		}
+		s.cand[d] = c[:0]
 	}
+	s.dsts = s.dsts[:0]
 }
 
 // NextEvent returns the earliest cycle at which some destination port could
@@ -146,73 +136,46 @@ func tickSide[P any](now uint64, srcQ [][]timedMsg[P], free [][]uint64,
 // destination). Exact because source heads only change via Tick, and a
 // contended cycle still performs a grant at that cycle.
 func (x *Crossbar[P]) NextEvent(now uint64) (event uint64, ok bool) {
-	consider := func(t uint64) {
-		if !ok || t < event {
-			event, ok = t, true
+	for _, s := range [2]*xbarSide[P]{&x.req, &x.resp} {
+		if s.n == 0 {
+			continue
+		}
+		for _, q := range s.q {
+			if len(q) == 0 {
+				continue
+			}
+			free := s.free[q[0].msg.Dst]
+			ef := free[0]
+			for _, f := range free[1:] {
+				ef = min(ef, f)
+			}
+			if t := max(q[0].ready, ef); !ok || t < event {
+				event, ok = t, true
+			}
 		}
 	}
-	sideNext(x.reqQ, x.reqFree, consider)
-	sideNext(x.respQ, x.respFree, consider)
 	return event, ok
 }
 
-func sideNext[P any](srcQ [][]timedMsg[P], free [][]uint64, consider func(uint64)) {
-	for _, q := range srcQ {
-		if len(q) == 0 {
-			continue
-		}
-		dst := q[0].msg.Dst
-		ef := free[dst][0]
-		for _, f := range free[dst][1:] {
-			if f < ef {
-				ef = f
-			}
-		}
-		consider(max(q[0].ready, ef))
-	}
-}
-
-// SkipIdle credits per-channel busy cycles across a skipped window.
-func (x *Crossbar[P]) SkipIdle(now, n uint64) {
-	for d := range x.reqFree {
-		for _, f := range x.reqFree[d] {
-			if f > now {
-				x.ReqBusyCyc += min(n, f-now)
-			}
-		}
-	}
-	for c := range x.respFree {
-		for _, f := range x.respFree[c] {
-			if f > now {
-				x.RespBusyCyc += min(n, f-now)
-			}
-		}
-	}
-}
-
 // Quiet reports whether every source queue is empty.
-func (x *Crossbar[P]) Quiet() bool {
-	for _, q := range x.reqQ {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	for _, q := range x.respQ {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (x *Crossbar[P]) Quiet() bool { return x.req.n == 0 && x.resp.n == 0 }
 
 // StatsInto emits the crossbar counters under the xbar prefix.
-func (x *Crossbar[P]) StatsInto(set func(name string, v uint64)) {
-	set("xbar.request_grants", x.ReqGrants)
-	set("xbar.request_busy_cycles", x.ReqBusyCyc)
-	set("xbar.response_grants", x.RespGrants)
-	set("xbar.response_busy_cycles", x.RespBusyCyc)
-	set("xbar.max_request_queue", uint64(x.MaxReqQueue))
-	set("xbar.max_response_queue", uint64(x.MaxRespQueue))
+func (x *Crossbar[P]) StatsInto(end uint64, set func(name string, v uint64)) {
+	set("xbar.request_grants", x.req.grants)
+	set("xbar.request_busy_cycles", x.req.busy-x.req.clip(end))
+	set("xbar.response_grants", x.resp.grants)
+	set("xbar.response_busy_cycles", x.resp.busy-x.resp.clip(end))
+	set("xbar.max_request_queue", uint64(x.req.maxLen))
+	set("xbar.max_response_queue", uint64(x.resp.maxLen))
+}
+
+// clip is clipBusy over every channel of every destination port.
+func (s *xbarSide[P]) clip(end uint64) (n uint64) {
+	for _, free := range s.free {
+		n += clipBusy(end, free...)
+	}
+	return n
 }
 
 // ReqLinkName names the core-to-bank crosspoint a request crosses.

@@ -217,7 +217,7 @@ func TestMeshRouting(t *testing.T) {
 		}
 	}
 	var waits uint64
-	f2.StatsInto(func(name string, v uint64) {
+	f2.StatsInto(60, func(name string, v uint64) {
 		if name == "mesh.link_wait_cycles" {
 			waits = v
 		}
@@ -269,31 +269,47 @@ func TestFabricFIFOAndReorder(t *testing.T) {
 
 // TestFabricNextEventExact drives a staggered workload through each fabric
 // twice — ticking every cycle, and jumping between NextEvent cycles — and
-// requires identical delivery traces. This is the contract the quiescent
-// fast path depends on.
+// requires identical delivery traces and identical StatsInto counters at
+// every reading cycle. This is the contract the quiescent fast path depends
+// on. The busy-cycle counters are also checked against a count taken from
+// the trace itself — a channel granted at g with occupancy o is busy at
+// cycles g+1 .. g+o-1 — at reading cycles chosen to cut transfers in
+// flight, which is where crediting at grant time and clipping on read can
+// go wrong.
 func TestFabricNextEventExact(t *testing.T) {
 	g := Geometry{Cores: 8, Banks: 4, MeshW: 4, MeshH: 2, LinkLat: 2, PortBW: 1}
+	occ := map[int]uint64{} // payload id -> occupancy
 	load := func(f Fabric[int]) {
 		id := 0
 		for c := 0; c < 8; c++ {
 			for i := 0; i < 3; i++ {
-				occ := uint64(1 + (c+i)%4)
-				f.PushRequest(Message[int]{Src: c, Dst: (c + i) % 4, Occ: occ, Payload: id}, uint64(2+7*i+c), false)
+				occ[id] = uint64(1 + (c+i)%4)
+				f.PushRequest(Message[int]{Src: c, Dst: (c + i) % 4, Occ: occ[id], Payload: id}, uint64(2+7*i+c), false)
 				id++
 			}
 		}
 		for b := 0; b < 4; b++ {
 			for i := 0; i < 3; i++ {
-				f.PushResponse(Message[int]{Src: b, Dst: (b*3 + i) % 8, Occ: uint64(1 + i%4), Payload: id}, uint64(3+5*i+b))
+				occ[id] = uint64(1 + i%4)
+				f.PushResponse(Message[int]{Src: b, Dst: (b*3 + i) % 8, Occ: occ[id], Payload: id}, uint64(3+5*i+b))
 				id++
 			}
 		}
+	}
+	const horizon = 500
+	ends := []uint64{0, 3, 5, 9, 12, 14, 17, 20, 23, 27, 30, 34, 41, 48, 57, horizon}
+	stats := func(f Fabric[int], end uint64) map[string]uint64 {
+		out := map[string]uint64{}
+		f.StatsInto(end, func(name string, v uint64) { out[name] = v })
+		return out
 	}
 	for _, kind := range Kinds {
 		var dense []rec
 		fd := mustNew(t, kind, g, &dense)
 		load(fd)
-		for now := uint64(0); now < 500; now++ {
+		denseStats := map[uint64]map[string]uint64{}
+		for now := uint64(0); now <= horizon; now++ {
+			denseStats[now] = stats(fd, now)
 			fd.Tick(now)
 		}
 		if !fd.Quiet() {
@@ -303,16 +319,22 @@ func TestFabricNextEventExact(t *testing.T) {
 		var sparse []rec
 		fs := mustNew(t, kind, g, &sparse)
 		load(fs)
-		now := uint64(0)
+		sparseStats := map[uint64]map[string]uint64{}
+		now, next := uint64(0), 0
 		for steps := 0; steps < 1000; steps++ {
 			e, ok := fs.NextEvent(now)
 			if !ok {
+				e = horizon
+			}
+			// No grant falls in [now, e): every reading cycle passed on
+			// the way must see the counters the dense run saw there.
+			for ; next < len(ends) && ends[next] <= e; next++ {
+				sparseStats[ends[next]] = stats(fs, ends[next])
+			}
+			if !ok {
 				break
 			}
-			if e > now {
-				fs.SkipIdle(now, e-now)
-				now = e
-			}
+			now = e
 			fs.Tick(now)
 			now++
 		}
@@ -321,6 +343,49 @@ func TestFabricNextEventExact(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dense, sparse) {
 			t.Fatalf("%v: event-driven trace diverges from per-cycle trace\ndense:  %v\nsparse: %v", kind, dense, sparse)
+		}
+		if next != len(ends) {
+			t.Fatalf("%v: event-driven run read %d of %d reading cycles", kind, next, len(ends))
+		}
+
+		// The trace's own busy count, and whether some reading cycle cut a
+		// multi-cycle transfer.
+		cut := false
+		busyAt := func(end uint64, req bool) (n uint64) {
+			for _, r := range dense {
+				if r.req != req {
+					continue
+				}
+				o, g := occ[r.id], r.at-occ[r.id]
+				if kind == KindOptical {
+					g = r.at - 1 // one-cycle flight; Occ holds the modulator
+				}
+				if g < end {
+					n += min(g+o, end) - g - 1
+					cut = cut || (o > 1 && end < g+o)
+				}
+			}
+			return n
+		}
+		for _, end := range ends {
+			if !reflect.DeepEqual(denseStats[end], sparseStats[end]) {
+				t.Errorf("%v: counters at cycle %d diverge\ndense:  %v\nsparse: %v", kind, end, denseStats[end], sparseStats[end])
+			}
+			if kind == KindMesh {
+				continue // the mesh accounts link waits, not busy cycles
+			}
+			for _, half := range []struct {
+				req  bool
+				name string
+			}{{true, "request"}, {false, "response"}} {
+				key := kind.String() + "." + half.name + "_busy_cycles"
+				if got, want := denseStats[end][key], busyAt(end, half.req); got != want {
+					t.Errorf("%v: %s at cycle %d = %d, trace says %d", kind, key, end, got, want)
+				}
+			}
+		}
+		if kind != KindMesh && !cut {
+			t.Errorf("%v: no reading cycle cut a multi-cycle transfer; move the reading cycles", kind)
 		}
 	}
 }
@@ -360,7 +425,7 @@ func TestStatsPrefixes(t *testing.T) {
 			f.Tick(now)
 		}
 		n := 0
-		f.StatsInto(func(name string, v uint64) {
+		f.StatsInto(10, func(name string, v uint64) {
 			n++
 			if !strings.HasPrefix(name, want[kind]) {
 				t.Errorf("%v: counter %q lacks prefix %q", kind, name, want[kind])

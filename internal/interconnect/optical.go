@@ -21,29 +21,23 @@ type Optical[P any] struct {
 	g Geometry
 	d Delivery[P]
 
-	reqQ  [][]timedMsg[P] // per core
-	respQ [][]timedMsg[P] // per bank
+	req, resp opticalSide[P] // per core, per bank
+}
 
-	reqFree  []uint64 // per core: modulator-free cycle
-	respFree []uint64 // per bank: modulator-free cycle
-
-	// statistics
-	ReqGrants    uint64
-	ReqBusyCyc   uint64
-	RespGrants   uint64
-	RespBusyCyc  uint64
-	MaxReqQueue  int
-	MaxRespQueue int
+// opticalSide is one direction's transmitters: a FIFO and a modulator-free
+// cycle per source.
+type opticalSide[P any] struct {
+	ports[P]
+	free         []uint64
+	grants, busy uint64
 }
 
 func newOptical[P any](g Geometry, d Delivery[P]) *Optical[P] {
 	return &Optical[P]{
-		g:        g,
-		d:        d,
-		reqQ:     make([][]timedMsg[P], g.Cores),
-		respQ:    make([][]timedMsg[P], g.Banks),
-		reqFree:  make([]uint64, g.Cores),
-		respFree: make([]uint64, g.Banks),
+		g:    g,
+		d:    d,
+		req:  opticalSide[P]{ports: newPorts[P](g.Cores), free: make([]uint64, g.Cores)},
+		resp: opticalSide[P]{ports: newPorts[P](g.Banks), free: make([]uint64, g.Banks)},
 	}
 }
 
@@ -51,43 +45,31 @@ func (o *Optical[P]) Kind() Kind { return KindOptical }
 
 // PushRequest enqueues a request at its core's transmitter queue.
 func (o *Optical[P]) PushRequest(m Message[P], ready uint64, reorder bool) {
-	o.reqQ[m.Src] = pushOrdered(o.reqQ[m.Src], m, ready, reorder)
-	if n := len(o.reqQ[m.Src]); n > o.MaxReqQueue {
-		o.MaxReqQueue = n
-	}
+	o.req.push(m, ready, reorder)
 }
 
 // PushResponse enqueues a response at its bank's transmitter queue.
-func (o *Optical[P]) PushResponse(m Message[P], ready uint64) {
-	o.respQ[m.Src] = append(o.respQ[m.Src], timedMsg[P]{m, ready})
-	if n := len(o.respQ[m.Src]); n > o.MaxRespQueue {
-		o.MaxRespQueue = n
-	}
-}
+func (o *Optical[P]) PushResponse(m Message[P], ready uint64) { o.resp.push(m, ready, false) }
 
 // Tick launches at most one transfer per source transmitter: the head of
 // each FIFO whose ready cycle has come and whose modulator is free departs
 // now and arrives one cycle later, holding the modulator for Occ cycles.
 func (o *Optical[P]) Tick(now uint64) {
-	opticalSide(now, o.reqQ, o.reqFree, &o.ReqGrants, &o.ReqBusyCyc, o.d.Req)
-	opticalSide(now, o.respQ, o.respFree, &o.RespGrants, &o.RespBusyCyc, o.d.Resp)
+	o.req.tick(now, o.d.Req)
+	o.resp.tick(now, o.d.Resp)
 }
 
-func opticalSide[P any](now uint64, srcQ [][]timedMsg[P], free []uint64,
-	grants, busy *uint64, deliver func(int, P, uint64)) {
-	for s := range srcQ {
-		if now < free[s] {
-			*busy = *busy + 1
+func (s *opticalSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
+	if s.n == 0 {
+		return
+	}
+	for src := range s.q {
+		if now < s.free[src] || !s.ready(src, now) {
 			continue
 		}
-		q := srcQ[s]
-		if len(q) == 0 || q[0].ready > now {
-			continue
-		}
-		m := q[0].msg
-		srcQ[s] = q[1:]
-		free[s] = now + max(m.Occ, 1)
-		*grants = *grants + 1
+		m := s.pop(src)
+		s.free[src] = grant(now, m.Occ, &s.busy)
+		s.grants++
 		// One-cycle flight regardless of (src, dst): delivery is pinned to
 		// now+1; the Occ serialization cost is paid at the transmitter only.
 		deliver(m.Dst, m.Payload, now+1)
@@ -98,61 +80,33 @@ func opticalSide[P any](now uint64, srcQ [][]timedMsg[P], free []uint64,
 // launch its queue head: max(head ready, modulator free). Exact because
 // heads change only via Tick and a launch always happens at that cycle.
 func (o *Optical[P]) NextEvent(now uint64) (event uint64, ok bool) {
-	consider := func(t uint64) {
-		if !ok || t < event {
-			event, ok = t, true
+	for _, s := range [2]*opticalSide[P]{&o.req, &o.resp} {
+		if s.n == 0 {
+			continue
 		}
-	}
-	for s, q := range o.reqQ {
-		if len(q) > 0 {
-			consider(max(q[0].ready, o.reqFree[s]))
-		}
-	}
-	for s, q := range o.respQ {
-		if len(q) > 0 {
-			consider(max(q[0].ready, o.respFree[s]))
+		for src, q := range s.q {
+			if len(q) == 0 {
+				continue
+			}
+			if t := max(q[0].ready, s.free[src]); !ok || t < event {
+				event, ok = t, true
+			}
 		}
 	}
 	return event, ok
 }
 
-// SkipIdle credits per-transmitter busy cycles across a skipped window.
-func (o *Optical[P]) SkipIdle(now, n uint64) {
-	for _, f := range o.reqFree {
-		if f > now {
-			o.ReqBusyCyc += min(n, f-now)
-		}
-	}
-	for _, f := range o.respFree {
-		if f > now {
-			o.RespBusyCyc += min(n, f-now)
-		}
-	}
-}
-
 // Quiet reports whether every transmitter queue is empty.
-func (o *Optical[P]) Quiet() bool {
-	for _, q := range o.reqQ {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	for _, q := range o.respQ {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (o *Optical[P]) Quiet() bool { return o.req.n == 0 && o.resp.n == 0 }
 
 // StatsInto emits the optical counters under the optical prefix.
-func (o *Optical[P]) StatsInto(set func(name string, v uint64)) {
-	set("optical.request_grants", o.ReqGrants)
-	set("optical.request_busy_cycles", o.ReqBusyCyc)
-	set("optical.response_grants", o.RespGrants)
-	set("optical.response_busy_cycles", o.RespBusyCyc)
-	set("optical.max_request_queue", uint64(o.MaxReqQueue))
-	set("optical.max_response_queue", uint64(o.MaxRespQueue))
+func (o *Optical[P]) StatsInto(end uint64, set func(name string, v uint64)) {
+	set("optical.request_grants", o.req.grants)
+	set("optical.request_busy_cycles", o.req.busy-clipBusy(end, o.req.free...))
+	set("optical.response_grants", o.resp.grants)
+	set("optical.response_busy_cycles", o.resp.busy-clipBusy(end, o.resp.free...))
+	set("optical.max_request_queue", uint64(o.req.maxLen))
+	set("optical.max_response_queue", uint64(o.resp.maxLen))
 }
 
 // ReqLinkName names the wavelength a request rides.

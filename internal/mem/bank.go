@@ -160,16 +160,9 @@ func (bk *Bank) pushRefill(t Txn, at uint64) {
 // most one new request per cycle.
 func (bk *Bank) Tick(now uint64) {
 	// Refills from below complete pending misses without consuming the
-	// request slot (they use the fill pipeline).
-	for i := 0; i < len(bk.refillQ); {
-		if bk.refillQ[i].ready > now {
-			i++
-			continue
-		}
-		t := bk.refillQ[i].txn
-		bk.refillQ = append(bk.refillQ[:i], bk.refillQ[i+1:]...)
-		bk.finishRefill(now, t)
-	}
+	// request slot (they use the fill pipeline). Only the L3 appends to
+	// refillQ, and it ticks after the banks.
+	bk.refillQ = drainReady(bk.refillQ, now, func(t Txn) { bk.finishRefill(now, t) })
 
 	// Parked fills released by the filter, up to FilterBW per cycle.
 	budget := bk.sys.Cfg.FilterBW

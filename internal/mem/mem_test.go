@@ -510,7 +510,7 @@ func TestBusQuietAndStats(t *testing.T) {
 	s.L1D[0].StartMiss(0, 0x5000, GetS, false)
 	runSystem(s, 2000, func() bool { return s.Quiet() })
 	stats := map[string]uint64{}
-	s.FabricStats(func(name string, v uint64) { stats[name] = v })
+	s.FabricStats(2000, func(name string, v uint64) { stats[name] = v })
 	if stats["bus.request_grants"] == 0 || stats["bus.response_grants"] == 0 {
 		t.Fatalf("bus grants not counted: %v", stats)
 	}

@@ -12,6 +12,21 @@ type timedTxn struct {
 	ready uint64
 }
 
+// drainReady hands every entry of q ready at cycle now to fn, in queue
+// order, and returns the rest, order kept, compacted in place. fn must not
+// append to q.
+func drainReady(q []timedTxn, now uint64, fn func(Txn)) []timedTxn {
+	kept := q[:0]
+	for _, e := range q {
+		if e.ready > now {
+			kept = append(kept, e)
+		} else {
+			fn(e.txn)
+		}
+	}
+	return kept
+}
+
 // InvalToken tracks one outstanding ICBI/DCBI broadcast. The issuing core's
 // store buffer holds the cache-op until Done. Born is the cycle the
 // broadcast was issued; the liveness watchdog uses it to spot tokens whose
@@ -103,8 +118,9 @@ func (s *System) deliverResp(core int, t Txn, at uint64) {
 // Fabric exposes the interconnect (stats, tests, topology probes).
 func (s *System) Fabric() interconnect.Fabric[Txn] { return s.fab }
 
-// FabricStats emits the fabric's counters into set (core.StatsReport).
-func (s *System) FabricStats(set func(name string, v uint64)) { s.fab.StatsInto(set) }
+// FabricStats emits the fabric's counters as of cycle end, the first cycle
+// not yet ticked, into set (core.StatsReport).
+func (s *System) FabricStats(end uint64, set func(name string, v uint64)) { s.fab.StatsInto(end, set) }
 
 // FabricName returns the fabric kind's short name ("bus", "xbar", "mesh").
 func (s *System) FabricName() string { return s.fab.Kind().String() }
@@ -214,16 +230,10 @@ func (s *System) Tick(now uint64) {
 	if s.chaos != nil {
 		s.chaos.Tick(now)
 	}
-	// 1. Deliver arrived responses to the L1s / inval tokens.
-	for i := 0; i < len(s.respInbox); {
-		if s.respInbox[i].ready > now {
-			i++
-			continue
-		}
-		t := s.respInbox[i].txn
-		s.respInbox = append(s.respInbox[:i], s.respInbox[i+1:]...)
-		s.dispatchResp(now, t)
-	}
+	// 1. Deliver arrived responses to the L1s / inval tokens, in queue
+	// order, compacting the rest in one pass. Only the fabric appends to
+	// the inbox (in step 2), so nothing joins it during the pass.
+	s.respInbox = drainReady(s.respInbox, now, func(t Txn) { s.dispatchResp(now, t) })
 	// 2. Banks, then L3/DRAM, then the fabric grants new transfers.
 	for _, bk := range s.Banks {
 		bk.Tick(now)
@@ -279,7 +289,7 @@ type hookNextEventer interface {
 }
 
 // NextEvent returns the earliest cycle at or after now at which Tick would
-// do anything beyond per-cycle busy accounting: deliver a response, grant or
+// do anything: deliver a response, grant or
 // launch a fabric transfer, process a bank or L3 queue entry, or release a
 // parked fill.
 // ok=false means the hierarchy is completely idle and, absent new requests,
@@ -313,13 +323,6 @@ func (s *System) NextEvent(now uint64) (event uint64, ok bool) {
 		}
 	}
 	return event, ok
-}
-
-// SkipIdle credits n cycles of per-cycle busy accounting that Tick would
-// have performed between now and the next event. The caller must have
-// verified (via NextEvent) that no event falls inside the skipped window.
-func (s *System) SkipIdle(now, n uint64) {
-	s.fab.SkipIdle(now, n)
 }
 
 // Quiet reports whether nothing is in flight anywhere in the hierarchy
