@@ -40,6 +40,12 @@ type BankFilters struct {
 	retired []Primitive
 	obs     SyncObserver
 
+	// work is what PopReleased may find across the hosted and retired
+	// primitives: their queued releases plus armed expiry entries. Each
+	// table's parkBoard keeps it current; Add, Remove, Retire and the
+	// retired list's truncation move a table's share in and out.
+	work int
+
 	// Spills counts allocations refused for entry capacity (the
 	// filter.overflow_spills statistic).
 	Spills uint64
@@ -66,8 +72,21 @@ func (b *BankFilters) Add(p Primitive) error {
 			ErrNoCapacity, b.Entries(), b.Cap, t.Kind.Noun, t.Name, t.NumThreads)
 	}
 	t.obs = b.obs
+	b.host(t)
 	b.prims = append(b.prims, p)
 	return nil
+}
+
+// host points t's work count at this bank and adds its share.
+func (b *BankFilters) host(t *EntryTable) {
+	t.host = &b.work
+	b.work += t.work()
+}
+
+// unhost takes t's share back out of this bank.
+func (b *BankFilters) unhost(t *EntryTable) {
+	b.work -= t.work()
+	t.host = nil
 }
 
 // AddLock is Add; benchmark/ (frozen) installs its lock under this name.
@@ -89,6 +108,7 @@ func (b *BankFilters) SetObserver(o SyncObserver) {
 func (b *BankFilters) Remove(p Primitive) {
 	for i, x := range b.prims {
 		if x == p {
+			b.unhost(p.Table())
 			b.prims = append(b.prims[:i], b.prims[i+1:]...)
 			return
 		}
@@ -101,10 +121,14 @@ func (b *BankFilters) Remove(p Primitive) {
 // fills with error-coded responses instead of silently ignoring them.
 func (b *BankFilters) Retire(p Primitive) {
 	b.Remove(p)
+	b.host(p.Table())
 	p.Table().evictAll()
 	b.retired = append(b.retired, p)
-	if len(b.retired) > maxRetired {
-		b.retired = b.retired[len(b.retired)-maxRetired:]
+	if n := len(b.retired) - maxRetired; n > 0 {
+		for _, old := range b.retired[:n] {
+			b.unhost(old.Table())
+		}
+		b.retired = b.retired[n:]
 	}
 }
 
@@ -173,8 +197,12 @@ func (b *BankFilters) OnFill(now uint64, t mem.Txn) (park, fault bool) {
 }
 
 // PopReleased round-robins over the primitives' release queues, including
-// retired primitives still draining evict-time error releases.
+// retired primitives still draining evict-time error releases. A bank with
+// no queued release and no armed expiry answers without visiting them.
 func (b *BankFilters) PopReleased(now uint64) (mem.Txn, bool, bool) {
+	if b.work == 0 {
+		return mem.Txn{}, false, false
+	}
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
 			if t, errFill, ok := p.Table().popReleased(now); ok {

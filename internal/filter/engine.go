@@ -116,7 +116,10 @@ type EntryTable struct {
 	// invalidation in EntrySignalled (Figure 3 tolerates it).
 	Strict bool
 	// Timeout releases a parked fill with an error code after this many
-	// cycles (0 disables).
+	// cycles (0 disables). It is read when a fill parks: the first fill
+	// parked under a nonzero Timeout arms expiry for every fill parked here
+	// so far, so set it before fills park (Machine.Install sets it before
+	// Add).
 	Timeout uint64
 
 	states []EntryState
@@ -234,7 +237,7 @@ func (e *EntryTable) onFill(now uint64, t int, txn mem.Txn) (park, fault bool) {
 	switch e.states[t] {
 	case EntrySignalled:
 		e.ParkedFills++
-		e.park(t, txn, now)
+		e.park(t, txn, now, e.Timeout > 0)
 		return true, false
 	case EntryOpen:
 		e.Serviced++
@@ -253,7 +256,7 @@ func (e *EntryTable) onFill(now uint64, t int, txn mem.Txn) (park, fault bool) {
 			// they can neither open nor observe the primitive early:
 			// parked until the thread is granted or the timeout
 			// reclaims them.
-			e.park(t, txn, now)
+			e.park(t, txn, now, e.Timeout > 0)
 			return true, false
 		}
 		return false, e.fail("fill for thread %d in state %s (%s)", t, e.Kind.States[EntryIdle], e.Kind.hint)
@@ -369,22 +372,68 @@ type releaseEnt struct {
 // order, so appending keeps the expiry queue sorted by park time; entries
 // whose fill has since been released, dropped, or evicted are discarded
 // lazily when they reach the head.
+//
+// The board's work is what popReleased may yield: its queued releases, plus
+// its expiry entries once a timed park has armed them. The hosting bank
+// keeps the sum over its boards in *host, current on every change here, so
+// BankFilters.PopReleased answers an idle bank without visiting a table.
 type parkBoard struct {
 	pending  [][]parked // parked fills per thread (2 possible after a context switch)
 	releaseQ []releaseEnt
 	expiry   []expiryEnt // parked fills in park order, for exact timeout expiry
 	parkSeq  uint64
+	armed    bool // expiry entries count as work (a fill parked under a timeout)
+	host     *int // the hosting bank's work count; nil when not hosted
+}
+
+// work is the board's share of its host's count.
+func (pb *parkBoard) work() int {
+	if pb.armed {
+		return len(pb.releaseQ) + len(pb.expiry)
+	}
+	return len(pb.releaseQ)
+}
+
+// bump moves the host's count by d.
+func (pb *parkBoard) bump(d int) {
+	if pb.host != nil {
+		*pb.host += d
+	}
+}
+
+// dropExpiryHead discards the expiry queue's head.
+func (pb *parkBoard) dropExpiryHead() {
+	pb.expiry = pb.expiry[1:]
+	if pb.armed {
+		pb.bump(-1)
+	}
+}
+
+// clearExpiry discards the whole expiry queue (every parked fill is gone).
+func (pb *parkBoard) clearExpiry() {
+	if pb.armed {
+		pb.bump(-len(pb.expiry))
+	}
+	pb.expiry = pb.expiry[:0]
 }
 
 func newParkBoard(nthreads int) parkBoard {
 	return parkBoard{pending: make([][]parked, nthreads)}
 }
 
-// park withholds a fill for thread t and indexes it for timeout expiry.
-func (pb *parkBoard) park(t int, txn mem.Txn, now uint64) {
+// park withholds a fill for thread t and indexes it for timeout expiry;
+// timed (a nonzero timeout) arms expiry.
+func (pb *parkBoard) park(t int, txn mem.Txn, now uint64, timed bool) {
+	if timed && !pb.armed {
+		pb.armed = true
+		pb.bump(len(pb.expiry))
+	}
 	pb.parkSeq++
 	pb.pending[t] = append(pb.pending[t], parked{txn: txn, parkedAt: now, seq: pb.parkSeq})
 	pb.expiry = append(pb.expiry, expiryEnt{at: now, seq: pb.parkSeq, thread: t})
+	if pb.armed {
+		pb.bump(1)
+	}
 }
 
 // releaseThread moves every fill parked for thread t to the release queue
@@ -395,26 +444,29 @@ func (pb *parkBoard) releaseThread(t int, err bool) int {
 		pb.releaseQ = append(pb.releaseQ, releaseEnt{txn: p.txn, err: err})
 	}
 	pb.pending[t] = pb.pending[t][:0]
+	pb.bump(n)
 	return n
 }
 
 // popReleased yields one ready-to-service fill, honouring the timeout.
 // Timeout expiry walks the park-ordered expiry queue instead of rescanning
-// every parked fill: the head is the earliest park still possibly live.
-// timeouts is bumped when a fill is error-released by expiry.
+// every parked fill: the head is the earliest park still possibly live, and
+// dead heads are discarded on the way. timeouts is bumped when a fill is
+// error-released by expiry.
 func (pb *parkBoard) popReleased(now, timeout uint64, timeouts *uint64) (mem.Txn, bool, bool) {
 	if len(pb.releaseQ) > 0 {
 		r := pb.releaseQ[0]
 		pb.releaseQ = pb.releaseQ[1:]
+		pb.bump(-1)
 		return r.txn, r.err, true
 	}
 	if timeout > 0 {
 		for len(pb.expiry) > 0 {
 			e := pb.expiry[0]
-			if now-e.at < timeout {
+			if pb.parkedAlive(e.thread, e.seq) && now-e.at < timeout {
 				break
 			}
-			pb.expiry = pb.expiry[1:]
+			pb.dropExpiryHead()
 			if txn, ok := pb.takeParked(e.thread, e.seq); ok {
 				*timeouts++
 				return txn, true, true
@@ -452,7 +504,7 @@ func (pb *parkBoard) nextEvent(now, timeout uint64) (event uint64, ok bool) {
 		if pb.parkedAlive(e.thread, e.seq) {
 			return e.at + timeout, true
 		}
-		pb.expiry = pb.expiry[1:]
+		pb.dropExpiryHead()
 	}
 	return 0, false
 }

@@ -153,7 +153,7 @@ func (f *Filter) open(now uint64) {
 	}
 	// Every parked fill was just released (evicted entries park nothing),
 	// so the whole expiry queue is dead.
-	f.expiry = f.expiry[:0]
+	f.clearExpiry()
 	if f.obs != nil {
 		f.obs.OnBarrierOpen(f, now)
 	}

@@ -27,6 +27,12 @@ func FuzzFilterFSM(f *testing.F) {
 		const n = 4
 		flt := newTestFilter(n)
 		flt.Timeout = 50
+		// Hosted, and drained through the bank, so the bank's idle
+		// shortcut must never hide a release or a due timeout.
+		bank := NewBankFilters(1)
+		if err := bank.Add(flt); err != nil {
+			t.Fatal(err)
+		}
 		now := uint64(0)
 		parked := 0 // fills currently withheld (oracle)
 		released := 0
@@ -106,7 +112,7 @@ func FuzzFilterFSM(f *testing.F) {
 				}
 			case 7: // drain the release queue (timeouts included)
 				for {
-					_, _, ok := flt.popReleased(now)
+					_, _, ok := bank.PopReleased(now)
 					if !ok {
 						break
 					}
@@ -139,6 +145,7 @@ func FuzzFilterFSM(f *testing.F) {
 			// No fill is ever lost or duplicated: every fill the filter
 			// accepted is parked, queued for release, or was surfaced
 			// through popReleased (or silently dropped on deschedule).
+			checkWork(t, bank)
 			if pend+len(flt.releaseQ) != parked {
 				t.Fatalf("fill accounting: %d parked+queued, oracle says %d withheld", pend+len(flt.releaseQ), parked)
 			}

@@ -30,6 +30,12 @@ func FuzzLockFSM(f *testing.F) {
 		l := newTestLock(n)
 		l.Strict = true
 		l.Timeout = 50
+		// Hosted, and drained through the bank, so the bank's idle
+		// shortcut must never hide a release or a due timeout.
+		bank := NewBankFilters(1)
+		if err := bank.Add(l); err != nil {
+			t.Fatal(err)
+		}
 		now := uint64(0)
 		parked := 0 // fills currently withheld (oracle)
 		for _, op := range ops {
@@ -128,7 +134,7 @@ func FuzzLockFSM(f *testing.F) {
 				}
 			case 6: // drain the release queue (timeouts included)
 				for {
-					_, _, ok := l.popReleased(now)
+					_, _, ok := bank.PopReleased(now)
 					if !ok {
 						break
 					}
@@ -186,6 +192,7 @@ func FuzzLockFSM(f *testing.F) {
 			// No fill is ever lost or duplicated: every fill the lock
 			// accepted is parked, queued for release, or was surfaced
 			// through popReleased (or silently dropped on deschedule).
+			checkWork(t, bank)
 			if pend+len(l.releaseQ) != parked {
 				t.Fatalf("fill accounting: %d parked+queued, oracle says %d withheld", pend+len(l.releaseQ), parked)
 			}

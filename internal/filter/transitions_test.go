@@ -40,8 +40,9 @@ type pinKind struct {
 	state   func(p pinPrim, t int) string
 	timeout func(p pinPrim, cycles uint64)
 	// signal lists the threads whose lines are invalidated, in order, to
-	// leave thread 0 in state 1; open likewise for state 2.
-	signal, open []int
+	// leave thread 0 in state 1; open likewise for state 2; grant takes a
+	// signalled thread 0 on to state 2, releasing its parked fills.
+	signal, open, grant []int
 }
 
 var pinKinds = []pinKind{
@@ -58,6 +59,7 @@ var pinKinds = []pinKind{
 		},
 		signal: []int{0},
 		open:   []int{0, 1, 2}, // the last arrival opens the barrier for everyone
+		grant:  []int{1, 2},
 	},
 	{
 		noun:   "lock",
@@ -72,6 +74,7 @@ var pinKinds = []pinKind{
 		},
 		signal: []int{1, 0}, // thread 1 takes the lock, thread 0 queues behind it
 		open:   []int{0},
+		grant:  []int{1}, // the holder's release hands the lock on
 	},
 }
 
@@ -188,6 +191,36 @@ func (x *pinFixture) expect(t *testing.T, before map[string]uint64, touched map[
 	if got := x.p.LastError(); got != lastErr {
 		t.Errorf("LastError = %q, want %q", got, lastErr)
 	}
+	checkWork(t, x.b)
+}
+
+// checkWork asserts that the count PopReleased's idle shortcut reads equals
+// what the bank's tables actually hold.
+func checkWork(t *testing.T, b *BankFilters) {
+	t.Helper()
+	n := 0
+	for _, ps := range [2][]Primitive{b.Hosted(), b.Retired()} {
+		for _, p := range ps {
+			n += p.Table().work()
+		}
+	}
+	if b.work != n {
+		t.Errorf("bank work count %d, tables hold %d", b.work, n)
+	}
+}
+
+// popAll drains a bank's releases and returns the issuing cores, with
+// whether each was error-coded.
+func popAll(t *testing.T, b *BankFilters, now uint64) (cores []int, errs []bool) {
+	t.Helper()
+	for {
+		txn, errFill, ok := b.PopReleased(now)
+		if !ok {
+			checkWork(t, b)
+			return cores, errs
+		}
+		cores, errs = append(cores, txn.Core), append(errs, errFill)
+	}
 }
 
 func TestSharedFillTransitions(t *testing.T) {
@@ -266,6 +299,70 @@ func TestSharedEntryTransitions(t *testing.T) {
 			x.expect(t, before, nil, 3, "")
 			if _, _, ok := x.b.PopReleased(x.now); ok {
 				t.Error("double evict released something")
+			}
+		})
+		t.Run(k.noun+"/swap-moves-queued-releases", func(t *testing.T) {
+			// The OS swap (§3.3.3): a primitive whose grant is still
+			// draining moves banks, and its releases move with it.
+			x := newPinFixture(t, k, 3, 1)
+			x.fill(0, 4, mem.GetS, false)
+			x.fill(0, 5, mem.GetS, false)
+			for _, tid := range k.grant {
+				if x.b.OnInval(x.now, k.line(x.p, tid), tid) {
+					t.Fatalf("grant inval for thread %d faulted: %s", tid, x.p.LastError())
+				}
+			}
+			x.b.Remove(x.p.(Primitive))
+			to := NewBankFilters(1)
+			if err := k.add(to, x.p); err != nil {
+				t.Fatal(err)
+			}
+			checkWork(t, x.b)
+			checkWork(t, to)
+			if cores, _ := popAll(t, x.b, x.now); len(cores) != 0 {
+				t.Errorf("old bank released fills of cores %v after the swap", cores)
+			}
+			cores, errs := popAll(t, to, x.now)
+			if !reflect.DeepEqual(cores, []int{4, 5}) || !reflect.DeepEqual(errs, []bool{false, false}) {
+				t.Errorf("new bank released cores %v (error-coded %v), want [4 5] serviced", cores, errs)
+			}
+		})
+		t.Run(k.noun+"/retire-releases-pop", func(t *testing.T) {
+			x := newPinFixture(t, k, 3, 1)
+			x.fill(0, 4, mem.GetS, false)
+			x.fill(0, 5, mem.GetS, false)
+			x.b.Retire(x.p.(Primitive))
+			checkWork(t, x.b)
+			cores, errs := popAll(t, x.b, x.now)
+			if !reflect.DeepEqual(cores, []int{4, 5}) || !reflect.DeepEqual(errs, []bool{true, true}) {
+				t.Errorf("retire released cores %v (error-coded %v), want [4 5] error-coded", cores, errs)
+			}
+			// A retiree pushed off the retired list takes its share of the
+			// count with it, releases still queued included.
+			y := k.mk()
+			for tid := 0; tid < 3; tid++ {
+				if err := y.RegisterThread(tid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := k.add(x.b, y); err != nil {
+				t.Fatal(err)
+			}
+			if park, _ := x.b.OnFill(x.now, mem.Txn{Kind: mem.GetI, Addr: k.line(y, 0), Core: 7, ID: 1}); !park {
+				t.Fatal("speculative fill in state 0 not parked")
+			}
+			x.b.Retire(y.(Primitive)) // the parked ifetch is error-released, and left queued
+			checkWork(t, x.b)
+			for i := 0; i < maxRetired; i++ {
+				z := k.mk()
+				if err := k.add(x.b, z); err != nil {
+					t.Fatal(err)
+				}
+				x.b.Retire(z.(Primitive))
+				checkWork(t, x.b)
+			}
+			if cores, _ := popAll(t, x.b, x.now); len(cores) != 0 {
+				t.Errorf("forgotten retiree still released cores %v", cores)
 			}
 		})
 		t.Run(k.noun+"/reprogram", func(t *testing.T) {
