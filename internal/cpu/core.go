@@ -146,10 +146,11 @@ type sbEntry struct {
 
 // Core is one out-of-order SRISC core (or one context of an MTCore).
 type Core struct {
-	// Fields the machine loop reads for every core on every cycle, parked
-	// ones included (Quiesced, SkipQuiesced, Running), lead the struct so a
-	// skipped core costs one cache line: quiescence state (see quiesce.go),
-	// run state, and the per-cycle counters SkipQuiesced credits.
+	// Fields the machine loop reads for every awake core on every cycle,
+	// and for a sleeping one when it wakes (Quiesced, SkipQuiesced,
+	// Running), lead the struct so those reads cost one cache line:
+	// quiescence state (see quiesce.go), run state, and the per-cycle
+	// counters SkipQuiesced credits.
 	quiesced    bool
 	qFetchStall bool // skipped cycles count as FetchMissStalls
 	qFenceStall bool // skipped cycles count as FenceStalls

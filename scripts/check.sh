@@ -47,8 +47,9 @@ echo "== go test -race (translation cache: counters, invalidation, fuzz seeds) =
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracle: side lists vs window scan, quiesce twin) =="
+echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twin, awake set vs core scan) =="
 go test -race -run 'TestSchedOracle|TestQuiesce' ./internal/cpu
+go test -race -run TestAwakeSetOracle ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer) =="
 go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer' .
