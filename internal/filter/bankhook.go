@@ -40,11 +40,13 @@ type BankFilters struct {
 	retired []Primitive
 	obs     SyncObserver
 
-	// work is what PopReleased may find across the hosted and retired
-	// primitives: their queued releases plus armed expiry entries. Each
-	// table's parkBoard keeps it current; Add, Remove, Retire and the
-	// retired list's truncation move a table's share in and out.
-	work int
+	// work counts what PopReleased may find across the hosted and retired
+	// primitives: their queued releases plus armed expiry entries. It is
+	// the L2 bank's count once the bank binds it (BindWork), else the
+	// hook's own. Each table's parkBoard keeps it current; Add, Remove,
+	// Retire and the retired list's truncation move a table's share in and
+	// out.
+	work *int
 
 	// Spills counts allocations refused for entry capacity (the
 	// filter.overflow_spills statistic).
@@ -55,7 +57,19 @@ var _ mem.BankHook = (*BankFilters)(nil)
 
 // NewBankFilters creates a hook with capacity for slots primitives.
 func NewBankFilters(slots int) *BankFilters {
-	return &BankFilters{Slots: slots}
+	return &BankFilters{Slots: slots, work: new(int)}
+}
+
+// BindWork moves the pending-work count into w, the count of the bank this
+// hook is attached to, and points every table's share at it.
+func (b *BankFilters) BindWork(w *int) {
+	*w = *b.work
+	b.work = w
+	for _, ps := range [2][]Primitive{b.prims, b.retired} {
+		for _, p := range ps {
+			p.Table().host = w
+		}
+	}
 }
 
 // Add installs a primitive — a barrier filter or any other kind — failing
@@ -79,13 +93,13 @@ func (b *BankFilters) Add(p Primitive) error {
 
 // host points t's work count at this bank and adds its share.
 func (b *BankFilters) host(t *EntryTable) {
-	t.host = &b.work
-	b.work += t.work()
+	t.host = b.work
+	*b.work += t.work()
 }
 
 // unhost takes t's share back out of this bank.
 func (b *BankFilters) unhost(t *EntryTable) {
-	b.work -= t.work()
+	*b.work -= t.work()
 	t.host = nil
 }
 
@@ -197,12 +211,9 @@ func (b *BankFilters) OnFill(now uint64, t mem.Txn) (park, fault bool) {
 }
 
 // PopReleased round-robins over the primitives' release queues, including
-// retired primitives still draining evict-time error releases. A bank with
-// no queued release and no armed expiry answers without visiting them.
+// retired primitives still draining evict-time error releases. The bank
+// calls it only while the work count is nonzero.
 func (b *BankFilters) PopReleased(now uint64) (mem.Txn, bool, bool) {
-	if b.work == 0 {
-		return mem.Txn{}, false, false
-	}
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
 		for _, p := range ps {
 			if t, errFill, ok := p.Table().popReleased(now); ok {
@@ -213,8 +224,8 @@ func (b *BankFilters) PopReleased(now uint64) (mem.Txn, bool, bool) {
 	return mem.Txn{}, false, false
 }
 
-// NextEvent implements the optional next-event query the simulator's bulk
-// fast-forward probes for: the earliest cycle at which any hosted
+// NextEvent is the next-event query the simulator's bulk fast-forward
+// asks a bank with pending work: the earliest cycle at which any hosted
 // primitive could spontaneously produce work (a queued release, or a
 // parked fill hitting its timeout). ok=false when none will act without
 // new input.

@@ -376,7 +376,7 @@ type releaseEnt struct {
 // The board's work is what popReleased may yield: its queued releases, plus
 // its expiry entries once a timed park has armed them. The hosting bank
 // keeps the sum over its boards in *host, current on every change here, so
-// BankFilters.PopReleased answers an idle bank without visiting a table.
+// the L2 bank skips an idle hook without calling it.
 type parkBoard struct {
 	pending  [][]parked // parked fills per thread (2 possible after a context switch)
 	releaseQ []releaseEnt

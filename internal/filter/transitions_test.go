@@ -204,8 +204,8 @@ func checkWork(t *testing.T, b *BankFilters) {
 			n += p.Table().work()
 		}
 	}
-	if b.work != n {
-		t.Errorf("bank work count %d, tables hold %d", b.work, n)
+	if *b.work != n {
+		t.Errorf("bank work count %d, tables hold %d", *b.work, n)
 	}
 }
 

@@ -5,7 +5,16 @@ package mem
 // every fill request that reaches it; the hook may park fills (withhold
 // service) and later release them through PopReleased. A nil hook disables
 // filtering.
+//
+// The bank owns a count of the work the hook has pending and hands it over
+// once, through BindWork. The bank calls PopReleased and NextEvent only
+// while the count is nonzero, so an idle bank costs no interface call.
 type BankHook interface {
+	// BindWork gives the hook the bank's pending-work count. From then on
+	// the hook keeps *w nonzero whenever PopReleased could yield a fill or
+	// NextEvent could report one; a hook that never parks may ignore it.
+	BindWork(w *int)
+
 	// OnInval observes an InvalD/InvalI transaction for addr from core.
 	// It returns true when the transaction is an illegal barrier-protocol
 	// transition that must fault the requester (§3.3.4).
@@ -20,6 +29,10 @@ type BankHook interface {
 	// to be serviced, with an error flag for timeout releases. ok=false
 	// when none is pending this cycle.
 	PopReleased(now uint64) (t Txn, errFill bool, ok bool)
+
+	// NextEvent returns the earliest cycle at which PopReleased could
+	// yield a fill without new input (ok=false: none).
+	NextEvent(now uint64) (event uint64, ok bool)
 }
 
 // dirEntry is the full-map directory state for one line: which L1Ds and
@@ -42,6 +55,7 @@ type Bank struct {
 	cache *Cache
 	dir   map[uint64]*dirEntry
 	hook  BankHook
+	work  int // the hook's pending work (BankHook.BindWork)
 
 	inQ      []timedTxn
 	refillQ  []timedTxn
@@ -113,8 +127,18 @@ func (bk *Bank) grantDelivered(addr uint64, core int, now uint64) {
 	}
 }
 
-// SetHook attaches a barrier filter hook.
-func (bk *Bank) SetHook(h BankHook) { bk.hook = h }
+// SetHook attaches a barrier filter hook and binds it to the bank's
+// pending-work count.
+func (bk *Bank) SetHook(h BankHook) {
+	bk.hook, bk.work = h, 0
+	if h != nil {
+		h.BindWork(&bk.work)
+	}
+}
+
+// HookWork returns the hook's pending-work count (test use): while it is
+// zero, Tick does not ask the hook for released fills.
+func (bk *Bank) HookWork() int { return bk.work }
 
 // DirEntry is a read-only copy of one directory entry (sanitizer/test use).
 type DirEntry struct {
@@ -159,6 +183,9 @@ func (bk *Bank) pushRefill(t Txn, at uint64) {
 // Tick processes refills, released parked fills (filter bandwidth), and at
 // most one new request per cycle.
 func (bk *Bank) Tick(now uint64) {
+	if len(bk.refillQ) == 0 && len(bk.inQ) == 0 && bk.work == 0 {
+		return // nothing to refill, release or serve
+	}
 	// Refills from below complete pending misses without consuming the
 	// request slot (they use the fill pipeline). Only the L3 appends to
 	// refillQ, and it ticks after the banks.
@@ -170,7 +197,7 @@ func (bk *Bank) Tick(now uint64) {
 		budget = 1
 	}
 	released := 0
-	if bk.hook != nil {
+	if bk.work > 0 {
 		for released < budget {
 			t, errFill, ok := bk.hook.PopReleased(now)
 			if !ok {
@@ -181,7 +208,7 @@ func (bk *Bank) Tick(now uint64) {
 			if errFill {
 				bk.respond(now, t, true)
 			} else {
-				bk.serviceFill(now, t, true)
+				bk.serviceFill(now, t)
 			}
 			bk.sys.observe(now, t)
 		}
@@ -228,7 +255,7 @@ func (bk *Bank) process(now uint64, t Txn) {
 				return
 			}
 		}
-		bk.serviceFill(now, t, false)
+		bk.serviceFill(now, t)
 	case Upgrade:
 		bk.processUpgrade(now, t)
 	case WB:
@@ -272,9 +299,7 @@ func (bk *Bank) processInval(now uint64, t Txn) {
 }
 
 // serviceFill runs the normal fill path (directory + L2 array + miss path).
-// skipHook marks fills re-injected by the filter after release.
-func (bk *Bank) serviceFill(now uint64, t Txn, skipHook bool) {
-	_ = skipHook
+func (bk *Bank) serviceFill(now uint64, t Txn) {
 	e := bk.entry(t.Addr)
 	penalty := 0
 
@@ -413,9 +438,7 @@ func (bk *Bank) dropSharer(addr uint64, core int, icache bool) {
 // nextEvent returns the earliest cycle at which this bank's Tick could do
 // work: a refill completing, a queued request (including a grant-hold retry,
 // whose ready time was advanced in place) becoming serviceable, or the hook
-// releasing a parked fill. A hook that does not implement the optional
-// NextEvent query reports an event every cycle, which disables bulk
-// fast-forwarding without affecting correctness.
+// releasing a parked fill.
 func (bk *Bank) nextEvent(now uint64) (event uint64, ok bool) {
 	consider := func(t uint64) {
 		if !ok || t < event {
@@ -428,13 +451,9 @@ func (bk *Bank) nextEvent(now uint64) (event uint64, ok bool) {
 	for i := range bk.inQ {
 		consider(bk.inQ[i].ready)
 	}
-	if bk.hook != nil {
-		if h, probe := bk.hook.(hookNextEventer); probe {
-			if t, o := h.NextEvent(now); o {
-				consider(t)
-			}
-		} else {
-			consider(now)
+	if bk.work > 0 {
+		if t, o := bk.hook.NextEvent(now); o {
+			consider(t)
 		}
 	}
 	return event, ok

@@ -395,7 +395,11 @@ func (r recordHook) OnFill(now uint64, t Txn) (bool, bool) {
 	return false, false
 }
 
+func (r recordHook) BindWork(*int) {} // never parks: the bank's count stays zero
+
 func (r recordHook) PopReleased(now uint64) (Txn, bool, bool) { return Txn{}, false, false }
+
+func (r recordHook) NextEvent(now uint64) (uint64, bool) { return 0, false }
 
 func TestL3HitFasterThanDRAM(t *testing.T) {
 	s := NewSystem(DefaultConfig(1))

@@ -280,14 +280,6 @@ func (s *System) dirDropSharer(addr uint64, core int, icache bool) {
 	s.Banks[s.Cfg.BankOf(addr)].dropSharer(addr, core, icache)
 }
 
-// hookNextEventer is the optional BankHook extension the bulk fast-forward
-// relies on: the earliest future cycle at which the hook may spontaneously
-// produce work (a queued or timed-out release). Hooks that do not implement
-// it simply disable bulk skipping (per-core skipping is unaffected).
-type hookNextEventer interface {
-	NextEvent(now uint64) (uint64, bool)
-}
-
 // NextEvent returns the earliest cycle at or after now at which Tick would
 // do anything: deliver a response, grant or
 // launch a fabric transfer, process a bank or L3 queue entry, or release a
