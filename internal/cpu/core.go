@@ -18,12 +18,14 @@ type BarrierNet interface {
 	TryRelease(now uint64, core, id int) bool
 }
 
-// fetchedInst is one instruction waiting in the fetch buffer.
+// fetchedInst is one instruction waiting in the fetch buffer. d points at a
+// published translation record (translate.go) or at a slot of the core's
+// decode ring (decode); neither changes before the instruction dispatches.
 type fetchedInst struct {
 	pc        uint64
-	d         isa.Decoded
-	predTaken bool
+	d         *isa.Decoded
 	predNext  uint64
+	predTaken bool
 }
 
 // source is one captured operand. While its producer is still executing,
@@ -184,6 +186,11 @@ type Core struct {
 	fetchStopped   bool
 	fetchBuf       []fetchedInst
 	pred           *bimodal
+
+	// Decode ring for the fetches the translation cache does not serve
+	// (see decode); allocated on first use.
+	decRing []isa.Decoded
+	decNext int
 
 	// Translation cache (nil = per-fetch decoding). curBlock is this
 	// core's cached pointer to the block holding fetchPC; it is dropped
@@ -1165,41 +1172,42 @@ func (c *Core) dispatchStage() {
 			return
 		}
 		f := &c.fetchBuf[0]
-		if f.d.Mem && c.memOps >= c.Cfg.LSQSize {
+		d := f.d
+		if d.Mem && c.memOps >= c.Cfg.LSQSize {
 			return
 		}
 		c.nextSeq++
 		e := c.allocEntry()
 		e.seq = c.nextSeq
 		e.pc = f.pc
-		e.in = f.d.In
-		e.class = f.d.Info.Class
-		e.memBytes = f.d.Info.MemBytes
+		e.in = d.In
+		e.class = d.Info.Class
+		e.memBytes = d.Info.MemBytes
 		e.predTaken = f.predTaken
 		e.predNext = f.predNext
-		e.dest = f.d.Dest
-		e.isSer = f.d.Ser
+		e.dest = d.Dest
+		e.isSer = d.Ser
 		// Capture sources and destination from the pre-bound record.
-		c.captureSrc(e, 0, int(f.d.Src0))
-		c.captureSrc(e, 1, int(f.d.Src1))
+		c.captureSrc(e, 0, int(d.Src0))
+		c.captureSrc(e, 1, int(d.Src1))
 		if e.dest >= 0 {
 			c.producer[e.dest] = e
 		}
-		if f.d.Mem {
+		if d.Mem {
 			c.memOps++
 			if !e.isLoad() {
 				c.storeq = append(c.storeq, e)
 			}
 		}
-		if f.d.Ser {
+		if d.Ser {
 			c.fenceBlock = true
 		}
-		if f.d.In.Op == isa.BAD {
+		if d.In.Op == isa.BAD {
 			e.issued = true
 			e.done = true
 			e.fault = fmt.Errorf("cpu: illegal instruction at %#x", f.pc)
 		}
-		if f.d.In.Op == isa.NOP {
+		if d.In.Op == isa.NOP {
 			e.issued = true
 			e.done = true
 		}
@@ -1209,6 +1217,20 @@ func (c *Core) dispatchStage() {
 		c.fetchBuf = c.fetchBuf[1:]
 		c.window = pushQueue(c.window, &c.winBack, 2*c.Cfg.RUUSize, e)
 	}
+}
+
+// decode predecodes the memory word at pc into the next slot of the decode
+// ring. A slot is rewritten only 4*FetchWidth decodes later, and fetchStage
+// pushes only while the fetch buffer holds fewer instructions than that, so
+// no instruction still waiting there can lose its record.
+func (c *Core) decode(pc uint64) *isa.Decoded {
+	if c.decRing == nil {
+		c.decRing = make([]isa.Decoded, 4*c.Cfg.FetchWidth)
+	}
+	d := &c.decRing[c.decNext]
+	c.decNext = (c.decNext + 1) % len(c.decRing)
+	*d = isa.Predecode(c.sys.Mem.ReadUint64(pc))
+	return d
 }
 
 func (c *Core) captureSrc(e *entry, slot, reg int) {
@@ -1247,7 +1269,7 @@ func (c *Core) fetchStage(now uint64) {
 			}
 			lineOK = line
 		}
-		var d isa.Decoded
+		var d *isa.Decoded
 		if c.trans != nil && c.fetchPC%isa.WordBytes == 0 {
 			base := c.fetchPC &^ c.trans.lineMask
 			b := c.curBlock
@@ -1255,12 +1277,12 @@ func (c *Core) fetchStage(now uint64) {
 				b = c.trans.Block(base)
 				c.curBlock = b
 			}
-			d = b.recs[(c.fetchPC-base)/isa.WordBytes]
+			d = &b.recs[(c.fetchPC-base)/isa.WordBytes]
 		} else {
 			// No translator, or a misaligned PC (reachable through JALR):
 			// decode the current memory word directly. Misaligned fetches
 			// straddle record boundaries, so they always bypass the cache.
-			d = isa.Predecode(c.sys.Mem.ReadUint64(c.fetchPC))
+			d = c.decode(c.fetchPC)
 		}
 		f := fetchedInst{pc: c.fetchPC, d: d, predNext: c.fetchPC + isa.WordBytes}
 		switch d.Info.Class {

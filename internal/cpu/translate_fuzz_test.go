@@ -28,6 +28,9 @@ func FuzzTranslateDiff(f *testing.F) {
 		// Store to text with NO icbi/iflush: the write hook alone must keep
 		// the cached records equal to what a per-fetch decode would read.
 		"la t0, site\nla t2, w\nld t1, 0(t2)\nst t1, 0(t0)\nfence\nsite:\nli a0, 7\nout a0\nhalt\n.data\nw: .quad 0x1a5000000000000f",
+		// Store to text while copies of the old word wait in the fetch
+		// buffer: they must execute the bytes they were fetched as.
+		inFlightRewriteSrc(),
 		// Jump into zeroed memory (illegal instruction via BAD).
 		"li t0, 0x50000\njalr x0, 0(t0)",
 		// Misaligned jump target (cache bypass path).

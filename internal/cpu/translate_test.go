@@ -329,3 +329,157 @@ loop:
 		t.Fatalf("pure code loop invalidated %d blocks", tc.Invalidations)
 	}
 }
+
+// TestTranslateCountersPinned pins the translate.* counters, which the root
+// differential and the benchmark digests leave out, on four programs: how the
+// frontend reaches a block (fetch pointer, lookup, retranslation) must not
+// change what the counters report.
+func TestTranslateCountersPinned(t *testing.T) {
+	straight := strings.Repeat("addi t1, t1, 1\n", 40) + "out t1\nhalt"
+	loop := "li t0, 100\nli t1, 0\nloop:\n" + strings.Repeat("addi t1, t1, 1\n", 6) +
+		"addi t0, t0, -1\nbnez t0, loop\nout t1\nhalt"
+	cases := []struct {
+		name                 string
+		src                  string
+		hits, misses, invals uint64
+	}{
+		{"straight-line-5-lines", straight, 0, 6, 0},
+		{"loop-across-lines", loop, 204, 2, 0},
+		{"smc-icbi-iflush", smcProgram(), 1, 3, 1},
+		{"misaligned-jalr", "la t0, pad\njalr x0, 4(t0)\npad:\nhalt\nhalt", 0, 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := runTranslated(t, tc.src, true)
+			if c.Hits != tc.hits || c.Misses != tc.misses || c.Invalidations != tc.invals {
+				t.Fatalf("hits/misses/invalidations %d/%d/%d, want %d/%d/%d",
+					c.Hits, c.Misses, c.Invalidations, tc.hits, tc.misses, tc.invals)
+			}
+		})
+	}
+}
+
+// inFlightRewriteSrc loops over a line that rewrites its own site word with a
+// new instruction every pass. Once the loop runs warm, fetch runs ahead of
+// the fence into the next pass, so copies of site read from the old bytes
+// wait in the fetch buffer while the store lands; the refetch that follows
+// retranslates the line before they dispatch. They must execute the
+// instruction they were fetched as.
+func inFlightRewriteSrc() string {
+	src := `
+	la t0, site
+	la t2, newinst
+	li s1, 6
+top:
+	ld t1, 0(t2)
+	addi t2, t2, 8
+	st t1, 0(t0)
+	fence
+site:
+	li a0, 7
+	out a0
+	addi s1, s1, -1
+	bnez s1, top
+	halt
+.data
+	.align 64
+newinst:
+`
+	for v := 90; v < 96; v++ {
+		src += fmt.Sprintf("\t.quad 0x%x\n", isa.Encode(isa.Inst{Op: isa.LI, Rd: isa.RegA0, Imm: int32(v)}))
+	}
+	return src
+}
+
+// TestTranslateRecordsImmutable pins the invariant the zero-copy fetch buffer
+// rests on: a published block array is never written (translate.go).
+func TestTranslateRecordsImmutable(t *testing.T) {
+	t.Run("in-flight-rewrite", func(t *testing.T) {
+		p := asm.MustAssemble(inFlightRewriteSrc(), textBase, 0x100000)
+		site := p.MustSymbol("site")
+		run := func(translate bool) (*testRig, bool) {
+			r := newRig(t, 1, p)
+			var tc *TransCache
+			if translate {
+				tc = attachTranslator(r)
+			}
+			c := r.cores[0]
+			r.start(0, 0, 1, p.Entry)
+			stale := false // a fetched copy of site outlived its array
+			for ; c.Running() && r.now < 1_000_000; r.now++ {
+				r.tick(c)
+				r.sys.Tick(r.now)
+				if tc == nil {
+					continue
+				}
+				b := tc.blocks[site&^tc.lineMask]
+				for _, f := range c.fetchBuf {
+					if f.pc == site && f.d != &b.recs[(site-b.base)/isa.WordBytes] {
+						stale = true
+					}
+				}
+			}
+			if c.Running() || c.Fault != nil {
+				t.Fatalf("translate=%v: running=%v fault=%v", translate, c.Running(), c.Fault)
+			}
+			return r, stale
+		}
+		on, stale := run(true)
+		off, _ := run(false)
+		if fmt.Sprint(on.cores[0].Console) != fmt.Sprint(off.cores[0].Console) {
+			t.Fatalf("console diverged: translated %v, untranslated %v", on.cores[0].Console, off.cores[0].Console)
+		}
+		if on.now != off.now || on.cores[0].Cycles != off.cores[0].Cycles {
+			t.Fatalf("cycles diverged: translated %d/%d, untranslated %d/%d", on.now, on.cores[0].Cycles, off.now, off.cores[0].Cycles)
+		}
+		for i := 0; i < 64; i++ {
+			if a, b := on.cores[0].Reg(i), off.cores[0].Reg(i); a != b {
+				t.Fatalf("reg %d: translated %#x, untranslated %#x", i, a, b)
+			}
+		}
+		if !stale {
+			t.Fatal("no copy of site was waiting in the fetch buffer when its line was retranslated: the test misses its case")
+		}
+	})
+
+	sys := mem.NewSystem(mem.DefaultConfig(1))
+	tc := NewTransCache(sys.Mem, sys.Cfg.LineBytes)
+	sys.Mem.SetWriteHook(tc.OnMemWrite)
+	base := uint64(textBase)
+	nop := isa.Encode(isa.Inst{Op: isa.NOP})
+	for i := uint64(0); i < uint64(sys.Cfg.LineBytes); i += isa.WordBytes {
+		sys.Mem.WriteUint64(base+i, nop)
+	}
+	b := tc.Block(base)
+
+	t.Run("unchanged-words-keep-array", func(t *testing.T) {
+		arr := &b.recs[0]
+		tc.InvalidateLine(base)                      // ICBI
+		sys.Mem.WriteUint64(base+isa.WordBytes, nop) // a store of the same bytes
+		misses := tc.Misses
+		if tc.Block(base) != b || tc.Misses != misses+1 {
+			t.Fatalf("retranslation: misses %d -> %d", misses, tc.Misses)
+		}
+		if &b.recs[0] != arr {
+			t.Fatal("retranslating unchanged words published a new array")
+		}
+	})
+
+	t.Run("changed-word-fresh-array", func(t *testing.T) {
+		old := b.recs
+		patched := isa.Inst{Op: isa.LI, Rd: isa.RegT0, Imm: 5}
+		sys.Mem.WriteUint64(base+isa.WordBytes, isa.Encode(patched))
+		tc.Block(base)
+		if &b.recs[0] == &old[0] {
+			t.Fatal("a changed word was written into the published array")
+		}
+		if old[1].In.Op != isa.NOP || b.recs[1].In != patched {
+			t.Fatalf("old array rec 1 = %v, new = %+v; want NOP and %+v", old[1].In.Op, b.recs[1].In, patched)
+		}
+		for i := range old {
+			if i != 1 && b.recs[i] != old[i] {
+				t.Fatalf("unchanged rec %d differs between the arrays", i)
+			}
+		}
+	})
+}
