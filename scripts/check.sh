@@ -43,13 +43,13 @@ echo "== go test -race (sync engine: filter+lock tables, OS model, barrier fallb
 go test -race ./internal/filter ./internal/osmodel ./internal/barrier
 go test -race -run 'TestCleanLockMachine|TestLock' ./internal/sanitize
 
-echo "== go test -race (translation cache: counters, invalidation, fuzz seeds) =="
+echo "== go test -race (translation cache: counters, invalidation, record immutability, fuzz seeds) =="
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twin, awake set vs core scan) =="
+echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twin, awake set vs core scan, bank work gate) =="
 go test -race -run 'TestSchedOracle|TestQuiesce' ./internal/cpu
-go test -race -run TestAwakeSetOracle ./internal/core
+go test -race -run 'TestAwakeSetOracle|TestBankWorkOracle' ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer) =="
 go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer' .
