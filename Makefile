@@ -34,7 +34,9 @@ check:
 # (every test named *Chaos*: the memoised chaos matrices and their
 # Workers/NoFastPath/NoTranslate variants, the lock-kernel cells under
 # forced lock evictions and holder preemption, the sanitizer's chaos
-# attributions) plus short fuzz smokes of the assembler (the
+# attributions), the probe differential on every driver cell (tier-1 runs a
+# subset; the full matrix sits behind the probematrix build tag) plus short
+# fuzz smokes of the assembler (the
 # surface the chaos kernels are built through), the static verifier (which
 # must never panic on arbitrary programs), the translation-cache
 # differential (arbitrary programs must retire identically with the
@@ -49,6 +51,7 @@ check:
 # caught at runtime).
 chaos:
 	$(GO) test -run Chaos -count=1 -v .
+	$(GO) test -tags probematrix -run TestProbeMatrix -count=1 .
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
 	$(GO) test -fuzz=FuzzVet -fuzztime=10s -run '^$$' ./internal/vet
 	$(GO) test -fuzz=FuzzTranslateDiff -fuzztime=10s -run '^$$' ./internal/cpu

@@ -123,7 +123,7 @@ func ablate(b *testing.B, kind barrier.Kind, n int, vs ...variant) {
 		for _, v := range vs {
 			cfg := core.DefaultConfig(n)
 			v.set(&cfg)
-			r, _ := simulate(&cell{k: mb, kind: kind, cores: n}, func(c *core.Config) { *c = cfg })
+			r, _ := simulate(&cell{k: mb, kind: kind, cores: n}, func(c *core.Config) { *c = cfg }, nil)
 			if r.Err != "" {
 				b.Fatal(r.Err)
 			}

@@ -4,24 +4,28 @@
 //
 // Usage:
 //
-//	cmpsim [-cores N] [-threads T] [-barrier kind] [-cycles MAX] [-stats] prog.s
+//	cmpsim [-cores N] [-threads T] [-barrier kind] [-cycles MAX] [-stats] [-trace] prog.s
 //
 // When -barrier is given, the program is wrapped with that mechanism's
 // setup/stub code, and the source may invoke the pseudo-instruction
 // `barrier` (lower-case, no operands) wherever a barrier is needed — the
 // wrapper textually expands it before assembly.
+//
+// -trace prints the machine's event stream to stdout, one line per event:
+// the cycle, the event kind, then its fields (see tracer.OnEvent).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
-	"repro/internal/cpu"
+	"repro/internal/mem"
 )
 
 func main() {
@@ -31,7 +35,7 @@ func main() {
 	barrierKind := flag.String("barrier", "", "barrier mechanism for the `barrier` pseudo-instruction: sw-central, sw-tree, hw-net, filter-i, filter-d, filter-i-pp, filter-d-pp")
 	maxCycles := flag.Uint64("cycles", 100_000_000, "cycle limit")
 	stats := flag.Bool("stats", false, "print machine statistics after the run")
-	trace := flag.Bool("trace", false, "print per-commit and per-memory-event trace lines (very verbose)")
+	trace := flag.Bool("trace", false, "print one line per commit, memory and synchronization event (very verbose)")
 	disasm := flag.Bool("S", false, "print the program listing before running")
 	flag.Parse()
 
@@ -49,7 +53,9 @@ func main() {
 	cfg := core.DefaultConfig(*cores)
 	cfg.ThreadsPerCore = *tpc
 	m := core.NewMachine(cfg)
-	cpu.Trace = *trace
+	if *trace {
+		m.Attach(tracer{os.Stdout})
+	}
 
 	var prog *asm.Program
 	var gen barrier.Generator
@@ -104,6 +110,29 @@ func main() {
 	if *stats {
 		fmt.Printf("%s, aggregate IPC %.2f\n", m, m.IPC())
 		fmt.Print(m.StatsReport())
+	}
+}
+
+// tracer is the -trace probe consumer.
+type tracer struct{ w io.Writer }
+
+var eventNames = [...]string{"", "commit", "load", "store", "hwbar-arrive", "hwbar-release", "mem",
+	"barrier-arrive", "barrier-open", "lock-grant", "lock-release"}
+
+// OnEvent prints e as "<cycle> <kind>" and the fields its kind sets.
+func (t tracer) OnEvent(e mem.Event) {
+	fmt.Fprintf(t.w, "%d %s ", e.Now, eventNames[e.Kind])
+	switch e.Kind {
+	case mem.EvCommit:
+		fmt.Fprintf(t.w, "core%d pc=%#x next=%#x dest=%d val=%#x\n", e.Core, e.PC, e.Next, e.Dest, e.Value)
+	case mem.EvLoad, mem.EvStore:
+		fmt.Fprintf(t.w, "core%d pc=%#x addr=%#x size=%d\n", e.Core, e.PC, e.Addr, e.Size)
+	case mem.EvHWBarArrive, mem.EvHWBarRelease:
+		fmt.Fprintf(t.w, "core%d id=%d\n", e.Core, e.Key)
+	case mem.EvMem:
+		fmt.Fprintf(t.w, "%s\n", e.Txn)
+	default:
+		fmt.Fprintf(t.w, "key=%#x n=%d thread=%d\n", e.Key, e.N, e.Core)
 	}
 }
 

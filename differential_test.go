@@ -36,6 +36,7 @@ import (
 	"repro/internal/hbcheck"
 	"repro/internal/interconnect"
 	"repro/internal/kernels"
+	"repro/internal/mem"
 	"repro/internal/sanitize"
 )
 
@@ -61,7 +62,9 @@ type cell struct {
 }
 
 // knobs must each leave every cell's outcome, cycles and counters as the
-// baseline's (knob ""). The two composites run only where a test names them.
+// baseline's (knob ""). The composites run only where a test names them. A
+// knob with a Probe component also attaches a hasher to the machine's event
+// stream, whose hash must equal the Probe knob's (see check).
 var knobs = map[string]func(*core.Config){
 	"":                     nil,
 	"NoTranslate":          func(c *core.Config) { c.NoTranslate = true },
@@ -70,7 +73,13 @@ var knobs = map[string]func(*core.Config){
 	"HB":                   func(c *core.Config) { c.HB = &hbcheck.Config{} },
 	"Sanitize+NoFastPath":  func(c *core.Config) { c.Sanitize, c.NoFastPath = sanitize.Default(), true },
 	"Sanitize+NoTranslate": func(c *core.Config) { c.Sanitize, c.NoTranslate = sanitize.Default(), true },
+	"Probe":                nil,
+	"Probe+NoFastPath":     func(c *core.Config) { c.NoFastPath = true },
+	"Probe+NoTranslate":    func(c *core.Config) { c.NoTranslate = true },
 }
+
+// probeKnobs are the knobs the probe differential runs.
+var probeKnobs = []string{"Probe", "Probe+NoFastPath", "Probe+NoTranslate"}
 
 var (
 	matrixCells, specialCells, lockCells, allCells []*cell
@@ -165,10 +174,46 @@ type result struct {
 	Cycles uint64            `json:"cycles"`
 	Err    string            `json:"err,omitempty"` // run, build or verification error
 	Stats  map[string]uint64 `json:"stats"`
+	hash   hasher            // the event stream's, under a Probe knob
 }
 
-// simulate runs c once with set applied on top of c's own configuration.
-func simulate(c *cell, set func(*core.Config)) (result, *core.Machine) {
+// hasher is the Probe knob's consumer: FNV-1a over every event's fields,
+// packed into fixed 64-bit words, allocating nothing. An HWBAR event's Key is
+// left out: the barrier id is a process-wide counter (package barrier's
+// nextNetID), so two builds of one cell in one process differ in it and in
+// nothing else.
+type hasher struct{ sum, events uint64 }
+
+func (h *hasher) OnEvent(e mem.Event) {
+	if h.events == 0 {
+		h.sum = 14695981039346656037
+	}
+	h.events++
+	if e.Kind == mem.EvHWBarArrive || e.Kind == mem.EvHWBarRelease {
+		e.Key = 0
+	}
+	words := [...]uint64{uint64(e.Kind) | uint64(uint8(e.Dest))<<8 | uint64(uint16(e.Size))<<16 | uint64(uint32(e.N))<<32,
+		uint64(e.Core), e.Now, e.PC, e.Next, e.Addr, e.Value, e.Key}
+	for _, v := range words {
+		h.sum = (h.sum ^ v) * 1099511628211
+	}
+	if t := e.Txn; e.Kind == mem.EvMem {
+		b := func(v bool, shift int) uint64 {
+			if v {
+				return 1 << shift
+			}
+			return 0
+		}
+		for _, v := range [...]uint64{uint64(t.Kind) | uint64(t.ReqKind)<<8 | b(t.Dirty, 16) | b(t.Prefetch, 17) |
+			b(t.Exclusive, 18) | b(t.Err, 19), t.Addr, uint64(t.Core), t.ID} {
+			h.sum = (h.sum ^ v) * 1099511628211
+		}
+	}
+}
+
+// simulate runs c once with set applied on top of c's own configuration
+// and p, when non-nil, attached to the machine's event stream.
+func simulate(c *cell, set func(*core.Config), p mem.Probe) (result, *core.Machine) {
 	cfg := core.DefaultConfig(c.cores)
 	cfg.Mem.Fabric = c.fab
 	for _, f := range []func(*core.Config){c.tweak, set} {
@@ -177,6 +222,9 @@ func simulate(c *cell, set func(*core.Config)) (result, *core.Machine) {
 		}
 	}
 	m := core.NewMachine(cfg)
+	if p != nil {
+		m.Attach(p)
+	}
 	var prog *asm.Program
 	var err error
 	if c.seq {
@@ -254,7 +302,16 @@ func memoised[T any](key any, f func() T) T {
 
 // run is c under a knob, memoised.
 func run(c *cell, knob string) result {
-	return memoised([2]any{c, knob}, func() result { r, _ := simulate(c, knobs[knob]); return r })
+	return memoised([2]any{c, knob}, func() result {
+		if !slices.Contains(strings.Split(knob, "+"), "Probe") {
+			r, _ := simulate(c, knobs[knob], nil)
+			return r
+		}
+		var h hasher
+		r, _ := simulate(c, knobs[knob], &h)
+		r.hash = h
+		return r
+	})
 }
 
 type goldenFile struct {
@@ -328,8 +385,15 @@ func check(t *testing.T, c *cell, knobNames []string) {
 		if slices.ContainsFunc(strings.Split(knob, "+"), func(part string) bool { return c.skip[part] != "" }) {
 			continue
 		}
-		if d := diff(base, run(c, knob)); d != "" {
+		got := run(c, knob)
+		if d := diff(base, got); d != "" {
 			t.Errorf("%s: %s", knob, d)
+		}
+		if got.hash == (hasher{}) {
+			continue
+		}
+		if p := run(c, "Probe").hash; got.hash != p {
+			t.Errorf("%s: %d events hash to %#x, Probe's %d to %#x", knob, got.hash.events, got.hash.sum, p.events, p.sum)
 		}
 	}
 }
@@ -379,6 +443,37 @@ func TestFastPathOnOtherFabrics(t *testing.T) {
 }
 func TestTranslateSanitizerDifferential(t *testing.T) {
 	drive(t, named("bus/livermore3/filter-d", "bus/viterbi/sw-tree"), "Sanitize+NoTranslate")
+}
+
+// TestProbeDifferential: a probe attached changes nothing, and the event
+// stream it sees is the same with the fast path or the translation cache
+// off. Tier-1 runs one bus cell per kernel × mechanism and the special and
+// lock cells; `make chaos` runs every cell (TestProbeMatrix).
+func TestProbeDifferential(t *testing.T) {
+	drive(t, slices.Concat(pick(bus, kernels.Names(), barrier.Kinds...), specialCells, lockCells), probeKnobs...)
+}
+
+// TestProbeFanOut attaches the hasher, hbcheck and the sanitizer at once:
+// the fanned-out stream hashes as the hasher alone's does, run to run, and
+// neither checker finds anything.
+func TestProbeFanOut(t *testing.T) {
+	for _, c := range named("lockreduce[n=128,passes=4]/bus/filter-d", "microbench-filterD-16") {
+		var h hasher
+		r, m := simulate(c, func(cfg *core.Config) { cfg.HB, cfg.Sanitize = &hbcheck.Config{}, sanitize.Default() }, &h)
+		if d := diff(run(c, ""), r); d != "" {
+			t.Errorf("%s: %s", c.name, d)
+		}
+		if p := run(c, "Probe").hash; h != p || h.events == 0 {
+			t.Errorf("%s: fanned-out %d events hash to %#x, the hasher alone's %d to %#x", c.name, h.events, h.sum, p.events, p.sum)
+		}
+		if races, vs := m.HBRaces(), m.Violations(); len(races) != 0 || len(vs) != 0 {
+			t.Errorf("%s: races %v, violations %v", c.name, races, vs)
+		}
+	}
+	var h hasher
+	if n := testing.AllocsPerRun(100, func() { h.OnEvent(mem.Event{Kind: mem.EvMem}) }); n != 0 {
+		t.Errorf("the hasher allocates %v times per event", n)
+	}
 }
 
 func TestSanitizerBehaviorInvariant(t *testing.T) {
@@ -649,7 +744,7 @@ func TestSanitizerWatchdogNamesStalledBarrier(t *testing.T) {
 	watch := func(noFastPath bool) (result, []sanitize.Violation) {
 		r, m := simulate(cellNamed["deadlock-filterD-4"], func(cfg *core.Config) {
 			cfg.NoFastPath, cfg.Sanitize = noFastPath, &sanitize.Config{StallBudget: 50_000}
-		})
+		}, nil)
 		return r, m.Violations()
 	}
 	fast, vs := watch(false)

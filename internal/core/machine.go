@@ -94,11 +94,10 @@ type Config struct {
 	Sanitize *sanitize.Config
 
 	// HB attaches the dynamic happens-before race checker (package
-	// hbcheck) to every core's committed memory-access stream and to the
-	// filter tables' barrier events (nil = off). Like the sanitizer, the
-	// checker is read-only: a race-free run is bit-identical with it on
-	// or off; on a race Run/RunUntil stop with a located report (unless
-	// HB.KeepGoing). A zero SyncBase defaults to BarrierRegion.
+	// hbcheck) to the machine's event stream (nil = off). Like the
+	// sanitizer, the checker is read-only: a race-free run is bit-identical
+	// with it on or off; on a race Run/RunUntil stop with a located report
+	// (unless HB.KeepGoing). A zero SyncBase defaults to BarrierRegion.
 	HB *hbcheck.Config
 
 	// StopCheck, when non-nil, is polled periodically inside Run/RunUntil;
@@ -162,6 +161,9 @@ type Machine struct {
 	sanNext  uint64 // next full-pass check cycle
 	sanErr   error  // first violation, when not KeepGoing
 	stopTick uint64 // StopCheck polling divider
+
+	// probes are the attached event-stream consumers (Attach).
+	probes fanOut
 
 	// Happens-before checker state (nil when Cfg.HB is nil).
 	hb    *hbcheck.Checker
@@ -261,18 +263,13 @@ func NewMachine(cfg Config) *Machine {
 			hcfg.SyncBase = BarrierRegion
 		}
 		m.hb = hbcheck.New(hcfg, len(m.Cores))
-		for _, c := range m.Cores {
-			c.SetMemObserver(m.hb)
-		}
-		for _, h := range m.Hooks {
-			h.SetObserver(m.hb)
-		}
+		m.Attach(m.hb)
 	}
 	if cfg.Sanitize != nil {
 		m.san = sanitize.New(cfg.Sanitize, m.Sys, m.Cores, m.physOf, m.Hooks)
 		m.sanNext = m.san.Every()
 		if m.san.EventChecksEnabled() {
-			m.Sys.SetObserver(m.san)
+			m.Attach(m.san)
 		}
 	}
 	m.Sys.OnFault = func(phys int, t mem.Txn) {
@@ -290,6 +287,32 @@ func NewMachine(cfg Config) *Machine {
 		}
 	}
 	return m
+}
+
+// Attach adds p to the consumers of the machine's read-only event stream:
+// every core, the memory system and every bank's sync engine report to it,
+// through a fan-out in attach order once there is more than one.
+func (m *Machine) Attach(p mem.Probe) {
+	m.probes = append(m.probes, p)
+	if len(m.probes) > 1 {
+		p = m.probes
+	}
+	for _, c := range m.Cores {
+		c.SetProbe(p)
+	}
+	m.Sys.SetProbe(p)
+	for _, h := range m.Hooks {
+		h.SetProbe(p)
+	}
+}
+
+// fanOut hands every event to each of its consumers.
+type fanOut []mem.Probe
+
+func (f fanOut) OnEvent(e mem.Event) {
+	for _, p := range f {
+		p.OnEvent(e)
+	}
 }
 
 // LogicalCores returns the number of hardware thread contexts.

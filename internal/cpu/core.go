@@ -135,7 +135,7 @@ func squashYounger(q []*entry, seq uint64) []*entry {
 }
 
 // sbEntry is one post-commit store-buffer slot. pc is carried only for
-// observer attribution (hbcheck race reports).
+// probe attribution (hbcheck race reports).
 type sbEntry struct {
 	cacheOp bool
 	icache  bool
@@ -208,9 +208,9 @@ type Core struct {
 
 	sb []sbEntry
 
-	// obs, when non-nil, receives the committed memory-access stream (see
-	// observer.go). Read-only: it never changes core behaviour.
-	obs MemObserver
+	// probe, when non-nil, receives this context's commits, committed loads,
+	// performed stores and HWBAR signals (see mem.Probe).
+	probe mem.Probe
 
 	// LL/SC reservation.
 	llAddr  uint64
@@ -369,9 +369,6 @@ func (c *Core) freeEntry(e *entry) {
 func (c *Core) onLineLost(lineAddr uint64) {
 	if c.llValid && c.lineOf(c.llAddr) == lineAddr {
 		c.llValid = false
-		if Trace {
-			tracef("core%d lock lost on %#x\n", c.ID, lineAddr)
-		}
 	}
 }
 
@@ -604,17 +601,14 @@ func (c *Core) commitStage(now uint64) {
 			}
 			c.sb = pushQueue(c.sb, &c.sbBack, 2*c.Cfg.SBSize, sbEntry{cacheOp: true, icache: e.in.Op == isa.ICBI, addr: e.addr})
 		}
-		if c.obs != nil && e.isLoad() {
-			c.obs.OnCommitLoad(now, c.ID, e.pc, e.addr, e.memBytes)
-		}
 		if e.dest >= 0 {
 			c.regs[e.dest] = e.result
 			if c.producer[e.dest] == e {
 				c.producer[e.dest] = nil
 			}
 		}
-		if Trace {
-			tracef("[%d] core%d commit pc=%#x %v dest=%d res=%#x\n", now, c.ID, e.pc, e.in, e.dest, e.result)
+		if c.probe != nil {
+			c.emitCommit(now, e)
 		}
 		if e.isBranch {
 			if e.in.Op != isa.JAL && e.in.Op != isa.JALR {
@@ -645,6 +639,23 @@ func (c *Core) commitStage(now uint64) {
 		}
 		c.popHead(e)
 	}
+}
+
+// SetProbe attaches p to this context's event stream (nil detaches).
+func (c *Core) SetProbe(p mem.Probe) { c.probe = p }
+
+// emitCommit reports a committing instruction: a load's commit first, then
+// the commit itself, whose next pc is a branch's resolved target and
+// otherwise the fall-through fetch predicted.
+func (c *Core) emitCommit(now uint64, e *entry) {
+	if e.isLoad() {
+		c.probe.OnEvent(mem.Event{Kind: mem.EvLoad, Now: now, Core: c.ID, PC: e.pc, Addr: e.addr, Size: e.memBytes})
+	}
+	next := e.predNext
+	if e.isBranch {
+		next = e.actualNext
+	}
+	c.probe.OnEvent(mem.Event{Kind: mem.EvCommit, Now: now, Core: c.ID, PC: e.pc, Next: next, Dest: int(e.dest), Value: e.result})
 }
 
 func (c *Core) popHead(e *entry) {
@@ -689,15 +700,15 @@ func (c *Core) trySerializing(now uint64, e *entry) bool {
 		}
 		if !c.hwbarSent {
 			c.bnet.Arrive(now, c.ID, int(e.in.Imm))
-			if c.obs != nil {
-				c.obs.OnHWBar(now, c.ID, int(e.in.Imm), false)
+			if c.probe != nil {
+				c.probe.OnEvent(mem.Event{Kind: mem.EvHWBarArrive, Now: now, Core: c.ID, Key: uint64(e.in.Imm)})
 			}
 			c.hwbarSent = true
 			return false
 		}
 		if c.bnet.TryRelease(now, c.ID, int(e.in.Imm)) {
-			if c.obs != nil {
-				c.obs.OnHWBar(now, c.ID, int(e.in.Imm), true)
+			if c.probe != nil {
+				c.probe.OnEvent(mem.Event{Kind: mem.EvHWBarRelease, Now: now, Core: c.ID, Key: uint64(e.in.Imm)})
 			}
 			// One cycle to check and reset the local status register.
 			c.execute(e, now+1)
@@ -731,8 +742,8 @@ func (c *Core) drainStoreBuffer(now uint64) {
 	switch c.l1d.WriteState(h.addr) {
 	case mem.Modified:
 		c.sys.Mem.Write(h.addr, h.size, h.val)
-		if c.obs != nil {
-			c.obs.OnPerformStore(now, c.ID, h.pc, h.addr, h.size)
+		if c.probe != nil {
+			c.probe.OnEvent(mem.Event{Kind: mem.EvStore, Now: now, Core: c.ID, PC: h.pc, Addr: h.addr, Size: h.size})
 		}
 		c.notifySiblingsOfWrite(c.lineOf(h.addr))
 		c.StoresDrained++
@@ -783,15 +794,9 @@ func (c *Core) performLoad(now uint64, e *entry) {
 	e.missWait = false
 	c.execute(e, now+1)
 	c.LoadsExecuted++
-	if Trace {
-		tracef("[%d] core%d load pc=%#x addr=%#x -> %#x\n", now, c.ID, e.pc, e.addr, e.result)
-	}
 	if e.in.Op == isa.LL {
 		c.llAddr = e.addr
 		c.llValid = true
-		if Trace {
-			tracef("[%d] core%d LL pc=%#x addr=%#x -> %d\n", now, c.ID, e.pc, e.addr, e.result)
-		}
 	}
 }
 
@@ -1132,13 +1137,10 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 	switch c.l1d.WriteState(addr) {
 	case mem.Modified:
 		c.sys.Mem.Write(addr, 8, e.src[1].val)
-		if c.obs != nil {
-			c.obs.OnPerformStore(now, c.ID, e.pc, addr, 8)
+		if c.probe != nil {
+			c.probe.OnEvent(mem.Event{Kind: mem.EvStore, Now: now, Core: c.ID, PC: e.pc, Addr: addr, Size: 8})
 		}
 		c.notifySiblingsOfWrite(c.lineOf(addr))
-		if Trace {
-			tracef("[%d] core%d SC OK pc=%#x addr=%#x val=%d\n", now, c.ID, e.pc, addr, e.src[1].val)
-		}
 		c.execute(e, now+1)
 		c.addrResolved(e)
 		e.result = 1

@@ -38,7 +38,7 @@ type BankFilters struct {
 	Cap     int
 	prims   []Primitive
 	retired []Primitive
-	obs     SyncObserver
+	probe   mem.Probe
 
 	// work counts what PopReleased may find across the hosted and retired
 	// primitives: their queued releases plus armed expiry entries. It is
@@ -85,7 +85,7 @@ func (b *BankFilters) Add(p Primitive) error {
 		return fmt.Errorf("%w: bank holds %d of %d entries, %s %s needs %d",
 			ErrNoCapacity, b.Entries(), b.Cap, t.Kind.Noun, t.Name, t.NumThreads)
 	}
-	t.obs = b.obs
+	t.probe = b.probe
 	b.host(t)
 	b.prims = append(b.prims, p)
 	return nil
@@ -106,14 +106,14 @@ func (b *BankFilters) unhost(t *EntryTable) {
 // AddLock is Add; benchmark/ (frozen) installs its lock under this name.
 func (b *BankFilters) AddLock(l *Lock) error { return b.Add(l) }
 
-// SetObserver attaches o to every primitive the bank hosts now or later
-// (nil detaches). Retired primitives are included: a stale-tag arrival can
-// still reach their FSMs, and the observer must not silently miss it.
-func (b *BankFilters) SetObserver(o SyncObserver) {
-	b.obs = o
+// SetProbe attaches p to every primitive the bank hosts now or later (nil
+// detaches). Retired primitives are included: a stale-tag arrival can still
+// reach their FSMs, and the probe must not silently miss it.
+func (b *BankFilters) SetProbe(p mem.Probe) {
+	b.probe = p
 	for _, ps := range [2][]Primitive{b.prims, b.retired} {
-		for _, p := range ps {
-			p.Table().obs = o
+		for _, q := range ps {
+			q.Table().probe = p
 		}
 	}
 }

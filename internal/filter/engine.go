@@ -71,19 +71,6 @@ type Primitive interface {
 	onEvict(t int, was EntryState)
 }
 
-// SyncObserver receives the engine's synchronization events: a barrier's
-// arrival invalidation accepted per thread and its opening when the last
-// arrival releases it; a lock's grant (the thread now owns it) and release.
-// It is a read-only seam (the sanitize / hbcheck discipline): implementations
-// must not mutate table or machine state. Timeout and evict releases are
-// deliberately NOT reported — they are protocol errors, not synchronization.
-type SyncObserver interface {
-	OnBarrierArrive(f *Filter, now uint64, thread int)
-	OnBarrierOpen(f *Filter, now uint64)
-	OnLockAcquire(l *Lock, now uint64, thread int)
-	OnLockRelease(l *Lock, now uint64, thread int)
-}
-
 // Counters is the statistics block every kind keeps per table.
 type Counters struct {
 	ParkedFills, Serviced, Errors, Timeouts          uint64
@@ -131,8 +118,11 @@ type EntryTable struct {
 	parkBoard
 	lastErr string
 
-	// obs, when non-nil, receives the kind's synchronization events.
-	obs SyncObserver
+	// probe, when non-nil, receives the kind's synchronization events: a
+	// barrier's accepted arrivals and its opening, a lock's grants and
+	// releases. Timeout and evict releases are deliberately not reported —
+	// they are protocol errors, not synchronization.
+	probe mem.Probe
 
 	Counters
 }
@@ -149,6 +139,13 @@ func newEntryTable(kind *Kind, rule Primitive, name string, base, stride uint64,
 
 // Table implements Primitive for every kind that embeds an EntryTable.
 func (e *EntryTable) Table() *EntryTable { return e }
+
+// emit reports a synchronization event for thread t (-1 for none).
+func (e *EntryTable) emit(kind mem.EventKind, now uint64, t int) {
+	if e.probe != nil {
+		e.probe.OnEvent(mem.Event{Kind: kind, Now: now, Core: t, Key: e.Base, N: e.NumThreads})
+	}
+}
 
 // RegisterThread marks thread entry t valid (OS registration, §3.3.1).
 func (e *EntryTable) RegisterThread(t int) error {

@@ -33,6 +33,8 @@
 // lock.go — adds only its grant rule.
 package filter
 
+import "repro/internal/mem"
+
 // ThreadState is a barrier entry's 2-bit state of Figure 2/3, under the
 // names the paper gives it.
 type ThreadState EntryState
@@ -122,11 +124,9 @@ func (f *Filter) onArrivalInval(now uint64, t int) (fault bool) {
 		f.states[t] = EntrySignalled
 		f.arrivedCounter++
 		f.Arrivals++
-		if f.obs != nil {
-			// Before a possible open, so the last arriver's clock is
-			// part of the release the open distributes.
-			f.obs.OnBarrierArrive(f, now, t)
-		}
+		// Before a possible open, so the last arriver's clock is part of
+		// the release the open distributes.
+		f.emit(mem.EvBarrierArrive, now, t)
 		if f.arrivedCounter == f.NumThreads {
 			f.open(now)
 		}
@@ -154,9 +154,7 @@ func (f *Filter) open(now uint64) {
 	// Every parked fill was just released (evicted entries park nothing),
 	// so the whole expiry queue is dead.
 	f.clearExpiry()
-	if f.obs != nil {
-		f.obs.OnBarrierOpen(f, now)
-	}
+	f.emit(mem.EvBarrierOpen, now, -1)
 }
 
 // onExitInval applies an exit-address invalidation for thread t.

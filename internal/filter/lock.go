@@ -34,6 +34,8 @@
 // queue bounding how long the head can be starved.
 package filter
 
+import "repro/internal/mem"
+
 // LockState is a lock entry's 2-bit state, under the lock's names.
 type LockState EntryState
 
@@ -82,7 +84,7 @@ func (l *Lock) WaitQueue() []int { return append([]int(nil), l.waitq...) }
 
 // grant hands the lock to the oldest still-Pending waiter, releasing its
 // parked fills (the starved acquire load completes) and reporting the
-// acquire to the observer. Wait-queue entries whose thread is no longer
+// grant to the probe. Wait-queue entries whose thread is no longer
 // Pending (evicted since enqueueing) are discarded lazily.
 func (l *Lock) grant(now uint64) {
 	for len(l.waitq) > 0 {
@@ -94,9 +96,7 @@ func (l *Lock) grant(now uint64) {
 		l.grantThread(t)
 		l.holder = t
 		l.Grants++
-		if l.obs != nil {
-			l.obs.OnLockAcquire(l, now, t)
-		}
+		l.emit(mem.EvLockGrant, now, t)
 		return
 	}
 }
@@ -127,9 +127,7 @@ func (l *Lock) onInval(now, addr uint64) (matched, fault bool) {
 		l.states[t] = EntryIdle
 		l.holder = -1
 		l.Releases++
-		if l.obs != nil {
-			l.obs.OnLockRelease(l, now, t)
-		}
+		l.emit(mem.EvLockRelease, now, t)
 		l.grant(now)
 	}
 	return true, false
@@ -141,7 +139,7 @@ func (l *Lock) onInval(now, addr uint64) (matched, fault bool) {
 func (l *Lock) onEvict(t int, was EntryState) {
 	if l.holder == t {
 		l.holder = -1
-		// An evict-time grant is not a synchronization edge the observer
+		// An evict-time grant is not a synchronization edge the probe
 		// missed: the grantee's happens-before credit comes from the last
 		// legitimate release, already folded into the lock's history.
 		l.grant(0)

@@ -285,21 +285,19 @@ type lockEvent struct {
 	thread  int
 }
 
-type recObserver struct{ events []lockEvent }
+// recProbe records the lock events of the probe stream.
+type recProbe struct{ events []lockEvent }
 
-func (r *recObserver) OnBarrierArrive(f *Filter, now uint64, thread int) {}
-func (r *recObserver) OnBarrierOpen(f *Filter, now uint64)               {}
-func (r *recObserver) OnLockAcquire(l *Lock, now uint64, thread int) {
-	r.events = append(r.events, lockEvent{true, thread})
-}
-func (r *recObserver) OnLockRelease(l *Lock, now uint64, thread int) {
-	r.events = append(r.events, lockEvent{false, thread})
+func (r *recProbe) OnEvent(e mem.Event) {
+	if e.Kind == mem.EvLockGrant || e.Kind == mem.EvLockRelease {
+		r.events = append(r.events, lockEvent{e.Kind == mem.EvLockGrant, e.Core})
+	}
 }
 
 func TestLockObserverSeesHandoff(t *testing.T) {
 	l := newTestLock(2)
-	rec := &recObserver{}
-	l.obs = rec
+	rec := &recProbe{}
+	l.probe = rec
 	acquire(t, l, 0, 0)
 	acquire(t, l, 1, 1)
 	release(t, l, 0, 2)

@@ -42,7 +42,7 @@ package hbcheck
 import (
 	"fmt"
 
-	"repro/internal/filter"
+	"repro/internal/mem"
 )
 
 // Config configures a Checker.
@@ -101,12 +101,6 @@ type cell struct {
 	r    []access // indexed by thread; clk 0 = no read
 }
 
-// barAcc accumulates the arriving threads' clocks of one filter barrier
-// between openings.
-type barAcc struct {
-	acc []uint64
-}
-
 // hwAcc tracks one HWBAR id. cur accumulates the current episode's
 // arrivals; the first release of an episode snapshots cur into open (every
 // participant has arrived by then, and none can re-arrive before its own
@@ -119,17 +113,17 @@ type hwAcc struct {
 	released  int
 }
 
-// Checker is the vector-clock race detector. It implements cpu.MemObserver
-// and filter.SyncObserver; all methods are read-only with respect to the
-// simulated machine.
+// Checker is the vector-clock race detector. It is a mem.Probe, read-only
+// with respect to the simulated machine.
 type Checker struct {
 	cfg    Config
 	clocks [][]uint64 // per-thread vector clocks
-	sync   map[uint64][]uint64
-	bars   map[*filter.Filter]*barAcc
-	locks  map[*filter.Lock][]uint64
-	hw     map[int]*hwAcc
-	shadow map[uint64]*cell
+	// Release accumulators: per 8-byte sync cell, per filter barrier (its
+	// arrivals between openings) and per lock, the last two by primitive
+	// key (mem.Event).
+	sync, bars, locks map[uint64][]uint64
+	hw                map[uint64]*hwAcc
+	shadow            map[uint64]*cell
 
 	races   []Race
 	seen    map[[5]uint64]bool
@@ -145,9 +139,9 @@ func New(cfg Config, nthreads int) *Checker {
 		cfg:    cfg,
 		clocks: make([][]uint64, nthreads),
 		sync:   map[uint64][]uint64{},
-		bars:   map[*filter.Filter]*barAcc{},
-		locks:  map[*filter.Lock][]uint64{},
-		hw:     map[int]*hwAcc{},
+		bars:   map[uint64][]uint64{},
+		locks:  map[uint64][]uint64{},
+		hw:     map[uint64]*hwAcc{},
 		shadow: map[uint64]*cell{},
 		seen:   map[[5]uint64]bool{},
 	}
@@ -211,145 +205,92 @@ func (c *Checker) record(r Race) {
 	c.races = append(c.races, r)
 }
 
-// --- cpu.MemObserver -----------------------------------------------------
-
-// OnCommitLoad observes a committed load.
-func (c *Checker) OnCommitLoad(now uint64, core int, pc, addr uint64, size int) {
-	if core < 0 || core >= len(c.clocks) {
-		return
-	}
-	if addr >= c.cfg.SyncBase {
-		if vc, ok := c.sync[addr&^7]; ok {
-			joinInto(c.clocks[core], vc)
+// OnEvent implements mem.Probe: loads are observed at commit, stores as
+// they perform, and the synchronization kinds are the four edge sources of
+// the package comment. A hardware lock's release invalidation is a DCBI —
+// neither a load nor a store — so the software-barrier rule never sees the
+// hand-off; the lock table reports it instead.
+func (c *Checker) OnEvent(e mem.Event) {
+	if e.Kind == mem.EvBarrierOpen {
+		// Every participating thread acquires the accumulated arrivals.
+		if acc := c.bars[e.Key]; acc != nil {
+			for t := 0; t < e.N && t < len(c.clocks); t++ {
+				joinInto(c.clocks[t], acc)
+			}
+			zero(acc)
 		}
 		return
 	}
-	for i := 0; i < size; i++ {
-		c.checkByte(now, core, pc, addr+uint64(i), false)
-	}
-}
-
-// OnPerformStore observes a store performing to memory (store-buffer drain
-// or SC success).
-func (c *Checker) OnPerformStore(now uint64, core int, pc, addr uint64, size int) {
-	if core < 0 || core >= len(c.clocks) {
+	t := e.Core
+	if t < 0 || t >= len(c.clocks) {
 		return
 	}
-	if addr >= c.cfg.SyncBase {
-		key := addr &^ 7
-		vc := c.sync[key]
-		if vc == nil {
-			vc = make([]uint64, len(c.clocks))
-			c.sync[key] = vc
+	ct := c.clocks[t]
+	switch e.Kind {
+	case mem.EvLoad, mem.EvStore:
+		write := e.Kind == mem.EvStore
+		if e.Addr < c.cfg.SyncBase {
+			for i := 0; i < e.Size; i++ {
+				c.checkByte(e.Now, t, e.PC, e.Addr+uint64(i), write)
+			}
+		} else if write {
+			c.release(c.accumulator(c.sync, e.Addr&^7), t)
+		} else if vc, ok := c.sync[e.Addr&^7]; ok {
+			joinInto(ct, vc)
 		}
-		ct := c.clocks[core]
-		joinInto(vc, ct)
-		ct[core]++
-		return
-	}
-	for i := 0; i < size; i++ {
-		c.checkByte(now, core, pc, addr+uint64(i), true)
+	case mem.EvHWBarArrive:
+		h := c.hwEpisode(e.Key)
+		c.release(h.cur, t)
+		h.arrived++
+	case mem.EvHWBarRelease:
+		h := c.hwEpisode(e.Key)
+		if h.released == 0 {
+			copy(h.open, h.cur)
+			zero(h.cur)
+			h.expect = h.arrived
+			h.arrived = 0
+		}
+		joinInto(ct, h.open)
+		h.released++
+		if h.released >= h.expect {
+			h.released = 0
+		}
+	case mem.EvBarrierArrive:
+		c.release(c.accumulator(c.bars, e.Key), t)
+	case mem.EvLockGrant:
+		// The grantee acquires every previous holder's released clock.
+		joinInto(ct, c.accumulator(c.locks, e.Key))
+	case mem.EvLockRelease:
+		c.release(c.accumulator(c.locks, e.Key), t)
 	}
 }
 
-// OnHWBar observes a dedicated-network barrier event: an arrival, or a
-// successful release.
-func (c *Checker) OnHWBar(now uint64, core, id int, release bool) {
-	if core < 0 || core >= len(c.clocks) {
-		return
+// release joins thread t's clock into acc and ticks t's own component, so
+// everything t did so far happens-before whoever later acquires acc.
+func (c *Checker) release(acc []uint64, t int) {
+	ct := c.clocks[t]
+	joinInto(acc, ct)
+	ct[t]++
+}
+
+// accumulator returns the clock kept under key in accs, creating it.
+func (c *Checker) accumulator(accs map[uint64][]uint64, key uint64) []uint64 {
+	vc := accs[key]
+	if vc == nil {
+		vc = make([]uint64, len(c.clocks))
+		accs[key] = vc
 	}
+	return vc
+}
+
+// hwEpisode returns HWBAR id's episode tracker, creating it.
+func (c *Checker) hwEpisode(id uint64) *hwAcc {
 	h := c.hw[id]
 	if h == nil {
 		h = &hwAcc{cur: make([]uint64, len(c.clocks)), open: make([]uint64, len(c.clocks))}
 		c.hw[id] = h
 	}
-	ct := c.clocks[core]
-	if !release {
-		joinInto(h.cur, ct)
-		ct[core]++
-		h.arrived++
-		return
-	}
-	if h.released == 0 {
-		copy(h.open, h.cur)
-		zero(h.cur)
-		h.expect = h.arrived
-		h.arrived = 0
-	}
-	joinInto(ct, h.open)
-	h.released++
-	if h.released >= h.expect {
-		h.released = 0
-	}
-}
-
-// --- filter.SyncObserver -------------------------------------------------
-
-// OnBarrierArrive observes thread's arrival invalidation reaching f.
-func (c *Checker) OnBarrierArrive(f *filter.Filter, now uint64, thread int) {
-	if thread < 0 || thread >= len(c.clocks) {
-		return
-	}
-	b := c.bars[f]
-	if b == nil {
-		b = &barAcc{acc: make([]uint64, len(c.clocks))}
-		c.bars[f] = b
-	}
-	ct := c.clocks[thread]
-	joinInto(b.acc, ct)
-	ct[thread]++
-}
-
-// OnBarrierOpen observes f releasing: every participating thread acquires
-// the accumulated arrival clocks.
-func (c *Checker) OnBarrierOpen(f *filter.Filter, now uint64) {
-	b := c.bars[f]
-	if b == nil {
-		return
-	}
-	for t := 0; t < f.NumThreads && t < len(c.clocks); t++ {
-		joinInto(c.clocks[t], b.acc)
-	}
-	zero(b.acc)
-}
-
-// The lock half of filter.SyncObserver. A hardware lock's release
-// invalidation is a DCBI — neither a load nor a store — so the
-// software-barrier rule (stores release, loads acquire on sync cells) never
-// sees the hand-off. The lock table reports it directly: release joins the
-// holder's clock into the lock's accumulator, the next grant joins the
-// accumulator into the grantee, ordering consecutive critical sections.
-// Timeout and evict releases deliberately get no credit — they are protocol
-// errors, not synchronization.
-
-func (c *Checker) lockClock(l *filter.Lock) []uint64 {
-	vc := c.locks[l]
-	if vc == nil {
-		vc = make([]uint64, len(c.clocks))
-		c.locks[l] = vc
-	}
-	return vc
-}
-
-// OnLockAcquire observes l's table granting the lock to thread: the grantee
-// acquires every previous holder's released clock.
-func (c *Checker) OnLockAcquire(l *filter.Lock, now uint64, thread int) {
-	if thread < 0 || thread >= len(c.clocks) {
-		return
-	}
-	joinInto(c.clocks[thread], c.lockClock(l))
-}
-
-// OnLockRelease observes thread releasing l: the holder's clock joins the
-// lock's accumulator and its own component ticks, so everything before the
-// release happens-before the next grantee's critical section.
-func (c *Checker) OnLockRelease(l *filter.Lock, now uint64, thread int) {
-	if thread < 0 || thread >= len(c.clocks) {
-		return
-	}
-	ct := c.clocks[thread]
-	joinInto(c.lockClock(l), ct)
-	ct[thread]++
+	return h
 }
 
 // --- shadow memory -------------------------------------------------------

@@ -59,11 +59,8 @@ type System struct {
 	// chaos is the optional fault injector (see chaos.go). nil = off.
 	chaos ChaosHook
 
-	// obs is the optional passive event observer (the sanitizer's
-	// event-triggered checks). It must be read-only: it is consulted
-	// nowhere in NextEvent, so an observer that mutated timing state
-	// would break the fast path's behaviour invariance.
-	obs EventObserver
+	// probe receives the memory-system events (see probe.go).
+	probe Probe
 
 	// wake[core] is invoked whenever a response (fill, upgrade ack, or
 	// invalidation ack) is delivered to that core; the machine uses it to
@@ -274,6 +271,22 @@ func (s *System) dispatchResp(now uint64, t Txn) {
 		}
 	}
 }
+
+// OldestInvalToken returns a copy of the core's longest-outstanding
+// invalidation token. Ties and iteration order are resolved by (Born, Addr)
+// so the watchdog's report is deterministic.
+func (s *System) OldestInvalToken(core int) (tok InvalToken, ok bool) {
+	for _, t := range s.invalTokens[core] {
+		if !ok || t.Born < tok.Born || (t.Born == tok.Born && t.Addr < tok.Addr) {
+			tok, ok = *t, true
+		}
+	}
+	return tok, ok
+}
+
+// InvalTokenCount returns the number of outstanding invalidation tokens for
+// one core.
+func (s *System) InvalTokenCount(core int) int { return len(s.invalTokens[core]) }
 
 // dirDropSharer records a silent clean eviction with the owning bank.
 func (s *System) dirDropSharer(addr uint64, core int, icache bool) {

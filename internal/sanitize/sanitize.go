@@ -205,14 +205,15 @@ func (s *Sanitizer) Check(now uint64) {
 	s.checkLiveness(now)
 }
 
-// OnMemEvent implements mem.EventObserver: targeted checks on the state the
-// event just touched. t is the transaction the memory system processed — a
-// delivered response, an invalidation applied at a bank, or a fill released
-// by a filter.
-func (s *Sanitizer) OnMemEvent(now uint64, t mem.Txn) {
-	if s.full() {
+// OnEvent implements mem.Probe: targeted checks on the state a memory
+// event just touched. Its Txn is the transaction the memory system
+// processed — a delivered response, an invalidation applied at a bank, or a
+// fill released by a filter. Every other kind is ignored.
+func (s *Sanitizer) OnEvent(e mem.Event) {
+	if e.Kind != mem.EvMem || s.full() {
 		return
 	}
+	now, t := e.Now, e.Txn
 	s.EventChecks++
 	switch t.Kind {
 	case mem.Fill, mem.UpgAck:

@@ -17,6 +17,7 @@ fi
 
 echo "== go vet =="
 go vet ./...
+go vet -tags probematrix .
 
 echo "== go build =="
 go build ./...
@@ -51,8 +52,8 @@ echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce tw
 go test -race -run 'TestSchedOracle|TestQuiesce' ./internal/cpu
 go test -race -run 'TestAwakeSetOracle|TestBankWorkOracle' ./internal/core
 
-echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer) =="
-go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer' .
+echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer, probe) =="
+go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer|Probe' .
 
 echo "== go test (journal kill-resume and deadlines) =="
 go test -run 'TestJournal|TestRunCells|TestCellDeadline' -count=1 ./internal/harness
