@@ -10,7 +10,6 @@
 //	srvet -all                           # every kernel × every mechanism
 //	srvet -kernel livermore3 -threads 8  # one kernel, every mechanism
 //	srvet -kernel autcor -barrier filter-d-pp -threads 16
-//	srvet -corpus                        # self-check: seeded misuse programs
 //	srvet prog.s                         # assemble and vet a source file
 //	srvet -barrier filter-d -threads 8 prog.s  # expand `barrier` as cmpsim would
 package main
@@ -99,7 +98,6 @@ func main() {
 	threads := flag.Int("threads", 8, "thread count the parallel builds are analyzed for")
 	n := flag.Int("n", 0, "kernel problem size (0 = kernel default)")
 	loops := flag.Int("loops", 0, "kernel loop/repeat count (0 = kernel default)")
-	corpus := flag.Bool("corpus", false, "run the seeded misuse corpus and require every diagnostic to fire")
 	verbose := flag.Bool("v", false, "print every program checked, not just failures")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of per-program reports (diagnostics with code/pos/phase, phase certificates) instead of text")
 	flag.Parse()
@@ -115,8 +113,6 @@ func main() {
 			fmt.Println(name)
 		}
 		return
-	case *corpus:
-		os.Exit(runCorpus())
 	case flag.NArg() == 1:
 		code := vetFile(flag.Arg(0), *barriers, *threads, reports)
 		if reports != nil {
@@ -131,7 +127,7 @@ func main() {
 	names := kernels.Names()
 	if !*all {
 		if *kernel == "" {
-			fmt.Fprintln(os.Stderr, "srvet: need -kernel, -all, -corpus, or a source file (see -help)")
+			fmt.Fprintln(os.Stderr, "srvet: need -kernel, -all, or a source file (see -help)")
 			os.Exit(2)
 		}
 		names = []string{*kernel}
@@ -336,35 +332,4 @@ func stripCmt(s string) string {
 		s = s[:i]
 	}
 	return s
-}
-
-// runCorpus is the self-check: every seeded misuse program must raise
-// exactly its intended diagnostic at the intended label.
-func runCorpus() int {
-	bad := 0
-	for _, e := range vet.Corpus() {
-		p, err := e.Build()
-		if err != nil {
-			fmt.Printf("FAIL corpus/%s: build: %v\n", e.Name, err)
-			bad++
-			continue
-		}
-		ds := vet.Check(p, vet.Options{Threads: e.Threads})
-		hit := false
-		for _, d := range ds {
-			if d.Code == e.Want && strings.HasPrefix(d.Pos, e.WantPos) {
-				hit = true
-			}
-		}
-		if !hit {
-			fmt.Printf("FAIL corpus/%s: wanted %s at %s, got %v\n", e.Name, e.Want, e.WantPos, ds)
-			bad++
-			continue
-		}
-		fmt.Printf("ok   corpus/%s: %s\n", e.Name, ds[0])
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
 }

@@ -328,17 +328,17 @@ func livermoreFigure(name string, baseLoops int, mk func(n, loops int) kernels.K
 
 // Fig7 reproduces Figure 7 (Livermore loop 2).
 func Fig7(opt Options) (TimeSeries, error) {
-	return livermoreFigure("fig7-livermore2", 3, kernels.NewLivermore2Kernel, opt)
+	return livermoreFigure("fig7-livermore2", 3, func(n, l int) kernels.Kernel { return kernels.NewLivermore2(n, l) }, opt)
 }
 
 // Fig8 reproduces Figure 8 (Livermore loop 3).
 func Fig8(opt Options) (TimeSeries, error) {
-	return livermoreFigure("fig8-livermore3", 3, kernels.NewLivermore3Kernel, opt)
+	return livermoreFigure("fig8-livermore3", 3, func(n, l int) kernels.Kernel { return kernels.NewLivermore3(n, l) }, opt)
 }
 
 // Fig10 reproduces Figure 10 (Livermore loop 6).
 func Fig10(opt Options) (TimeSeries, error) {
-	return livermoreFigure("fig10-livermore6", 2, kernels.NewLivermore6Kernel, opt)
+	return livermoreFigure("fig10-livermore6", 2, func(n, l int) kernels.Kernel { return kernels.NewLivermore6(n, l) }, opt)
 }
 
 // --- §4.1: coarse-grained barrier usage (SPLASH-2 Ocean discussion) --------

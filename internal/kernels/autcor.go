@@ -37,6 +37,9 @@ type Autcor struct {
 
 // NewAutcor builds the kernel with n synthetic speech samples.
 func NewAutcor(n, lags, loops int) *Autcor {
+	if err := checkAutcorN(n, lags); err != nil {
+		panic(err.Error())
+	}
 	r := sim.NewRand(0xAC + uint64(n))
 	k := &Autcor{N: n, Lags: lags, Loops: loops}
 	for i := 0; i < n; i++ {
@@ -57,6 +60,16 @@ func NewAutcor(n, lags, loops int) *Autcor {
 	return k
 }
 
+// checkAutcorN reports a size the sequential build cannot run: its
+// multiply-accumulate loop is a do-while, so a lag at or past N would start
+// its count at zero or below and never end.
+func checkAutcorN(n, lags int) error {
+	if lags < 1 || n < lags {
+		return fmt.Errorf("kernels: autcor needs 1 <= lags <= N, got %d lags for N = %d", lags, n)
+	}
+	return nil
+}
+
 // Name implements Kernel.
 func (k *Autcor) Name() string { return fmt.Sprintf("autcor[N=%d,lags=%d]", k.N, k.Lags) }
 
@@ -75,17 +88,14 @@ func (k *Autcor) reference() []uint64 {
 }
 
 func (k *Autcor) emitData(b *asm.Builder, threads int) {
-	b.AlignData(64)
-	b.DataLabel("x")
+	dataLabel(b, "x")
 	for _, v := range k.x {
 		b.Half(uint16(v))
 	}
-	b.AlignData(64)
-	b.DataLabel("r")
+	dataLabel(b, "r")
 	b.Space(k.Lags * 8)
 	if threads > 0 {
-		b.AlignData(64)
-		b.DataLabel("partials")
+		dataLabel(b, "partials")
 		b.Space(threads * 64)
 	}
 }
@@ -116,7 +126,10 @@ func emitMAC(b *asm.Builder, label string) {
 	b.BNEZ(t2, loop)
 }
 
-// BuildSeq implements Kernel.
+// BuildSeq implements Kernel. It is not BuildPar without the barriers: the
+// sequential lag runs its whole N-lag range from x[0], with no clamp, no
+// partial slot and no reduction, so the two are different instruction
+// streams (both pinned by the kernel text golden).
 func (k *Autcor) BuildSeq() (*asm.Program, error) {
 	return buildSeq(func(b *asm.Builder) {
 		const (
@@ -126,32 +139,29 @@ func (k *Autcor) BuildSeq() (*asm.Program, error) {
 			s0 = isa.RegS0     // lag
 			s1 = isa.RegS0 + 1 // &x
 			s2 = isa.RegS0 + 2 // &r
+			s3 = isa.RegS0 + 3 // loops remaining
 			s5 = isa.RegS0 + 5 // acc
 		)
-		const s3 = isa.RegS0 + 3 // loops remaining
 		b.LA(s1, "x")
 		b.LA(s2, "r")
-		b.LI(s3, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
-		b.LI(s0, 0)
-		lagLoop := b.NewLabel("lag")
-		b.Label(lagLoop)
-		b.LI(s5, 0)
-		b.MV(t0, s1) // &x[0]
-		b.SLLI(t1, s0, 1)
-		b.ADD(t1, s1, t1) // &x[lag]
-		b.LI(t2, int64(k.N))
-		b.SUB(t2, t2, s0) // n - lag iterations
-		emitMAC(b, "mac")
-		b.SLLI(t0, s0, 3)
-		b.ADD(t0, s2, t0)
-		b.ST(s5, t0, 0) // r[lag]
-		b.ADDI(s0, s0, 1)
-		b.LI(t1, int64(k.Lags))
-		b.BLT(s0, t1, lagLoop)
-		b.ADDI(s3, s3, -1)
-		b.BNEZ(s3, pass)
+		emitLoop(b, s3, k.Loops, "pass", func() {
+			b.LI(s0, 0)
+			lagLoop := b.NewLabel("lag")
+			b.Label(lagLoop)
+			b.LI(s5, 0)
+			b.MV(t0, s1) // &x[0]
+			b.SLLI(t1, s0, 1)
+			b.ADD(t1, s1, t1) // &x[lag]
+			b.LI(t2, int64(k.N))
+			b.SUB(t2, t2, s0) // n - lag iterations
+			emitMAC(b, "mac")
+			b.SLLI(t0, s0, 3)
+			b.ADD(t0, s2, t0)
+			b.ST(s5, t0, 0) // r[lag]
+			b.ADDI(s0, s0, 1)
+			b.LI(t1, int64(k.Lags))
+			b.BLT(s0, t1, lagLoop)
+		})
 		k.emitData(b, 0)
 	})
 }
@@ -174,86 +184,55 @@ func (k *Autcor) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, er
 			s5 = isa.RegS0 + 5 // acc
 			a2 = isa.RegA0 + 2 // my lo (elements)
 			a3 = isa.RegA0 + 3 // my hi (elements, unclamped by lag)
+			a5 = isa.RegA0 + 5 // loops remaining
 		)
 		b.LA(s1, "x")
 		b.LA(s2, "r")
 		b.LA(s4, "partials")
 		b.SLLI(t0, isa.RegA0, 6)
 		b.ADD(s3, s4, t0)
-		// lo = min(tid*chunk, N), hi = min(lo+chunk, N)
-		b.LI(a2, int64(chunk))
-		b.MUL(a2, a2, isa.RegA0)
-		b.LI(t0, int64(k.N))
-		lok := b.NewLabel("lok")
-		b.BLE(a2, t0, lok)
-		b.MV(a2, t0)
-		b.Label(lok)
-		b.ADDI(a3, a2, int32(chunk))
-		hik := b.NewLabel("hik")
-		b.BLE(a3, t0, hik)
-		b.MV(a3, t0)
-		b.Label(hik)
-
-		const a5 = isa.RegA0 + 5 // loops remaining
-		b.LI(a5, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
-		b.LI(s0, 0)
-		lagLoop := b.NewLabel("lag")
-		b.Label(lagLoop)
-		// This lag's valid i range is [0, N-lag); mine is
-		// [lo, min(hi, N-lag)).
-		b.LI(t0, int64(k.N))
-		b.SUB(t0, t0, s0) // N - lag
-		b.MV(t1, a3)
-		clamp := b.NewLabel("clamp")
-		b.BLE(t1, t0, clamp)
-		b.MV(t1, t0)
-		b.Label(clamp)
-		b.LI(s5, 0)
-		b.SUB(t2, t1, a2) // count
-		noWork := b.NewLabel("nowork")
-		b.BLE(t2, isa.RegZero, noWork)
-		b.SLLI(t0, a2, 1)
-		b.ADD(t0, s1, t0) // &x[lo]
-		b.ADD(t1, a2, s0)
-		b.SLLI(t1, t1, 1)
-		b.ADD(t1, s1, t1) // &x[lo+lag]
-		emitMAC(b, "mac")
-		b.Label(noWork)
-		b.ST(s5, s3, 0) // partials[tid]
-		gen.EmitBarrier(b)
-
-		// Thread 0 reduces.
-		skipRed := b.NewLabel("skipred")
-		b.BNEZ(isa.RegA0, skipRed)
-		b.LI(s5, 0)
-		b.MV(t0, s4)
-		b.LI(t1, int64(nthreads))
-		red := b.NewLabel("red")
-		b.Label(red)
-		b.LD(t3, t0, 0)
-		b.ADD(s5, s5, t3)
-		b.ADDI(t0, t0, 64)
-		b.ADDI(t1, t1, -1)
-		b.BNEZ(t1, red)
-		b.SLLI(t0, s0, 3)
-		b.ADD(t0, s2, t0)
-		b.ST(s5, t0, 0) // r[lag]
-		b.Label(skipRed)
-		gen.EmitBarrier(b)
-
-		b.ADDI(s0, s0, 1)
-		b.LI(t1, int64(k.Lags))
-		b.BLT(s0, t1, lagLoop)
-		b.ADDI(a5, a5, -1)
-		b.BNEZ(a5, pass)
+		emitRange(b, a2, a3, t0, chunk, k.N)
+		emitLoop(b, a5, k.Loops, "pass", func() {
+			b.LI(s0, 0)
+			lagLoop := b.NewLabel("lag")
+			b.Label(lagLoop)
+			// This lag's valid i range is [0, N-lag); mine is
+			// [lo, min(hi, N-lag)).
+			b.LI(t0, int64(k.N))
+			b.SUB(t0, t0, s0) // N - lag
+			b.MV(t1, a3)
+			emitMin(b, t1, t0)
+			b.LI(s5, 0)
+			b.SUB(t2, t1, a2) // count
+			noWork := b.NewLabel("nowork")
+			b.BLE(t2, isa.RegZero, noWork)
+			b.SLLI(t0, a2, 1)
+			b.ADD(t0, s1, t0) // &x[lo]
+			b.ADD(t1, a2, s0)
+			b.SLLI(t1, t1, 1)
+			b.ADD(t1, s1, t1) // &x[lo+lag]
+			emitMAC(b, "mac")
+			b.Label(noWork)
+			b.ST(s5, s3, 0) // partials[tid]
+			gen.EmitBarrier(b)
+			emitReduce(b, "", s4, nthreads, func() {
+				b.LI(s5, 0)
+			}, func() {
+				b.LD(t3, t0, 0)
+				b.ADD(s5, s5, t3)
+			}, func() {
+				b.SLLI(t0, s0, 3)
+				b.ADD(t0, s2, t0)
+				b.ST(s5, t0, 0) // r[lag]
+			})
+			gen.EmitBarrier(b)
+			b.ADDI(s0, s0, 1)
+			b.LI(t1, int64(k.Lags))
+			b.BLT(s0, t1, lagLoop)
+		})
 		k.emitData(b, nthreads)
 	})
 }
-
-// Barriers returns the barrier episodes per parallel run.
-func (k *Autcor) Barriers() int { return 2 * k.Lags * k.Loops }
 
 // Verify implements Kernel.
 func (k *Autcor) Verify(m *mem.Memory, p *asm.Program, threads int) error {

@@ -50,46 +50,14 @@ func (k *CoarseGrain) expected() uint64 {
 }
 
 func (k *CoarseGrain) emitData(b *asm.Builder, threads int) {
-	b.AlignData(64)
-	b.DataLabel("work")
+	dataLabel(b, "work")
 	// One private copy of the region per thread, so no line is shared.
-	n := threads
-	if n == 0 {
-		n = 1
-	}
-	for t := 0; t < n; t++ {
+	for t := 0; t < threads; t++ {
 		b.Quad(k.data...)
 		b.AlignData(64)
 	}
 	b.DataLabel("sums")
-	b.Space(maxThreads(n) * 64)
-}
-
-func maxThreads(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
-// emitPhaseWork sums this thread's private region into s5. Expects s1 =
-// base of own region, clobbers t0..t2.
-func (k *CoarseGrain) emitPhaseWork(b *asm.Builder, label string) {
-	const (
-		t0 = isa.RegT0
-		t1 = isa.RegT0 + 1
-		s1 = isa.RegS0 + 1
-		s5 = isa.RegS0 + 5
-	)
-	b.MV(t0, s1)
-	b.LI(t1, int64(k.WorkElems))
-	loop := b.NewLabel(label)
-	b.Label(loop)
-	b.LD(isa.RegT0+2, t0, 0)
-	b.ADD(s5, s5, isa.RegT0+2)
-	b.ADDI(t0, t0, 8)
-	b.ADDI(t1, t1, -1)
-	b.BNEZ(t1, loop)
+	b.Space(threads * 64)
 }
 
 // regionBytes is the line-aligned size of one thread's private region.
@@ -98,72 +66,59 @@ func (k *CoarseGrain) regionBytes() int {
 }
 
 // BuildSeq implements Kernel: the same total number of phases, one thread.
-func (k *CoarseGrain) BuildSeq() (*asm.Program, error) {
-	return buildSeq(func(b *asm.Builder) {
-		const (
-			s0 = isa.RegS0
-			s1 = isa.RegS0 + 1
-			s5 = isa.RegS0 + 5
-			t0 = isa.RegT0
-		)
-		b.LA(s1, "work")
-		b.LI(s5, 0)
-		b.LI(s0, int64(k.Phases))
-		phase := b.NewLabel("phase")
-		b.Label(phase)
-		k.emitPhaseWork(b, "work")
-		b.ADDI(s0, s0, -1)
-		b.BNEZ(s0, phase)
-		b.LA(t0, "sums")
-		b.ST(s5, t0, 0)
-		k.emitData(b, 0)
-	})
-}
+func (k *CoarseGrain) BuildSeq() (*asm.Program, error) { return build(nil, 1, k.emit) }
 
 // BuildPar implements Kernel.
 func (k *CoarseGrain) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
-	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		const (
-			s0 = isa.RegS0
-			s1 = isa.RegS0 + 1
-			s2 = isa.RegS0 + 2
-			s5 = isa.RegS0 + 5
-			t0 = isa.RegT0
-		)
-		// s1 = own region, s2 = own sum slot.
-		b.LA(s1, "work")
+	return build(gen, nthreads, k.emit)
+}
+
+// emit emits the kernel; with a nil gen the one thread's region and sum
+// slot are the first ones.
+func (k *CoarseGrain) emit(b *asm.Builder, gen barrier.Generator, nthreads int) {
+	const (
+		s0 = isa.RegS0
+		s1 = isa.RegS0 + 1 // own region
+		s2 = isa.RegS0 + 2 // own sum slot
+		s5 = isa.RegS0 + 5 // sum
+		t0 = isa.RegT0
+		t1 = isa.RegT0 + 1
+		t2 = isa.RegT0 + 2
+	)
+	b.LA(s1, "work")
+	if gen != nil {
 		b.LI(t0, int64(k.regionBytes()))
 		b.MUL(t0, t0, isa.RegA0)
 		b.ADD(s1, s1, t0)
 		b.LA(s2, "sums")
 		b.SLLI(t0, isa.RegA0, 6)
 		b.ADD(s2, s2, t0)
-
-		b.LI(s5, 0)
-		b.LI(s0, int64(k.Phases))
-		phase := b.NewLabel("phase")
-		b.Label(phase)
-		k.emitPhaseWork(b, "work")
-		gen.EmitBarrier(b)
-		b.ADDI(s0, s0, -1)
-		b.BNEZ(s0, phase)
-		b.ST(s5, s2, 0)
-		k.emitData(b, nthreads)
+	}
+	b.LI(s5, 0)
+	emitLoop(b, s0, k.Phases, "phase", func() {
+		// Sum this thread's private region into s5.
+		b.MV(t0, s1)
+		emitLoop(b, t1, k.WorkElems, "work", func() {
+			b.LD(t2, t0, 0)
+			b.ADD(s5, s5, t2)
+			b.ADDI(t0, t0, 8)
+		})
+		emitBarrier(b, gen)
 	})
+	if gen == nil {
+		b.LA(t0, "sums")
+		b.ST(s5, t0, 0)
+	} else {
+		b.ST(s5, s2, 0)
+	}
+	k.emitData(b, nthreads)
 }
-
-// Barriers returns the barrier episodes per parallel run.
-func (k *CoarseGrain) Barriers() int { return k.Phases }
 
 // Verify implements Kernel.
 func (k *CoarseGrain) Verify(m *mem.Memory, p *asm.Program, threads int) error {
 	want := k.expected()
 	base := p.MustSymbol("sums")
-	n := threads
-	if n < 1 {
-		n = 1
-	}
-	for t := 0; t < n; t++ {
+	for t := 0; t < max(threads, 1); t++ {
 		if got := m.ReadUint64(base + uint64(t*64)); got != want {
 			return fmt.Errorf("kernels: coarse sums[%d] = %d, want %d", t, got, want)
 		}

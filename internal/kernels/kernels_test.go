@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/vet"
@@ -144,8 +143,6 @@ func TestKernelsAllBarriers(t *testing.T) {
 		}
 	}
 }
-
-var _ = asm.Program{} // reserve import for future symbol-based checks
 
 // TestKernelsVetClean: every registered kernel, sequential and under every
 // barrier mechanism, must pass the static verifier with zero diagnostics.
@@ -320,6 +317,7 @@ func TestRegistryRejectsSizes(t *testing.T) {
 		{"livermore6", 1025, 1},
 		{"pipeline", 1 << 11, 1 << 10},
 		{"pipeline", 1 << 40, 1 << 40},
+		{"autcor", 4, 1},
 	} {
 		if k, err := New(tc.name, tc.n, tc.loops); err == nil {
 			t.Errorf("New(%s, %d, %d) = %s, want an error", tc.name, tc.n, tc.loops, k.Name())
@@ -328,7 +326,7 @@ func TestRegistryRejectsSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		n, loops int
-	}{{"livermore2", 4, 1}, {"livermore6", 1024, 1}, {"pipeline", 1 << 10, 1 << 10}} {
+	}{{"livermore2", 4, 1}, {"livermore6", 1024, 1}, {"pipeline", 1 << 10, 1 << 10}, {"autcor", 8, 1}} {
 		if _, err := New(tc.name, tc.n, tc.loops); err != nil {
 			t.Errorf("New(%s, %d, %d): %v", tc.name, tc.n, tc.loops, err)
 		}

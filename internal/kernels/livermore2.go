@@ -87,11 +87,9 @@ func (k *Livermore2) reference() []float64 {
 }
 
 func (k *Livermore2) emitData(b *asm.Builder) {
-	b.AlignData(64)
-	b.DataLabel("x")
+	dataLabel(b, "x")
 	b.Double(k.x...)
-	b.AlignData(64)
-	b.DataLabel("v")
+	dataLabel(b, "v")
 	b.Double(k.v...)
 }
 
@@ -125,71 +123,33 @@ func emitL2Body(b *asm.Builder, regK, regI uint8) {
 }
 
 // BuildSeq implements Kernel.
-func (k *Livermore2) BuildSeq() (*asm.Program, error) {
-	return buildSeq(func(b *asm.Builder) {
-		const (
-			s0 = isa.RegS0     // ii
-			s1 = isa.RegS0 + 1 // ipntp
-			s2 = isa.RegS0 + 2 // ipnt
-			s3 = isa.RegS0 + 3 // i
-			s4 = isa.RegS0 + 4 // loops remaining
-			t0 = isa.RegT0     // k
-			a2 = isa.RegA0 + 2
-			a3 = isa.RegA0 + 3
-		)
-		b.LA(a2, "x")
-		b.LA(a3, "v")
-		b.LI(s4, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
-		b.LI(s0, int64(k.N))
-		b.LI(s1, 0)
-		do := b.NewLabel("do")
-		forK := b.NewLabel("forK")
-		endK := b.NewLabel("endK")
-		b.Label(do)
-		b.MV(s2, s1)
-		b.ADD(s1, s1, s0)
-		b.SRAI(s0, s0, 1)
-		b.MV(s3, s1)
-		b.ADDI(t0, s2, 1)
-		b.Label(forK)
-		b.BGE(t0, s1, endK)
-		b.ADDI(s3, s3, 1)
-		emitL2Body(b, t0, s3)
-		b.ADDI(t0, t0, 2)
-		b.J(forK)
-		b.Label(endK)
-		b.LI(isa.RegT0+5, 1)
-		b.BGT(s0, isa.RegT0+5, do)
-		b.ADDI(s4, s4, -1)
-		b.BNEZ(s4, pass)
-		k.emitData(b)
-	})
-}
+func (k *Livermore2) BuildSeq() (*asm.Program, error) { return build(nil, 1, k.emit) }
 
 // BuildPar implements Kernel (the paper's parallel transcription).
 func (k *Livermore2) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
-	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		const (
-			s0 = isa.RegS0     // ii
-			s1 = isa.RegS0 + 1 // ipntp
-			s2 = isa.RegS0 + 2 // ipnt
-			s3 = isa.RegS0 + 3 // i
-			s4 = isa.RegS0 + 4 // loops remaining
-			s5 = isa.RegS0 + 5 // end
-			t0 = isa.RegT0     // k
-			t5 = isa.RegT0 + 5 // chunk / scratch
-			a2 = isa.RegA0 + 2
-			a3 = isa.RegA0 + 3
-			a4 = isa.RegA0 + 4 // scratch
-			a5 = isa.RegA0 + 5 // scratch
-		)
-		b.LA(a2, "x")
-		b.LA(a3, "v")
-		b.LI(s4, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
+	return build(gen, nthreads, k.emit)
+}
+
+// emit emits the kernel; with a nil gen every level's pairs are the one
+// thread's and there is no chunk arithmetic.
+func (k *Livermore2) emit(b *asm.Builder, gen barrier.Generator, nthreads int) {
+	const (
+		s0 = isa.RegS0     // ii
+		s1 = isa.RegS0 + 1 // ipntp
+		s2 = isa.RegS0 + 2 // ipnt
+		s3 = isa.RegS0 + 3 // i
+		s4 = isa.RegS0 + 4 // loops remaining
+		s5 = isa.RegS0 + 5 // end
+		t0 = isa.RegT0     // k
+		t5 = isa.RegT0 + 5 // chunk / scratch
+		a2 = isa.RegA0 + 2
+		a3 = isa.RegA0 + 3
+		a4 = isa.RegA0 + 4 // scratch
+		a5 = isa.RegA0 + 5 // scratch
+	)
+	b.LA(a2, "x")
+	b.LA(a3, "v")
+	emitLoop(b, s4, k.Loops, "pass", func() {
 		b.LI(s0, int64(k.N))
 		b.LI(s1, 0)
 		do := b.NewLabel("do")
@@ -200,64 +160,74 @@ func (k *Livermore2) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program
 		b.ADD(s1, s1, s0)
 		b.SRAI(s0, s0, 1)
 		b.MV(s3, s1)
-
-		// chunk = (ipntp-ipnt)/2 + (ipntp-ipnt)%2
-		b.SUB(t5, s1, s2)
-		b.ANDI(a4, t5, 1)
-		b.SRAI(t5, t5, 1)
-		b.ADD(t5, t5, a4)
-		// chunk = chunk/THREADS + ((chunk%THREADS)?1:0)
-		b.LI(a4, int64(nthreads))
-		b.REM(a5, t5, a4)
-		b.DIV(t5, t5, a4)
-		noRem := b.NewLabel("norem")
-		b.BEQZ(a5, noRem)
-		b.ADDI(t5, t5, 1)
-		b.Label(noRem)
-		// if (chunk < 8) chunk = 8
-		b.LI(a4, 8)
-		big := b.NewLabel("big")
-		b.BGE(t5, a4, big)
-		b.MV(t5, a4)
-		b.Label(big)
-		// i += MYID*chunk
-		b.MUL(a4, t5, isa.RegA0)
-		b.ADD(s3, s3, a4)
-		// end = chunk*2*(MYID+1) + ipnt + 1
-		b.ADDI(a5, isa.RegA0, 1)
-		b.MUL(a5, a5, t5)
-		b.SLLI(a5, a5, 1)
-		b.ADD(s5, a5, s2)
-		b.ADDI(s5, s5, 1)
-		// k = ipnt + 1 + MYID*2*chunk
-		b.SLLI(a4, a4, 1)
-		b.ADDI(t0, s2, 1)
-		b.ADD(t0, t0, a4)
-
+		if gen == nil {
+			b.ADDI(t0, s2, 1)
+		} else {
+			k.emitChunk(b, nthreads)
+		}
 		b.Label(forK)
-		b.BGE(t0, s5, endK)
+		if gen != nil {
+			b.BGE(t0, s5, endK)
+		}
 		b.BGE(t0, s1, endK)
 		b.ADDI(s3, s3, 1)
 		emitL2Body(b, t0, s3)
 		b.ADDI(t0, t0, 2)
 		b.J(forK)
 		b.Label(endK)
-		gen.EmitBarrier(b)
+		emitBarrier(b, gen)
 		b.LI(t5, 1)
 		b.BGT(s0, t5, do)
-		b.ADDI(s4, s4, -1)
-		b.BNEZ(s4, pass)
-		k.emitData(b)
 	})
+	k.emitData(b)
 }
 
-// Barriers returns the barrier episodes per parallel run.
-func (k *Livermore2) Barriers() int {
-	levels := 0
-	for ii := k.N; ii > 1; ii /= 2 {
-		levels++
-	}
-	return levels * k.Loops
+// emitChunk emits the paper's per-level partition of the pairs in
+// (ipnt, ipntp): this thread's first k in t0, its bound in s5, and i
+// advanced past the pairs of lower threads. Clobbers t5, a4, a5.
+func (k *Livermore2) emitChunk(b *asm.Builder, nthreads int) {
+	const (
+		s1 = isa.RegS0 + 1 // ipntp
+		s2 = isa.RegS0 + 2 // ipnt
+		s3 = isa.RegS0 + 3 // i
+		s5 = isa.RegS0 + 5 // end
+		t0 = isa.RegT0     // k
+		t5 = isa.RegT0 + 5 // chunk
+		a4 = isa.RegA0 + 4
+		a5 = isa.RegA0 + 5
+	)
+	// chunk = (ipntp-ipnt)/2 + (ipntp-ipnt)%2
+	b.SUB(t5, s1, s2)
+	b.ANDI(a4, t5, 1)
+	b.SRAI(t5, t5, 1)
+	b.ADD(t5, t5, a4)
+	// chunk = chunk/THREADS + ((chunk%THREADS)?1:0)
+	b.LI(a4, int64(nthreads))
+	b.REM(a5, t5, a4)
+	b.DIV(t5, t5, a4)
+	noRem := b.NewLabel("norem")
+	b.BEQZ(a5, noRem)
+	b.ADDI(t5, t5, 1)
+	b.Label(noRem)
+	// if (chunk < 8) chunk = 8
+	b.LI(a4, 8)
+	big := b.NewLabel("big")
+	b.BGE(t5, a4, big)
+	b.MV(t5, a4)
+	b.Label(big)
+	// i += MYID*chunk
+	b.MUL(a4, t5, isa.RegA0)
+	b.ADD(s3, s3, a4)
+	// end = chunk*2*(MYID+1) + ipnt + 1
+	b.ADDI(a5, isa.RegA0, 1)
+	b.MUL(a5, a5, t5)
+	b.SLLI(a5, a5, 1)
+	b.ADD(s5, a5, s2)
+	b.ADDI(s5, s5, 1)
+	// k = ipnt + 1 + MYID*2*chunk
+	b.SLLI(a4, a4, 1)
+	b.ADDI(t0, s2, 1)
+	b.ADD(t0, t0, a4)
 }
 
 // Verify implements Kernel.

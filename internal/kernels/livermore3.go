@@ -65,18 +65,14 @@ func (k *Livermore3) refPar(threads int) float64 {
 }
 
 func (k *Livermore3) emitData(b *asm.Builder, threads int) {
-	b.AlignData(64)
-	b.DataLabel("x")
+	dataLabel(b, "x")
 	b.Double(k.x...)
-	b.AlignData(64)
-	b.DataLabel("z")
+	dataLabel(b, "z")
 	b.Double(k.z...)
-	b.AlignData(64)
-	b.DataLabel("result")
+	dataLabel(b, "result")
 	b.Quad(0)
 	if threads > 0 {
-		b.AlignData(64)
-		b.DataLabel("partials")
+		dataLabel(b, "partials")
 		b.Space(threads * 64) // one line per thread
 	}
 }
@@ -102,7 +98,9 @@ func emitDot(b *asm.Builder, label string) {
 	b.BNEZ(t2, loop)
 }
 
-// BuildSeq implements Kernel.
+// BuildSeq implements Kernel. It is not BuildPar without the barriers: the
+// sequential pass accumulates straight into the result, with no partial
+// slot and no reduction, in the plain summation order refSeq checks.
 func (k *Livermore3) BuildSeq() (*asm.Program, error) {
 	return buildSeq(func(b *asm.Builder) {
 		const (
@@ -112,18 +110,15 @@ func (k *Livermore3) BuildSeq() (*asm.Program, error) {
 			s0 = isa.RegS0
 			t3 = isa.RegT0 + 3
 		)
-		b.LI(s0, int64(k.Loops))
-		outer := b.NewLabel("louter")
-		b.Label(outer)
-		b.LA(t0, "x")
-		b.LA(t1, "z")
-		b.LI(t2, int64(k.N))
-		b.ITOF(0, isa.RegZero) // f0 = 0.0
-		emitDot(b, "ldot")
-		b.LA(t3, "result")
-		b.FST(0, t3, 0)
-		b.ADDI(s0, s0, -1)
-		b.BNEZ(s0, outer)
+		emitLoop(b, s0, k.Loops, "louter", func() {
+			b.LA(t0, "x")
+			b.LA(t1, "z")
+			b.LI(t2, int64(k.N))
+			b.ITOF(0, isa.RegZero) // f0 = 0.0
+			emitDot(b, "ldot")
+			b.LA(t3, "result")
+			b.FST(0, t3, 0)
+		})
 		k.emitData(b, 0)
 	})
 }
@@ -144,19 +139,7 @@ func (k *Livermore3) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program
 			s4 = isa.RegS0 + 4 // my partial slot
 			s5 = isa.RegS0 + 5 // partials base
 		)
-		// lo = min(tid*chunk, N); hi = min(lo+chunk, N); cnt = hi-lo.
-		b.LI(t0, int64(chunk))
-		b.MUL(t0, t0, isa.RegA0) // lo
-		b.LI(t1, int64(k.N))
-		noClampLo := b.NewLabel("nclo")
-		b.BLE(t0, t1, noClampLo)
-		b.MV(t0, t1)
-		b.Label(noClampLo)
-		b.ADDI(t2, t0, int32(chunk)) // hi
-		noClampHi := b.NewLabel("nchi")
-		b.BLE(t2, t1, noClampHi)
-		b.MV(t2, t1)
-		b.Label(noClampHi)
+		emitRange(b, t0, t2, t1, chunk, k.N)
 		b.SUB(s3, t2, t0) // cnt
 		b.SLLI(t0, t0, 3) // lo bytes
 		b.LA(s1, "x")
@@ -166,47 +149,32 @@ func (k *Livermore3) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program
 		b.LA(s5, "partials")
 		b.SLLI(t3, isa.RegA0, 6)
 		b.ADD(s4, s5, t3)
-		b.LI(s0, int64(k.Loops))
 
-		outer := b.NewLabel("louter")
-		b.Label(outer)
-		b.ITOF(0, isa.RegZero)
-		skip := b.NewLabel("lskip")
-		b.BEQZ(s3, skip)
-		b.MV(t0, s1)
-		b.MV(t1, s2)
-		b.MV(t2, s3)
-		emitDot(b, "ldot")
-		b.Label(skip)
-		b.FST(0, s4, 0)
-		gen.EmitBarrier(b)
-
-		// Thread 0 reduces the partials in thread order.
-		notZero := b.NewLabel("lnz")
-		b.BNEZ(isa.RegA0, notZero)
-		b.ITOF(0, isa.RegZero)
-		b.MV(t0, s5)
-		b.LI(t1, int64(nthreads))
-		red := b.NewLabel("lred")
-		b.Label(red)
-		b.FLD(1, t0, 0)
-		b.FADD(0, 0, 1)
-		b.ADDI(t0, t0, 64)
-		b.ADDI(t1, t1, -1)
-		b.BNEZ(t1, red)
-		b.LA(t2, "result")
-		b.FST(0, t2, 0)
-		b.Label(notZero)
-		gen.EmitBarrier(b)
-
-		b.ADDI(s0, s0, -1)
-		b.BNEZ(s0, outer)
+		emitLoop(b, s0, k.Loops, "louter", func() {
+			b.ITOF(0, isa.RegZero)
+			skip := b.NewLabel("lskip")
+			b.BEQZ(s3, skip)
+			b.MV(t0, s1)
+			b.MV(t1, s2)
+			b.MV(t2, s3)
+			emitDot(b, "ldot")
+			b.Label(skip)
+			b.FST(0, s4, 0)
+			gen.EmitBarrier(b)
+			emitReduce(b, "l", s5, nthreads, func() {
+				b.ITOF(0, isa.RegZero)
+			}, func() {
+				b.FLD(1, t0, 0)
+				b.FADD(0, 0, 1)
+			}, func() {
+				b.LA(t2, "result")
+				b.FST(0, t2, 0)
+			})
+			gen.EmitBarrier(b)
+		})
 		k.emitData(b, nthreads)
 	})
 }
-
-// Barriers returns the number of barrier episodes the parallel build runs.
-func (k *Livermore3) Barriers() int { return 2 * k.Loops }
 
 // Verify implements Kernel.
 func (k *Livermore3) Verify(m *mem.Memory, p *asm.Program, threads int) error {

@@ -85,15 +85,16 @@ func (k *Livermore6) refPar() []float64 {
 }
 
 func (k *Livermore6) emitData(b *asm.Builder) {
-	b.AlignData(64)
-	b.DataLabel("w")
+	dataLabel(b, "w")
 	b.Double(k.w...)
-	b.AlignData(64)
-	b.DataLabel("b")
+	dataLabel(b, "b")
 	b.Double(k.b...)
 }
 
-// BuildSeq implements Kernel.
+// BuildSeq implements Kernel. It is a different algorithm from BuildPar,
+// not BuildPar without the barriers: the original recurrence (ascending k
+// per i) against the wavefront (ascending t), which also sums each w[i] in
+// a different order (refSeq vs refPar).
 func (k *Livermore6) BuildSeq() (*asm.Program, error) {
 	return buildSeq(func(b *asm.Builder) {
 		const (
@@ -104,52 +105,49 @@ func (k *Livermore6) BuildSeq() (*asm.Program, error) {
 			t0 = isa.RegT0
 			t1 = isa.RegT0 + 1
 			t2 = isa.RegT0 + 2
+			s4 = isa.RegS0 + 4 // loops remaining
 		)
-		const s4 = isa.RegS0 + 4 // loops remaining
 		b.LA(a2, "w")
 		b.LA(a3, "b")
-		b.LI(s4, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
-		b.LI(s0, 1)
-		forI := b.NewLabel("forI")
-		endI := b.NewLabel("endI")
-		b.Label(forI)
-		b.LI(t0, int64(k.N))
-		b.BGE(s0, t0, endI)
-		// f0 = w[i]
-		b.SLLI(t0, s0, 3)
-		b.ADD(t0, a2, t0)
-		b.FLD(0, t0, 0)
-		b.LI(s1, 0)
-		forK := b.NewLabel("forK")
-		endK := b.NewLabel("endK")
-		b.Label(forK)
-		b.BGE(s1, s0, endK)
-		// f1 = b[k*N + i]
-		b.LI(t1, int64(k.N))
-		b.MUL(t1, t1, s1)
-		b.ADD(t1, t1, s0)
-		b.SLLI(t1, t1, 3)
-		b.ADD(t1, a3, t1)
-		b.FLD(1, t1, 0)
-		// f2 = w[i-k-1]
-		b.SUB(t2, s0, s1)
-		b.ADDI(t2, t2, -1)
-		b.SLLI(t2, t2, 3)
-		b.ADD(t2, a2, t2)
-		b.FLD(2, t2, 0)
-		b.FMUL(1, 1, 2)
-		b.FADD(0, 0, 1)
-		b.ADDI(s1, s1, 1)
-		b.J(forK)
-		b.Label(endK)
-		b.FST(0, t0, 0) // w[i]
-		b.ADDI(s0, s0, 1)
-		b.J(forI)
-		b.Label(endI)
-		b.ADDI(s4, s4, -1)
-		b.BNEZ(s4, pass)
+		emitLoop(b, s4, k.Loops, "pass", func() {
+			b.LI(s0, 1)
+			forI := b.NewLabel("forI")
+			endI := b.NewLabel("endI")
+			b.Label(forI)
+			b.LI(t0, int64(k.N))
+			b.BGE(s0, t0, endI)
+			// f0 = w[i]
+			b.SLLI(t0, s0, 3)
+			b.ADD(t0, a2, t0)
+			b.FLD(0, t0, 0)
+			b.LI(s1, 0)
+			forK := b.NewLabel("forK")
+			endK := b.NewLabel("endK")
+			b.Label(forK)
+			b.BGE(s1, s0, endK)
+			// f1 = b[k*N + i]
+			b.LI(t1, int64(k.N))
+			b.MUL(t1, t1, s1)
+			b.ADD(t1, t1, s0)
+			b.SLLI(t1, t1, 3)
+			b.ADD(t1, a3, t1)
+			b.FLD(1, t1, 0)
+			// f2 = w[i-k-1]
+			b.SUB(t2, s0, s1)
+			b.ADDI(t2, t2, -1)
+			b.SLLI(t2, t2, 3)
+			b.ADD(t2, a2, t2)
+			b.FLD(2, t2, 0)
+			b.FMUL(1, 1, 2)
+			b.FADD(0, 0, 1)
+			b.ADDI(s1, s1, 1)
+			b.J(forK)
+			b.Label(endK)
+			b.FST(0, t0, 0) // w[i]
+			b.ADDI(s0, s0, 1)
+			b.J(forI)
+			b.Label(endI)
+		})
 		k.emitData(b)
 	})
 }
@@ -169,70 +167,62 @@ func (k *Livermore6) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program
 			t1 = isa.RegT0 + 1
 			t2 = isa.RegT0 + 2
 			t3 = isa.RegT0 + 3
+			s4 = isa.RegS0 + 4 // loops remaining
 		)
-		const s4 = isa.RegS0 + 4 // loops remaining
 		b.LA(a2, "w")
 		b.LA(a3, "b")
 		b.LI(t0, int64(chunk))
 		b.MUL(s3, t0, isa.RegA0) // k start = MYID*CHUNK
 		b.ADD(s2, s3, t0)        // k end
-		b.LI(s4, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
+		emitLoop(b, s4, k.Loops, "pass", func() {
+			b.LI(s0, 0)
+			forT := b.NewLabel("forT")
+			endT := b.NewLabel("endT")
+			b.Label(forT)
+			b.LI(t0, int64(k.N-2))
+			b.BGT(s0, t0, endT)
 
-		b.LI(s0, 0)
-		forT := b.NewLabel("forT")
-		endT := b.NewLabel("endT")
-		b.Label(forT)
-		b.LI(t0, int64(k.N-2))
-		b.BGT(s0, t0, endT)
+			// f1 = w[t] (stable during this step)
+			b.SLLI(t0, s0, 3)
+			b.ADD(t0, a2, t0)
+			b.FLD(1, t0, 0)
+			// limit = N - t - 1
+			b.LI(t3, int64(k.N))
+			b.SUB(t3, t3, s0)
+			b.ADDI(t3, t3, -1)
 
-		// f1 = w[t] (stable during this step)
-		b.SLLI(t0, s0, 3)
-		b.ADD(t0, a2, t0)
-		b.FLD(1, t0, 0)
-		// limit = N - t - 1
-		b.LI(t3, int64(k.N))
-		b.SUB(t3, t3, s0)
-		b.ADDI(t3, t3, -1)
-
-		b.MV(s1, s3)
-		forK := b.NewLabel("forK")
-		endK := b.NewLabel("endK")
-		b.Label(forK)
-		b.BGE(s1, s2, endK)
-		b.BGE(s1, t3, endK) // k < N-t-1 (chunks are contiguous, so this ends the loop)
-		// w[t+k+1] += b[k][t+k+1] * w[t]
-		b.ADD(t1, s0, s1)
-		b.ADDI(t1, t1, 1) // i = t+k+1
-		b.LI(t2, int64(k.N))
-		b.MUL(t2, t2, s1)
-		b.ADD(t2, t2, t1)
-		b.SLLI(t2, t2, 3)
-		b.ADD(t2, a3, t2)
-		b.FLD(2, t2, 0) // b[k][i]
-		b.SLLI(t1, t1, 3)
-		b.ADD(t1, a2, t1)
-		b.FLD(3, t1, 0) // w[i]
-		b.FMUL(2, 2, 1)
-		b.FADD(3, 3, 2)
-		b.FST(3, t1, 0)
-		b.ADDI(s1, s1, 1)
-		b.J(forK)
-		b.Label(endK)
-		gen.EmitBarrier(b)
-		b.ADDI(s0, s0, 1)
-		b.J(forT)
-		b.Label(endT)
-		b.ADDI(s4, s4, -1)
-		b.BNEZ(s4, pass)
+			b.MV(s1, s3)
+			forK := b.NewLabel("forK")
+			endK := b.NewLabel("endK")
+			b.Label(forK)
+			b.BGE(s1, s2, endK)
+			b.BGE(s1, t3, endK) // k < N-t-1 (chunks are contiguous, so this ends the loop)
+			// w[t+k+1] += b[k][t+k+1] * w[t]
+			b.ADD(t1, s0, s1)
+			b.ADDI(t1, t1, 1) // i = t+k+1
+			b.LI(t2, int64(k.N))
+			b.MUL(t2, t2, s1)
+			b.ADD(t2, t2, t1)
+			b.SLLI(t2, t2, 3)
+			b.ADD(t2, a3, t2)
+			b.FLD(2, t2, 0) // b[k][i]
+			b.SLLI(t1, t1, 3)
+			b.ADD(t1, a2, t1)
+			b.FLD(3, t1, 0) // w[i]
+			b.FMUL(2, 2, 1)
+			b.FADD(3, 3, 2)
+			b.FST(3, t1, 0)
+			b.ADDI(s1, s1, 1)
+			b.J(forK)
+			b.Label(endK)
+			gen.EmitBarrier(b)
+			b.ADDI(s0, s0, 1)
+			b.J(forT)
+			b.Label(endT)
+		})
 		k.emitData(b)
 	})
 }
-
-// Barriers returns the barrier episodes per parallel run: one per time
-// step, t = 0..N-2, per pass.
-func (k *Livermore6) Barriers() int { return (k.N - 1) * k.Loops }
 
 // Verify implements Kernel.
 func (k *Livermore6) Verify(m *mem.Memory, p *asm.Program, threads int) error {

@@ -44,7 +44,7 @@ func (k *LockReduce) Name() string {
 // padN returns the padded element count: every thread owns the same number
 // of elements.
 func (k *LockReduce) padN(threads int) int {
-	t := maxThreads(threads)
+	t := max(threads, 1)
 	return (k.N + t - 1) / t * t
 }
 
@@ -56,19 +56,17 @@ func (k *LockReduce) val(i int) uint64 {
 
 func (k *LockReduce) emitData(b *asm.Builder, threads int) {
 	n := k.padN(threads)
-	b.AlignData(64)
-	b.DataLabel("in")
+	dataLabel(b, "in")
 	for i := 0; i < n; i++ {
 		b.Quad(k.val(i))
 	}
-	b.AlignData(64)
-	b.DataLabel("acc")
+	dataLabel(b, "acc")
 	b.Space(64)
 }
 
-// emitBody emits the kernel; gen is nil for the sequential build (lock and
+// emit emits the kernel; gen is nil for the sequential build (lock and
 // barriers elided — one thread needs no mutual exclusion).
-func (k *LockReduce) emitBody(b *asm.Builder, gen barrier.Generator, threads int) {
+func (k *LockReduce) emit(b *asm.Builder, gen barrier.Generator, threads int) {
 	const (
 		t0 = isa.RegT0     // element pointer
 		t1 = isa.RegT0 + 1 // local partial sum
@@ -79,7 +77,7 @@ func (k *LockReduce) emitBody(b *asm.Builder, gen barrier.Generator, threads int
 		s4 = isa.RegS0 + 4 // acc address
 	)
 	n := k.padN(threads)
-	c := n / maxThreads(threads) // elements per thread
+	c := n / max(threads, 1) // elements per thread
 
 	b.Label("kern")
 	if gen != nil {
@@ -87,57 +85,44 @@ func (k *LockReduce) emitBody(b *asm.Builder, gen barrier.Generator, threads int
 		barrier.EmitLockAddr(b, s1, lockBase)
 	}
 	b.LA(s4, "acc")
-	b.LI(s0, int64(k.Passes))
-	pass := b.NewLabel("pass")
-	b.Label(pass)
-	// p = in + 8*c*tid .. p + 8*c: a block partition.
-	b.LI(t2, int64(c*8))
-	b.MUL(t0, t2, isa.RegA0)
-	b.LA(t2, "in")
-	b.ADD(t0, t0, t2)
-	b.ADDI(s2, t0, int32(c*8))
-	b.LI(t1, 0)
-	elem := b.NewLabel("elem")
-	b.Label(elem)
-	b.LD(t2, t0, 0)
-	b.ADD(t1, t1, t2)
-	b.ADDI(t0, t0, 8)
-	b.BLT(t0, s2, elem)
-	// Fold the partial sum into the shared accumulator under the lock.
-	if gen != nil {
-		barrier.EmitLockAcquire(b, s1)
-	}
-	b.LD(t2, s4, 0)
-	b.ADD(t2, t2, t1)
-	b.ST(t2, s4, 0)
-	if gen != nil {
-		barrier.EmitLockRelease(b, s1)
-		// Close the pass: no thread may start the next pass's fold while
-		// this one's is in flight (keeps pass boundaries phase-aligned).
-		gen.EmitBarrier(b)
-	}
-	b.ADDI(s0, s0, -1)
-	b.BNEZ(s0, pass)
+	emitLoop(b, s0, k.Passes, "pass", func() {
+		// p = in + 8*c*tid .. p + 8*c: a block partition.
+		b.LI(t2, int64(c*8))
+		b.MUL(t0, t2, isa.RegA0)
+		b.LA(t2, "in")
+		b.ADD(t0, t0, t2)
+		b.ADDI(s2, t0, int32(c*8))
+		b.LI(t1, 0)
+		elem := b.NewLabel("elem")
+		b.Label(elem)
+		b.LD(t2, t0, 0)
+		b.ADD(t1, t1, t2)
+		b.ADDI(t0, t0, 8)
+		b.BLT(t0, s2, elem)
+		// Fold the partial sum into the shared accumulator under the lock.
+		if gen != nil {
+			barrier.EmitLockAcquire(b, s1)
+		}
+		b.LD(t2, s4, 0)
+		b.ADD(t2, t2, t1)
+		b.ST(t2, s4, 0)
+		if gen != nil {
+			barrier.EmitLockRelease(b, s1)
+			// Close the pass: no thread may start the next pass's fold while
+			// this one's is in flight (keeps pass boundaries phase-aligned).
+			gen.EmitBarrier(b)
+		}
+	})
+	k.emitData(b, threads)
 }
 
 // BuildSeq implements Kernel.
-func (k *LockReduce) BuildSeq() (*asm.Program, error) {
-	return buildSeq(func(b *asm.Builder) {
-		k.emitBody(b, nil, 1)
-		k.emitData(b, 1)
-	})
-}
+func (k *LockReduce) BuildSeq() (*asm.Program, error) { return build(nil, 1, k.emit) }
 
 // BuildPar implements Kernel.
 func (k *LockReduce) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
-	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		k.emitBody(b, gen, nthreads)
-		k.emitData(b, nthreads)
-	})
+	return build(gen, nthreads, k.emit)
 }
-
-// Barriers returns the barrier episodes per parallel run.
-func (k *LockReduce) Barriers() int { return k.Passes }
 
 // Verify implements Kernel.
 func (k *LockReduce) Verify(m *mem.Memory, p *asm.Program, threads int) error {

@@ -36,14 +36,11 @@ func (k *Microbench) BuildSeq() (*asm.Program, error) {
 // BuildPar implements Kernel.
 func (k *Microbench) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
 	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		b.LI(isa.RegS0, int64(k.M))
-		outer := b.NewLabel("outer")
-		b.Label(outer)
-		for i := 0; i < k.K; i++ {
-			gen.EmitBarrier(b)
-		}
-		b.ADDI(isa.RegS0, isa.RegS0, -1)
-		b.BNEZ(isa.RegS0, outer)
+		emitLoop(b, isa.RegS0, k.M, "outer", func() {
+			for i := 0; i < k.K; i++ {
+				gen.EmitBarrier(b)
+			}
+		})
 	})
 }
 

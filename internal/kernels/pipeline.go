@@ -51,7 +51,7 @@ func (k *Pipeline) items() int { return k.S * k.Passes }
 
 // total is the iteration count for a thread count: the pipeline runs until
 // the last item has drained through every stage.
-func (k *Pipeline) total(threads int) int { return k.items() + maxThreads(threads) - 1 }
+func (k *Pipeline) total(threads int) int { return k.items() + max(threads, 1) - 1 }
 
 // val is item i's input value, deterministic in i alone. Iterations past
 // the item count feed zeros (the in[] padding).
@@ -64,25 +64,22 @@ func (k *Pipeline) val(i int) uint64 {
 
 func (k *Pipeline) emitData(b *asm.Builder, threads int) {
 	total := k.total(threads)
-	b.AlignData(64)
-	b.DataLabel("in")
+	dataLabel(b, "in")
 	for i := 0; i < total; i++ {
 		b.Quad(k.val(i))
 	}
-	b.AlignData(64)
-	b.DataLabel("out")
+	dataLabel(b, "out")
 	b.Space(total * 8)
 	// One cache line per stage buffer: hand-offs are line-granular, so
 	// neighbouring stages never false-share.
-	b.AlignData(64)
-	b.DataLabel("buf")
-	b.Space(maxThreads(threads) * 64)
+	dataLabel(b, "buf")
+	b.Space(max(threads, 1) * 64)
 }
 
-// emitBody emits the kernel; gen is nil for the sequential build, where the
+// emit emits the kernel; gen is nil for the sequential build, where the
 // single thread is both first and last stage (load in[i], +1, store out[i])
 // and the barriers are elided.
-func (k *Pipeline) emitBody(b *asm.Builder, gen barrier.Generator, threads int) {
+func (k *Pipeline) emit(b *asm.Builder, gen barrier.Generator, threads int) {
 	const (
 		t0 = isa.RegT0     // item value x
 		t1 = isa.RegT0 + 1 // scratch
@@ -124,11 +121,9 @@ func (k *Pipeline) emitBody(b *asm.Builder, gen barrier.Generator, threads int) 
 	b.LD(t0, s1, 0)
 	b.Label(join1)
 	b.ADD(t0, t0, s5)
-	if gen != nil {
-		// Reads above, writes below: without this barrier stage t's write
-		// phase would overwrite buf[t] while stage t+1 still reads it.
-		gen.EmitBarrier(b)
-	}
+	// Reads above, writes below: without this barrier stage t's write
+	// phase would overwrite buf[t] while stage t+1 still reads it.
+	emitBarrier(b, gen)
 	// Write phase: the last stage retires the item, the rest hand off.
 	drain := b.NewLabel("drain")
 	join2 := b.NewLabel("wrjoin")
@@ -138,40 +133,28 @@ func (k *Pipeline) emitBody(b *asm.Builder, gen barrier.Generator, threads int) 
 	b.Label(drain)
 	b.ST(t0, s2, 0)
 	b.Label(join2)
-	if gen != nil {
-		// And without this one, stage t+1's next read phase would race
-		// stage t's in-flight hand-off store.
-		gen.EmitBarrier(b)
-	}
+	// And without this one, stage t+1's next read phase would race
+	// stage t's in-flight hand-off store.
+	emitBarrier(b, gen)
 	b.ADDI(s1, s1, 8)
 	b.ADDI(s2, s2, 8)
 	b.ADDI(s0, s0, 1)
 	b.BLT(s0, t2, loop)
+	k.emitData(b, threads)
 }
 
 // BuildSeq implements Kernel.
-func (k *Pipeline) BuildSeq() (*asm.Program, error) {
-	return buildSeq(func(b *asm.Builder) {
-		k.emitBody(b, nil, 1)
-		k.emitData(b, 1)
-	})
-}
+func (k *Pipeline) BuildSeq() (*asm.Program, error) { return build(nil, 1, k.emit) }
 
 // BuildPar implements Kernel.
 func (k *Pipeline) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
-	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		k.emitBody(b, gen, nthreads)
-		k.emitData(b, nthreads)
-	})
+	return build(gen, nthreads, k.emit)
 }
-
-// Barriers returns the barrier episodes per parallel run.
-func (k *Pipeline) Barriers() int { return 2 * k.total(2) }
 
 // Verify implements Kernel: replay the pipeline schedule — all stages read,
 // then all stages write — warm-up iterations included.
 func (k *Pipeline) Verify(m *mem.Memory, p *asm.Program, threads int) error {
-	n := maxThreads(threads)
+	n := max(threads, 1)
 	total := k.total(threads)
 	buf := make([]uint64, n)
 	next := make([]uint64, n)

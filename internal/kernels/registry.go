@@ -29,7 +29,13 @@ var registry = map[string]func(n, loops int) (Kernel, error){
 		}
 		return NewLivermore6(n, defInt(loops, 1)), nil
 	},
-	"autcor":     func(n, loops int) (Kernel, error) { return NewAutcor(defInt(n, 256), 8, defInt(loops, 1)), nil },
+	"autcor": func(n, loops int) (Kernel, error) {
+		n = defInt(n, 256)
+		if err := checkAutcorN(n, 8); err != nil {
+			return nil, err
+		}
+		return NewAutcor(n, 8, defInt(loops, 1)), nil
+	},
 	"viterbi":    func(n, loops int) (Kernel, error) { return NewViterbi(defInt(n, 48), defInt(loops, 1)), nil },
 	"lockreduce": func(n, loops int) (Kernel, error) { return NewLockReduce(defInt(n, 64), defInt(loops, 2)), nil },
 	"pipeline": func(n, loops int) (Kernel, error) {

@@ -91,29 +91,25 @@ func (k *Skewed) rowSum(r int) uint64 {
 
 func (k *Skewed) emitData(b *asm.Builder, threads int) {
 	n := k.padRows(threads)
-	b.AlignData(64)
-	b.DataLabel("rows")
+	dataLabel(b, "rows")
 	for r := 0; r < n; r++ {
 		_, vals := k.row(r)
 		b.Quad(vals[:]...)
 	}
-	b.AlignData(64)
-	b.DataLabel("lens")
+	dataLabel(b, "lens")
 	for r := 0; r < n; r++ {
 		raw, _ := k.row(r)
 		b.Quad(raw)
 	}
-	b.AlignData(64)
-	b.DataLabel("out")
+	dataLabel(b, "out")
 	b.Space(n * 8)
-	b.AlignData(64)
-	b.DataLabel("total")
+	dataLabel(b, "total")
 	b.Space(64)
 }
 
-// emitBody emits the kernel for the given thread count; gen is nil for the
+// emit emits the kernel for the given thread count; gen is nil for the
 // sequential build (barriers elided, and thread 0 owns every row).
-func (k *Skewed) emitBody(b *asm.Builder, gen barrier.Generator, threads int) {
+func (k *Skewed) emit(b *asm.Builder, gen barrier.Generator, threads int) {
 	const (
 		t0 = isa.RegT0     // row pointer p
 		t1 = isa.RegT0 + 1 // row end pointer
@@ -128,91 +124,74 @@ func (k *Skewed) emitBody(b *asm.Builder, gen barrier.Generator, threads int) {
 		s5 = isa.RegS0 + 5 // out base
 	)
 	n := k.padRows(threads)
-	c := n / maxThreads(threads) // rows per thread
+	c := n / max(threads, 1) // rows per thread
 
 	b.Label("kern")
 	b.LA(s3, "rows")
 	b.LA(s4, "lens")
 	b.LA(s5, "out")
-	b.LI(s0, int64(k.Passes))
-	pass := b.NewLabel("pass")
-	b.Label(pass)
-	// r = c*tid .. c*(tid+1): a whole-row block partition.
-	b.LI(t4, int64(c))
-	b.MUL(s1, t4, isa.RegA0)
-	b.ADDI(s2, s1, int32(c))
-	rows := b.NewLabel("rowloop")
-	b.Label(rows)
-	// p = rows + r*128; end = p + 8*((lens[r] & 15) + 1) — the data-
-	// dependent bound the interval domain must mask, widen, and narrow.
-	b.SLLI(t0, s1, 7)
-	b.ADD(t0, t0, s3)
-	b.SLLI(t1, s1, 3)
-	b.ADD(t1, t1, s4)
-	b.LD(t1, t1, 0)
-	b.ANDI(t1, t1, 15)
-	b.ADDI(t1, t1, 1)
-	b.SLLI(t1, t1, 3)
-	b.ADD(t1, t1, t0)
-	b.LI(t2, 0)
-	elem := b.NewLabel("elem")
-	b.Label(elem)
-	b.LD(t3, t0, 0)
-	b.ADD(t2, t2, t3)
-	b.ADDI(t0, t0, 8)
-	b.BLT(t0, t1, elem)
-	// out[r] = row sum.
-	b.SLLI(t3, s1, 3)
-	b.ADD(t3, t3, s5)
-	b.ST(t2, t3, 0)
-	b.ADDI(s1, s1, 1)
-	b.BLT(s1, s2, rows)
-	if gen != nil {
-		gen.EmitBarrier(b)
-	}
-	// Thread 0 reduces every row sum into total.
-	skip := b.NewLabel("skip")
-	b.BNEZ(isa.RegA0, skip)
-	b.LI(t2, 0)
-	b.MV(t0, s5)
-	b.LI(t1, int64(n*8))
-	b.ADD(t1, t1, s5)
-	red := b.NewLabel("red")
-	b.Label(red)
-	b.LD(t3, t0, 0)
-	b.ADD(t2, t2, t3)
-	b.ADDI(t0, t0, 8)
-	b.BLT(t0, t1, red)
-	b.LA(t3, "total")
-	b.ST(t2, t3, 0)
-	b.Label(skip)
-	if gen != nil {
+	emitLoop(b, s0, k.Passes, "pass", func() {
+		// r = c*tid .. c*(tid+1): a whole-row block partition.
+		b.LI(t4, int64(c))
+		b.MUL(s1, t4, isa.RegA0)
+		b.ADDI(s2, s1, int32(c))
+		rows := b.NewLabel("rowloop")
+		b.Label(rows)
+		// p = rows + r*128; end = p + 8*((lens[r] & 15) + 1) — the data-
+		// dependent bound the interval domain must mask, widen, and narrow.
+		b.SLLI(t0, s1, 7)
+		b.ADD(t0, t0, s3)
+		b.SLLI(t1, s1, 3)
+		b.ADD(t1, t1, s4)
+		b.LD(t1, t1, 0)
+		b.ANDI(t1, t1, 15)
+		b.ADDI(t1, t1, 1)
+		b.SLLI(t1, t1, 3)
+		b.ADD(t1, t1, t0)
+		b.LI(t2, 0)
+		elem := b.NewLabel("elem")
+		b.Label(elem)
+		b.LD(t3, t0, 0)
+		b.ADD(t2, t2, t3)
+		b.ADDI(t0, t0, 8)
+		b.BLT(t0, t1, elem)
+		// out[r] = row sum.
+		b.SLLI(t3, s1, 3)
+		b.ADD(t3, t3, s5)
+		b.ST(t2, t3, 0)
+		b.ADDI(s1, s1, 1)
+		b.BLT(s1, s2, rows)
+		emitBarrier(b, gen)
+		// Thread 0 reduces every row sum into total.
+		skip := b.NewLabel("skip")
+		b.BNEZ(isa.RegA0, skip)
+		b.LI(t2, 0)
+		b.MV(t0, s5)
+		b.LI(t1, int64(n*8))
+		b.ADD(t1, t1, s5)
+		red := b.NewLabel("red")
+		b.Label(red)
+		b.LD(t3, t0, 0)
+		b.ADD(t2, t2, t3)
+		b.ADDI(t0, t0, 8)
+		b.BLT(t0, t1, red)
+		b.LA(t3, "total")
+		b.ST(t2, t3, 0)
+		b.Label(skip)
 		// Load-bearing: orders this pass's reduction loads before the
 		// next pass's out[] stores.
-		gen.EmitBarrier(b)
-	}
-	b.ADDI(s0, s0, -1)
-	b.BNEZ(s0, pass)
+		emitBarrier(b, gen)
+	})
+	k.emitData(b, threads)
 }
 
 // BuildSeq implements Kernel.
-func (k *Skewed) BuildSeq() (*asm.Program, error) {
-	return buildSeq(func(b *asm.Builder) {
-		k.emitBody(b, nil, 1)
-		k.emitData(b, 1)
-	})
-}
+func (k *Skewed) BuildSeq() (*asm.Program, error) { return build(nil, 1, k.emit) }
 
 // BuildPar implements Kernel.
 func (k *Skewed) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
-	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		k.emitBody(b, gen, nthreads)
-		k.emitData(b, nthreads)
-	})
+	return build(gen, nthreads, k.emit)
 }
-
-// Barriers returns the barrier episodes per parallel run.
-func (k *Skewed) Barriers() int { return 2 * k.Passes }
 
 // Verify implements Kernel.
 func (k *Skewed) Verify(m *mem.Memory, p *asm.Program, threads int) error {

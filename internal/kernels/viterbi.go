@@ -146,15 +146,13 @@ func (k *Viterbi) reference() []uint64 {
 }
 
 func (k *Viterbi) emitData(b *asm.Builder) {
-	b.AlignData(64)
-	b.DataLabel("rsym")
+	dataLabel(b, "rsym")
 	for _, v := range k.rsym {
 		b.Quad(uint64(v))
 	}
 	// Path metric buffers: one cache line per state to avoid false
 	// sharing between threads.
-	b.AlignData(64)
-	b.DataLabel("pmA")
+	dataLabel(b, "pmA")
 	for n := 0; n < vitStates; n++ {
 		if n == 0 {
 			b.Quad(0)
@@ -401,79 +399,36 @@ func (k *Viterbi) emitPMInit(b *asm.Builder, loReg, hiReg uint8, label string) {
 }
 
 // BuildSeq implements Kernel.
-func (k *Viterbi) BuildSeq() (*asm.Program, error) {
-	return buildSeq(func(b *asm.Builder) {
-		const (
-			s0 = isa.RegS0
-			a2 = isa.RegA0 + 2 // lo
-			a3 = isa.RegA0 + 3 // hi
-		)
-		k.emitCommonSetup(b)
-		b.LI(a2, 0)
-		b.LI(a3, vitStates)
-		b.LI(isa.RegGP, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
-		b.LA(isa.RegS0+1, "pmA")
-		b.LA(isa.RegS0+2, "pmB")
-		k.emitPMInit(b, a2, a3, "pmi")
-		b.LI(s0, 0)
-		step := b.NewLabel("step")
-		stepE := b.NewLabel("stepE")
-		b.Label(step)
-		b.LI(isa.RegT0, int64(k.nsteps))
-		b.BGE(s0, isa.RegT0, stepE)
-		k.emitStepPrologue(b)
-		k.emitACS(b, a2, a3, "acs")
-		emitSwap(b)
-		b.ADDI(s0, s0, 1)
-		b.J(step)
-		b.Label(stepE)
-		k.emitTraceback(b)
-		b.ADDI(isa.RegGP, isa.RegGP, -1)
-		b.BNEZ(isa.RegGP, pass)
-		k.emitData(b)
-	})
-}
+func (k *Viterbi) BuildSeq() (*asm.Program, error) { return build(nil, 1, k.emit) }
 
 // BuildPar implements Kernel. Threads beyond 16 idle at the barriers; the
 // states are split evenly when nthreads <= 16.
 func (k *Viterbi) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, error) {
-	per := vitStates / nthreads
-	if per == 0 {
-		per = 1
-	}
-	return barrier.BuildProgram(gen, func(b *asm.Builder) {
-		const (
-			s0 = isa.RegS0
-			t0 = isa.RegT0
-			a2 = isa.RegA0 + 2 // my lo state
-			a3 = isa.RegA0 + 3 // my hi state
-		)
-		k.emitCommonSetup(b)
-		// lo = min(tid*per, 16); hi = min(lo+per, 16).
-		b.LI(a2, int64(per))
-		b.MUL(a2, a2, isa.RegA0)
-		b.LI(t0, vitStates)
-		clampLo := b.NewLabel("cl")
-		b.BLE(a2, t0, clampLo)
-		b.MV(a2, t0)
-		b.Label(clampLo)
-		b.ADDI(a3, a2, int32(per))
-		clampHi := b.NewLabel("ch")
-		b.BLE(a3, t0, clampHi)
-		b.MV(a3, t0)
-		b.Label(clampHi)
+	return build(gen, nthreads, k.emit)
+}
 
-		b.LI(isa.RegGP, int64(k.Loops))
-		pass := b.NewLabel("pass")
-		b.Label(pass)
+// emit emits the decoder; with a nil gen the one thread owns all 16 states.
+func (k *Viterbi) emit(b *asm.Builder, gen barrier.Generator, nthreads int) {
+	const (
+		s0 = isa.RegS0
+		t0 = isa.RegT0
+		a2 = isa.RegA0 + 2 // my lo state
+		a3 = isa.RegA0 + 3 // my hi state
+	)
+	k.emitCommonSetup(b)
+	if gen == nil {
+		b.LI(a2, 0)
+		b.LI(a3, vitStates)
+	} else {
+		emitRange(b, a2, a3, t0, max(vitStates/nthreads, 1), vitStates)
+	}
+	emitLoop(b, isa.RegGP, k.Loops, "pass", func() {
 		// Reset this thread's slice of the path metrics, then
 		// synchronize so no thread reads a neighbour's stale metric.
 		b.LA(isa.RegS0+1, "pmA")
 		b.LA(isa.RegS0+2, "pmB")
 		k.emitPMInit(b, a2, a3, "pmi")
-		gen.EmitBarrier(b)
+		emitBarrier(b, gen)
 		b.LI(s0, 0)
 		step := b.NewLabel("step")
 		stepE := b.NewLabel("stepE")
@@ -482,26 +437,24 @@ func (k *Viterbi) BuildPar(gen barrier.Generator, nthreads int) (*asm.Program, e
 		b.BGE(s0, t0, stepE)
 		k.emitStepPrologue(b)
 		k.emitACS(b, a2, a3, "acs")
-		gen.EmitBarrier(b)
+		emitBarrier(b, gen)
 		emitSwap(b)
 		b.ADDI(s0, s0, 1)
 		b.J(step)
 		b.Label(stepE)
+		if gen == nil {
+			k.emitTraceback(b)
+			return
+		}
 		// Thread 0 does the sequential traceback while the rest
 		// proceed to the next pass's init and wait at its barrier.
 		done := b.NewLabel("done")
 		b.BNEZ(isa.RegA0, done)
 		k.emitTraceback(b)
 		b.Label(done)
-		b.ADDI(isa.RegGP, isa.RegGP, -1)
-		b.BNEZ(isa.RegGP, pass)
-		k.emitData(b)
 	})
+	k.emitData(b)
 }
-
-// Barriers returns the barrier episodes per parallel run (one per trellis
-// step plus the init barrier, per pass).
-func (k *Viterbi) Barriers() int { return (k.nsteps + 1) * k.Loops }
 
 // Verify implements Kernel: the decoded bits must equal the message (clean
 // channel) and the reference decoder's output.
