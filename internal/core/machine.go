@@ -185,6 +185,9 @@ func (cfg Config) Validate() error {
 	if cfg.ThreadsPerCore < 0 {
 		return fmt.Errorf("core: threads per core %d is negative: %w", cfg.ThreadsPerCore, mem.ErrConfig)
 	}
+	if err := cfg.CPU.Validate(); err != nil {
+		return err
+	}
 	mc := cfg.Mem
 	mc.Cores = cfg.Cores
 	return mc.Validate()
@@ -736,9 +739,6 @@ func (m *Machine) describePCs() string {
 	}
 	return s
 }
-
-// FaultErr returns the first recorded memory-system fault.
-func (m *Machine) FaultErr() error { return m.faultErr }
 
 // TotalCommitted sums committed instructions across cores.
 func (m *Machine) TotalCommitted() uint64 {

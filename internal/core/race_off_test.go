@@ -1,0 +1,7 @@
+//go:build !race
+
+package core
+
+// raceEnabled skips the allocation guard: the race detector's
+// instrumentation allocates on its own.
+const raceEnabled = false

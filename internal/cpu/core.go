@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -251,6 +252,24 @@ type Core struct {
 	parked []*entry // otherwise-ready loads behind a store whose address is unresolved
 }
 
+// Validate reports the first parameter the pipeline cannot run with, as an
+// error wrapping mem.ErrConfig. Every field is an int that must be positive
+// (a zero stalls the pipeline forever) bar the two delays, which may be
+// zero; the predictor tables must be powers of two.
+func (c Config) Validate() error {
+	v := reflect.ValueOf(c)
+	for i := range v.NumField() {
+		name, n := v.Type().Field(i).Name, v.Field(i).Int()
+		if n < 0 || n == 0 && name != "RedirectPenalty" && name != "HWBarrierWireLat" {
+			return fmt.Errorf("cpu: %s = %d is out of range: %w", name, n, mem.ErrConfig)
+		}
+	}
+	if b, t := c.BimodalEntries, c.BTBEntries; b&(b-1) != 0 || t&(t-1) != 0 {
+		return fmt.Errorf("cpu: predictor sizes %d and %d (BTB) must be powers of two: %w", b, t, mem.ErrConfig)
+	}
+	return nil
+}
+
 // New builds a core attached to its L1 caches in sys. bnet may be nil when
 // the machine has no dedicated barrier network.
 func New(cfg Config, id int, sys *mem.System, bnet BarrierNet) *Core {
@@ -286,9 +305,6 @@ func (c *Core) Reset(pc uint64, tid, nthreads int, sp uint64) {
 	c.Fault = nil
 	c.Console = nil
 }
-
-// SetReg sets a committed register (loader/test use; 0..31 int, 32..63 fp).
-func (c *Core) SetReg(i int, v uint64) { c.regs[i] = v }
 
 // Reg reads a committed register.
 func (c *Core) Reg(i int) uint64 { return c.regs[i] }
@@ -332,7 +348,8 @@ func (c *Core) allocLists() {
 // live elements are first compacted to the front of *back (allocated once
 // at capacity bound), so the queue never grows a fresh array in steady
 // state. bound must be at least twice the queue's maximum live length so a
-// compaction always leaves room to append.
+// compaction always leaves room to append. Not sim.Queue: these queues are
+// bounded and the hot pipeline loops index them as plain slices.
 func pushQueue[T any](q []T, back *[]T, bound int, e T) []T {
 	if len(q) == cap(q) {
 		if cap(*back) < bound {

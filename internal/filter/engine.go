@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // EntryState is the 2-bit per-thread state of a sync-engine table entry
@@ -376,8 +377,8 @@ type releaseEnt struct {
 // the L2 bank skips an idle hook without calling it.
 type parkBoard struct {
 	pending  [][]parked // parked fills per thread (2 possible after a context switch)
-	releaseQ []releaseEnt
-	expiry   []expiryEnt // parked fills in park order, for exact timeout expiry
+	releaseQ sim.Queue[releaseEnt]
+	expiry   sim.Queue[expiryEnt] // parked fills in park order, for exact timeout expiry
 	parkSeq  uint64
 	armed    bool // expiry entries count as work (a fill parked under a timeout)
 	host     *int // the hosting bank's work count; nil when not hosted
@@ -386,9 +387,9 @@ type parkBoard struct {
 // work is the board's share of its host's count.
 func (pb *parkBoard) work() int {
 	if pb.armed {
-		return len(pb.releaseQ) + len(pb.expiry)
+		return pb.releaseQ.Len() + pb.expiry.Len()
 	}
-	return len(pb.releaseQ)
+	return pb.releaseQ.Len()
 }
 
 // bump moves the host's count by d.
@@ -400,7 +401,7 @@ func (pb *parkBoard) bump(d int) {
 
 // dropExpiryHead discards the expiry queue's head.
 func (pb *parkBoard) dropExpiryHead() {
-	pb.expiry = pb.expiry[1:]
+	pb.expiry.Pop()
 	if pb.armed {
 		pb.bump(-1)
 	}
@@ -409,9 +410,9 @@ func (pb *parkBoard) dropExpiryHead() {
 // clearExpiry discards the whole expiry queue (every parked fill is gone).
 func (pb *parkBoard) clearExpiry() {
 	if pb.armed {
-		pb.bump(-len(pb.expiry))
+		pb.bump(-pb.expiry.Len())
 	}
-	pb.expiry = pb.expiry[:0]
+	pb.expiry.Reset()
 }
 
 func newParkBoard(nthreads int) parkBoard {
@@ -423,11 +424,11 @@ func newParkBoard(nthreads int) parkBoard {
 func (pb *parkBoard) park(t int, txn mem.Txn, now uint64, timed bool) {
 	if timed && !pb.armed {
 		pb.armed = true
-		pb.bump(len(pb.expiry))
+		pb.bump(pb.expiry.Len())
 	}
 	pb.parkSeq++
 	pb.pending[t] = append(pb.pending[t], parked{txn: txn, parkedAt: now, seq: pb.parkSeq})
-	pb.expiry = append(pb.expiry, expiryEnt{at: now, seq: pb.parkSeq, thread: t})
+	pb.expiry.Push(expiryEnt{at: now, seq: pb.parkSeq, thread: t})
 	if pb.armed {
 		pb.bump(1)
 	}
@@ -438,7 +439,7 @@ func (pb *parkBoard) park(t int, txn mem.Txn, now uint64, timed bool) {
 func (pb *parkBoard) releaseThread(t int, err bool) int {
 	n := len(pb.pending[t])
 	for _, p := range pb.pending[t] {
-		pb.releaseQ = append(pb.releaseQ, releaseEnt{txn: p.txn, err: err})
+		pb.releaseQ.Push(releaseEnt{txn: p.txn, err: err})
 	}
 	pb.pending[t] = pb.pending[t][:0]
 	pb.bump(n)
@@ -451,15 +452,14 @@ func (pb *parkBoard) releaseThread(t int, err bool) int {
 // dead heads are discarded on the way. timeouts is bumped when a fill is
 // error-released by expiry.
 func (pb *parkBoard) popReleased(now, timeout uint64, timeouts *uint64) (mem.Txn, bool, bool) {
-	if len(pb.releaseQ) > 0 {
-		r := pb.releaseQ[0]
-		pb.releaseQ = pb.releaseQ[1:]
+	if pb.releaseQ.Len() > 0 {
+		r := pb.releaseQ.Pop()
 		pb.bump(-1)
 		return r.txn, r.err, true
 	}
 	if timeout > 0 {
-		for len(pb.expiry) > 0 {
-			e := pb.expiry[0]
+		for pb.expiry.Len() > 0 {
+			e := *pb.expiry.Front()
 			if pb.parkedAlive(e.thread, e.seq) && now-e.at < timeout {
 				break
 			}
@@ -490,14 +490,14 @@ func (pb *parkBoard) takeParked(t int, seq uint64) (mem.Txn, bool) {
 // fill without any new invalidation arriving. Dead expiry entries at the
 // head are discarded as a side effect, which is invisible to callers.
 func (pb *parkBoard) nextEvent(now, timeout uint64) (event uint64, ok bool) {
-	if len(pb.releaseQ) > 0 {
+	if pb.releaseQ.Len() > 0 {
 		return now, true
 	}
 	if timeout == 0 {
 		return 0, false
 	}
-	for len(pb.expiry) > 0 {
-		e := pb.expiry[0]
+	for pb.expiry.Len() > 0 {
+		e := pb.expiry.Front()
 		if pb.parkedAlive(e.thread, e.seq) {
 			return e.at + timeout, true
 		}

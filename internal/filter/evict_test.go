@@ -350,7 +350,7 @@ func TestExpiryQueueClearedOnOpen(t *testing.T) {
 	if f.Timeouts != 0 {
 		t.Fatal("opening release misattributed to timeout")
 	}
-	if len(f.expiry) != 0 {
-		t.Fatalf("expiry queue holds %d dead entries after open", len(f.expiry))
+	if f.expiry.Len() != 0 {
+		t.Fatalf("expiry queue holds %d dead entries after open", f.expiry.Len())
 	}
 }

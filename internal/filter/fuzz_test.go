@@ -93,9 +93,9 @@ func FuzzFilterFSM(f *testing.F) {
 					t.Fatal("reprogram did not restart in Waiting")
 				}
 			case 5: // deschedule: drop the core's parked fills silently
-				relBefore := len(flt.releaseQ)
+				relBefore := flt.releaseQ.Len()
 				parked -= flt.DropParked(core)
-				if len(flt.releaseQ) != relBefore {
+				if flt.releaseQ.Len() != relBefore {
 					t.Fatal("drop must not release fills")
 				}
 			case 6: // speculative fill (wrong-path ifetch)
@@ -146,8 +146,8 @@ func FuzzFilterFSM(f *testing.F) {
 			// accepted is parked, queued for release, or was surfaced
 			// through popReleased (or silently dropped on deschedule).
 			checkWork(t, bank)
-			if pend+len(flt.releaseQ) != parked {
-				t.Fatalf("fill accounting: %d parked+queued, oracle says %d withheld", pend+len(flt.releaseQ), parked)
+			if pend+flt.releaseQ.Len() != parked {
+				t.Fatalf("fill accounting: %d parked+queued, oracle says %d withheld", pend+flt.releaseQ.Len(), parked)
 			}
 		}
 	})

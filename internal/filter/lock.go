@@ -34,7 +34,10 @@
 // queue bounding how long the head can be starved.
 package filter
 
-import "repro/internal/mem"
+import (
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
 
 // LockState is a lock entry's 2-bit state, under the lock's names.
 type LockState EntryState
@@ -56,8 +59,8 @@ func (s LockState) String() string { return LockKind.States[s] }
 type Lock struct {
 	EntryTable
 
-	holder int   // thread holding the lock, -1 when free
-	waitq  []int // FIFO of Pending threads, in acquire order
+	holder int            // thread holding the lock, -1 when free
+	waitq  sim.Queue[int] // FIFO of Pending threads, in acquire order
 
 	// Reported under sync.lock.* (see core.StatsReport).
 	Acquires, Grants, Releases uint64
@@ -80,16 +83,20 @@ func (l *Lock) Holder() int { return l.holder }
 
 // WaitQueue returns a copy of the FIFO wait queue (diagnostics; may hold
 // stale entries for threads no longer Pending, dropped lazily at grant).
-func (l *Lock) WaitQueue() []int { return append([]int(nil), l.waitq...) }
+func (l *Lock) WaitQueue() (q []int) {
+	for i := 0; i < l.waitq.Len(); i++ {
+		q = append(q, *l.waitq.At(i))
+	}
+	return q
+}
 
 // grant hands the lock to the oldest still-Pending waiter, releasing its
 // parked fills (the starved acquire load completes) and reporting the
 // grant to the probe. Wait-queue entries whose thread is no longer
 // Pending (evicted since enqueueing) are discarded lazily.
 func (l *Lock) grant(now uint64) {
-	for len(l.waitq) > 0 {
-		t := l.waitq[0]
-		l.waitq = l.waitq[1:]
+	for l.waitq.Len() > 0 {
+		t := l.waitq.Pop()
 		if l.states[t] != EntrySignalled {
 			continue
 		}
@@ -114,7 +121,7 @@ func (l *Lock) onInval(now, addr uint64) (matched, fault bool) {
 	switch l.states[t] {
 	case EntryIdle:
 		l.states[t] = EntrySignalled
-		l.waitq = append(l.waitq, t)
+		l.waitq.Push(t)
 		l.Acquires++
 		if l.holder < 0 {
 			l.grant(now)

@@ -127,9 +127,9 @@ func FuzzLockFSM(f *testing.F) {
 					t.Fatal("reprogram did not restart in Idle")
 				}
 			case 5: // deschedule: drop the core's parked fills silently
-				relBefore := len(l.releaseQ)
+				relBefore := l.releaseQ.Len()
 				parked -= l.DropParked(core)
-				if len(l.releaseQ) != relBefore {
+				if l.releaseQ.Len() != relBefore {
 					t.Fatal("drop must not release fills")
 				}
 			case 6: // drain the release queue (timeouts included)
@@ -193,8 +193,8 @@ func FuzzLockFSM(f *testing.F) {
 			// accepted is parked, queued for release, or was surfaced
 			// through popReleased (or silently dropped on deschedule).
 			checkWork(t, bank)
-			if pend+len(l.releaseQ) != parked {
-				t.Fatalf("fill accounting: %d parked+queued, oracle says %d withheld", pend+len(l.releaseQ), parked)
+			if pend+l.releaseQ.Len() != parked {
+				t.Fatalf("fill accounting: %d parked+queued, oracle says %d withheld", pend+l.releaseQ.Len(), parked)
 			}
 		}
 	})

@@ -91,7 +91,7 @@ func (s *xbarSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
 		if !s.ready(src, now) {
 			continue
 		}
-		d := s.q[src][0].msg.Dst
+		d := s.q[src].Front().msg.Dst
 		if len(s.cand[d]) == 0 {
 			i := len(s.dsts)
 			s.dsts = append(s.dsts, d)
@@ -140,17 +140,16 @@ func (x *Crossbar[P]) NextEvent(now uint64) (event uint64, ok bool) {
 		if s.n == 0 {
 			continue
 		}
-		for _, q := range s.q {
-			if len(q) == 0 {
-				continue
-			}
-			free := s.free[q[0].msg.Dst]
-			ef := free[0]
-			for _, f := range free[1:] {
-				ef = min(ef, f)
-			}
-			if t := max(q[0].ready, ef); !ok || t < event {
-				event, ok = t, true
+		for src := range s.q {
+			if h := s.q[src].Front(); h != nil {
+				free := s.free[h.msg.Dst]
+				ef := free[0]
+				for _, f := range free[1:] {
+					ef = min(ef, f)
+				}
+				if t := max(h.ready, ef); !ok || t < event {
+					event, ok = t, true
+				}
 			}
 		}
 	}

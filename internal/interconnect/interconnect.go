@@ -32,7 +32,11 @@
 // afterwards).
 package interconnect
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Kind selects a fabric implementation.
 type Kind int
@@ -215,51 +219,39 @@ func New[P any](kind Kind, g Geometry, d Delivery[P]) (Fabric[P], error) {
 // messages queued across all of them (so an idle direction costs Tick one
 // compare), and the longest any one queue has been.
 type ports[P any] struct {
-	q      [][]timedMsg[P]
-	base   [][]timedMsg[P] // each queue's array, reused from its front once the queue drains
+	q      []sim.Queue[timedMsg[P]]
 	n      int
 	maxLen int
 }
 
 func newPorts[P any](sources int) ports[P] {
-	return ports[P]{q: make([][]timedMsg[P], sources), base: make([][]timedMsg[P], sources)}
+	return ports[P]{q: make([]sim.Queue[timedMsg[P]], sources)}
 }
 
 // push appends a timed message at its source port, honouring the reorder
 // flag's insert-before-youngest semantics. Shared by every fabric so chaos
 // reordering behaves identically across topologies.
 func (s *ports[P]) push(m Message[P], ready uint64, reorder bool) {
-	q := s.q[m.Src]
-	if len(q) == 0 {
-		q = s.base[m.Src] // pops advanced q through its array; start over
-	}
-	moved := len(q) == cap(q) // the append below moves q to a new array
-	if reorder && len(q) > 0 {
-		last := q[len(q)-1]
-		q = append(q[:len(q)-1], timedMsg[P]{m, ready}, last)
+	q := &s.q[m.Src]
+	if reorder {
+		q.PushBeforeYoungest(timedMsg[P]{m, ready})
 	} else {
-		q = append(q, timedMsg[P]{m, ready})
+		q.Push(timedMsg[P]{m, ready})
 	}
-	if moved {
-		s.base[m.Src] = q[:0]
-	}
-	s.q[m.Src] = q
 	s.n++
-	s.maxLen = max(s.maxLen, len(q))
+	s.maxLen = max(s.maxLen, q.Len())
 }
 
 // pop removes and returns source src's head message.
 func (s *ports[P]) pop(src int) Message[P] {
-	m := s.q[src][0].msg
-	s.q[src] = s.q[src][1:]
 	s.n--
-	return m
+	return s.q[src].Pop().msg
 }
 
 // ready reports whether source src has a head message ready at cycle now.
 func (s *ports[P]) ready(src int, now uint64) bool {
-	q := s.q[src]
-	return len(q) > 0 && q[0].ready <= now
+	h := s.q[src].Front()
+	return h != nil && h.ready <= now
 }
 
 // earliest returns the earliest ready cycle among the source heads,
@@ -268,9 +260,9 @@ func (s *ports[P]) earliest() (t uint64, ok bool) {
 	if s.n == 0 {
 		return 0, false
 	}
-	for _, q := range s.q {
-		if len(q) > 0 && (!ok || q[0].ready < t) {
-			t, ok = q[0].ready, true
+	for src := range s.q {
+		if h := s.q[src].Front(); h != nil && (!ok || h.ready < t) {
+			t, ok = h.ready, true
 		}
 	}
 	return t, ok

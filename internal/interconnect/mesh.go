@@ -149,7 +149,7 @@ func (m *Mesh[P]) tryLaunch(now uint64, port int, req bool) {
 	if req {
 		side, inj = &m.req, m.reqInj
 	}
-	head := side.q[port][0]
+	head := side.q[port].Front()
 	ch := 0
 	for i, f := range inj[port] {
 		if f < inj[port][ch] {
@@ -216,16 +216,16 @@ func (m *Mesh[P]) headLaunch(port int, req bool) (t uint64, ok bool) {
 	if req {
 		side, inj = &m.req, m.reqInj
 	}
-	q := side.q[port]
-	if len(q) == 0 {
+	h := side.q[port].Front()
+	if h == nil {
 		return 0, false
 	}
 	ch := inj[port][0]
 	for _, f := range inj[port][1:] {
 		ch = min(ch, f)
 	}
-	t = max(q[0].ready, ch)
-	if first, hasLink := m.firstLink(m.route(q[0].msg, req)); hasLink {
+	t = max(h.ready, ch)
+	if first, hasLink := m.firstLink(m.route(h.msg, req)); hasLink {
 		t = max(t, m.linkFree[first])
 	}
 	return t, true

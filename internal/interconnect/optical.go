@@ -84,12 +84,11 @@ func (o *Optical[P]) NextEvent(now uint64) (event uint64, ok bool) {
 		if s.n == 0 {
 			continue
 		}
-		for src, q := range s.q {
-			if len(q) == 0 {
-				continue
-			}
-			if t := max(q[0].ready, s.free[src]); !ok || t < event {
-				event, ok = t, true
+		for src := range s.q {
+			if h := s.q[src].Front(); h != nil {
+				if t := max(h.ready, s.free[src]); !ok || t < event {
+					event, ok = t, true
+				}
 			}
 		}
 	}

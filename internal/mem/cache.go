@@ -21,27 +21,37 @@ func (s LineState) String() string {
 	return "?"
 }
 
-// line is one way of one set in a tag array.
+// line is one way of one set in a tag array, packed into 16 bytes so a
+// 2-way set fills 32 and never straddles a host cache line. meta is the
+// LRU timestamp shifted over the LineState: every use stamps a fresh clock
+// value, so the smallest meta in a full set is its least recently used way.
 type line struct {
-	tag     uint64
-	state   LineState
-	lastUse uint64 // LRU timestamp
+	tag  uint64
+	meta uint64 // lastUse<<2 | LineState
 }
 
+func (l *line) state() LineState { return LineState(l.meta & 3) }
+
+// holds reports whether l is a valid copy of line address la.
+func (l *line) holds(la uint64) bool { return l.tag == la && l.meta&3 != 0 }
+
+const blockSets = 64 // sets per tag block
+
 // Cache is a set-associative tag/state array. It holds no data (see the
-// package comment); it models presence, permission and replacement. The
-// ways of all sets live in one flat set-major array: a machine builds two
-// caches per core plus one per bank, so per-set slice headers were a
-// measurable share of machine-construction allocation.
+// package comment); it models presence, permission and replacement. Sets
+// live in set-major blocks of blockSets sets (fewer in a smaller cache),
+// each allocated by the first Insert into it. A block never allocated reads
+// as every way Invalid, so the tags of the many caches a short cell barely
+// touches cost almost nothing.
 type Cache struct {
-	name      string
-	sets      int
-	ways      int
-	lineBytes int
-	shift     uint // log2(lineBytes)
-	mask      uint64
-	arr       []line // sets*ways, set-major
-	useClock  uint64
+	shift    uint // log2 of the line size
+	mask     uint64
+	ways     int
+	useClock uint64
+	hot      uint64   // index of hotB, the block set last read
+	hotB     []line   // spares same-block lookups (fetch) a load of blocks
+	blocks   [][]line // nil until the first Insert into the block
+	sets     int
 }
 
 // NewCache builds a cache of totalBytes capacity with the given
@@ -59,24 +69,30 @@ func NewCache(name string, totalBytes, ways, lineBytes int) *Cache {
 		shift++
 	}
 	return &Cache{
-		name:      name,
-		sets:      sets,
-		ways:      ways,
-		lineBytes: lineBytes,
-		shift:     shift,
-		mask:      uint64(sets - 1),
-		arr:       make([]line, sets*ways),
+		sets:   sets,
+		ways:   ways,
+		shift:  shift,
+		mask:   uint64(sets - 1),
+		blocks: make([][]line, (sets+blockSets-1)/blockSets),
 	}
 }
 
 // LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.lineBytes-1) }
+func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }
 
-// set returns the ways of the set holding addr, as a view into the flat
-// array.
-func (c *Cache) set(addr uint64) []line {
-	i := int((addr>>c.shift)&c.mask) * c.ways
-	return c.arr[i : i+c.ways]
+// set returns the ways of the set holding line address la, or nil when its
+// block was never allocated.
+func (c *Cache) set(la uint64) []line {
+	si := (la >> c.shift) & c.mask
+	b := c.hotB
+	if si/blockSets != c.hot || b == nil {
+		if b = c.blocks[si/blockSets]; b == nil {
+			return nil
+		}
+		c.hot, c.hotB = si/blockSets, b
+	}
+	i := int(si%blockSets) * c.ways
+	return b[i : i+c.ways]
 }
 
 // Lookup returns the state of the line containing addr (Invalid if absent)
@@ -85,10 +101,10 @@ func (c *Cache) Lookup(addr uint64) LineState {
 	la := c.LineAddr(addr)
 	s := c.set(la)
 	for i := range s {
-		if s[i].state != Invalid && s[i].tag == la {
+		if s[i].holds(la) {
 			c.useClock++
-			s[i].lastUse = c.useClock
-			return s[i].state
+			s[i].meta = c.useClock<<2 | s[i].meta&3
+			return s[i].state()
 		}
 	}
 	return Invalid
@@ -99,8 +115,8 @@ func (c *Cache) Peek(addr uint64) LineState {
 	la := c.LineAddr(addr)
 	s := c.set(la)
 	for i := range s {
-		if s[i].state != Invalid && s[i].tag == la {
-			return s[i].state
+		if s[i].holds(la) {
+			return s[i].state()
 		}
 	}
 	return Invalid
@@ -112,11 +128,11 @@ func (c *Cache) SetState(addr uint64, st LineState) {
 	la := c.LineAddr(addr)
 	s := c.set(la)
 	for i := range s {
-		if s[i].state != Invalid && s[i].tag == la {
+		if s[i].holds(la) {
 			if st == Invalid {
 				s[i] = line{}
 			} else {
-				s[i].state = st
+				s[i].meta = s[i].meta&^3 | uint64(st)
 			}
 			return
 		}
@@ -136,31 +152,35 @@ type Victim struct {
 func (c *Cache) Insert(addr uint64, st LineState) Victim {
 	la := c.LineAddr(addr)
 	s := c.set(la)
+	if s == nil {
+		c.blocks[((la>>c.shift)&c.mask)/blockSets] = make([]line, min(c.sets, blockSets)*c.ways)
+		s = c.set(la)
+	}
 	c.useClock++
+	meta := c.useClock<<2 | uint64(st)
 	// Already present?
 	for i := range s {
-		if s[i].state != Invalid && s[i].tag == la {
-			s[i].state = st
-			s[i].lastUse = c.useClock
+		if s[i].holds(la) {
+			s[i].meta = meta
 			return Victim{}
 		}
 	}
 	// Free way?
 	for i := range s {
-		if s[i].state == Invalid {
-			s[i] = line{tag: la, state: st, lastUse: c.useClock}
+		if s[i].state() == Invalid {
+			s[i] = line{tag: la, meta: meta}
 			return Victim{}
 		}
 	}
 	// Evict LRU.
 	vi := 0
 	for i := 1; i < len(s); i++ {
-		if s[i].lastUse < s[vi].lastUse {
+		if s[i].meta < s[vi].meta {
 			vi = i
 		}
 	}
-	v := Victim{Addr: s[vi].tag, Dirty: s[vi].state == Modified, Valid: true}
-	s[vi] = line{tag: la, state: st, lastUse: c.useClock}
+	v := Victim{Addr: s[vi].tag, Dirty: s[vi].state() == Modified, Valid: true}
+	s[vi] = line{tag: la, meta: meta}
 	return v
 }
 
@@ -170,8 +190,8 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	la := c.LineAddr(addr)
 	s := c.set(la)
 	for i := range s {
-		if s[i].state != Invalid && s[i].tag == la {
-			dirty = s[i].state == Modified
+		if s[i].holds(la) {
+			dirty = s[i].state() == Modified
 			s[i] = line{}
 			return true, dirty
 		}
@@ -190,18 +210,12 @@ type CacheLine struct {
 // the array without perturbing replacement behaviour.
 func (c *Cache) Snapshot() []CacheLine {
 	var out []CacheLine
-	for i := range c.arr { // flat array is set-major, so index order is set-then-way
-		if l := c.arr[i]; l.state != Invalid {
-			out = append(out, CacheLine{Addr: l.tag, State: l.state})
+	for _, b := range c.blocks { // blocks in index order, each set-major: set-then-way
+		for i := range b {
+			if st := b[i].state(); st != Invalid {
+				out = append(out, CacheLine{Addr: b[i].tag, State: st})
+			}
 		}
 	}
 	return out
-}
-
-// Flush invalidates every line (used when a thread context is torn down in
-// tests).
-func (c *Cache) Flush() {
-	for i := range c.arr {
-		c.arr[i] = line{}
-	}
 }

@@ -15,9 +15,9 @@ type L1 struct {
 	icache bool
 	cache  *Cache
 
-	mshr    map[uint64]*mshrEntry // keyed by line address
-	maxMSHR int
-	nextID  uint64
+	mshr   []mshrEntry // one slot per MSHR; id 0 marks a free slot
+	nmshr  int         // slots in use
+	nextID uint64
 
 	// OnExtInval is called whenever a line leaves this cache for any
 	// reason other than the core's own cache-op: external invalidation,
@@ -30,7 +30,8 @@ type L1 struct {
 }
 
 type mshrEntry struct {
-	id       uint64
+	addr     uint64 // line address
+	id       uint64 // nonzero while the slot is in use
 	kind     TxnKind
 	prefetch bool
 	born     uint64 // cycle the miss was issued (liveness watchdog)
@@ -52,13 +53,22 @@ func newL1(sys *System, core int, icache bool) *L1 {
 		max = cfg.IMSHRs
 	}
 	return &L1{
-		sys:     sys,
-		core:    core,
-		icache:  icache,
-		cache:   NewCache(name, cfg.L1Size, cfg.L1Assoc, cfg.LineBytes),
-		mshr:    make(map[uint64]*mshrEntry),
-		maxMSHR: max,
+		sys:    sys,
+		core:   core,
+		icache: icache,
+		cache:  NewCache(name, cfg.L1Size, cfg.L1Assoc, cfg.LineBytes),
+		mshr:   make([]mshrEntry, max),
 	}
+}
+
+// findMSHR returns the in-use MSHR for line address la, nil when none.
+func (l *L1) findMSHR(la uint64) *mshrEntry {
+	for i := range l.mshr {
+		if e := &l.mshr[i]; e.id != 0 && e.addr == la {
+			return e
+		}
+	}
+	return nil
 }
 
 // Present reports whether the line containing addr is readable here.
@@ -81,8 +91,7 @@ func (l *L1) Peek(addr uint64) LineState { return l.cache.Peek(addr) }
 
 // MissPending reports whether a fill for addr's line is already in flight.
 func (l *L1) MissPending(addr uint64) bool {
-	_, ok := l.mshr[l.cache.LineAddr(addr)]
-	return ok
+	return l.findMSHR(l.cache.LineAddr(addr)) != nil
 }
 
 // StartMiss allocates an MSHR and issues the bus request for addr's line.
@@ -91,16 +100,20 @@ func (l *L1) MissPending(addr uint64) bool {
 // piggybacks and StartMiss reports true.
 func (l *L1) StartMiss(now uint64, addr uint64, kind TxnKind, prefetch bool) bool {
 	la := l.cache.LineAddr(addr)
-	if _, ok := l.mshr[la]; ok {
+	if l.findMSHR(la) != nil {
 		return true
 	}
-	if len(l.mshr) >= l.maxMSHR {
+	if l.nmshr == len(l.mshr) {
 		l.MSHRFull++
 		return false
 	}
+	e := &l.mshr[0]
+	for i := 1; e.id != 0; i++ {
+		e = &l.mshr[i]
+	}
 	l.nextID++
-	e := &mshrEntry{id: l.nextID, kind: kind, prefetch: prefetch, born: now}
-	l.mshr[la] = e
+	*e = mshrEntry{addr: la, id: l.nextID, kind: kind, prefetch: prefetch, born: now}
+	l.nmshr++
 	l.Misses++
 	l.sys.pushRequest(Txn{
 		Kind:     kind,
@@ -117,11 +130,13 @@ func (l *L1) StartMiss(now uint64, addr uint64, kind TxnKind, prefetch bool) boo
 // It returns an error flag when the filter embedded an error code in the
 // fill.
 func (l *L1) onResponse(now uint64, t Txn) (errFill bool) {
-	e, ok := l.mshr[t.Addr]
-	if !ok || e.id != t.ID {
+	slot := l.findMSHR(t.Addr)
+	if slot == nil || slot.id != t.ID {
 		return false // stale response for a squashed MSHR
 	}
-	delete(l.mshr, t.Addr)
+	e := *slot
+	*slot = mshrEntry{}
+	l.nmshr--
 	if t.Err {
 		return true
 	}
@@ -189,7 +204,7 @@ func (l *L1) extInval(addr uint64) {
 	if present && l.OnExtInval != nil {
 		l.OnExtInval(addr)
 	}
-	if e, ok := l.mshr[addr]; ok {
+	if e := l.findMSHR(addr); e != nil {
 		e.pendInval = true
 	}
 }
@@ -200,7 +215,7 @@ func (l *L1) extDowngrade(addr uint64) {
 	if l.cache.Peek(addr) == Modified {
 		l.cache.SetState(addr, Shared)
 	}
-	if e, ok := l.mshr[addr]; ok {
+	if e := l.findMSHR(addr); e != nil {
 		e.pendDowngrade = true
 		if l.OnExtInval != nil {
 			l.OnExtInval(addr) // an in-flight exclusive grant loses its reservation
@@ -229,9 +244,11 @@ type MissInfo struct {
 // MissSnapshot enumerates the outstanding MSHRs sorted by line address, so
 // the watchdog's choice of which wedged miss to report is deterministic.
 func (l *L1) MissSnapshot() []MissInfo {
-	out := make([]MissInfo, 0, len(l.mshr))
-	for la, e := range l.mshr {
-		out = append(out, MissInfo{Addr: la, Kind: e.kind, Born: e.born, Prefetch: e.prefetch})
+	out := make([]MissInfo, 0, l.nmshr)
+	for _, e := range l.mshr {
+		if e.id != 0 {
+			out = append(out, MissInfo{Addr: e.addr, Kind: e.kind, Born: e.born, Prefetch: e.prefetch})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
@@ -244,18 +261,11 @@ func (l *L1) MissSnapshot() []MissInfo {
 func (l *L1) InjectState(addr uint64, st LineState) { l.cache.SetState(addr, st) }
 
 // Quiet reports whether this cache has no outstanding misses.
-func (l *L1) Quiet() bool { return len(l.mshr) == 0 }
-
-// OutstandingMisses returns the number of allocated MSHRs.
-func (l *L1) OutstandingMisses() int { return len(l.mshr) }
+func (l *L1) Quiet() bool { return l.nmshr == 0 }
 
 // SquashMisses drops all outstanding MSHRs (context switch support). Any
 // in-flight responses for them will be ignored on arrival.
 func (l *L1) SquashMisses() {
-	for k := range l.mshr {
-		delete(l.mshr, k)
-	}
+	clear(l.mshr)
+	l.nmshr = 0
 }
-
-// Flush drops every line (used when migrating a thread in tests).
-func (l *L1) Flush() { l.cache.Flush() }

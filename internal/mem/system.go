@@ -284,10 +284,6 @@ func (s *System) OldestInvalToken(core int) (tok InvalToken, ok bool) {
 	return tok, ok
 }
 
-// InvalTokenCount returns the number of outstanding invalidation tokens for
-// one core.
-func (s *System) InvalTokenCount(core int) int { return len(s.invalTokens[core]) }
-
 // dirDropSharer records a silent clean eviction with the owning bank.
 func (s *System) dirDropSharer(addr uint64, core int, icache bool) {
 	s.Banks[s.Cfg.BankOf(addr)].dropSharer(addr, core, icache)

@@ -123,8 +123,6 @@ func (a av) at(t int64) int64 { return a.lo + a.coef*t }
 func (a av) loAt(t int64) int64 { return satAdd(a.lo, a.coef*t) }
 func (a av) hiAt(t int64) int64 { return satAdd(a.hi, a.coef*t) }
 
-func (a av) eq(b av) bool { return a == b }
-
 // avJoin is the interval join: equal coefficients merge their base
 // intervals, anything else widens to Top.
 func avJoin(a, b av) av {

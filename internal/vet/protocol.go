@@ -61,9 +61,9 @@ func (u *unit) checkProtocol() []Diagnostic {
 		}
 	}
 
-	var states []pstate
+	states := make([]pstate, len(u.insts))
 	for round := 0; ; round++ {
-		states = u.fixpoint()
+		u.fixpoint(states)
 		res := u.sweep(states, false)
 		grew := false
 		for _, r := range res.roots {
@@ -98,11 +98,10 @@ func (u *unit) checkProtocol() []Diagnostic {
 // with delayed widening: once an instruction's state has changed widenDelay
 // times, further joins go through the widening operator, so each register
 // endpoint can move only to its infinity and the ascending chain at every
-// instruction is bounded by maxStateChanges.
-func (u *unit) fixpoint() []pstate {
-	states := make([]pstate, len(u.insts))
+// instruction is bounded by maxStateChanges. It reuses states in place.
+func (u *unit) fixpoint(states []pstate) {
+	clear(states)
 	u.ascend(states, nil)
-	return states
 }
 
 // ascend runs the widened ascending worklist over states in place. extra

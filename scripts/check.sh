@@ -32,10 +32,10 @@ go run ./cmd/srvet -all -threads 8
 go run ./cmd/srvet -all -threads 3
 go test -count=1 -run '^TestCorpus$' ./internal/vet
 
-echo "== go test -race (parallel harness, chaos attempt path, verifier, fabrics) =="
+echo "== go test -race (parallel harness, chaos attempt path, verifier, fabrics, ring queue) =="
 go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
-go test -race ./internal/interconnect ./internal/mem
+go test -race ./internal/interconnect ./internal/mem ./internal/sim
 
 echo "== hbcheck differential smoke (dynamic oracle agrees with srvet) =="
 go test -short -run TestHBCheck -count=1 ./internal/harness
