@@ -20,13 +20,26 @@ type benchProg struct {
 	threads int
 }
 
-// buildAllPrograms builds every kernel × barrier mechanism pair (skipping
-// mechanism-constraint failures, mirroring cmd/srvet -all).
-func buildAllPrograms(tb testing.TB) map[string]benchProg {
+// allKinds is every barrier mechanism, core set plus extras.
+var allKinds = append(append([]barrier.Kind{}, barrier.Kinds...), barrier.ExtraKinds...)
+
+// buildPar builds k for one mechanism at the given thread count; ok is
+// false when the mechanism or the kernel cannot take that shape.
+func buildPar(k kernels.Kernel, kind barrier.Kind, threads int) (*asm.Program, bool) {
+	gen, err := barrier.New(kind, threads, barrier.NewAllocator(core.DefaultConfig(threads).Mem))
+	if err != nil {
+		return nil, false // mechanism constraint (e.g. thread-count shape)
+	}
+	prog, err := k.BuildPar(gen, threads)
+	return prog, err == nil
+}
+
+// buildAllPrograms builds every kernel × barrier mechanism pair for the
+// given thread count (skipping mechanism-constraint failures, mirroring
+// cmd/srvet -all).
+func buildAllPrograms(tb testing.TB, threads int) map[string]benchProg {
 	tb.Helper()
 	progs := map[string]benchProg{}
-	memCfg := core.DefaultConfig(benchThreads).Mem
-	kinds := append(append([]barrier.Kind{}, barrier.Kinds...), barrier.ExtraKinds...)
 	for _, name := range kernels.Names() {
 		k, err := kernels.New(name, 0, 0)
 		if err != nil {
@@ -35,16 +48,10 @@ func buildAllPrograms(tb testing.TB) map[string]benchProg {
 		if prog, err := k.BuildSeq(); err == nil {
 			progs[name+"/seq"] = benchProg{prog, 1}
 		}
-		for _, kind := range kinds {
-			gen, err := barrier.New(kind, benchThreads, barrier.NewAllocator(memCfg))
-			if err != nil {
-				continue // mechanism constraint (e.g. thread-count shape)
+		for _, kind := range allKinds {
+			if prog, ok := buildPar(k, kind, threads); ok {
+				progs[fmt.Sprintf("%s/%s", name, kind)] = benchProg{prog, threads}
 			}
-			prog, err := k.BuildPar(gen, benchThreads)
-			if err != nil {
-				continue
-			}
-			progs[fmt.Sprintf("%s/%s", name, kind)] = benchProg{prog, benchThreads}
 		}
 	}
 	if len(progs) == 0 {
@@ -54,7 +61,7 @@ func buildAllPrograms(tb testing.TB) map[string]benchProg {
 }
 
 func benchmarkVet(b *testing.B, affineOnly bool) {
-	progs := buildAllPrograms(b)
+	progs := buildAllPrograms(b, benchThreads)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for what, p := range progs {
@@ -82,7 +89,7 @@ func BenchmarkVetAffineOnly(b *testing.B) { benchmarkVet(b, true) }
 // ascending + 1x narrowing < 4x the v1 baseline, each phase on its own
 // budget. Counters, not wall clock, so the guard cannot flake under load.
 func TestWidenedDomainCostGuard(t *testing.T) {
-	progs := buildAllPrograms(t)
+	progs := buildAllPrograms(t, benchThreads)
 	var wSeeds, wVisits, aSeeds, aVisits int
 	var nWork, wWork int
 	for what, p := range progs {
