@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 )
 
 // TestCorpus: every seeded misuse program must yield exactly its diagnostic,
@@ -68,9 +69,9 @@ func TestCleanDFilterProgram(t *testing.T) {
 	}
 }
 
-// TestSpinLoadWithoutFilters: barrier-region loads are only checked when
-// the program invalidates cache lines — a software barrier's spin loop must
-// not trip load-before-invalidate.
+// TestSpinLoadWithoutFilters: only loads from filter-watched lines (an
+// inferred ICBI/DCBI target) are stall-checked — a software barrier's spin
+// loop must not trip load-before-invalidate.
 func TestSpinLoadWithoutFilters(t *testing.T) {
 	b := asm.NewBuilder(core.TextBase, core.DataBase)
 	b.LI(cB1, core.BarrierRegion)
@@ -228,5 +229,27 @@ func TestLocate(t *testing.T) {
 	}
 	if got := p.Locate(core.TextBase - 8); !strings.HasPrefix(got, "0x") {
 		t.Errorf("Locate before first mark = %q, want raw address", got)
+	}
+}
+
+// TestLockReduceSmallBlocks: lockreduce with one or two elements per
+// thread vets clean under every mechanism. With one element, the software
+// barriers' counter loads must not read as filter stalls (the lock's dcbi
+// is not a filter region); with two, the element loop's dead fall-through
+// edge must not cost the critical section its lock credit.
+func TestLockReduceSmallBlocks(t *testing.T) {
+	for _, threads := range []int{3, 8, 32} {
+		for _, n := range []int{threads, 2 * threads} {
+			k := kernels.NewLockReduce(n, 2)
+			for _, kind := range allKinds {
+				prog, ok := buildPar(k, kind, threads)
+				if !ok {
+					continue
+				}
+				if ds := Check(prog, Options{Threads: threads}); len(ds) != 0 {
+					t.Errorf("lockreduce n=%d threads=%d %s: %v", n, threads, kind, ds)
+				}
+			}
+		}
 	}
 }

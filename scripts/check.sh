@@ -30,6 +30,8 @@ tier1_wall=$(( $(date +%s) - tier1_start ))
 echo "== srvet (static verifier: all kernels clean, misuse corpus fires) =="
 go run ./cmd/srvet -all -threads 8
 go run ./cmd/srvet -all -threads 3
+go run ./cmd/srvet -all -threads 32
+go run ./cmd/srvet -all -threads 64
 go test -count=1 -run '^TestCorpus$' ./internal/vet
 
 echo "== go test -race (parallel harness, chaos attempt path, verifier, fabrics, ring queue) =="
