@@ -166,10 +166,11 @@ func (u *unit) computePhases(bounds []int) {
 }
 
 // collectAccesses records every load and store with an analyzable address
-// along each CFG edge, in the edge's refined state. Recording per edge
-// (rather than at the joined in-state) keeps the preheader edge of a loop
-// exact: the first-iteration store address is a point even when the loop
-// head has widened to an interval.
+// along each CFG edge, in the edge's refined state, stepping each block
+// forward from its head. Recording per edge (rather than at the joined
+// in-state) keeps the preheader edge of a loop exact: the first-iteration
+// store address is a point even when the loop head has widened to an
+// interval.
 func (u *unit) collectAccesses(states []pstate) ([]accRec, map[int]bool) {
 	var recs []accRec
 	// unbounded marks instructions with at least one feasible in-edge
@@ -179,9 +180,6 @@ func (u *unit) collectAccesses(states []pstate) ([]accRec, map[int]bool) {
 	unbounded := map[int]bool{}
 	seen := map[string]bool{}
 	record := func(j int, st pstate) {
-		if j < 0 || j >= len(u.insts) {
-			return
-		}
 		in := u.insts[j]
 		isSt := in.IsStore()
 		if !isSt && !in.IsLoad() {
@@ -214,33 +212,14 @@ func (u *unit) collectAccesses(states []pstate) ([]accRec, map[int]bool) {
 		seen[k] = true
 		recs = append(recs, r)
 	}
-	// Roots are entered in their seeding states.
-	record(u.entryIdx, u.entryState())
+	// Roots are entered in their seeding state.
+	entry := u.entryState()
 	for _, r := range u.roots {
-		if r != u.entryIdx {
-			record(r, u.stubState())
-		}
+		record(r, entry)
 	}
-	for i := range u.insts {
-		if !u.reachable[i] || !states[i].live {
-			continue
-		}
-		st := states[i]
-		in := u.insts[i]
-		u.step(&st, i, nil)
-		if in.IsCondBranch() {
-			if t, ok := in.BranchTarget(u.addrOf(i)); ok {
-				if ti, ok := u.idxOf(t); ok {
-					record(ti, refine(st, in, true))
-				}
-			}
-			if i+1 < len(u.insts) {
-				record(i+1, refine(st, in, false))
-			}
-		} else {
-			for _, sc := range u.succs[i] {
-				record(sc, st)
-			}
+	for b := range u.blocks {
+		if states[b].live {
+			u.flow(b, states[b], nil, record)
 		}
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].idx < recs[j].idx })
