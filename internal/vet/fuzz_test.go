@@ -1,9 +1,11 @@
 package vet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // FuzzVet assembles arbitrary source and vets whatever links: Check must
@@ -35,6 +37,17 @@ func FuzzVet(f *testing.F) {
 		"li t0, 64\nmul t0, t0, a0\nli t1, 0x1000200\nadd t0, t0, t1\nld t2, 0(t1)\nandi t2, t2, 48\nadd t2, t0, t2\nlp: st a0, 0(t0)\naddi t0, t0, 8\nblt t0, t2, lp\nhalt",
 		"li t0, 0x1000000\nld t1, 0(t0)\nli t2, 0\no: li t3, 0\ni: addi t3, t3, 1\nblt t3, t1, i\naddi t2, t2, 1\nblt t2, t1, o\nhalt",
 		"li t0, 0x1000000\nlp: ld t1, 0(t0)\nandi t1, t1, 7\nbnez t1, lp\nhalt",
+		// Basic-block derivation: a branch into the middle of a
+		// straight-line run, a one-instruction self-loop, an entry past
+		// the first word that jumps back to it, a stall-stub root that
+		// lands mid-block (splitting the block the call reached), and an
+		// undecodable word between two heads (text entered in .data).
+		"li t0, 0\nli t1, 3\nmid: addi t0, t0, 1\nli t2, 2\nblt t0, t1, mid\nhalt",
+		"li t0, 1\nself: bnez t0, self\nhalt",
+		"first: li t0, 7\nhalt\nmain: li t1, 1\nj first\n.entry main",
+		"li s6, 0x10030\njalr ra, 0(s6)\ncall stub\nhalt\nstub: addi t0, zero, 1\naddi t1, zero, 2\naddi t2, zero, 3\nret",
+		fmt.Sprintf(".data\nw: .quad %d, 0, %d\n.entry w",
+			int64(isa.Encode(isa.Inst{Op: isa.BEQ, Imm: 16})), int64(isa.Encode(isa.Inst{Op: isa.HALT}))),
 	}
 	for _, s := range seeds {
 		f.Add(s, 4)

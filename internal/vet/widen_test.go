@@ -46,7 +46,7 @@ func buildNest(t *testing.T, depth int) *asm.Program {
 
 // TestWideningConvergence asserts the documented fixpoint bound on
 // adversarial nests: the number of accepted state changes never exceeds
-// maxStateChanges per instruction, at any nest depth and thread count.
+// maxStateChanges per block head, at any nest depth and thread count.
 func TestWideningConvergence(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 6} {
 		for _, threads := range []int{1, 8} {
@@ -55,10 +55,10 @@ func TestWideningConvergence(t *testing.T) {
 			if u == nil {
 				t.Fatalf("depth %d: no unit", depth)
 			}
-			bound := len(u.insts) * maxStateChanges
+			bound := len(u.blocks) * maxStateChanges
 			if u.stats.seeds > bound {
-				t.Errorf("depth %d threads %d: %d state changes exceeds bound %d (%d insts × %d)",
-					depth, threads, u.stats.seeds, bound, len(u.insts), maxStateChanges)
+				t.Errorf("depth %d threads %d: %d state changes exceeds bound %d (%d heads × %d)",
+					depth, threads, u.stats.seeds, bound, len(u.blocks), maxStateChanges)
 			}
 			for _, d := range rep.Diags {
 				t.Errorf("depth %d: unexpected diagnostic: %s", depth, d)
