@@ -243,8 +243,9 @@ func BenchmarkFabricThroughput(b *testing.B) {
 
 // BenchmarkSimThroughput reports the simulator's own speed on a 16-core
 // Livermore-2 run: simulated machine-cycles, core-cycles, and committed
-// instructions per host second. This is the simulator-performance baseline
-// for future optimisation work.
+// instructions per host second, and the bytes and allocations of one
+// machine's construction and run (B/op, allocs/op). This is the
+// simulator-performance baseline for future optimisation work.
 func BenchmarkSimThroughput(b *testing.B) { benchSimThroughput(b, false) }
 
 // BenchmarkSimThroughputNoTranslate is the same run with the basic-block
@@ -263,6 +264,7 @@ func benchSimThroughput(b *testing.B, noTranslate bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var simCycles, insts uint64
 	for i := 0; i < b.N; i++ {

@@ -1,13 +1,17 @@
 package cpu
 
 // bimodal is a classic 2-bit saturating-counter direction predictor with a
-// direct-mapped branch target buffer for indirect jumps.
+// direct-mapped branch target buffer for indirect jumps. The BTB is
+// allocated a block at a time on first update (a nil block reads as a
+// miss); the counters stay dense, as predictDir runs on every branch fetch.
 type bimodal struct {
 	ctr   []uint8 // 2-bit counters, initialised weakly taken
-	btb   []btbEnt
+	btb   []*[btbBlock]btbEnt
 	mask  uint64
 	bmask uint64
 }
+
+const btbBlock = 16 // BTB entries allocated together
 
 type btbEnt struct {
 	pc     uint64
@@ -21,7 +25,7 @@ func newBimodal(entries, btbEntries int) *bimodal {
 	}
 	b := &bimodal{
 		ctr:   make([]uint8, entries),
-		btb:   make([]btbEnt, btbEntries),
+		btb:   make([]*[btbBlock]btbEnt, (btbEntries+btbBlock-1)/btbBlock),
 		mask:  uint64(btbEntries - 1),
 		bmask: uint64(entries - 1),
 	}
@@ -50,14 +54,22 @@ func (b *bimodal) updateDir(pc uint64, taken bool) {
 
 // predictTarget returns the BTB target for an indirect jump at pc.
 func (b *bimodal) predictTarget(pc uint64) (uint64, bool) {
-	e := b.btb[(pc>>3)&b.mask]
-	if e.valid && e.pc == pc {
-		return e.target, true
+	i := (pc >> 3) & b.mask
+	if blk := b.btb[i/btbBlock]; blk != nil {
+		if e := blk[i%btbBlock]; e.valid && e.pc == pc {
+			return e.target, true
+		}
 	}
 	return 0, false
 }
 
 // updateTarget installs the resolved target of an indirect jump.
 func (b *bimodal) updateTarget(pc, target uint64) {
-	b.btb[(pc>>3)&b.mask] = btbEnt{pc: pc, target: target, valid: true}
+	i := (pc >> 3) & b.mask
+	blk := b.btb[i/btbBlock]
+	if blk == nil {
+		blk = new([btbBlock]btbEnt)
+		b.btb[i/btbBlock] = blk
+	}
+	blk[i%btbBlock] = btbEnt{pc: pc, target: target, valid: true}
 }

@@ -144,7 +144,7 @@ type sbEntry struct {
 	size    int
 	val     uint64
 	pc      uint64
-	token   *mem.InvalToken
+	token   uint64 // invalidation ID once issued, 0 before
 }
 
 // Core is one out-of-order SRISC core (or one context of an MTCore).
@@ -744,14 +744,14 @@ func (c *Core) drainStoreBuffer(now uint64) {
 	}
 	h := &c.sb[0]
 	if h.cacheOp {
-		if h.token == nil {
+		if h.token == 0 {
 			h.token = c.sys.IssueCacheInval(now, c.physID, h.addr, h.icache)
 			if h.icache && c.trans != nil {
 				c.trans.InvalidateLine(h.addr)
 			}
 			return
 		}
-		if h.token.Done {
+		if !c.sys.InvalPending(c.physID, h.token) {
 			c.sb = c.sb[1:]
 		}
 		return
@@ -776,7 +776,7 @@ func (c *Core) drainStoreBuffer(now uint64) {
 // invalidation has already been issued to the bus.
 func (c *Core) sbIssuedOnly() bool {
 	for i := range c.sb {
-		if !c.sb[i].cacheOp || c.sb[i].token == nil {
+		if !c.sb[i].cacheOp || c.sb[i].token == 0 {
 			return false
 		}
 	}
@@ -1065,7 +1065,7 @@ func (c *Core) loadOrdering(e *entry, addr uint64) (uint64, bool, bool) {
 			// invalidation has been issued: the local line is dead
 			// by then and the bus FIFO orders the broadcast before
 			// the load's fill request.
-			if h.token == nil && c.lineOf(h.addr) == line {
+			if h.token == 0 && c.lineOf(h.addr) == line {
 				return 0, false, false
 			}
 			continue

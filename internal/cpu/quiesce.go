@@ -114,7 +114,7 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	if len(c.sb) > 0 {
 		h := &c.sb[0]
 		if h.cacheOp {
-			if h.token == nil || h.token.Done {
+			if h.token == 0 || !c.sys.InvalPending(c.physID, h.token) {
 				return false
 			}
 		} else if c.l1d.Peek(h.addr) != mem.Invalid || !c.l1d.MissPending(h.addr) {

@@ -589,7 +589,7 @@ last:
 			saw: func(t *testing.T, c *Core) bool {
 				ld := findOp(c, isa.LD)
 				return ld != nil && inList(c.ready, ld) && len(c.sb) == 2 &&
-					c.sb[1].cacheOp && c.sb[1].token == nil
+					c.sb[1].cacheOp && c.sb[1].token == 0
 			},
 			out: []uint64{5},
 		},

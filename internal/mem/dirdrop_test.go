@@ -113,11 +113,12 @@ func TestIssueCacheInvalUnsharedLine(t *testing.T) {
 	// DCBI of a line nobody caches: nothing to invalidate, but the token
 	// must still be acknowledged cleanly (software relies on DCBI being
 	// unconditional).
-	tok := s.IssueCacheInval(0, 0, 0x14000, false)
-	if !runSystem(s, 3000, func() bool { return tok.Done }) {
+	errs := errAcks(s)
+	id := s.IssueCacheInval(0, 0, 0x14000, false)
+	if !runSystem(s, 3000, func() bool { return !s.InvalPending(0, id) }) {
 		t.Fatal("inval of an unshared line never acknowledged")
 	}
-	if tok.Err {
+	if errs[id] {
 		t.Fatal("unexpected error ack for an unshared line")
 	}
 }
@@ -126,15 +127,16 @@ func TestIssueCacheInvalIssuerIsOnlySharer(t *testing.T) {
 	s := NewSystem(DefaultConfig(2))
 	const addr = 0x18000
 	fillShared(t, s, 0, addr)
-	tok := s.IssueCacheInval(100, 0, addr, false)
+	errs := errAcks(s)
+	id := s.IssueCacheInval(100, 0, addr, false)
 	// The issuer's own copy goes synchronously.
 	if s.L1D[0].Present(addr) {
 		t.Fatal("issuer's local copy survived its own DCBI")
 	}
-	if !runSystem(s, 3000, func() bool { return tok.Done }) {
+	if !runSystem(s, 3000, func() bool { return !s.InvalPending(0, id) }) {
 		t.Fatal("inval never acknowledged")
 	}
-	if tok.Err {
+	if errs[id] {
 		t.Fatal("unexpected error ack")
 	}
 	if e, _ := dirOf(s, addr); e.DSharers.Any() {
@@ -152,11 +154,12 @@ func TestIssueCacheInvalDirtyLocalCopy(t *testing.T) {
 	if !runSystem(s, 2000, func() bool { return s.L1D[0].WriteState(addr) == Modified }) {
 		t.Fatal("core 0 never got M")
 	}
-	tok := s.IssueCacheInval(500, 0, addr, false)
-	if !runSystem(s, 3000, func() bool { return tok.Done }) {
+	errs := errAcks(s)
+	id := s.IssueCacheInval(500, 0, addr, false)
+	if !runSystem(s, 3000, func() bool { return !s.InvalPending(0, id) }) {
 		t.Fatal("dirty-line inval never acknowledged")
 	}
-	if tok.Err {
+	if errs[id] {
 		t.Fatal("unexpected error ack for a dirty local copy")
 	}
 	if e, _ := dirOf(s, addr); e.DSharers.Any() || e.Owner != -1 {
@@ -170,8 +173,8 @@ func TestIssueCacheInvalICacheOnDOnlyLine(t *testing.T) {
 	s := NewSystem(DefaultConfig(2))
 	const addr = 0x20000
 	fillShared(t, s, 1, addr) // D-cache only
-	tok := s.IssueCacheInval(200, 0, addr, true)
-	if !runSystem(s, 3000, func() bool { return tok.Done }) {
+	id := s.IssueCacheInval(200, 0, addr, true)
+	if !runSystem(s, 3000, func() bool { return !s.InvalPending(0, id) }) {
 		t.Fatal("ICBI never acknowledged")
 	}
 	if !s.L1D[1].Present(addr) {

@@ -158,8 +158,8 @@ func TestFillOnEveryFabric(t *testing.T) {
 			t.Fatalf("%s: GetM never completed", name)
 		}
 		// Invalidate and drain fully.
-		tok := s.IssueCacheInval(now, 0, 0x9000, false)
-		if !run(20000, func() bool { return tok.Done && s.Quiet() }) {
+		id := s.IssueCacheInval(now, 0, 0x9000, false)
+		if !run(20000, func() bool { return !s.InvalPending(0, id) && s.Quiet() }) {
 			t.Fatalf("%s: inval never drained", name)
 		}
 	}

@@ -199,6 +199,19 @@ func runSystem(s *System, limit int, pred func() bool) bool {
 	return pred()
 }
 
+// errAcks installs an OnFault that records the ID of every invalidation
+// acknowledged with an error: OnFault is how an error ack reaches its
+// issuer.
+func errAcks(s *System) map[uint64]bool {
+	errs := map[uint64]bool{}
+	s.OnFault = func(_ int, t Txn) {
+		if t.Kind == InvalAck {
+			errs[t.ID] = true
+		}
+	}
+	return errs
+}
+
 func TestSystemFillRoundTrip(t *testing.T) {
 	s := NewSystem(DefaultConfig(2))
 	s.Mem.WriteUint64(0x4000, 777)
@@ -283,14 +296,15 @@ func TestSystemCacheInvalBroadcast(t *testing.T) {
 	}) {
 		t.Fatal("initial fills missing")
 	}
-	tok := s.IssueCacheInval(1000, 0, 0x10000, false)
-	if !runSystem(s, 3000, func() bool { return tok.Done }) {
+	errs := errAcks(s)
+	id := s.IssueCacheInval(1000, 0, 0x10000, false)
+	if !runSystem(s, 3000, func() bool { return !s.InvalPending(0, id) }) {
 		t.Fatal("inval never acknowledged")
 	}
 	if s.L1D[1].Present(0x10000) || s.L1D[2].Present(0x10000) {
 		t.Fatal("DCBI broadcast did not clear sharer copies")
 	}
-	if tok.Err {
+	if errs[id] {
 		t.Fatal("unexpected error ack")
 	}
 }
@@ -304,8 +318,8 @@ func TestSystemICacheInvalSeparateFromD(t *testing.T) {
 	}) {
 		t.Fatal("fills missing")
 	}
-	tok := s.IssueCacheInval(1000, 0, 0x20000, true) // ICBI
-	if !runSystem(s, 3000, func() bool { return tok.Done }) {
+	id := s.IssueCacheInval(1000, 0, 0x20000, true) // ICBI
+	if !runSystem(s, 3000, func() bool { return !s.InvalPending(0, id) }) {
 		t.Fatal("no ack")
 	}
 	if s.L1I[1].Present(0x20000) {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/interconnect"
 )
@@ -27,15 +28,14 @@ func drainReady(q []timedTxn, now uint64, fn func(Txn)) []timedTxn {
 	return kept
 }
 
-// InvalToken tracks one outstanding ICBI/DCBI broadcast. The issuing core's
-// store buffer holds the cache-op until Done. Born is the cycle the
-// broadcast was issued; the liveness watchdog uses it to spot tokens whose
-// acknowledgement has been lost.
+// InvalToken is one outstanding ICBI/DCBI broadcast. The issuing core's
+// store buffer holds the cache-op until InvalPending reports its ID
+// acknowledged. Born is the cycle the broadcast was issued; the liveness
+// watchdog uses it to spot tokens whose acknowledgement has been lost.
 type InvalToken struct {
+	ID   uint64
 	Addr uint64
 	Born uint64
-	Done bool
-	Err  bool
 }
 
 // System is the whole memory hierarchy of the simulated CMP.
@@ -53,7 +53,7 @@ type System struct {
 	OnFault func(core int, t Txn)
 
 	respInbox   []timedTxn
-	invalTokens []map[uint64]*InvalToken // per core, keyed by txn ID
+	invalTokens [][]InvalToken // per core, outstanding, in issue order
 	nextInvalID []uint64
 
 	// chaos is the optional fault injector (see chaos.go). nil = off.
@@ -73,7 +73,7 @@ func NewSystem(cfg Config) *System {
 	s := &System{
 		Cfg:         &cfg,
 		Mem:         NewMemory(),
-		invalTokens: make([]map[uint64]*InvalToken, cfg.Cores),
+		invalTokens: make([][]InvalToken, cfg.Cores),
 		nextInvalID: make([]uint64, cfg.Cores),
 		wake:        make([]func(), cfg.Cores),
 	}
@@ -91,7 +91,6 @@ func NewSystem(cfg Config) *System {
 	for c := 0; c < cfg.Cores; c++ {
 		s.L1I = append(s.L1I, newL1(s, c, true))
 		s.L1D = append(s.L1D, newL1(s, c, false))
-		s.invalTokens[c] = make(map[uint64]*InvalToken)
 	}
 	for b := 0; b < cfg.L2Banks; b++ {
 		s.Banks = append(s.Banks, newBank(s, b))
@@ -200,9 +199,10 @@ func (s *System) pushResponse(bank int, t Txn, ready uint64) {
 }
 
 // IssueCacheInval performs the core-local half of an ICBI/DCBI (drop the
-// line from the issuing core's own L1) and broadcasts the invalidation. The
-// returned token completes when the bank acknowledges.
-func (s *System) IssueCacheInval(now uint64, core int, addr uint64, icache bool) *InvalToken {
+// line from the issuing core's own L1) and broadcasts the invalidation. It
+// returns the token's ID, never 0, which stays pending until the bank
+// acknowledges.
+func (s *System) IssueCacheInval(now uint64, core int, addr uint64, icache bool) uint64 {
 	la := s.Cfg.LineAddr(addr)
 	var dirty bool
 	kind := InvalD
@@ -214,10 +214,22 @@ func (s *System) IssueCacheInval(now uint64, core int, addr uint64, icache bool)
 	}
 	s.nextInvalID[core]++
 	id := s.nextInvalID[core]
-	tok := &InvalToken{Addr: la, Born: now}
-	s.invalTokens[core][id] = tok
+	s.invalTokens[core] = append(s.invalTokens[core], InvalToken{ID: id, Addr: la, Born: now})
 	s.pushRequest(Txn{Kind: kind, Addr: la, Core: core, ID: id, Dirty: dirty}, now+1)
-	return tok
+	return id
+}
+
+// InvalPending reports whether core's invalidation id is still unacknowledged.
+func (s *System) InvalPending(core int, id uint64) bool { return s.invalIndex(core, id) >= 0 }
+
+// invalIndex returns the position of core's outstanding token id, or -1.
+func (s *System) invalIndex(core int, id uint64) int {
+	for i, t := range s.invalTokens[core] {
+		if t.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Tick advances the memory system one cycle.
@@ -249,11 +261,8 @@ func (s *System) dispatchResp(now uint64, t Txn) {
 	defer s.observe(now, t)
 	switch t.Kind {
 	case InvalAck:
-		tok := s.invalTokens[t.Core][t.ID]
-		if tok != nil {
-			tok.Done = true
-			tok.Err = t.Err
-			delete(s.invalTokens[t.Core], t.ID)
+		if i := s.invalIndex(t.Core, t.ID); i >= 0 {
+			s.invalTokens[t.Core] = slices.Delete(s.invalTokens[t.Core], i, i+1)
 			if t.Err && s.OnFault != nil {
 				s.OnFault(t.Core, t)
 			}
@@ -272,16 +281,16 @@ func (s *System) dispatchResp(now uint64, t Txn) {
 	}
 }
 
-// OldestInvalToken returns a copy of the core's longest-outstanding
-// invalidation token. Ties and iteration order are resolved by (Born, Addr)
-// so the watchdog's report is deterministic.
+// OldestInvalToken returns the core's longest-outstanding invalidation
+// token: the head of its issue-ordered slice. A core issues at most one
+// invalidation per cycle (the store-buffer drain runs once per Core.Tick,
+// and an MTCore ticks one context per cycle), so tokens are issued at
+// strictly increasing Born and the head is the oldest.
 func (s *System) OldestInvalToken(core int) (tok InvalToken, ok bool) {
-	for _, t := range s.invalTokens[core] {
-		if !ok || t.Born < tok.Born || (t.Born == tok.Born && t.Addr < tok.Addr) {
-			tok, ok = *t, true
-		}
+	if toks := s.invalTokens[core]; len(toks) > 0 {
+		return toks[0], true
 	}
-	return tok, ok
+	return InvalToken{}, false
 }
 
 // dirDropSharer records a silent clean eviction with the owning bank.
