@@ -246,20 +246,28 @@ func BenchmarkFabricThroughput(b *testing.B) {
 // instructions per host second, and the bytes and allocations of one
 // machine's construction and run (B/op, allocs/op). This is the
 // simulator-performance baseline for future optimisation work.
-func BenchmarkSimThroughput(b *testing.B) { benchSimThroughput(b, false) }
+func BenchmarkSimThroughput(b *testing.B) { benchSimThroughput(b, barrier.KindFilterD, false) }
 
 // BenchmarkSimThroughputNoTranslate is the same run with the basic-block
 // translation cache disabled; the gap between the two is the translator's
 // contribution to raw simulator speed (the scoreboard tracks it on the
 // compute16 workload as cpu.notranslate_ratio: go run ./benchmark).
-func BenchmarkSimThroughputNoTranslate(b *testing.B) { benchSimThroughput(b, true) }
+func BenchmarkSimThroughputNoTranslate(b *testing.B) {
+	benchSimThroughput(b, barrier.KindFilterD, true)
+}
 
-func benchSimThroughput(b *testing.B, noTranslate bool) {
+// BenchmarkSimThroughputSpin is the same cell under the centralized
+// software barrier: waiting cores spin on an L1-resident flag, so this is
+// the speed of spin-wait simulation, where periodic sleep (DESIGN.md §6)
+// carries the load.
+func BenchmarkSimThroughputSpin(b *testing.B) { benchSimThroughput(b, barrier.KindSWCentral, false) }
+
+func benchSimThroughput(b *testing.B, kind barrier.Kind, noTranslate bool) {
 	const nCores = 16
 	cfg := core.DefaultConfig(nCores)
 	cfg.NoTranslate = noTranslate
 	alloc := barrier.NewAllocator(cfg.Mem)
-	gen := barrier.MustNew(barrier.KindFilterD, nCores, alloc)
+	gen := barrier.MustNew(kind, nCores, alloc)
 	prog, err := kernels.NewLivermore2(256, 2).BuildPar(gen, nCores)
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/barrier"
@@ -11,14 +14,17 @@ import (
 // Brute-force awake-set oracle.
 //
 // Inside a run only the awake tickers tick; a quiesced core sleeps and is
-// credited its per-cycle counters when it wakes or the run returns. Between
+// credited its per-cycle counters when it wakes or the run returns, and a
+// periodic one is advanced by whole periods and steps the rest. Between
 // runs — where the OS model preempts and the chaos harness reports — the
-// set must equal what a scan of the cores yields, and the counters must be
-// those a machine without the fast path computed cycle by cycle. This test
-// stops three machines at every chunk boundary of a prime length and checks
-// both against a NoFastPath twin: a filter barrier (cores park and sleep),
-// a software barrier (cores spin, sleeping only behind LL/SC misses), and
-// two-thread cores (slow tickers that never sleep).
+// set must equal what a scan of the cores yields, and everything a sleeper
+// skipped must be as a machine without the fast path computed it cycle by
+// cycle: the full stats report, every core's pc and registers, and both L1s
+// of every core. This test stops four machines at every chunk boundary of a
+// prime length and checks them against a NoFastPath twin: a filter barrier
+// (cores park and sleep), two software barriers (cores spin on L1 hits and
+// sleep periodically, and sleep behind LL/SC misses), and two-thread cores
+// (slow tickers that never sleep).
 func TestAwakeSetOracle(t *testing.T) {
 	const chunk = 97
 	cases := []struct {
@@ -29,6 +35,7 @@ func TestAwakeSetOracle(t *testing.T) {
 	}{
 		{"filter-d", barrier.KindFilterD, "livermore2", 1},
 		{"sw-central", barrier.KindSWCentral, "livermore3", 1},
+		{"sw-tree", barrier.KindSWTree, "livermore3", 1},
 		{"threads-per-core-2", barrier.KindFilterD, "livermore2", 2},
 	}
 	for _, tc := range cases {
@@ -79,12 +86,8 @@ func TestAwakeSetOracle(t *testing.T) {
 				if fast.Now() != slow.Now() {
 					t.Fatalf("stopped at cycle %d, NoFastPath twin at %d", fast.Now(), slow.Now())
 				}
-				for i, c := range fast.Cores {
-					s := slow.Cores[i]
-					if c.Cycles != s.Cycles || c.FetchMissStalls != s.FetchMissStalls || c.FenceStalls != s.FenceStalls {
-						t.Fatalf("cycle %d core %d: cycles/fetch-stall/fence-stall %d/%d/%d, NoFastPath twin %d/%d/%d",
-							fast.Now(), i, c.Cycles, c.FetchMissStalls, c.FenceStalls, s.Cycles, s.FetchMissStalls, s.FenceStalls)
-					}
+				if err := sameState(fast, slow); err != nil {
+					t.Fatalf("cycle %d: %v", fast.Now(), err)
 				}
 				chunks++
 				for _, c := range fast.Cores {
@@ -94,10 +97,41 @@ func TestAwakeSetOracle(t *testing.T) {
 				}
 			}
 			// Two-thread cores never sleep; the others must have been caught
-			// asleep at boundaries, or the run proves nothing.
-			if chunks < 10 || tc.tpc == 1 && asleep == 0 {
-				t.Fatalf("%d chunks, %d cores asleep at a boundary: too short to exercise sleeping across boundaries", chunks, asleep)
+			// asleep at boundaries, and the spinning ones periodically asleep,
+			// or the run proves nothing.
+			_, spun := fast.SpinCounts()
+			if chunks < 10 || tc.tpc == 1 && asleep == 0 || (tc.kind == barrier.KindSWCentral || tc.kind == barrier.KindSWTree) && spun == 0 {
+				t.Fatalf("%d chunks, %d cores quiesced and %d periodically asleep at a boundary: too short to exercise sleeping across boundaries",
+					chunks, asleep, spun)
 			}
 		})
 	}
+}
+
+// sameState compares everything a sleeper's credit or replay must restore
+// with the NoFastPath twin's: the full stats report, every core's pc and
+// registers, and the lines of every core's two L1s.
+func sameState(fast, slow *core.Machine) error {
+	if a, b := fast.StatsReport().Snapshot(), slow.StatsReport().Snapshot(); !maps.Equal(a, b) {
+		for k, v := range a {
+			if b[k] != v {
+				return fmt.Errorf("stat %s = %d, NoFastPath twin %d", k, v, b[k])
+			}
+		}
+		return fmt.Errorf("stats keys differ from the NoFastPath twin's")
+	}
+	for i, c := range fast.Cores {
+		pc, regs := c.Context()
+		spc, sregs := slow.Cores[i].Context()
+		if pc != spc || regs != sregs {
+			return fmt.Errorf("core %d: pc %#x regs %v, NoFastPath twin pc %#x regs %v", i, pc, regs, spc, sregs)
+		}
+	}
+	for p := range fast.Sys.L1D {
+		if !slices.Equal(fast.Sys.L1D[p].Snapshot(), slow.Sys.L1D[p].Snapshot()) ||
+			!slices.Equal(fast.Sys.L1I[p].Snapshot(), slow.Sys.L1I[p].Snapshot()) {
+			return fmt.Errorf("physical core %d: L1 lines differ from the NoFastPath twin's", p)
+		}
+	}
+	return nil
 }

@@ -21,3 +21,7 @@ func (m *Machine) CheckAwake() error {
 	}
 	return nil
 }
+
+// SpinCounts returns how many periodic sleeps the machine has begun and how
+// many periodic sleepers its returning runs have brought up to date.
+func (m *Machine) SpinCounts() (sleeps, settles uint64) { return m.spinSleeps, m.spinSettles }

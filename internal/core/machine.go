@@ -139,14 +139,22 @@ type Machine struct {
 	dense     bool
 
 	// The awake set: inside runTo and Step only the tickers whose bit is
-	// set tick, in ascending index order. A fast core that quiesces leaves
-	// it and sleeps, owing its per-cycle counters from cycle sleptAt on,
-	// until its wake hook credits them and puts it back; a core that stops
-	// running just leaves. Outside them nothing is owed (settle).
+	// set tick, in ascending index order. A fast core that quiesces or
+	// proves its state periodic leaves it and sleeps, owing its ticks from
+	// cycle sleptAt on, until a wake brings it up to date (cpu.Core.Skip)
+	// and puts it back; a core that stops running just leaves. Outside them
+	// nothing is owed (settle).
 	awake    []uint64
 	sleeping []bool
 	sleptAt  []uint64
 	sleepers int
+
+	// cur is the ticker the core phase is at (len(tickers) outside it);
+	// spin enables periodic sleep (enter). Tests read the counts of
+	// periodic sleeps begun and of those settle ended.
+	cur                     int
+	spin                    bool
+	spinSleeps, spinSettles uint64
 
 	// trans is the machine-shared basic-block translation cache (nil
 	// under Cfg.NoTranslate).
@@ -251,9 +259,13 @@ func NewMachine(cfg Config) *Machine {
 	m.awake = make([]uint64, (len(m.tickers)+63)/64)
 	m.sleeping = make([]bool, len(m.tickers))
 	m.sleptAt = make([]uint64, len(m.tickers))
+	m.cur = len(m.tickers)
+	if !cfg.NoFastPath {
+		m.Sys.SetChangeHook(m.disturb)
+	}
+	m.Sys.Mem.SetWriteHook(m.onWrite)
 	if !cfg.NoTranslate {
 		m.trans = cpu.NewTransCache(m.Sys.Mem, cfg.Mem.LineBytes)
-		m.Sys.Mem.SetWriteHook(m.trans.OnMemWrite)
 		// Every logical core (including multithreaded contexts) shares
 		// the one cache: they all fetch from the same physical memory.
 		for _, c := range m.Cores {
@@ -408,13 +420,16 @@ func (m *Machine) Step() {
 
 // tick advances one cycle: the awake physical cores first, in index order
 // (each advances one of its contexts), then the memory system. A core that
-// proves itself quiesced after its tick falls asleep; the memory system's
-// response delivery wakes it before its next tick, exactly as on the slow
-// path, where the core ticks ahead of the delivery in the same cycle.
+// proves itself quiesced or periodic after its tick falls asleep; the
+// memory system's response delivery wakes it before its next tick, exactly
+// as on the slow path, where the core ticks ahead of the delivery in the
+// same cycle. A tick may wake a later sleeper (onWrite): re-read the set.
 func (m *Machine) tick() {
-	for w, word := range m.awake {
-		for ; word != 0; word &= word - 1 {
-			i := w<<6 | bits.TrailingZeros64(word)
+	for w := range m.awake {
+		for word, b := m.awake[w], 0; word != 0; word = m.awake[w] &^ (2<<b - 1) {
+			b = bits.TrailingZeros64(word)
+			i := w<<6 | b
+			m.cur = i
 			c := m.fastCores[i]
 			if c == nil {
 				m.tickers[i].Tick(m.now)
@@ -424,34 +439,73 @@ func (m *Machine) tick() {
 			switch {
 			case c.CheckQuiesce(m.now):
 				m.sleep(i, m.now+1)
+			case m.spin && c.Repeats() && c.CheckPeriodic(m.now):
+				m.sleep(i, m.now+1)
+				m.spinSleeps++
 			case c.Running():
 				continue
 			}
-			m.awake[w] &^= 1 << (i & 63)
+			m.awake[w] &^= 1 << b
 		}
 	}
+	m.cur = len(m.tickers)
 	m.Sys.Tick(m.now)
 	m.now++
 }
 
 // wake is physical core i's wake hook, fired before a response is
-// delivered to it at cycle m.now: a sleeper is credited the cycles it slept
-// through, this one included, and rejoins the awake set.
+// delivered to it at cycle m.now.
 func (m *Machine) wake(i int) {
-	c := m.fastCores[i]
-	if m.sleeping[i] {
-		c.SkipQuiesced(m.now + 1 - m.sleptAt[i])
-		m.sleeping[i] = false
-		m.sleepers--
-		m.awake[i>>6] |= 1 << (i & 63)
+	m.rouse(i)
+	m.fastCores[i].Wake()
+}
+
+// disturb is the change hook: a line of core i's L1s is about to change.
+// A quiesced sleeper sleeps on: it reads its L1s only after a response.
+func (m *Machine) disturb(i int) {
+	if m.sleeping[i] && !m.fastCores[i].Quiesced() {
+		m.rouse(i)
 	}
-	c.Wake()
+}
+
+// onWrite is the memory write hook, run before a write lands: a periodic
+// sleeper whose L1I holds the line (as all it fetches from) would fetch the
+// new text, so it is brought up to date first.
+func (m *Machine) onWrite(addr uint64, n int) {
+	if m.sleepers > 0 && (m.trans == nil || m.trans.Covers(addr, n)) {
+		for i, c := range m.fastCores {
+			if m.sleeping[i] && !c.Quiesced() && m.Sys.L1I[i].Peek(addr) != mem.Invalid {
+				m.rouse(i)
+			}
+		}
+	}
+	if m.trans != nil {
+		m.trans.OnMemWrite(addr, n)
+	}
+}
+
+// rouse brings sleeper i through this cycle (the previous one if the core
+// phase has yet to reach it, which then ticks it) and wakes it.
+func (m *Machine) rouse(i int) {
+	if !m.sleeping[i] {
+		return
+	}
+	end := m.now + 1
+	if i > m.cur {
+		end = m.now
+	}
+	m.fastCores[i].Skip(end - m.sleptAt[i])
+	m.sleeping[i] = false
+	m.sleepers--
+	m.awake[i>>6] |= 1 << (i & 63)
 }
 
 // enter builds the awake set from the cores' own state, which the OS model
 // and the harness change between runs: quiesced running cores sleep from
-// this cycle on, and cores with no work stay out.
+// this cycle on, and cores with no work stay out. The sanitizer and a fault
+// injector turn periodic sleep off (DESIGN.md §6).
 func (m *Machine) enter() {
+	m.spin = m.san == nil && !m.Sys.Chaotic()
 	for i, t := range m.tickers {
 		c := m.fastCores[i]
 		bit := uint64(1) << (i & 63)
@@ -465,19 +519,24 @@ func (m *Machine) enter() {
 	}
 }
 
-// sleep records that fast core i, out of the awake set, owes its per-cycle
-// counters from cycle from on.
+// sleep records that fast core i, out of the awake set, owes its ticks from
+// cycle from on.
 func (m *Machine) sleep(i int, from uint64) {
 	m.sleeping[i], m.sleptAt[i] = true, from
 	m.sleepers++
 }
 
-// settle credits every sleeper the cycles it slept through up to m.now.
+// settle brings every sleeper through the cycles it slept up to m.now; a
+// periodic one is awake again.
 func (m *Machine) settle() {
 	for i, c := range m.fastCores {
 		if m.sleeping[i] {
-			c.SkipQuiesced(m.now - m.sleptAt[i])
+			c.Skip(m.now - m.sleptAt[i])
 			m.sleeping[i] = false
+			if !c.Quiesced() {
+				m.awake[i>>6] |= 1 << (i & 63)
+				m.spinSettles++
+			}
 		}
 	}
 	m.sleepers = 0

@@ -40,9 +40,10 @@ func (b *bimodal) index(pc uint64) uint64 { return (pc >> 3) & b.bmask }
 // predictDir returns the predicted direction for a conditional branch.
 func (b *bimodal) predictDir(pc uint64) bool { return b.ctr[b.index(pc)] >= 2 }
 
-// updateDir trains the direction counter.
-func (b *bimodal) updateDir(pc uint64, taken bool) {
+// updateDir trains the direction counter, reporting whether it moved.
+func (b *bimodal) updateDir(pc uint64, taken bool) bool {
 	i := b.index(pc)
+	old := b.ctr[i]
 	if taken {
 		if b.ctr[i] < 3 {
 			b.ctr[i]++
@@ -50,6 +51,7 @@ func (b *bimodal) updateDir(pc uint64, taken bool) {
 	} else if b.ctr[i] > 0 {
 		b.ctr[i]--
 	}
+	return b.ctr[i] != old
 }
 
 // predictTarget returns the BTB target for an indirect jump at pc.
@@ -63,13 +65,16 @@ func (b *bimodal) predictTarget(pc uint64) (uint64, bool) {
 	return 0, false
 }
 
-// updateTarget installs the resolved target of an indirect jump.
-func (b *bimodal) updateTarget(pc, target uint64) {
+// updateTarget installs an indirect jump's target, reporting a change.
+func (b *bimodal) updateTarget(pc, target uint64) bool {
 	i := (pc >> 3) & b.mask
 	blk := b.btb[i/btbBlock]
 	if blk == nil {
 		blk = new([btbBlock]btbEnt)
 		b.btb[i/btbBlock] = blk
 	}
-	blk[i%btbBlock] = btbEnt{pc: pc, target: target, valid: true}
+	e := btbEnt{pc: pc, target: target, valid: true}
+	changed := blk[i%btbBlock] != e
+	blk[i%btbBlock] = e
+	return changed
 }

@@ -150,10 +150,10 @@ type sbEntry struct {
 // Core is one out-of-order SRISC core (or one context of an MTCore).
 type Core struct {
 	// Fields the machine loop reads for every awake core on every cycle,
-	// and for a sleeping one when it wakes (Quiesced, SkipQuiesced,
-	// Running), lead the struct so those reads cost one cache line:
-	// quiescence state (see quiesce.go), run state, and the per-cycle
-	// counters SkipQuiesced credits.
+	// and for a sleeping one when it wakes (Quiesced, Skip, Running), lead
+	// the struct so those reads cost one cache line: quiescence state (see
+	// quiesce.go), run state, and the per-cycle counters Skip credits a
+	// quiesced core.
 	quiesced    bool
 	qFetchStall bool // skipped cycles count as FetchMissStalls
 	qFenceStall bool // skipped cycles count as FenceStalls
@@ -250,6 +250,11 @@ type Core struct {
 	missq  []*entry // loads waiting on a fill: missWaitStage
 	storeq []*entry // in-window stores and cache-ops: loadOrdering
 	parked []*entry // otherwise-ready loads behind a store whose address is unresolved
+
+	// Periodic sleep (periodic.go); volatile counts what a period must not do.
+	gate              gate
+	per               period
+	lookups, volatile uint64
 }
 
 // Validate reports the first parameter the pipeline cannot run with, as an
@@ -323,6 +328,7 @@ func (c *Core) flushPipeline() {
 	c.fetchStopped = false
 	c.hwbarSent = false
 	c.quiesced = false
+	c.dropProof()
 	c.curBlock = nil
 	if c.ready == nil {
 		c.allocLists()
@@ -628,11 +634,11 @@ func (c *Core) commitStage(now uint64) {
 			c.emitCommit(now, e)
 		}
 		if e.isBranch {
-			if e.in.Op != isa.JAL && e.in.Op != isa.JALR {
-				c.pred.updateDir(e.pc, e.actualTaken)
+			if e.in.Op != isa.JAL && e.in.Op != isa.JALR && c.pred.updateDir(e.pc, e.actualTaken) {
+				c.volatile++
 			}
-			if e.in.Op == isa.JALR {
-				c.pred.updateTarget(e.pc, e.actualNext)
+			if e.in.Op == isa.JALR && c.pred.updateTarget(e.pc, e.actualNext) {
+				c.volatile++
 			}
 		}
 		switch e.class {
@@ -715,6 +721,7 @@ func (c *Core) trySerializing(now uint64, e *entry) bool {
 		if !drained {
 			return false
 		}
+		c.volatile++
 		if !c.hwbarSent {
 			c.bnet.Arrive(now, c.ID, int(e.in.Imm))
 			if c.probe != nil {
@@ -745,6 +752,7 @@ func (c *Core) drainStoreBuffer(now uint64) {
 	h := &c.sb[0]
 	if h.cacheOp {
 		if h.token == 0 {
+			c.volatile++
 			h.token = c.sys.IssueCacheInval(now, c.physID, h.addr, h.icache)
 			if h.icache && c.trans != nil {
 				c.trans.InvalidateLine(h.addr)
@@ -758,6 +766,7 @@ func (c *Core) drainStoreBuffer(now uint64) {
 	}
 	switch c.l1d.WriteState(h.addr) {
 	case mem.Modified:
+		c.volatile++
 		c.sys.Mem.Write(h.addr, h.size, h.val)
 		if c.probe != nil {
 			c.probe.OnEvent(mem.Event{Kind: mem.EvStore, Now: now, Core: c.ID, PC: h.pc, Addr: h.addr, Size: h.size})
@@ -1153,6 +1162,7 @@ func (c *Core) tryIssueSC(now uint64, e *entry) bool {
 	}
 	switch c.l1d.WriteState(addr) {
 	case mem.Modified:
+		c.volatile++
 		c.sys.Mem.Write(addr, 8, e.src[1].val)
 		if c.probe != nil {
 			c.probe.OnEvent(mem.Event{Kind: mem.EvStore, Now: now, Core: c.ID, PC: e.pc, Addr: addr, Size: 8})
@@ -1293,8 +1303,11 @@ func (c *Core) fetchStage(now uint64) {
 			base := c.fetchPC &^ c.trans.lineMask
 			b := c.curBlock
 			if b == nil || !b.valid || b.base != base {
+				miss := c.trans.Misses
 				b = c.trans.Block(base)
 				c.curBlock = b
+				c.lookups++
+				c.volatile += c.trans.Misses - miss
 			}
 			d = &b.recs[(c.fetchPC-base)/isa.WordBytes]
 		} else {

@@ -22,7 +22,7 @@ import (
 // visited again until the memory system's wake hook fires — and, when every
 // core sleeps, to fast-forward the cycle counter in bulk to the memory
 // system's next event. Both skips are behaviour-invariant: the skipped
-// ticks are provably no-ops, and SkipQuiesced credits the per-cycle
+// ticks are provably no-ops, and Skip credits the per-cycle
 // counters they would have bumped (in one sum, when the core wakes or the
 // run returns), so cycle counts, statistics, and kernel
 // outputs are bit-identical to the slow path (core.Config.NoFastPath
@@ -41,22 +41,6 @@ func (c *Core) Quiesced() bool { return c.quiesced }
 // calls it whenever the memory system delivers a response (fill, upgrade
 // ack, or invalidation ack) addressed to this core.
 func (c *Core) Wake() { c.quiesced = false }
-
-// SkipQuiesced credits n skipped cycles' worth of per-cycle counters to a
-// quiesced core: the skipped Ticks would have bumped Cycles and, depending
-// on the blocked state, FetchMissStalls or FenceStalls, and nothing else.
-func (c *Core) SkipQuiesced(n uint64) {
-	if !c.quiesced || !c.Running() {
-		return
-	}
-	c.Cycles += n
-	if c.qFetchStall {
-		c.FetchMissStalls += n
-	}
-	if c.qFenceStall {
-		c.FenceStalls += n
-	}
-}
 
 // CheckQuiesce decides whether every Tick from cycle now+1 onward would be
 // a no-op until a memory response arrives, and records which per-cycle

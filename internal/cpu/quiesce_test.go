@@ -12,7 +12,7 @@ import (
 // core — an LL that misses, an SC that depends on it, and a window full of
 // younger spin loads parked on the SC's unresolved address — twice: once
 // ticking every cycle, once the way core.Machine.Step does (CheckQuiesce
-// after every real tick, SkipQuiesced while the flag holds, Wake on a
+// after every real tick, Skip while the flag holds, Wake on a
 // response). The skipping run must actually quiesce with loads parked and
 // the LL's fill outstanding, and must end on the same cycle with the same
 // per-cycle counters as its twin.
@@ -65,7 +65,7 @@ flag:	.quad 7
 				if ll != nil && inList(c.missq, ll) && len(c.parked) > 0 {
 					quiescedCycles++
 				}
-				c.SkipQuiesced(1)
+				c.Skip(1)
 			} else {
 				r.tick(c)
 				if skip {

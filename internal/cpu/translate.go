@@ -143,10 +143,15 @@ func (t *TransCache) InvalidateLine(addr uint64) {
 	}
 }
 
+// Covers reports whether [addr, addr+n) may overlap a translated line.
+func (t *TransCache) Covers(addr uint64, n int) bool {
+	return n > 0 && len(t.blocks) > 0 && addr < t.hi && addr+uint64(n) > t.lo
+}
+
 // OnMemWrite is the memory write hook: it invalidates every translated
 // block overlapping the written range before the bytes change.
 func (t *TransCache) OnMemWrite(addr uint64, n int) {
-	if n <= 0 || len(t.blocks) == 0 || addr >= t.hi || addr+uint64(n) <= t.lo {
+	if !t.Covers(addr, n) {
 		return
 	}
 	last := (addr + uint64(n) - 1) &^ t.lineMask

@@ -10,10 +10,11 @@ import (
 // turn into bus transactions and complete when the matching response
 // arrives.
 type L1 struct {
-	sys    *System
-	core   int
-	icache bool
-	cache  *Cache
+	sys     *System
+	core    int
+	icache  bool
+	changes uint32 // see willChange; 32 bits keep the struct's size class
+	cache   *Cache
 
 	mshr   []mshrEntry // one slot per MSHR; id 0 marks a free slot
 	nmshr  int         // slots in use
@@ -147,6 +148,7 @@ func (l *L1) onResponse(now uint64, t Txn) (errFill bool) {
 			l.StartMiss(now, next, GetI, true)
 		}
 	}
+	l.willChange()
 	switch t.Kind {
 	case Fill:
 		if e.pendInval {
@@ -198,8 +200,20 @@ func (l *L1) evictVictim(now uint64, v Victim) {
 	}
 }
 
+// willChange counts a line change other than by a lookup (a fill, external
+// invalidation or downgrade, injected state) and fires the change hook.
+func (l *L1) willChange() {
+	l.changes++
+	if l.sys.onChange != nil {
+		l.sys.onChange(l.core)
+	}
+}
+
 // extInval removes a line at the directory's request.
 func (l *L1) extInval(addr uint64) {
+	if l.cache.Peek(addr) != Invalid {
+		l.willChange()
+	}
 	present, _ := l.cache.Invalidate(addr)
 	if present && l.OnExtInval != nil {
 		l.OnExtInval(addr)
@@ -213,6 +227,7 @@ func (l *L1) extInval(addr uint64) {
 // Memory).
 func (l *L1) extDowngrade(addr uint64) {
 	if l.cache.Peek(addr) == Modified {
+		l.willChange()
 		l.cache.SetState(addr, Shared)
 	}
 	if e := l.findMSHR(addr); e != nil {
@@ -258,7 +273,13 @@ func (l *L1) MissSnapshot() []MissInfo {
 // a fault-injection seam only: it models a soft error in the tag/state array
 // (the paper's caches hold no data, so the corruption is invisible to the
 // functional results and detectable only by the coherence sanitizer).
-func (l *L1) InjectState(addr uint64, st LineState) { l.cache.SetState(addr, st) }
+func (l *L1) InjectState(addr uint64, st LineState) {
+	l.willChange()
+	l.cache.SetState(addr, st)
+}
+
+// Changes counts the line changes willChange has seen.
+func (l *L1) Changes() uint64 { return uint64(l.changes) }
 
 // Quiet reports whether this cache has no outstanding misses.
 func (l *L1) Quiet() bool { return l.nmshr == 0 }

@@ -33,11 +33,13 @@ type Event struct {
 	Txn                 Txn
 }
 
-// Probe receives the event stream. It must be strictly read-only, and no
-// emitter consults it anywhere else (NextEvent included), so a run is
-// bit-identical with any probe attached, fast path on or off. Each emitter —
-// a core, the memory system, a sync-engine table — holds at most one probe;
-// with none attached an emitting site costs one nil check.
+// Probe receives the event stream. It must be strictly read-only. A core
+// with a probe attached never sleeps periodically (cpu.Core.CheckPeriodic),
+// since the commits it skipped would vanish from the stream; beyond that no
+// emitter consults it (NextEvent included), so a run is bit-identical with
+// any probe attached, fast path on or off. Each emitter — a core, the
+// memory system, a sync-engine table — holds at most one probe; with none
+// attached an emitting site costs one nil check.
 type Probe interface{ OnEvent(e Event) }
 
 // SetProbe attaches p to the memory system's transactions (nil detaches).

@@ -66,6 +66,8 @@ type System struct {
 	// invalidation ack) is delivered to that core; the machine uses it to
 	// drop the core out of the quiescent fast path.
 	wake []func()
+
+	onChange func(core int) // see SetChangeHook
 }
 
 // NewSystem builds the memory hierarchy for cfg.
@@ -253,6 +255,13 @@ func (s *System) Tick(now uint64) {
 
 // SetWakeHook registers fn to run whenever a response is delivered to core.
 func (s *System) SetWakeHook(core int, fn func()) { s.wake[core] = fn }
+
+// SetChangeHook registers fn to run before a line of core's L1s changes by
+// an external invalidation or downgrade, a fill or an injected state.
+func (s *System) SetChangeHook(fn func(core int)) { s.onChange = fn }
+
+// Chaotic reports whether a fault injector is attached.
+func (s *System) Chaotic() bool { return s.chaos != nil }
 
 func (s *System) dispatchResp(now uint64, t Txn) {
 	if fn := s.wake[t.Core]; fn != nil {
