@@ -27,7 +27,7 @@
 //	cmpfb.Launch(m, gen, prog, 16)
 //	cycles, err := m.Run(1_000_000)
 //
-// See examples/ for complete programs and DESIGN.md for the system map.
+// The package Examples are complete programs; DESIGN.md has the system map.
 package cmpfb
 
 import (

@@ -61,21 +61,34 @@ type cell struct {
 	matrix bool
 }
 
+// knob is one behaviour-invariant change to a run: set edits the machine's
+// configuration, attach puts checkers on the machine (either may be nil).
+type knob struct {
+	set    func(*core.Config)
+	attach func(*core.Machine)
+}
+
+var (
+	noFastPath  = func(c *core.Config) { c.NoFastPath = true }
+	noTranslate = func(c *core.Config) { c.NoTranslate = true }
+	sanitizer   = func(m *core.Machine) { sanitize.Attach(m, sanitize.Default()) }
+)
+
 // knobs must each leave every cell's outcome, cycles and counters as the
 // baseline's (knob ""). The composites run only where a test names them. A
 // knob with a Probe component also attaches a hasher to the machine's event
 // stream, whose hash must equal the Probe knob's (see check).
-var knobs = map[string]func(*core.Config){
-	"":                     nil,
-	"NoTranslate":          func(c *core.Config) { c.NoTranslate = true },
-	"NoFastPath":           func(c *core.Config) { c.NoFastPath = true },
-	"Sanitize":             func(c *core.Config) { c.Sanitize = sanitize.Default() },
-	"HB":                   func(c *core.Config) { c.HB = &hbcheck.Config{} },
-	"Sanitize+NoFastPath":  func(c *core.Config) { c.Sanitize, c.NoFastPath = sanitize.Default(), true },
-	"Sanitize+NoTranslate": func(c *core.Config) { c.Sanitize, c.NoTranslate = sanitize.Default(), true },
-	"Probe":                nil,
-	"Probe+NoFastPath":     func(c *core.Config) { c.NoFastPath = true },
-	"Probe+NoTranslate":    func(c *core.Config) { c.NoTranslate = true },
+var knobs = map[string]knob{
+	"":                     {},
+	"NoTranslate":          {set: noTranslate},
+	"NoFastPath":           {set: noFastPath},
+	"Sanitize":             {attach: sanitizer},
+	"HB":                   {attach: func(m *core.Machine) { hbcheck.Attach(m, hbcheck.Config{}) }},
+	"Sanitize+NoFastPath":  {noFastPath, sanitizer},
+	"Sanitize+NoTranslate": {noTranslate, sanitizer},
+	"Probe":                {},
+	"Probe+NoFastPath":     {set: noFastPath},
+	"Probe+NoTranslate":    {set: noTranslate},
 }
 
 // probeKnobs are the knobs the probe differential runs.
@@ -211,17 +224,21 @@ func (h *hasher) OnEvent(e mem.Event) {
 	}
 }
 
-// simulate runs c once with set applied on top of c's own configuration
-// and p, when non-nil, attached to the machine's event stream.
-func simulate(c *cell, set func(*core.Config), p mem.Probe) (result, *core.Machine) {
+// simulate runs c once under k, applied on top of c's own configuration,
+// with p, when non-nil, attached to the machine's event stream after k's
+// checkers.
+func simulate(c *cell, k knob, p mem.Probe) (result, *core.Machine) {
 	cfg := core.DefaultConfig(c.cores)
 	cfg.Mem.Fabric = c.fab
-	for _, f := range []func(*core.Config){c.tweak, set} {
+	for _, f := range []func(*core.Config){c.tweak, k.set} {
 		if f != nil {
 			f(&cfg)
 		}
 	}
 	m := core.NewMachine(cfg)
+	if k.attach != nil {
+		k.attach(m)
+	}
 	if p != nil {
 		m.Attach(p)
 	}
@@ -459,14 +476,18 @@ func TestProbeDifferential(t *testing.T) {
 func TestProbeFanOut(t *testing.T) {
 	for _, c := range named("lockreduce[n=128,passes=4]/bus/filter-d", "microbench-filterD-16") {
 		var h hasher
-		r, m := simulate(c, func(cfg *core.Config) { cfg.HB, cfg.Sanitize = &hbcheck.Config{}, sanitize.Default() }, &h)
+		var s *sanitize.Sanitizer
+		var hb *hbcheck.Checker
+		r, _ := simulate(c, knob{attach: func(m *core.Machine) {
+			s, hb = sanitize.Attach(m, sanitize.Default()), hbcheck.Attach(m, hbcheck.Config{})
+		}}, &h)
 		if d := diff(run(c, ""), r); d != "" {
 			t.Errorf("%s: %s", c.name, d)
 		}
 		if p := run(c, "Probe").hash; h != p || h.events == 0 {
 			t.Errorf("%s: fanned-out %d events hash to %#x, the hasher alone's %d to %#x", c.name, h.events, h.sum, p.events, p.sum)
 		}
-		if races, vs := m.HBRaces(), m.Violations(); len(races) != 0 || len(vs) != 0 {
+		if races, vs := hb.Races(), s.Violations(); len(races) != 0 || len(vs) != 0 {
 			t.Errorf("%s: races %v, violations %v", c.name, races, vs)
 		}
 	}
@@ -742,10 +763,12 @@ func TestChaosLockKernel(t *testing.T) {
 // path on and off, finding every waiter legitimately blocked.
 func TestSanitizerWatchdogNamesStalledBarrier(t *testing.T) {
 	watch := func(noFastPath bool) (result, []sanitize.Violation) {
-		r, m := simulate(cellNamed["deadlock-filterD-4"], func(cfg *core.Config) {
-			cfg.NoFastPath, cfg.Sanitize = noFastPath, &sanitize.Config{StallBudget: 50_000}
+		var s *sanitize.Sanitizer
+		r, _ := simulate(cellNamed["deadlock-filterD-4"], knob{
+			set:    func(cfg *core.Config) { cfg.NoFastPath = noFastPath },
+			attach: func(m *core.Machine) { s = sanitize.Attach(m, &sanitize.Config{StallBudget: 50_000}) },
 		}, nil)
-		return r, m.Violations()
+		return r, s.Violations()
 	}
 	fast, vs := watch(false)
 	if slow, _ := watch(true); diff(fast, slow) != "" {

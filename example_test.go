@@ -59,6 +59,49 @@ func Example() {
 	// Output: sum: 10
 }
 
+// Example_smt packs the same 16 threads three ways — 16 single-threaded
+// cores, 8 dual-context cores, 4 quad-context (Niagara-like) cores — running
+// the autocorrelation kernel with a D-cache filter barrier, each result
+// verified against the Go reference. Contexts share their core's L1 caches
+// and MSHRs (§3.2.1), so denser packings trade per-thread pipeline and cache
+// bandwidth for fewer physical cores.
+func Example_smt() {
+	const threads = 16
+	k := cmpfb.NewAutcor(1024, 8, 2)
+	fmt.Printf("%-22s %12s %8s\n", "topology", "cycles", "vs 16x1")
+	var base uint64
+	for _, tpc := range []int{1, 2, 4} {
+		cfg := cmpfb.DefaultConfig(threads / tpc)
+		cfg.ThreadsPerCore = tpc
+		gen := cmpfb.MustNewBarrier(cmpfb.FilterD, threads, cmpfb.NewAllocator(cfg))
+		prog, err := k.BuildPar(gen, threads)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m := cmpfb.NewMachine(cfg)
+		if err := cmpfb.Launch(m, gen, prog, threads); err != nil {
+			log.Fatal(err)
+		}
+		cycles, err := m.Run(500_000_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := k.Verify(m.Sys.Mem, prog, threads); err != nil {
+			log.Fatal(err)
+		}
+		if tpc == 1 {
+			base = cycles
+		}
+		fmt.Printf("%2d cores x %d contexts  %12d %7.2fx\n",
+			threads/tpc, tpc, cycles, float64(cycles)/float64(base))
+	}
+	// Output:
+	// topology                     cycles  vs 16x1
+	// 16 cores x 1 contexts          8873    1.00x
+	//  8 cores x 2 contexts         12266    1.38x
+	//  4 cores x 4 contexts         19412    2.19x
+}
+
 // ExampleAssemble runs a hand-written SRISC program on one core.
 func ExampleAssemble() {
 	prog, err := cmpfb.Assemble(`

@@ -13,10 +13,8 @@ import (
 	"repro/internal/asm"
 	"repro/internal/cpu"
 	"repro/internal/filter"
-	"repro/internal/hbcheck"
 	"repro/internal/hwnet"
 	"repro/internal/mem"
-	"repro/internal/sanitize"
 )
 
 // ErrStopped is wrapped by the error Run/RunUntil return when an external
@@ -87,19 +85,6 @@ type Config struct {
 	// (the root TestDifferential, FuzzTranslateDiff, -notranslate).
 	NoTranslate bool
 
-	// Sanitize attaches the online invariant sanitizer (nil = off). The
-	// checkers are read-only, so a clean run is bit-identical with the
-	// sanitizer on or off; on a violation Run/RunUntil stop with the
-	// sanitize.Violation as their error (unless Sanitize.KeepGoing).
-	Sanitize *sanitize.Config
-
-	// HB attaches the dynamic happens-before race checker (package
-	// hbcheck) to the machine's event stream (nil = off). Like the
-	// sanitizer, the checker is read-only: a race-free run is bit-identical
-	// with it on or off; on a race Run/RunUntil stop with a located report
-	// (unless HB.KeepGoing). A zero SyncBase defaults to BarrierRegion.
-	HB *hbcheck.Config
-
 	// StopCheck, when non-nil, is polled periodically inside Run/RunUntil;
 	// returning true aborts the simulation with an error wrapping
 	// ErrStopped that carries the last-progress cycle. The harness uses it
@@ -164,18 +149,12 @@ type Machine struct {
 	faultErr error
 	prog     *asm.Program // last loaded image, for label-level PC reports
 
-	// Sanitizer state (nil when Cfg.Sanitize is nil).
-	san      *sanitize.Sanitizer
-	sanNext  uint64 // next full-pass check cycle
-	sanErr   error  // first violation, when not KeepGoing
 	stopTick uint64 // StopCheck polling divider
 
-	// probes are the attached event-stream consumers (Attach).
-	probes fanOut
-
-	// Happens-before checker state (nil when Cfg.HB is nil).
-	hb    *hbcheck.Checker
-	hbErr error // first race, when not KeepGoing
+	// probes are the attached event-stream consumers (Attach), checkers
+	// those of them that can stop a run, both in attach order.
+	probes   fanOut
+	checkers []Checker
 }
 
 // ticker is one physical core's per-cycle unit.
@@ -272,21 +251,6 @@ func NewMachine(cfg Config) *Machine {
 			c.AttachTranslator(m.trans)
 		}
 	}
-	if cfg.HB != nil {
-		hcfg := *cfg.HB
-		if hcfg.SyncBase == 0 {
-			hcfg.SyncBase = BarrierRegion
-		}
-		m.hb = hbcheck.New(hcfg, len(m.Cores))
-		m.Attach(m.hb)
-	}
-	if cfg.Sanitize != nil {
-		m.san = sanitize.New(cfg.Sanitize, m.Sys, m.Cores, m.physOf, m.Hooks)
-		m.sanNext = m.san.Every()
-		if m.san.EventChecksEnabled() {
-			m.Attach(m.san)
-		}
-	}
 	m.Sys.OnFault = func(phys int, t mem.Txn) {
 		err := fmt.Errorf("core %d: memory-system error on %s (filter: %s)",
 			phys, t, m.Hooks[cfg.Mem.BankOf(t.Addr)].LastError())
@@ -304,11 +268,33 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
+// Checker is an event-stream consumer that can stop a run (the sanitizer,
+// the happens-before checker). At the top of every cycle Run and RunUntil
+// visit, in attach order, a checker whose Due cycle has come runs Check; the
+// first non-nil Err breaks the run loop, and a bulk jump over idle cycles
+// stops at the earliest Due, so checks see the same machine states with the
+// fast path on or off. Err must stay set once set; a checker told to keep
+// going returns nil.
+type Checker interface {
+	mem.Probe
+	// Check does the work due at cycle now.
+	Check(now uint64)
+	// Due is the next cycle Check must run at.
+	Due() uint64
+	// Err is the error that stops the run.
+	Err() error
+}
+
 // Attach adds p to the consumers of the machine's read-only event stream:
 // every core, the memory system and every bank's sync engine report to it,
-// through a fan-out in attach order once there is more than one.
+// through a fan-out in attach order once there is more than one. Attach is
+// the one way a consumer meets a run; a p that is also a Checker is polled
+// by it too. A probed core never sleeps periodically (DESIGN.md §6).
 func (m *Machine) Attach(p mem.Probe) {
 	m.probes = append(m.probes, p)
+	if c, ok := p.(Checker); ok {
+		m.checkers = append(m.checkers, c)
+	}
 	if len(m.probes) > 1 {
 		p = m.probes
 	}
@@ -502,10 +488,10 @@ func (m *Machine) rouse(i int) {
 
 // enter builds the awake set from the cores' own state, which the OS model
 // and the harness change between runs: quiesced running cores sleep from
-// this cycle on, and cores with no work stay out. The sanitizer and a fault
-// injector turn periodic sleep off (DESIGN.md §6).
+// this cycle on, and cores with no work stay out. A fault injector turns
+// periodic sleep off, as a probe does core by core (DESIGN.md §6).
 func (m *Machine) enter() {
-	m.spin = m.san == nil && !m.Sys.Chaotic()
+	m.spin = !m.Sys.Chaotic()
 	for i, t := range m.tickers {
 		c := m.fastCores[i]
 		bit := uint64(1) << (i & 63)
@@ -559,92 +545,18 @@ func (m *Machine) awakeRunning() bool {
 // (multithreaded cores, or NoFastPath) steps cycle by cycle.
 func (m *Machine) allQuiesced() bool { return !m.dense && !m.awakeRunning() }
 
-// sanLatch promotes the sanitizer's first violation into the machine's
-// stop-the-run error (no-op under KeepGoing).
-func (m *Machine) sanLatch() {
-	if m.san != nil && m.sanErr == nil && !m.san.KeepGoing() {
-		if err := m.san.Err(); err != nil {
-			m.sanErr = err
+// poll runs the checkers' work due at this cycle, in attach order, and
+// reports whether one has an error that stops the run.
+func (m *Machine) poll() bool {
+	for _, c := range m.checkers {
+		if m.now >= c.Due() {
+			c.Check(m.now)
+		}
+		if c.Err() != nil {
+			return true
 		}
 	}
-}
-
-// sanPoll runs a due sanitizer full pass and reports whether the run must
-// stop. Both execution paths call it at the top of every simulated cycle
-// they visit, and the fast path caps its jumps at sanNext, so check cycles
-// are identical with the fast path on or off.
-func (m *Machine) sanPoll() bool {
-	if m.san == nil {
-		return false
-	}
-	if m.now >= m.sanNext {
-		m.san.Check(m.now)
-		m.sanNext = m.now + m.san.Every()
-	}
-	m.sanLatch()
-	return m.sanErr != nil
-}
-
-// hbLatch promotes the happens-before checker's first race into the
-// machine's stop-the-run error (no-op under KeepGoing). Races are detected
-// synchronously at the offending access, so there is no periodic pass —
-// only this cheap latch.
-func (m *Machine) hbLatch() {
-	if m.hb == nil || m.hbErr != nil || m.Cfg.HB.KeepGoing {
-		return
-	}
-	if r, ok := m.hb.First(); ok {
-		m.hbErr = fmt.Errorf("core: data race: %s", m.describeRace(r))
-	}
-}
-
-// hbPoll latches a detected race and reports whether the run must stop.
-func (m *Machine) hbPoll() bool {
-	if m.hb == nil {
-		return false
-	}
-	m.hbLatch()
-	return m.hbErr != nil
-}
-
-// describeRace renders a race with label-level PC attribution, mirroring
-// the deadlock-report wording.
-func (m *Machine) describeRace(r hbcheck.Race) string {
-	loc := func(pc uint64) string {
-		s := fmt.Sprintf("%#x", pc)
-		if m.prog != nil {
-			if l := m.prog.Locate(pc); l != s {
-				s = fmt.Sprintf("%#x(%s)", pc, l)
-			}
-		}
-		return s
-	}
-	kind := func(w bool) string {
-		if w {
-			return "store"
-		}
-		return "load"
-	}
-	return fmt.Sprintf("addr %#x: core%d %s at pc %s unordered with core%d %s at pc %s (cycle %d)",
-		r.Addr, r.Thread, kind(r.Write), loc(r.PC), r.PrevThread, kind(r.PrevWrite), loc(r.PrevPC), r.Cycle)
-}
-
-// HBRaces returns the happens-before checker's recorded races, each with a
-// located rendering (nil when the checker is off).
-func (m *Machine) HBRaces() []hbcheck.Race {
-	if m.hb == nil {
-		return nil
-	}
-	return m.hb.Races()
-}
-
-// HBRaceReports renders every recorded race with label-level attribution.
-func (m *Machine) HBRaceReports() []string {
-	var out []string
-	for _, r := range m.HBRaces() {
-		out = append(out, m.describeRace(r))
-	}
-	return out
+	return false
 }
 
 // stopPoll rate-limits the external StopCheck to one call per 1024 loop
@@ -655,15 +567,6 @@ func (m *Machine) stopPoll() bool {
 	}
 	m.stopTick++
 	return m.stopTick&1023 == 0 && m.Cfg.StopCheck()
-}
-
-// Violations returns the sanitizer's recorded violations (nil when the
-// sanitizer is off).
-func (m *Machine) Violations() []sanitize.Violation {
-	if m.san == nil {
-		return nil
-	}
-	return m.san.Violations()
 }
 
 // Running reports whether any core still has work.
@@ -712,7 +615,7 @@ func (m *Machine) runTo(stop uint64, limit bool) (atLimit bool, err error) {
 	m.enter()
 	defer m.settle()
 	for (m.sleepers > 0 || m.awakeRunning()) && (limit || m.now < stop) {
-		if m.sanPoll() || m.hbPoll() {
+		if m.poll() {
 			break
 		}
 		if m.stopPoll() {
@@ -727,15 +630,15 @@ func (m *Machine) runTo(stop uint64, limit bool) (atLimit bool, err error) {
 			// sleepers' counters are credited when they wake or the
 			// run returns). With no event pending this is a true
 			// deadlock — jump to stop, where Run reproduces the slow
-			// path's error. Jumps are capped at the sanitizer's next
-			// check cycle so checks observe the same machine states on
-			// both paths.
+			// path's error. Jumps are capped at the checkers' next due
+			// cycle so checks observe the same machine states on both
+			// paths.
 			target, ok := m.Sys.NextEvent(m.now)
 			if !ok || target > stop {
 				target = stop
 			}
-			if m.san != nil && m.sanNext < target {
-				target = m.sanNext
+			for _, c := range m.checkers {
+				target = min(target, c.Due())
 			}
 			if target > m.now {
 				m.now = target
@@ -744,16 +647,13 @@ func (m *Machine) runTo(stop uint64, limit bool) (atLimit bool, err error) {
 		}
 		m.tick()
 	}
-	m.sanLatch()
-	m.hbLatch()
 	if m.faultErr != nil {
 		return false, m.faultErr
 	}
-	if m.sanErr != nil {
-		return false, m.sanErr
-	}
-	if m.hbErr != nil {
-		return false, m.hbErr
+	for _, c := range m.checkers {
+		if err := c.Err(); err != nil {
+			return false, err
+		}
 	}
 	for _, c := range m.Cores {
 		if c.Fault != nil {
@@ -787,14 +687,20 @@ func (m *Machine) describePCs() string {
 				break
 			}
 		}
-		pc := c.ResumePC()
-		where := fmt.Sprintf("%#x", pc)
-		if m.prog != nil {
-			if loc := m.prog.Locate(pc); loc != where {
-				where = fmt.Sprintf("%#x(%s)", pc, loc)
-			}
+		s += fmt.Sprintf("[core%d %s%s]", i, m.LocatePC(c.ResumePC()), blocked)
+	}
+	return s
+}
+
+// LocatePC renders pc in hex, followed in parentheses by its label-level
+// location in the last loaded program when it has one, as error reports
+// (deadlocks, data races) print it.
+func (m *Machine) LocatePC(pc uint64) string {
+	s := fmt.Sprintf("%#x", pc)
+	if m.prog != nil {
+		if l := m.prog.Locate(pc); l != s {
+			s = fmt.Sprintf("%#x(%s)", pc, l)
 		}
-		s += fmt.Sprintf("[core%d %s%s]", i, where, blocked)
 	}
 	return s
 }

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hbcheck"
 	"repro/internal/interconnect"
 	"repro/internal/mem"
-	"repro/internal/sanitize"
 )
 
 // errCellPanic marks an error recovered from a panicking cell body, so
@@ -54,12 +52,6 @@ func (c *cellCtx) Config(cores int) core.Config {
 	}
 	cfg.NoFastPath = opt.NoFastPath
 	cfg.NoTranslate = opt.NoTranslate
-	if opt.Sanitize {
-		cfg.Sanitize = sanitize.Default()
-	}
-	if opt.HBCheck {
-		cfg.HB = &hbcheck.Config{}
-	}
 	if opt.Ctx != nil || opt.CellDeadline > 0 {
 		done := opt.ctx().Done() // nil, so never ready, without a context
 		cfg.StopCheck = func() bool {

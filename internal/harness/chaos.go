@@ -99,8 +99,8 @@ func RunChaos(opt ChaosOptions) ([]ChaosCell, error) {
 	for i, sp := range specs {
 		keys[i] = fmt.Sprintf("chaos/%s/%s/%s", sp.k.Name(), sp.kind, sp.p.Name)
 	}
-	spec := fmt.Sprintf("chaos seed=%d threads=%d fabric=%s kinds=%v profiles=%d maxcycles=%d sanitize=%v cells=%v",
-		opt.Seed, opt.Threads, opt.Fabric, opt.Kinds, len(opt.Profiles), opt.MaxCycles, opt.Sanitize, keys)
+	spec := fmt.Sprintf("chaos seed=%d threads=%d kinds=%v profiles=%d cells=%v%s",
+		opt.Seed, opt.Threads, opt.Kinds, len(opt.Profiles), keys, opt.Options.spec())
 	err := runCells(opt.Options, spec, len(specs), keys, func(i int, ctx *cellCtx) (any, error) {
 		c, err := runChaosCell(ctx, specs[i].k, specs[i].kind, specs[i].p,
 			faults.MixSeed(opt.Seed, uint64(i)+0x9000), opt.Threads)

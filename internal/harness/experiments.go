@@ -41,10 +41,7 @@ func Fig4(opt Options) ([]LatencyPoint, error) {
 		keys[i] = fmt.Sprintf("fig4/%s/%d",
 			barrier.Kinds[i%len(barrier.Kinds)], coreCounts[i/len(barrier.Kinds)])
 	}
-	// The journal's spec-hash header: everything that changes the sweep's
-	// results, nothing that doesn't (workers, deadlines, fast-path toggle).
-	spec := fmt.Sprintf("fig4 fabric=%s cores=%v k=%d m=%d maxcycles=%d sanitize=%v",
-		opt.Fabric, coreCounts, mb.K, mb.M, opt.MaxCycles, opt.Sanitize)
+	spec := fmt.Sprintf("fig4 cores=%v k=%d m=%d%s", coreCounts, mb.K, mb.M, opt.spec())
 	err := runCells(opt, spec, len(out), keys, func(i int, ctx *cellCtx) (any, error) {
 		n := coreCounts[i/len(barrier.Kinds)]
 		kind := barrier.Kinds[i%len(barrier.Kinds)]

@@ -10,14 +10,17 @@ package harness
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
+	"repro/internal/hbcheck"
 	"repro/internal/interconnect"
 	"repro/internal/kernels"
 	"repro/internal/mem"
+	"repro/internal/sanitize"
 	"repro/internal/vet"
 )
 
@@ -119,6 +122,24 @@ func QuickOptions() Options {
 	return o
 }
 
+// spec renders the options a journaling sweep's spec-hash header covers
+// (runCells): every field that can change a cell's result or whether it
+// fails, as " Name=value" pairs. The fields left out cannot: the worker
+// count, the deadline, the context, the journal's own path and mode, and the
+// two behaviour-invariant toggles. A new field is covered unless named here.
+func (o Options) spec() string {
+	s := ""
+	v := reflect.ValueOf(o)
+	for i := 0; i < v.NumField(); i++ {
+		switch name := v.Type().Field(i).Name; name {
+		case "Workers", "CellDeadline", "Ctx", "JournalPath", "Resume", "NoFastPath", "NoTranslate":
+		default:
+			s += fmt.Sprintf(" %s=%v", name, v.Field(i).Interface())
+		}
+	}
+	return s
+}
+
 // vetProgram gates a freshly built program on the static verifier. A
 // diagnostic here means the build emitted a broken barrier protocol or
 // dataflow bug that the simulator might only expose as a hang or silent
@@ -132,7 +153,9 @@ func vetProgram(what string, prog *asm.Program, threads int, opt Options) error 
 
 // boot is the first half of every simulated machine's life, the same for
 // every cell: build the program against cfg, vet it, construct the machine,
-// and install the program, the generator's hardware and the program's locks.
+// attach the checkers the options ask for (the sanitizer first: its
+// violation outranks a race), and install the program, the generator's
+// hardware and the program's locks.
 // No thread is started, so a caller can still attach to the machine (the
 // fault injector does). build returns the generator whose hardware the
 // program needs — nil for a sequential build, which installs nothing but
@@ -151,6 +174,12 @@ func (c *cellCtx) boot(what string, cfg core.Config, threads int,
 	m, err := core.NewMachineChecked(cfg)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("building machine: %w", err)
+	}
+	if c.opt.Sanitize {
+		sanitize.Attach(m, sanitize.Default())
+	}
+	if c.opt.HBCheck {
+		hbcheck.Attach(m, hbcheck.Config{})
 	}
 	if gen == nil {
 		m.Load(prog)

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/barrier"
@@ -82,20 +81,19 @@ func TestHBCheckCatchesCorpusRaces(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			cfg := core.DefaultConfig(e.Threads)
-			cfg.HB = &hbcheck.Config{KeepGoing: true}
-			m := core.NewMachine(cfg)
+			m := core.NewMachine(core.DefaultConfig(e.Threads))
+			hb := hbcheck.Attach(m, hbcheck.Config{KeepGoing: true})
 			m.Load(prog)
 			m.StartSPMD(prog.Entry, e.Threads)
 			if _, err := m.Run(50_000_000); err != nil {
 				t.Logf("run ended with: %v", err)
 			}
-			races := m.HBRaces()
+			races := hb.Races()
 			if len(races) == 0 {
 				t.Fatalf("static verifier flags %s as a race, but no happens-before violation surfaced dynamically", e.Name)
 			}
-			for _, r := range m.HBRaceReports() {
-				t.Logf("confirmed: %s", r)
+			for _, r := range races {
+				t.Logf("confirmed: %s", hb.Describe(r))
 			}
 		})
 	}
@@ -105,7 +103,9 @@ func TestHBCheckCatchesCorpusRaces(t *testing.T) {
 }
 
 // TestHBCheckStopsRun: without KeepGoing, the first race stops the machine
-// with a located report (the same contract as a sanitizer violation).
+// at the cycle after it, with a report located by the program's labels
+// (the same contract as a sanitizer violation). The checker is attached
+// before the program is loaded, as cellCtx.boot attaches it.
 func TestHBCheckStopsRun(t *testing.T) {
 	var entry *vet.CorpusEntry
 	for i, e := range vet.Corpus() {
@@ -121,16 +121,13 @@ func TestHBCheckStopsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig(entry.Threads)
-	cfg.HB = &hbcheck.Config{}
-	m := core.NewMachine(cfg)
+	m := core.NewMachine(core.DefaultConfig(entry.Threads))
+	hbcheck.Attach(m, hbcheck.Config{})
 	m.Load(prog)
 	m.StartSPMD(prog.Entry, entry.Threads)
-	_, err = m.Run(50_000_000)
-	if err == nil {
-		t.Fatal("race did not stop the run")
-	}
-	if !strings.Contains(err.Error(), "data race") {
-		t.Fatalf("error does not identify the race: %v", err)
+	n, err := m.Run(50_000_000)
+	const want = "core: data race: addr 0x1000008: core1 store at pc 0x10018(kern+3) unordered with core0 load at pc 0x10020(kern+4) (cycle 460)"
+	if n != 461 || err == nil || err.Error() != want {
+		t.Fatalf("Run = (%d, %v), want (461, %s)", n, err, want)
 	}
 }

@@ -63,6 +63,26 @@ func TestJournalSpecHeaderGuard(t *testing.T) {
 	}
 }
 
+// TestJournalSpecCoversOptions: the sweeps derive their spec from every
+// option that can change a cell, so resuming a Figure 4 journal under another
+// filter-table capacity is refused rather than replaying cells the new
+// capacity might fail.
+func TestJournalSpecCoversOptions(t *testing.T) {
+	opt := QuickOptions()
+	opt.Fig4Cores = []int{4}
+	opt.JournalPath = filepath.Join(t.TempDir(), "fig4.jsonl")
+	if _, err := Fig4(opt); err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume, opt.FilterCap = true, 1
+	if _, err := Fig4(opt); !errors.Is(err, ErrJournalSpec) {
+		t.Fatalf("resume under another filter capacity: err = %v, want ErrJournalSpec", err)
+	}
+	if got := opt.spec(); !strings.Contains(got, " FilterCap=1") || strings.Contains(got, "Workers") {
+		t.Fatalf("spec %q: want FilterCap in, Workers out", got)
+	}
+}
+
 // TestJournalTornTailEveryOffset cuts a journal at every possible byte
 // offset — through the header, mid-record, at record boundaries — and
 // checks that resume (a) never errors, (b) recovers exactly the complete

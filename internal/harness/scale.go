@@ -75,8 +75,8 @@ func Scale(opt Options) ([]ScalePoint, error) {
 	for i, cl := range cells {
 		keys[nseq+i] = fmt.Sprintf("scale/%s/%s/%d", fabrics[cl.f], ScaleKinds[cl.k], coreCounts[cl.n])
 	}
-	spec := fmt.Sprintf("scale cores=%v k=%d m=%d viterbi=%d maxcycles=%d sanitize=%v",
-		coreCounts, mb.K, mb.M, opt.viterbiBits(), opt.MaxCycles, opt.Sanitize)
+	spec := fmt.Sprintf("scale cores=%v k=%d m=%d viterbi=%d%s",
+		coreCounts, mb.K, mb.M, opt.viterbiBits(), opt.spec())
 
 	// scaleCell is one journaled measurement: barrier cycles on the
 	// latency microbenchmark plus the kernel's warm parallel cycles.

@@ -35,13 +35,16 @@
 //
 // Everything else is checked FastTrack-style per byte: a write must
 // happen-after every previous access to the byte, a read must happen-after
-// the previous write. A violation is recorded as a Race; the machine
-// (package core) stops the run on the first one unless KeepGoing is set.
+// the previous write. A violation is recorded as a Race. Attach puts a
+// checker on a core.Machine's event stream as a core.Checker: the run stops
+// at the first race, with a label-located report, unless KeepGoing is set.
 package hbcheck
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/core"
 	"repro/internal/mem"
 )
 
@@ -49,8 +52,8 @@ import (
 type Config struct {
 	// SyncBase is the lowest address of the synchronization region:
 	// accesses at or above it carry release/acquire semantics on their
-	// 8-byte cell instead of being race-checked. The machine defaults it
-	// to core.BarrierRegion.
+	// 8-byte cell instead of being race-checked. Attach defaults it to
+	// core.BarrierRegion.
 	SyncBase uint64
 	// KeepGoing records every race instead of stopping the run at the
 	// first one.
@@ -79,11 +82,6 @@ func acc(write bool) string {
 		return "store"
 	}
 	return "load"
-}
-
-func (r Race) String() string {
-	return fmt.Sprintf("race on %#x: core%d %s at pc %#x unordered with core%d %s at pc %#x (cycle %d)",
-		r.Addr, r.Thread, acc(r.Write), r.PC, r.PrevThread, acc(r.PrevWrite), r.PrevPC, r.Cycle)
 }
 
 // access is one recorded epoch: the owning thread's clock component at the
@@ -128,6 +126,9 @@ type Checker struct {
 	races   []Race
 	seen    map[[5]uint64]bool
 	Dropped uint64 // races beyond MaxRaces (or duplicates of a seen pair)
+
+	locate func(pc uint64) string // renders a pc in reports (nil: hex)
+	err    error                  // the first race's, unless KeepGoing
 }
 
 // New builds a checker for nthreads logical cores.
@@ -152,28 +153,39 @@ func New(cfg Config, nthreads int) *Checker {
 	return c
 }
 
+// Attach builds a checker for m's logical cores and attaches it, reporting
+// pcs with m's labels.
+func Attach(m *core.Machine, cfg Config) *Checker {
+	if cfg.SyncBase == 0 {
+		cfg.SyncBase = core.BarrierRegion
+	}
+	c := New(cfg, m.LogicalCores())
+	c.locate = m.LocatePC
+	m.Attach(c)
+	return c
+}
+
 // Races returns the recorded happens-before violations in detection order.
 func (c *Checker) Races() []Race { return c.races }
 
-// First returns the first recorded race.
-func (c *Checker) First() (Race, bool) {
-	if len(c.races) == 0 {
-		return Race{}, false
+// Describe renders a race with its pcs located, mirroring the wording of
+// the machine's deadlock reports.
+func (c *Checker) Describe(r Race) string {
+	loc := c.locate
+	if loc == nil {
+		loc = func(pc uint64) string { return fmt.Sprintf("%#x", pc) }
 	}
-	return c.races[0], true
+	return fmt.Sprintf("addr %#x: core%d %s at pc %s unordered with core%d %s at pc %s (cycle %d)",
+		r.Addr, r.Thread, acc(r.Write), loc(r.PC), r.PrevThread, acc(r.PrevWrite), loc(r.PrevPC), r.Cycle)
 }
 
-// RaceCount returns the number of recorded races (cheap poll for the run
-// loop).
-func (c *Checker) RaceCount() int { return len(c.races) }
-
-// Err returns the first race as an error, nil when the run is clean.
-func (c *Checker) Err() error {
-	if len(c.races) == 0 {
-		return nil
-	}
-	return fmt.Errorf("hbcheck: %s", c.races[0])
-}
+// Check, Due and Err make the checker a core.Checker. Races are found at
+// the offending access, so no work is ever due; Err is the first race, a
+// "core: data race" error rendered as it was recorded (nil under
+// KeepGoing).
+func (c *Checker) Check(uint64) {}
+func (c *Checker) Due() uint64  { return math.MaxUint64 }
+func (c *Checker) Err() error   { return c.err }
 
 func joinInto(dst, src []uint64) {
 	for i, v := range src {
@@ -203,6 +215,9 @@ func (c *Checker) record(r Race) {
 	}
 	c.seen[key] = true
 	c.races = append(c.races, r)
+	if c.err == nil && !c.cfg.KeepGoing {
+		c.err = fmt.Errorf("core: data race: %s", c.Describe(r))
+	}
 }
 
 // OnEvent implements mem.Probe: loads are observed at commit, stores as

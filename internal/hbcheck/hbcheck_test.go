@@ -46,15 +46,15 @@ func TestUnsyncedStoreStoreRaces(t *testing.T) {
 	c := newChecker(2)
 	store(c, 10, 0, 0x10000, 0x1000)
 	store(c, 20, 1, 0x10004, 0x1000)
-	if c.RaceCount() == 0 {
+	if len(c.Races()) == 0 {
 		t.Fatal("unsynchronized store/store pair not reported")
 	}
-	r, _ := c.First()
+	r := c.Races()[0]
 	if r.Thread != 1 || r.PrevThread != 0 || !r.Write || !r.PrevWrite {
 		t.Fatalf("wrong attribution: %+v", r)
 	}
-	if !strings.Contains(r.String(), "core1 store") {
-		t.Fatalf("String() lost the access kind: %s", r)
+	if got := c.Describe(r); !strings.Contains(got, "core1 store at pc 0x10") {
+		t.Fatalf("Describe lost the access kind: %s", got)
 	}
 }
 
@@ -62,14 +62,14 @@ func TestUnsyncedStoreLoadRaces(t *testing.T) {
 	c := newChecker(2)
 	store(c, 10, 0, 0x10000, 0x2000)
 	load(c, 20, 1, 0x10004, 0x2000)
-	if c.RaceCount() == 0 {
+	if len(c.Races()) == 0 {
 		t.Fatal("store/load pair not reported")
 	}
 	// Load-then-store in the other order must race too.
 	c2 := newChecker(2)
 	load(c2, 10, 1, 0x10004, 0x2000)
 	store(c2, 20, 0, 0x10000, 0x2000)
-	if c2.RaceCount() == 0 {
+	if len(c2.Races()) == 0 {
 		t.Fatal("load/store pair not reported")
 	}
 }
@@ -79,7 +79,7 @@ func TestSameThreadNeverRaces(t *testing.T) {
 	store(c, 10, 0, 0x10000, 0x3000)
 	load(c, 20, 0, 0x10004, 0x3000)
 	store(c, 30, 0, 0x10008, 0x3000)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("same-thread accesses reported as races: %v", c.Races())
 	}
 }
@@ -88,7 +88,7 @@ func TestDisjointBytesDoNotRace(t *testing.T) {
 	c := newChecker(2)
 	store(c, 10, 0, 0x10000, 0x4000)
 	store(c, 20, 1, 0x10004, 0x4008)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("disjoint stores reported as races: %v", c.Races())
 	}
 }
@@ -102,7 +102,7 @@ func TestFilterBarrierOrders(t *testing.T) {
 	arrive(c, 21, 1)
 	open(c, 21)
 	load(c, 30, 1, 0x10004, 0x5000)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("barrier-ordered accesses reported as races: %v", c.Races())
 	}
 	// A second round: the accumulator must have reset, yet ordering still
@@ -112,7 +112,7 @@ func TestFilterBarrierOrders(t *testing.T) {
 	arrive(c, 51, 1)
 	open(c, 51)
 	store(c, 60, 0, 0x1000c, 0x5000)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("second-episode ordering lost: %v", c.Races())
 	}
 }
@@ -126,7 +126,7 @@ func TestFilterBarrierDoesNotOrderLaterWork(t *testing.T) {
 	open(c, 21)
 	store(c, 30, 0, 0x10000, 0x6000)
 	store(c, 40, 1, 0x10004, 0x6000)
-	if c.RaceCount() == 0 {
+	if len(c.Races()) == 0 {
 		t.Fatal("post-barrier concurrent stores not reported")
 	}
 }
@@ -146,13 +146,13 @@ func TestHWBarEpisodes(t *testing.T) {
 	hwbar(c, 24, 0, 3, false)
 	hwbar(c, 25, 1, 3, true)
 	load(c, 30, 1, 0x10008, 0x7000)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("hwbar-ordered accesses reported as races: %v", c.Races())
 	}
 	// Thread 1's release acquired episode 1 only: thread 0's post-release
 	// store at 0x7008 is NOT ordered before it.
 	store(c, 40, 1, 0x1000c, 0x7008)
-	if c.RaceCount() == 0 {
+	if len(c.Races()) == 0 {
 		t.Fatal("episode leak: next-episode arrival ordered into the previous episode's release")
 	}
 }
@@ -165,7 +165,7 @@ func TestSyncCellReleaseAcquire(t *testing.T) {
 	store(c, 20, 0, 0x10004, syncBase+0x40) // release flag
 	load(c, 30, 1, 0x10008, syncBase+0x40)  // acquire flag
 	load(c, 40, 1, 0x1000c, 0x8000)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("sync-cell-ordered accesses reported as races: %v", c.Races())
 	}
 	// Without the acquiring load, the same data access races.
@@ -173,7 +173,7 @@ func TestSyncCellReleaseAcquire(t *testing.T) {
 	store(c2, 10, 0, 0x10000, 0x8000)
 	store(c2, 20, 0, 0x10004, syncBase+0x40)
 	load(c2, 40, 1, 0x1000c, 0x8000)
-	if c2.RaceCount() == 0 {
+	if len(c2.Races()) == 0 {
 		t.Fatal("unacquired access not reported")
 	}
 }
@@ -185,7 +185,7 @@ func TestDedupAndCap(t *testing.T) {
 		store(c, uint64(10+i), 0, 0x10000, 0x9000+uint64(16*i))
 		store(c, uint64(20+i), 1, 0x10004, 0x9000+uint64(16*i))
 	}
-	if got := c.RaceCount(); got != 1 {
+	if got := len(c.Races()); got != 1 {
 		t.Fatalf("dedup failed: %d races for one static pair", got)
 	}
 	// Distinct pc pairs: capped at MaxRaces.
@@ -193,7 +193,7 @@ func TestDedupAndCap(t *testing.T) {
 		store(c, uint64(100+i), 0, 0x20000+uint64(8*i), 0xa000+uint64(16*i))
 		store(c, uint64(200+i), 1, 0x30000+uint64(8*i), 0xa000+uint64(16*i))
 	}
-	if got := c.RaceCount(); got != 2 {
+	if got := len(c.Races()); got != 2 {
 		t.Fatalf("cap failed: %d races recorded with MaxRaces=2", got)
 	}
 	if c.Dropped == 0 {
@@ -210,7 +210,7 @@ func TestWriteSubsumesReads(t *testing.T) {
 	arrive(c, 21, 1)
 	open(c, 21)
 	store(c, 30, 0, 0x10004, 0xb000)
-	if c.RaceCount() != 0 {
+	if len(c.Races()) != 0 {
 		t.Fatalf("ordered read/write pair reported: %v", c.Races())
 	}
 }

@@ -18,13 +18,14 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/filter"
 	"repro/internal/mem"
 )
 
 // Config tunes the sanitizer. The zero value of any field selects its
-// default; a nil *Config in core.Config disables the sanitizer entirely.
+// default, and a nil *Config is the zero Config.
 type Config struct {
 	// Every is the full-pass cadence in cycles.
 	Every uint64
@@ -112,10 +113,11 @@ func (v *Violation) dedupKey() string {
 	return fmt.Sprintf("%s|%#x|%d|%d|%d|%d", v.Invariant, v.Addr, v.Core, v.Bank, v.Slot, v.Thread)
 }
 
-// Sanitizer holds the checker state for one machine. It is constructed by
-// core.NewMachine when core.Config.Sanitize is set.
+// Sanitizer holds the checker state for one machine. Attach builds one and
+// hands it to the machine's run loop as a core.Checker.
 type Sanitizer struct {
 	cfg    Config
+	next   uint64 // the next full pass's cycle
 	sys    *mem.System
 	cores  []*cpu.Core // logical contexts
 	physOf []int       // logical -> physical core
@@ -134,34 +136,42 @@ type Sanitizer struct {
 	EventChecks uint64
 }
 
-// New builds a sanitizer over a live machine's parts. hooks may be nil when
-// the machine has no filter banks.
-func New(cfg *Config, sys *mem.System, cores []*cpu.Core, physOf []int, hooks []*filter.BankFilters) *Sanitizer {
+// New builds a sanitizer over a live machine's parts without attaching it,
+// for driving checks by hand; its first full pass is due at cycle Every.
+func New(cfg *Config, m *core.Machine) *Sanitizer {
 	c := Config{}
 	if cfg != nil {
 		c = *cfg
 	}
-	return &Sanitizer{
-		cfg:           c.withDefaults(),
-		sys:           sys,
-		cores:         cores,
-		physOf:        physOf,
-		hooks:         hooks,
-		seen:          make(map[string]bool),
-		lastCommitted: make([]uint64, len(cores)),
-		lastChange:    make([]uint64, len(cores)),
+	physOf := make([]int, m.LogicalCores())
+	for l := range physOf {
+		physOf[l] = m.PhysicalOf(l)
 	}
+	s := &Sanitizer{
+		cfg:           c.withDefaults(),
+		sys:           m.Sys,
+		cores:         m.Cores,
+		physOf:        physOf,
+		hooks:         m.Hooks,
+		seen:          make(map[string]bool),
+		lastCommitted: make([]uint64, len(m.Cores)),
+		lastChange:    make([]uint64, len(m.Cores)),
+	}
+	s.next = s.cfg.Every
+	return s
 }
 
-// Every returns the full-pass cadence after defaulting.
-func (s *Sanitizer) Every() uint64 { return s.cfg.Every }
+// Attach builds a sanitizer over m and attaches it: m's runs make a full
+// pass every Every cycles, deliver it events when EventChecks is set, and
+// stop at the first violation unless KeepGoing is set.
+func Attach(m *core.Machine, cfg *Config) *Sanitizer {
+	s := New(cfg, m)
+	m.Attach(s)
+	return s
+}
 
-// KeepGoing reports whether violations should abort the run.
-func (s *Sanitizer) KeepGoing() bool { return s.cfg.KeepGoing }
-
-// EventChecksEnabled reports whether the sanitizer wants to observe memory
-// events.
-func (s *Sanitizer) EventChecksEnabled() bool { return s.cfg.EventChecks }
+// Due returns the cycle the next full pass is due at (core.Checker).
+func (s *Sanitizer) Due() uint64 { return s.next }
 
 // Violations returns everything recorded so far.
 func (s *Sanitizer) Violations() []Violation { return s.violations }
@@ -169,9 +179,10 @@ func (s *Sanitizer) Violations() []Violation { return s.violations }
 // Tripped reports whether any violation has been recorded.
 func (s *Sanitizer) Tripped() bool { return len(s.violations) > 0 }
 
-// Err returns the first recorded violation as an error, or nil.
+// Err returns the first recorded violation as the error that stops the run,
+// or nil; always nil under KeepGoing (core.Checker).
 func (s *Sanitizer) Err() error {
-	if len(s.violations) == 0 {
+	if len(s.violations) == 0 || s.cfg.KeepGoing {
 		return nil
 	}
 	return &s.violations[0]
@@ -194,8 +205,10 @@ func (s *Sanitizer) record(v Violation) {
 // full reports whether further checking is pointless (bound reached).
 func (s *Sanitizer) full() bool { return len(s.violations) >= s.cfg.MaxViolations }
 
-// Check runs one full pass of every checker at cycle now.
+// Check runs one full pass of every checker at cycle now; the next is due
+// Every cycles later (core.Checker).
 func (s *Sanitizer) Check(now uint64) {
+	s.next = now + s.cfg.Every
 	if s.full() {
 		return
 	}
@@ -208,9 +221,10 @@ func (s *Sanitizer) Check(now uint64) {
 // OnEvent implements mem.Probe: targeted checks on the state a memory
 // event just touched. Its Txn is the transaction the memory system
 // processed — a delivered response, an invalidation applied at a bank, or a
-// fill released by a filter. Every other kind is ignored.
+// fill released by a filter. Every other kind, and every event without
+// Config.EventChecks, is ignored.
 func (s *Sanitizer) OnEvent(e mem.Event) {
-	if e.Kind != mem.EvMem || s.full() {
+	if e.Kind != mem.EvMem || !s.cfg.EventChecks || s.full() {
 		return
 	}
 	now, t := e.Now, e.Txn

@@ -34,11 +34,7 @@ func buildMachine(t *testing.T, cores int) (*core.Machine, *sanitize.Sanitizer) 
 	if err := barrier.Launch(m, gen, prog, cores); err != nil {
 		t.Fatal(err)
 	}
-	physOf := make([]int, len(m.Cores))
-	for i := range physOf {
-		physOf[i] = m.PhysicalOf(i)
-	}
-	return m, sanitize.New(nil, m.Sys, m.Cores, physOf, m.Hooks)
+	return m, sanitize.New(nil, m)
 }
 
 // buildLockMachine launches the lock-protected reduction so the bank sync
@@ -72,11 +68,7 @@ func buildLockMachine(t *testing.T, cores int) (*core.Machine, *sanitize.Sanitiz
 	if l == nil {
 		t.Fatal("no hardware lock installed by the lockreduce launch")
 	}
-	physOf := make([]int, len(m.Cores))
-	for i := range physOf {
-		physOf[i] = m.PhysicalOf(i)
-	}
-	return m, sanitize.New(nil, m.Sys, m.Cores, physOf, m.Hooks), l
+	return m, sanitize.New(nil, m), l
 }
 
 // findShared scans the L1Ds for a line held Shared anywhere and returns the
@@ -330,11 +322,7 @@ func TestMaxViolationsBound(t *testing.T) {
 	if err := m.RunUntil(20_000); err != nil {
 		t.Fatal(err)
 	}
-	physOf := make([]int, len(m.Cores))
-	for i := range physOf {
-		physOf[i] = m.PhysicalOf(i)
-	}
-	s := sanitize.New(&sanitize.Config{MaxViolations: 2}, m.Sys, m.Cores, physOf, m.Hooks)
+	s := sanitize.New(&sanitize.Config{MaxViolations: 2}, m)
 	// Corrupt every Shared line in sight; the report must stay bounded.
 	for c := 0; c < m.Cfg.Cores; c++ {
 		for _, ln := range m.Sys.L1D[c].Snapshot() {
@@ -359,7 +347,6 @@ func TestMaxViolationsBound(t *testing.T) {
 // machine as blocked, not lost, naming the lock and its holder.
 func TestWatchdogTreatsLockWaitAsLegitimate(t *testing.T) {
 	cfg := core.DefaultConfig(2)
-	cfg.Sanitize = &sanitize.Config{Every: 256, StallBudget: 20_000, TxnBudget: 2_000, KeepGoing: true}
 	gen, err := barrier.New(barrier.KindSWCentral, 2, barrier.NewAllocator(cfg.Mem))
 	if err != nil {
 		t.Fatal(err)
@@ -374,6 +361,7 @@ func TestWatchdogTreatsLockWaitAsLegitimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := core.NewMachine(cfg)
+	s := sanitize.Attach(m, &sanitize.Config{Every: 256, StallBudget: 20_000, TxnBudget: 2_000, KeepGoing: true})
 	if err := barrier.Launch(m, gen, prog, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -381,16 +369,16 @@ func TestWatchdogTreatsLockWaitAsLegitimate(t *testing.T) {
 		t.Fatal("a thread parked behind a never-released lock ran to completion")
 	}
 	var stall *sanitize.Violation
-	for i, v := range m.Violations() {
+	for i, v := range s.Violations() {
 		switch v.Invariant {
 		case "liveness.lost-fill", "liveness.global-stall":
 			t.Errorf("legitimate lock wait reported as %s: %s", v.Invariant, v.Detail)
 		case "liveness.barrier-stall":
-			stall = &m.Violations()[i]
+			stall = &s.Violations()[i]
 		}
 	}
 	if stall == nil {
-		t.Fatalf("no liveness.barrier-stall report; violations: %v", m.Violations())
+		t.Fatalf("no liveness.barrier-stall report; violations: %v", s.Violations())
 	}
 	for _, want := range []string{`blocked on lock "mu"`, "legitimate wait", `lock "mu"`, "held by thread"} {
 		if !strings.Contains(stall.Detail, want) {

@@ -36,7 +36,7 @@ const (
 	cT4 = isa.RegT0 + 4 // t4
 )
 
-const cStride = 256 // arrival-slot stride: LineBytes × L2 banks
+const cStride = 256 // arrival-slot stride: lineBytes × L2 banks
 
 // dSetup emits the standard D-filter register setup:
 // s6 = arrivals + tid·stride, s7 = exits + tid·stride.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -249,8 +250,8 @@ func (u *unit) dataRegion(r accRec) bool {
 			continue
 		}
 		lo, hi := r.addr.loAt(t), r.addr.hiAt(t)
-		if lo < 0 || infPos(hi) || uint64(lo) < u.opt.DataBase ||
-			uint64(hi)+uint64(r.width) > u.opt.StackBase {
+		if lo < 0 || infPos(hi) || uint64(lo) < core.DataBase ||
+			uint64(hi)+uint64(r.width) > core.StackRegion {
 			return false
 		}
 	}

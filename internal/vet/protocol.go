@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -459,7 +460,7 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 // checkStall handles a potential barrier-stall operation: a load (D-filter)
 // or an indirect linked jump (I-filter) reached with invalidation state st.inv.
 func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes) {
-	line := int64(u.opt.LineBytes)
+	line := int64(lineBytes)
 	report := res != nil && res.report
 	switch st.inv.kind {
 	case invSome:
@@ -559,7 +560,8 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 
 // inBarrierRegion reports whether the address provably lies in the barrier
 // data region for every thread the constraint allows: the interval's lower
-// bound clears BarrierBase and its upper bound stays below LockBase, where
+// bound clears core.BarrierRegion and its upper bound stays below
+// core.LockRegion, where
 // the hardware-lock lines (a different protocol) begin.
 func (u *unit) inBarrierRegion(a av, c tidC) bool {
 	if !a.known {
@@ -571,10 +573,10 @@ func (u *unit) inBarrierRegion(a av, c tidC) bool {
 			continue
 		}
 		any = true
-		if v := a.loAt(t); v < 0 || uint64(v) < u.opt.BarrierBase {
+		if v := a.loAt(t); v < 0 || uint64(v) < core.BarrierRegion {
 			return false
 		}
-		if v := a.hiAt(t); uint64(v) >= u.opt.LockBase {
+		if v := a.hiAt(t); uint64(v) >= core.LockRegion {
 			return false
 		}
 	}
@@ -585,7 +587,7 @@ func (u *unit) inBarrierRegion(a av, c tidC) bool {
 // constraint allows, on a line an inferred filter region (u.regions, an
 // ICBI/DCBI target) covers.
 func (u *unit) watched(a av, c tidC) bool {
-	line := int64(u.opt.LineBytes)
+	line := int64(lineBytes)
 	for t := int64(0); t < int64(u.opt.Threads); t++ {
 		if !c.allows(t) {
 			continue
@@ -611,7 +613,7 @@ func (u *unit) inLockRegion(a av, c tidC) bool {
 			continue
 		}
 		any = true
-		if v := a.loAt(t); v < 0 || uint64(v) < u.opt.LockBase {
+		if v := a.loAt(t); v < 0 || uint64(v) < core.LockRegion {
 			return false
 		}
 	}
@@ -656,7 +658,7 @@ func (u *unit) describeAV(a av) string {
 // filter-watched line (any thread's arrival or exit slot).
 func (u *unit) checkStoreToArrival(recs []accRec, regions []regionRec) []Diagnostic {
 	var ds []Diagnostic
-	line := int64(u.opt.LineBytes)
+	line := int64(lineBytes)
 	for _, s := range recs {
 		if !s.store || !s.addr.exact() {
 			continue

@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 )
 
 // Code identifies one diagnostic class.
@@ -119,25 +118,6 @@ type Options struct {
 	// need it to expand affine footprints.
 	Threads int
 
-	// BarrierBase is the start of the barrier data region; addresses at or
-	// above it are treated as synchronization lines. Zero selects the
-	// standard memory map (core.BarrierRegion).
-	BarrierBase uint64
-	// LockBase is the start of the hardware-lock line region. It sits
-	// inside the synchronization address space above BarrierBase, and
-	// splits it: addresses in [BarrierBase, LockBase) follow the barrier
-	// protocol, addresses at or above LockBase follow the lock protocol
-	// (acquire grants are mutual-exclusion edges, not phase boundaries).
-	// Zero selects the standard memory map (core.LockRegion).
-	LockBase uint64
-	// DataBase/StackBase bound the static data region for the partition
-	// discipline check. Zero selects the standard memory map.
-	DataBase  uint64
-	StackBase uint64
-	// LineBytes is the cache line size filter regions are granular to
-	// (default 64).
-	LineBytes int
-
 	// AffineOnly restores the v1 exact-affine domain: joins collapse any
 	// disagreement to Top and the interval rules (masking, bound
 	// narrowing, widening) are disabled. Kept as the cost/precision
@@ -152,23 +132,16 @@ func (o Options) withDefaults() Options {
 	if o.Threads > maxThreads {
 		o.Threads = maxThreads
 	}
-	if o.BarrierBase == 0 {
-		o.BarrierBase = core.BarrierRegion
-	}
-	if o.LockBase == 0 {
-		o.LockBase = core.LockRegion
-	}
-	if o.DataBase == 0 {
-		o.DataBase = core.DataBase
-	}
-	if o.StackBase == 0 {
-		o.StackBase = core.StackRegion
-	}
-	if o.LineBytes <= 0 {
-		o.LineBytes = 64
-	}
 	return o
 }
+
+// lineBytes is the cache line size filter regions are granular to. The
+// verifier checks programs against core's standard memory map: addresses in
+// [core.BarrierRegion, core.LockRegion) follow the barrier protocol, those
+// at or above core.LockRegion the lock protocol (acquire grants are
+// mutual-exclusion edges, not phase boundaries), and [core.DataBase,
+// core.StackRegion) is the static data region of the partition discipline.
+const lineBytes = 64
 
 // maxThreads caps footprint expansion so hostile inputs cannot make Check
 // quadratic in an attacker-chosen count.

@@ -22,6 +22,14 @@ go vet -tags probematrix .
 echo "== go build =="
 go build ./...
 
+echo "== layering (the machine knows no checker by name: they attach) =="
+layering="$(go list -deps ./internal/core | grep -Ex 'repro/internal/(sanitize|hbcheck)' || true)"
+if [ -n "$layering" ]; then
+	echo "internal/core depends on:" >&2
+	echo "$layering" >&2
+	exit 1
+fi
+
 echo "== go test =="
 tier1_start=$(date +%s)
 go test -count=1 ./...
