@@ -84,7 +84,6 @@ func main() {
 	journal := flag.String("journal", "", "append per-cell JSONL records for the journaling sweeps (fig4, chaos) to this file")
 	resume := flag.Bool("resume", false, "skip cells already recorded in -journal (crash recovery for interrupted sweeps)")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget per cell of every experiment (0 = none); a cell over budget stops at its next stop check: journaled as timed out, the sweep continuing, under -journal, else the experiment's error")
-	novet := flag.Bool("novet", false, "skip the static program verifier (srvet) on harness-built programs (differential debugging)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	server := flag.String("server", "", "simd server base URL: run as a client, submitting -spec and printing one result JSON per line")
 	spec := flag.String("spec", "", "sweep spec for -server: inline JSON, a file path, or - for stdin (default: a minimal microbench sweep)")
@@ -112,7 +111,6 @@ func main() {
 	opt.JournalPath = *journal
 	opt.Resume = *resume
 	opt.CellDeadline = *deadline
-	opt.NoVet = *novet
 	kind, err := interconnect.ParseKind(*fabric)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -8,8 +8,8 @@
 //
 // When -barrier is given, the program is wrapped with that mechanism's
 // setup/stub code, and the source may invoke the pseudo-instruction
-// `barrier` (lower-case, no operands) wherever a barrier is needed — the
-// wrapper textually expands it before assembly.
+// `barrier` (lower-case, no operands) wherever a barrier is needed —
+// barrier.Assemble expands it to the mechanism's sequence.
 //
 // -trace prints the machine's event stream to stdout, one line per event:
 // the cycle, the event kind, then its fields (see tracer.OnEvent).
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/barrier"
@@ -69,11 +68,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog, err = barrier.BuildProgram(gen, func(b *asm.Builder) {
-			if err := assembleWithBarrier(b, src, gen); err != nil {
-				fatal(err)
-			}
-		})
+		prog, err = barrier.Assemble(gen, src)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,33 +129,6 @@ func (t tracer) OnEvent(e mem.Event) {
 	default:
 		fmt.Fprintf(t.w, "key=%#x n=%d thread=%d\n", e.Key, e.N, e.Core)
 	}
-}
-
-// assembleWithBarrier expands the `barrier` pseudo-instruction by splitting
-// the source at each occurrence and emitting the generator's sequence.
-func assembleWithBarrier(b *asm.Builder, src string, gen barrier.Generator) error {
-	la := asm.NewLineAssembler(b)
-	for i, line := range strings.Split(src, "\n") {
-		if strings.TrimSpace(stripCmt(line)) == "barrier" {
-			gen.EmitBarrier(b)
-			continue
-		}
-		if err := la.Line(line); err != nil {
-			return fmt.Errorf("line %d: %w", i+1, err)
-		}
-	}
-	return nil
-}
-
-// stripCmt removes trailing comments for the barrier pseudo-op check.
-func stripCmt(s string) string {
-	if i := strings.Index(s, "#"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }
 
 func fatal(err error) {

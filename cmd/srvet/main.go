@@ -28,56 +28,14 @@ import (
 	"repro/internal/vet"
 )
 
-// jsonDiag is one diagnostic in -json output: the machine-readable triple
-// tooling needs (stable code, mark-level position, phase id) plus the raw
-// address and message.
-type jsonDiag struct {
-	Code  string `json:"code"`
-	Addr  string `json:"addr"`
-	Pos   string `json:"pos"`
-	Phase int    `json:"phase"` // barrier-delimited phase id, -1 if n/a
-	Msg   string `json:"msg"`
-}
-
-// jsonPhase is one phase certificate in -json output.
-type jsonPhase struct {
-	ID        int    `json:"id"`
-	Insts     int    `json:"insts"`
-	Stores    int    `json:"stores"`
-	Loads     int    `json:"loads"`
-	Certified bool   `json:"certified"`
-	Reason    string `json:"reason,omitempty"`
-}
-
-// jsonReport is one vetted program in -json output.
+// jsonReport is one vetted program in -json output: the report's own JSON
+// form (diagnostics with code/addr/pos/phase/msg, phase certificates) under
+// the program's name.
 type jsonReport struct {
-	Program string      `json:"program"`
-	OK      bool        `json:"ok"`
-	Error   string      `json:"error,omitempty"` // build/assemble failure
-	Diags   []jsonDiag  `json:"diagnostics,omitempty"`
-	Phases  []jsonPhase `json:"phases,omitempty"`
-}
-
-// toJSONReport converts an analysis report; the Pos field is already the
-// asm.Program mark-level location the analyses attach.
-func toJSONReport(what string, r *vet.Report) jsonReport {
-	out := jsonReport{Program: what, OK: len(r.Diags) == 0}
-	for _, d := range r.Diags {
-		out.Diags = append(out.Diags, jsonDiag{
-			Code:  string(d.Code),
-			Addr:  fmt.Sprintf("%#x", d.Addr),
-			Pos:   d.Pos,
-			Phase: d.Phase,
-			Msg:   d.Msg,
-		})
-	}
-	for _, p := range r.Phases {
-		out.Phases = append(out.Phases, jsonPhase{
-			ID: p.ID, Insts: p.Insts, Stores: p.Stores, Loads: p.Loads,
-			Certified: p.Certified, Reason: p.Reason,
-		})
-	}
-	return out
+	Program string `json:"program"`
+	OK      bool   `json:"ok"`
+	Error   string `json:"error,omitempty"` // build/assemble failure
+	*vet.Report
 }
 
 // emitJSON writes the collected reports as an indented JSON array.
@@ -180,7 +138,7 @@ func vetKernel(name string, kinds []barrier.Kind, threads, n, loops int, seq, ve
 	bad := 0
 	report := func(what string, r *vet.Report) {
 		if out != nil {
-			*out = append(*out, toJSONReport(what, r))
+			*out = append(*out, jsonReport{Program: what, OK: len(r.Diags) == 0, Report: r})
 		}
 		if len(r.Diags) == 0 {
 			if verbose && out == nil {
@@ -248,9 +206,9 @@ func vetKernel(name string, kinds []barrier.Kind, threads, n, loops int, seq, ve
 }
 
 // vetFile assembles a source file and vets it. With -barrier, the
-// `barrier` pseudo-instruction is expanded exactly as cmd/cmpsim does, so
-// the program cmpsim would run is the program that gets vetted. With out
-// non-nil, the result accumulates there as a JSON report.
+// `barrier` pseudo-instruction is expanded by barrier.Assemble, as cmd/cmpsim
+// expands it, so the program cmpsim would run is the program that gets
+// vetted. With out non-nil, the result accumulates there as a JSON report.
 func vetFile(path, barriers string, threads int, out *[]jsonReport) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -260,38 +218,25 @@ func vetFile(path, barriers string, threads int, out *[]jsonReport) int {
 	src := string(raw)
 	var p *asm.Program
 	if barriers != "" {
-		kind, err := barrier.ParseKind(barriers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "srvet:", err)
-			return 1
+		var kind barrier.Kind
+		var gen barrier.Generator
+		kind, err = barrier.ParseKind(barriers)
+		if err == nil {
+			gen, err = barrier.New(kind, threads, barrier.NewAllocator(core.DefaultConfig(threads).Mem))
 		}
-		alloc := barrier.NewAllocator(core.DefaultConfig(threads).Mem)
-		gen, err := barrier.New(kind, threads, alloc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "srvet:", err)
-			return 1
-		}
-		var aerr error
-		p, err = barrier.BuildProgram(gen, func(b *asm.Builder) {
-			aerr = assembleWithBarrier(b, src, gen)
-		})
-		if aerr != nil {
-			err = aerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "srvet:", err)
-			return 1
+		if err == nil {
+			p, err = barrier.Assemble(gen, src)
 		}
 	} else {
 		p, err = asm.Assemble(src, core.TextBase, core.DataBase)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "srvet:", err)
-			return 1
-		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "srvet:", err)
+		return 1
 	}
 	r := vet.Analyze(p, vet.Options{Threads: threads})
 	if out != nil {
-		*out = append(*out, toJSONReport(path, r))
+		*out = append(*out, jsonReport{Program: path, OK: len(r.Diags) == 0, Report: r})
 		if len(r.Diags) > 0 {
 			return 1
 		}
@@ -305,31 +250,4 @@ func vetFile(path, barriers string, threads int, out *[]jsonReport) int {
 	}
 	fmt.Printf("ok   %s\n", path)
 	return 0
-}
-
-// assembleWithBarrier expands the `barrier` pseudo-instruction by emitting
-// the generator's sequence in its place (same contract as cmd/cmpsim).
-func assembleWithBarrier(b *asm.Builder, src string, gen barrier.Generator) error {
-	la := asm.NewLineAssembler(b)
-	for i, line := range strings.Split(src, "\n") {
-		if strings.TrimSpace(stripCmt(line)) == "barrier" {
-			gen.EmitBarrier(b)
-			continue
-		}
-		if err := la.Line(line); err != nil {
-			return fmt.Errorf("line %d: %w", i+1, err)
-		}
-	}
-	return nil
-}
-
-// stripCmt removes trailing comments for the barrier pseudo-op check.
-func stripCmt(s string) string {
-	if i := strings.Index(s, "#"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }

@@ -191,10 +191,7 @@ type result struct {
 }
 
 // hasher is the Probe knob's consumer: FNV-1a over every event's fields,
-// packed into fixed 64-bit words, allocating nothing. An HWBAR event's Key is
-// left out: the barrier id is a process-wide counter (package barrier's
-// nextNetID), so two builds of one cell in one process differ in it and in
-// nothing else.
+// packed into fixed 64-bit words, allocating nothing.
 type hasher struct{ sum, events uint64 }
 
 func (h *hasher) OnEvent(e mem.Event) {
@@ -202,9 +199,6 @@ func (h *hasher) OnEvent(e mem.Event) {
 		h.sum = 14695981039346656037
 	}
 	h.events++
-	if e.Kind == mem.EvHWBarArrive || e.Kind == mem.EvHWBarRelease {
-		e.Key = 0
-	}
 	words := [...]uint64{uint64(e.Kind) | uint64(uint8(e.Dest))<<8 | uint64(uint16(e.Size))<<16 | uint64(uint32(e.N))<<32,
 		uint64(e.Core), e.Now, e.PC, e.Next, e.Addr, e.Value, e.Key}
 	for _, v := range words {
@@ -274,6 +268,37 @@ func simulate(c *cell, k knob, p mem.Probe) (result, *core.Machine) {
 		r.Err = err.Error()
 	}
 	return r, m
+}
+
+// TestRebuildIsIdentical: a program is a function of its cell alone. Two
+// builds of an hw-net and a filter-i cell, each from a fresh allocator, give
+// byte-identical segments and event streams that hash alike, barrier ids
+// included.
+func TestRebuildIsIdentical(t *testing.T) {
+	for _, c := range append(named("autcor-hwnet-8"), pick(bus, []string{"livermore2"}, barrier.KindFilterI)...) {
+		var segs [2][]asm.Segment
+		var hashes [2]hasher
+		for i := range segs {
+			gen, err := barrier.New(c.kind, c.cores, barrier.NewAllocator(core.DefaultConfig(c.cores).Mem))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := c.k.BuildPar(gen, c.cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[i] = prog.Segments
+			if r, _ := simulate(c, knob{}, &hashes[i]); r.Err != "" {
+				t.Fatalf("%s: %s", c.name, r.Err)
+			}
+		}
+		if !reflect.DeepEqual(segs[0], segs[1]) {
+			t.Errorf("%s: two builds differ in their segments", c.name)
+		}
+		if hashes[0] != hashes[1] {
+			t.Errorf("%s: two runs hash to %#x and %#x", c.name, hashes[0].sum, hashes[1].sum)
+		}
+	}
 }
 
 // pinned reports whether a counter is simulated behaviour. translate.* are

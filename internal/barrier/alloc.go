@@ -12,10 +12,16 @@ import (
 // every line of one barrier maps to the same L2 bank (fixed stride of
 // LineBytes*L2Banks between consecutive threads' lines) and the line index
 // bits identify the thread.
+//
+// It also numbers the barriers built from it: dedicated-network barrier ids
+// and I-filter stub labels count from 0 per allocator, so a program's text
+// depends only on the generators built for it.
 type Allocator struct {
 	cfg      mem.Config
 	next     uint64
 	nextBank int
+	nextNet  int
+	nextStub int
 }
 
 // NewAllocator creates an allocator over the standard barrier region for
@@ -57,6 +63,18 @@ func (a *Allocator) NextBank() int {
 	b := a.nextBank % a.cfg.L2Banks
 	a.nextBank++
 	return b
+}
+
+// netID returns the next dedicated-network (HWBAR) barrier id.
+func (a *Allocator) netID() int {
+	a.nextNet++
+	return a.nextNet - 1
+}
+
+// stubID returns the next number for an I-filter's stub labels.
+func (a *Allocator) stubID() int {
+	a.nextStub++
+	return a.nextStub - 1
 }
 
 // Config exposes the memory configuration the allocator was built with.

@@ -144,7 +144,7 @@ func NewAt(kind Kind, nthreads int, alloc *Allocator, bank int) (Generator, erro
 	case KindSWTree:
 		return newSWTree(nthreads, alloc)
 	case KindHWNet:
-		return newHWNet(nthreads), nil
+		return newHWNet(nthreads, alloc), nil
 	case KindFilterI, KindFilterIPP, KindFilterD, KindFilterDPP:
 		return newFilterBarrier(kind, nthreads, alloc, bank), nil
 	case KindSWTicket:
@@ -152,7 +152,7 @@ func NewAt(kind Kind, nthreads int, alloc *Allocator, bank int) (Generator, erro
 	case KindSWArray:
 		return newSWArray(nthreads, alloc), nil
 	case KindHWTree:
-		return newHWTree(nthreads), nil
+		return newHWTree(nthreads, alloc), nil
 	}
 	return nil, fmt.Errorf("barrier: unknown kind %d", int(kind))
 }

@@ -2,16 +2,12 @@ package barrier
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/filter"
 	"repro/internal/isa"
 )
-
-// nextStubID keeps stub label names unique across generators.
-var nextStubID int64
 
 // filterBarrier implements the four barrier-filter mechanisms: the arrival
 // line is fetched through the instruction cache (§3.4.1) or the data cache
@@ -68,7 +64,7 @@ func newFilterBarrier(kind Kind, nthreads int, alloc *Allocator, bank int) *filt
 		bank:     bank,
 	}
 	if f.icache {
-		id := atomic.AddInt64(&nextStubID, 1)
+		id := alloc.stubID()
 		for r := range f.stubLabel {
 			f.stubLabel[r] = fmt.Sprintf(".ibar%d_stubs%d", id, r)
 		}

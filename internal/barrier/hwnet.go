@@ -2,15 +2,10 @@ package barrier
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/asm"
 	"repro/internal/core"
 )
-
-// nextNetID hands out distinct dedicated-network barrier ids across
-// generators so independent experiments never collide.
-var nextNetID int64
 
 // hwNet emits the dedicated-barrier-network barrier: a single HWBAR
 // instruction. The core stalls right after signalling the global logic and
@@ -21,8 +16,8 @@ type hwNet struct {
 	id       int
 }
 
-func newHWNet(nthreads int) *hwNet {
-	return &hwNet{nthreads: nthreads, id: int(atomic.AddInt64(&nextNetID, 1))}
+func newHWNet(nthreads int, alloc *Allocator) *hwNet {
+	return &hwNet{nthreads: nthreads, id: alloc.netID()}
 }
 
 func (h *hwNet) Kind() Kind { return KindHWNet }
@@ -52,8 +47,8 @@ type hwTree struct {
 // interconnect (request + routing priority, per the T3E description).
 const treeHopLat = 3
 
-func newHWTree(nthreads int) *hwTree {
-	return &hwTree{nthreads: nthreads, id: int(atomic.AddInt64(&nextNetID, 1))}
+func newHWTree(nthreads int, alloc *Allocator) *hwTree {
+	return &hwTree{nthreads: nthreads, id: alloc.netID()}
 }
 
 func (h *hwTree) Kind() Kind { return KindHWTree }

@@ -2,6 +2,7 @@ package barrier
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -17,6 +18,31 @@ func BuildProgram(gen Generator, body func(b *asm.Builder)) (*asm.Program, error
 	b.HALT()
 	gen.EmitAux(b)
 	return b.Build()
+}
+
+// Assemble assembles SRISC source into a complete SPMD program around gen,
+// composed as BuildProgram composes it. A line whose one statement is the
+// pseudo-instruction `barrier` (lower-case, no operands) expands to gen's
+// barrier sequence.
+func Assemble(gen Generator, src string) (*asm.Program, error) {
+	var err error
+	prog, buildErr := BuildProgram(gen, func(b *asm.Builder) {
+		la := asm.NewLineAssembler(b)
+		for i, line := range strings.Split(src, "\n") {
+			stmt, _, _ := strings.Cut(line, "#")
+			stmt, _, _ = strings.Cut(stmt, "//")
+			if strings.TrimSpace(stmt) == "barrier" {
+				gen.EmitBarrier(b)
+			} else if err = la.Line(line); err != nil {
+				err = fmt.Errorf("line %d: %w", i+1, err)
+				return
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return prog, buildErr
 }
 
 // Install is the one place a program meets a machine: load the text and

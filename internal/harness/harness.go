@@ -94,12 +94,6 @@ type Options struct {
 	// records it as timed out and continues with the remaining cells;
 	// any other sweep ends with that error.
 	CellDeadline time.Duration
-	// NoVet skips the static verifier (package vet) that every program
-	// the harness builds must otherwise pass before it runs. Escape
-	// hatch for differential work — e.g. measuring a deliberately broken
-	// barrier sequence, or ruling the verifier out as a source of a
-	// build failure. cmd/bench exposes it as -novet.
-	NoVet bool
 	// Ctx, when non-nil, cancels the whole sweep: no new cells start
 	// after it is done, and every machine the harness builds polls it
 	// through core.Config.StopCheck, so in-flight cells stop promptly
@@ -140,17 +134,6 @@ func (o Options) spec() string {
 	return s
 }
 
-// vetProgram gates a freshly built program on the static verifier. A
-// diagnostic here means the build emitted a broken barrier protocol or
-// dataflow bug that the simulator might only expose as a hang or silent
-// corruption millions of cycles later, so the cell fails fast instead.
-func vetProgram(what string, prog *asm.Program, threads int, opt Options) error {
-	if opt.NoVet {
-		return nil
-	}
-	return vet.AsError(what, vet.Check(prog, vet.Options{Threads: threads}))
-}
-
 // boot is the first half of every simulated machine's life, the same for
 // every cell: build the program against cfg, vet it, construct the machine,
 // attach the checkers the options ask for (the sanitizer first: its
@@ -168,7 +151,10 @@ func (c *cellCtx) boot(what string, cfg core.Config, threads int,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := vetProgram(what, prog, threads, c.opt); err != nil {
+	// A diagnostic means the build emitted a broken barrier protocol or a
+	// dataflow bug that the simulator might only expose as a hang or silent
+	// corruption millions of cycles later, so the cell fails fast instead.
+	if err := vet.AsError(what, vet.Check(prog, vet.Options{Threads: threads})); err != nil {
 		return nil, nil, nil, fmt.Errorf("building program: %w", err)
 	}
 	m, err := core.NewMachineChecked(cfg)

@@ -2,14 +2,17 @@ package harness
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/hbcheck"
 	"repro/internal/interconnect"
 	"repro/internal/kernels"
-	"repro/internal/vet"
 )
 
 // allKinds is every barrier mechanism, core set plus extras.
@@ -64,33 +67,65 @@ func TestHBCheckKernelsRaceFree(t *testing.T) {
 	}
 }
 
+// corpusProgram is one misuse-corpus file (internal/vet/testdata/corpus),
+// assembled, with the thread count and DynRace flag its header names.
+type corpusProgram struct {
+	name    string
+	threads int
+	dynRace bool
+	prog    *asm.Program
+}
+
+// loadCorpus reads every corpus file. The header format is vet's
+// corpusHeader; only the thread count and the DynRace flag matter here.
+func loadCorpus(t *testing.T) []corpusProgram {
+	t.Helper()
+	paths, err := filepath.Glob("../vet/testdata/corpus/*.s")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus files (%v)", err)
+	}
+	var out []corpusProgram
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := corpusProgram{name: strings.TrimSuffix(filepath.Base(path), ".s")}
+		var want, at string
+		if _, err := fmt.Sscanf(string(src), "# corpus: want=%s at=%s threads=%d dynrace=%t", &want, &at, &c.threads, &c.dynRace); err != nil {
+			t.Fatalf("%s: header: %v", path, err)
+		}
+		if c.prog, err = asm.Assemble(string(src), core.TextBase, core.DataBase); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 // TestHBCheckCatchesCorpusRaces closes the loop on the misuse corpus: every
 // entry the static verifier flags as a race (DynRace) must also produce a
 // happens-before violation when the program actually runs — the static
 // claim is confirmed on a concrete schedule, not just believed.
 func TestHBCheckCatchesCorpusRaces(t *testing.T) {
 	ran := 0
-	for _, e := range vet.Corpus() {
-		if !e.DynRace {
+	for _, e := range loadCorpus(t) {
+		if !e.dynRace {
 			continue
 		}
 		ran++
 		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			prog, err := e.Build()
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			m := core.NewMachine(core.DefaultConfig(e.Threads))
+		t.Run(e.name, func(t *testing.T) {
+			m := core.NewMachine(core.DefaultConfig(e.threads))
 			hb := hbcheck.Attach(m, hbcheck.Config{KeepGoing: true})
-			m.Load(prog)
-			m.StartSPMD(prog.Entry, e.Threads)
+			m.Load(e.prog)
+			m.StartSPMD(e.prog.Entry, e.threads)
 			if _, err := m.Run(50_000_000); err != nil {
 				t.Logf("run ended with: %v", err)
 			}
 			races := hb.Races()
 			if len(races) == 0 {
-				t.Fatalf("static verifier flags %s as a race, but no happens-before violation surfaced dynamically", e.Name)
+				t.Fatalf("static verifier flags %s as a race, but no happens-before violation surfaced dynamically", e.name)
 			}
 			for _, r := range races {
 				t.Logf("confirmed: %s", hb.Describe(r))
@@ -107,24 +142,20 @@ func TestHBCheckCatchesCorpusRaces(t *testing.T) {
 // (the same contract as a sanitizer violation). The checker is attached
 // before the program is loaded, as cellCtx.boot attaches it.
 func TestHBCheckStopsRun(t *testing.T) {
-	var entry *vet.CorpusEntry
-	for i, e := range vet.Corpus() {
-		if e.Name == "neighbour-read-race" {
-			entry = &vet.Corpus()[i]
-			break
+	var entry *corpusProgram
+	corpus := loadCorpus(t)
+	for i := range corpus {
+		if corpus[i].name == "neighbour-read-race" {
+			entry = &corpus[i]
 		}
 	}
 	if entry == nil {
 		t.Fatal("corpus entry neighbour-read-race missing")
 	}
-	prog, err := entry.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := core.NewMachine(core.DefaultConfig(entry.Threads))
+	m := core.NewMachine(core.DefaultConfig(entry.threads))
 	hbcheck.Attach(m, hbcheck.Config{})
-	m.Load(prog)
-	m.StartSPMD(prog.Entry, entry.Threads)
+	m.Load(entry.prog)
+	m.StartSPMD(entry.prog.Entry, entry.threads)
 	n, err := m.Run(50_000_000)
 	const want = "core: data race: addr 0x1000008: core1 store at pc 0x10018(kern+3) unordered with core0 load at pc 0x10020(kern+4) (cycle 460)"
 	if n != 461 || err == nil || err.Error() != want {

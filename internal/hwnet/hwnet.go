@@ -44,6 +44,7 @@ func (n *Net) Register(id, nthreads int) {
 	if nthreads <= 0 {
 		panic(fmt.Sprintf("hwnet: barrier %d with %d threads", id, nthreads))
 	}
+	n.checkFree(id)
 	n.barriers[id] = &barrier{nthreads: nthreads, releaseAt: make(map[int]uint64)}
 }
 
@@ -57,6 +58,7 @@ func (n *Net) RegisterTree(id, nthreads, degree int, hopLat uint64) {
 	if nthreads <= 0 || degree < 2 {
 		panic(fmt.Sprintf("hwnet: tree barrier %d with %d threads, degree %d", id, nthreads, degree))
 	}
+	n.checkFree(id)
 	depth := 0
 	for span := 1; span < nthreads; span *= degree {
 		depth++
@@ -66,6 +68,14 @@ func (n *Net) RegisterTree(id, nthreads, degree int, hopLat uint64) {
 		releaseAt: make(map[int]uint64),
 		treeDepth: depth,
 		hopLat:    hopLat,
+	}
+}
+
+// checkFree rejects a second registration of a live id: two generators
+// sharing an id would count each other's arrivals.
+func (n *Net) checkFree(id int) {
+	if _, ok := n.barriers[id]; ok {
+		panic(fmt.Sprintf("hwnet: barrier %d registered twice", id))
 	}
 }
 

@@ -76,6 +76,26 @@ func TestRegisterValidation(t *testing.T) {
 	New(2).Register(0, 0)
 }
 
+// TestRegisterRejectsLiveID: a second registration of an id, flat or tree,
+// panics like a bad thread count does.
+func TestRegisterRejectsLiveID(t *testing.T) {
+	for name, again := range map[string]func(n *Net){
+		"flat": func(n *Net) { n.Register(0, 2) },
+		"tree": func(n *Net) { n.RegisterTree(0, 2, 4, 3) },
+	} {
+		n := New(2)
+		n.Register(0, 2)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a second registration of id 0 did not panic", name)
+				}
+			}()
+			again(n)
+		}()
+	}
+}
+
 func TestTreeBarrierLatencyScalesWithDepth(t *testing.T) {
 	n := New(2)
 	n.Register(0, 16)           // flat wired-AND

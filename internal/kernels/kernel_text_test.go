@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/barrier"
 	"repro/internal/core"
-	"repro/internal/isa"
 )
 
 // The emitted text and data of every registry kernel, sequential and
@@ -48,27 +46,14 @@ var textSizes = []struct {
 	{"lockreduce", 256, 4}, {"pipeline", 96, 2}, {"viterbi", 24, 1}, {"viterbi", 32, 1},
 }
 
-// textDigest names each segment by address, length and SHA-256. In text
-// (below core.DataBase) an HWBAR's immediate is zeroed first: the barrier id
-// is a process-wide counter, so it depends on how many networks the process
-// built before, not on the kernel.
+// textDigest names each segment by address, length and SHA-256.
 func textDigest(p *asm.Program, err error) []string {
 	if err != nil {
 		return []string{"error: " + err.Error()}
 	}
 	var out []string
 	for _, seg := range p.Segments {
-		data := seg.Data
-		if seg.Addr < core.DataBase {
-			data = append([]byte(nil), data...)
-			for i := 0; i+isa.WordBytes <= len(data); i += isa.WordBytes {
-				if in := isa.Decode(binary.LittleEndian.Uint64(data[i:])); in.Op == isa.HWBAR {
-					in.Imm = 0
-					binary.LittleEndian.PutUint64(data[i:], isa.Encode(in))
-				}
-			}
-		}
-		out = append(out, fmt.Sprintf("%#x+%d %x", seg.Addr, len(seg.Data), sha256.Sum256(data)))
+		out = append(out, fmt.Sprintf("%#x+%d %x", seg.Addr, len(seg.Data), sha256.Sum256(seg.Data)))
 	}
 	return out
 }

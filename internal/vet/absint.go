@@ -38,15 +38,7 @@ const (
 func infNeg(v int64) bool { return v <= avNegInf }
 func infPos(v int64) bool { return v >= avPosInf }
 
-func satClamp(v int64) int64 {
-	if v <= avNegInf {
-		return avNegInf
-	}
-	if v >= avPosInf {
-		return avPosInf
-	}
-	return v
-}
+func satClamp(v int64) int64 { return min(max(v, avNegInf), avPosInf) }
 
 // satAdd adds interval endpoints with saturation. Mixed infinities cannot
 // arise from well-formed endpoint sums (lo is only added to lo, hi to hi);
@@ -132,14 +124,7 @@ func avJoin(a, b av) av {
 	if !a.known || !b.known || a.coef != b.coef {
 		return avTop()
 	}
-	lo, hi := a.lo, a.hi
-	if b.lo < lo {
-		lo = b.lo
-	}
-	if b.hi > hi {
-		hi = b.hi
-	}
-	return av{known: true, lo: lo, hi: hi, coef: a.coef}
+	return av{known: true, lo: min(a.lo, b.lo), hi: max(a.hi, b.hi), coef: a.coef}
 }
 
 // avJoinExact is the v1 affine join (Options.AffineOnly): values merge only
@@ -378,19 +363,25 @@ type pstate struct {
 // joinState joins two states under the active domain (interval by default,
 // the v1 exact-affine join under Options.AffineOnly).
 func (u *unit) joinState(s, o pstate) pstate {
+	if u.opt.AffineOnly {
+		return mergeState(s, o, avJoinExact)
+	}
+	return mergeState(s, o, avJoin)
+}
+
+// mergeState merges two states, the registers through reg (a join, or
+// avWiden with s the old state), the finite lattice components through
+// their joins.
+func mergeState(s, o pstate, reg func(a, b av) av) pstate {
 	if !s.live {
 		return o
 	}
 	if !o.live {
 		return s
 	}
-	join := avJoin
-	if u.opt.AffineOnly {
-		join = avJoinExact
-	}
 	n := pstate{live: true, dirty: s.dirty || o.dirty}
 	for i := range n.regs {
-		n.regs[i] = join(s.regs[i], o.regs[i])
+		n.regs[i] = reg(s.regs[i], o.regs[i])
 	}
 	n.inv = invJoin(s.inv, o.inv)
 	n.tid = tidJoin(s.tid, o.tid)
@@ -398,28 +389,6 @@ func (u *unit) joinState(s, o pstate) pstate {
 	n.lock = lockJoin(s, o)
 	return n
 }
-
-// widenState widens old by new: registers through avWiden, the finite
-// lattice components through their joins.
-func (u *unit) widenState(old, new pstate) pstate {
-	if !old.live {
-		return new
-	}
-	if !new.live {
-		return old
-	}
-	n := pstate{live: true, dirty: old.dirty || new.dirty}
-	for i := range n.regs {
-		n.regs[i] = avWiden(old.regs[i], new.regs[i])
-	}
-	n.inv = invJoin(old.inv, new.inv)
-	n.tid = tidJoin(old.tid, new.tid)
-	n.sync = old.sync & new.sync
-	n.lock = lockJoin(old, new)
-	return n
-}
-
-func (s pstate) equal(o pstate) bool { return s == o }
 
 // entryState is the loader-established machine state: a0 = tid,
 // a1 = nthreads, x0 = 0. The stack pointer is per-thread but never enters
@@ -439,11 +408,7 @@ func (u *unit) xfer(s *pstate, i int, in isa.Inst) {
 	val := func(r uint8) av {
 		return s.regs[r&31]
 	}
-	set := func(r uint8, v av) {
-		if r&31 != isa.RegZero {
-			s.regs[r&31] = v
-		}
-	}
+	set := func(r uint8, v av) { setReg(s, r, v) }
 	masked := !u.opt.AffineOnly // interval rules for masking/shifting ops
 	switch in.Op {
 	case isa.LI:
@@ -543,20 +508,13 @@ func refine(s pstate, in isa.Inst, taken bool) pstate {
 	a, b := s.regs[in.Rs1&31], s.regs[in.Rs2&31]
 	switch in.Op {
 	case isa.BEQ, isa.BNE:
-		s = refineTid(s, in, taken)
-		a, b = s.regs[in.Rs1&31], s.regs[in.Rs2&31] // refineTid may not touch regs, reload anyway
+		s = refineTid(s, in, taken) // a tid constraint; the registers stay
 		if !a.known || !b.known || a.coef != b.coef {
 			return s
 		}
 		if (in.Op == isa.BEQ) == taken {
 			// Equal edge: intersect the base intervals.
-			lo, hi := a.lo, a.hi
-			if b.lo > lo {
-				lo = b.lo
-			}
-			if b.hi < hi {
-				hi = b.hi
-			}
+			lo, hi := max(a.lo, b.lo), min(a.hi, b.hi)
 			if lo > hi {
 				s.tid = tidC{kind: tidNone}
 				return s
@@ -579,20 +537,17 @@ func refine(s pstate, in isa.Inst, taken bool) pstate {
 			}
 			return x, true
 		}
-		if b.exact() {
-			n, ok := trim(a, b.lo)
+		x, r, v := a, in.Rs1, b // trim the other side by an exact one
+		if !b.exact() {
+			x, r, v = b, in.Rs2, a
+		}
+		if v.exact() {
+			n, ok := trim(x, v.lo)
 			if !ok {
 				s.tid = tidC{kind: tidNone}
 				return s
 			}
-			setReg(&s, in.Rs1, n)
-		} else if a.exact() {
-			n, ok := trim(b, a.lo)
-			if !ok {
-				s.tid = tidC{kind: tidNone}
-				return s
-			}
-			setReg(&s, in.Rs2, n)
+			setReg(&s, r, n)
 		}
 		return s
 	case isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
@@ -610,20 +565,10 @@ func refine(s pstate, in isa.Inst, taken bool) pstate {
 		na, nb := a, b
 		if lt {
 			// a < b: a ≤ max(b)-1, b ≥ min(a)+1.
-			if h := satAdd(b.hi, -1); h < na.hi {
-				na.hi = h
-			}
-			if l := satAdd(a.lo, 1); l > nb.lo {
-				nb.lo = l
-			}
+			na.hi, nb.lo = min(na.hi, satAdd(b.hi, -1)), max(nb.lo, satAdd(a.lo, 1))
 		} else {
 			// a ≥ b: a ≥ min(b), b ≤ max(a).
-			if b.lo > na.lo {
-				na.lo = b.lo
-			}
-			if a.hi < nb.hi {
-				nb.hi = a.hi
-			}
+			na.lo, nb.hi = max(na.lo, b.lo), min(nb.hi, a.hi)
 		}
 		if na.lo > na.hi || nb.lo > nb.hi {
 			s.tid = tidC{kind: tidNone}

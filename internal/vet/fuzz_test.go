@@ -10,8 +10,9 @@ import (
 
 // FuzzVet assembles arbitrary source and vets whatever links: Check must
 // terminate without panicking on any program, however malformed. The seeds
-// mirror the assembler fuzzer's plus protocol-shaped fragments so the
-// protocol pass's abstract interpreter gets exercised from the start.
+// mirror the assembler fuzzer's plus protocol-shaped fragments and every
+// misuse corpus file, so the protocol pass's abstract interpreter gets
+// exercised from the start.
 func FuzzVet(f *testing.F) {
 	seeds := []string{
 		"",
@@ -51,6 +52,9 @@ func FuzzVet(f *testing.F) {
 	}
 	for _, s := range seeds {
 		f.Add(s, 4)
+	}
+	for _, e := range loadCorpus(f) {
+		f.Add(e.src, e.threads)
 	}
 	f.Fuzz(func(t *testing.T, src string, threads int) {
 		p, err := asm.Assemble(src, 0x10000, 0x100000)

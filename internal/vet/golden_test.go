@@ -50,7 +50,8 @@ var benchShapes = []struct {
 
 // goldenPrograms is every program the golden pins, by name: the
 // buildAllPrograms builds at 8 and 3 threads, the benchmark's shapes,
-// lockreduce with one and two elements per thread, and the misuse corpus.
+// lockreduce with one and two elements per thread, and the misuse corpus
+// files.
 func goldenPrograms(t *testing.T) map[string]benchProg {
 	progs := map[string]benchProg{}
 	for _, threads := range []int{8, 3} {
@@ -83,33 +84,10 @@ func goldenPrograms(t *testing.T) map[string]benchProg {
 			}
 		}
 	}
-	for _, e := range Corpus() {
-		prog, err := e.Build()
-		if err != nil {
-			t.Fatalf("corpus %s: %v", e.Name, err)
-		}
-		progs["corpus/"+e.Name] = benchProg{prog, e.Threads}
+	for _, e := range loadCorpus(t) {
+		progs["corpus/"+e.name] = benchProg{e.prog, e.threads}
 	}
 	return progs
-}
-
-// goldenDiag and goldenPhase are one diagnostic and one certificate as the
-// golden records them.
-type goldenDiag struct {
-	Code  Code   `json:"code"`
-	Addr  string `json:"addr"`
-	Pos   string `json:"pos"`
-	Phase int    `json:"phase"`
-	Msg   string `json:"msg"`
-}
-
-type goldenPhase struct {
-	ID        int    `json:"id"`
-	Insts     int    `json:"insts"`
-	Stores    int    `json:"stores"`
-	Loads     int    `json:"loads"`
-	Certified bool   `json:"certified"`
-	Reason    string `json:"reason,omitempty"`
 }
 
 // encodeGolden renders the reports as one JSON object keyed by program
@@ -148,10 +126,10 @@ func encodeGolden(t *testing.T, reports map[string]*Report) []byte {
 		r := reports[name]
 		var ds, ps []string
 		for _, d := range r.Diags {
-			ds = append(ds, line(goldenDiag{d.Code, fmt.Sprintf("%#x", d.Addr), d.Pos, d.Phase, d.Msg}))
+			ds = append(ds, line(d))
 		}
 		for _, p := range r.Phases {
-			ps = append(ps, line(goldenPhase{p.ID, p.Insts, p.Stores, p.Loads, p.Certified, p.Reason}))
+			ps = append(ps, line(p))
 		}
 		fmt.Fprintf(&b, "  %s: {\n", line(name))
 		list(&b, "diags", ds, false)

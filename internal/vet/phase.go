@@ -2,9 +2,9 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -39,12 +39,12 @@ import (
 // cross-thread store/store and store/load pair with an analyzable address
 // in the static data region was proved disjoint within the phase.
 type PhaseInfo struct {
-	ID        int
-	Insts     int // reachable instructions assigned to the phase
-	Stores    int // recorded data-region store variants
-	Loads     int // recorded data-region load variants
-	Certified bool
-	Reason    string // why certification failed (empty when certified)
+	ID        int    `json:"id"`
+	Insts     int    `json:"insts"`  // reachable instructions assigned to the phase
+	Stores    int    `json:"stores"` // recorded data-region store variants
+	Loads     int    `json:"loads"`  // recorded data-region load variants
+	Certified bool   `json:"certified"`
+	Reason    string `json:"reason,omitempty"` // why certification failed (empty when certified)
 }
 
 // accRec is one memory access recorded along a specific CFG edge: the
@@ -87,8 +87,7 @@ func (u *unit) computePhases(bounds []int) {
 		anyFlag = append(anyFlag, any)
 		return len(parent) - 1
 	}
-	var find func(x int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -179,7 +178,6 @@ func (u *unit) collectAccesses(states []pstate) ([]accRec, map[int]bool) {
 	// alias anything, so its phase must not certify no matter what the
 	// other (recorded) variants prove.
 	unbounded := map[int]bool{}
-	seen := map[string]bool{}
 	record := func(j int, st pstate) {
 		in := u.insts[j]
 		isSt := in.IsStore()
@@ -202,16 +200,10 @@ func (u *unit) collectAccesses(states []pstate) ([]accRec, map[int]bool) {
 		if st.lock.kind == lockHeld {
 			lk = st.lock
 		}
-		r := accRec{
+		recs = append(recs, accRec{
 			idx: j, addr: addr, width: isa.Lookup(in.Op).MemBytes,
 			tid: st.tid, phase: ph, any: anyPh, store: isSt, lock: lk,
-		}
-		k := fmt.Sprintf("%d:%v:%v:%v:%v", j, addr, st.tid, isSt, lk)
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		recs = append(recs, r)
+		})
 	}
 	// Roots are entered in their seeding state.
 	entry := u.entryState()
@@ -224,7 +216,17 @@ func (u *unit) collectAccesses(states []pstate) ([]accRec, map[int]bool) {
 		}
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].idx < recs[j].idx })
-	return recs, unbounded
+	// Edges carrying one state record one variant: keep its first record.
+	out, group := recs[:0], 0 // group: where out's records of r.idx start
+	for _, r := range recs {
+		if len(out) > 0 && out[len(out)-1].idx != r.idx {
+			group = len(out)
+		}
+		if !slices.Contains(out[group:], r) {
+			out = append(out, r)
+		}
+	}
+	return out, unbounded
 }
 
 // samePhase reports whether two records can run concurrently: same phase,
@@ -242,27 +244,13 @@ func sameLock(a, b accRec) bool {
 	return a.lock.kind == lockHeld && a.lock == b.lock
 }
 
-// dataRegion reports whether the record's footprint provably lies in the
-// static data region for every allowed thread.
-func (u *unit) dataRegion(r accRec) bool {
-	for t := int64(0); t < int64(u.opt.Threads); t++ {
-		if !r.tid.allows(t) {
-			continue
-		}
-		lo, hi := r.addr.loAt(t), r.addr.hiAt(t)
-		if lo < 0 || infPos(hi) || uint64(lo) < core.DataBase ||
-			uint64(hi)+uint64(r.width) > core.StackRegion {
-			return false
-		}
-	}
-	return true
-}
-
-// checkPhaseRaces reports provable cross-thread conflicting accesses to the
-// static data region within one phase — the data-partition discipline the
-// kernels rely on between barriers, generalized from the v1 fence-interval
-// grouping to barrier-delimited phases and from exact partitions to
-// bounded dynamic ones:
+// checkRaces walks the store/store and store/load pairs of data-region
+// records that can run concurrently (same phase, not under one lock) once,
+// and returns both verdicts on them. The diagnostics are the provable
+// cross-thread conflicts — the data-partition discipline the kernels rely
+// on between barriers, generalized from the v1 fence-interval grouping to
+// barrier-delimited phases and from exact partitions to bounded dynamic
+// ones:
 //
 //   - exact store vs exact store overlapping across distinct threads:
 //     cross-partition-store (the v1 must-check);
@@ -271,11 +259,71 @@ func (u *unit) dataRegion(r accRec) bool {
 //   - bounded-interval store pairs (dynamic partitions) whose footprints
 //     can overlap across distinct threads: dyn-partition-overlap.
 //
-// Unbounded or Top addresses stay silent here and only degrade the phase
-// certificate.
-func (u *unit) checkPhaseRaces(recs []accRec) []Diagnostic {
-	if u.opt.Threads < 2 {
-		return nil
+// The certificates are per phase: a phase is certified when every such pair
+// is provably disjoint and it contains no store or load whose address the
+// domain could not bound. Unbounded or Top addresses stay silent in the
+// diagnostics and only degrade the certificate.
+func (u *unit) checkRaces(recs []accRec, unbounded map[int]bool) ([]Diagnostic, []PhaseInfo) {
+	nPhases := len(u.phaseAny) // one entry per phase id
+	infos := make([]PhaseInfo, nPhases)
+	for i := range infos {
+		infos[i] = PhaseInfo{ID: i, Certified: true}
+	}
+	for i, p := range u.phase {
+		if p >= 0 && u.reachable[i] {
+			infos[p].Insts++
+		}
+	}
+	fail := func(p int, reason string) {
+		if p >= 0 && p < nPhases && infos[p].Certified {
+			infos[p].Certified = false
+			infos[p].Reason = reason
+		}
+	}
+	// Unanalyzable accesses: any reachable load/store with an in-edge
+	// variant whose address is not a bounded interval leaves its phase
+	// uncertified — one bounded variant does not cover the others.
+	covered := map[int]bool{}
+	for _, r := range recs {
+		if r.addr.bounded() {
+			covered[r.idx] = true
+		}
+	}
+	for i, in := range u.insts {
+		if !u.reachable[i] || (!in.IsStore() && !in.IsLoad()) {
+			continue
+		}
+		if covered[i] && !unbounded[i] {
+			continue
+		}
+		kind := "load"
+		if in.IsStore() {
+			kind = "store"
+		}
+		fail(u.phaseAt(i), fmt.Sprintf("%s at %s has an unbounded address", kind, u.p.Locate(u.addrOf(i))))
+	}
+	// Stub-rooted phases conflict with everything.
+	for p, any := range u.phaseAny {
+		if any {
+			fail(p, "phase is entered from a resolved stall stub at an unknown point")
+		}
+	}
+	var stores, all []accRec
+	for _, r := range recs {
+		if !r.addr.bounded() || !u.within(dataSpan, r.addr, r.tid, r.width, true) {
+			continue
+		}
+		if r.phase >= 0 && r.phase < nPhases {
+			if r.store {
+				infos[r.phase].Stores++
+			} else {
+				infos[r.phase].Loads++
+			}
+		}
+		all = append(all, r)
+		if r.store {
+			stores = append(stores, r)
+		}
 	}
 	var ds []Diagnostic
 	reported := map[[2]int]bool{}
@@ -287,27 +335,15 @@ func (u *unit) checkPhaseRaces(recs []accRec) []Diagnostic {
 		reported[key] = true
 		ds = append(ds, u.diag(code, b.idx, format, args...))
 	}
-	var stores, all []accRec
-	for _, r := range recs {
-		if !u.dataRegion(r) {
-			continue
-		}
-		all = append(all, r)
-		if r.store {
-			stores = append(stores, r)
-		}
-	}
 	for _, a := range stores {
 		for _, b := range all {
-			if !b.store && !a.addr.exact() {
-				continue // store/load rule is exact-only
-			}
 			if b.store && b.idx < a.idx {
 				continue // store pairs once (self-pairs included)
 			}
 			if !samePhase(a, b) || sameLock(a, b) {
 				continue
 			}
+			t, v, may := u.findRaceBounded(a, b)
 			switch {
 			case a.addr.exact() && b.addr.exact():
 				if t, v, ok := u.findRaceExact(a, b); ok {
@@ -321,16 +357,26 @@ func (u *unit) checkPhaseRaces(recs []accRec) []Diagnostic {
 							t, uint64(a.addr.at(t)), v, uint64(b.addr.at(v)))
 					}
 				}
-			case b.store && a.addr.bounded() && b.addr.bounded():
-				if t, v, ok := u.findRaceBounded(a, b); ok {
-					report(CodeDynPartitionOverlap, a, b,
-						"threads %d and %d can write overlapping bytes (%s and %s): dynamic partitions overlap",
-						t, v, u.describeAV(a.addr), u.describeAV(b.addr))
+			case b.store && may:
+				report(CodeDynPartitionOverlap, a, b,
+					"threads %d and %d can write overlapping bytes (%s and %s): dynamic partitions overlap",
+					t, v, u.describeAV(a.addr), u.describeAV(b.addr))
+			}
+			if may {
+				kind := "store/store"
+				if !b.store {
+					kind = "store/load"
+				}
+				fail(a.phase, fmt.Sprintf(
+					"%s pair %s and %s may overlap for threads %d and %d",
+					kind, u.p.Locate(u.addrOf(a.idx)), u.p.Locate(u.addrOf(b.idx)), t, v))
+				if b.phase != a.phase {
+					fail(b.phase, infos[a.phase].Reason)
 				}
 			}
 		}
 	}
-	return ds
+	return ds, infos
 }
 
 // findRaceExact looks for distinct threads t (executing access a) and v
@@ -387,114 +433,4 @@ func (u *unit) findRaceBounded(a, b accRec) (int64, int64, bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// certify builds the per-phase certificates: a phase is certified when
-// every cross-thread store/store and store/load pair among its recorded
-// data-region accesses is provably disjoint, and it contains no store or
-// load whose address the domain could not bound.
-func (u *unit) certify(recs []accRec, unbounded map[int]bool) []PhaseInfo {
-	nPhases := 0
-	for _, p := range u.phase {
-		if p >= nPhases {
-			nPhases = p + 1
-		}
-	}
-	if nPhases == 0 {
-		return nil
-	}
-	infos := make([]PhaseInfo, nPhases)
-	for i := range infos {
-		infos[i] = PhaseInfo{ID: i, Certified: true}
-	}
-	for i, p := range u.phase {
-		if p >= 0 && u.reachable[i] {
-			infos[p].Insts++
-		}
-	}
-	fail := func(p int, reason string) {
-		if p < 0 || p >= nPhases {
-			return
-		}
-		if infos[p].Certified {
-			infos[p].Certified = false
-			infos[p].Reason = reason
-		}
-	}
-	// Unanalyzable accesses: any reachable load/store with an in-edge
-	// variant whose address is not a bounded interval leaves its phase
-	// uncertified — one bounded variant does not cover the others.
-	covered := map[int]bool{}
-	for _, r := range recs {
-		if r.addr.bounded() {
-			covered[r.idx] = true
-		}
-	}
-	for i, in := range u.insts {
-		if !u.reachable[i] || (!in.IsStore() && !in.IsLoad()) {
-			continue
-		}
-		if covered[i] && !unbounded[i] {
-			continue
-		}
-		kind := "load"
-		if in.IsStore() {
-			kind = "store"
-		}
-		fail(u.phaseAt(i), fmt.Sprintf("%s at %s has an unbounded address", kind, u.p.Locate(u.addrOf(i))))
-	}
-	// Stub-rooted phases conflict with everything.
-	for p, any := range u.phaseAny {
-		if any {
-			fail(p, "phase is entered from a resolved stall stub at an unknown point")
-		}
-	}
-	// Pairwise disjointness among the records (bounded, data region).
-	var stores, all []accRec
-	for _, r := range recs {
-		if !r.addr.bounded() {
-			continue
-		}
-		inData := u.dataRegion(r)
-		if r.phase >= 0 && r.phase < nPhases && inData {
-			if r.store {
-				infos[r.phase].Stores++
-			} else {
-				infos[r.phase].Loads++
-			}
-		}
-		if !inData {
-			continue
-		}
-		all = append(all, r)
-		if r.store {
-			stores = append(stores, r)
-		}
-	}
-	for _, a := range stores {
-		for _, b := range all {
-			if b.store && b.idx < a.idx {
-				continue
-			}
-			if !samePhase(a, b) || sameLock(a, b) {
-				continue
-			}
-			if a.idx == b.idx && a.addr == b.addr && !b.store {
-				continue
-			}
-			if t, v, ok := u.findRaceBounded(a, b); ok {
-				kind := "store/store"
-				if !b.store {
-					kind = "store/load"
-				}
-				fail(a.phase, fmt.Sprintf(
-					"%s pair %s and %s may overlap for threads %d and %d",
-					kind, u.p.Locate(u.addrOf(a.idx)), u.p.Locate(u.addrOf(b.idx)), t, v))
-				if b.phase != a.phase {
-					fail(b.phase, infos[a.phase].Reason)
-				}
-			}
-		}
-	}
-	return infos
 }

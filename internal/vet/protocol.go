@@ -81,9 +81,9 @@ func (u *unit) checkProtocol() []Diagnostic {
 	recs, unbounded := u.collectAccesses(states)
 	ds := res.diags
 	ds = append(ds, u.checkStoreToArrival(recs, u.regions)...)
-	ds = append(ds, u.checkPhaseRaces(recs)...)
-	u.phaseInfo = u.certify(recs, unbounded)
-	return ds
+	races, infos := u.checkRaces(recs, unbounded)
+	u.phaseInfo = infos
+	return append(ds, races...)
 }
 
 // fixpoint propagates pstate over the CFG from every root until stable,
@@ -115,12 +115,12 @@ func (u *unit) ascend(states []pstate, extra []int) {
 		}
 		var j pstate
 		if changes[b] >= widenDelay && !u.opt.AffineOnly {
-			j = u.widenState(states[b], s)
+			j = mergeState(states[b], s, avWiden)
 			u.stats.widens++
 		} else {
 			j = u.joinState(states[b], s)
 		}
-		if !j.equal(states[b]) {
+		if j != states[b] {
 			states[b] = j
 			changes[b]++
 			if u.stats.narrowing {
@@ -324,7 +324,7 @@ func (u *unit) narrowOnce(states []pstate, changes []int) {
 			continue
 		}
 		ns := inflow(j)
-		if ns.equal(states[j]) {
+		if ns == states[j] {
 			continue
 		}
 		states[j] = ns
@@ -348,10 +348,6 @@ func (u *unit) sweep(states []pstate, report bool) protoRes {
 	return res
 }
 
-// exactTarget reports an av usable by the exact per-thread evaluators
-// (at(t)): a single known finite base point.
-func exactTarget(a av) bool { return a.known && a.exact() }
-
 // step applies instruction i to the state: protocol checks against the
 // entry state (collected into res when non-nil), then the state effects
 // (dirty/invalidation bookkeeping and the register transfer).
@@ -368,18 +364,10 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 		// A hardware barrier is a global completion point by construction.
 		if res != nil {
 			res.bounds = append(res.bounds, i)
-			if res.report && st.lock.kind == lockHeld {
-				res.diags = append(res.diags, u.diag(CodeMissingRelease, i,
-					"barrier while holding the hardware lock on line %s: waiters parked on the lock can never arrive",
-					u.describeAV(st.lock.target)))
-			}
 		}
+		u.checkHeld(st, i, res, "barrier while holding the hardware lock on line %s: waiters parked on the lock can never arrive")
 	case in.Op == isa.HALT:
-		if res != nil && res.report && st.lock.kind == lockHeld {
-			res.diags = append(res.diags, u.diag(CodeMissingRelease, i,
-				"path reaches halt still holding the hardware lock on line %s",
-				u.describeAV(st.lock.target)))
-		}
+		u.checkHeld(st, i, res, "path reaches halt still holding the hardware lock on line %s")
 	case in.IsInval():
 		tgt := avAdd(st.regs[in.Rs1&31], avCon(int64(in.Imm)))
 		if res != nil {
@@ -387,7 +375,7 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 				res.diags = append(res.diags, u.diag(CodeMissingFence, i,
 					"%s executes while stores issued since the last fence may still be pending", in))
 			}
-			if exactTarget(tgt) {
+			if tgt.exact() {
 				res.regions = append(res.regions, regionRec{target: tgt, icache: in.Op == isa.ICBI})
 			}
 		}
@@ -406,7 +394,7 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 		u.xfer(st, i, in)
 		// A load from the synchronization region taints its destination:
 		// branches on such registers are barrier-completion candidates.
-		if u.inBarrierRegion(addr, st.tid) {
+		if u.within(barrierSpan, addr, st.tid, 1, false) {
 			if rd, ok := in.DefInt(); ok {
 				st.sync |= 1 << rd
 			}
@@ -415,11 +403,7 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 	case in.IsCondBranch():
 		if res != nil && ((st.sync>>(in.Rs1&31))&1 == 1 || (st.sync>>(in.Rs2&31))&1 == 1) {
 			res.bounds = append(res.bounds, i)
-			if res.report && st.lock.kind == lockHeld {
-				res.diags = append(res.diags, u.diag(CodeMissingRelease, i,
-					"barrier spin-exit while holding the hardware lock on line %s: waiters parked on the lock can never arrive",
-					u.describeAV(st.lock.target)))
-			}
+			u.checkHeld(st, i, res, "barrier spin-exit while holding the hardware lock on line %s: waiters parked on the lock can never arrive")
 		}
 	case in.IsStore():
 		st.dirty = true
@@ -437,12 +421,12 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 		// qualify: a tree node's address is an interval in the per-round
 		// node array, still provably barrier state.
 		addr := avAdd(st.regs[in.Rs1&31], avCon(int64(in.Imm)))
-		if res != nil && u.inBarrierRegion(addr, st.tid) {
+		if res != nil && u.within(barrierSpan, addr, st.tid, 1, false) {
 			res.bounds = append(res.bounds, i)
 		}
 	case in.Op == isa.JALR && in.Rd == isa.RegRA:
 		tgt := avAdd(st.regs[in.Rs1&31], avCon(int64(in.Imm)))
-		if res != nil && exactTarget(tgt) {
+		if res != nil && tgt.exact() {
 			for t := int64(0); t < int64(u.opt.Threads); t++ {
 				if !st.tid.allows(t) {
 					continue
@@ -457,6 +441,16 @@ func (u *unit) step(st *pstate, i int, res *protoRes) {
 	u.xfer(st, i, in)
 }
 
+// checkHeld reports a barrier completion or a halt reached at instruction i
+// while the path still holds a hardware lock (the reporting sweep only):
+// waiters parked on the lock can then never arrive. format names the point
+// and takes the lock line.
+func (u *unit) checkHeld(st *pstate, i int, res *protoRes, format string) {
+	if res != nil && res.report && st.lock.kind == lockHeld {
+		res.diags = append(res.diags, u.diag(CodeMissingRelease, i, format, u.describeAV(st.lock.target)))
+	}
+}
+
 // checkStall handles a potential barrier-stall operation: a load (D-filter)
 // or an indirect linked jump (I-filter) reached with invalidation state st.inv.
 func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes) {
@@ -465,7 +459,7 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 	switch st.inv.kind {
 	case invSome:
 		tgt := st.inv.target
-		if !exactTarget(tgt) || !exactTarget(addr) {
+		if !tgt.exact() || !addr.exact() {
 			// Widened (e.g. the ping-pong register rotation across loop
 			// iterations): nothing provable; treat as the stall. A jump is
 			// still a phase boundary — the only widened stall jumps in
@@ -477,17 +471,17 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 			st.inv = invState{}
 			return
 		}
-		matched, feasible := false, false
+		matched, allowed := false, 0 // allowed: the threads that can get here
 		for t := int64(0); t < int64(u.opt.Threads); t++ {
 			if !st.tid.allows(t) {
 				continue
 			}
-			feasible = true
+			allowed++
 			if floorDiv(tgt.at(t), line) == floorDiv(addr.at(t), line) {
 				matched = true
 			}
 		}
-		if !feasible {
+		if allowed == 0 {
 			st.inv = invState{}
 			return
 		}
@@ -495,7 +489,7 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 			// Provably a different line for every thread that can get
 			// here. Only a stall-shaped operation counts: a jump, or a
 			// load aimed at the synchronization region (barrier or lock).
-			if !isJump && !u.inBarrierRegion(addr, st.tid) && !u.inLockRegion(addr, st.tid) {
+			if !isJump && !u.within(barrierSpan, addr, st.tid, 1, false) && !u.within(lockSpan, addr, st.tid, 1, false) {
 				return // ordinary data load; leave the invalidation pending
 			}
 			if report {
@@ -506,7 +500,7 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 			st.inv = invState{}
 			return
 		}
-		if !isJump && u.inLockRegion(addr, st.tid) {
+		if !isJump && u.within(lockSpan, addr, st.tid, 1, false) {
 			// A matched stall on this thread's own lock line is the
 			// acquire's grant load: it orders the thread after the
 			// previous holder — a mutual-exclusion edge, not a global
@@ -520,12 +514,8 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 		if res != nil {
 			res.bounds = append(res.bounds, i)
 		}
-		if report && st.lock.kind == lockHeld {
-			res.diags = append(res.diags, u.diag(CodeMissingRelease, i,
-				"barrier stall while holding the hardware lock on line %s: waiters parked on the lock can never arrive",
-				u.describeAV(st.lock.target)))
-		}
-		if report && tgt.coef == 0 && addr.coef == 0 && u.opt.Threads > 1 && u.countAllowed(st.tid) > 1 {
+		u.checkHeld(st, i, res, "barrier stall while holding the hardware lock on line %s: waiters parked on the lock can never arrive")
+		if report && tgt.coef == 0 && addr.coef == 0 && allowed > 1 {
 			res.diags = append(res.diags, u.diag(CodeWrongSlotInval, st.inv.idx,
 				"every thread invalidates and stalls on the one shared line %#x; arrival slots must be per-thread",
 				uint64(tgt.base())))
@@ -536,17 +526,17 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 		}
 		st.inv = invState{}
 	case invNone:
-		if !report || isJump || !exactTarget(addr) {
+		if !report || isJump || !addr.exact() {
 			return
 		}
 		switch {
-		case u.inLockRegion(addr, st.tid):
+		case u.within(lockSpan, addr, st.tid, 1, false):
 			if st.lock.kind == lockNone {
 				res.diags = append(res.diags, u.diag(CodeLoadBeforeAcquire, i,
 					"load from lock line %s without invalidating it first: acquire is dcbi-then-ld, and the bank's lock table faults demand loads from threads that never queued",
 					u.describeAV(addr)))
 			}
-		case u.inBarrierRegion(addr, st.tid) && u.watched(addr, st.tid):
+		case u.within(barrierSpan, addr, st.tid, 1, false) && u.watched(addr, st.tid):
 			// Only a filter-watched line is a stall target: a software
 			// barrier's counter and flag loads are ordinary spins.
 			res.diags = append(res.diags, u.diag(CodeLoadBeforeInval, i,
@@ -558,29 +548,38 @@ func (u *unit) checkStall(st *pstate, i int, addr av, isJump bool, res *protoRes
 	}
 }
 
-// inBarrierRegion reports whether the address provably lies in the barrier
-// data region for every thread the constraint allows: the interval's lower
-// bound clears core.BarrierRegion and its upper bound stays below
-// core.LockRegion, where
-// the hardware-lock lines (a different protocol) begin.
-func (u *unit) inBarrierRegion(a av, c tidC) bool {
+// A span is an interval [start, end) of core's standard memory map, with no
+// upper bound when end is 0.
+type span struct{ start, end uint64 }
+
+var (
+	// barrierSpan follows the barrier protocol; the hardware-lock lines (a
+	// different protocol) begin where it ends.
+	barrierSpan = span{core.BarrierRegion, core.LockRegion}
+	lockSpan    = span{core.LockRegion, 0}
+	// dataSpan is the static data region of the partition discipline.
+	dataSpan = span{core.DataBase, core.StackRegion}
+)
+
+// within reports whether the footprint of a (width bytes wide) provably lies
+// in s for every thread the constraint allows. When no thread is allowed it
+// reports vacuous.
+func (u *unit) within(s span, a av, c tidC, width int, vacuous bool) bool {
 	if !a.known {
 		return false
 	}
-	any := false
 	for t := int64(0); t < int64(u.opt.Threads); t++ {
 		if !c.allows(t) {
 			continue
 		}
-		any = true
-		if v := a.loAt(t); v < 0 || uint64(v) < core.BarrierRegion {
-			return false
-		}
-		if v := a.hiAt(t); uint64(v) >= core.LockRegion {
+		vacuous = true
+		lo, hi := a.loAt(t), a.hiAt(t)
+		if lo < 0 || uint64(lo) < s.start ||
+			s.end != 0 && (infPos(hi) || uint64(hi)+uint64(width) > s.end) {
 			return false
 		}
 	}
-	return any
+	return vacuous
 }
 
 // watched reports whether the exact address lies, for some thread the
@@ -599,36 +598,6 @@ func (u *unit) watched(a av, c tidC) bool {
 		}
 	}
 	return false
-}
-
-// inLockRegion reports whether the address provably lies in the
-// hardware-lock line region for every thread the constraint allows.
-func (u *unit) inLockRegion(a av, c tidC) bool {
-	if !a.known {
-		return false
-	}
-	any := false
-	for t := int64(0); t < int64(u.opt.Threads); t++ {
-		if !c.allows(t) {
-			continue
-		}
-		any = true
-		if v := a.loAt(t); v < 0 || uint64(v) < core.LockRegion {
-			return false
-		}
-	}
-	return any
-}
-
-// countAllowed counts the threads a constraint admits.
-func (u *unit) countAllowed(c tidC) int {
-	n := 0
-	for t := int64(0); t < int64(u.opt.Threads); t++ {
-		if c.allows(t) {
-			n++
-		}
-	}
-	return n
 }
 
 func (u *unit) describeAV(a av) string {
@@ -659,29 +628,25 @@ func (u *unit) describeAV(a av) string {
 func (u *unit) checkStoreToArrival(recs []accRec, regions []regionRec) []Diagnostic {
 	var ds []Diagnostic
 	line := int64(lineBytes)
+stores:
 	for _, s := range recs {
 		if !s.store || !s.addr.exact() {
 			continue
 		}
-		hit := false
 		for _, r := range regions {
-			for t := int64(0); t < int64(u.opt.Threads) && !hit; t++ {
+			for t := int64(0); t < int64(u.opt.Threads); t++ {
 				if !s.tid.allows(t) {
 					continue
 				}
 				a := s.addr.at(t)
-				lo, hiL := floorDiv(a, line), floorDiv(a+int64(s.width)-1, line)
-				for L := lo; L <= hiL && !hit; L++ {
+				for L := floorDiv(a, line); L <= floorDiv(a+int64(s.width)-1, line); L++ {
 					if regionCoversLine(r.target, L, line, int64(u.opt.Threads)) {
 						ds = append(ds, u.diag(CodeStoreToArrival, s.idx,
 							"store to %#x lands on filter-watched line %#x; stores corrupt the filter's starvation protocol",
 							uint64(a), uint64(L*line)))
-						hit = true
+						continue stores // one report per store
 					}
 				}
-			}
-			if hit {
-				break
 			}
 		}
 	}

@@ -24,10 +24,12 @@
 // All checks are "must" analyses: a diagnostic is only reported when the
 // violation is provable along some path with statically known addresses.
 // Unknown (widened) values stay silent, so every shipped kernel × barrier
-// mechanism vets clean while each misuse pattern in Corpus is caught.
+// mechanism vets clean while each misuse pattern in the corpus
+// (testdata/corpus) is caught.
 package vet
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -111,6 +113,18 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s (%#x): %s: %s", d.Pos, d.Addr, d.Code, d.Msg)
 }
 
+// MarshalJSON renders d as {code, addr, pos, phase, msg}, the address as a
+// hex string: the one JSON form cmd/srvet prints and the golden pins.
+func (d Diagnostic) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Code  Code   `json:"code"`
+		Addr  string `json:"addr"`
+		Pos   string `json:"pos"`
+		Phase int    `json:"phase"`
+		Msg   string `json:"msg"`
+	}{d.Code, fmt.Sprintf("%#x", d.Addr), d.Pos, d.Phase, d.Msg})
+}
+
 // Options tunes a Check run.
 type Options struct {
 	// Threads is the SPMD thread count the program will run with
@@ -126,12 +140,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Threads < 1 {
-		o.Threads = 1
-	}
-	if o.Threads > maxThreads {
-		o.Threads = maxThreads
-	}
+	o.Threads = min(max(o.Threads, 1), maxThreads)
 	return o
 }
 
@@ -151,8 +160,8 @@ const maxThreads = 1024
 // race certificates (advisory; a clean Diags slice is the gate, the
 // certificates say how much of the phase structure was actually proved).
 type Report struct {
-	Diags  []Diagnostic
-	Phases []PhaseInfo
+	Diags  []Diagnostic `json:"diagnostics,omitempty"`
+	Phases []PhaseInfo  `json:"phases,omitempty"`
 }
 
 // Check vets a linked program and returns its diagnostics, most severe

@@ -11,32 +11,28 @@ import (
 	"repro/internal/kernels"
 )
 
-// TestCorpus: every seeded misuse program must yield exactly its diagnostic,
-// attributed to the labelled instruction.
+// TestCorpus: every misuse program in the corpus must yield exactly its
+// diagnostic, attributed to the labelled instruction.
 func TestCorpus(t *testing.T) {
-	for _, e := range Corpus() {
+	for _, e := range loadCorpus(t) {
 		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			p, err := e.Build()
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			ds := Check(p, Options{Threads: e.Threads})
+		t.Run(e.name, func(t *testing.T) {
+			ds := Check(e.prog, Options{Threads: e.threads})
 			if len(ds) == 0 {
-				t.Fatalf("want %s, got no diagnostics", e.Want)
+				t.Fatalf("want %s, got no diagnostics", e.want)
 			}
 			found := false
 			for _, d := range ds {
-				if d.Code != e.Want {
+				if d.Code != e.want {
 					t.Errorf("unexpected diagnostic %s", d)
 					continue
 				}
-				if strings.HasPrefix(d.Pos, e.WantPos) {
+				if strings.HasPrefix(d.Pos, e.wantPos) {
 					found = true
 				}
 			}
 			if !found {
-				t.Errorf("no %s diagnostic at %q; got %v", e.Want, e.WantPos, ds)
+				t.Errorf("no %s diagnostic at %q; got %v", e.want, e.wantPos, ds)
 			}
 		})
 	}
@@ -118,15 +114,11 @@ func TestTidGuardSuppressesSharedStore(t *testing.T) {
 // TestSingleThreadSilencesRaces: with one thread there are no partitions to
 // escape.
 func TestSingleThreadSilencesRaces(t *testing.T) {
-	for _, e := range Corpus() {
-		if e.Name != "cross-partition-store" {
+	for _, e := range loadCorpus(t) {
+		if e.name != "cross-partition-store" {
 			continue
 		}
-		p, err := e.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds := Check(p, Options{Threads: 1}); len(ds) != 0 {
+		if ds := Check(e.prog, Options{Threads: 1}); len(ds) != 0 {
 			t.Fatalf("single-thread run reported: %v", ds)
 		}
 	}
