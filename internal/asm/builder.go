@@ -77,25 +77,6 @@ func (b *Builder) Label(name string) {
 	b.define(name, b.PC())
 }
 
-// locate renders the build-site position of instruction index i (for error
-// messages), as the innermost label at or before it plus an instruction
-// offset.
-func (b *Builder) locate(i int) string {
-	addr := b.textBase + uint64(i)*isa.WordBytes
-	pos := fmt.Sprintf("%#x", addr)
-	for _, m := range b.marks {
-		if m.Addr > addr {
-			break
-		}
-		if off := (addr - m.Addr) / isa.WordBytes; off != 0 {
-			pos = fmt.Sprintf("%s+%d", m.Name, off)
-		} else {
-			pos = m.Name
-		}
-	}
-	return pos
-}
-
 // NewLabel returns a fresh unique label name (not yet defined).
 func (b *Builder) NewLabel(hint string) string {
 	b.nextLbl++
@@ -335,10 +316,12 @@ func (b *Builder) Build() (*Program, error) {
 	}
 	for _, f := range b.fixups {
 		addr, ok := b.symbols[f.label]
-		if !ok {
-			return nil, fmt.Errorf("%w %q (referenced at %s)", ErrUndefinedLabel, f.label, b.locate(f.index))
-		}
 		instAddr := b.textBase + uint64(f.index)*isa.WordBytes
+		if !ok {
+			// b.marks are appended in PC order, so already sorted as Locate needs.
+			site := (&Program{Marks: b.marks}).Locate(instAddr)
+			return nil, fmt.Errorf("%w %q (referenced at %s)", ErrUndefinedLabel, f.label, site)
+		}
 		switch f.kind {
 		case fixBranch:
 			disp := int64(addr) - int64(instAddr)

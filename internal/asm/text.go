@@ -15,7 +15,8 @@ import (
 //	label:                     define a label at the current position
 //	mnemonic op1, op2, ...     instruction (see below)
 //	.text | .data              switch section
-//	.align N                   pad current section to N-byte alignment
+//	.align N                   pad the current section to N-byte alignment
+//	                           (.text pads with nop; N a multiple of 8)
 //	.quad v, ...               emit 64-bit values (data section)
 //	.double v, ...             emit float64 values
 //	.space N                   emit N zero bytes
@@ -23,9 +24,12 @@ import (
 //	.entry name                select the entry symbol
 //	# ... or // ...            comment
 //
-// Memory operands are written imm(reg) or (reg). Branch and jump targets
-// are labels. `la rd, sym` loads the address of a symbol; `li rd, imm`
-// loads a 32-bit constant.
+// An instruction's operands are those its isa.Info.Form names: registers,
+// 32-bit immediates, memory operands written imm(reg) or (reg), and labels
+// as branch and jump targets. Besides isa's opcodes the assembler accepts
+// the pseudo-instructions in pseudos: `la rd, sym` loads the address of a
+// symbol, `mv`, `beqz`, `bnez`, `bgt`, `ble`, `j`, `call` and `ret` are
+// the usual shorthands.
 func Assemble(src string, textBase, dataBase uint64) (*Program, error) {
 	b := NewBuilder(textBase, dataBase)
 	la := NewLineAssembler(b)
@@ -53,7 +57,7 @@ func NewLineAssembler(b *Builder) *LineAssembler {
 
 // Line assembles one source line (labels, directive or instruction).
 func (la *LineAssembler) Line(raw string) error {
-	line := strings.TrimSpace(stripComment(raw))
+	line := Statement(raw)
 	if line == "" {
 		return nil
 	}
@@ -89,14 +93,12 @@ func MustAssemble(src string, textBase, dataBase uint64) *Program {
 	return p
 }
 
-func stripComment(s string) string {
-	if i := strings.Index(s, "#"); i >= 0 {
-		s = s[:i]
-	}
-	if i := strings.Index(s, "//"); i >= 0 {
-		s = s[:i]
-	}
-	return s
+// Statement returns what a source line holds without its comment (from
+// `#` or `//` to the end of the line) and surrounding space.
+func Statement(line string) string {
+	line, _, _ = strings.Cut(line, "#")
+	line, _, _ = strings.Cut(line, "//")
+	return strings.TrimSpace(line)
 }
 
 func splitOperands(s string) []string {
@@ -143,6 +145,8 @@ func assembleDirective(b *Builder, section *string, mnem string, ops []string) e
 		}
 		if *section == ".data" {
 			b.AlignData(int(n))
+		} else {
+			b.AlignText(int(n))
 		}
 		return nil
 	case ".quad":
@@ -217,360 +221,115 @@ func parseInt(s string) (int64, error) {
 	return int64(v), nil
 }
 
+// parseImm parses an instruction immediate, which must fit in 32 bits
+// signed. parseInt wraps modulo 2^64 (0xffffffffffffffff is -1), so a value
+// whose sign differs from the literal's is out of range too.
+func parseImm(s string) (int32, error) {
+	v, err := parseInt(s)
+	if err != nil {
+		return 0, err
+	}
+	neg := strings.HasPrefix(strings.TrimSpace(s), "-")
+	if v != int64(int32(v)) || v < 0 && !neg || v > 0 && neg {
+		return 0, fmt.Errorf("immediate %s out of 32-bit range", s)
+	}
+	return int32(v), nil
+}
+
 // parseMem parses "imm(reg)" or "(reg)".
 func parseMem(s string) (uint8, int32, error) {
 	open := strings.Index(s, "(")
 	close := strings.LastIndex(s, ")")
-	if open < 0 || close < open {
+	if open < 0 || close < open || close != len(s)-1 {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
 	}
 	reg, err := isa.ParseIntReg(strings.TrimSpace(s[open+1 : close]))
 	if err != nil {
 		return 0, 0, err
 	}
-	immStr := strings.TrimSpace(s[:open])
-	var imm int64
-	if immStr != "" {
-		imm, err = parseInt(immStr)
+	var imm int32
+	if immStr := strings.TrimSpace(s[:open]); immStr != "" {
+		imm, err = parseImm(immStr)
+	}
+	return reg, imm, err
+}
+
+// parseOperands parses ops as inf.Form spells them into an instruction's
+// fields, returning the label an L operand names.
+func parseOperands(inf isa.Info, ops []string) (in isa.Inst, label string, err error) {
+	if len(ops) != len(inf.Form) {
+		return in, "", fmt.Errorf("%s wants %d operands, got %d", inf.Name, len(inf.Form), len(ops))
+	}
+	reg := func(c byte, s string) (uint8, error) {
+		if inf.FPOperand(c) {
+			return isa.ParseFPReg(s)
+		}
+		return isa.ParseIntReg(s)
+	}
+	for i, o := range ops {
+		switch c := inf.Form[i]; c {
+		case 'd':
+			in.Rd, err = reg(c, o)
+		case 's':
+			in.Rs1, err = reg(c, o)
+		case 't':
+			in.Rs2, err = reg(c, o)
+		case 'i':
+			in.Imm, err = parseImm(o)
+		case 'm':
+			in.Rs1, in.Imm, err = parseMem(o)
+		case 'L':
+			label = o
+		}
 		if err != nil {
-			return 0, 0, err
+			return in, "", err
 		}
 	}
-	return reg, int32(imm), nil
+	return in, label, nil
 }
 
-var r3Ops = map[string]isa.Opcode{
-	"add": isa.ADD, "sub": isa.SUB, "mul": isa.MUL, "div": isa.DIV, "rem": isa.REM,
-	"and": isa.AND, "or": isa.OR, "xor": isa.XOR,
-	"sll": isa.SLL, "srl": isa.SRL, "sra": isa.SRA, "slt": isa.SLT, "sltu": isa.SLTU,
+// pseudos are the instructions isa's table does not hold: each is a form
+// over integer registers and the Builder call it makes.
+var pseudos = map[string]struct {
+	form string
+	emit func(b *Builder, in isa.Inst, label string)
+}{
+	"la":   {"dL", func(b *Builder, in isa.Inst, l string) { b.LA(in.Rd, l) }},
+	"mv":   {"ds", func(b *Builder, in isa.Inst, _ string) { b.MV(in.Rd, in.Rs1) }},
+	"beqz": {"sL", func(b *Builder, in isa.Inst, l string) { b.BEQZ(in.Rs1, l) }},
+	"bnez": {"sL", func(b *Builder, in isa.Inst, l string) { b.BNEZ(in.Rs1, l) }},
+	"bgt":  {"stL", func(b *Builder, in isa.Inst, l string) { b.BGT(in.Rs1, in.Rs2, l) }},
+	"ble":  {"stL", func(b *Builder, in isa.Inst, l string) { b.BLE(in.Rs1, in.Rs2, l) }},
+	"j":    {"L", func(b *Builder, _ isa.Inst, l string) { b.J(l) }},
+	"call": {"L", func(b *Builder, _ isa.Inst, l string) { b.CALL(l) }},
+	"ret":  {"", func(b *Builder, _ isa.Inst, _ string) { b.RET() }},
 }
 
-var immOps = map[string]isa.Opcode{
-	"addi": isa.ADDI, "andi": isa.ANDI, "ori": isa.ORI, "xori": isa.XORI,
-	"slli": isa.SLLI, "srli": isa.SRLI, "srai": isa.SRAI, "slti": isa.SLTI,
-}
-
-var fp3Ops = map[string]isa.Opcode{
-	"fadd": isa.FADD, "fsub": isa.FSUB, "fmul": isa.FMUL, "fdiv": isa.FDIV,
-}
-
-var fcmpOps = map[string]isa.Opcode{
-	"feq": isa.FEQ, "flt": isa.FLT, "fle": isa.FLE,
-}
-
-var loadOps = map[string]isa.Opcode{
-	"ld": isa.LD, "lw": isa.LW, "lh": isa.LH, "ll": isa.LL,
-}
-
-var storeOps = map[string]isa.Opcode{
-	"st": isa.ST, "sw": isa.SW, "sh": isa.SH,
-}
-
-var branchOps = map[string]func(b *Builder, rs1, rs2 uint8, label string){
-	"beq":  (*Builder).BEQ,
-	"bne":  (*Builder).BNE,
-	"blt":  (*Builder).BLT,
-	"bge":  (*Builder).BGE,
-	"bltu": (*Builder).BLTU,
-	"bgeu": (*Builder).BGEU,
-	"bgt":  (*Builder).BGT,
-	"ble":  (*Builder).BLE,
-}
-
+// assembleInst emits one instruction: a pseudo-instruction through its
+// Builder call, an isa opcode as its form's fields, referring to its label
+// if the form has one.
 func assembleInst(b *Builder, mnem string, ops []string) error {
-	want := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", mnem, n, len(ops))
+	if p, ok := pseudos[mnem]; ok {
+		in, label, err := parseOperands(isa.Info{Name: mnem, Form: p.form}, ops)
+		if err == nil {
+			p.emit(b, in, label)
 		}
-		return nil
+		return err
 	}
-	ireg := func(i int) (uint8, error) { return isa.ParseIntReg(ops[i]) }
-	freg := func(i int) (uint8, error) { return isa.ParseFPReg(ops[i]) }
-
-	if op, ok := r3Ops[mnem]; ok {
-		if err := want(3); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		rs1, e2 := ireg(1)
-		rs2, e3 := ireg(2)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return err
-		}
-		b.r3(op, rd, rs1, rs2)
-		return nil
-	}
-	if op, ok := immOps[mnem]; ok {
-		if err := want(3); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		rs1, e2 := ireg(1)
-		imm, e3 := parseInt(ops[2])
-		if err := firstErr(e1, e2, e3); err != nil {
-			return err
-		}
-		b.imm2(op, rd, rs1, int32(imm))
-		return nil
-	}
-	if op, ok := fp3Ops[mnem]; ok {
-		if err := want(3); err != nil {
-			return err
-		}
-		fd, e1 := freg(0)
-		f1, e2 := freg(1)
-		f2, e3 := freg(2)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return err
-		}
-		b.r3(op, fd, f1, f2)
-		return nil
-	}
-	if op, ok := fcmpOps[mnem]; ok {
-		if err := want(3); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		f1, e2 := freg(1)
-		f2, e3 := freg(2)
-		if err := firstErr(e1, e2, e3); err != nil {
-			return err
-		}
-		b.r3(op, rd, f1, f2)
-		return nil
-	}
-	if op, ok := loadOps[mnem]; ok {
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		rs1, imm, e2 := parseMem(ops[1])
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.load(op, rd, rs1, imm)
-		return nil
-	}
-	if op, ok := storeOps[mnem]; ok {
-		if err := want(2); err != nil {
-			return err
-		}
-		rs2, e1 := ireg(0)
-		rs1, imm, e2 := parseMem(ops[1])
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.store(op, rs2, rs1, imm)
-		return nil
-	}
-	if fn, ok := branchOps[mnem]; ok {
-		if err := want(3); err != nil {
-			return err
-		}
-		rs1, e1 := ireg(0)
-		rs2, e2 := ireg(1)
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		fn(b, rs1, rs2, ops[2])
-		return nil
-	}
-
-	switch mnem {
-	case "li":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		imm, e2 := parseInt(ops[1])
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.LI(rd, imm)
-	case "la":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, err := ireg(0)
-		if err != nil {
-			return err
-		}
-		b.LA(rd, ops[1])
-	case "mv":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		rs1, e2 := ireg(1)
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.MV(rd, rs1)
-	case "fld":
-		if err := want(2); err != nil {
-			return err
-		}
-		fd, e1 := freg(0)
-		rs1, imm, e2 := parseMem(ops[1])
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.FLD(fd, rs1, imm)
-	case "fst":
-		if err := want(2); err != nil {
-			return err
-		}
-		fs2, e1 := freg(0)
-		rs1, imm, e2 := parseMem(ops[1])
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.FST(fs2, rs1, imm)
-	case "sc":
-		if err := want(3); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		rs2, e2 := ireg(1)
-		rs1, imm, e3 := parseMem(ops[2])
-		if err := firstErr(e1, e2, e3); err != nil {
-			return err
-		}
-		b.SC(rd, rs2, rs1, imm)
-	case "fneg", "fabs", "fmov":
-		if err := want(2); err != nil {
-			return err
-		}
-		fd, e1 := freg(0)
-		f1, e2 := freg(1)
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		switch mnem {
-		case "fneg":
-			b.FNEG(fd, f1)
-		case "fabs":
-			b.FABS(fd, f1)
-		default:
-			b.FMOV(fd, f1)
-		}
-	case "itof":
-		if err := want(2); err != nil {
-			return err
-		}
-		fd, e1 := freg(0)
-		rs1, e2 := ireg(1)
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.ITOF(fd, rs1)
-	case "ftoi":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		f1, e2 := freg(1)
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.FTOI(rd, f1)
-	case "beqz", "bnez":
-		if err := want(2); err != nil {
-			return err
-		}
-		rs1, err := ireg(0)
-		if err != nil {
-			return err
-		}
-		if mnem == "beqz" {
-			b.BEQZ(rs1, ops[1])
-		} else {
-			b.BNEZ(rs1, ops[1])
-		}
-	case "jal":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, err := ireg(0)
-		if err != nil {
-			return err
-		}
-		b.JAL(rd, ops[1])
-	case "jalr":
-		if err := want(2); err != nil {
-			return err
-		}
-		rd, e1 := ireg(0)
-		rs1, imm, e2 := parseMem(ops[1])
-		if err := firstErr(e1, e2); err != nil {
-			return err
-		}
-		b.JALR(rd, rs1, imm)
-	case "j":
-		if err := want(1); err != nil {
-			return err
-		}
-		b.J(ops[0])
-	case "call":
-		if err := want(1); err != nil {
-			return err
-		}
-		b.CALL(ops[0])
-	case "ret":
-		if err := want(0); err != nil {
-			return err
-		}
-		b.RET()
-	case "fence":
-		b.FENCE()
-	case "iflush":
-		b.IFLUSH()
-	case "icbi", "dcbi":
-		if err := want(1); err != nil {
-			return err
-		}
-		rs1, imm, err := parseMem(ops[0])
-		if err != nil {
-			return err
-		}
-		if mnem == "icbi" {
-			b.ICBI(rs1, imm)
-		} else {
-			b.DCBI(rs1, imm)
-		}
-	case "hwbar":
-		if err := want(1); err != nil {
-			return err
-		}
-		id, err := parseInt(ops[0])
-		if err != nil {
-			return err
-		}
-		b.HWBAR(int32(id))
-	case "nop":
-		b.NOP()
-	case "halt":
-		b.HALT()
-	case "out":
-		if err := want(1); err != nil {
-			return err
-		}
-		rs1, err := ireg(0)
-		if err != nil {
-			return err
-		}
-		b.OUT(rs1)
-	default:
+	op, ok := isa.ByName(mnem)
+	if !ok {
 		return fmt.Errorf("unknown mnemonic %q", mnem)
 	}
-	return nil
-}
-
-func firstErr(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+	inf := isa.Lookup(op)
+	in, label, err := parseOperands(inf, ops)
+	if err != nil {
+		return err
+	}
+	in.Op = op
+	if strings.Contains(inf.Form, "L") {
+		b.EmitRef(in, label, fixBranch)
+	} else {
+		b.Emit(in)
 	}
 	return nil
 }

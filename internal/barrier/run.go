@@ -29,9 +29,7 @@ func Assemble(gen Generator, src string) (*asm.Program, error) {
 	prog, buildErr := BuildProgram(gen, func(b *asm.Builder) {
 		la := asm.NewLineAssembler(b)
 		for i, line := range strings.Split(src, "\n") {
-			stmt, _, _ := strings.Cut(line, "#")
-			stmt, _, _ = strings.Cut(stmt, "//")
-			if strings.TrimSpace(stmt) == "barrier" {
+			if asm.Statement(line) == "barrier" {
 				gen.EmitBarrier(b)
 			} else if err = la.Line(line); err != nil {
 				err = fmt.Errorf("line %d: %w", i+1, err)

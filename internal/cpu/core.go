@@ -1210,8 +1210,8 @@ func (c *Core) dispatchStage() {
 		e.seq = c.nextSeq
 		e.pc = f.pc
 		e.in = d.In
-		e.class = d.Info.Class
-		e.memBytes = d.Info.MemBytes
+		e.class = d.Class
+		e.memBytes = d.MemBytes
 		e.predTaken = f.predTaken
 		e.predNext = f.predNext
 		e.dest = d.Dest
@@ -1317,7 +1317,7 @@ func (c *Core) fetchStage(now uint64) {
 			d = c.decode(c.fetchPC)
 		}
 		f := fetchedInst{pc: c.fetchPC, d: d, predNext: c.fetchPC + isa.WordBytes}
-		switch d.Info.Class {
+		switch d.Class {
 		case isa.ClassBranch:
 			if c.pred.predictDir(c.fetchPC) {
 				f.predTaken = true

@@ -5,10 +5,13 @@ package isa
 // a translation cache can pay for decoding and table lookups once per text
 // word instead of once per fetch. All fields are derived purely from the
 // instruction word, so a Decoded record is valid exactly as long as the
-// word it was translated from is unchanged in memory.
+// word it was translated from is unchanged in memory. Of the opcode's Info
+// it keeps only what the pipeline reads, the class and the access size: a
+// record is held per translated text word and copied per fetch.
 type Decoded struct {
-	In   Inst
-	Info Info
+	In       Inst
+	Class    Class
+	MemBytes int
 
 	// Src0 and Src1 are the regfile indices read by the two source slots
 	// (0..31 int, 32..63 fp), or -1 for an unused slot. Integer x0 keeps
@@ -48,11 +51,12 @@ func srcIndex(info Info, in Inst, i int) int8 {
 func PredecodeInst(in Inst) Decoded {
 	info := Lookup(in.Op)
 	d := Decoded{
-		In:   in,
-		Info: info,
-		Src0: srcIndex(info, in, 0),
-		Src1: srcIndex(info, in, 1),
-		Dest: -1,
+		In:       in,
+		Class:    info.Class,
+		MemBytes: info.MemBytes,
+		Src0:     srcIndex(info, in, 0),
+		Src1:     srcIndex(info, in, 1),
+		Dest:     -1,
 	}
 	switch {
 	case info.WritesRd && in.Rd != 0:

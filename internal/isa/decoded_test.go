@@ -22,8 +22,8 @@ func TestPredecodeMatchesDecode(t *testing.T) {
 			t.Fatalf("%v: Predecode.In = %+v, Decode = %+v", in, d.In, Decode(w))
 		}
 		info := Lookup(d.In.Op)
-		if d.Info != info {
-			t.Fatalf("%v: Info mismatch: %+v vs %+v", in, d.Info, info)
+		if d.Class != info.Class || d.MemBytes != info.MemBytes {
+			t.Fatalf("%v: class and size %v, %d; Info has %v, %d", in, d.Class, d.MemBytes, info.Class, info.MemBytes)
 		}
 		// Destination rule: integer rd unless x0, else fp rd, else none.
 		wantDest := int8(-1)

@@ -139,8 +139,19 @@ const (
 )
 
 // Info describes the static properties of one opcode.
+//
+// Form is the operand syntax, one letter per operand in source order; the
+// disassembler prints it and the text assembler parses it:
+//
+//	d  rd          s  rs1          t  rs2
+//	i  imm         m  imm(rs1)     L  label: imm is its PC-relative displacement
+//
+// A d, s or t operand is an FP register where the flags say the opcode
+// writes fd or reads fs1 or fs2 (see FPOperand), an integer register
+// otherwise; the base of m is always an integer register.
 type Info struct {
 	Name     string
+	Form     string
 	Class    Class
 	ReadsR1  bool // reads integer rs1
 	ReadsR2  bool // reads integer rs2
@@ -152,74 +163,74 @@ type Info struct {
 }
 
 var infos = [numOpcodes]Info{
-	BAD: {Name: "bad", Class: ClassOther},
+	BAD: {Name: "bad", Form: "", Class: ClassOther},
 
-	ADD:  {Name: "add", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	SUB:  {Name: "sub", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	MUL:  {Name: "mul", Class: ClassMul, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	DIV:  {Name: "div", Class: ClassDiv, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	REM:  {Name: "rem", Class: ClassDiv, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	AND:  {Name: "and", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	OR:   {Name: "or", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	XOR:  {Name: "xor", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	SLL:  {Name: "sll", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	SRL:  {Name: "srl", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	SRA:  {Name: "sra", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	SLT:  {Name: "slt", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
-	SLTU: {Name: "sltu", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	ADD:  {Name: "add", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	SUB:  {Name: "sub", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	MUL:  {Name: "mul", Form: "dst", Class: ClassMul, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	DIV:  {Name: "div", Form: "dst", Class: ClassDiv, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	REM:  {Name: "rem", Form: "dst", Class: ClassDiv, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	AND:  {Name: "and", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	OR:   {Name: "or", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	XOR:  {Name: "xor", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	SLL:  {Name: "sll", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	SRL:  {Name: "srl", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	SRA:  {Name: "sra", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	SLT:  {Name: "slt", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
+	SLTU: {Name: "sltu", Form: "dst", Class: ClassALU, ReadsR1: true, ReadsR2: true, WritesRd: true},
 
-	ADDI: {Name: "addi", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	ANDI: {Name: "andi", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	ORI:  {Name: "ori", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	XORI: {Name: "xori", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	SLLI: {Name: "slli", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	SRLI: {Name: "srli", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	SRAI: {Name: "srai", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	SLTI: {Name: "slti", Class: ClassALU, ReadsR1: true, WritesRd: true},
-	LI:   {Name: "li", Class: ClassALU, WritesRd: true},
+	ADDI: {Name: "addi", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	ANDI: {Name: "andi", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	ORI:  {Name: "ori", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	XORI: {Name: "xori", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	SLLI: {Name: "slli", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	SRLI: {Name: "srli", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	SRAI: {Name: "srai", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	SLTI: {Name: "slti", Form: "dsi", Class: ClassALU, ReadsR1: true, WritesRd: true},
+	LI:   {Name: "li", Form: "di", Class: ClassALU, WritesRd: true},
 
-	FADD: {Name: "fadd", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesFd: true},
-	FSUB: {Name: "fsub", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesFd: true},
-	FMUL: {Name: "fmul", Class: ClassFPMul, ReadsF1: true, ReadsF2: true, WritesFd: true},
-	FDIV: {Name: "fdiv", Class: ClassFPDiv, ReadsF1: true, ReadsF2: true, WritesFd: true},
-	FNEG: {Name: "fneg", Class: ClassFPAdd, ReadsF1: true, WritesFd: true},
-	FABS: {Name: "fabs", Class: ClassFPAdd, ReadsF1: true, WritesFd: true},
-	FMOV: {Name: "fmov", Class: ClassFPAdd, ReadsF1: true, WritesFd: true},
-	FEQ:  {Name: "feq", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesRd: true},
-	FLT:  {Name: "flt", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesRd: true},
-	FLE:  {Name: "fle", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesRd: true},
-	ITOF: {Name: "itof", Class: ClassFPAdd, ReadsR1: true, WritesFd: true},
-	FTOI: {Name: "ftoi", Class: ClassFPAdd, ReadsF1: true, WritesRd: true},
+	FADD: {Name: "fadd", Form: "dst", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesFd: true},
+	FSUB: {Name: "fsub", Form: "dst", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesFd: true},
+	FMUL: {Name: "fmul", Form: "dst", Class: ClassFPMul, ReadsF1: true, ReadsF2: true, WritesFd: true},
+	FDIV: {Name: "fdiv", Form: "dst", Class: ClassFPDiv, ReadsF1: true, ReadsF2: true, WritesFd: true},
+	FNEG: {Name: "fneg", Form: "ds", Class: ClassFPAdd, ReadsF1: true, WritesFd: true},
+	FABS: {Name: "fabs", Form: "ds", Class: ClassFPAdd, ReadsF1: true, WritesFd: true},
+	FMOV: {Name: "fmov", Form: "ds", Class: ClassFPAdd, ReadsF1: true, WritesFd: true},
+	FEQ:  {Name: "feq", Form: "dst", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesRd: true},
+	FLT:  {Name: "flt", Form: "dst", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesRd: true},
+	FLE:  {Name: "fle", Form: "dst", Class: ClassFPAdd, ReadsF1: true, ReadsF2: true, WritesRd: true},
+	ITOF: {Name: "itof", Form: "ds", Class: ClassFPAdd, ReadsR1: true, WritesFd: true},
+	FTOI: {Name: "ftoi", Form: "ds", Class: ClassFPAdd, ReadsF1: true, WritesRd: true},
 
-	LD:  {Name: "ld", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 8},
-	LW:  {Name: "lw", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 4},
-	LH:  {Name: "lh", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 2},
-	ST:  {Name: "st", Class: ClassStore, ReadsR1: true, ReadsR2: true, MemBytes: 8},
-	SW:  {Name: "sw", Class: ClassStore, ReadsR1: true, ReadsR2: true, MemBytes: 4},
-	SH:  {Name: "sh", Class: ClassStore, ReadsR1: true, ReadsR2: true, MemBytes: 2},
-	FLD: {Name: "fld", Class: ClassLoad, ReadsR1: true, WritesFd: true, MemBytes: 8},
-	FST: {Name: "fst", Class: ClassStore, ReadsR1: true, ReadsF2: true, MemBytes: 8},
-	LL:  {Name: "ll", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 8},
-	SC:  {Name: "sc", Class: ClassStore, ReadsR1: true, ReadsR2: true, WritesRd: true, MemBytes: 8},
+	LD:  {Name: "ld", Form: "dm", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 8},
+	LW:  {Name: "lw", Form: "dm", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 4},
+	LH:  {Name: "lh", Form: "dm", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 2},
+	ST:  {Name: "st", Form: "tm", Class: ClassStore, ReadsR1: true, ReadsR2: true, MemBytes: 8},
+	SW:  {Name: "sw", Form: "tm", Class: ClassStore, ReadsR1: true, ReadsR2: true, MemBytes: 4},
+	SH:  {Name: "sh", Form: "tm", Class: ClassStore, ReadsR1: true, ReadsR2: true, MemBytes: 2},
+	FLD: {Name: "fld", Form: "dm", Class: ClassLoad, ReadsR1: true, WritesFd: true, MemBytes: 8},
+	FST: {Name: "fst", Form: "tm", Class: ClassStore, ReadsR1: true, ReadsF2: true, MemBytes: 8},
+	LL:  {Name: "ll", Form: "dm", Class: ClassLoad, ReadsR1: true, WritesRd: true, MemBytes: 8},
+	SC:  {Name: "sc", Form: "dtm", Class: ClassStore, ReadsR1: true, ReadsR2: true, WritesRd: true, MemBytes: 8},
 
-	BEQ:  {Name: "beq", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
-	BNE:  {Name: "bne", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
-	BLT:  {Name: "blt", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
-	BGE:  {Name: "bge", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
-	BLTU: {Name: "bltu", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
-	BGEU: {Name: "bgeu", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
-	JAL:  {Name: "jal", Class: ClassJump, WritesRd: true},
-	JALR: {Name: "jalr", Class: ClassJump, ReadsR1: true, WritesRd: true},
+	BEQ:  {Name: "beq", Form: "stL", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
+	BNE:  {Name: "bne", Form: "stL", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
+	BLT:  {Name: "blt", Form: "stL", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
+	BGE:  {Name: "bge", Form: "stL", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
+	BLTU: {Name: "bltu", Form: "stL", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
+	BGEU: {Name: "bgeu", Form: "stL", Class: ClassBranch, ReadsR1: true, ReadsR2: true},
+	JAL:  {Name: "jal", Form: "dL", Class: ClassJump, WritesRd: true},
+	JALR: {Name: "jalr", Form: "dm", Class: ClassJump, ReadsR1: true, WritesRd: true},
 
-	FENCE:  {Name: "fence", Class: ClassFence},
-	IFLUSH: {Name: "iflush", Class: ClassIFlush},
-	ICBI:   {Name: "icbi", Class: ClassCacheOp, ReadsR1: true},
-	DCBI:   {Name: "dcbi", Class: ClassCacheOp, ReadsR1: true},
-	HWBAR:  {Name: "hwbar", Class: ClassHWBar},
+	FENCE:  {Name: "fence", Form: "", Class: ClassFence},
+	IFLUSH: {Name: "iflush", Form: "", Class: ClassIFlush},
+	ICBI:   {Name: "icbi", Form: "m", Class: ClassCacheOp, ReadsR1: true},
+	DCBI:   {Name: "dcbi", Form: "m", Class: ClassCacheOp, ReadsR1: true},
+	HWBAR:  {Name: "hwbar", Form: "i", Class: ClassHWBar},
 
-	NOP:  {Name: "nop", Class: ClassOther},
-	HALT: {Name: "halt", Class: ClassHalt},
-	OUT:  {Name: "out", Class: ClassOther, ReadsR1: true},
+	NOP:  {Name: "nop", Form: "", Class: ClassOther},
+	HALT: {Name: "halt", Form: "", Class: ClassHalt},
+	OUT:  {Name: "out", Form: "s", Class: ClassOther, ReadsR1: true},
 }
 
 // Lookup returns the Info for op. Unknown opcodes report as BAD.
@@ -232,6 +243,30 @@ func Lookup(op Opcode) Info {
 
 // String returns the mnemonic for op.
 func (op Opcode) String() string { return Lookup(op).Name }
+
+// ByName returns the opcode whose mnemonic is name. BAD has no mnemonic.
+func ByName(name string) (Opcode, bool) {
+	for op := BAD + 1; op < numOpcodes; op++ {
+		if infos[op].Name == name {
+			return op, true
+		}
+	}
+	return BAD, false
+}
+
+// FPOperand reports whether the register operand that form letter c names
+// ('d', 's' or 't') is an FP register.
+func (inf Info) FPOperand(c byte) bool {
+	switch c {
+	case 'd':
+		return inf.WritesFd
+	case 's':
+		return inf.ReadsF1
+	case 't':
+		return inf.ReadsF2
+	}
+	return false
+}
 
 // Inst is one decoded SRISC instruction.
 type Inst struct {
@@ -352,52 +387,34 @@ func (in Inst) IsCtrl() bool {
 	return c == ClassBranch || c == ClassJump
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction in the syntax the text assembler
+// reads, except that an L operand prints as its displacement.
 func (in Inst) String() string {
 	inf := Lookup(in.Op)
-	switch in.Op {
-	case NOP, HALT, FENCE, IFLUSH:
-		return inf.Name
-	case LI:
-		return fmt.Sprintf("%s x%d, %d", inf.Name, in.Rd, in.Imm)
-	case JAL:
-		return fmt.Sprintf("%s x%d, %+d", inf.Name, in.Rd, in.Imm)
-	case JALR:
-		return fmt.Sprintf("%s x%d, x%d, %d", inf.Name, in.Rd, in.Rs1, in.Imm)
-	case BEQ, BNE, BLT, BGE, BLTU, BGEU:
-		return fmt.Sprintf("%s x%d, x%d, %+d", inf.Name, in.Rs1, in.Rs2, in.Imm)
-	case ICBI, DCBI:
-		return fmt.Sprintf("%s %d(x%d)", inf.Name, in.Imm, in.Rs1)
-	case HWBAR:
-		return fmt.Sprintf("%s %d", inf.Name, in.Imm)
-	case OUT:
-		return fmt.Sprintf("%s x%d", inf.Name, in.Rs1)
-	case ST, SW, SH:
-		return fmt.Sprintf("%s x%d, %d(x%d)", inf.Name, in.Rs2, in.Imm, in.Rs1)
-	case FST:
-		return fmt.Sprintf("%s f%d, %d(x%d)", inf.Name, in.Rs2, in.Imm, in.Rs1)
-	case SC:
-		return fmt.Sprintf("%s x%d, x%d, %d(x%d)", inf.Name, in.Rd, in.Rs2, in.Imm, in.Rs1)
-	case LD, LW, LH, LL:
-		return fmt.Sprintf("%s x%d, %d(x%d)", inf.Name, in.Rd, in.Imm, in.Rs1)
-	case FLD:
-		return fmt.Sprintf("%s f%d, %d(x%d)", inf.Name, in.Rd, in.Imm, in.Rs1)
+	reg := func(c byte, r uint8) string {
+		if inf.FPOperand(c) {
+			return fmt.Sprintf("f%d", r)
+		}
+		return fmt.Sprintf("x%d", r)
 	}
-	switch {
-	case inf.WritesFd && inf.ReadsF1 && inf.ReadsF2:
-		return fmt.Sprintf("%s f%d, f%d, f%d", inf.Name, in.Rd, in.Rs1, in.Rs2)
-	case inf.WritesFd && inf.ReadsF1:
-		return fmt.Sprintf("%s f%d, f%d", inf.Name, in.Rd, in.Rs1)
-	case inf.WritesFd && inf.ReadsR1:
-		return fmt.Sprintf("%s f%d, x%d", inf.Name, in.Rd, in.Rs1)
-	case inf.WritesRd && inf.ReadsF1 && inf.ReadsF2:
-		return fmt.Sprintf("%s x%d, f%d, f%d", inf.Name, in.Rd, in.Rs1, in.Rs2)
-	case inf.WritesRd && inf.ReadsF1:
-		return fmt.Sprintf("%s x%d, f%d", inf.Name, in.Rd, in.Rs1)
-	case inf.WritesRd && inf.ReadsR1 && inf.ReadsR2:
-		return fmt.Sprintf("%s x%d, x%d, x%d", inf.Name, in.Rd, in.Rs1, in.Rs2)
-	case inf.WritesRd && inf.ReadsR1:
-		return fmt.Sprintf("%s x%d, x%d, %d", inf.Name, in.Rd, in.Rs1, in.Imm)
+	s, sep := inf.Name, " "
+	for i := 0; i < len(inf.Form); i++ {
+		s += sep
+		sep = ", "
+		switch c := inf.Form[i]; c {
+		case 'd':
+			s += reg(c, in.Rd)
+		case 's':
+			s += reg(c, in.Rs1)
+		case 't':
+			s += reg(c, in.Rs2)
+		case 'i':
+			s += fmt.Sprint(in.Imm)
+		case 'm':
+			s += fmt.Sprintf("%d(x%d)", in.Imm, in.Rs1)
+		case 'L':
+			s += fmt.Sprintf("%+d", in.Imm)
+		}
 	}
-	return inf.Name
+	return s
 }

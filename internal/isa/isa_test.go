@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,6 +59,9 @@ func TestDecodeUnknownOpcodeIsBAD(t *testing.T) {
 }
 
 func TestInfoTables(t *testing.T) {
+	if op, ok := ByName("bad"); ok {
+		t.Errorf(`ByName("bad") = %v; BAD must not assemble`, op)
+	}
 	for op := Opcode(1); op < numOpcodes; op++ {
 		inf := Lookup(op)
 		if inf.Name == "" {
@@ -65,6 +69,23 @@ func TestInfoTables(t *testing.T) {
 		}
 		if inf.WritesRd && inf.WritesFd {
 			t.Errorf("%s writes both register files", inf.Name)
+		}
+		// The form names exactly the registers the flags say the opcode
+		// uses, each once; an m operand is rs1.
+		has := func(letters string) bool { return strings.ContainsAny(inf.Form, letters) }
+		if has("d") != (inf.WritesRd || inf.WritesFd) ||
+			has("sm") != (inf.ReadsR1 || inf.ReadsF1) ||
+			has("t") != (inf.ReadsR2 || inf.ReadsF2) ||
+			inf.ReadsR1 && inf.ReadsF1 || inf.ReadsR2 && inf.ReadsF2 {
+			t.Errorf("%s: form %q disagrees with its register flags %+v", inf.Name, inf.Form, inf)
+		}
+		for _, c := range inf.Form {
+			if strings.Count(inf.Form, string(c)) != 1 || !strings.ContainsRune("dstimL", c) || c == 'm' && has("s") {
+				t.Errorf("%s: form %q repeats a register or has letter %q", inf.Name, inf.Form, c)
+			}
+		}
+		if got, ok := ByName(inf.Name); !ok || got != op {
+			t.Errorf("ByName(%q) = %v, %v; want %v", inf.Name, got, ok, op)
 		}
 		switch inf.Class {
 		case ClassLoad, ClassStore:
@@ -121,15 +142,16 @@ func TestIntRegNameRoundTrip(t *testing.T) {
 
 func TestDisassembleStrings(t *testing.T) {
 	cases := map[string]Inst{
-		"add x1, x2, x3":  {Op: ADD, Rd: 1, Rs1: 2, Rs2: 3},
-		"li x5, -7":       {Op: LI, Rd: 5, Imm: -7},
-		"ld x7, 16(x2)":   {Op: LD, Rd: 7, Rs1: 2, Imm: 16},
-		"st x9, -8(x2)":   {Op: ST, Rs1: 2, Rs2: 9, Imm: -8},
-		"beq x4, x5, -16": {Op: BEQ, Rs1: 4, Rs2: 5, Imm: -16},
-		"fence":           {Op: FENCE},
-		"icbi 0(x24)":     {Op: ICBI, Rs1: 24},
-		"hwbar 3":         {Op: HWBAR, Imm: 3},
-		"fadd f1, f2, f3": {Op: FADD, Rd: 1, Rs1: 2, Rs2: 3},
+		"add x1, x2, x3":   {Op: ADD, Rd: 1, Rs1: 2, Rs2: 3},
+		"li x5, -7":        {Op: LI, Rd: 5, Imm: -7},
+		"ld x7, 16(x2)":    {Op: LD, Rd: 7, Rs1: 2, Imm: 16},
+		"st x9, -8(x2)":    {Op: ST, Rs1: 2, Rs2: 9, Imm: -8},
+		"beq x4, x5, -16":  {Op: BEQ, Rs1: 4, Rs2: 5, Imm: -16},
+		"fence":            {Op: FENCE},
+		"icbi 0(x24)":      {Op: ICBI, Rs1: 24},
+		"hwbar 3":          {Op: HWBAR, Imm: 3},
+		"fadd f1, f2, f3":  {Op: FADD, Rd: 1, Rs1: 2, Rs2: 3},
+		"jalr x5, -24(x7)": {Op: JALR, Rd: 5, Rs1: 7, Imm: -24},
 	}
 	for want, in := range cases {
 		if got := in.String(); got != want {

@@ -2,8 +2,7 @@
 #
 # An I-filter arrival with no iflush between the icbi and the stall jump:
 # prefetched stub instructions may let the thread run through the barrier.
-# The stubs are 256-byte aligned, one 256-byte stub per thread (nop padding,
-# as the assembler does not align text).
+# The stubs are 256-byte aligned, one 256-byte stub per thread.
 	li   t6, 256           # I-filter setup: s6 = stubs + tid*256
 	mul  t6, t6, a0
 	la   s6, stubs
@@ -13,92 +12,9 @@ bar:
 	icbi 0(s6)
 	jalr ra, 0(s6)         # no iflush before the stall jump
 	halt
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
+	.align 256
 stubs:
 	ret
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
+	.align 256
 	ret
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
-	nop
+	.align 256

@@ -35,13 +35,14 @@ tier1_start=$(date +%s)
 go test -count=1 ./...
 tier1_wall=$(( $(date +%s) - tier1_start ))
 
-echo "== srvet (static verifier: all kernels clean, a source file with its barriers expanded, misuse corpus fires) =="
+echo "== srvet (static verifier: all kernels clean, a source file with its barriers expanded, misuse corpus fires; srisc-as assembles an example) =="
 go run ./cmd/srvet -all -threads 8
 go run ./cmd/srvet -all -threads 3
 go run ./cmd/srvet -all -threads 32
 go run ./cmd/srvet -all -threads 64
 go run ./cmd/srvet -barrier filter-d -threads 8 examples/asm/reduce.s
 go test -count=1 -run '^TestCorpus$' ./internal/vet
+go run ./cmd/srisc-as examples/asm/hello.s >/dev/null
 
 echo "== go test -race (parallel harness, chaos attempt path, verifier, fabrics, ring queue) =="
 go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation' ./internal/harness
