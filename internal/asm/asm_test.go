@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -335,5 +336,39 @@ func TestLineAssemblerInterleaving(t *testing.T) {
 	}
 	if got := len(p.Segments[0].Data) / 8; got != 4 {
 		t.Fatalf("%d instructions, want 4", got)
+	}
+}
+
+// TestDirectiveSizeCaps: a .space or .align that would grow a segment past
+// its cap (text up to the data base, data up to maxData) is a line-attributed
+// error, found before anything is allocated; text may still grow right up
+// to the data base.
+func TestDirectiveSizeCaps(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{".data\n.space 0x4000000000000000", "line 2: "},
+		{".data\n.quad 1\n.space 0x3fffff9", "line 3: "},
+		{".data\n.quad 1\n.align 0x40000000", "line 3: "},
+		{"nop\n.align 0x40000000", "line 2: "},
+		{"nop\n.align 0x200000", "line 2: "},
+		{"nop\n.align 0x4000000000000000", "line 2: "},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Assemble(tc.src, textBase, dataBase)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Assemble(%q) = %v, want an error starting %q", tc.src, err, tc.want)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("Assemble(%q) allocated %d bytes before failing", tc.src, n)
+		}
+	}
+	// Up to the cap: text may end at the data base.
+	p, err := Assemble(fmt.Sprintf("nop\n.align %#x", dataBase), textBase, dataBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := p.Segments[0].Addr + uint64(len(p.Segments[0].Data)); end != dataBase {
+		t.Errorf("text ends at %#x, want the data base %#x", end, uint64(dataBase))
 	}
 }

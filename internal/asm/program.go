@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -77,7 +78,7 @@ func (p *Program) MustSymbol(name string) uint64 {
 // Disassemble renders the text segment starting at addr for n instructions,
 // for debugging.
 func (p *Program) Disassemble(addr uint64, n int) string {
-	out := ""
+	var out strings.Builder
 	for _, seg := range p.Segments {
 		if addr < seg.Addr || addr >= seg.Addr+uint64(len(seg.Data)) {
 			continue
@@ -85,11 +86,11 @@ func (p *Program) Disassemble(addr uint64, n int) string {
 		off := addr - seg.Addr
 		for i := 0; i < n && int(off)+8 <= len(seg.Data); i++ {
 			w := binary.LittleEndian.Uint64(seg.Data[off:])
-			out += fmt.Sprintf("%08x: %s\n", seg.Addr+off, isa.Decode(w))
+			fmt.Fprintf(&out, "%08x: %s\n", seg.Addr+off, isa.Decode(w))
 			off += 8
 		}
 	}
-	return out
+	return out.String()
 }
 
 // sortedSymbols returns symbol names sorted by address (for listings).

@@ -17,9 +17,11 @@ import (
 //	.text | .data              switch section
 //	.align N                   pad the current section to N-byte alignment
 //	                           (.text pads with nop; N a multiple of 8)
+//	                           without growing text past the data base
+//	                           or data past 64 MiB
 //	.quad v, ...               emit 64-bit values (data section)
 //	.double v, ...             emit float64 values
-//	.space N                   emit N zero bytes
+//	.space N                   emit N zero data bytes, up to 64 MiB of data
 //	.equ name, value           define a constant
 //	.entry name                select the entry symbol
 //	# ... or // ...            comment
@@ -144,8 +146,14 @@ func assembleDirective(b *Builder, section *string, mnem string, ops []string) e
 			return fmt.Errorf("bad .align operand %q", ops[0])
 		}
 		if *section == ".data" {
+			if err := checkData(mnem, ops[0], alignUp(uint64(len(b.data)), uint64(n))); err != nil {
+				return err
+			}
 			b.AlignData(int(n))
 		} else {
+			if end := alignUp(b.PC(), uint64(n)); end > textLimit(b) {
+				return fmt.Errorf(".align %s would grow text to %#x, past %#x", ops[0], end, textLimit(b))
+			}
 			b.AlignText(int(n))
 		}
 		return nil
@@ -175,6 +183,9 @@ func assembleDirective(b *Builder, section *string, mnem string, ops []string) e
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad .space operand %q", ops[0])
 		}
+		if err := checkData(mnem, ops[0], uint64(len(b.data))+uint64(n)); err != nil {
+			return err
+		}
 		b.Space(int(n))
 		return nil
 	case ".equ":
@@ -195,6 +206,33 @@ func assembleDirective(b *Builder, section *string, mnem string, ops []string) e
 		return nil
 	}
 	return fmt.Errorf("unknown directive %q", mnem)
+}
+
+// maxData (64 MiB) is the most data a source may lay out with .space and
+// .align: a directive that would grow the data segment past it is rejected
+// before anything is allocated. The text segment may grow up to the data
+// base (when the data lies above it), or by as much.
+const maxData = 64 << 20
+
+// alignUp rounds v up to a multiple of n (n > 0; no overflow for v, n below
+// 2^63).
+func alignUp(v, n uint64) uint64 { return (v + n - 1) / n * n }
+
+// checkData rejects a directive that would grow the data segment to size
+// bytes, past maxData.
+func checkData(mnem, op string, size uint64) error {
+	if size > maxData {
+		return fmt.Errorf("%s %s would grow data to %d bytes, past %d", mnem, op, size, maxData)
+	}
+	return nil
+}
+
+// textLimit is the address the text segment may not grow past.
+func textLimit(b *Builder) uint64 {
+	if b.dataBase > b.textBase {
+		return b.dataBase
+	}
+	return b.textBase + maxData
 }
 
 func parseInt(s string) (int64, error) {

@@ -15,12 +15,25 @@ package mem
 //   - Tick/NextEvent, for spontaneous injections the hook schedules itself
 //     (spurious fill responses, filter-table misuse transactions).
 //
-// Two rules keep injection compatible with the quiescent-core bulk
-// fast-forward (DESIGN.md §6): delays must be applied by adjusting an
-// entry's ready time at enqueue, so the existing next-event queries remain
-// exact; and Tick must act (and consume randomness) only at cycles the hook
-// previously announced through NextEvent. Under those rules a chaos run is
-// bit-identical with the fast path on and off.
+// Three rules keep injection compatible with the quiescent-core bulk
+// fast-forward and with periodic sleep (DESIGN.md §6): delays must be
+// applied by adjusting an entry's ready time at enqueue, so the existing
+// next-event queries remain exact; Tick must act (and consume randomness)
+// only at cycles the hook previously announced through NextEvent; and an
+// injection reaches a core's L1s only through a response delivered to it
+// (the wake hook) or through L1.willChange (the change hook). Under those
+// rules a chaos run is bit-identical with the fast path on and off, and a
+// sleeping core needs no exclusion. Action by action:
+//
+//   - delay and reorder act at enqueue, and a sleeper enqueues nothing;
+//   - an ack drop needs an invalidation token, which CoreQuiet denies a
+//     periodic sleeper (a quiesced one wakes on its other responses);
+//   - spurious fills, misuse transactions and forced or lock evictions
+//     reach a core only as responses, which fire the wake hook first;
+//   - state flips and misuse invalidations change its lines only through
+//     L1.willChange, which fires the change hook first;
+//   - preemption (the harness, not this hook) runs between runs, where the
+//     machine brings every sleeper up to date.
 type ChaosHook interface {
 	// OnRequest may delay a request (extra cycles added to its bus-ready
 	// time) and/or reorder it ahead of the youngest entry already queued

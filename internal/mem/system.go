@@ -260,9 +260,6 @@ func (s *System) SetWakeHook(core int, fn func()) { s.wake[core] = fn }
 // an external invalidation or downgrade, a fill or an injected state.
 func (s *System) SetChangeHook(fn func(core int)) { s.onChange = fn }
 
-// Chaotic reports whether a fault injector is attached.
-func (s *System) Chaotic() bool { return s.chaos != nil }
-
 func (s *System) dispatchResp(now uint64, t Txn) {
 	if fn := s.wake[t.Core]; fn != nil {
 		fn()
