@@ -47,6 +47,27 @@ func TestAwakeSetOracle(t *testing.T) {
 	awakeSetOracle(t, cases, true)
 }
 
+// TestAwakeSetOraclePreemptedSC runs sw-central under lock-preempt at the
+// seed whose plan deschedules a thread between its store-conditional's
+// write and its commit. Squashed there, the SC re-ran with its LL, the
+// barrier's count overshot, and every thread spun past the cycle limit;
+// Drained now holds the preemption until the SC commits.
+func TestAwakeSetOraclePreemptedSC(t *testing.T) {
+	p, ok := faults.ProfileByName("lock-preempt")
+	if !ok {
+		t.Fatal("no lock-preempt profile")
+	}
+	const seed = 26
+	boot := func(noFastPath bool) *oracleTwin {
+		return bootTwin(t, barrier.KindSWCentral, "livermore3", 1, 8, p, seed, noFastPath)
+	}
+	fast, slow := boot(false), boot(true)
+	driveTwins(t, fast, slow, p, seed)
+	if fast.m.Running() {
+		t.Fatalf("still running at cycle %d", fast.m.Now())
+	}
+}
+
 type oracleCase struct {
 	name    string
 	kind    barrier.Kind
@@ -180,15 +201,7 @@ func driveTwins(t *testing.T, fast, slow *oracleTwin, p faults.Profile, seed uin
 		for !failed && fast.m.Now() < to && (fast.m.Running() || slow.m.Running()) {
 			target := min(to, (fast.m.Now()/chunk+1)*chunk)
 			if target > limit {
-				if !p.WantsPreemption() {
-					t.Fatalf("no completion within %d cycles", limit)
-				}
-				// A preemption can squash an SC that already wrote, and the
-				// thread repeats it: a central barrier's count overshoots
-				// and every thread spins for good, alike on both twins.
-				t.Logf("no completion within %d cycles: both twins spin alike", limit)
-				failed = true
-				return
+				t.Fatalf("no completion within %d cycles", limit)
 			}
 			errs := [2]string{}
 			for i, tw := range twins {

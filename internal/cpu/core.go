@@ -421,8 +421,20 @@ func (c *Core) RaiseFault(err error) {
 func (c *Core) Running() bool { return !c.Halted && c.Fault == nil }
 
 // Drained reports whether all committed memory effects have reached the
-// memory system (used on context switches).
-func (c *Core) Drained() bool { return len(c.sb) == 0 }
+// memory system (used on context switches), and no store-conditional has
+// written memory without committing: an SC writes at issue, so squashing
+// one that succeeded would make the thread repeat its LL/SC.
+func (c *Core) Drained() bool {
+	if len(c.sb) > 0 {
+		return false
+	}
+	for _, e := range c.window {
+		if e.in.Op == isa.SC && e.issued && e.result == 1 {
+			return false
+		}
+	}
+	return true
+}
 
 // ResumePC returns the precise architectural PC: the oldest in-flight
 // instruction, or the fetch PC if the pipeline is empty.

@@ -253,6 +253,52 @@ spot:	.quad 41
 	}
 }
 
+// TestDescheduleKeepsWrittenSC: an SC writes memory at issue, so a core
+// holding a successful SC that has not committed is not drained. Squashed
+// there, the thread would resume before the SC and increment twice.
+func TestDescheduleKeepsWrittenSC(t *testing.T) {
+	p := asm.MustAssemble(`
+	la t0, spot
+retry:
+	ll t1, 0(t0)
+	addi t1, t1, 1
+	sc t2, t1, 0(t0)
+	beqz t2, retry
+	out t1
+	halt
+	.data
+	.align 64
+spot:	.quad 41
+	`, textBase, 0x100000)
+	r := newRig(t, 2, p)
+	r.start(0, 0, 1, p.Entry)
+	c := r.cores[0]
+	written := false
+	for !written || !c.Drained() {
+		if r.now > 100_000 {
+			t.Fatal("the SC never wrote and committed")
+		}
+		r.tick(c)
+		r.sys.Tick(r.now)
+		r.now++
+		if sc := findOp(c, isa.SC); sc != nil && sc.issued && sc.result == 1 {
+			if c.Drained() {
+				t.Fatalf("cycle %d: drained with a written SC in flight", r.now)
+			}
+			written = true
+		}
+	}
+	pc, regs, err := c.Deschedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.cores[1].Restore(pc, regs)
+	r.run(t, 100_000)
+	if got := r.sys.Mem.ReadUint64(p.MustSymbol("spot")); got != 42 || len(r.cores[1].Console) != 1 || r.cores[1].Console[0] != 42 {
+		t.Fatalf("spot = %d, console %v after migrating: want one increment to 42", got, r.cores[1].Console)
+	}
+}
+
 func TestIFlushRefetches(t *testing.T) {
 	// IFLUSH must not corrupt execution; the program continues at the
 	// next instruction.

@@ -83,8 +83,7 @@ func (c *Core) CheckPeriodic(now uint64) bool {
 			}
 			fallthrough
 		default:
-			g.wait = max(g.backoff, minBackoff)
-			g.backoff = min(2*g.wait, maxBackoff)
+			g.backOff()
 		}
 		c.dropProof()
 	}
@@ -107,7 +106,13 @@ func (c *Core) CheckPeriodic(now uint64) bool {
 	} else if g.streak < gateStreak {
 		g.streak++
 	}
-	if g.streak < gateStreak || !c.Running() || !c.candidate() {
+	if g.streak < gateStreak || !c.Running() {
+		return false
+	}
+	if !c.candidate() {
+		// A store to drain, a serializing head or a probe outlasts a
+		// tick: back off as after a failed proof.
+		g.backOff()
 		return false
 	}
 	var s *snapBuf
@@ -123,6 +128,13 @@ func (c *Core) CheckPeriodic(now uint64) bool {
 	s.outside = c.outside()
 	*r = period{snap: s, p: uint64(p), t0: now}
 	return false
+}
+
+// backOff holds the gate shut for the next wait ticks, doubling wait from
+// minBackoff up to maxBackoff until a proof succeeds.
+func (g *gate) backOff() {
+	g.wait = max(g.backoff, minBackoff)
+	g.backoff = min(2*g.wait, maxBackoff)
 }
 
 // candidate holds what a period needs at both ends: no probe, nothing to

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/interconnect"
 	"repro/internal/mem"
 )
 
@@ -33,27 +32,27 @@ type cellCtx struct {
 	stop *atomic.Bool // set when the cell's deadline passes
 }
 
-// onFabric returns the same cell — same deadline, same context — building
-// its machines on another interconnect (the scaling sweep's cells).
-func (c *cellCtx) onFabric(f interconnect.Kind) *cellCtx {
-	o := c.opt
-	o.Fabric = f
-	return &cellCtx{opt: o, stop: c.stop}
+// machineConfig is the configuration of a cores-core machine under o: its
+// fabric, filter-table capacity and simulator toggles.
+func (o Options) machineConfig(cores int) core.Config {
+	cfg := core.DefaultConfig(cores)
+	cfg.Mem.Fabric = o.Fabric
+	if o.FilterCap > 0 {
+		cfg.Mem.FilterCap = o.FilterCap
+	}
+	cfg.NoFastPath = o.NoFastPath
+	cfg.NoTranslate = o.NoTranslate
+	return cfg
 }
 
-// Config builds the cell's machine configuration. The machine's stop check
-// is the cell's deadline flag or the sweep's context, whichever comes first.
-func (c *cellCtx) Config(cores int) core.Config {
-	opt := c.opt
-	cfg := core.DefaultConfig(cores)
-	cfg.Mem.Fabric = opt.Fabric
-	if opt.FilterCap > 0 {
-		cfg.Mem.FilterCap = opt.FilterCap
-	}
-	cfg.NoFastPath = opt.NoFastPath
-	cfg.NoTranslate = opt.NoTranslate
-	if opt.Ctx != nil || opt.CellDeadline > 0 {
-		done := opt.ctx().Done() // nil, so never ready, without a context
+// Config builds the cell's machine configuration.
+func (c *cellCtx) Config(cores int) core.Config { return c.stoppable(c.opt.machineConfig(cores)) }
+
+// stoppable returns cfg with the cell's stop check: the cell's deadline
+// flag or the sweep's context, whichever comes first.
+func (c *cellCtx) stoppable(cfg core.Config) core.Config {
+	if c.opt.Ctx != nil || c.opt.CellDeadline > 0 {
+		done := c.opt.ctx().Done() // nil, so never ready, without a context
 		cfg.StopCheck = func() bool {
 			select {
 			case <-done:
@@ -119,7 +118,9 @@ func Canceled(ctx context.Context, err error) bool {
 // runCells runs n independent cells on the Runner, Options.Workers slots
 // wide, with per-cell panic recovery, the optional wall-clock deadline, and
 // prompt teardown when Options.Ctx is canceled (no new cells start;
-// in-flight cells stop at their next stop-check poll).
+// in-flight cells stop at their next stop-check poll). It returns every
+// cell's result in slot i, the slots of cells that failed or never ran
+// included, whatever the error.
 //
 // Without a journal (keys nil or Options.JournalPath empty) the first
 // failing cell, in index order, ends the sweep and is the error returned.
@@ -127,34 +128,31 @@ func Canceled(ctx context.Context, err error) bool {
 // With a journal — opened under the content hash of spec, so a resume of a
 // different sweep is refused — every cell runs (errors don't stop the
 // sweep), each outcome is appended to the journal as it is delivered, that
-// is in cell index order; cells already journaled are not run — their
-// results are replayed through replay(i, data) — and the lowest-index
-// failure (fresh or journaled) is returned at the end. Cells aborted by
-// context cancellation are never journaled and end the sweep: the journal
-// stays a clean prefix and a resume re-runs them, exactly as it re-runs
-// cells lost to a kill.
-func runCells(opt Options, spec string, n int, keys []string, fn func(i int, ctx *cellCtx) (any, error), replay func(i int, data json.RawMessage) error) error {
+// is in cell index order, its result encoded as JSON; cells already
+// journaled are not run — their records are decoded into their slots — and
+// the lowest-index failure (fresh or journaled) is returned at the end.
+// Cells aborted by context cancellation are never journaled and end the
+// sweep: the journal stays a clean prefix and a resume re-runs them,
+// exactly as it re-runs cells lost to a kill.
+func runCells[T any](opt Options, spec string, keys []string, n int, run func(i int, c *cellCtx) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	var j *Journal
 	if opt.JournalPath != "" && keys != nil {
 		var err error
 		j, err = OpenJournal(opt.JournalPath, opt.Resume, spec)
 		if err != nil {
-			return fmt.Errorf("harness: journal %s: %w", opt.JournalPath, err)
+			return out, fmt.Errorf("harness: journal %s: %w", opt.JournalPath, err)
 		}
 		defer j.Close()
 	}
-	type outcome struct {
-		data     any
-		err      error
-		replayed *Entry
-	}
-	outs := make([]outcome, n)
+	errs := make([]error, n)
+	replayed := make([]*Entry, n)
 	r := NewRunner(opt.ctx(), make(chan struct{}, opt.workerCount()), n)
 	local := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if j != nil {
 			if e, ok := j.Done(keys[i]); ok {
-				outs[i].replayed = &e
+				replayed[i] = &e
 				r.Resolve(i)
 				continue
 			}
@@ -163,37 +161,34 @@ func runCells(opt Options, spec string, n int, keys []string, fn func(i int, ctx
 	}
 	var failed error // a journaled sweep's lowest-index failing cell
 	err := r.Run(local, func(i int) {
-		outs[i].data, outs[i].err = runCell(opt, func(ctx *cellCtx) (any, error) { return fn(i, ctx) })
-		if j == nil && outs[i].err != nil {
+		out[i], errs[i] = runCell(opt, func(c *cellCtx) (T, error) { return run(i, c) })
+		if j == nil && errs[i] != nil {
 			r.Halt() // this cell ends the sweep: nothing may start behind it
 		}
 	}, func(i int) error {
-		o := outs[i]
 		if j == nil {
-			return o.err
+			return errs[i]
 		}
 		var cellErr error
-		switch e := o.replayed; {
+		switch e := replayed[i]; {
 		case e != nil && e.Status == StatusOK:
-			if replay != nil {
-				if err := replay(i, e.Data); err != nil {
-					return fmt.Errorf("harness: journal %s: replaying %q: %w", opt.JournalPath, keys[i], err)
-				}
+			if err := json.Unmarshal(e.Data, &out[i]); err != nil {
+				return fmt.Errorf("harness: journal %s: replaying %q: %w", opt.JournalPath, keys[i], err)
 			}
 		case e != nil:
 			cellErr = fmt.Errorf("harness: %s: journaled %s: %s", keys[i], e.Status, e.Error)
-		case Canceled(opt.ctx(), o.err):
+		case Canceled(opt.ctx(), errs[i]):
 			// The sweep is being torn down (an aborted request, a server
 			// shutdown, ^C), not a cell over its own deadline: leave no
 			// record so a resume re-runs this cell, and stop the sweep.
-			return fmt.Errorf("harness: %s: sweep canceled: %w", keys[i], o.err)
+			return fmt.Errorf("harness: %s: sweep canceled: %w", keys[i], errs[i])
 		default:
-			entry := Entry{Key: keys[i], Status: StatusOf(o.err)}
-			if o.err != nil {
-				entry.Error = o.err.Error()
-				cellErr = fmt.Errorf("harness: %s: %w", keys[i], o.err)
+			entry := Entry{Key: keys[i], Status: StatusOf(errs[i])}
+			if errs[i] != nil {
+				entry.Error = errs[i].Error()
+				cellErr = fmt.Errorf("harness: %s: %w", keys[i], errs[i])
 			} else {
-				raw, merr := json.Marshal(o.data)
+				raw, merr := json.Marshal(out[i])
 				if merr != nil {
 					return fmt.Errorf("harness: journal %s: encoding %q: %w", opt.JournalPath, keys[i], merr)
 				}
@@ -209,7 +204,7 @@ func runCells(opt Options, spec string, n int, keys []string, fn func(i int, ctx
 		return nil
 	})
 	if err != nil {
-		return err
+		return out, err
 	}
-	return failed
+	return out, failed
 }

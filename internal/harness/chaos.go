@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -94,22 +93,16 @@ func RunChaos(opt ChaosOptions) ([]ChaosCell, error) {
 			}
 		}
 	}
-	cells := make([]ChaosCell, len(specs))
 	keys := make([]string, len(specs))
 	for i, sp := range specs {
 		keys[i] = fmt.Sprintf("chaos/%s/%s/%s", sp.k.Name(), sp.kind, sp.p.Name)
 	}
 	spec := fmt.Sprintf("chaos seed=%d threads=%d kinds=%v profiles=%d cells=%v%s",
 		opt.Seed, opt.Threads, opt.Kinds, len(opt.Profiles), keys, opt.Options.spec())
-	err := runCells(opt.Options, spec, len(specs), keys, func(i int, ctx *cellCtx) (any, error) {
-		c, err := runChaosCell(ctx, specs[i].k, specs[i].kind, specs[i].p,
+	return runCells(opt.Options, spec, keys, len(specs), func(i int, c *cellCtx) (ChaosCell, error) {
+		return runChaosCell(c, specs[i].k, specs[i].kind, specs[i].p,
 			faults.MixSeed(opt.Seed, uint64(i)+0x9000), opt.Threads)
-		cells[i] = c
-		return c, err
-	}, func(i int, data json.RawMessage) error {
-		return json.Unmarshal(data, &cells[i])
 	})
-	return cells, err
 }
 
 // RunChaosCell runs one (kernel × mechanism × profile × seed) cell — the
@@ -125,15 +118,15 @@ func RunChaosCell(k kernels.Kernel, kind barrier.Kind, p faults.Profile, seed ui
 	return runCell(opt, func(ctx *cellCtx) (ChaosCell, error) { return runChaosCell(ctx, k, kind, p, seed, nthreads) })
 }
 
-// runChaosCell runs one cell's attempts and holds their outcome to the
-// chaos contract.
-func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Profile,
-	seed uint64, nthreads int) (ChaosCell, error) {
+// ChaosConfig is the machine a chaos cell of profile p on nthreads SPMD
+// threads runs on under opt. The chaos sweep builds its attempts from it,
+// and the simd server validates it before any cell runs.
+func ChaosConfig(p faults.Profile, nthreads int, opt Options) core.Config {
 	cores := nthreads
 	if p.WantsPreemption() {
 		cores++ // a spare core to migrate preempted threads onto
 	}
-	cfg := ctx.Config(cores)
+	cfg := opt.machineConfig(cores)
 	cfg.FilterStrict = true
 	// The paper's hardware timeout stays armed under chaos: it is the
 	// last line of defense turning starvation into an attributable fault.
@@ -143,7 +136,14 @@ func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Pr
 		// install path itself must spill to the software barrier.
 		cfg.Mem.FilterCap = p.FilterCapOverride
 	}
+	return cfg
+}
 
+// runChaosCell runs one cell's attempts and holds their outcome to the
+// chaos contract.
+func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Profile,
+	seed uint64, nthreads int) (ChaosCell, error) {
+	cfg := ctx.stoppable(ChaosConfig(p, nthreads, ctx.opt))
 	res, injected, attr, err := ctx.chaosAttempts(cfg, k, kind, p, seed, nthreads)
 	cell := ChaosCell{Kernel: k.Name(), Kind: kind, Profile: p.Name,
 		Attempts: len(res.Attempts), Cycles: res.TotalCycles, Injected: injected}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/barrier"
@@ -35,28 +34,17 @@ func Fig4(opt Options) ([]LatencyPoint, error) {
 		coreCounts = opt.Fig4Cores
 	}
 	mb := opt.latencyBench()
-	out := make([]LatencyPoint, len(coreCounts)*len(barrier.Kinds))
-	keys := make([]string, len(out))
+	keys := make([]string, len(coreCounts)*len(barrier.Kinds))
 	for i := range keys {
 		keys[i] = fmt.Sprintf("fig4/%s/%d",
 			barrier.Kinds[i%len(barrier.Kinds)], coreCounts[i/len(barrier.Kinds)])
 	}
 	spec := fmt.Sprintf("fig4 cores=%v k=%d m=%d%s", coreCounts, mb.K, mb.M, opt.spec())
-	err := runCells(opt, spec, len(out), keys, func(i int, ctx *cellCtx) (any, error) {
+	out, err := runCells(opt, spec, keys, len(keys), func(i int, c *cellCtx) (LatencyPoint, error) {
 		n := coreCounts[i/len(barrier.Kinds)]
 		kind := barrier.Kinds[i%len(barrier.Kinds)]
-		cycles, err := ctx.runPar(mb, kind, n)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = LatencyPoint{
-			Kind:      kind,
-			Cores:     n,
-			AvgCycles: float64(cycles) / float64(mb.Invocations()),
-		}
-		return out[i], nil
-	}, func(i int, data json.RawMessage) error {
-		return json.Unmarshal(data, &out[i])
+		cycles, err := c.runKernel(mb, kind, n)
+		return LatencyPoint{Kind: kind, Cores: n, AvgCycles: float64(cycles) / float64(mb.Invocations())}, err
 	})
 	if err != nil {
 		return nil, err
@@ -110,86 +98,57 @@ func Table1Kernels(opt Options) []LoopKernel {
 	}
 }
 
-// measureSeqWarm returns the sequential execution time of lk.Loops warm
-// repetitions, by differencing runs at Loops and 2*Loops repetitions (the
-// cold-start portions of the two runs are identical, so the difference is
-// pure warm execution — the repetition methodology of the Livermore and
-// EEMBC harnesses the paper builds on).
-func (c *cellCtx) measureSeqWarm(lk LoopKernel) (uint64, error) {
-	return warmDiff(lk.Name, func(loops int) (uint64, error) { return c.runSeq(lk.Make(loops)) }, lk.Loops)
-}
+// seqBuild stands for the sequential build in a warm measurement's
+// mechanism list: the kernel's sequential program on a one-core machine.
+const seqBuild barrier.Kind = -1
 
-// measureParWarm is measureSeqWarm for the parallel build.
-func (c *cellCtx) measureParWarm(lk LoopKernel, kind barrier.Kind, nthreads int) (uint64, error) {
-	return warmDiff(fmt.Sprintf("%s/%s", lk.Name, kind), func(loops int) (uint64, error) {
-		return c.runPar(lk.Make(loops), kind, nthreads)
-	}, lk.Loops)
-}
+// warmKinds is the mechanism list of the speedup tables and the Livermore
+// figures: the sequential baseline, then every mechanism of the paper.
+var warmKinds = append([]barrier.Kind{seqBuild}, barrier.Kinds...)
 
-// warmDiff differences a run at 2*loops repetitions against one at loops.
-func warmDiff(what string, run func(loops int) (uint64, error), loops int) (uint64, error) {
-	t1, err := run(loops)
+// measureWarm returns the execution time of lk.Loops warm repetitions of
+// lk's build for kind on n threads (seqBuild: the sequential build), by
+// differencing runs at Loops and 2*Loops repetitions (the cold-start
+// portions of the two runs are identical, so the difference is pure warm
+// execution — the repetition methodology of the Livermore and EEMBC
+// harnesses the paper builds on).
+func (c *cellCtx) measureWarm(lk LoopKernel, kind barrier.Kind, n int) (uint64, error) {
+	t1, err := c.runKernel(lk.Make(lk.Loops), kind, n)
 	if err != nil {
 		return 0, err
 	}
-	t2, err := run(2 * loops)
+	t2, err := c.runKernel(lk.Make(2*lk.Loops), kind, n)
 	if err != nil {
 		return 0, err
 	}
 	if t2 < t1 {
+		what := lk.Name
+		if kind != seqBuild {
+			what += "/" + kind.String()
+		}
 		return 0, fmt.Errorf("harness: %s: warm time negative (%d < %d)", what, t2, t1)
 	}
 	return t2 - t1, nil
 }
 
-// --- batched warm measurements ---------------------------------------------
-
-// measureWarmBatch measures, for every kernel in lks, the sequential warm
-// time (when withSeq) and the parallel warm time for every mechanism in
-// kinds, as one batch of independent cells on the Runner. Cell order is per
-// kernel: sequential first, then each mechanism — which fixes which error
-// surfaces first at any worker count.
-func measureWarmBatch(lks []LoopKernel, kinds []barrier.Kind, withSeq bool, opt Options) (seq []uint64, par []map[barrier.Kind]uint64, err error) {
-	type cell struct {
-		k    int
-		kind barrier.Kind
-		par  bool
-	}
-	var cells []cell
-	for i := range lks {
-		if withSeq {
-			cells = append(cells, cell{k: i})
-		}
-		for _, kind := range kinds {
-			cells = append(cells, cell{k: i, kind: kind, par: true})
-		}
-	}
-	out := make([]uint64, len(cells))
-	err = runCells(opt, "", len(cells), nil, func(i int, ctx *cellCtx) (any, error) {
-		var e error
-		if cells[i].par {
-			out[i], e = ctx.measureParWarm(lks[cells[i].k], cells[i].kind, opt.Cores)
-		} else {
-			out[i], e = ctx.measureSeqWarm(lks[cells[i].k])
-		}
-		return nil, e
-	}, nil)
+// measureWarmBatch measures the warm time of every kernel in lks for every
+// mechanism in kinds at opt.Cores, as one batch of independent cells on the
+// Runner, and returns them as a [kernel][mechanism] table. Cells run kernel
+// by kernel in kinds order, which fixes which error surfaces first at any
+// worker count.
+func measureWarmBatch(lks []LoopKernel, kinds []barrier.Kind, opt Options) ([][]uint64, error) {
+	nk := len(kinds)
+	warm, err := runCells(opt, "", nil, len(lks)*nk, func(i int, c *cellCtx) (uint64, error) {
+		return c.measureWarm(lks[i/nk], kinds[i%nk], opt.Cores)
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	seq = make([]uint64, len(lks))
-	par = make([]map[barrier.Kind]uint64, len(lks))
-	for i := range lks {
-		par[i] = make(map[barrier.Kind]uint64, len(kinds))
+	table := make([][]uint64, len(lks))
+	for i := range table {
+		table[i] = warm[i*nk : (i+1)*nk]
 	}
-	for ci, cl := range cells {
-		if cl.par {
-			par[cl.k][cl.kind] = out[ci]
-		} else {
-			seq[cl.k] = out[ci]
-		}
-	}
-	return seq, par, nil
+	return table, nil
 }
 
 // --- Table 1 and Figures 5/6: speedups -------------------------------------
@@ -228,21 +187,20 @@ func (r SpeedupRow) BestFilter() float64 {
 // speedupRows turns batched warm measurements into one SpeedupRow per
 // kernel.
 func speedupRows(lks []LoopKernel, opt Options) ([]SpeedupRow, error) {
-	seq, par, err := measureWarmBatch(lks, barrier.Kinds, true, opt)
+	warm, err := measureWarmBatch(lks, warmKinds, opt)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]SpeedupRow, len(lks))
 	for i, lk := range lks {
-		row := SpeedupRow{
+		rows[i] = SpeedupRow{
 			Kernel:    lk.Make(lk.Loops).Name(),
-			SeqCycles: seq[i],
+			SeqCycles: warm[i][0],
 			Speedup:   make(map[barrier.Kind]float64, len(barrier.Kinds)),
 		}
-		for _, kind := range barrier.Kinds {
-			row.Speedup[kind] = float64(seq[i]) / float64(par[i][kind])
+		for m, kind := range barrier.Kinds {
+			rows[i].Speedup[kind] = float64(warm[i][0]) / float64(warm[i][1+m])
 		}
-		rows[i] = row
 	}
 	return rows, nil
 }
@@ -305,20 +263,17 @@ func livermoreFigure(name string, baseLoops int, mk func(n, loops int) kernels.K
 	}
 	lks := make([]LoopKernel, len(ts.Lengths))
 	for i, n := range ts.Lengths {
-		n := n
 		lks[i] = LoopKernel{name, baseLoops, func(l int) kernels.Kernel { return mk(n, l) }}
 	}
-	seq, par, err := measureWarmBatch(lks, barrier.Kinds, true, opt)
+	warm, err := measureWarmBatch(lks, warmKinds, opt)
 	if err != nil {
 		return ts, err
 	}
-	ts.Seq = seq
-	for _, kind := range barrier.Kinds {
-		col := make([]uint64, len(lks))
-		for i := range lks {
-			col[i] = par[i][kind]
+	for _, w := range warm {
+		ts.Seq = append(ts.Seq, w[0])
+		for m, kind := range barrier.Kinds {
+			ts.Par[kind] = append(ts.Par[kind], w[1+m])
 		}
-		ts.Par[kind] = col
 	}
 	return ts, nil
 }
@@ -367,13 +322,11 @@ func CoarseGrain(opt Options) (CoarseGrainResult, error) {
 	mk := func(l int) kernels.Kernel { return kernels.NewCoarseGrain(phases*l, work) }
 	lk := LoopKernel{"coarse", 1, mk}
 	kinds := []barrier.Kind{barrier.KindSWCentral, barrier.KindFilterD, barrier.KindHWNet}
-	_, par, err := measureWarmBatch([]LoopKernel{lk}, kinds, false, opt)
+	warm, err := measureWarmBatch([]LoopKernel{lk}, kinds, opt)
 	if err != nil {
 		return res, err
 	}
-	res.SWCycles = par[0][barrier.KindSWCentral]
-	res.FilterCycles = par[0][barrier.KindFilterD]
-	res.NetCycles = par[0][barrier.KindHWNet]
+	res.SWCycles, res.FilterCycles, res.NetCycles = warm[0][0], warm[0][1], warm[0][2]
 	// Signed arithmetic: at very coarse granularity the difference can be
 	// negative (barrier choice disappears into timing noise).
 	res.Improvement = (float64(res.SWCycles) - float64(res.FilterCycles)) / float64(res.SWCycles)
@@ -401,12 +354,10 @@ func Extras(opt Options) (ExtrasResult, error) {
 		barrier.KindHWNet, barrier.KindHWTree,
 	}
 	mb := opt.latencyBench()
-	lat := make([]float64, len(kinds))
-	err := runCells(opt, "", len(kinds), nil, func(i int, ctx *cellCtx) (any, error) {
-		cycles, err := ctx.runPar(mb, kinds[i], opt.Cores)
-		lat[i] = float64(cycles) / float64(mb.Invocations())
-		return nil, err
-	}, nil)
+	lat, err := runCells(opt, "", nil, len(kinds), func(i int, c *cellCtx) (float64, error) {
+		cycles, err := c.runKernel(mb, kinds[i], opt.Cores)
+		return float64(cycles) / float64(mb.Invocations()), err
+	})
 	if err != nil {
 		return res, err
 	}

@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/barrier"
 )
@@ -12,15 +12,7 @@ import (
 // mechanisms, cells = average cycles per barrier.
 func WriteFig4(w io.Writer, pts []LatencyPoint) {
 	fmt.Fprintln(w, "Figure 4: average cycles per barrier (lower is better)")
-	cores := map[int]bool{}
-	for _, p := range pts {
-		cores[p.Cores] = true
-	}
-	var cc []int
-	for c := range cores {
-		cc = append(cc, c)
-	}
-	sort.Ints(cc)
+	cc := sortedCores(pts, func(p LatencyPoint) int { return p.Cores })
 	fmt.Fprintf(w, "%-8s", "cores")
 	for _, k := range barrier.Kinds {
 		fmt.Fprintf(w, "%12s", k)
@@ -44,21 +36,13 @@ func WriteFig4(w io.Writer, pts []LatencyPoint) {
 // speedup side by side.
 func WriteScale(w io.Writer, pts []ScalePoint) {
 	fmt.Fprintln(w, "Fabric scaling: cycles/barrier (lat) and viterbi speedup (spd) per interconnect")
-	cores := map[int]bool{}
-	fabSeen := map[string]bool{}
+	cc := sortedCores(pts, func(p ScalePoint) int { return p.Cores })
 	var fabs []string
 	for _, p := range pts {
-		cores[p.Cores] = true
-		if !fabSeen[p.Fabric] {
-			fabSeen[p.Fabric] = true
+		if !slices.Contains(fabs, p.Fabric) {
 			fabs = append(fabs, p.Fabric)
 		}
 	}
-	var cc []int
-	for c := range cores {
-		cc = append(cc, c)
-	}
-	sort.Ints(cc)
 	cell := map[string]ScalePoint{}
 	for _, p := range pts {
 		cell[fmt.Sprintf("%s/%s/%d", p.Fabric, p.Kind, p.Cores)] = p
@@ -81,6 +65,16 @@ func WriteScale(w io.Writer, pts []ScalePoint) {
 			fmt.Fprintln(w)
 		}
 	}
+}
+
+// sortedCores returns the distinct core counts of pts, ascending.
+func sortedCores[P any](pts []P, cores func(P) int) []int {
+	var cc []int
+	for _, p := range pts {
+		cc = append(cc, cores(p))
+	}
+	slices.Sort(cc)
+	return slices.Compact(cc)
 }
 
 // WriteSpeedupRow renders one kernel's Figure 5/6 style bar set.

@@ -214,31 +214,29 @@ func parBuild(k kernels.Kernel, kind barrier.Kind, nthreads int) func(cfg core.C
 	}
 }
 
-// runSeq runs a kernel's sequential build on a single-core machine.
-func (c *cellCtx) runSeq(k kernels.Kernel) (uint64, error) {
-	return c.runMachine(k.Name()+" seq", 1, func(core.Config) (barrier.Generator, *asm.Program, error) {
-		prog, err := k.BuildSeq()
-		return nil, prog, err
-	}, func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, 1) })
-}
-
-// runPar runs a kernel's parallel build with the given barrier mechanism on
-// nthreads cores. The Figure 4 latency microbenchmark is such a kernel
-// (kernels.Microbench), so the latency cells of Fig4, Extras and Scale come
-// through here too.
-func (c *cellCtx) runPar(k kernels.Kernel, kind barrier.Kind, nthreads int) (uint64, error) {
-	return c.runMachine(fmt.Sprintf("%s/%s/%d", k.Name(), kind, nthreads), nthreads, parBuild(k, kind, nthreads),
-		func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, nthreads) })
+// runKernel runs k built for kind on n threads, or for seqBuild its
+// sequential build on a one-core machine, whatever n. The Figure 4 latency
+// microbenchmark is such a kernel (kernels.Microbench), so the latency
+// cells of Fig4, Extras and Scale come through here too.
+func (c *cellCtx) runKernel(k kernels.Kernel, kind barrier.Kind, n int) (uint64, error) {
+	what, build := fmt.Sprintf("%s/%s/%d", k.Name(), kind, n), parBuild(k, kind, n)
+	if kind == seqBuild {
+		n, what, build = 1, k.Name()+" seq", func(core.Config) (barrier.Generator, *asm.Program, error) {
+			prog, err := k.BuildSeq()
+			return nil, prog, err
+		}
+	}
+	return c.runMachine(what, n, build, func(m *mem.Memory, prog *asm.Program) error { return k.Verify(m, prog, n) })
 }
 
 // RunSeq runs a kernel's sequential build on a single-core machine, as a
 // cell of its own, and returns the cycle count.
 func RunSeq(k kernels.Kernel, opt Options) (uint64, error) {
-	return runCell(opt, func(c *cellCtx) (uint64, error) { return c.runSeq(k) })
+	return runCell(opt, func(c *cellCtx) (uint64, error) { return c.runKernel(k, seqBuild, 1) })
 }
 
 // RunPar runs a kernel's parallel build with the given barrier mechanism
 // and thread count, as a cell of its own, and returns the cycle count.
 func RunPar(k kernels.Kernel, kind barrier.Kind, nthreads int, opt Options) (uint64, error) {
-	return runCell(opt, func(c *cellCtx) (uint64, error) { return c.runPar(k, kind, nthreads) })
+	return runCell(opt, func(c *cellCtx) (uint64, error) { return c.runKernel(k, kind, nthreads) })
 }

@@ -44,7 +44,7 @@ func TestMeasureWarmPositiveAndSmaller(t *testing.T) {
 	lk := LoopKernel{"livermore3", 2, func(l int) kernels.Kernel {
 		return kernels.NewLivermore3(64, l)
 	}}
-	warm, err := runCell(opt, func(c *cellCtx) (uint64, error) { return c.measureSeqWarm(lk) })
+	warm, err := runCell(opt, func(c *cellCtx) (uint64, error) { return c.measureWarm(lk, seqBuild, 1) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,13 +108,13 @@ func TestRunCellsPanicRecovery(t *testing.T) {
 	opt.JournalPath = path
 	ran := make([]bool, 4)
 	keys := []string{"c/0", "c/1", "c/2", "c/3"}
-	err := runCells(opt, "panic-test", 4, keys, func(i int, _ *cellCtx) (any, error) {
+	_, err := runCells(opt, "panic-test", keys, 4, func(i int, _ *cellCtx) (any, error) {
 		if i == 1 {
 			panic("injected test panic")
 		}
 		ran[i] = true
 		return i, nil
-	}, nil)
+	})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want the recovered panic", err)
 	}
@@ -142,13 +142,13 @@ func TestRunCellsPanicRecovery(t *testing.T) {
 func TestRunCellsPanicWithoutJournal(t *testing.T) {
 	opt := QuickOptions()
 	opt.Workers = 1
-	err := runCells(opt, "", 2, nil, func(i int, _ *cellCtx) (any, error) {
+	_, err := runCells(opt, "", nil, 2, func(i int, _ *cellCtx) (any, error) {
 		if i == 0 {
 			panic(fmt.Errorf("boom"))
 		}
 		t.Fatal("cell 1 ran after cell 0 failed (sequential mode must stop)")
 		return nil, nil
-	}, nil)
+	})
 	if err == nil || !errors.Is(err, errCellPanic) {
 		t.Fatalf("err = %v, want errCellPanic", err)
 	}
@@ -169,7 +169,7 @@ func TestCellDeadlineJournaledAsTimeout(t *testing.T) {
 	opt.JournalPath = path
 	ranAfter := false
 	keys := []string{"dl/deadlock", "dl/after"}
-	err := runCells(opt, "deadline-test", 2, keys, func(i int, ctx *cellCtx) (any, error) {
+	_, err := runCells(opt, "deadline-test", keys, 2, func(i int, ctx *cellCtx) (any, error) {
 		if i == 1 {
 			ranAfter = true
 			return "ok", nil
@@ -203,7 +203,7 @@ func TestCellDeadlineJournaledAsTimeout(t *testing.T) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("deadlocked cell completed")
-	}, nil)
+	})
 	if err == nil {
 		t.Fatal("expected the timed-out cell as the sweep error")
 	}
@@ -250,19 +250,19 @@ func TestJournalResumeSkipsFailedCells(t *testing.T) {
 	opt.Workers = 1
 	opt.JournalPath = path
 	keys := []string{"c/0", "c/1"}
-	if err := runCells(opt, "failed-test", 2, keys, func(i int, _ *cellCtx) (any, error) {
+	if _, err := runCells(opt, "failed-test", keys, 2, func(i int, _ *cellCtx) (any, error) {
 		if i == 0 {
 			return nil, fmt.Errorf("transient cell failure")
 		}
 		return i, nil
-	}, nil); err == nil {
+	}); err == nil {
 		t.Fatal("first run should report the failing cell")
 	}
 	opt.Resume = true
-	err := runCells(opt, "failed-test", 2, keys, func(i int, _ *cellCtx) (any, error) {
+	_, err := runCells(opt, "failed-test", keys, 2, func(i int, _ *cellCtx) (any, error) {
 		t.Fatalf("cell %d re-ran on resume", i)
 		return nil, nil
-	}, nil)
+	})
 	if err == nil || !strings.Contains(err.Error(), "journaled error") {
 		t.Fatalf("err = %v, want the journaled failure", err)
 	}

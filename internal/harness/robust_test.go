@@ -27,15 +27,15 @@ func TestJournalSpecHeaderGuard(t *testing.T) {
 	opt.JournalPath = path
 	keys := []string{"g/0", "g/1"}
 	body := func(i int, _ *cellCtx) (any, error) { return i, nil }
-	if err := runCells(opt, "sweep-spec-A", 2, keys, body, nil); err != nil {
+	if _, err := runCells(opt, "sweep-spec-A", keys, 2, body); err != nil {
 		t.Fatal(err)
 	}
 
 	opt.Resume = true
-	err := runCells(opt, "sweep-spec-B", 2, keys, func(i int, _ *cellCtx) (any, error) {
+	_, err := runCells(opt, "sweep-spec-B", keys, 2, func(i int, _ *cellCtx) (any, error) {
 		t.Fatalf("cell %d ran against a journal for a different spec", i)
 		return nil, nil
-	}, nil)
+	})
 	if !errors.Is(err, ErrJournalSpec) {
 		t.Fatalf("resume with a different spec: err = %v, want ErrJournalSpec", err)
 	}
@@ -44,10 +44,10 @@ func TestJournalSpecHeaderGuard(t *testing.T) {
 	}
 
 	// The matching spec still resumes cleanly.
-	if err := runCells(opt, "sweep-spec-A", 2, keys, func(i int, _ *cellCtx) (any, error) {
+	if _, err := runCells(opt, "sweep-spec-A", keys, 2, func(i int, _ *cellCtx) (any, error) {
 		t.Fatalf("cell %d re-ran on a clean resume", i)
 		return nil, nil
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,6 +80,36 @@ func TestJournalSpecCoversOptions(t *testing.T) {
 	}
 	if got := opt.spec(); !strings.Contains(got, " FilterCap=1") || strings.Contains(got, "Workers") {
 		t.Fatalf("spec %q: want FilterCap in, Workers out", got)
+	}
+}
+
+// TestJournalScaleV1Refused resumes the scaling sweep from the head of a
+// journal written before its records took one shape (testdata: `bench -exp
+// scale -scalecores 4,8 -journal`, cut after five records). Its baselines
+// are bare numbers and its kernel cells carry ParWarm; replayed, the first
+// would not decode and the second would give a zero warm time and an
+// infinite speedup. The spec's version word must refuse it instead.
+func TestJournalScaleV1Refused(t *testing.T) {
+	opt := QuickOptions()
+	opt.ScaleCores = []int{4, 8}
+	v1, err := os.ReadFile("testdata/scale_v1_journal.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without the version word the spec is the old one: the records would
+	// be replayed.
+	mb := opt.latencyBench()
+	old := fmt.Sprintf("scale cores=%v k=%d m=%d viterbi=%d%s", opt.ScaleCores, mb.K, mb.M, opt.viterbiBits(), opt.spec())
+	if !strings.Contains(string(v1), SpecHash(old)) {
+		t.Fatalf("fixture header does not hash the v1 spec %q", old)
+	}
+	opt.JournalPath = filepath.Join(t.TempDir(), "scale.jsonl")
+	if err := os.WriteFile(opt.JournalPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt.Resume = true
+	if _, err := Scale(opt); !errors.Is(err, ErrJournalSpec) {
+		t.Fatalf("resume of a v1 scale journal: err = %v, want ErrJournalSpec", err)
 	}
 }
 
@@ -209,7 +239,7 @@ func TestRunCellsContextCancelStopsInFlight(t *testing.T) {
 	time.AfterFunc(50*time.Millisecond, cancel)
 
 	start := time.Now()
-	err := runCells(opt, "cancel-test", 2, []string{"cx/deadlock", "cx/after"}, func(i int, cctx *cellCtx) (any, error) {
+	_, err := runCells(opt, "cancel-test", []string{"cx/deadlock", "cx/after"}, 2, func(i int, cctx *cellCtx) (any, error) {
 		if i == 1 {
 			t.Fatal("cell after the canceled one started")
 		}
@@ -242,7 +272,7 @@ func TestRunCellsContextCancelStopsInFlight(t *testing.T) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("deadlocked cell completed")
-	}, nil)
+	})
 	if err == nil || !errors.Is(err, core.ErrStopped) {
 		t.Fatalf("err = %v, want one wrapping core.ErrStopped", err)
 	}
@@ -270,7 +300,7 @@ func TestRunCellsResumeAfterCancelByteIdentical(t *testing.T) {
 	opt := QuickOptions()
 	opt.Workers = 1
 	opt.JournalPath = uninterrupted
-	if err := runCells(opt, spec, len(keys), keys, body, nil); err != nil {
+	if _, err := runCells(opt, spec, keys, len(keys), body); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(uninterrupted)
@@ -287,13 +317,13 @@ func TestRunCellsResumeAfterCancelByteIdentical(t *testing.T) {
 	copt := opt
 	copt.JournalPath = interrupted
 	copt.Ctx = ctx
-	err = runCells(copt, spec, len(keys), keys, func(i int, c *cellCtx) (any, error) {
+	_, err = runCells(copt, spec, keys, len(keys), func(i int, c *cellCtx) (any, error) {
 		if i == 1 {
 			cancel()
 			return nil, fmt.Errorf("stopped mid-cell: %w", core.ErrStopped)
 		}
 		return body(i, c)
-	}, nil)
+	})
 	if err == nil || !strings.Contains(err.Error(), "sweep canceled") {
 		t.Fatalf("err = %v, want a sweep-canceled error", err)
 	}
@@ -307,10 +337,10 @@ func TestRunCellsResumeAfterCancelByteIdentical(t *testing.T) {
 	ropt.JournalPath = interrupted
 	ropt.Resume = true
 	reran := map[int]bool{}
-	if err := runCells(ropt, spec, len(keys), keys, func(i int, c *cellCtx) (any, error) {
+	if _, err := runCells(ropt, spec, keys, len(keys), func(i int, c *cellCtx) (any, error) {
 		reran[i] = true
 		return body(i, c)
-	}, nil); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if reran[0] || !reran[1] || !reran[2] {

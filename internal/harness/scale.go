@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/barrier"
@@ -58,75 +57,67 @@ func Scale(opt Options) ([]ScalePoint, error) {
 	// batches against the same path would truncate each other's records.
 	// Cells record raw cycle counts; speedups divide baselines in a
 	// post-pass, so no cell depends on another's completion order.
-	type cellIdx struct{ f, k, n int }
+	type cellIdx struct {
+		f    int
+		kind barrier.Kind // seqBuild for a baseline
+		n    int
+	}
 	var cells []cellIdx
 	for f := range fabrics {
-		for ki := range ScaleKinds {
-			for n := range coreCounts {
-				cells = append(cells, cellIdx{f: f, k: ki, n: n})
+		cells = append(cells, cellIdx{f, seqBuild, 1})
+	}
+	nseq := len(cells)
+	for f := range fabrics {
+		for _, kind := range ScaleKinds {
+			for _, n := range coreCounts {
+				cells = append(cells, cellIdx{f, kind, n})
 			}
 		}
 	}
-	nseq := len(fabrics)
-	keys := make([]string, nseq+len(cells))
-	for i, f := range fabrics {
-		keys[i] = fmt.Sprintf("scale/%s/seq", f)
-	}
+	keys := make([]string, len(cells))
 	for i, cl := range cells {
-		keys[nseq+i] = fmt.Sprintf("scale/%s/%s/%d", fabrics[cl.f], ScaleKinds[cl.k], coreCounts[cl.n])
+		keys[i] = fmt.Sprintf("scale/%s/%s/%d", fabrics[cl.f], cl.kind, cl.n)
+		if cl.kind == seqBuild {
+			keys[i] = fmt.Sprintf("scale/%s/seq", fabrics[cl.f])
+		}
 	}
-	spec := fmt.Sprintf("scale cores=%v k=%d m=%d viterbi=%d%s",
+	// v2: one record shape for both cell kinds. A v1 journal recorded a
+	// baseline as a bare number and a kernel cell's warm time as ParWarm;
+	// replayed, they would not decode or would decode to a zero warm time.
+	spec := fmt.Sprintf("scale v2 cores=%v k=%d m=%d viterbi=%d%s",
 		coreCounts, mb.K, mb.M, opt.viterbiBits(), opt.spec())
 
 	// scaleCell is one journaled measurement: barrier cycles on the
-	// latency microbenchmark plus the kernel's warm parallel cycles.
+	// latency microbenchmark (none for a baseline) and the kernel's warm
+	// cycles.
 	type scaleCell struct {
 		Barrier uint64
-		ParWarm uint64
+		Warm    uint64
 	}
-	seq := make([]uint64, nseq)
-	meas := make([]scaleCell, len(cells))
-	err := runCells(opt, spec, len(keys), keys, func(i int, ctx *cellCtx) (any, error) {
-		if i < nseq {
-			c, err := ctx.onFabric(fabrics[i]).measureSeqWarm(lk)
-			if err != nil {
-				return nil, err
+	meas, err := runCells(opt, spec, keys, len(keys), func(i int, c *cellCtx) (res scaleCell, err error) {
+		cl := cells[i]
+		c.opt.Fabric = fabrics[cl.f] // c is this cell's own: only its machines see it
+		// Barrier latency (the Figure 4 microbenchmark on this fabric),
+		// then the kernel's warm time for the speedup post-pass.
+		if cl.kind != seqBuild {
+			if res.Barrier, err = c.runKernel(mb, cl.kind, cl.n); err != nil {
+				return res, err
 			}
-			seq[i] = c
-			return c, nil
 		}
-		cl := cells[i-nseq]
-		kind, n := ScaleKinds[cl.k], coreCounts[cl.n]
-		ctx = ctx.onFabric(fabrics[cl.f])
-		// Barrier latency (the Figure 4 microbenchmark on this fabric), then
-		// the kernel's warm time for the speedup post-pass.
-		cycles, err := ctx.runPar(mb, kind, n)
-		if err != nil {
-			return nil, err
-		}
-		parWarm, err := ctx.measureParWarm(lk, kind, n)
-		if err != nil {
-			return nil, err
-		}
-		meas[i-nseq] = scaleCell{Barrier: cycles, ParWarm: parWarm}
-		return meas[i-nseq], nil
-	}, func(i int, data json.RawMessage) error {
-		if i < nseq {
-			return json.Unmarshal(data, &seq[i])
-		}
-		return json.Unmarshal(data, &meas[i-nseq])
+		res.Warm, err = c.measureWarm(lk, cl.kind, cl.n)
+		return res, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScalePoint, len(cells))
-	for i, cl := range cells {
+	out := make([]ScalePoint, len(cells)-nseq)
+	for i, cl := range cells[nseq:] {
 		out[i] = ScalePoint{
 			Fabric:     fabrics[cl.f].String(),
-			Kind:       ScaleKinds[cl.k],
-			Cores:      coreCounts[cl.n],
-			AvgBarrier: float64(meas[i].Barrier) / float64(mb.Invocations()),
-			Speedup:    float64(seq[cl.f]) / float64(meas[i].ParWarm),
+			Kind:       cl.kind,
+			Cores:      cl.n,
+			AvgBarrier: float64(meas[nseq+i].Barrier) / float64(mb.Invocations()),
+			Speedup:    float64(meas[cl.f].Warm) / float64(meas[nseq+i].Warm),
 		}
 	}
 	return out, nil

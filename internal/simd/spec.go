@@ -41,6 +41,7 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/harness"
 	"repro/internal/interconnect"
 	"repro/internal/kernels"
 	"repro/internal/vet"
@@ -277,32 +278,22 @@ func Normalize(spec Spec, lim Limits) (*Sweep, *Error) {
 		kinds[i] = k
 	}
 	profiles := make([]faults.Profile, len(spec.Chaos))
-	preempts := false
 	for i, name := range spec.Chaos {
 		p, ok := faults.ProfileByName(name)
 		if !ok {
 			return nil, errf("bad-chaos", "chaos", "unknown chaos profile %q (have %v)", name, faults.ProfileNames())
 		}
 		profiles[i] = p
-		preempts = preempts || p.WantsPreemption()
 	}
 
-	// Machine geometry: validate the exact configurations the cells will
-	// build — spec.Threads cores, plus the spare core preempting profiles
-	// migrate onto — so a bad shape is a 400 here, not an ErrConfig panic
-	// in a worker.
-	cores := []int{spec.Threads}
-	if preempts {
-		cores = append(cores, spec.Threads+1)
-	}
-	for _, n := range cores {
-		cfg := core.DefaultConfig(n)
-		cfg.Mem.Fabric = fabric
-		if spec.FilterCap > 0 {
-			cfg.Mem.FilterCap = spec.FilterCap
-		}
+	// Machine geometry: validate the exact configuration each profile's
+	// cells will build (harness.ChaosConfig: the spare core preempting
+	// profiles migrate onto, a profile's own filter capacity), so a bad
+	// shape is a 400 here, not an ErrConfig panic in a worker.
+	for _, p := range profiles {
+		cfg := harness.ChaosConfig(p, spec.Threads, harness.Options{Fabric: fabric, FilterCap: spec.FilterCap})
 		if err := cfg.Validate(); err != nil {
-			return nil, errf("bad-machine", "threads", "%d-core %s machine: %v", n, fabric, err)
+			return nil, errf("bad-machine", "threads", "%d-core %s machine: %v", cfg.Cores, fabric, err)
 		}
 	}
 

@@ -44,8 +44,8 @@ go run ./cmd/srvet -barrier filter-d -threads 8 examples/asm/reduce.s
 go test -count=1 -run '^TestCorpus$' ./internal/vet
 go run ./cmd/srisc-as examples/asm/hello.s >/dev/null
 
-echo "== go test -race (parallel harness, chaos attempt path, verifier, fabrics, ring queue) =="
-go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation' ./internal/harness
+echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path, verifier, fabrics, ring queue) =="
+go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation|TestRunCells|TestJournal' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
 go test -race ./internal/interconnect ./internal/mem ./internal/sim
 
@@ -60,8 +60,8 @@ echo "== go test -race (translation cache: counters, invalidation, record immuta
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twins, awake set vs core scan with and without fault injectors, bank work gate) =="
-go test -race -run 'TestSchedOracle|TestQuiesce' ./internal/cpu
+echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twins, a written SC outlasting a preemption, awake set vs core scan with and without fault injectors, bank work gate) =="
+go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC' ./internal/cpu
 go test -race -run 'TestAwakeSetOracle|TestBankWorkOracle' ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer, probe) =="
