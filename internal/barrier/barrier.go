@@ -15,7 +15,9 @@
 // the thread's barrier addresses from its thread id, and emits the inline
 // barrier sequence itself. Install places the required hardware state
 // (barrier filters in L2 banks, or a dedicated-network registration) into a
-// machine.
+// machine. The package only generates code and installs hardware: what a
+// run does when a filter faults (re-arm, then degrade to a software
+// barrier) is the chaos harness's policy (internal/harness).
 package barrier
 
 import (

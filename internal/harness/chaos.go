@@ -100,7 +100,7 @@ func RunChaos(opt ChaosOptions) ([]ChaosCell, error) {
 	spec := fmt.Sprintf("chaos seed=%d threads=%d kinds=%v profiles=%d cells=%v%s",
 		opt.Seed, opt.Threads, opt.Kinds, len(opt.Profiles), keys, opt.Options.spec())
 	return runCells(opt.Options, spec, keys, len(specs), func(i int, c *cellCtx) (ChaosCell, error) {
-		return runChaosCell(c, specs[i].k, specs[i].kind, specs[i].p,
+		return c.chaosCell(specs[i].k, specs[i].kind, specs[i].p,
 			faults.MixSeed(opt.Seed, uint64(i)+0x9000), opt.Threads)
 	})
 }
@@ -115,7 +115,7 @@ func RunChaos(opt ChaosOptions) ([]ChaosCell, error) {
 // worker counts, deadlines, and the simulator fast-path and translation
 // toggles never change a byte of it.
 func RunChaosCell(k kernels.Kernel, kind barrier.Kind, p faults.Profile, seed uint64, nthreads int, opt Options) (ChaosCell, error) {
-	return runCell(opt, func(ctx *cellCtx) (ChaosCell, error) { return runChaosCell(ctx, k, kind, p, seed, nthreads) })
+	return runCell(opt, func(c *cellCtx) (ChaosCell, error) { return c.chaosCell(k, kind, p, seed, nthreads) })
 }
 
 // ChaosConfig is the machine a chaos cell of profile p on nthreads SPMD
@@ -139,104 +139,189 @@ func ChaosConfig(p faults.Profile, nthreads int, opt Options) core.Config {
 	return cfg
 }
 
-// runChaosCell runs one cell's attempts and holds their outcome to the
-// chaos contract.
-func runChaosCell(ctx *cellCtx, k kernels.Kernel, kind barrier.Kind, p faults.Profile,
-	seed uint64, nthreads int) (ChaosCell, error) {
-	cfg := ctx.stoppable(ChaosConfig(p, nthreads, ctx.opt))
-	res, injected, attr, err := ctx.chaosAttempts(cfg, k, kind, p, seed, nthreads)
-	cell := ChaosCell{Kernel: k.Name(), Kind: kind, Profile: p.Name,
-		Attempts: len(res.Attempts), Cycles: res.TotalCycles, Injected: injected}
+// The degradation policy of a chaos cell, the runtime step between the
+// paper's hardware timeout (§3.3.4), which turns a starved fill into an
+// error response, and its OS fallback to a software barrier (§3.3.1): a
+// faulted filter is re-armed chaosRetries times with doubling backoff, each
+// time on a fresh machine (a faulted attempt's filter, directory and
+// program state are untrusted, and switching mechanism mid-barrier cannot
+// be made safe), and then degraded to chaosFallback. Attempts and backoff
+// share the cell's MaxCycles, so a fault is a report before the budget.
+const (
+	chaosRetries  = 2                     // re-arms of a faulted filter before degrading
+	chaosBackoff  = 10_000                // cycles charged before re-arm k: chaosBackoff << (k-1)
+	chaosFallback = barrier.KindSWCentral // the mechanism a filter degrades to
+)
 
-	// Contract checks: corruption is never an acceptable outcome, and a
-	// cell with nothing injected must simply complete.
-	for _, a := range res.Attempts {
-		if strings.Contains(a.Err, "result corruption") {
-			return cell, fmt.Errorf("chaos: %s/%s/%s: silent data corruption: %s",
-				cell.Kernel, kind, p.Name, a.Err)
-		}
-	}
-	switch {
-	case err == nil && !res.Degraded:
-		cell.Outcome = "identical"
-		if injected > 0 {
-			cell.Report = attr
-		}
-	case err == nil && res.Degraded:
-		cell.Outcome = "degraded"
-		cell.Report = res.Report() + "  " + attr
-	default:
-		if errors.Is(err, core.ErrStopped) {
-			// A wall-clock deadline, not a simulated fault: surface it so
-			// the sweep journals the cell as timed out.
-			return cell, fmt.Errorf("chaos: %s/%s/%s: %w", cell.Kernel, kind, p.Name, err)
-		}
-		if !p.Active() {
-			return cell, fmt.Errorf("chaos: %s/%s/%s: fault-free cell failed: %v",
-				cell.Kernel, kind, p.Name, err)
-		}
-		cell.Outcome = "fault"
-		cell.Report = err.Error() + "\n  " + attr
-	}
-	return cell, nil
+// unrecoverable is an attempt failure the policy must not retry: a setup
+// failure (a retry would build the same machine) or, when corrupt, result
+// corruption found by verification (a retry would mask it). Its text keeps
+// the "barrier:" prefix that journaled reports carry.
+type unrecoverable struct {
+	corrupt bool
+	err     error
 }
 
-// chaosAttempts runs a cell's attempts under the default fallback policy.
-// Each attempt boots a fresh machine from cfg through the lifecycle every
-// cell shares, attaches the profile's injector, starts the threads (through
-// the OS model when the profile preempts, driven by runPreemptPlan) and
-// verifies the results. Setup and verify failures are unrecoverable; a full
-// sync table (filter.ErrNoCapacity) is the designed degradation and passes
-// through to the fallback. It returns the policy's result, the faults
-// injected across attempts, and their per-attempt attribution.
-func (c *cellCtx) chaosAttempts(cfg core.Config, k kernels.Kernel, requested barrier.Kind, p faults.Profile,
-	seed uint64, nthreads int) (res barrier.FallbackResult, injected uint64, attr string, err error) {
-	what := fmt.Sprintf("chaos %s/%s", k.Name(), requested)
-	var history []string // one entry per attempt that ran an injector
-	res, err = barrier.RunWithFallback(requested, barrier.DefaultFallbackPolicy(c.opt.MaxCycles),
-		func(kind barrier.Kind, try int, budget uint64) (uint64, error) {
-			m, gen, prog, err := c.boot(what, cfg, nthreads, parBuild(k, kind, nthreads))
-			if errors.Is(err, filter.ErrNoCapacity) {
-				// Not corruption: the software fallback installs no filter
-				// entries, which frees the bank's table for the program's locks.
-				return 0, err
-			} else if err != nil {
-				return 0, fmt.Errorf("%w: %v", barrier.ErrUnrecoverable, err)
+func (u unrecoverable) Error() string {
+	return "barrier: unrecoverable attempt failure: " + u.err.Error()
+}
+
+// chaosCell runs one chaos cell of profile p on nthreads SPMD threads.
+func (c *cellCtx) chaosCell(k kernels.Kernel, kind barrier.Kind, p faults.Profile,
+	seed uint64, nthreads int) (ChaosCell, error) {
+	cell := ChaosCell{Kernel: k.Name(), Kind: kind, Profile: p.Name}
+	a := chaosAttempt{c: c, cfg: c.stoppable(ChaosConfig(p, nthreads, c.opt)), k: k, p: p,
+		seed: seed, nthreads: nthreads, what: fmt.Sprintf("chaos %s/%s", k.Name(), kind)}
+	err := runChaosCell(&cell, p, c.opt.MaxCycles, a.run)
+	return cell, err
+}
+
+// runChaosCell runs cell's attempts under the degradation policy and holds
+// their outcome to the chaos contract, filling cell's Attempts, Cycles,
+// Injected, Outcome and Report. A filter kind gets 1+chaosRetries attempts
+// and then one on chaosFallback; any other kind runs once, as it has
+// nothing to degrade to. Each attempt gets an even share of the budget
+// left. The plan ends on success, on an unrecoverable failure, on a stop
+// from outside (core.ErrStopped, which the returned error then wraps), or
+// when the budget is spent. Corruption, a stop and a failed fault-free
+// cell are errors; any other failure is the attributed "fault" outcome.
+//
+// attempt runs try number try of the plan on kind within budget cycles. It
+// returns the cycles it consumed, the faults its injector applied and that
+// injector's attribution ("" when it ran none), and the attempt's failure.
+func runChaosCell(cell *ChaosCell, p faults.Profile, maxCycles uint64,
+	attempt func(kind barrier.Kind, try int, budget uint64) (cycles, injected uint64, attr string, err error)) error {
+	plan := []barrier.Kind{cell.Kind}
+	if barrier.SlotsNeeded(cell.Kind) > 0 {
+		for range chaosRetries {
+			plan = append(plan, cell.Kind)
+		}
+		plan = append(plan, chaosFallback)
+	}
+	var lines []byte   // one line per attempt, but a last identical one
+	var attrs []string // one entry per attempt that ran an injector
+	fault := func(head string) error {
+		if !p.Active() {
+			return fmt.Errorf("chaos: %s/%s/%s: fault-free cell failed: %s:\n%s",
+				cell.Kernel, cell.Kind, cell.Profile, head, string(lines))
+		}
+		cell.Outcome = "fault"
+		cell.Report = head + ":\n" + string(lines) + "\n  " + strings.Join(attrs, "\n  ")
+		return nil
+	}
+	remaining := maxCycles
+	for i, kind := range plan {
+		if i > 0 {
+			wait := uint64(chaosBackoff) << (i - 1)
+			if wait >= remaining {
+				break
 			}
-			if p.Active() {
-				inj := faults.New(p, faults.MixSeed(seed, uint64(try)+1), m.Sys, cfg.Cores)
-				inj.SetPrimitives(m.Primitives())
-				inj.SetFillTargets(fillTargets(gen))
-				defer func() {
-					injected += inj.TotalInjected()
-					history = append(history, fmt.Sprintf("attempt %d %s", len(history), attribution(inj)))
-				}()
+			cell.Cycles += wait
+			remaining -= wait
+		}
+		budget := remaining / uint64(len(plan)-i)
+		if budget == 0 {
+			break
+		}
+		cycles, injected, attr, err := attempt(kind, i, budget)
+		cycles = min(cycles, budget) // an attempt must not overrun; clamp the accounting
+		cell.Attempts++
+		cell.Cycles += cycles
+		cell.Injected += injected
+		remaining -= cycles
+		if attr != "" {
+			attrs = append(attrs, fmt.Sprintf("attempt %d %s", len(attrs), attr))
+		}
+		if err == nil && kind == cell.Kind {
+			cell.Outcome = "identical"
+			if cell.Injected > 0 {
+				cell.Report = strings.Join(attrs, "\n  ")
 			}
-			var cycles uint64
-			if p.WantsPreemption() {
-				sched := osmodel.NewScheduler(m)
-				for t := 0; t < nthreads; t++ {
-					if err := sched.StartThread(t, t, prog.Entry, nthreads); err != nil {
-						return 0, fmt.Errorf("%w: starting threads: %v", barrier.ErrUnrecoverable, err)
-					}
-				}
-				plan := p.PreemptPlan(faults.MixSeed(seed, 0x100+uint64(try)), nthreads, budget)
-				var applied uint64
-				cycles, applied, err = runPreemptPlan(m, sched, plan, budget)
-				injected += applied
-			} else {
-				m.StartSPMD(prog.Entry, nthreads)
-				cycles, err = m.Run(budget)
+			return nil
+		}
+		status := "ok"
+		if err != nil {
+			status = err.Error()
+		}
+		lines = fmt.Appendf(lines, "  attempt %d [%s] %d/%d cycles: %s\n", i, kind, cycles, budget, status)
+		var u unrecoverable
+		switch {
+		case err == nil:
+			cell.Outcome = "degraded"
+			cell.Report = fmt.Sprintf("%s  degraded to %s\n  %s", string(lines), kind, strings.Join(attrs, "\n  "))
+			return nil
+		case errors.As(err, &u):
+			if u.corrupt {
+				return fmt.Errorf("chaos: %s/%s/%s: silent data corruption: %s", cell.Kernel, cell.Kind, cell.Profile, status)
 			}
-			if err != nil {
-				return cycles, err
+			return fault("barrier: resilient run aborted")
+		case errors.Is(err, core.ErrStopped):
+			// A wall-clock deadline or a torn-down sweep, not a failure of
+			// the mechanism: a retry would be stopped the same way, and the
+			// sweep journals the cell as timed out (or not at all).
+			return fmt.Errorf("chaos: %s/%s/%s: barrier: resilient run stopped: %w:\n%s",
+				cell.Kernel, cell.Kind, cell.Profile, err, string(lines))
+		}
+	}
+	return fault(fmt.Sprintf("barrier: resilient run failed after %d attempts", cell.Attempts))
+}
+
+// chaosAttempt is the simulator half of a chaos cell. Each run boots a
+// fresh machine from cfg through the lifecycle every cell shares, attaches
+// the profile's injector, starts the threads (through the OS model when the
+// profile preempts, driven by runPreemptPlan) and verifies the results.
+// Setup and verify failures are unrecoverable; a full sync table
+// (filter.ErrNoCapacity) is the designed degradation and passes through to
+// the fallback.
+type chaosAttempt struct {
+	c        *cellCtx
+	cfg      core.Config
+	k        kernels.Kernel
+	p        faults.Profile
+	seed     uint64
+	nthreads int
+	what     string // names the cell in build and vet errors
+}
+
+func (a *chaosAttempt) run(kind barrier.Kind, try int, budget uint64) (cycles, injected uint64, attr string, err error) {
+	m, gen, prog, err := a.c.boot(a.what, a.cfg, a.nthreads, parBuild(a.k, kind, a.nthreads))
+	if errors.Is(err, filter.ErrNoCapacity) {
+		// Not corruption: the software fallback installs no filter
+		// entries, which frees the bank's table for the program's locks.
+		return 0, 0, "", err
+	} else if err != nil {
+		return 0, 0, "", unrecoverable{err: err}
+	}
+	if a.p.Active() {
+		inj := faults.New(a.p, faults.MixSeed(a.seed, uint64(try)+1), m.Sys, a.cfg.Cores)
+		inj.SetPrimitives(m.Primitives())
+		inj.SetFillTargets(fillTargets(gen))
+		defer func() { // on every return from here on
+			injected += inj.TotalInjected()
+			attr = attribution(inj)
+		}()
+	}
+	if a.p.WantsPreemption() {
+		sched := osmodel.NewScheduler(m)
+		for t := 0; t < a.nthreads; t++ {
+			if serr := sched.StartThread(t, t, prog.Entry, a.nthreads); serr != nil {
+				err = unrecoverable{err: fmt.Errorf("starting threads: %v", serr)}
+				return
 			}
-			if err := k.Verify(m.Sys.Mem, prog, nthreads); err != nil {
-				return cycles, fmt.Errorf("%w: result corruption: %v", barrier.ErrUnrecoverable, err)
-			}
-			return cycles, nil
-		})
-	return res, injected, strings.Join(history, "\n  "), err
+		}
+		plan := a.p.PreemptPlan(faults.MixSeed(a.seed, 0x100+uint64(try)), a.nthreads, budget)
+		cycles, injected, err = runPreemptPlan(m, sched, plan, budget)
+	} else {
+		m.StartSPMD(prog.Entry, a.nthreads)
+		cycles, err = m.Run(budget)
+	}
+	if err != nil {
+		return
+	}
+	if verr := a.k.Verify(m.Sys.Mem, prog, a.nthreads); verr != nil {
+		err = unrecoverable{corrupt: true, err: fmt.Errorf("result corruption: %v", verr)}
+	}
+	return
 }
 
 // fillTargets are the lines the injector's spurious fills aim at: every

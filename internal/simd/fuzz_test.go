@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // normalizeCodes is the documented set of Error.Code values a rejected spec
@@ -44,6 +45,8 @@ func FuzzNormalize(f *testing.F) {
 		`[]`,
 		``,
 		"\x00\xff{",
+		`{"kernels":["microbench"],"deadline_ms":18446744073710}`,
+		`{"kernels":["microbench"],"queue_deadline_ms":9223372036855}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -72,6 +75,11 @@ func FuzzNormalize(f *testing.F) {
 				t.Fatalf("rejection outside the documented set: %+v", serr)
 			}
 			return
+		}
+		for _, ms := range []int64{sw.Spec.DeadlineMS, sw.Spec.QueueDeadlineMS} {
+			if d := time.Duration(ms) * time.Millisecond; d/time.Millisecond != time.Duration(ms) {
+				t.Fatalf("deadline of %d ms accepted, but it wraps to %v", ms, d)
+			}
 		}
 		if len(sw.Cells) < 1 || len(sw.Cells) > lim.MaxCells {
 			t.Fatalf("%d cells accepted under MaxCells %d", len(sw.Cells), lim.MaxCells)

@@ -54,6 +54,12 @@ func TestNormalizeValidation(t *testing.T) {
 		{"unknown chaos", func(s *Spec) { s.Chaos = []string{"zalgo"} }, "bad-chaos"},
 		{"one thread", func(s *Spec) { s.Threads = 1 }, "bad-spec"},
 		{"negative deadline", func(s *Spec) { s.DeadlineMS = -1 }, "bad-spec"},
+		// Millisecond counts whose time.Duration wraps: to 448µs, and to a
+		// negative (no, or an already expired) deadline.
+		{"deadline wraps short", func(s *Spec) { s.DeadlineMS = 18446744073710 }, "bad-spec"},
+		{"deadline wraps negative", func(s *Spec) { s.DeadlineMS = 9223372036855 }, "bad-spec"},
+		{"queue deadline wraps short", func(s *Spec) { s.QueueDeadlineMS = 18446744073710 }, "bad-spec"},
+		{"queue deadline wraps negative", func(s *Spec) { s.QueueDeadlineMS = 9223372036855 }, "bad-spec"},
 		{"cycle budget over limit", func(s *Spec) { s.MaxCycles = lim.MaxCycles + 1 }, "bad-spec"},
 		{"kernel listed twice", func(s *Spec) { s.Kernels = []string{"microbench", "microbench"} }, "bad-spec"},
 		{"seed listed twice", func(s *Spec) { s.Seeds = []uint64{3, 1, 3} }, "bad-spec"},
@@ -88,6 +94,19 @@ func TestNormalizeValidation(t *testing.T) {
 		}
 		if err == nil || err.Code != tc.code {
 			t.Errorf("%s: err = %v, want code %q", tc.name, err, tc.code)
+		}
+	}
+
+	// An out-of-range deadline names its own field.
+	for _, field := range []string{"deadline_ms", "queue_deadline_ms"} {
+		spec := smallSpec()
+		if field == "deadline_ms" {
+			spec.DeadlineMS = -1
+		} else {
+			spec.QueueDeadlineMS = -1
+		}
+		if _, err := Normalize(spec, lim); err == nil || err.Field != field {
+			t.Errorf("negative %s: err = %v, want it to name the field", field, err)
 		}
 	}
 
@@ -695,6 +714,8 @@ func TestBadSpecHTTP(t *testing.T) {
 		{"size the constructor rejects", `{"kernels":["livermore2"],"n":100}`, "bad-kernel"},
 		{"absurd n", `{"kernels":["livermore1"],"n":4000000000}`, "bad-spec"},
 		{"absurd loops", `{"kernels":["microbench"],"loops":4000000000}`, "bad-spec"},
+		{"deadline past time.Duration", `{"kernels":["microbench"],"deadline_ms":18446744073710}`, "bad-spec"},
+		{"queue deadline past time.Duration", `{"kernels":["microbench"],"queue_deadline_ms":9223372036855}`, "bad-spec"},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -36,6 +36,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/barrier"
@@ -199,6 +200,11 @@ type Limits struct {
 // the parked 1024-core cells need 8 doubles × 1024 threads = 8192.
 const maxKernelSize = 1 << 14
 
+// maxDeadlineMS bounds Spec.DeadlineMS and Spec.QueueDeadlineMS: the
+// largest millisecond count a time.Duration holds. Past it the conversion
+// wraps, to a deadline that is a few microseconds or already past.
+const maxDeadlineMS = int64(math.MaxInt64 / time.Millisecond)
+
 // DefaultLimits returns the server defaults.
 func DefaultLimits() Limits {
 	return Limits{MaxCells: 4096, MaxThreads: 256, MaxCycles: 2_000_000_000}
@@ -248,8 +254,11 @@ func Normalize(spec Spec, lim Limits) (*Sweep, *Error) {
 	if spec.MaxCycles > lim.MaxCycles {
 		return nil, errf("bad-spec", "max_cycles", "max_cycles %d over the server limit %d", spec.MaxCycles, lim.MaxCycles)
 	}
-	if spec.DeadlineMS < 0 || spec.QueueDeadlineMS < 0 {
-		return nil, errf("bad-spec", "deadline_ms", "deadlines must be non-negative")
+	if spec.DeadlineMS < 0 || spec.DeadlineMS > maxDeadlineMS {
+		return nil, errf("bad-spec", "deadline_ms", "deadline_ms %d out of range [0, %d]", spec.DeadlineMS, maxDeadlineMS)
+	}
+	if spec.QueueDeadlineMS < 0 || spec.QueueDeadlineMS > maxDeadlineMS {
+		return nil, errf("bad-spec", "queue_deadline_ms", "queue_deadline_ms %d out of range [0, %d]", spec.QueueDeadlineMS, maxDeadlineMS)
 	}
 	if spec.FilterCap < 0 {
 		return nil, errf("bad-spec", "filtercap", "filtercap %d is negative", spec.FilterCap)

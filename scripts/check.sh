@@ -44,15 +44,15 @@ go run ./cmd/srvet -barrier filter-d -threads 8 examples/asm/reduce.s
 go test -count=1 -run '^TestCorpus$' ./internal/vet
 go run ./cmd/srisc-as examples/asm/hello.s >/dev/null
 
-echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path, verifier, fabrics, ring queue) =="
-go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation|TestRunCells|TestJournal' ./internal/harness
+echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path and degradation policy, verifier, fabrics, ring queue) =="
+go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation|TestChaosPolicy|TestRunCells|TestJournal' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
 go test -race ./internal/interconnect ./internal/mem ./internal/sim
 
 echo "== hbcheck differential smoke (dynamic oracle agrees with srvet) =="
 go test -short -run TestHBCheck -count=1 ./internal/harness
 
-echo "== go test -race (sync engine: filter+lock tables, OS model, barrier fallback policy) =="
+echo "== go test -race (sync engine: filter+lock tables, OS model, barrier install) =="
 go test -race ./internal/filter ./internal/osmodel ./internal/barrier
 go test -race -run 'TestCleanLockMachine|TestLock' ./internal/sanitize
 
