@@ -10,6 +10,7 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/kernels"
 	"repro/internal/mem"
 )
 
@@ -134,6 +135,41 @@ func TestChaosAttemptDegradation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChaosCellFaultFreeIgnoresSeed: a profile that injects nothing never
+// reads the seed (chaosAttempt.run consults it only under Active and
+// WantsPreemption, and preempting makes a profile active), so its cells at
+// two seeds are equal; simd simulates such cells once per sweep on the
+// strength of this. An active profile at the same two seeds differs, so
+// the comparison can see a seed.
+func TestChaosCellFaultFreeIgnoresSeed(t *testing.T) {
+	opt := tinyOptions()
+	opt.MaxCycles = 2_000_000
+	cells := func(profile string, kind barrier.Kind) [2]ChaosCell {
+		t.Helper()
+		p, ok := faults.ProfileByName(profile)
+		if !ok {
+			t.Fatalf("no profile %q", profile)
+		}
+		var out [2]ChaosCell
+		for s, seed := range []uint64{1, 2} {
+			c, err := RunChaosCell(&kernels.Microbench{K: 4, M: 2}, kind, p, seed, 4, opt)
+			if err != nil {
+				t.Fatalf("%s/%s seed %d: %v", kind, profile, seed, err)
+			}
+			out[s] = c
+		}
+		return out
+	}
+	for _, kind := range []barrier.Kind{barrier.KindFilterD, barrier.KindSWCentral, barrier.KindHWNet} {
+		if c := cells("none", kind); c[0] != c[1] {
+			t.Errorf("%s fault-free cells differ across seeds:\n%+v\n%+v", kind, c[0], c[1])
+		}
+	}
+	if c := cells("spurious-fill", barrier.KindFilterD); c[0] == c[1] {
+		t.Errorf("spurious-fill cells equal across seeds, the comparison cannot see a seed: %+v", c[0])
 	}
 }
 

@@ -28,6 +28,10 @@ func (o Options) workerCount() int {
 //     replay, a cache hit; the one seam a result computed on another
 //     machine would enter through — is marked with Resolve: it takes no
 //     slot and never waits behind (or holds up) a local cell.
+//   - Following. A cell whose result is another local cell's (simd's
+//     fault-free cells that differ only in an unread seed) is marked with
+//     Follow: it takes no slot, finishes when its lead finishes and is
+//     skipped when its lead is skipped.
 //   - Delivery. Run hands every index to deliver strictly in index order on
 //     the calling goroutine, whatever order cells finish in. Results
 //     themselves travel in slots the caller indexes by cell; the Runner only
@@ -39,14 +43,16 @@ func (o Options) workerCount() int {
 //     what was delivered is a clean prefix of the sweep.
 //
 // Every index must be accounted for exactly once — listed in Run's local
-// set or passed to Resolve — which is also what lets Run return only after
-// every goroutine it started has finished.
+// set, passed to Resolve, or passed to Follow as the follower — which is
+// also what lets Run return only after every goroutine it started has
+// finished.
 type Runner struct {
-	ctx   context.Context // done once nothing more may start: canceled, or halted
-	halt  context.CancelFunc
-	slots chan struct{}
-	n     int
-	done  chan cellDone // capacity n: reporting a finished cell never blocks
+	ctx     context.Context // done once nothing more may start: canceled, or halted
+	halt    context.CancelFunc
+	slots   chan struct{}
+	n       int
+	done    chan cellDone // capacity n: reporting a finished cell never blocks
+	follows map[int][]int // lead → its followers, set before Run
 }
 
 // cellDone reports one index to the sequencer: finished, or skipped for a
@@ -75,6 +81,17 @@ func NewRunner(ctx context.Context, slots chan struct{}, n int) *Runner {
 // caller stores for the cell before the call is visible to deliver.
 func (r *Runner) Resolve(i int) { r.done <- cellDone{i, finished} }
 
+// Follow makes cell j share local cell i's fate: j is never run, finishes
+// when i finishes and is skipped when i is skipped. It must be called
+// before Run, with i in Run's local set; deliver(j) comes after run(i) has
+// returned, so whatever run(i) stored is visible to it.
+func (r *Runner) Follow(j, i int) {
+	if r.follows == nil {
+		r.follows = make(map[int][]int)
+	}
+	r.follows[i] = append(r.follows[i], j)
+}
+
 // Halt ends dispatch: no cell starts after it returns, and cells already
 // running are left to finish. Run halts the sweep itself when deliver
 // fails; a cell whose own outcome ends the sweep calls it before returning,
@@ -94,9 +111,14 @@ func (r *Runner) Run(local []int, run func(i int), deliver func(i int) error) er
 	state := make([]uint8, r.n)
 	next := 0
 	var err error
-	for got := 0; got < r.n; got++ {
+	for got := 0; got < r.n; {
 		d := <-r.done
 		state[d.idx] = d.state
+		got++
+		for _, j := range r.follows[d.idx] {
+			state[j] = d.state
+			got++
+		}
 		for err == nil && next < r.n && state[next] != 0 {
 			if state[next] == skipped {
 				err = fmt.Errorf("harness: sweep canceled before cell %d: %w", next, r.ctx.Err())

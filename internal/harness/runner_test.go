@@ -306,3 +306,100 @@ func TestRunnerResolvedCellsTakeNoSlot(t *testing.T) {
 		t.Fatalf("delivered %v", delivered)
 	}
 }
+
+// TestRunnerFollowSharesLead: followers sit between local cells (local 0,
+// 2, 4; cells 1 and 3 follow 0, cell 5 follows 2). They never run and take
+// no slot, so with one slot at most one cell runs at a time; they are
+// delivered in index order, each after its lead, and see what the lead's
+// run stored.
+func TestRunnerFollowSharesLead(t *testing.T) {
+	const n = 6
+	follow := map[int]int{1: 0, 3: 0, 5: 2}
+	for round := 0; round < 20; round++ {
+		var ran [n]atomic.Int32
+		var running atomic.Int32
+		var overlap atomic.Bool
+		var stored [n]int
+		var delivered []int
+		r := NewRunner(context.Background(), make(chan struct{}, 1), n)
+		for j, i := range follow {
+			r.Follow(j, i)
+		}
+		err := r.Run([]int{0, 2, 4}, func(i int) {
+			if running.Add(1) > 1 {
+				overlap.Store(true)
+			}
+			ran[i].Add(1)
+			time.Sleep(50 * time.Microsecond)
+			stored[i] = 100 + i
+			running.Add(-1)
+		}, func(i int) error {
+			if l, ok := follow[i]; ok {
+				stored[i] = stored[l]
+			}
+			delivered = append(delivered, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if overlap.Load() {
+			t.Fatal("two cells ran at once on one slot")
+		}
+		for i := range ran {
+			_, follower := follow[i]
+			if n := ran[i].Load(); follower && n != 0 || !follower && n != 1 {
+				t.Fatalf("cell %d (follower %v) ran %d times", i, follower, n)
+			}
+		}
+		if fmt.Sprint(delivered) != "[0 1 2 3 4 5]" {
+			t.Fatalf("delivered %v", delivered)
+		}
+		if fmt.Sprint(stored) != "[100 100 102 100 104 102]" {
+			t.Fatalf("stored %v: a follower did not see its lead's result", stored)
+		}
+	}
+}
+
+// TestRunnerFollowCanceledBeforeLead: a sweep canceled before a lead
+// starts skips the lead's followers with it. Run returns the error naming
+// the lead as the first cell that never ran, having delivered exactly the
+// cells before it, instead of waiting for followers nothing would report.
+func TestRunnerFollowCanceledBeforeLead(t *testing.T) {
+	const n = 5 // local 0, 1; cells 2, 3, 4 follow 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner(ctx, make(chan struct{}, 1), n)
+	for _, j := range []int{2, 3, 4} {
+		r.Follow(j, 1)
+	}
+	var leadRan atomic.Bool
+	var delivered []int
+	done := make(chan error, 1)
+	go func() {
+		done <- r.Run([]int{0, 1}, func(i int) {
+			if i == 0 {
+				cancel()
+			} else {
+				leadRan.Store(true)
+			}
+		}, func(i int) error {
+			delivered = append(delivered, i)
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "canceled before cell 1:") {
+			t.Fatalf("err = %v, want the sweep canceled before cell 1", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still waiting 10s after the sweep was canceled before its lead started")
+	}
+	if leadRan.Load() {
+		t.Fatal("the lead started after the sweep was canceled")
+	}
+	if fmt.Sprint(delivered) != "[0]" {
+		t.Fatalf("delivered %v, want [0]", delivered)
+	}
+}

@@ -19,7 +19,10 @@ var ErrOracle = errors.New("simd: cache oracle mismatch")
 // result bytes. It is safe for concurrent use. With a directory it also
 // persists entries (one file per hash, written via temp+rename so a kill
 // mid-write never leaves a torn entry); the in-memory map fronts the
-// directory either way.
+// directory either way. A file that does not decode as a Result naming its
+// own hash is disk damage, not a simulator result: it is removed and the
+// entry counts as absent, so the cell re-simulates and rewrites it rather
+// than failing the oracle against garbage on every later sweep.
 type Cache struct {
 	dir string
 	mu  sync.Mutex
@@ -48,34 +51,43 @@ func (c *Cache) path(hash string) string {
 func (c *Cache) Get(hash string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if b, ok := c.m[hash]; ok {
+	b, ok := c.load(hash)
+	if ok {
 		c.hits++
-		return b, true
+	} else {
+		c.misses++
 	}
-	if c.dir != "" {
-		if b, err := os.ReadFile(c.path(hash)); err == nil {
-			c.m[hash] = b
-			c.hits++
-			return b, true
-		}
-	}
-	c.misses++
-	return nil, false
+	return b, ok
 }
 
-// Put stores result bytes under hash. If an entry already exists, the new
-// bytes must match it exactly — the oracle check — and ErrOracle reports
-// the divergence with both encodings.
+// load returns the entry for hash from memory or, on a memory miss, from a
+// sound file on disk, dropping a damaged one. The caller holds c.mu.
+func (c *Cache) load(hash string) ([]byte, bool) {
+	if b, ok := c.m[hash]; ok {
+		return b, true
+	}
+	if c.dir == "" {
+		return nil, false
+	}
+	b, err := os.ReadFile(c.path(hash))
+	if err != nil {
+		return nil, false
+	}
+	if res, err := ParseResult(b); err != nil || res.Hash != hash {
+		os.Remove(c.path(hash))
+		return nil, false
+	}
+	c.m[hash] = b
+	return b, true
+}
+
+// Put stores result bytes under hash. If a sound entry already exists, the
+// new bytes must match it exactly — the oracle check — and ErrOracle
+// reports the divergence with both encodings.
 func (c *Cache) Put(hash string, b []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	prev, ok := c.m[hash]
-	if !ok && c.dir != "" {
-		if d, err := os.ReadFile(c.path(hash)); err == nil {
-			prev, ok = d, true
-		}
-	}
-	if ok {
+	if prev, ok := c.load(hash); ok {
 		if !bytes.Equal(prev, b) {
 			return fmt.Errorf("%w: hash %s:\n  cached: %s\n  fresh:  %s", ErrOracle, hash, prev, b)
 		}

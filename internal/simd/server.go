@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/barrier"
 	"repro/internal/harness"
 )
 
@@ -72,6 +73,7 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	OracleOK    int64 `json:"oracle_ok"` // recomputations confirmed byte-identical
+	Coalesced   int64 `json:"coalesced"` // cells answered by another cell's simulation in the same sweep
 }
 
 // Server is the simulation service. Create with NewServer; it implements
@@ -365,6 +367,18 @@ func (s *Server) store(c Cell, res Result) Result {
 	return res
 }
 
+// follow answers a cell with the result of its lead, a cell of the same
+// sweep that differs from it only in the seed of a profile that never reads
+// it: the lead's result under the follower's own key and hash, entered into
+// the cache like a fresh one.
+func (s *Server) follow(c Cell, res Result) outcome {
+	res.Key, res.Hash = c.Key, c.Hash
+	s.mu.Lock()
+	s.stats.Coalesced++
+	s.mu.Unlock()
+	return outcome{res: s.store(c, res)}
+}
+
 // runLocal simulates one cell on this process, under a slot the Runner
 // already holds for it.
 func (s *Server) runLocal(ctx context.Context, c Cell) outcome {
@@ -377,7 +391,9 @@ func (s *Server) runLocal(ctx context.Context, c Cell) outcome {
 
 // runSweep executes a validated sweep on one harness.Runner over the
 // server-wide slots. Journal replays and cache hits are resolved without a
-// slot; the rest start in index order as slots free up; and the Runner
+// slot; local cells that differ only in the seed of a fault-free profile
+// share one simulation (the first is the lead, the rest follow it); every
+// other cell starts in index order as slots free up; and the Runner
 // delivers every outcome in strict cell-index order to the one callback
 // that journals and streams it, so neither the journal nor the stream needs
 // an ordering of its own.
@@ -407,6 +423,17 @@ func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 	outs := make([]outcome, len(sw.Cells))
 	r := harness.NewRunner(ctx, s.slots, len(sw.Cells))
 	var local []int
+	// A profile that injects nothing never reads the seed (the chaos
+	// attempt consults it only under Profile.Active), and every identity
+	// field but these three and the seed is sweep-wide. A recompute pass
+	// simulates every seed, so the oracle keeps re-checking that claim.
+	type seedFree struct {
+		kernel  string
+		kind    barrier.Kind
+		profile string
+	}
+	leads := make(map[seedFree]int)
+	follows := make(map[int]int) // follower → lead
 	for i, c := range sw.Cells {
 		if j != nil {
 			if e, ok := j.Done(c.Key); ok {
@@ -418,14 +445,28 @@ func (s *Server) runSweep(ctx context.Context, sw *Sweep, out *streamWriter) {
 		if res, ok := s.cached(sw, c); ok {
 			outs[i] = outcome{res: res, cached: true}
 			r.Resolve(i)
-		} else {
-			local = append(local, i)
+			continue
 		}
+		if !sw.Spec.Recompute && !c.Profile.Active() {
+			id := seedFree{c.Kernel, c.Kind, c.Profile.Name}
+			if l, ok := leads[id]; ok {
+				follows[i] = l
+				r.Follow(i, l)
+				continue
+			}
+			leads[id] = i
+		}
+		local = append(local, i)
 	}
 
 	journalable := j != nil // false once a journal write has failed
 	nOK, nErr := 0, 0
 	err := r.Run(local, func(i int) { outs[i] = s.runLocal(ctx, sw.Cells[i]) }, func(i int) error {
+		if l, ok := follows[i]; ok {
+			// The lead has a lower index, so a canceled lead has already
+			// ended delivery, taking its followers with it.
+			outs[i] = s.follow(sw.Cells[i], outs[l].res)
+		}
 		cur := outs[i]
 		if cur.canceled {
 			// Torn down mid-sweep: nothing at or past this index is

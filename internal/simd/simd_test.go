@@ -192,22 +192,28 @@ func TestHashExcludesRuntimeKnobs(t *testing.T) {
 	}
 }
 
+// entry is canonical result bytes naming hash, as the cache holds them.
+func entry(hash string, cycles uint64) []byte {
+	return Result{Key: "k", Hash: hash, Status: "ok", Cycles: cycles}.Bytes()
+}
+
 func TestCacheOracle(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("h1", []byte(`{"v":1}`)); err != nil {
+	v1 := entry("h1", 1)
+	if err := c.Put("h1", v1); err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := c.Get("h1"); !ok || string(b) != `{"v":1}` {
+	if b, ok := c.Get("h1"); !ok || !bytes.Equal(b, v1) {
 		t.Fatalf("get = %q, %v", b, ok)
 	}
-	if err := c.Put("h1", []byte(`{"v":1}`)); err != nil {
+	if err := c.Put("h1", v1); err != nil {
 		t.Fatalf("identical re-put flagged: %v", err)
 	}
-	if err := c.Put("h1", []byte(`{"v":2}`)); !errors.Is(err, ErrOracle) {
+	if err := c.Put("h1", entry("h1", 2)); !errors.Is(err, ErrOracle) {
 		t.Fatalf("divergent re-put: err = %v, want ErrOracle", err)
 	}
 	_, _, oracleOK := c.Stats()
@@ -221,11 +227,48 @@ func TestCacheOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := c2.Get("h1"); !ok || string(b) != `{"v":1}` {
+	if b, ok := c2.Get("h1"); !ok || !bytes.Equal(b, v1) {
 		t.Fatalf("disk tier get = %q, %v", b, ok)
 	}
-	if err := c2.Put("h1", []byte(`{"v":3}`)); !errors.Is(err, ErrOracle) {
+	if err := c2.Put("h1", entry("h1", 3)); !errors.Is(err, ErrOracle) {
 		t.Fatalf("divergent put against disk tier: err = %v, want ErrOracle", err)
+	}
+}
+
+// TestCacheDropsDamagedEntry: a file that does not decode as a result, or
+// names another hash, is disk damage. Get reports it absent and removes it,
+// and Put over it writes the fresh bytes instead of failing the oracle.
+func TestCacheDropsDamagedEntry(t *testing.T) {
+	for name, damage := range map[string][]byte{
+		"torn":       []byte(`{"key":`),
+		"other hash": entry("h2", 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "h1.json")
+			if err := os.WriteFile(path, damage, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, ok := c.Get("h1"); ok {
+				t.Fatalf("damaged entry served: %q", b)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("damaged entry left on disk: %v", err)
+			}
+			if err := os.WriteFile(path, damage, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("h1", entry("h1", 1)); err != nil {
+				t.Fatalf("put over a damaged entry: %v", err)
+			}
+			if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, entry("h1", 1)) {
+				t.Fatalf("entry on disk after the put = %q, %v", b, err)
+			}
+		})
 	}
 }
 
@@ -411,6 +454,100 @@ func TestServerSweepCacheAndOracle(t *testing.T) {
 	_, _, oracleOK := s.cache.Stats()
 	if oracleOK < 4 {
 		t.Fatalf("oracle-confirmed recomputations = %d, want >= 4", oracleOK)
+	}
+}
+
+// serverStats reads the server's /v1/stats counters.
+func serverStats(t *testing.T, url string) Stats {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestServerCoalescesSeedFreeCells: the fault-free cells of a sweep that
+// differ only in their seed share one simulation, yet every cell streams
+// exactly the bytes RunCell gives it on its own — key and hash included —
+// as a fresh result. Two of the three fault-free cells per mechanism are
+// followers. A recompute pass simulates every cell again and the oracle
+// confirms them all.
+func TestServerCoalescesSeedFreeCells(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Workers: 2})
+	spec := smallSpec()
+	spec.Mechanisms = []string{"filter-d", "sw-central"}
+	spec.Seeds = []uint64{1, 2, 3}
+	sw, serr := Normalize(spec, DefaultLimits())
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	want := make([]string, len(sw.Cells))
+	for i, c := range sw.Cells {
+		res, err := RunCell(context.Background(), c)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Key, err)
+		}
+		want[i] = string(res.Bytes())
+	}
+
+	for i, c := range cellResults(t, runSweepHTTP(t, ts.URL, spec)) {
+		if c.Cached || c.Replay {
+			t.Errorf("cell %d: cached=%v replayed=%v, want a fresh result", i, c.Cached, c.Replay)
+		}
+		if got := string(c.Result.Bytes()); got != want[i] {
+			t.Errorf("cell %d streamed bytes differ from RunCell's:\n%s\n%s", i, got, want[i])
+		}
+	}
+	before := serverStats(t, ts.URL)
+	if before.Coalesced != 4 {
+		t.Fatalf("coalesced = %d, want 4 (two fault-free followers per mechanism)", before.Coalesced)
+	}
+
+	oracle := spec
+	oracle.Recompute = true
+	for i, c := range cellResults(t, runSweepHTTP(t, ts.URL, oracle)) {
+		if got := string(c.Result.Bytes()); c.Cached || got != want[i] {
+			t.Errorf("recomputed cell %d: cached=%v\n%s\n%s", i, c.Cached, got, want[i])
+		}
+	}
+	after := serverStats(t, ts.URL)
+	if after.Coalesced != before.Coalesced || after.OracleOK-before.OracleOK != int64(len(want)) {
+		t.Fatalf("recompute pass: coalesced %d -> %d, oracle confirmed %d of %d cells",
+			before.Coalesced, after.Coalesced, after.OracleOK-before.OracleOK, len(want))
+	}
+}
+
+// TestServerDamagedCacheEntryResimulates: a cache file damaged on disk is
+// not an oracle failure. A server over the damaged directory re-simulates
+// that cell to a fresh ok result and rewrites the entry, so the next sweep
+// serves it from the cache.
+func TestServerDamagedCacheEntryResimulates(t *testing.T) {
+	dir := t.TempDir()
+	spec := smallSpec()
+	ts, _ := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	first := cellResults(t, runSweepHTTP(t, ts.URL, spec))
+	want := resultBytes(t, first)
+
+	const damaged = 2
+	if err := os.WriteFile(filepath.Join(dir, first[damaged].Result.Hash+".json"), []byte(`{"key":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts2, _ := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	for pass, wantCached := range []bool{false, true} {
+		for i, c := range cellResults(t, runSweepHTTP(t, ts2.URL, spec)) {
+			if c.Result.Status != "ok" || string(c.Result.Bytes()) != want[i] {
+				t.Errorf("pass %d cell %d: %s, want %s", pass, i, c.Result.Bytes(), want[i])
+			}
+			if c.Cached != (wantCached || i != damaged) {
+				t.Errorf("pass %d cell %d: cached=%v", pass, i, c.Cached)
+			}
+		}
 	}
 }
 

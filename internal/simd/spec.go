@@ -26,9 +26,16 @@
 //     the queued sweep with the oldest queue deadline, else answers 429
 //     with Retry-After.
 //
+// Fault-free cells that differ only in their seed share one simulation per
+// sweep: a profile that injects nothing never reads the seed, so the first
+// such cell is simulated and the rest follow it, each answered with the
+// same result under its own key and hash. Recompute passes simulate every
+// seed, re-checking that claim.
+//
 // The service is one node: a sweep's cells all run in the process that
 // journals it. harness.Runner.Resolve is where a result computed elsewhere
-// (today: a journal replay, a cache hit) enters a sweep.
+// (today: a journal replay, a cache hit) enters a sweep, and
+// harness.Runner.Follow where a cell takes another cell's result.
 package simd
 
 import (

@@ -30,8 +30,10 @@ go build -o "$WORK/bin/" ./cmd/simd ./cmd/bench
 
 # The smoke sweep: viterbi x three seeds x a fault-free and a chaos
 # profile on the mesh fabric — six cells of a few hundred milliseconds
-# each at one worker, so the mid-sweep kill below reliably lands while
-# cells are still running.
+# each at one worker. The three fault-free cells share one simulation (a
+# profile that injects nothing never reads its seed); the three
+# spurious-fill cells still run one after another behind them, so the
+# mid-sweep kill below reliably lands while cells are still running.
 SPEC='{"kernels":["viterbi"],"n":96,"loops":8,"mechanisms":["filter-d"],"fabric":"mesh","threads":4,"seeds":[1,2,3],"chaos":["none","spurious-fill"],"max_cycles":100000000}'
 CELLS=6
 
@@ -66,6 +68,15 @@ stop "$SRV_PID"
 	exit 1
 }
 REF_JOURNAL="$(echo "$WORK"/ref-journal/*.jsonl)"
+# With key and hash stripped, the three fault-free result lines are one line.
+NONE='"key":"viterbi/filter-d/none/s'
+COUNT="$(grep -c "$NONE" "$WORK/ref.out")"
+DISTINCT="$(grep "$NONE" "$WORK/ref.out" | sed 's/^{"key":"[^"]*","hash":"[^"]*",//' | sort -u | wc -l)"
+if [ "$COUNT" -ne 3 ] || [ "$DISTINCT" -ne 1 ]; then
+	echo "want 3 fault-free results identical beyond key and hash, got $COUNT with $DISTINCT distinct:" >&2
+	grep "$NONE" "$WORK/ref.out" >&2
+	exit 1
+fi
 
 # submit_until_first_result <name>: submits the sweep in the background
 # (CLIENT_PID) and returns once the first result has streamed, i.e. while
