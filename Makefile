@@ -38,7 +38,8 @@ check:
 # subset; the full matrix sits behind the probematrix build tag), the
 # awake-set oracle's software barriers under every standard injector (tier-1
 # runs four, the rest sit behind the same tag; periodic sleep stays on under
-# injection) plus short
+# injection) and its hw-net cells under the three preempting profiles (an
+# HWBAR waiter sleeps until its release and is never preempted) plus short
 # fuzz smokes of the assembler (the
 # surface the chaos kernels are built through), the static verifier (which
 # must never panic on arbitrary programs), the translation-cache

@@ -26,7 +26,9 @@ import (
 // prime length and checks them against a NoFastPath twin: a filter barrier
 // (cores park and sleep), two software barriers (cores spin on L1 hits and
 // sleep periodically, and sleep behind LL/SC misses), two-thread cores
-// (slow tickers that never sleep), and the two software barriers under
+// (slow tickers that never sleep), the dedicated barrier network (HWBAR
+// waiters sleep until the machine wakes them at their release cycle), on
+// its own and under bus-delay, and the two software barriers under
 // four fault injectors, wired as the chaos harness wires them, the same
 // injector and seed on both twins (their injection records must match
 // too): periodic sleep stays on under an injector (mem.ChaosHook's third
@@ -44,6 +46,14 @@ func TestAwakeSetOracle(t *testing.T) {
 			cases = append(cases, injectedCases(p)...)
 		}
 	}
+	// Appended, so every case above keeps the seed its index gives it.
+	busDelay, ok := faults.ProfileByName("bus-delay")
+	if !ok {
+		t.Fatal("no bus-delay profile")
+	}
+	cases = append(cases,
+		oracleCase{"hw-net", barrier.KindHWNet, "livermore2", 1, 2, faults.Profile{}},
+		oracleCase{"hw-net/bus-delay", barrier.KindHWNet, "livermore2", 1, 8, busDelay})
 	awakeSetOracle(t, cases, true)
 }
 
@@ -100,13 +110,13 @@ func awakeSetOracle(t *testing.T, cases []oracleCase, mustInject bool) {
 			// Two-thread cores never sleep; the others must have been caught
 			// asleep at boundaries, and the spinning ones periodically asleep,
 			// or the run proves nothing. Under an injector the spinners must
-			// at least begin periodic sleeps.
+			// at least begin periodic sleeps; HWBAR waiters only quiesce.
 			sleeps, spun := fast.m.SpinCounts()
 			sw := tc.kind == barrier.KindSWCentral || tc.kind == barrier.KindSWTree
 			switch {
 			case chunks < 10 || tc.tpc == 1 && asleep == 0:
 			case !tc.profile.Active() && sw && spun == 0:
-			case tc.profile.Active() && sleeps == 0:
+			case tc.profile.Active() && sw && sleeps == 0:
 			case fast.inj != nil && mustInject && fast.inj.TotalInjected() == 0:
 			default:
 				t.Logf("%d chunks, %d periodic sleeps begun, %d settled, %s", chunks, sleeps, spun, injected(fast))

@@ -25,3 +25,6 @@ func (m *Machine) CheckAwake() error {
 // SpinCounts returns how many periodic sleeps the machine has begun and how
 // many periodic sleepers its returning runs have brought up to date.
 func (m *Machine) SpinCounts() (sleeps, settles uint64) { return m.spinSleeps, m.spinSettles }
+
+// CoreTicks returns how many core ticks the machine's awake set has run.
+func (m *Machine) CoreTicks() uint64 { return m.ticks }

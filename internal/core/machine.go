@@ -134,11 +134,15 @@ type Machine struct {
 	sleptAt  []uint64
 	sleepers int
 
-	// cur is the ticker the core phase is at (len(tickers) outside it).
-	// Tests read the counts of periodic sleeps begun and of those settle
-	// ended.
+	// cur is the ticker the core phase is at (-1 just before it,
+	// len(tickers) after it). Tests read the counts of periodic sleeps
+	// begun and of those settle ended.
 	cur                     int
 	spinSleeps, spinSettles uint64
+
+	// ticks counts the core ticks the awake set ran (tests hold the
+	// fast path to it).
+	ticks uint64
 
 	// trans is the machine-shared basic-block translation cache (nil
 	// under Cfg.NoTranslate).
@@ -411,13 +415,20 @@ func (m *Machine) Step() {
 // proves itself quiesced or periodic after its tick falls asleep; the
 // memory system's response delivery wakes it before its next tick, exactly
 // as on the slow path, where the core ticks ahead of the delivery in the
-// same cycle. A tick may wake a later sleeper (onWrite): re-read the set.
+// same cycle. A HWBAR waiter whose release becomes visible this cycle is
+// woken before the core phase, so it ticks now and consumes it. A tick may
+// wake a later sleeper (onWrite): re-read the set.
 func (m *Machine) tick() {
+	if m.now >= m.Net.NextRelease() {
+		m.cur = -1
+		m.Net.Due(m.now, m.released)
+	}
 	for w := range m.awake {
 		for word, b := m.awake[w], 0; word != 0; word = m.awake[w] &^ (2<<b - 1) {
 			b = bits.TrailingZeros64(word)
 			i := w<<6 | b
 			m.cur = i
+			m.ticks++
 			c := m.fastCores[i]
 			if c == nil {
 				m.tickers[i].Tick(m.now)
@@ -448,6 +459,14 @@ func (m *Machine) wake(i int) {
 	m.fastCores[i].Wake()
 }
 
+// released wakes the fast core, if any, of a logical core whose barrier
+// network release is visible this cycle. Multithreaded cores poll it.
+func (m *Machine) released(core int) {
+	if i := m.physOf[core]; m.fastCores[i] != nil {
+		m.wake(i)
+	}
+}
+
 // disturb is the change hook: a line of core i's L1s is about to change.
 // A quiesced sleeper sleeps on: it reads its L1s only after a response.
 func (m *Machine) disturb(i int) {
@@ -473,7 +492,8 @@ func (m *Machine) onWrite(addr uint64, n int) {
 }
 
 // rouse brings sleeper i through this cycle (the previous one if the core
-// phase has yet to reach it, which then ticks it) and wakes it.
+// phase has yet to reach it, which then ticks it; cur is -1 before the core
+// phase starts) and wakes it.
 func (m *Machine) rouse(i int) {
 	if !m.sleeping[i] {
 		return
@@ -628,17 +648,19 @@ func (m *Machine) runTo(stop uint64, limit bool) (atLimit bool, err error) {
 		}
 		if m.allQuiesced() {
 			// Every running core is asleep, provably idle until the
-			// memory system's next event: jump straight to it (the
-			// sleepers' counters are credited when they wake or the
-			// run returns). With no event pending this is a true
-			// deadlock — jump to stop, where Run reproduces the slow
-			// path's error. Jumps are capped at the checkers' next due
-			// cycle so checks observe the same machine states on both
+			// memory system's next event or the barrier network's
+			// next release: jump straight to it (the sleepers'
+			// counters are credited when they wake or the run
+			// returns). With neither pending this is a true deadlock
+			// — jump to stop, where Run reproduces the slow path's
+			// error. Jumps are capped at the checkers' next due cycle
+			// so checks observe the same machine states on both
 			// paths.
 			target, ok := m.Sys.NextEvent(m.now)
 			if !ok || target > stop {
 				target = stop
 			}
+			target = min(target, m.Net.NextRelease())
 			for _, c := range m.checkers {
 				target = min(target, c.Due())
 			}

@@ -17,6 +17,11 @@ type BarrierNet interface {
 	// TryRelease reports whether the release signal for core/id has
 	// arrived; a true result consumes it (resets the local status bit).
 	TryRelease(now uint64, core, id int) bool
+	// Parked reports whether core, arrived at barrier id, would see
+	// TryRelease fail at every cycle from now until a release the device
+	// announces ahead of time (hwnet.Net.NextRelease): a HWBAR waiter
+	// may then quiesce, and the machine wakes it at that cycle.
+	Parked(now uint64, core, id int) bool
 }
 
 // fetchedInst is one instruction waiting in the fetch buffer. d points at a
@@ -421,15 +426,17 @@ func (c *Core) RaiseFault(err error) {
 func (c *Core) Running() bool { return !c.Halted && c.Fault == nil }
 
 // Drained reports whether all committed memory effects have reached the
-// memory system (used on context switches), and no store-conditional has
-// written memory without committing: an SC writes at issue, so squashing
-// one that succeeded would make the thread repeat its LL/SC.
+// memory system (used on context switches), and no instruction has acted
+// outside the core without committing: an SC writes at issue, and a HWBAR
+// signals its arrival before it commits, so squashing either would make the
+// thread repeat it (an LL/SC retried, a barrier arrival counted twice). A
+// HWBAR wait therefore cannot be preempted.
 func (c *Core) Drained() bool {
-	if len(c.sb) > 0 {
+	if len(c.sb) > 0 || c.hwbarSent {
 		return false
 	}
 	for _, e := range c.window {
-		if e.in.Op == isa.SC && e.issued && e.result == 1 {
+		if e.issued && (e.in.Op == isa.SC && e.result == 1 || e.class == isa.ClassHWBar) {
 			return false
 		}
 	}

@@ -8,23 +8,26 @@ import (
 // Quiescence fast path.
 //
 // A core is *quiesced* when its next Tick — and every following Tick until
-// the memory system delivers a response addressed to it — would change no
+// the memory system delivers a response addressed to it, or the barrier
+// network's release for its HWBAR becomes visible — would change no
 // architectural or microarchitectural state other than a fixed set of
 // per-cycle counters (Cycles, plus FetchMissStalls or FenceStalls depending
 // on what the core is blocked on). This is exactly the state of a thread
 // starved by a barrier filter (every window entry is a load waiting on a
 // parked fill or an instruction depending on one), spinning in a stalled
-// instruction fetch, or stalled with a full window behind an LL/SC miss
+// instruction fetch, stalled with a full window behind an LL/SC miss
 // (the SC waits on the LL's fill, the spin loads behind it are parked on the
-// SC's unresolved address).
+// SC's unresolved address), or waiting on the barrier network at a HWBAR
+// (its polls fail until a release cycle the device knows ahead of time).
 //
 // The machine uses the flag to put a quiesced core to sleep — it is not
-// visited again until the memory system's wake hook fires — and, when every
-// core sleeps, to fast-forward the cycle counter in bulk to the memory
-// system's next event. Both skips are behaviour-invariant: the skipped
-// ticks are provably no-ops, and Skip credits the per-cycle
-// counters they would have bumped (in one sum, when the core wakes or the
-// run returns), so cycle counts, statistics, and kernel
+// visited again until the memory system's wake hook fires or, for a HWBAR
+// waiter, its release cycle comes — and, when every core sleeps, to
+// fast-forward the cycle counter in bulk to the memory system's next event
+// or the barrier network's next release. Both skips are behaviour-
+// invariant: the skipped ticks are provably no-ops, and Skip credits the
+// per-cycle counters they would have bumped (in one sum, when the core
+// wakes or the run returns), so cycle counts, statistics, and kernel
 // outputs are bit-identical to the slow path (core.Config.NoFastPath
 // disables the whole mechanism for differential testing).
 //
@@ -47,7 +50,8 @@ func (c *Core) Wake() { c.quiesced = false }
 // stall counters those skipped ticks would have bumped. It walks the Tick
 // stages in order and demands, for each, a condition that (a) makes the
 // stage side-effect-free this cycle and (b) can only be falsified by a
-// response delivery (which wakes the core) — never by the passage of time.
+// response delivery (which wakes the core) — never by the passage of time,
+// bar a HWBAR's release, whose cycle the machine wakes the core at.
 func (c *Core) CheckQuiesce(now uint64) bool {
 	c.quiesced = false
 	c.qFetchStall = false
@@ -75,9 +79,14 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 		if e.isSer {
 			switch e.class {
 			case isa.ClassHWBar:
-				// Talks to the barrier network every cycle; its
-				// release is not a memory-system event.
-				return false
+				// Once its arrival is sent, it polls the barrier
+				// network for a release the machine knows the cycle
+				// of ahead (BarrierNet.Parked) and wakes it at. Before
+				// that, it waits on the store buffer like a FENCE.
+				if len(c.sb) == 0 && (!c.hwbarSent || !c.bnet.Parked(now+1, c.ID, int(e.in.Imm))) {
+					return false
+				}
+				c.qFenceStall = true
 			case isa.ClassFence, isa.ClassHalt:
 				if len(c.sb) == 0 {
 					return false // trySerializing would mark it done

@@ -202,6 +202,8 @@ func (n *fakeNet) Arrive(now uint64, core, id int) { n.at = now + 5 }
 
 func (n *fakeNet) TryRelease(now uint64, core, id int) bool { return now >= n.at }
 
+func (n *fakeNet) Parked(now uint64, core, id int) bool { return now < n.at }
+
 type schedCase struct {
 	name string
 	src  string

@@ -43,14 +43,20 @@ import (
 // (InvalidateLine from the store-buffer drain, and the per-core block
 // pointer drop at IFLUSH commit). With the write hook already keeping
 // records coherent these are redundant for correctness, but they keep the
-// counters honest for the self-modifying-code sequences srvet verifies and
-// would become load-bearing if the write hook were ever made lazier.
+// counters honest for the self-modifying-code sequences srvet verifies.
+// Because the write hook is the one that matters, a block also records
+// whether a write overlapped it since its last translation: one an ICBI
+// alone invalidated still holds exactly Predecode of every word, so Block
+// revalidates it without decoding, counting the miss all the same. The
+// I-cache filter barriers ICBI and refetch their arrival lines every
+// episode, and no write ever touches those lines.
 
 // transBlock is one translated line of text.
 type transBlock struct {
-	base  uint64 // line-aligned text address
-	valid bool
-	recs  []isa.Decoded // one per word in the line; never written once published
+	base    uint64 // line-aligned text address
+	valid   bool
+	written bool          // a functional write overlapped the line since recs were decoded
+	recs    []isa.Decoded // one per word in the line; never written once published
 }
 
 // TransCache is the machine-shared translation cache. All cores (and all
@@ -104,6 +110,10 @@ func (t *TransCache) Block(base uint64) *transBlock {
 		return b
 	}
 	t.Misses++
+	if b != nil && !b.written {
+		b.valid = true // only an ICBI invalidated it: recs still match memory
+		return b
+	}
 	fresh := b == nil // recs not yet published
 	if b == nil {
 		b = &transBlock{base: base, recs: make([]isa.Decoded, t.words)}
@@ -130,14 +140,20 @@ func (t *TransCache) Block(base uint64) *transBlock {
 		}
 		b.recs[i] = d
 	}
-	b.valid = true
+	b.valid, b.written = true, false
 	return b
 }
 
 // InvalidateLine kills the block covering addr, if translated and valid.
 // The store-buffer drain calls it when an ICBI is issued to the bus.
 func (t *TransCache) InvalidateLine(addr uint64) {
-	if b := t.blocks[addr&^t.lineMask]; b != nil && b.valid {
+	if b := t.blocks[addr&^t.lineMask]; b != nil {
+		t.invalidate(b)
+	}
+}
+
+func (t *TransCache) invalidate(b *transBlock) {
+	if b.valid {
 		b.valid = false
 		t.Invalidations++
 	}
@@ -156,7 +172,10 @@ func (t *TransCache) OnMemWrite(addr uint64, n int) {
 	}
 	last := (addr + uint64(n) - 1) &^ t.lineMask
 	for la := addr &^ t.lineMask; ; la += t.lineBytes {
-		t.InvalidateLine(la)
+		if b := t.blocks[la]; b != nil {
+			b.written = true
+			t.invalidate(b)
+		}
 		if la >= last {
 			break
 		}

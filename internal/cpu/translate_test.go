@@ -483,3 +483,41 @@ func TestTranslateRecordsImmutable(t *testing.T) {
 		}
 	})
 }
+
+// TestTranslateICBIRevalidatesWithoutDecode: a block an ICBI alone
+// invalidated comes back on the next fetch with its record array as it was,
+// counted as one miss after one invalidation, while a store between the
+// ICBI and the fetch still makes the fetch decode the new word.
+func TestTranslateICBIRevalidatesWithoutDecode(t *testing.T) {
+	sys := mem.NewSystem(mem.DefaultConfig(1))
+	tc := NewTransCache(sys.Mem, sys.Cfg.LineBytes)
+	sys.Mem.SetWriteHook(tc.OnMemWrite)
+	base := uint64(textBase)
+	nop := isa.Encode(isa.Inst{Op: isa.NOP})
+	for i := uint64(0); i < uint64(sys.Cfg.LineBytes); i += isa.WordBytes {
+		sys.Mem.WriteUint64(base+i, nop)
+	}
+	b := tc.Block(base)
+	recs := &b.recs[0]
+	misses, invals := tc.Misses, tc.Invalidations
+
+	tc.InvalidateLine(base) // the ICBI's drain
+	if got := tc.Block(base); got != b || &got.recs[0] != recs {
+		t.Fatal("the fetch after an ICBI alone replaced the block's record array")
+	}
+	if tc.Misses != misses+1 || tc.Invalidations != invals+1 {
+		t.Fatalf("ICBI then fetch: misses +%d, invalidations +%d; want +1 and +1",
+			tc.Misses-misses, tc.Invalidations-invals)
+	}
+
+	tc.InvalidateLine(base)
+	halt := isa.Encode(isa.Inst{Op: isa.HALT})
+	sys.Mem.WriteUint64(base+8, halt) // a store between the ICBI and the fetch
+	got := tc.Block(base)
+	if &got.recs[0] == recs {
+		t.Fatal("the fetch after a store kept the record array the store made stale")
+	}
+	if got.recs[1] != isa.Predecode(halt) || got.recs[0] != isa.Predecode(nop) {
+		t.Fatalf("re-decoded records %v, %v; want NOP, HALT", got.recs[0].In.Op, got.recs[1].In.Op)
+	}
+}

@@ -7,22 +7,39 @@
 // status register (modelled in the core).
 package hwnet
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Net is the barrier-network device shared by all cores.
 type Net struct {
 	wireLat  uint64
 	barriers map[int]*barrier
 
+	// pending holds every release driven down the wires and not yet
+	// consumed, at most one per core and barrier (a newer one replaces
+	// it): the one home of a release. wake is the earliest cycle of a
+	// record Due has not reported (MaxUint64: none).
+	pending []release
+	wake    uint64
+
 	// Arrivals counts HWBAR signals; Releases counts barrier openings.
 	Arrivals, Releases uint64
 }
 
+// release is core's release from barrier id, visible from cycle at; due
+// marks a record Due has reported.
+type release struct {
+	at       uint64
+	core, id int
+	due      bool
+}
+
 type barrier struct {
-	nthreads  int
-	arrived   []int  // cores whose signals have been counted
-	latest    uint64 // device-time of the latest counted arrival
-	releaseAt map[int]uint64
+	nthreads int
+	arrived  []int  // cores whose signals have been counted
+	latest   uint64 // device-time of the latest counted arrival
 
 	// Tree mode (T3E-style BSU virtual network, §2 of the paper): the
 	// barrier is realised as a degree-ary reduction tree over the
@@ -35,7 +52,7 @@ type barrier struct {
 
 // New returns a device with the given one-way wire latency.
 func New(wireLat int) *Net {
-	return &Net{wireLat: uint64(wireLat), barriers: make(map[int]*barrier)}
+	return &Net{wireLat: uint64(wireLat), barriers: make(map[int]*barrier), wake: math.MaxUint64}
 }
 
 // Register configures barrier id for nthreads participants on the flat
@@ -45,7 +62,7 @@ func (n *Net) Register(id, nthreads int) {
 		panic(fmt.Sprintf("hwnet: barrier %d with %d threads", id, nthreads))
 	}
 	n.checkFree(id)
-	n.barriers[id] = &barrier{nthreads: nthreads, releaseAt: make(map[int]uint64)}
+	n.barriers[id] = &barrier{nthreads: nthreads}
 }
 
 // RegisterTree configures barrier id as a T3E-style virtual barrier tree
@@ -65,7 +82,6 @@ func (n *Net) RegisterTree(id, nthreads, degree int, hopLat uint64) {
 	}
 	n.barriers[id] = &barrier{
 		nthreads:  nthreads,
-		releaseAt: make(map[int]uint64),
 		treeDepth: depth,
 		hopLat:    hopLat,
 	}
@@ -87,6 +103,16 @@ func (n *Net) get(id int) *barrier {
 	return b
 }
 
+// latency returns the barrier's one-way latencies to and from the global
+// logic.
+func (n *Net) latency(b *barrier) (up, down uint64) {
+	if b.treeDepth > 0 {
+		up = uint64(b.treeDepth) * b.hopLat
+		return up, up
+	}
+	return n.wireLat, n.wireLat
+}
+
 // Arrive records core's arrival at barrier id, signalled at cycle now. The
 // signal reaches the global logic after the wire latency. When the last
 // participant's signal lands, the release is driven back down the wires to
@@ -94,12 +120,7 @@ func (n *Net) get(id int) *barrier {
 func (n *Net) Arrive(now uint64, core, id int) {
 	b := n.get(id)
 	n.Arrivals++
-	up := n.wireLat
-	down := n.wireLat
-	if b.treeDepth > 0 {
-		up = uint64(b.treeDepth) * b.hopLat
-		down = up
-	}
+	up, down := n.latency(b)
 	effective := now + up
 	if effective > b.latest {
 		b.latest = effective
@@ -109,21 +130,75 @@ func (n *Net) Arrive(now uint64, core, id int) {
 		n.Releases++
 		at := b.latest + down
 		for _, c := range b.arrived {
-			b.releaseAt[c] = at
+			r := release{at: at, core: c, id: id}
+			if i := n.find(c, id); i >= 0 {
+				n.pending[i] = r
+			} else {
+				n.pending = append(n.pending, r)
+			}
 		}
+		n.wake = min(n.wake, at)
 		b.arrived = b.arrived[:0]
 		b.latest = 0
 	}
 }
 
+// find returns the index of core's pending release from barrier id, or -1.
+func (n *Net) find(core, id int) int {
+	for i := range n.pending {
+		if r := &n.pending[i]; r.core == core && r.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
 // TryRelease reports whether the release signal for core has arrived by
 // cycle now, consuming it if so.
 func (n *Net) TryRelease(now uint64, core, id int) bool {
-	b := n.get(id)
-	at, ok := b.releaseAt[core]
-	if !ok || now < at {
+	n.get(id)
+	i := n.find(core, id)
+	if i < 0 || now < n.pending[i].at {
 		return false
 	}
-	delete(b.releaseAt, core)
+	last := len(n.pending) - 1
+	n.pending[i] = n.pending[last]
+	n.pending = n.pending[:last]
 	return true
+}
+
+// Parked reports whether core, arrived at barrier id, may stop calling
+// TryRelease until Due reports its release: the release is not visible at
+// cycle now, and one still to be driven becomes visible after the cycle of
+// the arrival that drives it (a barrier with zero latency releases at that
+// very cycle, so its waiters keep polling).
+func (n *Net) Parked(now uint64, core, id int) bool {
+	b := n.get(id)
+	if i := n.find(core, id); i >= 0 {
+		return now < n.pending[i].at
+	}
+	up, down := n.latency(b)
+	return up+down > 0
+}
+
+// NextRelease returns the earliest cycle at which a release Due has not yet
+// reported becomes visible (math.MaxUint64: none). It is one field read, so
+// a caller can test it every cycle.
+func (n *Net) NextRelease() uint64 { return n.wake }
+
+// Due calls fn with the core of every release visible at cycle now that no
+// earlier call reported, then moves NextRelease on to the next one. fn must
+// not call TryRelease.
+func (n *Net) Due(now uint64, fn func(core int)) {
+	n.wake = math.MaxUint64
+	for i := range n.pending {
+		switch r := &n.pending[i]; {
+		case r.due:
+		case r.at <= now:
+			r.due = true
+			fn(r.core)
+		default:
+			n.wake = min(n.wake, r.at)
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package hwnet
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestBarrierReleaseTiming(t *testing.T) {
 	n := New(2) // 2-cycle wires
@@ -140,4 +143,51 @@ func TestRegisterTreeValidation(t *testing.T) {
 		}
 	}()
 	New(2).RegisterTree(0, 8, 1, 3)
+}
+
+// TestReleaseRecordsWakeOnce: a waiter is Parked until its release is
+// visible; NextRelease announces the cycle before anyone polls, Due reports
+// each release once, at that cycle, and a consumed release is gone. A
+// zero-latency barrier releases at its last arrival's cycle, which no
+// announcement can precede, so its waiters are never Parked.
+func TestReleaseRecordsWakeOnce(t *testing.T) {
+	n := New(2)
+	n.Register(0, 2)
+	if n.NextRelease() != math.MaxUint64 {
+		t.Fatalf("NextRelease %d with nothing pending", n.NextRelease())
+	}
+	n.Arrive(10, 0, 0)
+	if !n.Parked(11, 0, 0) || n.NextRelease() != math.MaxUint64 {
+		t.Fatal("a lone arrival is not parked, or announced a release")
+	}
+	n.Arrive(20, 1, 0) // effective at 22, released at 24
+	if n.NextRelease() != 24 {
+		t.Fatalf("NextRelease = %d, want 24", n.NextRelease())
+	}
+	if !n.Parked(23, 0, 0) || n.Parked(24, 0, 0) {
+		t.Fatal("Parked does not end at the release cycle")
+	}
+	var woken []int
+	n.Due(23, func(c int) { woken = append(woken, c) })
+	if len(woken) != 0 || n.NextRelease() != 24 {
+		t.Fatalf("Due(23) reported %v, NextRelease %d", woken, n.NextRelease())
+	}
+	n.Due(24, func(c int) { woken = append(woken, c) })
+	n.Due(25, func(c int) { woken = append(woken, c) })
+	if len(woken) != 2 || woken[0] == woken[1] || n.NextRelease() != math.MaxUint64 {
+		t.Fatalf("Due reported %v, NextRelease %d; want each core once", woken, n.NextRelease())
+	}
+	if !n.TryRelease(24, 1, 0) || n.TryRelease(24, 1, 0) {
+		t.Fatal("the release was not consumed exactly once")
+	}
+	if !n.Parked(30, 1, 0) {
+		t.Fatal("a consumed release still shows")
+	}
+
+	z := New(0)
+	z.Register(0, 2)
+	z.Arrive(5, 0, 0)
+	if z.Parked(6, 0, 0) {
+		t.Fatal("a zero-latency barrier's waiter is parked")
+	}
 }

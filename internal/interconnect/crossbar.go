@@ -87,7 +87,7 @@ func (s *xbarSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
 	if s.n == 0 {
 		return
 	}
-	for src := range s.q {
+	for src := s.next(0); src >= 0; src = s.next(src + 1) {
 		if !s.ready(src, now) {
 			continue
 		}
@@ -137,19 +137,15 @@ func (s *xbarSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
 // contended cycle still performs a grant at that cycle.
 func (x *Crossbar[P]) NextEvent(now uint64) (event uint64, ok bool) {
 	for _, s := range [2]*xbarSide[P]{&x.req, &x.resp} {
-		if s.n == 0 {
-			continue
-		}
-		for src := range s.q {
-			if h := s.q[src].Front(); h != nil {
-				free := s.free[h.msg.Dst]
-				ef := free[0]
-				for _, f := range free[1:] {
-					ef = min(ef, f)
-				}
-				if t := max(h.ready, ef); !ok || t < event {
-					event, ok = t, true
-				}
+		for src := s.next(0); src >= 0; src = s.next(src + 1) {
+			h := s.q[src].Front()
+			free := s.free[h.msg.Dst]
+			ef := free[0]
+			for _, f := range free[1:] {
+				ef = min(ef, f)
+			}
+			if t := max(h.ready, ef); !ok || t < event {
+				event, ok = t, true
 			}
 		}
 	}

@@ -215,17 +215,20 @@ func New[P any](kind Kind, g Geometry, d Delivery[P]) (Fabric[P], error) {
 	return nil, fmt.Errorf("interconnect: unknown fabric kind %d", int(kind))
 }
 
-// ports is one direction of a fabric: a FIFO per source port, the number of
-// messages queued across all of them (so an idle direction costs Tick one
-// compare), and the longest any one queue has been.
+// ports is one direction of a fabric: a FIFO per source port, a bitset of
+// the sources with a message queued (so a per-cycle walk visits those
+// alone, in ascending order), the number of messages queued across all of
+// them (so an idle direction costs Tick one compare), and the longest any
+// one queue has been.
 type ports[P any] struct {
 	q      []sim.Queue[timedMsg[P]]
+	queued []uint64
 	n      int
 	maxLen int
 }
 
 func newPorts[P any](sources int) ports[P] {
-	return ports[P]{q: make([]sim.Queue[timedMsg[P]], sources)}
+	return ports[P]{q: make([]sim.Queue[timedMsg[P]], sources), queued: make([]uint64, (sources+63)/64)}
 }
 
 // push appends a timed message at its source port, honouring the reorder
@@ -238,6 +241,7 @@ func (s *ports[P]) push(m Message[P], ready uint64, reorder bool) {
 	} else {
 		q.Push(timedMsg[P]{m, ready})
 	}
+	s.queued[m.Src>>6] |= 1 << (m.Src & 63)
 	s.n++
 	s.maxLen = max(s.maxLen, q.Len())
 }
@@ -245,8 +249,17 @@ func (s *ports[P]) push(m Message[P], ready uint64, reorder bool) {
 // pop removes and returns source src's head message.
 func (s *ports[P]) pop(src int) Message[P] {
 	s.n--
-	return s.q[src].Pop().msg
+	q := &s.q[src]
+	m := q.Pop().msg
+	if q.Len() == 0 {
+		s.queued[src>>6] &^= 1 << (src & 63)
+	}
+	return m
 }
+
+// next returns the first source at or after src with a message queued, or
+// -1 (sim.NextBit: a walk may pop the source it visits).
+func (s *ports[P]) next(src int) int { return sim.NextBit(s.queued, src) }
 
 // ready reports whether source src has a head message ready at cycle now.
 func (s *ports[P]) ready(src int, now uint64) bool {
@@ -257,11 +270,8 @@ func (s *ports[P]) ready(src int, now uint64) bool {
 // earliest returns the earliest ready cycle among the source heads,
 // ok=false when nothing is queued.
 func (s *ports[P]) earliest() (t uint64, ok bool) {
-	if s.n == 0 {
-		return 0, false
-	}
-	for src := range s.q {
-		if h := s.q[src].Front(); h != nil && (!ok || h.ready < t) {
+	for src := s.next(0); src >= 0; src = s.next(src + 1) {
+		if h := s.q[src].Front(); !ok || h.ready < t {
 			t, ok = h.ready, true
 		}
 	}

@@ -130,12 +130,12 @@ func (m *Mesh[P]) PushResponse(msg Message[P], ready uint64) { m.resp.push(msg, 
 
 // Tick launches at most one message per source port.
 func (m *Mesh[P]) Tick(now uint64) {
-	for c := 0; m.req.n > 0 && c < len(m.req.q); c++ {
+	for c := m.req.next(0); c >= 0; c = m.req.next(c + 1) {
 		if m.req.ready(c, now) {
 			m.tryLaunch(now, c, true)
 		}
 	}
-	for b := 0; m.resp.n > 0 && b < len(m.resp.q); b++ {
+	for b := m.resp.next(0); b >= 0; b = m.resp.next(b + 1) {
 		if m.resp.ready(b, now) {
 			m.tryLaunch(now, b, false)
 		}
@@ -198,12 +198,12 @@ func (m *Mesh[P]) NextEvent(now uint64) (event uint64, ok bool) {
 			event, ok = t, true
 		}
 	}
-	for c := 0; m.req.n > 0 && c < len(m.req.q); c++ {
+	for c := m.req.next(0); c >= 0; c = m.req.next(c + 1) {
 		if t, o := m.headLaunch(c, true); o {
 			consider(t)
 		}
 	}
-	for b := 0; m.resp.n > 0 && b < len(m.resp.q); b++ {
+	for b := m.resp.next(0); b >= 0; b = m.resp.next(b + 1) {
 		if t, o := m.headLaunch(b, false); o {
 			consider(t)
 		}

@@ -63,7 +63,7 @@ func (s *opticalSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
 	if s.n == 0 {
 		return
 	}
-	for src := range s.q {
+	for src := s.next(0); src >= 0; src = s.next(src + 1) {
 		if now < s.free[src] || !s.ready(src, now) {
 			continue
 		}
@@ -81,14 +81,9 @@ func (s *opticalSide[P]) tick(now uint64, deliver func(int, P, uint64)) {
 // heads change only via Tick and a launch always happens at that cycle.
 func (o *Optical[P]) NextEvent(now uint64) (event uint64, ok bool) {
 	for _, s := range [2]*opticalSide[P]{&o.req, &o.resp} {
-		if s.n == 0 {
-			continue
-		}
-		for src := range s.q {
-			if h := s.q[src].Front(); h != nil {
-				if t := max(h.ready, s.free[src]); !ok || t < event {
-					event, ok = t, true
-				}
+		for src := s.next(0); src >= 0; src = s.next(src + 1) {
+			if t := max(s.q[src].Front().ready, s.free[src]); !ok || t < event {
+				event, ok = t, true
 			}
 		}
 	}

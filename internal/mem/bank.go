@@ -271,16 +271,16 @@ func (bk *Bank) processInval(now uint64, t Txn) {
 	}
 	e := bk.entry(t.Addr)
 	if t.Kind == InvalD {
-		for c := 0; c < bk.sys.Cfg.Cores; c++ {
-			if c != t.Core && e.dSharers.Has(c) {
+		for c := e.dSharers.Next(0); c >= 0; c = e.dSharers.Next(c + 1) {
+			if c != t.Core {
 				bk.sys.L1D[c].extInval(t.Addr)
 			}
 		}
 		e.dSharers.Reset()
 		e.owner = -1
 	} else {
-		for c := 0; c < bk.sys.Cfg.Cores; c++ {
-			if c != t.Core && e.iSharers.Has(c) {
+		for c := e.iSharers.Next(0); c >= 0; c = e.iSharers.Next(c + 1) {
+			if c != t.Core {
 				bk.sys.L1I[c].extInval(t.Addr)
 			}
 		}
@@ -319,8 +319,8 @@ func (bk *Bank) serviceFill(now uint64, t Txn) {
 		}
 	case GetM:
 		had := false
-		for c := 0; c < bk.sys.Cfg.Cores; c++ {
-			if c != t.Core && e.dSharers.Has(c) {
+		for c := e.dSharers.Next(0); c >= 0; c = e.dSharers.Next(c + 1) {
+			if c != t.Core {
 				bk.sys.L1D[c].extInval(t.Addr)
 				had = true
 			}
@@ -395,8 +395,8 @@ func (bk *Bank) processUpgrade(now uint64, t Txn) {
 	bk.grants[t.Addr] = grant{core: t.Core}
 	e := bk.entry(t.Addr)
 	penalty := 0
-	for c := 0; c < bk.sys.Cfg.Cores; c++ {
-		if c != t.Core && e.dSharers.Has(c) {
+	for c := e.dSharers.Next(0); c >= 0; c = e.dSharers.Next(c + 1) {
+		if c != t.Core {
 			bk.sys.L1D[c].extInval(t.Addr)
 			penalty = bk.sys.Cfg.SharerInvalPenalty
 		}

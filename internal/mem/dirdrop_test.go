@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // fillShared brings addr into core's L1D in Shared state.
 func fillShared(t *testing.T, s *System, core int, addr uint64) {
@@ -179,5 +182,62 @@ func TestIssueCacheInvalICacheOnDOnlyLine(t *testing.T) {
 	}
 	if !s.L1D[1].Present(addr) {
 		t.Fatal("ICBI of a D-only line invalidated the D copy")
+	}
+}
+
+// TestSharerWalksInvalidateInOrder: on a 128-core machine, with sharers in
+// both words of the directory's bitsets, an InvalD, an InvalI, a GetM and an
+// Upgrade each invalidate exactly the other sharers, in ascending order.
+func TestSharerWalksInvalidateInOrder(t *testing.T) {
+	sharers := []int{0, 5, 63, 64, 100, 127}
+	const issuer = 64
+	var want []int
+	for _, c := range sharers {
+		if c != issuer {
+			want = append(want, c)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		kind TxnKind // the issuer's request; InvalD and InvalI are cache-ops
+	}{{"InvalD", InvalD}, {"InvalI", InvalI}, {"GetM", GetM}, {"Upgrade", Upgrade}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSystem(DefaultConfig(128))
+			const addr = 0x40000
+			icache := tc.kind == InvalI
+			l1s := s.L1D
+			fill := GetS
+			if icache {
+				l1s, fill = s.L1I, GetI
+			}
+			var now uint64
+			run := func(what string, done func() bool) {
+				for limit := now + 5000; !done(); now++ {
+					if now == limit {
+						t.Fatalf("%s: not done by cycle %d", what, now)
+					}
+					s.Tick(now)
+				}
+			}
+			for _, c := range sharers {
+				l1s[c].StartMiss(now, addr, fill, false)
+				run("fill", func() bool { return l1s[c].Present(addr) })
+			}
+			var got []int
+			for c, l1 := range l1s {
+				l1.OnExtInval = func(uint64) { got = append(got, c) }
+			}
+			switch tc.kind {
+			case InvalD, InvalI:
+				id := s.IssueCacheInval(now, issuer, addr, icache)
+				run("invalidation", func() bool { return !s.InvalPending(issuer, id) })
+			default:
+				s.L1D[issuer].StartMiss(now, addr, tc.kind, false)
+				run(tc.name, func() bool { return s.L1D[issuer].WriteState(addr) == Modified })
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("invalidated %v, want %v", got, want)
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+
+	"repro/internal/sim"
 )
 
 // Sharers is a variable-width bitset of core indices, one bit per core.
@@ -39,6 +41,11 @@ func (s Sharers) Clear(c int) {
 		s[w] &^= 1 << uint(c&63)
 	}
 }
+
+// Next returns the first core at or after c in the set, or -1. A walk
+// (sim.NextBit) visits the set's cores in ascending order, as a scan testing
+// Has for every core would.
+func (s Sharers) Next(c int) int { return sim.NextBit(s, c) }
 
 // Reset empties the set in place, keeping its words allocated.
 func (s Sharers) Reset() {

@@ -1,7 +1,7 @@
 // Package sim provides the minimal shared vocabulary of the cycle-level
 // simulator: the cycle type, a deterministic random number generator used by
 // workload generators, a generic statistics registry that every hardware
-// model hangs its counters on, and a ring FIFO.
+// model hangs its counters on, a ring FIFO and a bitset walk.
 //
 // The simulator is strictly deterministic: all components are stepped in a
 // fixed order once per cycle and no wall-clock or map-iteration order leaks

@@ -44,8 +44,8 @@ go run ./cmd/srvet -barrier filter-d -threads 8 examples/asm/reduce.s
 go test -count=1 -run '^TestCorpus$' ./internal/vet
 go run ./cmd/srisc-as examples/asm/hello.s >/dev/null
 
-echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path and degradation policy, verifier, fabrics, ring queue) =="
-go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation|TestChaosPolicy|TestRunCells|TestJournal' ./internal/harness
+echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path and degradation policy, a HWBAR wait outlasting a preemption, verifier, fabrics and their queued-source bitsets against a full scan, ring queue) =="
+go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation|TestChaosPolicy|TestRunCells|TestJournal|TestHWBarPreemptIdentical' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
 go test -race ./internal/interconnect ./internal/mem ./internal/sim
 
@@ -60,9 +60,9 @@ echo "== go test -race (translation cache: counters, invalidation, record immuta
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twins, a written SC outlasting a preemption, awake set vs core scan with and without fault injectors, bank work gate) =="
+echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twins, a written SC outlasting a preemption, awake set vs core scan with and without fault injectors, HWBAR waiters asleep, bank work gate) =="
 go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC' ./internal/cpu
-go test -race -run 'TestAwakeSetOracle|TestBankWorkOracle' ./internal/core
+go test -race -run 'TestAwakeSetOracle|TestHWBarWaitersSleep|TestBankWorkOracle' ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer, probe) =="
 go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer|Probe' .
