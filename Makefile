@@ -38,8 +38,10 @@ check:
 # subset; the full matrix sits behind the probematrix build tag), the
 # awake-set oracle's software barriers under every standard injector (tier-1
 # runs four, the rest sit behind the same tag; periodic sleep stays on under
-# injection) and its hw-net cells under the three preempting profiles (an
-# HWBAR waiter sleeps until its release and is never preempted) plus short
+# injection), its hw-net cells under the three preempting profiles (an
+# HWBAR waiter sleeps until its release and is never preempted) and those
+# four injectors at seeds 1-32 (256 twin pairs, so a divergence only some
+# seeds provoke cannot hide behind the one seed a case's name gives) plus short
 # fuzz smokes of the assembler (the
 # surface the chaos kernels are built through), the static verifier (which
 # must never panic on arbitrary programs), the translation-cache
@@ -56,7 +58,7 @@ check:
 chaos:
 	$(GO) test -run Chaos -count=1 -v .
 	$(GO) test -tags probematrix -run TestProbeMatrix -count=1 .
-	$(GO) test -tags probematrix -run TestAwakeSetOracleMatrix -count=1 ./internal/core
+	$(GO) test -tags probematrix -run 'TestAwakeSetOracleMatrix|TestAwakeSetOracleSeeds' -count=1 ./internal/core
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=10s -run '^$$' ./internal/asm
 	$(GO) test -fuzz=FuzzVet -fuzztime=10s -run '^$$' ./internal/vet
 	$(GO) test -fuzz=FuzzTranslateDiff -fuzztime=10s -run '^$$' ./internal/cpu

@@ -3,6 +3,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/barrier"
@@ -23,4 +24,19 @@ func TestAwakeSetOracleMatrix(t *testing.T) {
 		}
 	}
 	awakeSetOracle(t, cases, false)
+}
+
+// TestAwakeSetOracleSeeds runs TestAwakeSetOracle's injected cases, the
+// software barriers under bus-delay, spurious-fill, state-flip and monsoon,
+// at seeds 1 to 32 each (256 twin pairs), so a divergence that only some
+// seeds' injections provoke cannot hide behind the one seed a case's name
+// gives it; `make chaos` runs it.
+func TestAwakeSetOracleSeeds(t *testing.T) {
+	for _, p := range oracleProfiles(t) {
+		for _, tc := range injectedCases(p) {
+			for seed := uint64(1); seed <= 32; seed++ {
+				t.Run(fmt.Sprintf("%s/seed-%d", tc.name, seed), func(t *testing.T) { runTwins(t, tc, seed) })
+			}
+		}
+	}
 }

@@ -154,16 +154,11 @@ type sbEntry struct {
 
 // Core is one out-of-order SRISC core (or one context of an MTCore).
 type Core struct {
-	// Fields the machine loop reads for every awake core on every cycle,
-	// and for a sleeping one when it wakes (Quiesced, Skip, Running), lead
-	// the struct so those reads cost one cache line: quiescence state (see
-	// quiesce.go), run state, and the per-cycle counters Skip credits a
-	// quiesced core.
-	quiesced    bool
-	qFetchStall bool // skipped cycles count as FetchMissStalls
-	qFenceStall bool // skipped cycles count as FenceStalls
-	Halted      bool
-	Fault       error
+	// Fields the machine loop reads for every awake core on every cycle
+	// (Running), and the per-cycle counters Skip credits a quiescent core,
+	// lead the struct so those reads cost one cache line.
+	Halted bool
+	Fault  error
 
 	Cycles          uint64
 	FetchMissStalls uint64
@@ -332,7 +327,6 @@ func (c *Core) flushPipeline() {
 	c.llValid = false
 	c.fetchStopped = false
 	c.hwbarSent = false
-	c.quiesced = false
 	c.dropProof()
 	c.curBlock = nil
 	if c.ready == nil {
@@ -419,7 +413,6 @@ func (c *Core) RaiseFault(err error) {
 		c.Fault = err
 	}
 	c.Halted = true
-	c.quiesced = false
 }
 
 // Running reports whether the core has work.

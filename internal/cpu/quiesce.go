@@ -5,57 +5,38 @@ import (
 	"repro/internal/mem"
 )
 
-// Quiescence fast path.
+// Quiescence: the zero-commit, one-cycle period.
 //
-// A core is *quiesced* when its next Tick — and every following Tick until
-// the memory system delivers a response addressed to it, or the barrier
-// network's release for its HWBAR becomes visible — would change no
-// architectural or microarchitectural state other than a fixed set of
-// per-cycle counters (Cycles, plus FetchMissStalls or FenceStalls depending
-// on what the core is blocked on). This is exactly the state of a thread
-// starved by a barrier filter (every window entry is a load waiting on a
-// parked fill or an instruction depending on one), spinning in a stalled
-// instruction fetch, stalled with a full window behind an LL/SC miss
-// (the SC waits on the LL's fill, the spin loads behind it are parked on the
-// SC's unresolved address), or waiting on the barrier network at a HWBAR
-// (its polls fail until a release cycle the device knows ahead of time).
+// A core is *quiescent* when its next Tick, and every following Tick until
+// the memory system delivers a response addressed to it or the barrier
+// network's release for its HWBAR becomes visible, would change no state
+// other than Cycles and FetchMissStalls or FenceStalls, depending on what
+// the core is blocked on. This is the state of a thread starved by a
+// barrier filter (every window entry is a load waiting on a parked fill or
+// an instruction depending on one), stalled in instruction fetch, stalled
+// with a full window behind an LL/SC miss (the SC waits on the LL's fill,
+// the spin loads behind it are parked on the SC's unresolved address), or
+// waiting on the barrier network at a HWBAR (its polls fail until a release
+// cycle the device knows ahead of time).
 //
-// The machine uses the flag to put a quiesced core to sleep — it is not
-// visited again until the memory system's wake hook fires or, for a HWBAR
-// waiter, its release cycle comes — and, when every core sleeps, to
-// fast-forward the cycle counter in bulk to the memory system's next event
-// or the barrier network's next release. Both skips are behaviour-
-// invariant: the skipped ticks are provably no-ops, and Skip credits the
-// per-cycle counters they would have bumped (in one sum, when the core
-// wakes or the run returns), so cycle counts, statistics, and kernel
-// outputs are bit-identical to the slow path (core.Config.NoFastPath
-// disables the whole mechanism for differential testing).
-//
-// CheckQuiesce is deliberately conservative: any state it cannot cheaply
-// prove frozen keeps the core on the slow path. It must only use
-// side-effect-free probes (mem.L1.Peek / MissPending, never Present or
-// WriteState, which refresh cache LRU state and hit counters).
+// Such a state is a period like any other (P = 1, no commit, a delta of one
+// on the stall counter), so the core sleeps in the period record, Skip
+// credits it and the same wakes end it (DESIGN.md §6). Only the proof
+// differs: CheckQuiesce checks, where CheckPeriodic encodes the state twice,
+// which the cores that park most could not afford on each of their short,
+// frequent sleeps. It is conservative: any state it cannot cheaply prove
+// frozen keeps the core on the slow path. It uses only side-effect-free
+// probes (mem.L1.Peek / MissPending, never Present or WriteState, which
+// refresh cache LRU state and hit counters).
 
-// Quiesced reports whether the core is in the quiesced fast-path state
-// (set by CheckQuiesce, cleared by Wake and by any pipeline reset).
-func (c *Core) Quiesced() bool { return c.quiesced }
-
-// Wake drops the core out of the quiesced state. The machine's wake hook
-// calls it whenever the memory system delivers a response (fill, upgrade
-// ack, or invalidation ack) addressed to this core.
-func (c *Core) Wake() { c.quiesced = false }
-
-// CheckQuiesce decides whether every Tick from cycle now+1 onward would be
-// a no-op until a memory response arrives, and records which per-cycle
-// stall counters those skipped ticks would have bumped. It walks the Tick
+// CheckQuiesce, run after the tick at cycle now, reports whether every Tick
+// from now+1 on would be a no-op until a response arrives; the core then
+// sleeps from now+1 in a one-cycle, zero-commit period. It walks the Tick
 // stages in order and demands, for each, a condition that (a) makes the
 // stage side-effect-free this cycle and (b) can only be falsified by a
-// response delivery (which wakes the core) — never by the passage of time,
-// bar a HWBAR's release, whose cycle the machine wakes the core at.
+// response delivery, never by the passage of time, bar a HWBAR's release,
+// whose cycle the machine wakes the core at.
 func (c *Core) CheckQuiesce(now uint64) bool {
-	c.quiesced = false
-	c.qFetchStall = false
-	c.qFenceStall = false
 	if !c.Running() {
 		return false
 	}
@@ -65,12 +46,13 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	if len(c.flight) != 0 {
 		return false
 	}
-	// fetchStage holds until fetchHoldUntil expire by themselves, without
-	// a memory event; quiescing across the expiry would change behaviour.
-	if now+1 < c.fetchHoldUntil {
+	// A fetch hold and a busy divider expire by themselves, without a
+	// memory event; Skip would shift them as a period's.
+	if now+1 < max(c.fetchHoldUntil, c.divBusyUntil) {
 		return false
 	}
 	// commitStage: the window head must stay uncommittable.
+	var d [nMoved]uint32 // the period's deltas: a stall cycle, if any
 	if len(c.window) > 0 {
 		e := c.window[0]
 		if e.done {
@@ -86,17 +68,17 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 				if len(c.sb) == 0 && (!c.hwbarSent || !c.bnet.Parked(now+1, c.ID, int(e.in.Imm))) {
 					return false
 				}
-				c.qFenceStall = true
+				d[fenceStalls] = 1
 			case isa.ClassFence, isa.ClassHalt:
 				if len(c.sb) == 0 {
 					return false // trySerializing would mark it done
 				}
-				c.qFenceStall = true
+				d[fenceStalls] = 1
 			case isa.ClassIFlush:
 				if c.sbIssuedOnly() {
 					return false
 				}
-				c.qFenceStall = true
+				d[fenceStalls] = 1
 			}
 		}
 	}
@@ -141,8 +123,9 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 		if c.l1i.Peek(c.fetchPC) != mem.Invalid || !c.l1i.MissPending(c.fetchPC) {
 			return false
 		}
-		c.qFetchStall = true
+		d[fetchStalls] = 1
 	}
-	c.quiesced = true
+	c.dropProof()
+	c.per = period{asleep: true, p: 1, t0: now, d: d}
 	return true
 }

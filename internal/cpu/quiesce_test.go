@@ -12,10 +12,10 @@ import (
 // core — an LL that misses, an SC that depends on it, and a window full of
 // younger spin loads parked on the SC's unresolved address — twice: once
 // ticking every cycle, once the way core.Machine.Step does (CheckQuiesce
-// after every real tick, Skip while the flag holds, Wake on a
-// response). The skipping run must actually quiesce with loads parked and
-// the LL's fill outstanding, and must end on the same cycle with the same
-// per-cycle counters as its twin.
+// after every real tick, no tick while asleep, Skip of the cycles slept when
+// a response wakes it). The skipping run must actually quiesce with loads
+// parked and the LL's fill outstanding, and must end on the same cycle with
+// the same per-cycle counters as its twin.
 func TestQuiesceBehindLLSCMiss(t *testing.T) {
 	// Two passes: the first warms the I-cache, the second LLs a cold line,
 	// so the whole spin loop is in the window long before the fill returns.
@@ -52,25 +52,28 @@ flag:	.quad 7
 	run := func(skip bool) (c *Core, end uint64, quiescedCycles int) {
 		r := newRig(t, 1, p)
 		c = r.cores[0]
-		if skip {
-			r.sys.SetWakeHook(0, c.Wake)
-		}
+		var asleep bool
+		var owed uint64
+		r.sys.SetWakeHook(0, func() {
+			if asleep {
+				c.Skip(owed)
+				asleep = false
+			}
+		})
 		r.start(0, 0, 1, p.Entry)
 		for ; c.Running(); r.now++ {
 			if r.now > 100_000 {
 				t.Fatalf("still running at pc %#x", c.ResumePC())
 			}
-			if skip && c.Quiesced() {
+			if asleep {
 				ll := findOp(c, isa.LL)
 				if ll != nil && inList(c.missq, ll) && len(c.parked) > 0 {
 					quiescedCycles++
 				}
-				c.Skip(1)
+				owed++
 			} else {
 				r.tick(c)
-				if skip {
-					c.CheckQuiesce(r.now)
-				}
+				asleep, owed = skip && c.CheckQuiesce(r.now), 0
 			}
 			r.sys.Tick(r.now)
 		}

@@ -66,7 +66,7 @@ type transBlock struct {
 //
 // The three counters are driven purely by the simulated fetch, store and
 // ICBI sequence, so they are deterministic across runs and identical with
-// the quiescent-core fast path on or off (a quiesced core's fetch is
+// the quiescent-core fast path on or off (a quiescent core's fetch is
 // stalled before it reaches the translator).
 type TransCache struct {
 	mem       *mem.Memory

@@ -27,11 +27,14 @@ package mem
 //
 //   - delay and reorder act at enqueue, and a sleeper enqueues nothing;
 //   - an ack drop needs an invalidation token, which CoreQuiet denies a
-//     periodic sleeper (a quiesced one wakes on its other responses);
+//     spinning sleeper (a quiescent one wakes on its other responses);
 //   - spurious fills, misuse transactions and forced or lock evictions
 //     reach a core only as responses, which fire the wake hook first;
 //   - state flips and misuse invalidations change its lines only through
-//     L1.willChange, which fires the change hook first;
+//     L1.willChange, which fires the change hook first; a flip to Modified
+//     also lets its core write a line other L1Ds still hold, with no
+//     invalidation, so it sets System.Flipped, and the machine's write
+//     hook then wakes a sleeper whose L1D holds a written line;
 //   - preemption (the harness, not this hook) runs between runs, where the
 //     machine brings every sleeper up to date.
 type ChaosHook interface {

@@ -276,6 +276,7 @@ func (l *L1) MissSnapshot() []MissInfo {
 func (l *L1) InjectState(addr uint64, st LineState) {
 	l.willChange()
 	l.cache.SetState(addr, st)
+	l.sys.flipped = l.sys.flipped || st == Modified
 }
 
 // Changes counts the line changes willChange has seen.

@@ -64,10 +64,11 @@ type System struct {
 
 	// wake[core] is invoked whenever a response (fill, upgrade ack, or
 	// invalidation ack) is delivered to that core; the machine uses it to
-	// drop the core out of the quiescent fast path.
+	// wake the core if it sleeps.
 	wake []func()
 
 	onChange func(core int) // see SetChangeHook
+	flipped  bool           // see Flipped
 }
 
 // NewSystem builds the memory hierarchy for cfg.
@@ -259,6 +260,11 @@ func (s *System) SetWakeHook(core int, fn func()) { s.wake[core] = fn }
 // SetChangeHook registers fn to run before a line of core's L1s changes by
 // an external invalidation or downgrade, a fill or an injected state.
 func (s *System) SetChangeHook(fn func(core int)) { s.onChange = fn }
+
+// Flipped reports whether an injected state has made a line Modified in one
+// L1 (L1.InjectState): other L1s may still hold it, and the owner's writes
+// to it then invalidate no copy, so fire no change hook.
+func (s *System) Flipped() bool { return s.flipped }
 
 func (s *System) dispatchResp(now uint64, t Txn) {
 	if fn := s.wake[t.Core]; fn != nil {

@@ -111,7 +111,7 @@ func (s *Sanitizer) checkGlobalStall(now uint64) {
 			continue
 		}
 		phys := s.physOf[i]
-		// Note: no fast-path state (e.g. Quiesced) in the dump — the report
+		// Note: no fast-path state (whether a core sleeps) in the dump — the report
 		// must be bit-identical with the fast path on or off.
 		fmt.Fprintf(&b, "core%d pc=%#x: ", i, c.ResumePC())
 		switch {

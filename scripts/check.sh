@@ -60,7 +60,7 @@ echo "== go test -race (translation cache: counters, invalidation, record immuta
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan, quiesce twins, a written SC outlasting a preemption, awake set vs core scan with and without fault injectors, HWBAR waiters asleep, bank work gate) =="
+echo "== go test -race (scheduler oracles: side lists vs window scan, a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, bank work gate) =="
 go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC' ./internal/cpu
 go test -race -run 'TestAwakeSetOracle|TestHWBarWaitersSleep|TestBankWorkOracle' ./internal/core
 
