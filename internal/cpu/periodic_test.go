@@ -80,6 +80,16 @@ flag:	.quad 0
 	}
 }
 
+// TestMovedSlots: Skip and CheckQuiesce index moved by name, so its order
+// must match the names.
+func TestMovedSlots(t *testing.T) {
+	c := &Core{l1i: &mem.L1{}, l1d: &mem.L1{}}
+	m := c.moved()
+	if m[fetchStalls] != &c.FetchMissStalls || m[fenceStalls] != &c.FenceStalls || m[lookups] != &c.lookups {
+		t.Fatal("moved's order does not match fetchStalls, fenceStalls and lookups")
+	}
+}
+
 // TestProofVoidedByLineChange: a change to a line of the core's L1s made by
 // anything but the core during a proof's period voids the proof, even when
 // the core's own state repeats, because a repeat would read a different
