@@ -32,3 +32,13 @@ func (m *Machine) SleepCounts() (spins, settles, spun uint64) {
 
 // CoreTicks returns how many core ticks the machine's awake set has run.
 func (m *Machine) CoreTicks() uint64 { return m.ticks }
+
+// MissScans returns how many times the cores' miss queues were scanned
+// while non-empty (cpu.Core.MissScans: ticks only, Skip credits none).
+func (m *Machine) MissScans() uint64 {
+	var n uint64
+	for _, c := range m.Cores {
+		n += c.MissScans
+	}
+	return n
+}

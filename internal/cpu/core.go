@@ -251,6 +251,14 @@ type Core struct {
 	storeq []*entry // in-window stores and cache-ops: loadOrdering
 	parked []*entry // otherwise-ready loads behind a store whose address is unresolved
 
+	// missWaitStage's gate (missIdle): the L1D's Frees at the last scan,
+	// and whether a load may since wait on a present line or without an
+	// MSHR. MissScans counts the scans that ran on a non-empty missq, for
+	// tests to bound (Skip credits none).
+	missFrees uint64
+	missDirty bool
+	MissScans uint64
+
 	// Periodic sleep (periodic.go); volatile counts what a period must not do.
 	gate              gate
 	per               period
@@ -807,8 +815,14 @@ func (c *Core) sbIssuedOnly() bool {
 // --- loads waiting on fills --------------------------------------------
 
 func (c *Core) missWaitStage(now uint64) {
-	// Present refreshes LRU state and counts a hit, so every waiting load
-	// is probed every cycle, oldest first.
+	// Probing an absent line changes nothing, so the waiting loads are
+	// probed, oldest first, only when one may find its line or lack an
+	// MSHR (missIdle; DESIGN.md §6, "Wakeup/select").
+	if len(c.missq) == 0 || c.missIdle() {
+		return
+	}
+	c.MissScans++
+	c.missFrees, c.missDirty = c.l1d.Frees(), false
 	keep := c.missq[:0]
 	for _, e := range c.missq {
 		if c.l1d.Present(e.addr) {
@@ -816,13 +830,19 @@ func (c *Core) missWaitStage(now uint64) {
 			continue
 		}
 		// MSHR may have been unavailable; keep trying.
-		if !c.l1d.MissPending(e.addr) {
-			c.l1d.StartMiss(now, e.addr, mem.GetS, false)
+		if !c.l1d.MissPending(e.addr) && !c.l1d.StartMiss(now, e.addr, mem.GetS, false) {
+			c.missDirty = true
 		}
 		keep = append(keep, e)
 	}
 	c.missq = keep
 }
+
+// missIdle reports that a scan of missq would find every line still absent
+// and its fill outstanding: no L1D MSHR has been released since the last
+// scan, and no load has since been queued, or kept, on a present line or
+// without an MSHR. Only a fill brings a line in, and it frees an MSHR.
+func (c *Core) missIdle() bool { return !c.missDirty && c.missFrees == c.l1d.Frees() }
 
 // performLoad reads memory functionally and schedules completion. A load
 // coming off the miss queue is dropped from it by the caller.
@@ -1046,8 +1066,8 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) (ok, parked bool) {
 		e.missWait = true
 		c.missq = insertByAge(c.missq, e)
 		e.doneAt = ^uint64(0)
-		if !c.l1d.Present(addr) {
-			c.l1d.StartMiss(now, addr, mem.GetS, false)
+		if c.l1d.Present(addr) || !c.l1d.StartMiss(now, addr, mem.GetS, false) {
+			c.missDirty = true
 		}
 		return true, false
 	}
@@ -1064,7 +1084,9 @@ func (c *Core) tryIssueLoad(now uint64, e *entry) (ok, parked bool) {
 	e.missWait = true
 	c.missq = insertByAge(c.missq, e)
 	e.doneAt = ^uint64(0) // not done until the fill arrives (performLoad)
-	c.l1d.StartMiss(now, addr, mem.GetS, false)
+	if !c.l1d.StartMiss(now, addr, mem.GetS, false) {
+		c.missDirty = true
+	}
 	return true, false
 }
 

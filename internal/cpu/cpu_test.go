@@ -21,7 +21,15 @@ type testRig struct {
 
 func newRig(t testing.TB, nc int, p *asm.Program) *testRig {
 	t.Helper()
-	sys := mem.NewSystem(mem.DefaultConfig(nc))
+	return newRigMem(t, p, mem.DefaultConfig(nc))
+}
+
+// newRigMem is newRig on a memory system of the given configuration, with
+// one core per cfg.Cores.
+func newRigMem(t testing.TB, p *asm.Program, cfg mem.Config) *testRig {
+	t.Helper()
+	nc := cfg.Cores
+	sys := mem.NewSystem(cfg)
 	r := &testRig{t: t, sys: sys}
 	for i := 0; i < nc; i++ {
 		r.cores = append(r.cores, New(DefaultConfig(), i, sys, nil))

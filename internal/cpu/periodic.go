@@ -142,7 +142,9 @@ func (g *gate) backOff() {
 }
 
 // candidate holds what a period needs at both ends: no probe, nothing to
-// drain, nothing serializing, nothing outstanding in the memory system.
+// drain, nothing serializing, nothing outstanding in the memory system. So
+// a period leaves missIdle's gate as it found it: no L1D MSHR is in use at
+// its start and outside's l1d.Misses lets it take none, so Frees is fixed.
 func (c *Core) candidate() bool {
 	return c.probe == nil && len(c.sb) == 0 && !c.fenceBlock && !c.hwbarSent && c.sys.CoreQuiet(c.physID)
 }

@@ -102,13 +102,16 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	// condition of their own: only a store, SC or cache-op issuing releases
 	// them, and that takes a ready entry, or a completion to make one —
 	// both excluded here and above until a response wakes the core.
-	// missWaitStage: every blocked load's fill must still be outstanding.
+	// missWaitStage: every blocked load's fill must still be outstanding,
+	// which missIdle already proves when it holds.
 	if len(c.ready) != 0 {
 		return false
 	}
-	for _, e := range c.missq {
-		if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
-			return false
+	if !c.missIdle() {
+		for _, e := range c.missq {
+			if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
+				return false
+			}
 		}
 	}
 	// dispatchStage: the first fetched instruction must be undispatchable.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // Brute-force scheduler oracle.
@@ -17,8 +18,11 @@ import (
 // rig recomputes each set by walking c.window and requires the lists to be
 // equal to it, in order — for the scan's selectable set, the age-ordered
 // merge of ready and parked, where parked may hold only loads behind a store
-// whose address is unresolved. Every program the package's tests and the
-// FuzzTranslateDiff generator run goes through it (testRig.tick).
+// whose address is unresolved. It also holds missWaitStage's gate to its
+// claim: while missIdle holds, every load on missq still finds its line
+// absent and its fill outstanding, so the scan the gate skips would do
+// nothing. Every program the package's tests and the FuzzTranslateDiff
+// generator run goes through it (testRig.tick).
 
 // tick advances core c one cycle and checks its scheduler state.
 func (r *testRig) tick(c *Core) {
@@ -103,6 +107,14 @@ func checkSched(c *Core) error {
 	}
 	if c.memOps != memOps {
 		return fmt.Errorf("memOps = %d, window scan finds %d", c.memOps, memOps)
+	}
+	if c.missIdle() {
+		for _, e := range c.missq {
+			if st := c.l1d.Peek(e.addr); st != mem.Invalid || !c.l1d.MissPending(e.addr) {
+				return fmt.Errorf("missIdle holds, but missq's seq %d finds its line %v with a fill pending=%v",
+					e.seq, st, c.l1d.MissPending(e.addr))
+			}
+		}
 	}
 	for _, p := range c.window {
 		want := waiters[p]
@@ -211,6 +223,8 @@ type schedCase struct {
 	saw func(t *testing.T, c *Core) bool
 	// out is the expected console output; nil expects a fault.
 	out []uint64
+	// mshrs, when nonzero, overrides the L1D's MSHR count.
+	mshrs int
 }
 
 // TestSchedOracleCases drives the scheduler through the situations where
@@ -630,6 +644,66 @@ last:
 			out: []uint64{33},
 		},
 		{
+			// The same on a line already present: the store's address
+			// waits on the load that brings the line in, so the LL
+			// forwards with the line there and queues without a miss.
+			name: "LL with a forwarding hit on a present line",
+			src: `
+	la t0, spot
+	li t1, 33
+	ld t3, 0(t0)
+	and t3, t3, zero
+	add t5, t0, t3
+	st t1, 0(t5)
+	ll t2, 0(t0)
+	fence
+	out t1
+	halt` + data,
+			saw: func(t *testing.T, c *Core) bool {
+				ll := findOp(c, isa.LL)
+				return ll != nil && inList(c.missq, ll) && c.l1d.Peek(ll.addr) != mem.Invalid
+			},
+			out: []uint64{33},
+		},
+		{
+			// One MSHR for four lines: the loads behind the first wait
+			// on missq without one and retry as fills free it, so the
+			// gate must open on each release and on each failed miss.
+			name: "loads retrying for the one MSHR",
+			src: `
+	la t0, spot
+	ld t1, 0(t0)
+	ld t2, 64(t0)
+	ld t3, 128(t0)
+	ld t4, 192(t0)
+	add t1, t1, t2
+	add t3, t3, t4
+	add t1, t1, t3
+	out t1
+	halt
+	.data
+	.align 64
+spot:	.quad 1
+	.align 64
+	.quad 2
+	.align 64
+	.quad 3
+	.align 64
+	.quad 4
+	`,
+			saw: func(t *testing.T, c *Core) bool {
+				waiting := 0
+				for _, e := range c.missq {
+					if !c.l1d.MissPending(e.addr) {
+						waiting++
+					}
+				}
+				return waiting >= 2
+			},
+			out:   []uint64{10},
+			mshrs: 1,
+		},
+		{
 			// The release sets issued outside issueStage; the HWBAR must
 			// still reach the in-flight list to complete.
 			name: "HWBAR release enters the in-flight list",
@@ -648,7 +722,11 @@ last:
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := asm.MustAssemble(tc.src, textBase, 0x100000)
-			r := newRig(t, 1, p)
+			cfg := mem.DefaultConfig(1)
+			if tc.mshrs != 0 {
+				cfg.MSHRs = tc.mshrs
+			}
+			r := newRigMem(t, p, cfg)
 			c := r.cores[0]
 			c.bnet = &fakeNet{}
 			r.start(0, 0, 1, p.Entry)

@@ -285,6 +285,14 @@ func (l *L1) Changes() uint64 { return uint64(l.changes) }
 // Quiet reports whether this cache has no outstanding misses.
 func (l *L1) Quiet() bool { return l.nmshr == 0 }
 
+// Frees counts the MSHRs released so far: every slot StartMiss took that
+// onResponse (a fill or an error fill alike) or SquashMisses has freed. It
+// never decreases. A line comes in only with its fill, whose MSHR it frees,
+// so a caller that saw a line absent with its miss outstanding knows both
+// still hold while Frees is unchanged. Derived, not stored: L1 sits at a
+// size-class edge.
+func (l *L1) Frees() uint64 { return l.nextID - uint64(l.nmshr) }
+
 // SquashMisses drops all outstanding MSHRs (context switch support). Any
 // in-flight responses for them will be ignored on arrival.
 func (l *L1) SquashMisses() {

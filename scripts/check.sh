@@ -60,9 +60,9 @@ echo "== go test -race (translation cache: counters, invalidation, record immuta
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan, a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, bank work gate) =="
+echo "== go test -race (scheduler oracles: side lists vs window scan and the miss-queue gate's claim, a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, the miss-queue gate skipping (TestMissGateSkips), MSHR-starved and SMT cells pinned (TestMSHRRetryPinned), bank work gate) =="
 go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC' ./internal/cpu
-go test -race -run 'TestAwakeSetOracle|TestHWBarWaitersSleep|TestBankWorkOracle' ./internal/core
+go test -race -run 'TestAwakeSetOracle|TestHWBarWaitersSleep|TestMissGateSkips|TestMSHRRetryPinned|TestBankWorkOracle' ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer, probe) =="
 go test -count=1 -run 'TestDifferential|TestPaperShape|Chaos|Sanitizer|Probe' .
