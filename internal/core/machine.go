@@ -78,10 +78,10 @@ type Config struct {
 
 	// NoTranslate disables the basic-block translation cache, restoring
 	// per-fetch decoding. Like the fast path, translation is behaviour-
-	// invariant (the cache is kept coherent with memory by a functional
-	// write hook and by ICBI/IFLUSH; see internal/cpu/translate.go), so
-	// the only observable difference is the absence of the translate.*
-	// counters from StatsReport. The knob exists for differential testing
+	// invariant (the functional write hook alone keeps the cache coherent
+	// with memory; see internal/cpu/translate.go), so the only observable
+	// difference is the absence of the translate.* counters from
+	// StatsReport. The knob exists for differential testing
 	// (the root TestDifferential, FuzzTranslateDiff, -notranslate).
 	NoTranslate bool
 
@@ -118,10 +118,8 @@ type Machine struct {
 
 	// fastCores[i] mirrors tickers[i] when that physical core is eligible
 	// for the quiescent fast path (single-threaded, fast path enabled);
-	// nil entries always take the plain Tick path, and any makes the
-	// machine dense: every ticker ticks every cycle.
+	// nil entries always take the plain Tick path and never sleep.
 	fastCores []*cpu.Core
-	dense     bool
 
 	// The awake set: inside runTo and Step only the tickers whose bit is
 	// set tick, in ascending index order. A fast core that proves its state
@@ -220,7 +218,6 @@ func NewMachine(cfg Config) *Machine {
 			m.physOf = append(m.physOf, p)
 			if cfg.NoFastPath {
 				m.fastCores = append(m.fastCores, nil)
-				m.dense = true
 			} else {
 				m.fastCores = append(m.fastCores, c)
 				m.Sys.SetWakeHook(p, func() { m.rouse(p) })
@@ -233,7 +230,6 @@ func NewMachine(cfg Config) *Machine {
 		mt := cpu.NewMT(cfg.CPU, p, p*tpc, tpc, m.Sys, m.Net)
 		m.tickers = append(m.tickers, mt)
 		m.fastCores = append(m.fastCores, nil)
-		m.dense = true
 		for _, c := range mt.Contexts {
 			m.Cores = append(m.Cores, c)
 			m.physOf = append(m.physOf, p)
@@ -545,9 +541,11 @@ func (m *Machine) awakeRunning() bool {
 }
 
 // allAsleep reports whether every running core is asleep, making the
-// machine eligible for bulk cycle fast-forwarding. A dense machine
-// (multithreaded cores, or NoFastPath) steps cycle by cycle.
-func (m *Machine) allAsleep() bool { return !m.dense && !m.awakeRunning() }
+// machine eligible for bulk cycle fast-forwarding. A machine without
+// sleepers (multithreaded cores, or NoFastPath, never sleep) steps cycle
+// by cycle; inside runTo's loop that also spares the scan, as no sleepers
+// there means an awake core was just found running.
+func (m *Machine) allAsleep() bool { return m.sleepers > 0 && !m.awakeRunning() }
 
 // poll runs the checkers' work due at this cycle, in attach order, and
 // reports whether one has an error that stops the run.

@@ -195,8 +195,8 @@ type Core struct {
 
 	// Translation cache (nil = per-fetch decoding). curBlock is this
 	// core's cached pointer to the block holding fetchPC; it is dropped
-	// at IFLUSH and on any pipeline flush, and bypassed whenever the
-	// block has been invalidated.
+	// on any pipeline flush, and bypassed whenever the block has been
+	// invalidated.
 	trans    *TransCache
 	curBlock *transBlock
 
@@ -674,7 +674,6 @@ func (c *Core) commitStage(now uint64) {
 			c.fetchStopped = false
 			c.fetchPC = e.pc + isa.WordBytes
 			c.fetchHoldUntil = now + uint64(c.Cfg.RedirectPenalty)
-			c.curBlock = nil // IFLUSH drops the translated-block pointer
 		case isa.ClassOther:
 			if e.in.Op == isa.OUT {
 				c.Console = append(c.Console, e.src[0].val)
@@ -774,9 +773,6 @@ func (c *Core) drainStoreBuffer(now uint64) {
 		if h.token == 0 {
 			c.volatile++
 			h.token = c.sys.IssueCacheInval(now, c.physID, h.addr, h.icache)
-			if h.icache && c.trans != nil {
-				c.trans.InvalidateLine(h.addr)
-			}
 			return
 		}
 		if !c.sys.InvalPending(c.physID, h.token) {

@@ -89,7 +89,8 @@ func (mt *MTCore) Tick(now uint64) {
 // not arrived yet. The has-it-arrived checks are essential — the context
 // only notices an arrived fill inside its own Tick, so treating it as
 // stalled after arrival would let an actively running sibling starve it
-// forever.
+// forever. The checks Peek: selecting a thread is not an access, so it
+// counts no hit and leaves the LRU order alone.
 func (c *Core) longStalled(now uint64) bool {
 	if len(c.fetchBuf) > 0 || now < c.fetchHoldUntil {
 		return false
@@ -97,13 +98,13 @@ func (c *Core) longStalled(now uint64) bool {
 	if len(c.window) == 0 {
 		// Nothing in flight: stalled iff the next fetch's fill is
 		// genuinely still outstanding.
-		return !c.l1i.Present(c.fetchPC) && c.l1i.MissPending(c.fetchPC)
+		return c.l1i.Peek(c.fetchPC) == mem.Invalid && c.l1i.MissPending(c.fetchPC)
 	}
 	// A window whose head is a load waiting on an outstanding fill, with
 	// nothing else in flight, cannot commit or issue this cycle.
 	head := c.window[0]
 	return len(c.flight) == 0 && head.missWait && len(c.sb) == 0 &&
-		!c.l1d.Present(head.addr) && c.l1d.MissPending(head.addr)
+		c.l1d.Peek(head.addr) == mem.Invalid && c.l1d.MissPending(head.addr)
 }
 
 // Running reports whether any context has work.

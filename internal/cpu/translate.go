@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"slices"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -15,59 +13,41 @@ import (
 // fetch from it is an array index instead of a Decode + Lookup + operand
 // binding per word.
 //
-// Published records are immutable. The fetch buffer holds pointers into a
-// block's recs, so an instruction fetched before a store rewrote its word
+// One rule keeps the cache coherent: the memory write hook (OnMemWrite)
+// invalidates every block a functional write overlaps, before the bytes
+// change, and nothing else invalidates a block. The flat memory
+// (mem.Memory) is the single functional home of all bytes, so a cached
+// record is behaviour-equivalent exactly as long as it equals
+// Predecode(Mem.ReadUint64(pc)), which only a write can change. ICBI and
+// IFLUSH never change the text: they keep their whole timing effect (the
+// L1I invalidation the bank's filter counts, the flush and refetch) and
+// leave this cache alone. Translation replaces only decode/dispatch work,
+// so cycles and stats are bit-identical with the translator on or off
+// (pinned by the NoTranslate knob of the root TestDifferential and by
+// FuzzTranslateDiff).
+//
+// Published records are immutable: the fetch buffer holds pointers into a
+// block's recs, and an instruction fetched before a store rewrote its word
 // must keep the record it was fetched with, as the untranslated frontend's
-// copy would. Retranslation therefore never writes a published array: when
-// any word changed, the block gets a fresh array; when every word decodes to
-// the record it already has (an ICBI, or a store that left the text as it
-// was) the block keeps its array and allocates nothing. The second case is
-// every retranslation the benchmark's workloads make — I-cache filter
-// barriers ICBI and then fetch their arrival lines every episode — and a
-// fresh array for each would add about 8 % to parked64's allocation per
-// cell.
-//
-// Cycle-exactness argument: the flat memory (mem.Memory) is the single
-// functional home of all bytes, and the untranslated frontend reads it anew
-// on every fetch. A cached record is therefore behaviour-equivalent exactly
-// as long as it equals Predecode(Mem.ReadUint64(pc)) — a pure function of
-// the bytes — and the cache keeps that true by observing every functional
-// write through the memory write hook and marking overlapped blocks invalid
-// before the write lands. Translation replaces only decode/dispatch work;
-// I-cache presence checks, miss timing, and everything downstream of the
-// fetch buffer are untouched, so cycles and stats are bit-identical with the
-// translator on or off (pinned by the NoTranslate knob of the root
-// TestDifferential and by FuzzTranslateDiff).
-//
-// ICBI and IFLUSH additionally invalidate at the times real hardware would
-// (InvalidateLine from the store-buffer drain, and the per-core block
-// pointer drop at IFLUSH commit). With the write hook already keeping
-// records coherent these are redundant for correctness, but they keep the
-// counters honest for the self-modifying-code sequences srvet verifies.
-// Because the write hook is the one that matters, a block also records
-// whether a write overlapped it since its last translation: one an ICBI
-// alone invalidated still holds exactly Predecode of every word, so Block
-// revalidates it without decoding, counting the miss all the same. The
-// I-cache filter barriers ICBI and refetch their arrival lines every
-// episode, and no write ever touches those lines.
+// copy would. A retranslation follows only a write to the line's text, so
+// it always publishes a fresh array.
 
 // transBlock is one translated line of text.
 type transBlock struct {
-	base    uint64 // line-aligned text address
-	valid   bool
-	written bool          // a functional write overlapped the line since recs were decoded
-	recs    []isa.Decoded // one per word in the line; never written once published
+	base  uint64 // line-aligned text address
+	valid bool
+	recs  []isa.Decoded // one per word in the line; never written once published
 }
 
 // TransCache is the machine-shared translation cache. All cores (and all
 // hardware thread contexts) share it, mirroring the fact that they fetch
-// from the same physical memory: a store or ICBI by one core invalidates
+// from the same physical memory: a store to text by one core invalidates
 // the block for every core, which the cross-core invalidation tests pin.
 //
-// The three counters are driven purely by the simulated fetch, store and
-// ICBI sequence, so they are deterministic across runs and identical with
-// the quiescent-core fast path on or off (a quiescent core's fetch is
-// stalled before it reaches the translator).
+// The three counters are driven purely by the simulated fetch and store
+// sequence, so they are deterministic across runs and identical with
+// the quiescent-core fast path on or off (Skip credits a sleeper's period
+// its lookups as hits, which they all are).
 type TransCache struct {
 	mem       *mem.Memory
 	lineBytes uint64
@@ -85,7 +65,7 @@ type TransCache struct {
 	// line transition; the per-core block pointer fast path does not
 	// count). Misses counts lines translated, including retranslation
 	// after invalidation. Invalidations counts valid blocks killed by a
-	// store or ICBI.
+	// write.
 	Hits, Misses, Invalidations uint64
 }
 
@@ -98,11 +78,13 @@ func NewTransCache(m *mem.Memory, lineBytes int) *TransCache {
 		lineMask:  uint64(lineBytes - 1),
 		words:     lineBytes / isa.WordBytes,
 		blocks:    make(map[uint64]*transBlock),
+		lo:        ^uint64(0), // empty: no address is covered
 	}
 }
 
 // Block returns the translated block for the line-aligned address base,
-// translating (or retranslating) it from memory if absent or invalid.
+// translating it from memory if absent, or retranslating it into a fresh
+// array if a write invalidated it.
 func (t *TransCache) Block(base uint64) *transBlock {
 	b := t.blocks[base]
 	if b != nil && b.valid {
@@ -110,58 +92,22 @@ func (t *TransCache) Block(base uint64) *transBlock {
 		return b
 	}
 	t.Misses++
-	if b != nil && !b.written {
-		b.valid = true // only an ICBI invalidated it: recs still match memory
-		return b
-	}
-	fresh := b == nil // recs not yet published
 	if b == nil {
-		b = &transBlock{base: base, recs: make([]isa.Decoded, t.words)}
+		b = &transBlock{base: base}
 		t.blocks[base] = b
-		if len(t.blocks) == 1 {
-			t.lo, t.hi = base, base+t.lineBytes
-		} else {
-			if base < t.lo {
-				t.lo = base
-			}
-			if base+t.lineBytes > t.hi {
-				t.hi = base + t.lineBytes
-			}
-		}
+		t.lo, t.hi = min(t.lo, base), max(t.hi, base+t.lineBytes)
 	}
+	b.recs = make([]isa.Decoded, t.words)
 	for i := range b.recs {
-		d := isa.Predecode(t.mem.ReadUint64(base + uint64(i)*isa.WordBytes))
-		if d == b.recs[i] {
-			continue
-		}
-		if !fresh {
-			b.recs = slices.Clone(b.recs)
-			fresh = true
-		}
-		b.recs[i] = d
+		b.recs[i] = isa.Predecode(t.mem.ReadUint64(base + uint64(i)*isa.WordBytes))
 	}
-	b.valid, b.written = true, false
+	b.valid = true
 	return b
-}
-
-// InvalidateLine kills the block covering addr, if translated and valid.
-// The store-buffer drain calls it when an ICBI is issued to the bus.
-func (t *TransCache) InvalidateLine(addr uint64) {
-	if b := t.blocks[addr&^t.lineMask]; b != nil {
-		t.invalidate(b)
-	}
-}
-
-func (t *TransCache) invalidate(b *transBlock) {
-	if b.valid {
-		b.valid = false
-		t.Invalidations++
-	}
 }
 
 // Covers reports whether [addr, addr+n) may overlap a translated line.
 func (t *TransCache) Covers(addr uint64, n int) bool {
-	return n > 0 && len(t.blocks) > 0 && addr < t.hi && addr+uint64(n) > t.lo
+	return n > 0 && addr < t.hi && addr+uint64(n) > t.lo
 }
 
 // OnMemWrite is the memory write hook: it invalidates every translated
@@ -172,9 +118,9 @@ func (t *TransCache) OnMemWrite(addr uint64, n int) {
 	}
 	last := (addr + uint64(n) - 1) &^ t.lineMask
 	for la := addr &^ t.lineMask; ; la += t.lineBytes {
-		if b := t.blocks[la]; b != nil {
-			b.written = true
-			t.invalidate(b)
+		if b := t.blocks[la]; b != nil && b.valid {
+			b.valid = false
+			t.Invalidations++
 		}
 		if la >= last {
 			break

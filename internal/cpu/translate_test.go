@@ -109,12 +109,6 @@ func TestTranslateCacheCounters(t *testing.T) {
 		t.Fatalf("straddling write: invalidations=%d, want 3", tc.Invalidations)
 	}
 
-	// ICBI on a line that was never translated is a no-op.
-	tc.InvalidateLine(base + 100*lb)
-	if tc.Invalidations != 3 {
-		t.Fatalf("ICBI on untranslated line counted: %d", tc.Invalidations)
-	}
-
 	// An untranslated zeroed line decodes to BAD records (illegal
 	// instruction at commit), exactly like the untranslated frontend.
 	zb := tc.Block(base + 4*lb)
@@ -330,10 +324,26 @@ loop:
 	}
 }
 
+// icbiRefetch runs the I-cache filter barrier's arrival sequence on the line
+// it runs from, twice: ICBI the line, IFLUSH, then jump back into it. The text
+// never changes, so the line keeps its one translation.
+const icbiRefetch = `
+	li s1, 2
+top:
+	la t0, top
+	icbi 0(t0)
+	iflush
+	addi s1, s1, -1
+	bnez s1, top
+	out s1
+	halt
+`
+
 // TestTranslateCountersPinned pins the translate.* counters, which the root
-// differential and the benchmark digests leave out, on four programs: how the
+// differential and the benchmark digests leave out, on five programs: how the
 // frontend reaches a block (fetch pointer, lookup, retranslation) must not
-// change what the counters report.
+// change what the counters report. With keep set, no block may publish a
+// second record array.
 func TestTranslateCountersPinned(t *testing.T) {
 	straight := strings.Repeat("addi t1, t1, 1\n", 40) + "out t1\nhalt"
 	loop := "li t0, 100\nli t1, 0\nloop:\n" + strings.Repeat("addi t1, t1, 1\n", 6) +
@@ -342,15 +352,36 @@ func TestTranslateCountersPinned(t *testing.T) {
 		name                 string
 		src                  string
 		hits, misses, invals uint64
+		keep                 bool
 	}{
-		{"straight-line-5-lines", straight, 0, 6, 0},
-		{"loop-across-lines", loop, 204, 2, 0},
-		{"smc-icbi-iflush", smcProgram(), 1, 3, 1},
-		{"misaligned-jalr", "la t0, pad\njalr x0, 4(t0)\npad:\nhalt\nhalt", 0, 1, 0},
+		{"straight-line-5-lines", straight, 0, 6, 0, false},
+		{"loop-across-lines", loop, 204, 2, 0, false},
+		{"smc-icbi-iflush", smcProgram(), 1, 3, 1, false},
+		{"misaligned-jalr", "la t0, pad\njalr x0, 4(t0)\npad:\nhalt\nhalt", 0, 1, 0, false},
+		{"icbi-refetch", icbiRefetch, 0, 1, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, c := runTranslated(t, tc.src, true)
+			p := asm.MustAssemble(tc.src, textBase, 0x100000)
+			r := newRig(t, 1, p)
+			c := attachTranslator(r)
+			core := r.cores[0]
+			r.start(0, 0, 1, p.Entry)
+			published := map[uint64]*isa.Decoded{}
+			for ; core.Running() && r.now < 1_000_000; r.now++ {
+				r.tick(core)
+				r.sys.Tick(r.now)
+				for base, b := range c.blocks {
+					if first, ok := published[base]; !ok {
+						published[base] = &b.recs[0]
+					} else if tc.keep && first != &b.recs[0] {
+						t.Fatalf("cycle %d: line %#x published a second record array", r.now, base)
+					}
+				}
+			}
+			if core.Running() {
+				t.Fatal("still running at the cycle limit")
+			}
 			if c.Hits != tc.hits || c.Misses != tc.misses || c.Invalidations != tc.invals {
 				t.Fatalf("hits/misses/invalidations %d/%d/%d, want %d/%d/%d",
 					c.Hits, c.Misses, c.Invalidations, tc.hits, tc.misses, tc.invals)
@@ -442,30 +473,16 @@ func TestTranslateRecordsImmutable(t *testing.T) {
 		}
 	})
 
-	sys := mem.NewSystem(mem.DefaultConfig(1))
-	tc := NewTransCache(sys.Mem, sys.Cfg.LineBytes)
-	sys.Mem.SetWriteHook(tc.OnMemWrite)
-	base := uint64(textBase)
-	nop := isa.Encode(isa.Inst{Op: isa.NOP})
-	for i := uint64(0); i < uint64(sys.Cfg.LineBytes); i += isa.WordBytes {
-		sys.Mem.WriteUint64(base+i, nop)
-	}
-	b := tc.Block(base)
-
-	t.Run("unchanged-words-keep-array", func(t *testing.T) {
-		arr := &b.recs[0]
-		tc.InvalidateLine(base)                      // ICBI
-		sys.Mem.WriteUint64(base+isa.WordBytes, nop) // a store of the same bytes
-		misses := tc.Misses
-		if tc.Block(base) != b || tc.Misses != misses+1 {
-			t.Fatalf("retranslation: misses %d -> %d", misses, tc.Misses)
-		}
-		if &b.recs[0] != arr {
-			t.Fatal("retranslating unchanged words published a new array")
-		}
-	})
-
 	t.Run("changed-word-fresh-array", func(t *testing.T) {
+		sys := mem.NewSystem(mem.DefaultConfig(1))
+		tc := NewTransCache(sys.Mem, sys.Cfg.LineBytes)
+		sys.Mem.SetWriteHook(tc.OnMemWrite)
+		base := uint64(textBase)
+		nop := isa.Encode(isa.Inst{Op: isa.NOP})
+		for i := uint64(0); i < uint64(sys.Cfg.LineBytes); i += isa.WordBytes {
+			sys.Mem.WriteUint64(base+i, nop)
+		}
+		b := tc.Block(base)
 		old := b.recs
 		patched := isa.Inst{Op: isa.LI, Rd: isa.RegT0, Imm: 5}
 		sys.Mem.WriteUint64(base+isa.WordBytes, isa.Encode(patched))
@@ -482,42 +499,4 @@ func TestTranslateRecordsImmutable(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestTranslateICBIRevalidatesWithoutDecode: a block an ICBI alone
-// invalidated comes back on the next fetch with its record array as it was,
-// counted as one miss after one invalidation, while a store between the
-// ICBI and the fetch still makes the fetch decode the new word.
-func TestTranslateICBIRevalidatesWithoutDecode(t *testing.T) {
-	sys := mem.NewSystem(mem.DefaultConfig(1))
-	tc := NewTransCache(sys.Mem, sys.Cfg.LineBytes)
-	sys.Mem.SetWriteHook(tc.OnMemWrite)
-	base := uint64(textBase)
-	nop := isa.Encode(isa.Inst{Op: isa.NOP})
-	for i := uint64(0); i < uint64(sys.Cfg.LineBytes); i += isa.WordBytes {
-		sys.Mem.WriteUint64(base+i, nop)
-	}
-	b := tc.Block(base)
-	recs := &b.recs[0]
-	misses, invals := tc.Misses, tc.Invalidations
-
-	tc.InvalidateLine(base) // the ICBI's drain
-	if got := tc.Block(base); got != b || &got.recs[0] != recs {
-		t.Fatal("the fetch after an ICBI alone replaced the block's record array")
-	}
-	if tc.Misses != misses+1 || tc.Invalidations != invals+1 {
-		t.Fatalf("ICBI then fetch: misses +%d, invalidations +%d; want +1 and +1",
-			tc.Misses-misses, tc.Invalidations-invals)
-	}
-
-	tc.InvalidateLine(base)
-	halt := isa.Encode(isa.Inst{Op: isa.HALT})
-	sys.Mem.WriteUint64(base+8, halt) // a store between the ICBI and the fetch
-	got := tc.Block(base)
-	if &got.recs[0] == recs {
-		t.Fatal("the fetch after a store kept the record array the store made stale")
-	}
-	if got.recs[1] != isa.Predecode(halt) || got.recs[0] != isa.Predecode(nop) {
-		t.Fatalf("re-decoded records %v, %v; want NOP, HALT", got.recs[0].In.Op, got.recs[1].In.Op)
-	}
 }

@@ -56,12 +56,12 @@ echo "== go test -race (sync engine: filter+lock tables, OS model, barrier insta
 go test -race ./internal/filter ./internal/osmodel ./internal/barrier
 go test -race -run 'TestCleanLockMachine|TestLock' ./internal/sanitize
 
-echo "== go test -race (translation cache: counters, invalidation, record immutability, fuzz seeds) =="
+echo "== go test -race (translation cache: one invalidation rule, the memory write hook; counters with an ICBI+IFLUSH refetch invalidating nothing, record immutability, fuzz seeds) =="
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan and the miss-queue gate's claim, a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, the miss-queue gate skipping (TestMissGateSkips), MSHR-starved and SMT cells pinned (TestMSHRRetryPinned), bank work gate) =="
-go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC' ./internal/cpu
+echo "== go test -race (scheduler oracles: side lists vs window scan and the miss-queue gate's claim, a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, the SMT thread-select check counting no L1 hit and moving no LRU order (TestLongStalledIsNoAccess), awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, the miss-queue gate skipping (TestMissGateSkips), MSHR-starved and SMT cells pinned (TestMSHRRetryPinned), bank work gate) =="
+go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC|TestLongStalledIsNoAccess' ./internal/cpu
 go test -race -run 'TestAwakeSetOracle|TestHWBarWaitersSleep|TestMissGateSkips|TestMSHRRetryPinned|TestBankWorkOracle' ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer, probe) =="
