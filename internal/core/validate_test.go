@@ -22,6 +22,8 @@ func TestNewMachineCheckedRejectsCPUConfig(t *testing.T) {
 		{"bimodal-not-pow2", func(c *Config) { c.CPU.BimodalEntries = 1000 }, "powers of two"},
 		{"btb-zero", func(c *Config) { c.CPU.BTBEntries = 0 }, "BTBEntries = 0"},
 		{"ruu-zero", func(c *Config) { c.CPU.RUUSize = 0 }, "RUUSize = 0"},
+		{"ruu-over-slot-width", func(c *Config) { c.CPU.RUUSize = 1 << 16 }, "RUUSize = 65536 is over 65535"},
+		{"ruu-slot-width", func(c *Config) { c.CPU.RUUSize = 1<<16 - 1 }, ""},
 		{"fetch-zero", func(c *Config) { c.CPU.FetchWidth = 0 }, "FetchWidth = 0"},
 		{"commit-negative", func(c *Config) { c.CPU.CommitWidth = -1 }, "CommitWidth = -1"},
 		{"lsq-zero", func(c *Config) { c.CPU.LSQSize = 0 }, "LSQSize = 0"},

@@ -289,7 +289,7 @@ spot:	.quad 41
 		r.tick(c)
 		r.sys.Tick(r.now)
 		r.now++
-		if sc := findOp(c, isa.SC); sc != nil && sc.issued && sc.result == 1 {
+		if sc := findOp(c, isa.SC); sc != 0 && c.at(sc).issued && c.at(sc).result == 1 {
 			if c.Drained() {
 				t.Fatalf("cycle %d: drained with a written SC in flight", r.now)
 			}

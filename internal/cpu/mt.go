@@ -92,18 +92,18 @@ func (mt *MTCore) Tick(now uint64) {
 // forever. The checks Peek: selecting a thread is not an access, so it
 // counts no hit and leaves the LRU order alone.
 func (c *Core) longStalled(now uint64) bool {
-	if len(c.fetchBuf) > 0 || now < c.fetchHoldUntil {
+	if c.fetchBuf.n > 0 || now < c.fetchHoldUntil {
 		return false
 	}
-	if len(c.window) == 0 {
+	if c.win.n == 0 {
 		// Nothing in flight: stalled iff the next fetch's fill is
 		// genuinely still outstanding.
 		return c.l1i.Peek(c.fetchPC) == mem.Invalid && c.l1i.MissPending(c.fetchPC)
 	}
 	// A window whose head is a load waiting on an outstanding fill, with
 	// nothing else in flight, cannot commit or issue this cycle.
-	head := c.window[0]
-	return len(c.flight) == 0 && head.missWait && len(c.sb) == 0 &&
+	head := c.win.at(0)
+	return c.flight.n == 0 && head.missWait && c.sb.n == 0 &&
 		c.l1d.Peek(head.addr) == mem.Invalid && c.l1d.MissPending(head.addr)
 }
 

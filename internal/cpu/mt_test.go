@@ -43,11 +43,11 @@ evict:
 	// An empty pipeline fetching from a present line, then a window headed
 	// by a load waiting on line a (the set's least recently used way).
 	iHits, dHits := l1i.Hits, l1d.Hits
-	core.fetchBuf, core.fetchHoldUntil = nil, 0
+	core.fetchBuf.n, core.fetchHoldUntil = 0, 0
 	if core.longStalled(r.now) {
 		t.Fatal("a context whose fetch line is present reads as stalled")
 	}
-	core.window = []*entry{{missWait: true, addr: a}}
+	*core.win.at(0), core.win.n = entry{missWait: true, addr: a}, 1
 	if core.longStalled(r.now) {
 		t.Fatal("a context whose head-load line is present reads as stalled")
 	}

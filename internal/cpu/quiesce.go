@@ -43,7 +43,7 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	// completeStage: nothing executing toward a future doneAt. (Loads in
 	// missWait are on the miss queue, not the in-flight list; their doneAt
 	// is unreachable until performLoad runs after the fill.)
-	if len(c.flight) != 0 {
+	if c.flight.n != 0 {
 		return false
 	}
 	// A fetch hold and a busy divider expire by themselves, without a
@@ -53,8 +53,8 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	}
 	// commitStage: the window head must stay uncommittable.
 	var d [nMoved]uint32 // the period's deltas: a stall cycle, if any
-	if len(c.window) > 0 {
-		e := c.window[0]
+	if c.win.n > 0 {
+		e := c.win.at(0)
 		if e.done {
 			return false // would commit
 		}
@@ -65,12 +65,12 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 				// network for a release the machine knows the cycle
 				// of ahead (BarrierNet.Parked) and wakes it at. Before
 				// that, it waits on the store buffer like a FENCE.
-				if len(c.sb) == 0 && (!c.hwbarSent || !c.bnet.Parked(now+1, c.ID, int(e.in.Imm))) {
+				if c.sb.n == 0 && (!c.hwbarSent || !c.bnet.Parked(now+1, c.ID, int(e.in.Imm))) {
 					return false
 				}
 				d[fenceStalls] = 1
 			case isa.ClassFence, isa.ClassHalt:
-				if len(c.sb) == 0 {
+				if c.sb.n == 0 {
 					return false // trySerializing would mark it done
 				}
 				d[fenceStalls] = 1
@@ -86,8 +86,8 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	// transaction. A store whose line is present would perform (Modified)
 	// or issue an upgrade and refresh the line's LRU state every cycle
 	// (Shared) — both stay on the slow path.
-	if len(c.sb) > 0 {
-		h := &c.sb[0]
+	if c.sb.n > 0 {
+		h := c.sb.at(0)
 		if h.cacheOp {
 			if h.token == 0 || !c.sys.InvalPending(c.physID, h.token) {
 				return false
@@ -104,25 +104,25 @@ func (c *Core) CheckQuiesce(now uint64) bool {
 	// both excluded here and above until a response wakes the core.
 	// missWaitStage: every blocked load's fill must still be outstanding,
 	// which missIdle already proves when it holds.
-	if len(c.ready) != 0 {
+	if c.ready.n != 0 {
 		return false
 	}
 	if !c.missIdle() {
-		for _, e := range c.missq {
-			if c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
+		for _, s := range c.missq.live() {
+			if e := c.at(s); c.l1d.Peek(e.addr) != mem.Invalid || !c.l1d.MissPending(e.addr) {
 				return false
 			}
 		}
 	}
 	// dispatchStage: the first fetched instruction must be undispatchable.
-	if len(c.fetchBuf) > 0 && !c.fenceBlock && len(c.window) < c.Cfg.RUUSize {
-		if !c.fetchBuf[0].d.Mem || c.memOps < c.Cfg.LSQSize {
+	if c.fetchBuf.n > 0 && !c.fenceBlock && c.win.n < c.Cfg.RUUSize {
+		if !c.fetchBuf.at(0).d.Mem || c.memOps < c.Cfg.LSQSize {
 			return false
 		}
 	}
 	// fetchStage: stopped, buffer-full, or stalled on an outstanding
 	// instruction fill (the per-cycle FetchMissStalls state).
-	if !c.fetchStopped && len(c.fetchBuf) < 4*c.Cfg.FetchWidth {
+	if !c.fetchStopped && c.fetchBuf.n < 4*c.Cfg.FetchWidth {
 		if c.l1i.Peek(c.fetchPC) != mem.Invalid || !c.l1i.MissPending(c.fetchPC) {
 			return false
 		}

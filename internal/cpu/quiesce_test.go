@@ -67,7 +67,7 @@ flag:	.quad 7
 			}
 			if asleep {
 				ll := findOp(c, isa.LL)
-				if ll != nil && inList(c.missq, ll) && len(c.parked) > 0 {
+				if ll != 0 && inList(c.missq, ll) && c.parked.n > 0 {
 					quiescedCycles++
 				}
 				owed++

@@ -444,8 +444,8 @@ func TestTranslateRecordsImmutable(t *testing.T) {
 					continue
 				}
 				b := tc.blocks[site&^tc.lineMask]
-				for _, f := range c.fetchBuf {
-					if f.pc == site && f.d != &b.recs[(site-b.base)/isa.WordBytes] {
+				for i := range c.fetchBuf.n {
+					if f := c.fetchBuf.at(i); f.pc == site && f.d != &b.recs[(site-b.base)/isa.WordBytes] {
 						stale = true
 					}
 				}

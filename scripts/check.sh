@@ -60,8 +60,8 @@ echo "== go test -race (translation cache: one invalidation rule, the memory wri
 go test -race -run TestTranslate ./internal/cpu
 go test -race -run FuzzTranslateDiff ./internal/cpu
 
-echo "== go test -race (scheduler oracles: side lists vs window scan and the miss-queue gate's claim, a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, the SMT thread-select check counting no L1 hit and moving no LRU order (TestLongStalledIsNoAccess), awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, the miss-queue gate skipping (TestMissGateSkips), MSHR-starved and SMT cells pinned (TestMSHRRetryPinned), bank work gate) =="
-go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC|TestLongStalledIsNoAccess' ./internal/cpu
+echo "== go test -race (scheduler oracles: side lists, wake links and producer slots vs a scan of the window ring, every named slot live, and the miss-queue gate's claim; the pointer-free entry (TestEntryPointerFree), a Tick and a context switch allocating nothing (TestTickSteadyStateNoAlloc, which skips under -race and runs in the go test pass above), every fault text byte for byte (TestFaultTexts); a quiesced one-cycle sleep vs a ticked twin, a written SC outlasting a preemption, the SMT thread-select check counting no L1 hit and moving no LRU order (TestLongStalledIsNoAccess), awake set vs core scan and NoFastPath twin with and without fault injectors, HWBAR and filter waiters asleep, the miss-queue gate skipping (TestMissGateSkips), MSHR-starved and SMT cells pinned (TestMSHRRetryPinned), bank work gate) =="
+go test -race -run 'TestSchedOracle|TestQuiesce|TestDescheduleKeepsWrittenSC|TestLongStalledIsNoAccess|TestEntryPointerFree|TestTickSteadyStateNoAlloc|TestFaultTexts' ./internal/cpu
 go test -race -run 'TestAwakeSetOracle|TestHWBarWaitersSleep|TestMissGateSkips|TestMSHRRetryPinned|TestBankWorkOracle' ./internal/core
 
 echo "== go test (differential driver: knobs x cells, golden v2, paper shape, chaos, sanitizer, probe) =="
