@@ -401,6 +401,7 @@ func TestFabricLinkNames(t *testing.T) {
 		{KindBus, "bus", "resp"},
 		{KindCrossbar, "xbar.c5-b3", "xbar.b3-c5"},
 		{KindMesh, "mesh.c5(1,1)->b3(2,1)", "mesh.b3(2,1)->c5(1,1)"},
+		{KindOptical, "optical.c5-b3", "optical.b3-c5"},
 	}
 	for _, c := range checks {
 		f := mustNew(t, c.kind, g, &trace)
@@ -416,8 +417,11 @@ func TestFabricLinkNames(t *testing.T) {
 // TestStatsPrefixes: every fabric emits its counters under its own prefix.
 func TestStatsPrefixes(t *testing.T) {
 	g := Geometry{Cores: 4, Banks: 2, MeshW: 2, MeshH: 2, LinkLat: 1, PortBW: 1}
-	want := map[Kind]string{KindBus: "bus.", KindCrossbar: "xbar.", KindMesh: "mesh."}
+	want := map[Kind]string{KindBus: "bus.", KindCrossbar: "xbar.", KindMesh: "mesh.", KindOptical: "optical."}
 	for _, kind := range Kinds {
+		if want[kind] == "" {
+			t.Fatalf("%v: no prefix pinned", kind)
+		}
 		var trace []rec
 		f := mustNew(t, kind, g, &trace)
 		f.PushRequest(Message[int]{Src: 0, Dst: 1, Occ: 1}, 1, false)
