@@ -5,20 +5,16 @@
 // contention, and hands each message to a delivery callback stamped with its
 // arrival cycle.
 //
-// Four implementations share the Fabric interface:
+// Two implementations share the Fabric interface:
 //
-//   - Bus: the paper's split-transaction shared bus (Table 2) — one request
-//     grant per cycle, round-robin across cores, with a Niagara-style
-//     per-bank response crossbar (optionally collapsed to one shared data
-//     bus). This is the pre-refactor mem/bus.go moved here unchanged; its
-//     cycle-level behaviour is pinned by the fabric golden differential.
-//   - Crossbar: a full core-to-bank crossbar with an independent arbiter
-//     per destination port and PortBW parallel channels per port.
+//   - Arbiter: source FIFOs contending for resources of a few channels
+//     each, granted round-robin. New derives three fabrics from the kind
+//     alone: the paper's split-transaction bus (Table 2; one address bus,
+//     per-bank data channels or one shared data bus), a full core-to-bank
+//     crossbar (PortBW channels per destination port), and a single-cycle
+//     WDM optical waveguide (a modulator per source, one-cycle flight).
 //   - Mesh: a W x H 2D-mesh NoC with XY (dimension-ordered) routing,
 //     per-hop LinkLat latency, and per-link contention.
-//   - Optical: a single-cycle WDM broadcast waveguide — per-source
-//     dedicated wavelengths, one-cycle flight to any destination, and
-//     contention only at the per-source transmitters.
 //
 // The fabric contract mirrors the rest of the hierarchy's fast-path rules
 // (DESIGN.md section 6): NextEvent must be exact — Tick may act only at
@@ -203,14 +199,10 @@ func New[P any](kind Kind, g Geometry, d Delivery[P]) (Fabric[P], error) {
 		return nil, err
 	}
 	switch kind {
-	case KindBus:
-		return newBus(g, d), nil
-	case KindCrossbar:
-		return newCrossbar(g, d), nil
+	case KindBus, KindCrossbar, KindOptical:
+		return newArbiter(kind, g, d), nil
 	case KindMesh:
 		return newMesh(g, d), nil
-	case KindOptical:
-		return newOptical(g, d), nil
 	}
 	return nil, fmt.Errorf("interconnect: unknown fabric kind %d", int(kind))
 }
@@ -265,35 +257,4 @@ func (s *ports[P]) next(src int) int { return sim.NextBit(s.queued, src) }
 func (s *ports[P]) ready(src int, now uint64) bool {
 	h := s.q[src].Front()
 	return h != nil && h.ready <= now
-}
-
-// earliest returns the earliest ready cycle among the source heads,
-// ok=false when nothing is queued.
-func (s *ports[P]) earliest() (t uint64, ok bool) {
-	for src := s.next(0); src >= 0; src = s.next(src + 1) {
-		if h := s.q[src].Front(); !ok || h.ready < t {
-			t, ok = h.ready, true
-		}
-	}
-	return t, ok
-}
-
-// grant occupies a channel from cycle now for max(occ, 1) cycles and
-// returns the cycle it frees. The channel is busy at every later cycle
-// before that, which is credited here, once; clipBusy takes back what lies
-// past the cycle the counters are read at.
-func grant(now, occ uint64, busy *uint64) uint64 {
-	occ = max(occ, 1)
-	*busy += occ - 1
-	return now + occ
-}
-
-// clipBusy returns the busy cycles credited by grant that fall at or after
-// cycle end. Grants on one channel never overlap, so only its latest grant
-// can reach past end.
-func clipBusy(end uint64, free ...uint64) (n uint64) {
-	for _, f := range free {
-		n += max(f, end) - end
-	}
-	return n
 }
