@@ -41,13 +41,10 @@ type barrier struct {
 	arrived  []int  // cores whose signals have been counted
 	latest   uint64 // device-time of the latest counted arrival
 
-	// Tree mode (T3E-style BSU virtual network, §2 of the paper): the
-	// barrier is realised as a degree-ary reduction tree over the
-	// ordinary interconnect; each hop costs hopLat cycles instead of the
-	// flat network's single wire delay, in both the up-sweep and the
-	// down-sweep.
-	treeDepth int
-	hopLat    uint64
+	// lat is the one-way latency to and from the global logic, charged on
+	// the way up and again on the way down: the wire latency on the flat
+	// network, depth*hopLat on a reduction tree.
+	lat uint64
 }
 
 // New returns a device with the given one-way wire latency.
@@ -62,7 +59,7 @@ func (n *Net) Register(id, nthreads int) {
 		panic(fmt.Sprintf("hwnet: barrier %d with %d threads", id, nthreads))
 	}
 	n.checkFree(id)
-	n.barriers[id] = &barrier{nthreads: nthreads}
+	n.barriers[id] = &barrier{nthreads: nthreads, lat: n.wireLat}
 }
 
 // RegisterTree configures barrier id as a T3E-style virtual barrier tree
@@ -70,21 +67,22 @@ func (n *Net) Register(id, nthreads int) {
 // virtual network over the ordinary interconnect, with barrier packets
 // given priority routing). The reduction tree has the given fan-in; every
 // level traversed costs hopLat cycles on the way up and again on the way
-// down, replacing the flat network's wire latency.
+// down, replacing the flat network's wire latency. A one-thread tree has
+// no level and keeps the wire latency.
 func (n *Net) RegisterTree(id, nthreads, degree int, hopLat uint64) {
 	if nthreads <= 0 || degree < 2 {
 		panic(fmt.Sprintf("hwnet: tree barrier %d with %d threads, degree %d", id, nthreads, degree))
 	}
 	n.checkFree(id)
-	depth := 0
+	depth := uint64(0)
 	for span := 1; span < nthreads; span *= degree {
 		depth++
 	}
-	n.barriers[id] = &barrier{
-		nthreads:  nthreads,
-		treeDepth: depth,
-		hopLat:    hopLat,
+	lat := n.wireLat
+	if depth > 0 {
+		lat = depth * hopLat
 	}
+	n.barriers[id] = &barrier{nthreads: nthreads, lat: lat}
 }
 
 // checkFree rejects a second registration of a live id: two generators
@@ -103,16 +101,6 @@ func (n *Net) get(id int) *barrier {
 	return b
 }
 
-// latency returns the barrier's one-way latencies to and from the global
-// logic.
-func (n *Net) latency(b *barrier) (up, down uint64) {
-	if b.treeDepth > 0 {
-		up = uint64(b.treeDepth) * b.hopLat
-		return up, up
-	}
-	return n.wireLat, n.wireLat
-}
-
 // Arrive records core's arrival at barrier id, signalled at cycle now. The
 // signal reaches the global logic after the wire latency. When the last
 // participant's signal lands, the release is driven back down the wires to
@@ -120,15 +108,11 @@ func (n *Net) latency(b *barrier) (up, down uint64) {
 func (n *Net) Arrive(now uint64, core, id int) {
 	b := n.get(id)
 	n.Arrivals++
-	up, down := n.latency(b)
-	effective := now + up
-	if effective > b.latest {
-		b.latest = effective
-	}
+	b.latest = max(b.latest, now+b.lat)
 	b.arrived = append(b.arrived, core)
 	if len(b.arrived) == b.nthreads {
 		n.Releases++
-		at := b.latest + down
+		at := b.latest + b.lat
 		for _, c := range b.arrived {
 			r := release{at: at, core: c, id: id}
 			if i := n.find(c, id); i >= 0 {
@@ -177,8 +161,7 @@ func (n *Net) Parked(now uint64, core, id int) bool {
 	if i := n.find(core, id); i >= 0 {
 		return now < n.pending[i].at
 	}
-	up, down := n.latency(b)
-	return up+down > 0
+	return b.lat > 0
 }
 
 // NextRelease returns the earliest cycle at which a release Due has not yet
