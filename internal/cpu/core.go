@@ -108,9 +108,8 @@ const (
 	faultBadLoad              // misaligned or null load
 	faultMisaligned           // misaligned store
 	faultNullStore
-	faultBadSC   // misaligned or null SC
-	faultBad     // BAD, at dispatch
-	faultIllegal // a class no function unit executes, at issue
+	faultBadSC // misaligned or null SC
+	faultBad   // BAD, at dispatch
 )
 
 // faultText formats each fault from the entry's access size, address, pc
@@ -121,7 +120,6 @@ var faultText = [...]string{
 	faultNullStore:  "cpu: null store to %#[2]x at pc %#[3]x",
 	faultBadSC:      "cpu: bad SC to %#[2]x at pc %#[3]x",
 	faultBad:        "cpu: illegal instruction at %#[3]x",
-	faultIllegal:    "cpu: illegal instruction %[4]v at %#[3]x",
 }
 
 func (e *entry) err() error { return fmt.Errorf(faultText[e.fault], e.memBytes, e.addr, e.pc, e.in.Op) }
@@ -973,15 +971,6 @@ func (c *Core) issueStage(now uint64) {
 			}
 			intUsed++
 			c.executeCacheOp(now, e)
-		default:
-			// BAD and anything unknown: fault at commit.
-			e.issued = true
-			e.done = true
-			e.fault = faultIllegal
-			c.broadcast(e)
-			c.ready.removeAt(i)
-			i--
-			continue // takes no issue slot
 		}
 		issued++
 		c.ready.removeAt(i)

@@ -4,19 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/isa"
 )
 
 // TestFaultTexts pins the text of every fault the pipeline raises, byte for
 // byte: these strings reach chaos reports and cached cell bytes, so a change
-// to how a fault is recorded must not alter one. The last case reaches
-// issueStage's fallback for a class it has no unit for, which no decoded
-// word has: it dispatches a hand-made record.
+// to how a fault is recorded must not alter one.
 func TestFaultTexts(t *testing.T) {
 	for _, tc := range []struct {
-		name, src string
-		inject    *isa.Decoded // dispatched first, with fetch stopped
-		want      string
+		name, src, want string
 	}{
 		{name: "bad load", src: `
 	li t0, 0x100001
@@ -40,19 +35,12 @@ func TestFaultTexts(t *testing.T) {
 		{name: "BAD at dispatch", src: `
 	li t0, 0x50000
 	jalr x0, 0(t0)`, want: "cpu: illegal instruction at 0x50000"},
-		{name: "unknown class at issue", src: `
-	halt`, inject: &isa.Decoded{In: isa.Inst{Op: isa.ADD}, Class: isa.Class(99), Src0: -1, Src1: -1, Dest: -1},
-			want: "cpu: illegal instruction add at 0x10000"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := asm.MustAssemble(tc.src, textBase, 0x100000)
 			r := newRig(t, 1, p)
 			c := r.cores[0]
 			r.start(0, 0, 1, p.Entry)
-			if tc.inject != nil {
-				c.fetchBuf.push(fetchedInst{pc: p.Entry, d: tc.inject, predNext: p.Entry + isa.WordBytes})
-				c.fetchStopped = true
-			}
 			for i := 0; i < 100_000 && c.Running(); i++ {
 				r.tick(c)
 				r.sys.Tick(r.now)

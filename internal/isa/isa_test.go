@@ -67,6 +67,9 @@ func TestInfoTables(t *testing.T) {
 		if inf.Name == "" {
 			t.Errorf("opcode %d has no Info entry", op)
 		}
+		if inf.Class < ClassALU || inf.Class > ClassOther {
+			t.Errorf("%s: class %d is not one the pipeline has a unit or a serializing path for", inf.Name, inf.Class)
+		}
 		if inf.WritesRd && inf.WritesFd {
 			t.Errorf("%s writes both register files", inf.Name)
 		}
