@@ -44,7 +44,7 @@ go run ./cmd/srvet -barrier filter-d -threads 8 examples/asm/reduce.s
 go test -count=1 -run '^TestCorpus$' ./internal/vet
 go run ./cmd/srisc-as examples/asm/hello.s >/dev/null
 
-echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path and degradation policy, a HWBAR wait outlasting a preemption, verifier, fabrics and their queued-source bitsets against a full scan, ring queue) =="
+echo "== go test -race (parallel harness, typed cell sweeps and their journals, chaos attempt path and degradation policy, a HWBAR wait outlasting a preemption, verifier, the arbiter and the mesh against full scans of their rules, ring queue) =="
 go test -race -run 'TestRunner|TestParallelFig4Deterministic|TestChaosAttemptDegradation|TestChaosPolicy|TestRunCells|TestJournal|TestHWBarPreemptIdentical' ./internal/harness
 go test -race ./internal/vet ./internal/asm ./internal/hbcheck
 go test -race ./internal/interconnect ./internal/mem ./internal/sim
