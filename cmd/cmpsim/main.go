@@ -111,7 +111,7 @@ func main() {
 // tracer is the -trace probe consumer.
 type tracer struct{ w io.Writer }
 
-var eventNames = [...]string{"", "commit", "load", "store", "hwbar-arrive", "hwbar-release", "mem",
+var eventNames = [...]string{"", "commit", "load", "store", "mem",
 	"barrier-arrive", "barrier-open", "lock-grant", "lock-release"}
 
 // OnEvent prints e as "<cycle> <kind>" and the fields its kind sets.
@@ -122,8 +122,6 @@ func (t tracer) OnEvent(e mem.Event) {
 		fmt.Fprintf(t.w, "core%d pc=%#x next=%#x dest=%d val=%#x\n", e.Core, e.PC, e.Next, e.Dest, e.Value)
 	case mem.EvLoad, mem.EvStore:
 		fmt.Fprintf(t.w, "core%d pc=%#x addr=%#x size=%d\n", e.Core, e.PC, e.Addr, e.Size)
-	case mem.EvHWBarArrive, mem.EvHWBarRelease:
-		fmt.Fprintf(t.w, "core%d id=%d\n", e.Core, e.Key)
 	case mem.EvMem:
 		fmt.Fprintf(t.w, "%s\n", e.Txn)
 	default:

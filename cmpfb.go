@@ -61,15 +61,12 @@ const (
 // BarrierKind selects one of the paper's seven barrier mechanisms.
 type BarrierKind = barrier.Kind
 
-// The seven mechanisms.
+// The mechanisms the examples name; BarrierKinds lists all seven.
 const (
 	SWCentral = barrier.KindSWCentral
 	SWTree    = barrier.KindSWTree
-	HWNet     = barrier.KindHWNet
 	FilterI   = barrier.KindFilterI
 	FilterD   = barrier.KindFilterD
-	FilterIPP = barrier.KindFilterIPP
-	FilterDPP = barrier.KindFilterDPP
 )
 
 // BarrierKinds lists every mechanism in the paper's order.
@@ -166,13 +163,11 @@ type (
 
 // Experiment entry points.
 var (
-	DefaultExperimentOptions = harness.DefaultOptions
-	QuickExperimentOptions   = harness.QuickOptions
-	Table1                   = harness.Table1
-	Fig4                     = harness.Fig4
-	Fig5                     = harness.Fig5
-	Fig6                     = harness.Fig6
-	Fig7                     = harness.Fig7
-	Fig8                     = harness.Fig8
-	Fig10                    = harness.Fig10
+	Table1 = harness.Table1
+	Fig4   = harness.Fig4
+	Fig5   = harness.Fig5
+	Fig6   = harness.Fig6
+	Fig7   = harness.Fig7
+	Fig8   = harness.Fig8
+	Fig10  = harness.Fig10
 )

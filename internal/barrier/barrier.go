@@ -97,7 +97,6 @@ const (
 	RegB1    = 24 // s6: primary address (arrival address / counter)
 	RegB2    = 25 // s7: secondary address (exit address / release flag / twin arrival)
 	RegB3    = 26 // s8: reserved for barrier use
-	RegB4    = 27 // s9: reserved for barrier use
 	RegSense = 28 // s10: local sense
 	RegT8    = 29 // s11: barrier temp
 	RegT6    = 30 // t6: barrier temp
@@ -145,16 +144,14 @@ func NewAt(kind Kind, nthreads int, alloc *Allocator, bank int) (Generator, erro
 		return newSWCentral(nthreads, alloc), nil
 	case KindSWTree:
 		return newSWTree(nthreads, alloc)
-	case KindHWNet:
-		return newHWNet(nthreads, alloc), nil
+	case KindHWNet, KindHWTree:
+		return newHWNet(kind, nthreads, alloc), nil
 	case KindFilterI, KindFilterIPP, KindFilterD, KindFilterDPP:
 		return newFilterBarrier(kind, nthreads, alloc, bank), nil
 	case KindSWTicket:
 		return newSWTicket(nthreads, alloc), nil
 	case KindSWArray:
 		return newSWArray(nthreads, alloc), nil
-	case KindHWTree:
-		return newHWTree(nthreads, alloc), nil
 	}
 	return nil, fmt.Errorf("barrier: unknown kind %d", int(kind))
 }

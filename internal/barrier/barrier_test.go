@@ -335,6 +335,19 @@ func TestCullerClaim(t *testing.T) {
 	}
 }
 
+// TestTreeDepth: a reduction tree's depth follows its fan-in: a binary tree
+// over 16 threads has 4 levels, a quad tree 2, and one thread none.
+func TestTreeDepth(t *testing.T) {
+	for _, c := range []struct {
+		n, fanIn int
+		want     uint64
+	}{{16, 2, 4}, {16, 4, 2}, {64, 4, 3}, {5, 4, 2}, {1, 4, 0}} {
+		if got := depth(c.n, c.fanIn); got != c.want {
+			t.Errorf("depth(%d, %d) = %d, want %d", c.n, c.fanIn, got, c.want)
+		}
+	}
+}
+
 // TestHWTreeBarrier: the T3E-style virtual tree synchronizes correctly and
 // sits between the flat dedicated network and the filter barriers in
 // latency.

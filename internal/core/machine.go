@@ -199,7 +199,7 @@ func NewMachine(cfg Config) *Machine {
 	cfg.Mem.Cores = cfg.Cores
 	m := &Machine{Cfg: cfg}
 	m.Sys = mem.NewSystem(cfg.Mem)
-	m.Net = hwnet.New(cfg.CPU.HWBarrierWireLat)
+	m.Net = hwnet.New()
 	for b := 0; b < cfg.Mem.L2Banks; b++ {
 		h := filter.NewBankFilters(cfg.FilterSlotsPerBank)
 		h.Cap = cfg.Mem.FilterCap
@@ -305,6 +305,7 @@ func (m *Machine) Attach(p mem.Probe) {
 		c.SetProbe(p)
 	}
 	m.Sys.SetProbe(p)
+	m.Net.SetProbe(p)
 	for _, h := range m.Hooks {
 		h.SetProbe(p)
 	}

@@ -243,7 +243,7 @@ flagv:
 	p := asm.MustAssemble(src, TextBase, DataBase)
 	m := NewMachine(DefaultConfig(4))
 	m.Load(p)
-	m.Net.Register(0, 4)
+	m.Net.Register(0, 4, uint64(m.Cfg.CPU.HWBarrierWireLat))
 	m.StartSPMD(p.Entry, 4)
 	if _, err := m.Run(1000000); err != nil {
 		t.Fatalf("run: %v", err)

@@ -769,16 +769,10 @@ func (c *Core) trySerializing(now uint64, e *entry) bool {
 		c.volatile++
 		if !c.hwbarSent {
 			c.bnet.Arrive(now, c.ID, int(e.in.Imm))
-			if c.probe != nil {
-				c.probe.OnEvent(mem.Event{Kind: mem.EvHWBarArrive, Now: now, Core: c.ID, Key: uint64(e.in.Imm)})
-			}
 			c.hwbarSent = true
 			return false
 		}
 		if c.bnet.TryRelease(now, c.ID, int(e.in.Imm)) {
-			if c.probe != nil {
-				c.probe.OnEvent(mem.Event{Kind: mem.EvHWBarRelease, Now: now, Core: c.ID, Key: uint64(e.in.Imm)})
-			}
 			// One cycle to check and reset the local status register.
 			c.execute(e, now+1)
 			c.hwbarSent = false

@@ -1,7 +1,7 @@
 // Package hbcheck is the dynamic happens-before oracle for the static
 // verifier (package vet): a vector-clock data-race checker driven by the
 // simulator's committed memory-access stream and by the barrier-ordering
-// events of the filter tables and the dedicated barrier network.
+// events of the filter tables and the barrier network.
 //
 // The checker mirrors the sanitizer's read-only observer discipline: it
 // never touches machine state, so a race-free run is bit-identical with the
@@ -10,18 +10,17 @@
 // are never wrong-path), so the observed stream is exactly the memory
 // order the coherence protocol serialized.
 //
-// Happens-before edges come from four synchronization sources:
+// Happens-before edges come from three synchronization sources:
 //
-//   - Filter barriers: every arrival invalidation joins the arriving
-//     thread's clock into the filter's accumulator (release); when the last
-//     arrival opens the barrier, the accumulator joins into every
-//     participating thread's clock (acquire). Timeout and evict releases
-//     deliberately get no credit — they are protocol errors, not
-//     synchronization.
-//   - HWBAR: arrivals accumulate per barrier id; a successful release
-//     acquires the episode's accumulated clock. Episodes are delimited by
-//     the first release after a full arrival round, so back-to-back
-//     invocations do not leak order across episodes.
+//   - Barriers, filter or network: every counted arrival joins the
+//     arriving thread's clock into the barrier's accumulator (release);
+//     when the last arrival opens the barrier, the accumulator joins into
+//     every participating thread's clock (acquire) and is cleared, so a
+//     next episode's arrivals never leak into this one. A network
+//     barrier's waiters commit and perform nothing between the opening and
+//     their release, so acquiring at the opening is exact. Timeout and
+//     evict releases deliberately get no credit — they are protocol
+//     errors, not synchronization.
 //   - Hardware locks: a release invalidation joins the holder's clock
 //     into the lock table entry's accumulator; the next grant joins the
 //     accumulator into the grantee, ordering consecutive critical
@@ -99,28 +98,15 @@ type cell struct {
 	r    []access // indexed by thread; clk 0 = no read
 }
 
-// hwAcc tracks one HWBAR id. cur accumulates the current episode's
-// arrivals; the first release of an episode snapshots cur into open (every
-// participant has arrived by then, and none can re-arrive before its own
-// release), so later next-episode arrivals cannot leak into this episode's
-// acquires.
-type hwAcc struct {
-	cur, open []uint64
-	arrived   int // arrivals accumulated in cur
-	expect    int // releases outstanding this episode
-	released  int
-}
-
 // Checker is the vector-clock race detector. It is a mem.Probe, read-only
 // with respect to the simulated machine.
 type Checker struct {
 	cfg    Config
 	clocks [][]uint64 // per-thread vector clocks
-	// Release accumulators: per 8-byte sync cell, per filter barrier (its
+	// Release accumulators: per 8-byte sync cell, per barrier (its
 	// arrivals between openings) and per lock, the last two by primitive
 	// key (mem.Event).
 	sync, bars, locks map[uint64][]uint64
-	hw                map[uint64]*hwAcc
 	shadow            map[uint64]*cell
 
 	races   []Race
@@ -142,7 +128,6 @@ func New(cfg Config, nthreads int) *Checker {
 		sync:   map[uint64][]uint64{},
 		bars:   map[uint64][]uint64{},
 		locks:  map[uint64][]uint64{},
-		hw:     map[uint64]*hwAcc{},
 		shadow: map[uint64]*cell{},
 		seen:   map[[5]uint64]bool{},
 	}
@@ -221,7 +206,7 @@ func (c *Checker) record(r Race) {
 }
 
 // OnEvent implements mem.Probe: loads are observed at commit, stores as
-// they perform, and the synchronization kinds are the four edge sources of
+// they perform, and the synchronization kinds are the three edge sources of
 // the package comment. A hardware lock's release invalidation is a DCBI —
 // neither a load nor a store — so the software-barrier rule never sees the
 // hand-off; the lock table reports it instead.
@@ -253,23 +238,6 @@ func (c *Checker) OnEvent(e mem.Event) {
 		} else if vc, ok := c.sync[e.Addr&^7]; ok {
 			joinInto(ct, vc)
 		}
-	case mem.EvHWBarArrive:
-		h := c.hwEpisode(e.Key)
-		c.release(h.cur, t)
-		h.arrived++
-	case mem.EvHWBarRelease:
-		h := c.hwEpisode(e.Key)
-		if h.released == 0 {
-			copy(h.open, h.cur)
-			zero(h.cur)
-			h.expect = h.arrived
-			h.arrived = 0
-		}
-		joinInto(ct, h.open)
-		h.released++
-		if h.released >= h.expect {
-			h.released = 0
-		}
 	case mem.EvBarrierArrive:
 		c.release(c.accumulator(c.bars, e.Key), t)
 	case mem.EvLockGrant:
@@ -296,16 +264,6 @@ func (c *Checker) accumulator(accs map[uint64][]uint64, key uint64) []uint64 {
 		accs[key] = vc
 	}
 	return vc
-}
-
-// hwEpisode returns HWBAR id's episode tracker, creating it.
-func (c *Checker) hwEpisode(id uint64) *hwAcc {
-	h := c.hw[id]
-	if h == nil {
-		h = &hwAcc{cur: make([]uint64, len(c.clocks)), open: make([]uint64, len(c.clocks))}
-		c.hw[id] = h
-	}
-	return h
 }
 
 // --- shadow memory -------------------------------------------------------

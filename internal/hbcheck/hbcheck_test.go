@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hwnet"
 	"repro/internal/mem"
 )
 
@@ -21,14 +22,6 @@ func store(c *Checker, now uint64, core int, pc, addr uint64) {
 
 func load(c *Checker, now uint64, core int, pc, addr uint64) {
 	c.OnEvent(mem.Event{Kind: mem.EvLoad, Now: now, Core: core, PC: pc, Addr: addr, Size: 8})
-}
-
-func hwbar(c *Checker, now uint64, core int, id uint64, release bool) {
-	kind := mem.EvHWBarArrive
-	if release {
-		kind = mem.EvHWBarRelease
-	}
-	c.OnEvent(mem.Event{Kind: kind, Now: now, Core: core, Key: id})
 }
 
 // barKey is a two-thread filter barrier's key: its thread 0 arrival line.
@@ -131,25 +124,33 @@ func TestFilterBarrierDoesNotOrderLaterWork(t *testing.T) {
 	}
 }
 
-// TestHWBarEpisodes: HWBAR arrivals/releases order cross-thread accesses,
-// and a fast thread arriving at the next episode before a slow thread's
-// release does not corrupt the slow thread's acquire.
+// TestHWBarEpisodes: a barrier network, with the checker as its probe,
+// orders cross-thread accesses, and a fast thread arriving at the next
+// episode before a slow thread's release is not ordered into the previous
+// opening.
 func TestHWBarEpisodes(t *testing.T) {
 	c := newChecker(2)
+	n := hwnet.New()
+	n.SetProbe(c)
+	n.Register(3, 2, 2)
 	store(c, 10, 0, 0x10000, 0x7000)
-	hwbar(c, 20, 0, 3, false)
-	hwbar(c, 21, 1, 3, false)
-	hwbar(c, 22, 0, 3, true)
+	n.Arrive(20, 0, 3)
+	n.Arrive(21, 1, 3) // opens; both released at cycle 25
+	if !n.TryRelease(25, 0, 3) {
+		t.Fatal("thread 0 not released")
+	}
 	// Thread 0 races ahead and arrives at the next episode before thread 1
 	// has released the first.
-	store(c, 23, 0, 0x10004, 0x7008)
-	hwbar(c, 24, 0, 3, false)
-	hwbar(c, 25, 1, 3, true)
+	store(c, 26, 0, 0x10004, 0x7008)
+	n.Arrive(27, 0, 3)
+	if !n.TryRelease(28, 1, 3) {
+		t.Fatal("thread 1 not released")
+	}
 	load(c, 30, 1, 0x10008, 0x7000)
 	if len(c.Races()) != 0 {
 		t.Fatalf("hwbar-ordered accesses reported as races: %v", c.Races())
 	}
-	// Thread 1's release acquired episode 1 only: thread 0's post-release
+	// Thread 1 acquired episode 1's opening only: thread 0's post-release
 	// store at 0x7008 is NOT ordered before it.
 	store(c, 40, 1, 0x1000c, 0x7008)
 	if len(c.Races()) == 0 {

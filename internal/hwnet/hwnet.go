@@ -1,21 +1,26 @@
-// Package hwnet models the aggressive dedicated-barrier-network baseline the
-// paper compares against (based on Beckmann & Polychronopoulos): a global
-// AND over per-core arrival bits reached through dedicated wires. Following
-// §4 of the paper, the model charges a two-cycle latency to and from the
-// global logic; the core stalls immediately after executing the HWBAR
+// Package hwnet models the barrier network, one wired-AND device for the
+// paper's aggressive dedicated-network baseline (§4, after Beckmann &
+// Polychronopoulos: a global AND over per-core arrival bits reached through
+// dedicated wires, two cycles to and from the global logic) and for the
+// T3E-style virtual barrier tree, whose one-way latency is its reduction
+// tree's depth times a per-hop cost. Each barrier is registered with its
+// one-way latency. The core stalls immediately after executing the HWBAR
 // instruction, and restarting costs only checking and resetting a local
-// status register (modelled in the core).
+// status register (modelled in the core). Like a barrier filter, the device
+// reports every counted arrival and the opening to its probe.
 package hwnet
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/mem"
 )
 
 // Net is the barrier-network device shared by all cores.
 type Net struct {
-	wireLat  uint64
 	barriers map[int]*barrier
+	probe    mem.Probe
 
 	// pending holds every release driven down the wires and not yet
 	// consumed, at most one per core and barrier (a newer one replaces
@@ -42,56 +47,30 @@ type barrier struct {
 	latest   uint64 // device-time of the latest counted arrival
 
 	// lat is the one-way latency to and from the global logic, charged on
-	// the way up and again on the way down: the wire latency on the flat
-	// network, depth*hopLat on a reduction tree.
+	// the way up and again on the way down.
 	lat uint64
 }
 
-// New returns a device with the given one-way wire latency.
-func New(wireLat int) *Net {
-	return &Net{wireLat: uint64(wireLat), barriers: make(map[int]*barrier), wake: math.MaxUint64}
+// New returns a device with no barrier registered.
+func New() *Net {
+	return &Net{barriers: make(map[int]*barrier), wake: math.MaxUint64}
 }
 
-// Register configures barrier id for nthreads participants on the flat
-// wired-AND network (the paper's Beckmann/Polychronopoulos baseline).
-func (n *Net) Register(id, nthreads int) {
+// Register configures barrier id for nthreads participants whose signals
+// take lat cycles to reach the global logic and lat more to come back.
+func (n *Net) Register(id, nthreads int, lat uint64) {
 	if nthreads <= 0 {
 		panic(fmt.Sprintf("hwnet: barrier %d with %d threads", id, nthreads))
 	}
-	n.checkFree(id)
-	n.barriers[id] = &barrier{nthreads: nthreads, lat: n.wireLat}
-}
-
-// RegisterTree configures barrier id as a T3E-style virtual barrier tree
-// (§2 related work: barrier/eureka synchronization units connected via a
-// virtual network over the ordinary interconnect, with barrier packets
-// given priority routing). The reduction tree has the given fan-in; every
-// level traversed costs hopLat cycles on the way up and again on the way
-// down, replacing the flat network's wire latency. A one-thread tree has
-// no level and keeps the wire latency.
-func (n *Net) RegisterTree(id, nthreads, degree int, hopLat uint64) {
-	if nthreads <= 0 || degree < 2 {
-		panic(fmt.Sprintf("hwnet: tree barrier %d with %d threads, degree %d", id, nthreads, degree))
-	}
-	n.checkFree(id)
-	depth := uint64(0)
-	for span := 1; span < nthreads; span *= degree {
-		depth++
-	}
-	lat := n.wireLat
-	if depth > 0 {
-		lat = depth * hopLat
+	if _, ok := n.barriers[id]; ok {
+		// Two generators sharing an id would count each other's arrivals.
+		panic(fmt.Sprintf("hwnet: barrier %d registered twice", id))
 	}
 	n.barriers[id] = &barrier{nthreads: nthreads, lat: lat}
 }
 
-// checkFree rejects a second registration of a live id: two generators
-// sharing an id would count each other's arrivals.
-func (n *Net) checkFree(id int) {
-	if _, ok := n.barriers[id]; ok {
-		panic(fmt.Sprintf("hwnet: barrier %d registered twice", id))
-	}
-}
+// SetProbe attaches p to the device's arrivals and openings (nil detaches).
+func (n *Net) SetProbe(p mem.Probe) { n.probe = p }
 
 func (n *Net) get(id int) *barrier {
 	b, ok := n.barriers[id]
@@ -102,12 +81,14 @@ func (n *Net) get(id int) *barrier {
 }
 
 // Arrive records core's arrival at barrier id, signalled at cycle now. The
-// signal reaches the global logic after the wire latency. When the last
+// signal reaches the global logic after the barrier's latency. When the last
 // participant's signal lands, the release is driven back down the wires to
-// every arrived core.
+// every arrived core. The probe sees the arrival and then, from the last
+// one, the opening, both at cycle now, in a barrier filter's order.
 func (n *Net) Arrive(now uint64, core, id int) {
 	b := n.get(id)
 	n.Arrivals++
+	n.emit(mem.EvBarrierArrive, now, core, id, b.nthreads)
 	b.latest = max(b.latest, now+b.lat)
 	b.arrived = append(b.arrived, core)
 	if len(b.arrived) == b.nthreads {
@@ -124,6 +105,13 @@ func (n *Net) Arrive(now uint64, core, id int) {
 		n.wake = min(n.wake, at)
 		b.arrived = b.arrived[:0]
 		b.latest = 0
+		n.emit(mem.EvBarrierOpen, now, -1, id, b.nthreads)
+	}
+}
+
+func (n *Net) emit(kind mem.EventKind, now uint64, core, id, nthreads int) {
+	if n.probe != nil {
+		n.probe.OnEvent(mem.Event{Kind: kind, Now: now, Core: core, Key: uint64(id), N: nthreads})
 	}
 }
 

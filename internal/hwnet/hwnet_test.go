@@ -3,13 +3,15 @@ package hwnet
 import (
 	"math"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 func TestBarrierReleaseTiming(t *testing.T) {
-	n := New(2) // 2-cycle wires
-	n.Register(0, 3)
-	n.Arrive(10, 0, 0) // effective at 12
-	n.Arrive(11, 1, 0) // effective at 13
+	n := New()
+	n.Register(0, 3, 2) // 2-cycle wires
+	n.Arrive(10, 0, 0)  // effective at 12
+	n.Arrive(11, 1, 0)  // effective at 13
 	if n.TryRelease(100, 0, 0) {
 		t.Fatal("released before all arrived")
 	}
@@ -31,8 +33,8 @@ func TestBarrierReleaseTiming(t *testing.T) {
 }
 
 func TestBarrierReuse(t *testing.T) {
-	n := New(2)
-	n.Register(1, 2)
+	n := New()
+	n.Register(1, 2, 2)
 	for episode := 0; episode < 3; episode++ {
 		base := uint64(episode * 100)
 		n.Arrive(base, 0, 1)
@@ -47,9 +49,9 @@ func TestBarrierReuse(t *testing.T) {
 }
 
 func TestIndependentBarriers(t *testing.T) {
-	n := New(2)
-	n.Register(0, 2)
-	n.Register(1, 2)
+	n := New()
+	n.Register(0, 2, 2)
+	n.Register(1, 2, 2)
 	n.Arrive(0, 0, 0)
 	n.Arrive(0, 0, 1)
 	n.Arrive(0, 1, 1)
@@ -67,7 +69,7 @@ func TestUnregisteredPanics(t *testing.T) {
 			t.Fatal("expected panic for unregistered barrier")
 		}
 	}()
-	New(2).Arrive(0, 0, 9)
+	New().Arrive(0, 0, 9)
 }
 
 func TestRegisterValidation(t *testing.T) {
@@ -76,34 +78,30 @@ func TestRegisterValidation(t *testing.T) {
 			t.Fatal("expected panic for zero threads")
 		}
 	}()
-	New(2).Register(0, 0)
+	New().Register(0, 0, 2)
 }
 
-// TestRegisterRejectsLiveID: a second registration of an id, flat or tree,
-// panics like a bad thread count does.
+// TestRegisterRejectsLiveID: a second registration of an id, at any
+// latency, panics like a bad thread count does.
 func TestRegisterRejectsLiveID(t *testing.T) {
-	for name, again := range map[string]func(n *Net){
-		"flat": func(n *Net) { n.Register(0, 2) },
-		"tree": func(n *Net) { n.RegisterTree(0, 2, 4, 3) },
-	} {
-		n := New(2)
-		n.Register(0, 2)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: a second registration of id 0 did not panic", name)
-				}
-			}()
-			again(n)
-		}()
-	}
+	n := New()
+	n.Register(0, 2, 2)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second registration of id 0 did not panic")
+		}
+	}()
+	n.Register(0, 2, 6)
 }
 
+// TestTreeBarrierLatencyScalesWithDepth: a release lands twice the one-way
+// latency after the last arrival, whether that latency is the flat wires'
+// or a reduction tree's depth times its hop cost.
 func TestTreeBarrierLatencyScalesWithDepth(t *testing.T) {
-	n := New(2)
-	n.Register(0, 16)           // flat wired-AND
-	n.RegisterTree(1, 16, 2, 3) // binary tree, 3 cycles per hop: depth 4
-	n.RegisterTree(2, 16, 4, 3) // quad tree: depth 2
+	n := New()
+	n.Register(0, 16, 2)  // flat wired-AND
+	n.Register(1, 16, 12) // binary tree, 3 cycles per hop: depth 4
+	n.Register(2, 16, 6)  // quad tree: depth 2
 
 	release := func(id int) uint64 {
 		for c := 0; c < 16; c++ {
@@ -136,23 +134,14 @@ func TestTreeBarrierLatencyScalesWithDepth(t *testing.T) {
 	}
 }
 
-func TestRegisterTreeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for degree < 2")
-		}
-	}()
-	New(2).RegisterTree(0, 8, 1, 3)
-}
-
 // TestReleaseRecordsWakeOnce: a waiter is Parked until its release is
 // visible; NextRelease announces the cycle before anyone polls, Due reports
 // each release once, at that cycle, and a consumed release is gone. A
 // zero-latency barrier releases at its last arrival's cycle, which no
 // announcement can precede, so its waiters are never Parked.
 func TestReleaseRecordsWakeOnce(t *testing.T) {
-	n := New(2)
-	n.Register(0, 2)
+	n := New()
+	n.Register(0, 2, 2)
 	if n.NextRelease() != math.MaxUint64 {
 		t.Fatalf("NextRelease %d with nothing pending", n.NextRelease())
 	}
@@ -184,10 +173,63 @@ func TestReleaseRecordsWakeOnce(t *testing.T) {
 		t.Fatal("a consumed release still shows")
 	}
 
-	z := New(0)
-	z.Register(0, 2)
+	z := New()
+	z.Register(0, 2, 0)
 	z.Arrive(5, 0, 0)
 	if z.Parked(6, 0, 0) {
 		t.Fatal("a zero-latency barrier's waiter is parked")
+	}
+}
+
+// recorder is a probe that keeps every event.
+type recorder []mem.Event
+
+func (r *recorder) OnEvent(e mem.Event) { *r = append(*r, e) }
+
+// TestProbeSeesArrivalsAndOpenings: like a barrier filter, the device
+// reports each counted arrival and then, from the completing one, one
+// opening keyed by the barrier id, whatever the barrier's latency, and once
+// per episode when episodes run back to back.
+func TestProbeSeesArrivalsAndOpenings(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		lat      uint64
+		episodes int
+	}{
+		{"flat", 2, 1},
+		{"tree", 6, 1},
+		{"zero-latency", 0, 1},
+		{"back-to-back", 2, 3},
+	} {
+		var got recorder
+		n := New()
+		n.SetProbe(&got)
+		n.Register(5, 3, c.lat)
+		var want []mem.Event
+		now := uint64(10)
+		for ep := 0; ep < c.episodes; ep++ {
+			for core := 0; core < 3; core++ {
+				now++
+				n.Arrive(now, core, 5)
+				want = append(want, mem.Event{Kind: mem.EvBarrierArrive, Now: now, Core: core, Key: 5, N: 3})
+			}
+			want = append(want, mem.Event{Kind: mem.EvBarrierOpen, Now: now, Core: -1, Key: 5, N: 3})
+			for core := 0; core < 3; core++ {
+				if !n.TryRelease(now+2*c.lat, core, 5) {
+					t.Fatalf("%s: episode %d: core %d not released", c.name, ep, core)
+				}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, want %d: %+v", c.name, len(got), len(want), got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: event %d is %+v, want %+v", c.name, i, got[i], want[i])
+			}
+		}
+		if n.Arrivals != uint64(3*c.episodes) || n.Releases != uint64(c.episodes) {
+			t.Errorf("%s: %d arrivals, %d releases", c.name, n.Arrivals, n.Releases)
+		}
 	}
 }

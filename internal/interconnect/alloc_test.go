@@ -50,3 +50,24 @@ func TestSourceQueueSteadyStateNoAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsIntoNoAlloc: reading a fabric's counters allocates nothing, on
+// every fabric: the counter names are built once, not per read.
+func TestStatsIntoNoAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	g := Geometry{Cores: 8, Banks: 4, MeshW: 4, MeshH: 2, LinkLat: 1, PortBW: 1}
+	var sum int
+	set := func(name string, v uint64) { sum += len(name) + int(v) }
+	for _, kind := range Kinds {
+		drop := func(int, int, uint64) {}
+		f, err := New(kind, g, Delivery[int]{Req: drop, Resp: drop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { f.StatsInto(0, set) }); allocs != 0 {
+			t.Errorf("%v: StatsInto allocates %.0f times per read", kind, allocs)
+		}
+	}
+}

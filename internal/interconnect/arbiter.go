@@ -264,16 +264,23 @@ func (a *Arbiter[P]) NextEvent(now uint64) (event uint64, ok bool) {
 // Quiet reports whether every source queue is empty.
 func (a *Arbiter[P]) Quiet() bool { return a.req.n == 0 && a.resp.n == 0 }
 
+// statNames holds each kind's counter names, joined once: StatsInto allocates nothing.
+var statNames = func() (t [KindOptical + 1][6]string) {
+	for _, k := range Kinds {
+		p := k.String() + "."
+		t[k] = [6]string{p + "request_grants", p + "request_busy_cycles", p + "response_grants",
+			p + "response_busy_cycles", p + "max_request_queue", p + "max_response_queue"}
+	}
+	return t
+}()
+
 // StatsInto emits the counters under the kind's prefix; the fabric golden
 // depends on these keys and values being stable.
 func (a *Arbiter[P]) StatsInto(end uint64, set func(name string, v uint64)) {
-	p := a.kind.String()
-	set(p+".request_grants", a.req.grants)
-	set(p+".request_busy_cycles", a.req.busy-a.req.clip(end))
-	set(p+".response_grants", a.resp.grants)
-	set(p+".response_busy_cycles", a.resp.busy-a.resp.clip(end))
-	set(p+".max_request_queue", uint64(a.req.maxLen))
-	set(p+".max_response_queue", uint64(a.resp.maxLen))
+	for i, v := range [...]uint64{a.req.grants, a.req.busy - a.req.clip(end), a.resp.grants,
+		a.resp.busy - a.resp.clip(end), uint64(a.req.maxLen), uint64(a.resp.maxLen)} {
+		set(statNames[a.kind][i], v)
+	}
 }
 
 // ReqLinkName names the link a request crosses: the bus keeps its

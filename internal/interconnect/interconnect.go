@@ -22,10 +22,9 @@
 // idle cycles were ticked: busy cycles are credited at grant time and
 // clipped to the reading cycle by StatsInto, so a direction with nothing
 // queued returns from Tick at once. Every fabric preserves per-source FIFO
-// ordering toward a fixed
-// destination, the same-address ordering the barrier sequences rely on (an
-// ICBI/DCBI always reaches the bank before the fill the same core issues
-// afterwards).
+// ordering toward a fixed destination, the same-address ordering the
+// barrier sequences rely on (an ICBI/DCBI always reaches the bank before
+// the fill the same core issues afterwards).
 package interconnect
 
 import (

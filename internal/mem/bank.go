@@ -36,15 +36,22 @@ type BankHook interface {
 }
 
 // dirEntry is the full-map directory state for one line: which L1Ds and
-// L1Is may hold it and which core (if any) owns it in Modified state. The
-// directory is idealized (untagged, unbounded), standing in for the snoopy
-// broadcast of the paper's bus without transient-state complexity. Sharer
-// sets are variable-width bitsets, so the directory imposes no core-count
-// cap.
+// L1Is may hold it, which core (if any) owns it in Modified state, and who
+// last received it exclusively. The directory is idealized (untagged,
+// unbounded), standing in for the snoopy broadcast of the paper's bus
+// without transient-state complexity. Sharer sets are variable-width
+// bitsets, so the directory imposes no core-count cap.
+//
+// holder and delivered are the grant-hold record: delivered is the cycle
+// the exclusive fill or upgrade ack reached holder (0 while still in
+// flight); the hold window runs from delivery so that bus congestion cannot
+// let a competitor snipe a grant before its owner has even seen the line.
 type dirEntry struct {
-	dSharers Sharers
-	iSharers Sharers
-	owner    int16 // -1 when no L1 holds the line Modified
+	dSharers  Sharers
+	iSharers  Sharers
+	owner     int16 // -1 when no L1 holds the line Modified
+	holder    int16 // -1 when no grant is held
+	delivered uint64
 }
 
 // Bank is one bank of the shared L2 plus its slice of the directory and an
@@ -60,19 +67,9 @@ type Bank struct {
 	inQ      []timedTxn
 	refillQ  []timedTxn
 	pendMiss map[uint64][]Txn // line addr -> requests awaiting L3/DRAM
-	grants   map[uint64]grant // line addr -> most recent fill grant
 
 	// Statistics.
 	Hits, MissesToL3, Invals, Upgrades, WBs, Parked, Faults, Released uint64
-}
-
-// grant records who last received a line exclusively. delivered is the
-// cycle the fill/ack actually reached the core (0 while still in flight);
-// the hold window runs from delivery so that bus congestion cannot let a
-// competitor snipe a grant before its owner has even seen the line.
-type grant struct {
-	core      int
-	delivered uint64 // 0 = fill still in flight
 }
 
 func newBank(sys *System, idx int) *Bank {
@@ -83,47 +80,36 @@ func newBank(sys *System, idx int) *Bank {
 		cache:    NewCache("L2", cfg.L2Size/cfg.L2Banks, cfg.L2Assoc, cfg.LineBytes),
 		dir:      make(map[uint64]*dirEntry),
 		pendMiss: make(map[uint64][]Txn),
-		grants:   make(map[uint64]grant),
 	}
 }
 
 // heldFor reports whether addr is inside another core's grant-hold window,
 // returning the cycle at which the conflicting request may retry.
 func (bk *Bank) heldFor(now uint64, addr uint64, core int) (uint64, bool) {
-	g, ok := bk.grants[addr]
-	if !ok {
+	e, ok := bk.dir[addr]
+	if !ok || e.holder < 0 {
 		return 0, false
 	}
-	if g.core == core {
-		delete(bk.grants, addr)
+	if int(e.holder) == core {
+		e.holder = -1
 		return 0, false
 	}
-	if g.delivered == 0 {
+	if e.delivered == 0 {
 		// Fill still in flight: poll again shortly.
 		return now + 8, true
 	}
 	hold := uint64(bk.sys.Cfg.GrantHoldCycles)
-	if now >= g.delivered+hold {
-		delete(bk.grants, addr)
+	if now >= e.delivered+hold {
+		e.holder = -1
 		return 0, false
 	}
-	return g.delivered + hold, true
+	return e.delivered + hold, true
 }
 
 // grantDelivered records that the exclusive fill for addr reached its core.
 func (bk *Bank) grantDelivered(addr uint64, core int, now uint64) {
-	if g, ok := bk.grants[addr]; ok && g.core == core && g.delivered == 0 {
-		g.delivered = now
-		bk.grants[addr] = g
-	}
-	// Bound the map: sweep stale delivered grants occasionally.
-	if len(bk.grants) > 8192 {
-		hold := uint64(bk.sys.Cfg.GrantHoldCycles)
-		for a, g := range bk.grants {
-			if g.delivered != 0 && now > g.delivered+4*hold {
-				delete(bk.grants, a)
-			}
-		}
+	if e, ok := bk.dir[addr]; ok && int(e.holder) == core && e.delivered == 0 {
+		e.delivered = now
 	}
 }
 
@@ -164,7 +150,7 @@ func (bk *Bank) L2Peek(addr uint64) LineState { return bk.cache.Peek(addr) }
 func (bk *Bank) entry(addr uint64) *dirEntry {
 	e, ok := bk.dir[addr]
 	if !ok {
-		e = &dirEntry{owner: -1}
+		e = &dirEntry{owner: -1, holder: -1}
 		bk.dir[addr] = e
 	}
 	return e
@@ -336,7 +322,7 @@ func (bk *Bank) serviceFill(now uint64, t Txn) {
 	}
 
 	if t.Kind == GetM {
-		bk.grants[t.Addr] = grant{core: t.Core}
+		e.holder, e.delivered = int16(t.Core), 0
 	}
 	if bk.cache.Lookup(t.Addr) != Invalid {
 		bk.Hits++
@@ -392,8 +378,8 @@ func (bk *Bank) respond(now uint64, t Txn, errFill bool) {
 
 func (bk *Bank) processUpgrade(now uint64, t Txn) {
 	bk.Upgrades++
-	bk.grants[t.Addr] = grant{core: t.Core}
 	e := bk.entry(t.Addr)
+	e.holder, e.delivered = int16(t.Core), 0
 	penalty := 0
 	for c := e.dSharers.Next(0); c >= 0; c = e.dSharers.Next(c + 1) {
 		if c != t.Core {

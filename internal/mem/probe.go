@@ -7,11 +7,9 @@ const (
 	EvCommit        EventKind = iota + 1 // an instruction retires: Core, PC, Next, Dest (-1: none), Value
 	EvLoad                               // a load commits: Core, PC, Addr, Size
 	EvStore                              // a store performs (store-buffer drain, SC success): Core, PC, Addr, Size
-	EvHWBarArrive                        // HWBAR signals its arrival: Core, Key (the barrier id)
-	EvHWBarRelease                       // HWBAR's release check succeeds: Core, Key
 	EvMem                                // a response delivered, an invalidation applied, a parked fill released: Txn
-	EvBarrierArrive                      // a barrier filter accepts thread Core's arrival: Core, Key, N
-	EvBarrierOpen                        // the last arrival opens it: Key, N (Core -1)
+	EvBarrierArrive                      // a barrier filter or the barrier network counts thread Core's arrival: Core, Key, N
+	EvBarrierOpen                        // the last arrival opens the barrier: Key, N (Core -1)
 	EvLockGrant                          // a hardware lock is granted to thread Core: Core, Key, N
 	EvLockRelease                        // thread Core releases it: Core, Key, N
 )
@@ -24,7 +22,8 @@ const (
 // misprediction recovery. A sync primitive's Key is its thread 0's filtered
 // line: the allocator hands each line out once and a bank resolves a
 // filtered line to a single primitive, so two live primitives never share
-// one. N is its thread count.
+// one. A barrier-network barrier's Key is its id, a small counter below
+// core.TextBase, so it never equals a filtered line. N is the thread count.
 type Event struct {
 	Kind                EventKind
 	Core, Size, Dest, N int
